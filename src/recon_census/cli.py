@@ -55,7 +55,7 @@ from recon_census.iso_engine import (
     verify_nonisomorphic_inductive,
 )
 from recon_census.report import SCHEMA_VERSION, VerificationReport
-from recon_census.weight_matrix import MatrixVariant, check_lemma1
+from recon_census.weight_matrix import DENSE_ORDER_LIMIT, MatrixVariant, check_lemma1
 
 __all__ = ["RunConfig", "main", "report_schema_version", "run"]
 
@@ -100,6 +100,8 @@ def _is_valid_order(p: int) -> bool:
 
 
 def _check_valid_at(name: str, p: int) -> bool:
+    if name in ("hypo-sigma", "forced-iso") and p > DENSE_ORDER_LIMIT:
+        return False
     if name in ("lemma1", "lemma2", "swap", "forced-iso"):
         return p >= 8
     if name == "deck-match":
@@ -397,6 +399,11 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
 
     if command == "census" and args.p not in (8, 16):
         parser.error(f"census is available at p = 8 or 16, got {args.p}")
+    if command in ("generate", "deck") and args.p > DENSE_ORDER_LIMIT:
+        parser.error(
+            f"{command} builds dense matrices, available up to "
+            f"p = {DENSE_ORDER_LIMIT}, got {args.p}"
+        )
     if command in ("generate", "deck") and getattr(args, "kind", "") == "variant-digraph" and args.p < 8:
         parser.error("variant digraphs require p >= 8")
     if command == "generate" and args.kind == "weighted" and args.format != "csv":

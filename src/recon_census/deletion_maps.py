@@ -7,10 +7,13 @@ half order (subtract p/2 from anything above p/2), recursing, and adding
 p/2 back when the queried point lay in the lower half.  Points whose fold
 collides with the deleted point's fold are fixed.
 
-``sigma`` is that folded evaluation (O(log p) per query).  It is a derived
-simplification, so the verbatim case-by-case recursion is kept alongside
-as ``sigma_reference`` and the two are cross-validated exhaustively by the
-test suite, together with the printed order 4/8/16 tables.
+``sigma`` is that folded evaluation (O(log p) per query), and
+``sigma_values`` evaluates the fold in closed form on whole index arrays
+(O(1) per query, from the lowest bit in which the two 0-based arguments
+differ).  Both are derived simplifications, so the verbatim case-by-case
+recursion is kept alongside as ``sigma_reference`` and the three are
+cross-validated by the test suite (exhaustively at small orders), together
+with the printed order 4/8/16 tables.
 """
 
 from __future__ import annotations
@@ -96,7 +99,15 @@ def sigma_reference(p: int, k: int, i: int) -> int:
 
 
 def sigma_values(p: int, k, i) -> np.ndarray:
-    """Vectorized ``sigma``: k and i are broadcast 1-based index arrays."""
+    """Vectorized ``sigma`` in closed form, O(1) per query.
+
+    k and i are broadcast 1-based index arrays.  With a = i - 1 and
+    b = k - 1, the fold stops at the level of the lowest bit in which a
+    and b differ (or reaches order 4 when that bit is below 4).  Every
+    higher level at which the queried point lay in the lower half adds
+    that level's half order, i.e. the complemented bits of a above the
+    stopping level.
+    """
     order_exponent(p)
     k = np.asarray(k, dtype=np.int32)
     i = np.asarray(i, dtype=np.int32)
@@ -107,26 +118,15 @@ def sigma_values(p: int, k, i) -> np.ndarray:
         raise IndexError(f"points must lie in 1..{p}")
     if np.any(i == k):
         raise ValueError("mapping is undefined at the deleted point")
-    out = np.zeros(i.shape, dtype=np.int32)
-    shift = np.zeros(i.shape, dtype=np.int32)
-    done = np.zeros(i.shape, dtype=bool)
-    ci = i.copy()
-    ck = k.copy()
-    while p > 4:
-        h = p >> 1
-        fi = np.where(ci > h, ci - h, ci)
-        fk = np.where(ck > h, ck - h, ck)
-        fixed = ~done & (fi == fk)
-        out = np.where(fixed, ci + shift, out)
-        done |= fixed
-        live = ~done
-        shift = np.where(live & (ci <= h), shift + h, shift)
-        ci = np.where(live, fi, ci)
-        ck = np.where(live, fk, ck)
-        p = h
-    rem = ~done
-    base = _SIGMA4[np.where(rem, ck, 1) - 1, np.where(rem, ci, 1) - 1]
-    return np.where(rem, base + shift, out)
+    a = i - 1
+    b = k - 1
+    diff = a ^ b
+    low = diff & -diff
+    below = np.maximum(2 * low - 1, 3)
+    shift = ~a & (p - 1) & ~below
+    out = np.where(low >= 4, (a & below) + 1, _SIGMA4[b & 3, a & 3])
+    out += shift
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,6 +31,7 @@ from recon_census.errors import ContradictionError
 from recon_census.weight_matrix import (
     MatrixVariant,
     WeightedMatrix,
+    _offset_case_table,
     build_dense,
     entry_grid,
     entry_values,
@@ -284,8 +285,26 @@ def scores(g: Digraph) -> ScoreVector:
 def threshold_scores(p: int, variant: MatrixVariant) -> np.ndarray:
     """Scores of the canonical tournament at order p without materializing it.
 
-    Counts positive entries per row through the constant-time entry
-    oracle, in chunks, so arbitrarily large orders stay cheap.
+    An entry depends only on its block offset d and its residues (r, c), so
+    the positive entries are counted once per (d, r) in the per-order class
+    table and summed cumulatively over d.  A row in block b reaches exactly
+    the offsets -b..p/4-1-b, so its score is a difference of two prefix
+    sums: O(p) work and memory in total.
+    """
+    order_exponent(p)
+    nb = p // 4
+    positive = (_offset_case_table(p, variant) > 0).sum(axis=2, dtype=np.int64)
+    cum = np.zeros((2 * nb, 4), dtype=np.int64)
+    np.cumsum(positive, axis=0, out=cum[1:])
+    b = np.arange(nb)
+    return (cum[2 * nb - 1 - b] - cum[nb - 1 - b]).reshape(p)
+
+
+def _threshold_scores_reference(p: int, variant: MatrixVariant) -> np.ndarray:
+    """Chunked O(p**2) gather; cross-check oracle for ``threshold_scores``.
+
+    Counts positive entries per row through the entry oracle, a block of
+    rows at a time, so memory stays bounded while time grows as p**2.
     """
     order_exponent(p)
     out = np.empty(p, dtype=np.int64)

@@ -32,6 +32,35 @@ class TestExitCodes:
     def test_deck_match_bounded(self):
         assert run_cli("verify", "--p", "16", "--checks", "deck-match") == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("generate", "--p", "16384", "--kind", "weighted"),
+            ("generate", "--p", "16384", "--kind", "tournament", "--format", "d6"),
+            ("deck", "--p", "16384"),
+            ("verify", "--p", "16384", "--checks", "hypo-sigma"),
+            ("verify", "--p", "16384", "--checks", "forced-iso"),
+        ],
+    )
+    def test_dense_orders_refused_as_usage_error(self, capsys, args):
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            err.splitlines()[-1]
+        ]
+        assert "16384" in err.splitlines()[-1]
+
+    def test_all_drops_dense_checks_above_dense_limit(self):
+        from recon_census.cli import CHECK_NAMES, _expand_checks
+
+        assert _expand_checks(CHECK_NAMES, 8192) == tuple(
+            name for name in CHECK_NAMES if name != "deck-match"
+        )
+        assert _expand_checks(CHECK_NAMES, 16384) == (
+            "lemma1", "lemma2", "lemma3", "theorem1", "theorem2", "swap",
+        )
+
 
 class TestGenerate:
     def test_weighted_star_csv_is_byte_exact(self, tmp_path):

@@ -57,6 +57,25 @@ class TestSigmaValues:
         i = data.draw(st.integers(1, p).filter(lambda v: v != k))
         assert int(sigma_values(p, k, i)) == sigma(p, k, i)
 
+    @pytest.mark.parametrize("p", [4, 8, 16, 32, 64, 128, 256])
+    def test_vectorized_equals_reference_exhaustively(self, p):
+        k, i = np.divmod(np.arange(p * p, dtype=np.int32), p)
+        off = k != i
+        k, i = k[off] + 1, i[off] + 1
+        got = sigma_values(p, k, i)
+        want = [sigma_reference(p, int(a), int(b)) for a, b in zip(k, i)]
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("p", [2**20, 2**24])
+    def test_vectorized_matches_scalar_at_large_orders(self, p):
+        rng = np.random.default_rng(p)
+        k = rng.integers(1, p + 1, 100_000)
+        i = rng.integers(1, p, 100_000)
+        i += i >= k  # skip the deleted point
+        got = sigma_values(p, k, i)
+        assert np.array_equal(got, [sigma(p, int(a), int(b)) for a, b in zip(k, i)])
+
     def test_vectorized_rejects_deleted_point(self):
         with pytest.raises(ValueError):
             sigma_values(8, np.array([1, 2]), np.array([2, 2]))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from recon_census.digraph_builder import (
     BinaryAssignment,
     Digraph,
+    _threshold_scores_reference,
     apply_assignment,
     assignment_census,
     assignment_from_bits,
@@ -132,6 +133,14 @@ class TestStandardPair:
             got = threshold_scores(p, variant)
             assert list(got[:h]) == [first] * h
             assert list(got[h:]) == [p - 1 - first] * h
+
+    @pytest.mark.parametrize("p", [2**n for n in range(2, 13)])
+    def test_threshold_scores_match_reference(self, p):
+        for variant in (PLAIN, STAR):
+            got = threshold_scores(p, variant)
+            want = _threshold_scores_reference(p, variant)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (p, variant)
 
     @pytest.mark.parametrize("p", [8, 32])
     def test_threshold_scores_match_built_digraph(self, p):

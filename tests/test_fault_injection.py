@@ -5,12 +5,17 @@ evaluation seams to prove the violation scanners actually fire and report
 the first offending coordinates deterministically.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 import recon_census.deletion_maps as dm
+import recon_census.digraph_builder as db
 import recon_census.hypomorphism_verifier as hv
+import recon_census.iso_engine as ie
 import recon_census.weight_matrix as wm
+from recon_census.cli import main
 from recon_census.errors import ContradictionError
 
 
@@ -116,3 +121,77 @@ class TestSelfCheckingOperations:
         assert not report.passed
         k, i, j, lhs, rhs = report.counterexample
         assert lhs != rhs and 1 <= k <= 64
+
+
+def _corrupt_class_table(monkeypatch, edit):
+    """Apply ``edit`` to a copy of the order-16 plain class table, in every
+    namespace that reads the table (offsets -3..3 are rows 0..6)."""
+    real = wm._offset_case_table
+
+    def patched(p, variant):
+        table = real(p, variant)
+        if p == 16 and variant is wm.MatrixVariant.PLAIN:
+            table = table.copy()
+            edit(table)
+        return table
+
+    for module in (wm, db, ie):
+        monkeypatch.setattr(module, "_offset_case_table", patched)
+
+
+def _flip_positive_entry(table):
+    # offset 1, residues (1, 0): a positive entry off the diagonal
+    assert table[4, 1, 0] > 0
+    table[4, 1, 0] = -table[4, 1, 0]
+
+
+def _swap_opposite_signs(table):
+    # offset 1, residue row 1: same positive count, different sign pattern
+    assert table[4, 1, 0] > 0 > table[4, 1, 2]
+    table[4, 1, [0, 2]] = table[4, 1, [2, 0]]
+
+
+@pytest.fixture
+def fresh_halving_cache():
+    """Keep a cached pass from hiding the fault, and the fault from leaking."""
+    ie._verify_halving_step.cache_clear()
+    yield
+    ie._verify_halving_step.cache_clear()
+
+
+def _theorem2_error(p):
+    with pytest.raises(ContradictionError) as info:
+        ie.verify_nonisomorphic_inductive(p)
+    return str(info.value)
+
+
+class TestTheorem2Reporting:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                _flip_positive_entry,
+                "score split failed at p=16 (plain): first mismatch at point 2",
+            ),
+            (_swap_opposite_signs, "induced first half at p=16 differs from p=8"),
+        ],
+    )
+    def test_same_message_as_reference_form(
+        self, monkeypatch, fresh_halving_cache, edit, message
+    ):
+        _corrupt_class_table(monkeypatch, edit)
+        assert _theorem2_error(16) == message
+        ie._verify_halving_step.cache_clear()
+        monkeypatch.setattr(ie, "threshold_scores", db._threshold_scores_reference)
+        monkeypatch.setattr(
+            ie, "_induced_halves_mismatch", ie._induced_halves_mismatch_reference
+        )
+        assert _theorem2_error(16) == message
+
+    def test_cli_reports_failure(self, monkeypatch, fresh_halving_cache, tmp_path):
+        _corrupt_class_table(monkeypatch, _flip_positive_entry)
+        out = tmp_path / "report.json"
+        args = ["verify", "--p", "16", "--checks", "theorem2", "--out", str(out)]
+        assert main(args) == 1
+        (report,) = json.loads(out.read_text())["reports"]
+        assert report["outcome"] == "fail"

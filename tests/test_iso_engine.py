@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import recon_census.iso_engine as ie
+import recon_census.weight_matrix as wm
 from recon_census.deletion_maps import DeletionMap, build_all_maps
 from recon_census.digraph_builder import Digraph, standard_pair, variant_pair
 from recon_census.errors import BudgetExhausted
@@ -215,6 +217,29 @@ class TestInductiveNonIsomorphism:
         g_small, s_small = standard_pair(h)
         assert np.array_equal(g_big.adjacency[:h, :h], g_small.adjacency)
         assert np.array_equal(s_big.adjacency[h:, h:], s_small.adjacency)
+
+    @pytest.mark.parametrize("p", [2**n for n in range(3, 11)])
+    def test_induced_halves_class_form_matches_grid_form(self, p, monkeypatch):
+        assert ie._induced_halves_mismatch(p) is None
+        assert ie._induced_halves_mismatch_reference(p) is None
+        real = wm._offset_case_table
+        nb, nh = p // 4, p // 8
+        # negate one entry at an offset inside, then just outside, the half range
+        for variant in wm.MatrixVariant:
+            for d in sorted({0, nh - 1, -(nh - 1), nh, -nh}):
+
+                def patched(q, v, d=d, variant=variant):
+                    table = real(q, v)
+                    if q == p and v is variant:
+                        table = table.copy()
+                        table[d + nb - 1, 0, 1] *= -1
+                    return table
+
+                for module in (wm, ie):
+                    monkeypatch.setattr(module, "_offset_case_table", patched)
+                got = ie._induced_halves_mismatch(p)
+                assert got == ie._induced_halves_mismatch_reference(p)
+                assert (got is None) == (abs(d) >= nh), (p, variant, d)
 
     def test_json_serialization(self):
         trace = verify_nonisomorphic_inductive(16)
