@@ -55,7 +55,12 @@ from recon_census.iso_engine import (
     verify_nonisomorphic_inductive,
 )
 from recon_census.report import SCHEMA_VERSION, VerificationReport
-from recon_census.weight_matrix import DENSE_ORDER_LIMIT, MatrixVariant, check_lemma1
+from recon_census.weight_matrix import (
+    DENSE_ORDER_LIMIT,
+    MatrixVariant,
+    ORACLE_ORDER_LIMIT,
+    check_lemma1,
+)
 
 __all__ = ["RunConfig", "main", "report_schema_version", "run"]
 
@@ -379,6 +384,11 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
 
     if not _is_valid_order(args.p):
         parser.error(f"--p must be a power of two >= 4, got {args.p}")
+    if args.p > ORACLE_ORDER_LIMIT:
+        parser.error(
+            f"--p is available up to {ORACLE_ORDER_LIMIT}, above which the entry "
+            f"oracle's tables outgrow memory, got {args.p}"
+        )
 
     command = args.command
     checks: tuple[str, ...] = ()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -293,6 +294,11 @@ def check_lemma2(p: int) -> VerificationReport:
     when j = i +- p/2, with matching sign; (d) under any deletion, image
     pairs differ by p/2 exactly when the points do, with the difference
     reversed in orientation.
+
+    Parts (a)-(c) cost O(p) per deletion.  So does (d): under each
+    deletion only the points at distance p/2 and the preimages of the
+    images at distance p/2 can fail (``_lemma2_d``), so the whole check
+    is O(p**2), and ``checked`` still counts every admissible pair.
     """
     order_exponent(p)
     if p < 8:
@@ -343,13 +349,73 @@ def check_lemma2(p: int) -> VerificationReport:
                 counterexample = (i, i, j, int(t[j - 1]), j)
 
     # (d) distance-p/2 preservation under every deletion
+    checked += p * (p - 1) * (p - 1)
+    if counterexample is None:
+        counterexample = _lemma2_d(p, cols)
+
+    return VerificationReport(
+        check_name="lemma2",
+        order=p,
+        outcome=counterexample is None,
+        counterexample=counterexample,
+        checked_count=checked,
+    )
+
+
+def _lemma2_d(p: int, cols) -> Optional[tuple]:
+    """First counterexample to lemma 2 (d) over the tables ``cols``, or None.
+
+    Under the deletion of k, the pair (i, j) can fail only where j - i or
+    image(i) - image(j) is +-p/2.  For each i those are the four columns
+    i +- p/2 and the preimages of image(i) -+ p/2, read through the
+    inverse table, so each deletion costs O(p).  The tables must be
+    bijections, as ``_map_table`` asserts.  The report is that of the
+    full-matrix form ``_lemma2_d_reference``: the first failing pair in
+    row-major order.
+    """
+    h = p // 2
+    points = np.arange(1, p + 1, dtype=np.int64)
+    for k in range(1, p + 1):
+        t = cols[k - 1].astype(np.int64)
+        rest = points[points != k]
+        imgs = t[rest - 1]
+        # inv[v + h] is the preimage of v, or 0 where v has none
+        inv = np.zeros(2 * p + 1, dtype=np.int64)
+        inv[imgs + h] = rest
+        cand = np.stack([rest + h, rest - h, inv[imgs], inv[imgs + p]], axis=1)
+        valid = (cand >= 1) & (cand <= p) & (cand != k)
+        j = np.where(valid, cand, k)
+        point_diff = j - rest[:, None]
+        image_diff = imgs[:, None] - t[j - 1]
+        bad = valid & (
+            ((point_diff == h) != (image_diff == h))
+            | ((point_diff == -h) != (image_diff == -h))
+        )
+        rows = np.nonzero(bad.any(axis=1))[0]
+        if rows.size:
+            r = int(rows[0])
+            c = int(np.argmin(np.where(bad[r], j[r], p + 1)))
+            return (
+                k,
+                int(rest[r]),
+                int(j[r, c]),
+                int(image_diff[r, c]),
+                int(point_diff[r, c]),
+            )
+    return None
+
+
+def _lemma2_d_reference(p: int, cols) -> Optional[tuple]:
+    """Full-matrix form of ``_lemma2_d`` ((p-1)**2 pairs per deletion); test oracle."""
+    h = p // 2
+    points = np.arange(1, p + 1, dtype=np.int32)
+    counterexample = None
     for k in range(1, p + 1):
         t = cols[k - 1]
         rest = points[points != k]
         imgs = t[rest - 1]
         point_diff = rest[None, :] - rest[:, None]       # j - i
         image_diff = imgs[:, None] - imgs[None, :]       # image(i) - image(j)
-        checked += (p - 1) * (p - 1)
         if counterexample is None:
             bad = ((point_diff == h) != (image_diff == h)) | (
                 (point_diff == -h) != (image_diff == -h)
@@ -363,11 +429,4 @@ def check_lemma2(p: int) -> VerificationReport:
                     int(image_diff[r, c]),
                     int(point_diff[r, c]),
                 )
-
-    return VerificationReport(
-        check_name="lemma2",
-        order=p,
-        outcome=counterexample is None,
-        counterexample=counterexample,
-        checked_count=checked,
-    )
+    return counterexample

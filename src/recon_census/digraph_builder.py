@@ -354,7 +354,8 @@ def variant_pair(p: int) -> tuple[Digraph, Digraph]:
     return g, h
 
 
-def _is_arc_preserving(g: Digraph, h: Digraph, perm: np.ndarray) -> bool:
+def _is_arc_preserving(g: Digraph, h: Digraph, perm) -> bool:
+    """Whether the 1-based point map ``perm`` carries every arc of g onto h."""
     sel = np.asarray(perm, dtype=np.int64) - 1
     return np.array_equal(g.adjacency, h.adjacency[np.ix_(sel, sel)])
 

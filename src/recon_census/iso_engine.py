@@ -20,11 +20,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from recon_census.deletion_maps import DeletionMap
-from recon_census.digraph_builder import Digraph, standard_pair, threshold_scores
+from recon_census.digraph_builder import (
+    Digraph,
+    _is_arc_preserving,
+    standard_pair,
+    threshold_scores,
+)
 from recon_census.errors import BudgetExhausted, ContradictionError
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import (
     MatrixVariant,
+    _nested_rows,
     _offset_case_table,
     entry_grid,
     order_exponent,
@@ -74,11 +80,6 @@ class IsoVerdict:
 
 class _BudgetHit(Exception):
     pass
-
-
-def _witness_is_valid(g: Digraph, h: Digraph, witness) -> bool:
-    sel = np.asarray(witness, dtype=np.int64) - 1
-    return np.array_equal(g.adjacency, h.adjacency[np.ix_(sel, sel)])
 
 
 def are_isomorphic(
@@ -156,7 +157,7 @@ def are_isomorphic(
         return IsoVerdict(IsoStatus.NON_ISOMORPHIC, nodes=nodes)
 
     witness = tuple(mapping[v] + 1 for v in range(p))
-    if not _witness_is_valid(g, h, witness):
+    if not _is_arc_preserving(g, h, witness):
         raise ContradictionError("search produced a witness that fails verification")
     return IsoVerdict(IsoStatus.ISOMORPHIC, witness=witness, nodes=nodes)
 
@@ -308,19 +309,17 @@ class NonIsoTrace:
 def _induced_halves_mismatch(order: int) -> Optional[str]:
     """The first failing induced-half identity at one order, or None.
 
-    The first half of the plain matrix and the last half of the starred
-    one each hold the blocks at offsets -(p/8-1)..p/8-1, exactly the
-    offset range of the half-order matrix, and the residues line up
-    because p/2 is a multiple of 4.  Comparing those class-table rows is
-    therefore the entrywise comparison, in O(p).
+    This is lemma 1(a) read through signs: the first half of the plain
+    matrix and the last half of the starred one are diagonal quadrants,
+    so comparing their class-table rows (``_nested_rows``) with the
+    half-order table is the entrywise comparison, in O(p).
     """
     h = order // 2
-    nb, nh = order // 4, order // 8
     for variant, which in (
         (MatrixVariant.PLAIN, "first"),
         (MatrixVariant.STAR, "last"),
     ):
-        big = _offset_case_table(order, variant)[nb - nh : nb + nh - 1] > 0
+        big = _nested_rows(order, variant) > 0
         small = _offset_case_table(h, variant) > 0
         if not np.array_equal(big, small):
             return f"induced {which} half at p={order} differs from p={h}"

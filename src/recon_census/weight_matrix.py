@@ -34,6 +34,7 @@ from recon_census.report import VerificationReport
 __all__ = [
     "DENSE_ORDER_LIMIT",
     "MatrixVariant",
+    "ORACLE_ORDER_LIMIT",
     "WeightedMatrix",
     "base_matrix",
     "build_dense",
@@ -48,6 +49,11 @@ __all__ = [
 
 #: Largest order materialized as a dense matrix by default (16 MiB of int8).
 DENSE_ORDER_LIMIT = 8192
+
+#: Largest order the command line accepts.  The entry oracle builds a class
+#: table of 8p bytes per variant, about 60 MB of peak memory per 2**20
+#: points (about 1 GB for a sampled theorem 1 run at 2**24).
+ORACLE_ORDER_LIMIT = 1 << 24
 
 
 class MatrixVariant(enum.Enum):
@@ -247,22 +253,23 @@ def entry_at(p: int, variant: MatrixVariant, i: int, j: int) -> int:
 
 
 def _offset_case_values(variant: MatrixVariant, d, r, c) -> np.ndarray:
-    """Closed-form value for block offset d and in-block residues r, c (0-based)."""
-    base = _BASE[variant][r, c].astype(np.int32)
-    diag = r == c
+    """Closed-form value for block offset d and in-block residues r, c (0-based).
+
+    The diagonal increment depends on d alone, so it is computed at the
+    shape of d and only the final int8 composition broadcasts over r, c.
+    """
+    base = _BASE[variant][r, c]
     odd = (d & 1) == 1
     odd_sign = np.where((d & 3) == 1, 4, -4)
     safe = np.where(odd | (d == 0), np.int32(2), d)
     x = np.bitwise_count((safe & -safe) - np.int32(1)).astype(np.int32)
     y = safe >> x
     even_sign = np.where((y & 3) == 1, x + 4, -(x + 4))
-    sign = np.where(odd, odd_sign, even_sign)
+    sign = np.where(odd, odd_sign, even_sign).astype(np.int8)
     if variant is MatrixVariant.STAR:
         sign = -sign
     vals = np.where(odd, -base, base)
-    vals = np.where(diag & (d != 0), vals + sign, vals)
-    vals = np.where(d == 0, base, vals)
-    return vals.astype(np.int8)
+    return np.where((r == c) & (d != 0), vals + sign, vals)
 
 
 @lru_cache(maxsize=32)
@@ -346,8 +353,139 @@ def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray, rows, cols, mask=None):
     return int(rows[r]), int(cols[c]), int(lhs[r, c]), int(rhs[r, c])
 
 
+def _nested_rows(p: int, variant: MatrixVariant) -> np.ndarray:
+    """Class-table rows of the two diagonal p/2 x p/2 quadrants at order p.
+
+    Both quadrants hold the blocks at offsets -(p/8-1)..p/8-1, exactly the
+    offset range of the half-order matrix, and the residues line up because
+    p/2 is a multiple of 4.  Row for row, these rows are therefore the
+    half-order class table exactly when the quadrants equal the half-order
+    matrix entrywise.
+    """
+    nb, nh = p // 4, p // 8
+    return _offset_case_table(p, variant)[nb - nh : nb + nh - 1]
+
+
+def _first_class_mismatch(lhs, rhs, row_shift, col_shift, off_diagonal=False):
+    """First (i, j, lhs, rhs) difference in row-major order over a quadrant.
+
+    ``lhs`` and ``rhs`` hold one value per class of a p/2 x p/2 diagonal
+    quadrant, indexed [d + p/8 - 1, r, c].  The class's positions run
+    down a block diagonal, so a differing class maps back to its first
+    position, in block row max(0, -d); the quadrant's corner is at
+    (row_shift, col_shift).  ``off_diagonal`` skips the class d = 0,
+    r = c, whose positions are the diagonal i = j.
+    """
+    neq = lhs != rhs
+    if off_diagonal:
+        np.fill_diagonal(neq[len(neq) // 2], False)
+    bad = np.argwhere(neq)
+    if not bad.size:
+        return None
+    row, r, c = bad.T
+    d = row - len(neq) // 2
+    block = np.maximum(0, -d)
+    i = 4 * block + r
+    j = 4 * (block + d) + c
+    at = np.lexsort((j, i))[0]
+    cls = tuple(bad[at])
+    return (
+        int(i[at]) + 1 + row_shift,
+        int(j[at]) + 1 + col_shift,
+        int(lhs[cls]),
+        int(rhs[cls]),
+    )
+
+
 def check_lemma1(p: int) -> VerificationReport:
-    """Exhaustively verify the four structural identities at order p >= 8.
+    """Verify the four structural identities at order p >= 8 in O(p).
+
+    (a) both half-order quadrants (top-left, bottom-right) equal the
+    half-order matrix entrywise; (b)/(c) half-shifted entries flip sign
+    exactly as ``sign_flip`` states; (d) the extreme levels +-(n+1) sit
+    exactly at column/row offsets of p/2.  Both variants are checked;
+    the first violation in row-major order, if any, is reported.
+
+    Every entry depends only on its block offset and residues, so each
+    identity compares class-table rows: a shift by p/2 moves the block
+    offset by +-p/8, the sign of (b)/(c) is -1 exactly at offset +-p/16
+    with r = c (everywhere at p = 8), and the extreme levels sit at
+    offset +-p/8 with r = c.  ``checked`` counts positions, as the
+    entry-grid form ``_check_lemma1_reference`` does.
+    """
+    n = order_exponent(p)
+    if p < 8:
+        raise ValueError(f"check_lemma1 requires p >= 8, got {p}")
+    h, nb, nh = p // 2, p // 4, p // 8
+    checked = 0
+    counterexample = None
+
+    for variant in (MatrixVariant.PLAIN, MatrixVariant.STAR):
+        table = _offset_case_table(p, variant)
+        quadrant = _nested_rows(p, variant)
+
+        # (a) nested copies
+        half = _offset_case_table(h, variant)
+        for shift in (0, h):
+            checked += h * h
+            if counterexample is None:
+                hit = _first_class_mismatch(quadrant, half, shift, shift)
+                if hit is not None:
+                    counterexample = (0, *hit)
+
+        # (b)/(c) half-shift sign pattern on off-diagonal pairs: the
+        # shifted copies sit at offsets d + p/8 and d - p/8
+        if p == 8:
+            expected = -quadrant
+        else:
+            expected = quadrant.copy()
+            for row in (nh - 1 - p // 16, nh - 1 + p // 16):
+                np.fill_diagonal(expected[row], -np.diagonal(quadrant[row]))
+        for shifted, row_shift, col_shift in (
+            (table[nb:], 0, h),
+            (table[: nb - 1], h, 0),
+        ):
+            checked += h * h - h
+            if counterexample is None:
+                hit = _first_class_mismatch(
+                    shifted, expected, row_shift, col_shift, off_diagonal=True
+                )
+                if hit is not None:
+                    counterexample = (0, *hit)
+
+        # (d) extreme levels at offset p/2: block offset +-p/8 with r = c
+        want_up = np.int8((1 if variant is MatrixVariant.PLAIN else -1) * (n + 1))
+        checked += 2 * h
+        if counterexample is None:
+            for got, want, row_shift, col_shift in (
+                (np.diagonal(table[nb + nh - 1]), want_up, 0, h),
+                (np.diagonal(table[nb - nh - 1]), -want_up, h, 0),
+            ):
+                bad = np.nonzero(got != want)[0]
+                if bad.size:
+                    b = int(bad[0])
+                    counterexample = (
+                        0,
+                        b + 1 + row_shift,
+                        b + 1 + col_shift,
+                        int(got[b]),
+                        int(want),
+                    )
+                    break
+
+    return VerificationReport(
+        check_name="lemma1",
+        order=p,
+        outcome=counterexample is None,
+        counterexample=counterexample,
+        checked_count=checked,
+    )
+
+
+def _check_lemma1_reference(p: int) -> VerificationReport:
+    """Entry-grid form of ``check_lemma1`` (O(p**2)); test oracle.
+
+    Exhaustively verifies the four structural identities at order p >= 8.
 
     (a) both half-order quadrants (top-left, bottom-right) equal the
     half-order matrix entrywise; (b)/(c) half-shifted entries flip sign

@@ -51,6 +51,42 @@ class TestExitCodes:
         ]
         assert "16384" in err.splitlines()[-1]
 
+    @pytest.mark.parametrize("p", [2**25, 2**40])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "--checks", "theorem1", "--budget", "10"),
+            ("verify", "--checks", "all"),
+            ("export",),
+        ],
+    )
+    def test_orders_above_oracle_limit_refused_as_usage_error(
+        self, capsys, monkeypatch, p, args
+    ):
+        import recon_census.cli as cli
+
+        def no_run(config):
+            raise AssertionError("a refused order must not start any command")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        assert run_cli(args[0], "--p", str(p), *args[1:]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            err.splitlines()[-1]
+        ]
+        assert str(p) in err.splitlines()[-1]
+
+    def test_oracle_limit_order_is_accepted(self):
+        from recon_census.cli import _parse_config
+        from recon_census.weight_matrix import ORACLE_ORDER_LIMIT
+
+        assert ORACLE_ORDER_LIMIT == 2**24
+        config = _parse_config(
+            ["verify", "--p", str(2**24), "--checks", "theorem1", "--budget", "10"]
+        )
+        assert config.p == 2**24 and config.checks == ("theorem1",)
+
     def test_all_drops_dense_checks_above_dense_limit(self):
         from recon_census.cli import CHECK_NAMES, _expand_checks
 

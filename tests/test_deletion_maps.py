@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recon_census.deletion_maps as dm
 from recon_census.deletion_maps import (
     DeletionMap,
     ExtendedMap,
@@ -145,6 +146,40 @@ class TestLemma2:
     def test_rejects_order_4(self):
         with pytest.raises(ValueError):
             check_lemma2(4)
+
+    @pytest.mark.parametrize("p", [2**n for n in range(3, 9)])
+    def test_part_d_matches_full_matrix_form(self, p, monkeypatch):
+        clean = [dm._map_table(p, k) for k in range(1, p + 1)]
+        assert dm._lemma2_d(p, clean) is None
+        assert dm._lemma2_d_reference(p, clean) is None
+        real = dm._map_table
+        rng = np.random.default_rng(p)
+        hits = []
+        for _ in range(6):
+            # swap the images of two kept points in a few tables: each table
+            # stays a bijection, so only the identities can break
+            swaps = {}
+            for k in rng.choice(np.arange(1, p + 1), size=3, replace=False):
+                kept = np.delete(np.arange(p), k - 1)
+                swaps[int(k)] = rng.choice(kept, size=2, replace=False)
+
+            def patched(q, k, swaps=swaps):
+                table = real(q, k)
+                if q == p and k in swaps:
+                    table = table.copy()
+                    a, b = swaps[k]
+                    table[[a, b]] = table[[b, a]]
+                return table
+
+            monkeypatch.setattr(dm, "_map_table", patched)
+            cols = [dm._map_table(p, k) for k in range(1, p + 1)]
+            hits.append(dm._lemma2_d(p, cols))
+            assert hits[-1] == dm._lemma2_d_reference(p, cols)
+            report = check_lemma2(p)
+            monkeypatch.setattr(dm, "_lemma2_d", dm._lemma2_d_reference)
+            assert check_lemma2(p) == report
+            monkeypatch.undo()
+        assert any(hit is not None for hit in hits)
 
     @pytest.mark.parametrize("p", [8, 16, 32])
     def test_half_shift_property_directly(self, p):

@@ -48,7 +48,7 @@ class TestLemma1Reporting:
             return grid
 
         monkeypatch.setattr(wm, "entry_grid", patched)
-        report = wm.check_lemma1(16)
+        report = wm._check_lemma1_reference(16)
         assert not report.passed
         k, i, j, lhs, rhs = report.counterexample
         assert (k, i, j) == (0, 3, 5)
@@ -123,14 +123,17 @@ class TestSelfCheckingOperations:
         assert lhs != rhs and 1 <= k <= 64
 
 
-def _corrupt_class_table(monkeypatch, edit):
-    """Apply ``edit`` to a copy of the order-16 plain class table, in every
-    namespace that reads the table (offsets -3..3 are rows 0..6)."""
+def _corrupt_class_table(
+    monkeypatch, edit, order=16, which=wm.MatrixVariant.PLAIN
+):
+    """Apply ``edit`` to a copy of one class table (by default the order-16
+    plain one, whose offsets -3..3 are rows 0..6), in every namespace that
+    reads the table."""
     real = wm._offset_case_table
 
     def patched(p, variant):
         table = real(p, variant)
-        if p == 16 and variant is wm.MatrixVariant.PLAIN:
+        if p == order and variant is which:
             table = table.copy()
             edit(table)
         return table
@@ -192,6 +195,76 @@ class TestTheorem2Reporting:
         _corrupt_class_table(monkeypatch, _flip_positive_entry)
         out = tmp_path / "report.json"
         args = ["verify", "--p", "16", "--checks", "theorem2", "--out", str(out)]
+        assert main(args) == 1
+        (report,) = json.loads(out.read_text())["reports"]
+        assert report["outcome"] == "fail"
+
+
+def _lemma1_edit(part, p):
+    """(table order, edit) that breaks one lemma 1 identity at order p."""
+    nb, nh = p // 4, p // 8
+
+    def bump(row, r, c):
+        def edit(table):
+            table[row, r, c] += 1
+
+        return edit
+
+    return {
+        # a quadrant class, offset p/8 - 1, off the diagonal
+        "nesting": (p, bump(nb + nh - 2, 2, 0)),
+        # the same class of the half-order table
+        "half-table": (p // 2, bump(2 * nh - 2, 2, 0)),
+        # offset p/4 - 1: reached only by the column shift
+        "column-shift": (p, bump(2 * nb - 2, 1, 0)),
+        # offset -(p/4 - 1): reached only by the row shift
+        "row-shift": (p, bump(0, 1, 0)),
+        # the diagonal of offset +-p/8 holds the extreme levels
+        "extreme-up": (p, bump(nb + nh - 1, 1, 1)),
+        "extreme-down": (p, bump(nb - nh - 1, 3, 3)),
+    }[part]
+
+
+class TestLemma1ClassTableReporting:
+    def test_detects_broken_quadrant(self, monkeypatch):
+        def edit(table):
+            table[4, 2, 0] += 1  # offset 1, residues (2, 0): inside both quadrants
+
+        _corrupt_class_table(monkeypatch, edit)
+        report = wm.check_lemma1(16)
+        assert not report.passed
+        k, i, j, lhs, rhs = report.counterexample
+        assert (k, i, j) == (0, 3, 5)
+        assert lhs == rhs + 1
+
+    @pytest.mark.parametrize("p", [8, 16, 64])
+    @pytest.mark.parametrize("variant", list(wm.MatrixVariant))
+    @pytest.mark.parametrize(
+        "part",
+        ["nesting", "half-table", "column-shift", "row-shift", "extreme-up", "extreme-down"],
+    )
+    def test_same_report_as_reference_form(self, monkeypatch, p, variant, part):
+        order, edit = _lemma1_edit(part, p)
+        _corrupt_class_table(monkeypatch, edit, order, variant)
+        report = wm.check_lemma1(p)
+        assert report == wm._check_lemma1_reference(p)
+        assert not report.passed and report.checked_count == 2 * p * p
+        _, i, j, lhs, rhs = report.counterexample
+        h = p // 2
+        if part in ("nesting", "half-table"):
+            assert i <= h and j <= h
+        elif part == "column-shift":
+            assert i <= h < j
+        elif part == "row-shift":
+            assert j <= h < i
+        else:
+            assert abs(i - j) == h
+        assert lhs != rhs
+
+    def test_cli_reports_failure(self, monkeypatch, tmp_path):
+        _corrupt_class_table(monkeypatch, _flip_positive_entry)
+        out = tmp_path / "report.json"
+        args = ["verify", "--p", "16", "--checks", "lemma1", "--out", str(out)]
         assert main(args) == 1
         (report,) = json.loads(out.read_text())["reports"]
         assert report["outcome"] == "fail"

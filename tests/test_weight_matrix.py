@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from recon_census.weight_matrix import (
     DENSE_ORDER_LIMIT,
+    _check_lemma1_reference,
     MatrixVariant,
     base_matrix,
     build_dense,
@@ -200,6 +201,12 @@ class TestLemma1:
     def test_rejects_order_4(self):
         with pytest.raises(ValueError):
             check_lemma1(4)
+
+    @pytest.mark.parametrize("p", [2**n for n in range(3, 11)])
+    def test_class_form_matches_grid_form(self, p):
+        report = check_lemma1(p)
+        assert report == _check_lemma1_reference(p)
+        assert report.passed and report.checked_count == 2 * p * p
 
     def test_nested_copies_directly(self):
         big = build_dense(16, PLAIN).entries
