@@ -104,8 +104,12 @@ def _is_valid_order(p: int) -> bool:
     return p >= 4 and p & (p - 1) == 0
 
 
+#: Checks holding dense p x p grids or all p deletion maps (O(p**2) memory).
+DENSE_CHECKS = ("lemma2", "lemma3", "swap", "hypo-sigma", "forced-iso")
+
+
 def _check_valid_at(name: str, p: int) -> bool:
-    if name in ("hypo-sigma", "forced-iso") and p > DENSE_ORDER_LIMIT:
+    if name in DENSE_CHECKS and p > DENSE_ORDER_LIMIT:
         return False
     if name in ("lemma1", "lemma2", "swap", "forced-iso"):
         return p >= 8

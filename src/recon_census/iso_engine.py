@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from recon_census.deletion_maps import DeletionMap
+from recon_census.deletion_maps import DeletionMap, _deletion_sweep
 from recon_census.digraph_builder import (
     Digraph,
     _is_arc_preserving,
@@ -202,25 +202,9 @@ def verify_hypomorphic_by_sigma(
     for k, m in enumerate(maps, start=1):
         if m.order != p or m.deleted_point != k:
             raise ValueError(f"map {k} does not delete point {k} at order {p}")
-    points = np.arange(1, p + 1, dtype=np.int32)
-    checked = 0
-    counterexample = None
-    for k in range(1, p + 1):
-        table = maps[k - 1].as_array()
-        rest = points[points != k]
-        imgs = table[rest - 1]
-        lhs = g.adjacency[np.ix_(rest - 1, rest - 1)]
-        rhs = h.adjacency[np.ix_(imgs - 1, imgs - 1)]
-        checked += (p - 1) * (p - 1)
-        if counterexample is None and not np.array_equal(lhs, rhs):
-            r, c = divmod(int(np.argmax(lhs != rhs)), p - 1)
-            counterexample = (
-                k,
-                int(rest[r]),
-                int(rest[c]),
-                int(lhs[r, c]),
-                int(rhs[r, c]),
-            )
+    counterexample, checked = _deletion_sweep(
+        g.adjacency, h.adjacency, [m.as_array() for m in maps]
+    )
     return VerificationReport(
         check_name="hypomorphic-by-sigma",
         order=p,

@@ -21,3 +21,13 @@ def load_matrix_fixture(p: int, variant_name: str) -> np.ndarray:
 
 def load_sigma_fixture(p: int) -> str:
     return (FIXTURES / f"sigma_p{p}.tsv").read_text()
+
+
+def swap_two_images(table: np.ndarray, k: int) -> np.ndarray:
+    """Copy of the map table deleting k with the images of two kept points
+    exchanged: still a bijection, so only the identities can break."""
+    kept = [s for s in range(table.size) if s != k - 1]
+    a, b = kept[1], kept[-2]
+    out = table.copy()
+    out[[a, b]] = out[[b, a]]
+    return out

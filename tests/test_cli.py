@@ -40,6 +40,9 @@ class TestExitCodes:
             ("deck", "--p", "16384"),
             ("verify", "--p", "16384", "--checks", "hypo-sigma"),
             ("verify", "--p", "16384", "--checks", "forced-iso"),
+            ("verify", "--p", "16384", "--checks", "lemma2"),
+            ("verify", "--p", "16384", "--checks", "lemma3"),
+            ("verify", "--p", "16384", "--checks", "swap"),
         ],
     )
     def test_dense_orders_refused_as_usage_error(self, capsys, args):
@@ -93,9 +96,16 @@ class TestExitCodes:
         assert _expand_checks(CHECK_NAMES, 8192) == tuple(
             name for name in CHECK_NAMES if name != "deck-match"
         )
-        assert _expand_checks(CHECK_NAMES, 16384) == (
-            "lemma1", "lemma2", "lemma3", "theorem1", "theorem2", "swap",
+        assert _expand_checks(CHECK_NAMES, 16384) == ("lemma1", "theorem1", "theorem2")
+
+    def test_dense_checks_accepted_at_dense_limit(self):
+        from recon_census.cli import DENSE_CHECKS, _parse_config
+
+        assert DENSE_CHECKS == ("lemma2", "lemma3", "swap", "hypo-sigma", "forced-iso")
+        config = _parse_config(
+            ["verify", "--p", "8192", "--checks", ",".join(DENSE_CHECKS)]
         )
+        assert config.checks == DENSE_CHECKS
 
 
 class TestGenerate:
@@ -235,6 +245,22 @@ class TestVerifyReports:
         run_cli("verify", "--p", "8", "--checks", "lemma1")
         doc = json.loads(capsys.readouterr().out)
         assert doc["reports"][0]["check"] == "lemma1"
+
+
+    def test_sweep_and_reference_reports_are_byte_identical(self, tmp_path, monkeypatch):
+        import recon_census.deletion_maps as dm
+        import recon_census.hypomorphism_verifier as hv
+        import recon_census.iso_engine as ie
+
+        args = ("verify", "--p", "256", "--checks", "theorem1,hypo-sigma", "--out")
+        fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
+        assert run_cli(*args, str(fast)) == 0
+        for module in (hv, ie):
+            monkeypatch.setattr(module, "_deletion_sweep", dm._deletion_sweep_reference)
+        assert run_cli(*args, str(slow)) == 0
+        assert fast.read_bytes() == slow.read_bytes()
+        names = [r["check"] for r in json.loads(fast.read_text())["reports"]]
+        assert names == ["theorem1", "hypo-sigma-tournament", "hypo-sigma-variant"]
 
 
 class TestFailurePath:

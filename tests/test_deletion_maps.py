@@ -17,8 +17,10 @@ from recon_census.deletion_maps import (
     sigma_table_tsv,
     sigma_values,
 )
+from recon_census.digraph_builder import standard_pair, variant_pair
+from recon_census.weight_matrix import MatrixVariant, entry_grid
 
-from conftest import load_sigma_fixture
+from conftest import load_sigma_fixture, swap_two_images
 
 
 class TestSigmaValues:
@@ -227,3 +229,81 @@ class TestExtendedMap:
         bad[[1, 2]] = bad[[2, 1]]
         with pytest.raises(ValueError):
             ExtendedMap(8, bad)
+
+
+def _clean_tables(p):
+    return [dm._map_table(p, k) for k in range(1, p + 1)]
+
+
+def _sweep_pairs(p):
+    """The (a, b) pairs each deletion map carries onto each other at order p."""
+    pairs = [(entry_grid(p, MatrixVariant.PLAIN), entry_grid(p, MatrixVariant.STAR))]
+    g, h = standard_pair(p)
+    pairs.append((g.adjacency, h.adjacency))
+    if p >= 8:
+        g, h = variant_pair(p)
+        pairs.append((g.adjacency, h.adjacency))
+    return pairs
+
+
+class TestDeletionSweep:
+    @pytest.mark.parametrize("p", [2**n for n in range(2, 11)])
+    def test_gray_slots_flip_one_bit_per_step(self, p):
+        slots = dm._gray_slots(p)
+        assert sorted(slots) == list(range(p))
+        assert slots[0] == 0
+        steps = [a ^ b for a, b in zip(slots, slots[1:])]
+        assert all(s & (s - 1) == 0 for s in steps)
+        # half of the steps flip the top bit
+        assert steps.count(p // 2) == p // 2
+        # the order's own tables change in about p * log2(p) slots in all
+        n = p.bit_length() - 1
+        tables = _clean_tables(p)
+        changed = sum(
+            int(np.count_nonzero(tables[s] != tables[t]))
+            for s, t in zip(slots, slots[1:])
+        )
+        assert changed <= (n + 2) * p
+
+    @pytest.mark.parametrize("p", [2**n for n in range(2, 8)])
+    def test_matches_reference_on_clean_tables(self, p):
+        tables = _clean_tables(p)
+        for a, b in _sweep_pairs(p):
+            assert dm._deletion_sweep(a, b, tables) == (None, p * (p - 1) ** 2)
+            # the reversed and the self pair fail somewhere; same report
+            for x, y in ((b, a), (a, a)):
+                report = dm._deletion_sweep(x, y, tables)
+                assert report == dm._deletion_sweep_reference(x, y, tables)
+
+    @pytest.mark.parametrize("p", [8, 16, 64, 128])
+    def test_smaller_of_two_faulty_deletions_is_reported(self, p):
+        slots = dm._gray_slots(p)
+        big, small = p // 2 + 1, p // 4 + 1
+        assert slots.index(big - 1) < slots.index(small - 1)
+        for a, b in _sweep_pairs(p):
+            tables = _clean_tables(p)
+            tables[big - 1] = swap_two_images(tables[big - 1], big)
+            report = dm._deletion_sweep(a, b, tables)
+            assert report[0][0] == big
+            assert report == dm._deletion_sweep_reference(a, b, tables)
+            tables[small - 1] = swap_two_images(tables[small - 1], small)
+            report = dm._deletion_sweep(a, b, tables)
+            assert report[0][0] == small
+            assert report == dm._deletion_sweep_reference(a, b, tables)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_on_random_tables(self, data):
+        p = data.draw(st.sampled_from([8, 16]))
+        a, b = _sweep_pairs(p)[data.draw(st.integers(0, 2))]
+        tables = _clean_tables(p)
+        for k in data.draw(st.sets(st.integers(1, p), max_size=3)):
+            images = data.draw(st.lists(st.integers(1, p), min_size=p, max_size=p))
+            tables[k - 1] = np.array(images, dtype=np.int32)
+        b = b.copy()
+        cells = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+        for i, j in data.draw(st.lists(cells, max_size=3)):
+            b[i, j] = 1 - b[i, j]
+        assert dm._deletion_sweep(a, b, tables) == dm._deletion_sweep_reference(
+            a, b, tables
+        )

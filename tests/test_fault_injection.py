@@ -18,6 +18,8 @@ import recon_census.weight_matrix as wm
 from recon_census.cli import main
 from recon_census.errors import ContradictionError
 
+from conftest import swap_two_images
+
 
 @pytest.fixture
 def corrupt_plain_entry(monkeypatch):
@@ -71,6 +73,39 @@ class TestTheorem1Reporting:
         k, i, j, lhs, rhs = report.counterexample
         assert k == 1 and (i, j) == (2, 3)
         assert lhs != rhs
+
+
+class TestTheorem1Sweep:
+    """``check_theorem1`` reports the same under the shared sweep and its reference."""
+
+    @staticmethod
+    def both_reports(p, monkeypatch):
+        report = hv.check_theorem1(p)
+        with monkeypatch.context() as m:
+            m.setattr(hv, "_deletion_sweep", dm._deletion_sweep_reference)
+            assert hv.check_theorem1(p) == report
+        return report
+
+    def test_corrupt_plain_entry(self, corrupt_plain_entry, monkeypatch):
+        report = self.both_reports(8, monkeypatch)
+        assert not report.passed
+        assert report.counterexample[:3] == (1, 2, 3)
+
+    @pytest.mark.parametrize("p", [16, 64])
+    @pytest.mark.parametrize("late", ["last", "first-upper"])
+    def test_patched_map_table(self, monkeypatch, p, late):
+        bad_k = p if late == "last" else p // 2 + 1
+        real = hv._map_table
+
+        def patched(q, k):
+            table = real(q, k)
+            return swap_two_images(table, k) if (q, k) == (p, bad_k) else table
+
+        monkeypatch.setattr(hv, "_map_table", patched)
+        report = self.both_reports(p, monkeypatch)
+        assert not report.passed
+        assert report.counterexample[0] == bad_k
+        assert report.checked_count == p * (p - 1) ** 2
 
 
 class TestLemma2Reporting:

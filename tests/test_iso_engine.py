@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import recon_census.deletion_maps as dm
 import recon_census.iso_engine as ie
 import recon_census.weight_matrix as wm
 from recon_census.deletion_maps import DeletionMap, build_all_maps
@@ -18,6 +19,8 @@ from recon_census.iso_engine import (
     verify_hypomorphic_by_sigma,
     verify_nonisomorphic_inductive,
 )
+
+from conftest import swap_two_images
 
 
 def random_digraph(rng: np.random.Generator, p: int, density: float = 0.5) -> Digraph:
@@ -149,6 +152,44 @@ class TestHypomorphicBySigma:
         g, h = standard_pair(8)
         with pytest.raises(ValueError):
             verify_hypomorphic_by_sigma(g, h, build_all_maps(8)[:4])
+
+
+class TestHypomorphicBySigmaSweep:
+    """The shared sweep and its block-copy reference give the same report."""
+
+    @staticmethod
+    def both_reports(g, h, maps, monkeypatch):
+        report = verify_hypomorphic_by_sigma(g, h, maps)
+        with monkeypatch.context() as m:
+            m.setattr(ie, "_deletion_sweep", dm._deletion_sweep_reference)
+            assert verify_hypomorphic_by_sigma(g, h, maps) == report
+        return report
+
+    @pytest.mark.parametrize("p", [16, 64, 128])
+    @pytest.mark.parametrize("late", ["last", "first-upper"])
+    def test_swapped_images_in_one_late_map(self, p, late, monkeypatch):
+        k = p if late == "last" else p // 2 + 1
+        maps = list(build_all_maps(p))
+        maps[k - 1] = DeletionMap(p, k, swap_two_images(maps[k - 1].as_array(), k))
+        for g, h in (standard_pair(p), variant_pair(p)):
+            report = self.both_reports(g, h, maps, monkeypatch)
+            assert not report.passed
+            assert report.counterexample[0] == k
+            assert report.checked_count == p * (p - 1) ** 2
+
+    @pytest.mark.parametrize("p", [8, 32, 128])
+    def test_arc_flips_at_point_1_are_seen_from_k_2(self, p, monkeypatch):
+        g, h = standard_pair(p)
+        adj = h.adjacency.copy()
+        for c in (1, p // 2, p - 1):
+            # reverse the arc between points 1 and c + 1: still a tournament
+            adj[0, c], adj[c, 0] = adj[c, 0], adj[0, c]
+        flipped = Digraph(p, adj)
+        assert flipped.is_tournament()
+        report = self.both_reports(g, flipped, build_all_maps(p), monkeypatch)
+        # the deletion of point 1 never reads point 1 of h
+        assert not report.passed
+        assert report.counterexample[0] >= 2
 
 
 class TestDeckMatching:
