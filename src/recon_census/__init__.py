@@ -25,14 +25,12 @@ from recon_census.digraph_builder import (
     CensusRow,
     CensusTable,
     Digraph,
-    ScoreVector,
     apply_assignment,
     assignment_census,
     assignment_from_bits,
     assignment_from_mapping,
     constant_assignment,
     forced_isomorphism,
-    scores,
     standard_pair,
     swap_involution,
     threshold_scores,
@@ -47,7 +45,6 @@ from recon_census.hypomorphism_verifier import (
     sample_theorem1,
 )
 from recon_census.iso_engine import (
-    Deck,
     IsoStatus,
     IsoVerdict,
     NonIsoTrace,
@@ -84,7 +81,6 @@ __all__ = [
     "CensusTable",
     "ContradictionError",
     "DENSE_ORDER_LIMIT",
-    "Deck",
     "DeletionMap",
     "Digraph",
     "ExtendedMap",
@@ -94,7 +90,6 @@ __all__ = [
     "NonIsoTrace",
     "ORACLE_ORDER_LIMIT",
     "SCHEMA_VERSION",
-    "ScoreVector",
     "TraceStep",
     "VerificationReport",
     "WeightedMatrix",
@@ -123,7 +118,6 @@ __all__ = [
     "level_bound",
     "order_exponent",
     "sample_theorem1",
-    "scores",
     "sigma",
     "sigma_reference",
     "sigma_table_tsv",

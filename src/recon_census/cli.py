@@ -10,8 +10,9 @@ Subcommands:
 * ``export``: write the deletion-mapping table (tsv).
 
 Exit status: 0 when everything requested passed, 1 when a check failed
-(the report is still written), 2 on usage errors.  Identical invocations
-(including ``--seed``) produce byte-identical outputs.
+(the report is still written), 2 on usage errors and when ``--out`` cannot
+be written.  Identical invocations (including ``--seed``) produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from recon_census.deletion_maps import (
     build_all_maps,
@@ -31,6 +32,7 @@ from recon_census.deletion_maps import (
     sigma_table_tsv,
 )
 from recon_census.digraph_builder import (
+    CENSUS_ORDERS,
     DEFAULT_ISO_BUDGET,
     Digraph,
     assignment_census,
@@ -49,6 +51,7 @@ from recon_census.hypomorphism_verifier import (
     sample_theorem1,
 )
 from recon_census.iso_engine import (
+    DECK_MATCH_ORDER_LIMIT,
     deck,
     decks_match_independent,
     verify_hypomorphic_by_sigma,
@@ -59,31 +62,16 @@ from recon_census.weight_matrix import (
     DENSE_ORDER_LIMIT,
     MatrixVariant,
     ORACLE_ORDER_LIMIT,
+    WeightedMatrix,
     check_lemma1,
+    order_exponent,
 )
 
-__all__ = ["RunConfig", "main", "report_schema_version", "run"]
-
-CHECK_NAMES = (
-    "lemma1",
-    "lemma2",
-    "lemma3",
-    "theorem1",
-    "theorem2",
-    "hypo-sigma",
-    "deck-match",
-    "swap",
-    "forced-iso",
-)
+__all__ = ["CHECKS", "RunConfig", "main", "run"]
 
 #: Largest order where the cubic hypomorphism sweep runs exhaustively.
 EXHAUSTIVE_LIMIT = 256
 DEFAULT_TRIALS = 1_000_000
-
-
-def report_schema_version() -> str:
-    """Semantic version of the JSON report schema."""
-    return SCHEMA_VERSION
 
 
 @dataclass(frozen=True)
@@ -100,28 +88,6 @@ class RunConfig:
     out: Optional[Path] = None
 
 
-def _is_valid_order(p: int) -> bool:
-    return p >= 4 and p & (p - 1) == 0
-
-
-#: Checks holding dense p x p grids or all p deletion maps (O(p**2) memory).
-DENSE_CHECKS = ("lemma2", "lemma3", "swap", "hypo-sigma", "forced-iso")
-
-
-def _check_valid_at(name: str, p: int) -> bool:
-    if name in DENSE_CHECKS and p > DENSE_ORDER_LIMIT:
-        return False
-    if name in ("lemma1", "lemma2", "swap", "forced-iso"):
-        return p >= 8
-    if name == "deck-match":
-        return p <= 12
-    return True
-
-
-def _expand_checks(requested: Sequence[str], p: int) -> tuple[str, ...]:
-    return tuple(name for name in requested if _check_valid_at(name, p))
-
-
 def _default_jobs() -> int:
     raw = os.environ.get("RECON_CENSUS_JOBS", "")
     try:
@@ -130,103 +96,100 @@ def _default_jobs() -> int:
         return 1
 
 
-def _variant_of(label: str) -> MatrixVariant:
-    return MatrixVariant.PLAIN if label == "plain" else MatrixVariant.STAR
+# Check runners take the validated configuration and return the check's
+# reports.  They name library functions through this module's globals when
+# called, so a wrapper or test double bound to ``cli.<name>`` reaches them.
 
 
-def _run_one_check(name: str, config: RunConfig) -> list[VerificationReport]:
+def _theorem1(config: RunConfig) -> list[VerificationReport]:
     p = config.p
-    if name == "lemma1":
-        return [check_lemma1(p)]
-    if name == "lemma2":
-        return [check_lemma2(p)]
-    if name == "lemma3":
-        return [check_lemma3(p)]
-    if name == "theorem1":
-        if p <= EXHAUSTIVE_LIMIT:
-            return [check_theorem1(p)]
-        trials = config.budget or DEFAULT_TRIALS
-        print(
-            f"theorem1 at p={p}: sampled mode, {trials} trials, seed={config.seed}",
-            file=sys.stderr,
-        )
-        return [sample_theorem1(p, trials, config.seed)]
-    if name == "theorem2":
-        try:
-            trace = verify_nonisomorphic_inductive(p)
-            return [
-                VerificationReport("theorem2", p, True, None, len(trace.steps))
-            ]
-        except ContradictionError as exc:
-            return [
-                VerificationReport(
-                    "theorem2", p, False, (0, 0, 0, "contradiction", str(exc)), 0
-                )
-            ]
-    if name == "hypo-sigma":
-        maps = build_all_maps(p)
-        reports = []
-        g, h = standard_pair(p)
-        rep = verify_hypomorphic_by_sigma(g, h, maps)
-        reports.append(dataclasses.replace(rep, check_name="hypo-sigma-tournament"))
-        if p >= 8:
-            g, h = variant_pair(p)
-            rep = verify_hypomorphic_by_sigma(g, h, maps)
-            reports.append(dataclasses.replace(rep, check_name="hypo-sigma-variant"))
-        return reports
-    if name == "deck-match":
-        g, h = standard_pair(p)
-        budget = config.budget or DEFAULT_ISO_BUDGET
-        try:
-            matching = decks_match_independent(g, h, budget=budget)
-        except BudgetExhausted as exc:
-            return [
-                VerificationReport(
-                    "deck-match", p, False, (0, 0, 0, "undecided", str(exc)), p * p
-                )
-            ]
-        if matching is None:
-            return [
-                VerificationReport(
-                    "deck-match", p, False, (0, 0, 0, "no-perfect-matching", ""), p * p
-                )
-            ]
-        return [VerificationReport("deck-match", p, True, None, p * p)]
-    if name == "swap":
-        try:
-            swap_involution(p)
-            return [VerificationReport("swap", p, True, None, 2 * p * p)]
-        except ContradictionError as exc:
-            return [
-                VerificationReport(
-                    "swap", p, False, (0, 0, 0, "contradiction", str(exc)), 0
-                )
-            ]
-    if name == "forced-iso":
-        n = p.bit_length() - 1
-        mapping = {v: 1 for v in range(1, n + 2)}
-        mapping.update({-v: 0 for v in range(1, n + 2)})
-        mapping[-(n + 1)] = 1
-        equal_extremes = assignment_from_mapping(n, mapping)
-        try:
-            witness = forced_isomorphism(p, equal_extremes)
-            unforced = forced_isomorphism(p, tournament_assignment(n))
-        except ContradictionError as exc:
-            return [
-                VerificationReport(
-                    "forced-iso", p, False, (0, 0, 0, "contradiction", str(exc)), 0
-                )
-            ]
-        ok = witness is not None and unforced is None
-        cex = None if ok else (0, 0, 0, "wrong-witness-presence", "")
-        return [VerificationReport("forced-iso", p, ok, cex, p * p + 1)]
-    raise ValueError(f"unknown check {name!r}")
+    if p <= EXHAUSTIVE_LIMIT:
+        return [check_theorem1(p)]
+    trials = config.budget or DEFAULT_TRIALS
+    print(
+        f"theorem1 at p={p}: sampled mode, {trials} trials, seed={config.seed}",
+        file=sys.stderr,
+    )
+    return [sample_theorem1(p, trials, config.seed)]
+
+
+def _theorem2(config: RunConfig) -> list[VerificationReport]:
+    trace = verify_nonisomorphic_inductive(config.p)
+    return [VerificationReport("theorem2", config.p, True, None, len(trace.steps))]
+
+
+def _hypo_sigma(config: RunConfig) -> list[VerificationReport]:
+    p = config.p
+    maps = build_all_maps(p)
+    pairs = [("hypo-sigma-tournament", standard_pair)]
+    if p >= 8:
+        pairs.append(("hypo-sigma-variant", variant_pair))
+    reports = []
+    for check_name, pair in pairs:
+        rep = verify_hypomorphic_by_sigma(*pair(p), maps)
+        reports.append(dataclasses.replace(rep, check_name=check_name))
+    return reports
+
+
+def _deck_match(config: RunConfig) -> list[VerificationReport]:
+    p = config.p
+    g, h = standard_pair(p)
+    budget = config.budget or DEFAULT_ISO_BUDGET
+    try:
+        matching = decks_match_independent(g, h, budget=budget)
+    except BudgetExhausted as exc:
+        cex = (0, 0, 0, "undecided", str(exc))
+    else:
+        cex = None if matching is not None else (0, 0, 0, "no-perfect-matching", "")
+    return [VerificationReport("deck-match", p, cex is None, cex, p * p)]
+
+
+def _swap(config: RunConfig) -> list[VerificationReport]:
+    p = config.p
+    swap_involution(p)
+    return [VerificationReport("swap", p, True, None, 2 * p * p)]
+
+
+def _forced_iso(config: RunConfig) -> list[VerificationReport]:
+    p = config.p
+    n = p.bit_length() - 1
+    mapping = {v: 1 for v in range(1, n + 2)}
+    mapping.update({-v: 0 for v in range(1, n + 2)})
+    mapping[-(n + 1)] = 1
+    witness = forced_isomorphism(p, assignment_from_mapping(n, mapping))
+    unforced = forced_isomorphism(p, tournament_assignment(n))
+    ok = witness is not None and unforced is None
+    cex = None if ok else (0, 0, 0, "wrong-witness-presence", "")
+    return [VerificationReport("forced-iso", p, ok, cex, p * p + 1)]
+
+
+Runner = Callable[[RunConfig], list[VerificationReport]]
+
+#: Every check, in report order: name -> (min_p, max_p, runner).  ``all``
+#: expands to the checks whose range holds the order, and naming a check
+#: outside its range is a usage error.  The checks capped at
+#: ``DENSE_ORDER_LIMIT`` hold dense p x p grids or all p deletion maps.
+CHECKS: dict[str, tuple[int, int, Runner]] = {
+    "lemma1": (8, ORACLE_ORDER_LIMIT, lambda c: [check_lemma1(c.p)]),
+    "lemma2": (8, DENSE_ORDER_LIMIT, lambda c: [check_lemma2(c.p)]),
+    "lemma3": (4, DENSE_ORDER_LIMIT, lambda c: [check_lemma3(c.p)]),
+    "theorem1": (4, ORACLE_ORDER_LIMIT, _theorem1),
+    "theorem2": (4, ORACLE_ORDER_LIMIT, _theorem2),
+    "hypo-sigma": (4, DENSE_ORDER_LIMIT, _hypo_sigma),
+    "deck-match": (4, DECK_MATCH_ORDER_LIMIT, _deck_match),
+    "swap": (8, DENSE_ORDER_LIMIT, _swap),
+    "forced-iso": (8, DENSE_ORDER_LIMIT, _forced_iso),
+}
 
 
 def _cmd_verify(config: RunConfig) -> int:
     reports: list[VerificationReport] = []
     for name in config.checks:
-        reports.extend(_run_one_check(name, config))
+        try:
+            reports += CHECKS[name][2](config)
+        except ContradictionError as exc:
+            cex = (0, 0, 0, "contradiction", str(exc))
+            reports.append(VerificationReport(name, config.p, False, cex, 0))
     all_pass = all(r.outcome for r in reports)
     doc = {
         "schema": SCHEMA_VERSION,
@@ -253,39 +216,29 @@ def _selected_digraphs(config: RunConfig) -> list[tuple[str, Digraph]]:
     return [named[config.variant]]
 
 
+def _encode(named: Sequence[tuple[str, Digraph | WeightedMatrix]], fmt: str) -> str:
+    """Named digraphs in one output format; weighted matrices export as csv only."""
+    if fmt == "d6":
+        return "".join(g.to_digraph6() + "\n" for _, g in named)
+    if fmt == "dot":
+        return "".join(g.to_dot(name) for name, g in named)
+    return "\n".join(g.to_csv() for _, g in named)
+
+
 def _cmd_generate(config: RunConfig) -> int:
     if config.kind == "weighted":
-        variants = (
-            ["plain", "star"] if config.variant == "both" else [config.variant]
-        )
-        parts = [
-            build_dense(config.p, _variant_of(v)).to_csv() for v in variants
-        ]
-        _write_output("\n".join(parts), config.out)
-        return 0
-    named = _selected_digraphs(config)
-    if config.format == "d6":
-        text = "".join(g.to_digraph6() + "\n" for _, g in named)
-    elif config.format == "dot":
-        text = "".join(g.to_dot(name) for name, g in named)
+        variants = ["plain", "star"] if config.variant == "both" else [config.variant]
+        named = [(v, build_dense(config.p, MatrixVariant(v))) for v in variants]
     else:
-        text = "\n".join(g.to_csv() for _, g in named)
-    _write_output(text, config.out)
+        named = _selected_digraphs(config)
+    _write_output(_encode(named, config.format), config.out)
     return 0
 
 
 def _cmd_deck(config: RunConfig) -> int:
     (name, g), = _selected_digraphs(config)
-    cards = deck(g).cards
-    if config.format == "d6":
-        text = "".join(c.to_digraph6() + "\n" for c in cards)
-    elif config.format == "dot":
-        text = "".join(
-            c.to_dot(f"{name}_card{k}") for k, c in enumerate(cards, start=1)
-        )
-    else:
-        text = "\n".join(c.to_csv() for c in cards)
-    _write_output(text, config.out)
+    cards = [(f"{name}_card{k}", c) for k, c in enumerate(deck(g), start=1)]
+    _write_output(_encode(cards, config.format), config.out)
     return 0
 
 
@@ -319,12 +272,18 @@ def _cmd_export(config: RunConfig) -> int:
 
 
 def _write_output(text: str, out: Optional[Path]) -> None:
+    """Write to stdout or ``out``; an unwritable ``out`` exits 2, not 1 (a failed check)."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         out.parent.mkdir(parents=True, exist_ok=True)
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        print(f"recon-census: error: cannot write --out {out}: {reason}", file=sys.stderr)
+        raise SystemExit(2) from exc
 
 
 def run(config: RunConfig) -> int:
@@ -386,7 +345,9 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    if not _is_valid_order(args.p):
+    try:
+        order_exponent(args.p)
+    except ValueError:
         parser.error(f"--p must be a power of two >= 4, got {args.p}")
     if args.p > ORACLE_ORDER_LIMIT:
         parser.error(
@@ -398,21 +359,23 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
     checks: tuple[str, ...] = ()
     if command == "verify":
         raw = [c.strip() for c in args.checks.split(",") if c.strip()]
+        valid = [name for name, (lo, hi, _) in CHECKS.items() if lo <= args.p <= hi]
         if raw == ["all"]:
-            checks = _expand_checks(CHECK_NAMES, args.p)
+            checks = tuple(valid)
         else:
-            unknown = [c for c in raw if c not in CHECK_NAMES]
+            unknown = [c for c in raw if c not in CHECKS]
             if unknown:
                 parser.error(f"unknown checks: {', '.join(unknown)}")
-            invalid = [c for c in raw if not _check_valid_at(c, args.p)]
+            invalid = [c for c in raw if c not in valid]
             if invalid:
                 parser.error(
                     f"checks not valid at p={args.p}: {', '.join(invalid)}"
                 )
             checks = tuple(raw)
 
-    if command == "census" and args.p not in (8, 16):
-        parser.error(f"census is available at p = 8 or 16, got {args.p}")
+    if command == "census" and args.p not in CENSUS_ORDERS:
+        orders = " or ".join(map(str, CENSUS_ORDERS))
+        parser.error(f"census is available at p = {orders}, got {args.p}")
     if command in ("generate", "deck") and args.p > DENSE_ORDER_LIMIT:
         parser.error(
             f"{command} builds dense matrices, available up to "
@@ -448,10 +411,9 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        config = _parse_config(argv)
+        return run(_parse_config(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -237,16 +237,17 @@ class ExtendedMap:
 
 
 @lru_cache(maxsize=None)
-def _map_table(p: int, k: int) -> np.ndarray:
+def _deletion_map(p: int, k: int) -> DeletionMap:
+    # DeletionMap checks the bijection onto {1..p} minus {k}, once per (p, k)
     points = np.arange(1, p + 1, dtype=np.int32)
     keep = points != k
     table = np.zeros(p, dtype=np.int32)
     table[keep] = sigma_values(p, k, points[keep])
-    # bijectivity onto {1..p} minus {k}
-    if not np.array_equal(np.sort(table[keep]), points[keep]):
-        raise AssertionError(f"mapping table for (p={p}, k={k}) is not a bijection")
-    table.setflags(write=False)
-    return table
+    return DeletionMap(p, k, table)
+
+
+def _map_table(p: int, k: int) -> np.ndarray:
+    return _deletion_map(p, k).table
 
 
 def build_map(p: int, k: int) -> DeletionMap:
@@ -254,7 +255,7 @@ def build_map(p: int, k: int) -> DeletionMap:
     order_exponent(p)
     if not 1 <= k <= p:
         raise IndexError(f"deleted point must lie in 1..{p}, got {k}")
-    return DeletionMap(p, k, _map_table(p, k))
+    return _deletion_map(p, k)
 
 
 def base_sigma(k: int) -> DeletionMap:
@@ -373,7 +374,7 @@ def _lemma2_d(p: int, cols) -> Optional[tuple]:
     image(i) - image(j) is +-p/2.  For each i those are the four columns
     i +- p/2 and the preimages of image(i) -+ p/2, read through the
     inverse table, so each deletion costs O(p).  The tables must be
-    bijections, as ``_map_table`` asserts.  The report is that of the
+    bijections, as ``DeletionMap`` checks.  The report is that of the
     full-matrix form ``_lemma2_d_reference``: the first failing pair in
     row-major order.
     """

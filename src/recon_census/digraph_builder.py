@@ -40,18 +40,17 @@ from recon_census.weight_matrix import (
 
 __all__ = [
     "BinaryAssignment",
+    "CENSUS_ORDERS",
     "CensusRow",
     "CensusTable",
     "DEFAULT_ISO_BUDGET",
     "Digraph",
-    "ScoreVector",
     "apply_assignment",
     "assignment_census",
     "assignment_from_bits",
     "assignment_from_mapping",
     "constant_assignment",
     "forced_isomorphism",
-    "scores",
     "standard_pair",
     "swap_involution",
     "threshold_scores",
@@ -61,6 +60,8 @@ __all__ = [
 ]
 
 DEFAULT_ISO_BUDGET = 200_000
+#: Orders where the census tabulates every proper assignment within budget.
+CENSUS_ORDERS = (8, 16)
 
 
 @dataclass(frozen=True)
@@ -159,8 +160,9 @@ class Digraph:
     def arc_count(self) -> int:
         return int(self.adjacency.sum())
 
-    def scores(self) -> "ScoreVector":
-        return ScoreVector(tuple(int(s) for s in self.adjacency.sum(axis=1)))
+    def scores(self) -> tuple[int, ...]:
+        """Outdegrees in point order."""
+        return tuple(int(s) for s in self.adjacency.sum(axis=1))
 
     def is_tournament(self) -> bool:
         a = self.adjacency
@@ -263,22 +265,6 @@ def _decode_count(text: str, pos: int) -> tuple[int, int]:
     for c in chunk:
         value = (value << 6) | c
     return value, pos + 8
-
-
-@dataclass(frozen=True)
-class ScoreVector:
-    """Outdegrees in point order."""
-
-    scores: tuple[int, ...]
-
-    @property
-    def arc_count(self) -> int:
-        return sum(self.scores)
-
-
-def scores(g: Digraph) -> ScoreVector:
-    """Row sums of the adjacency matrix."""
-    return g.scores()
 
 
 def threshold_scores(p: int, variant: MatrixVariant) -> np.ndarray:
@@ -478,7 +464,7 @@ def _swap_partner_bits(n: int, bits: str) -> str:
 def assignment_census(
     p: int, iso_budget: int = DEFAULT_ISO_BUDGET, jobs: int = 1
 ) -> CensusTable:
-    """Tabulate every proper assignment at order p in {8, 16}.
+    """Tabulate every proper assignment at an order p in ``CENSUS_ORDERS``.
 
     Each row records whether the assigned pair are tournaments and
     whether they are isomorphic (None when the search exhausted
@@ -486,8 +472,9 @@ def assignment_census(
     row and its extreme-level-swap partner, which yield the same digraph
     pair up to the half-swap relabeling.
     """
-    if p not in (8, 16):
-        raise ValueError(f"census is budget-bounded to orders 8 and 16, got {p}")
+    if p not in CENSUS_ORDERS:
+        orders = " and ".join(map(str, CENSUS_ORDERS))
+        raise ValueError(f"census is budget-bounded to orders {orders}, got {p}")
     n = order_exponent(p)
     m = 2 * (n + 1)
     all_bits = [format(x, f"0{m}b") for x in range(1 << m)]

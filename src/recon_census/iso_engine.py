@@ -37,7 +37,7 @@ from recon_census.weight_matrix import (
 )
 
 __all__ = [
-    "Deck",
+    "DECK_MATCH_ORDER_LIMIT",
     "IsoStatus",
     "IsoVerdict",
     "NODE_BUDGET",
@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 NODE_BUDGET = 1_000_000
+#: Largest order where deck matching's p**2 card-pair searches fit the budget.
+DECK_MATCH_ORDER_LIMIT = 12
 
 REASON_SCORE_SPLIT = "score-split forces half-to-half mapping"
 REASON_BASE_CASE = "base case: exhaustive search"
@@ -162,27 +164,14 @@ def are_isomorphic(
     return IsoVerdict(IsoStatus.ISOMORPHIC, witness=witness, nodes=nodes)
 
 
-@dataclass(frozen=True)
-class Deck:
-    """The multiset of point-deleted subgraphs, in deleted-point order."""
+def deck(g: Digraph) -> tuple[Digraph, ...]:
+    """All point-deleted subgraphs, each relabeled order-preservingly.
 
-    cards: tuple[Digraph, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.cards)
-
-    def card(self, k: int) -> Digraph:
-        if not 1 <= k <= len(self.cards):
-            raise IndexError(f"card index must lie in 1..{len(self.cards)}, got {k}")
-        return self.cards[k - 1]
-
-
-def deck(g: Digraph) -> Deck:
-    """All point-deleted subgraphs, each relabeled order-preservingly."""
+    The card deleting point k sits at index k - 1.
+    """
     if g.order < 2:
         raise ValueError(f"deck requires order >= 2, got {g.order}")
-    return Deck(tuple(g.delete_point(k) for k in range(1, g.order + 1)))
+    return tuple(g.delete_point(k) for k in range(1, g.order + 1))
 
 
 def verify_hypomorphic_by_sigma(
@@ -251,10 +240,12 @@ def decks_match_independent(
     if g.order != h.order:
         raise ValueError(f"orders differ: {g.order} vs {h.order}")
     p = g.order
-    if p > 12:
-        raise ValueError(f"deck matching is budget-bounded to order <= 12, got {p}")
-    cards_g = deck(g).cards
-    cards_h = deck(h).cards
+    if p > DECK_MATCH_ORDER_LIMIT:
+        raise ValueError(
+            f"deck matching is budget-bounded to order <= {DECK_MATCH_ORDER_LIMIT}, got {p}"
+        )
+    cards_g = deck(g)
+    cards_h = deck(h)
     adj: list[list[int]] = [[] for _ in range(p)]
     for i in range(p):
         for j in range(p):

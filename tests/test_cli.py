@@ -2,13 +2,20 @@ import json
 
 import pytest
 
-from recon_census.cli import main, report_schema_version
+from recon_census.cli import CHECKS, main
+from recon_census.report import SCHEMA_VERSION
 
 from conftest import FIXTURES
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+def expand_all(p):
+    from recon_census.cli import _parse_config
+
+    return _parse_config(["verify", "--p", str(p), "--checks", "all"]).checks
 
 
 class TestExitCodes:
@@ -91,21 +98,119 @@ class TestExitCodes:
         assert config.p == 2**24 and config.checks == ("theorem1",)
 
     def test_all_drops_dense_checks_above_dense_limit(self):
-        from recon_census.cli import CHECK_NAMES, _expand_checks
+        from recon_census.weight_matrix import DENSE_ORDER_LIMIT
 
-        assert _expand_checks(CHECK_NAMES, 8192) == tuple(
-            name for name in CHECK_NAMES if name != "deck-match"
+        assert expand_all(8192) == tuple(name for name in CHECKS if name != "deck-match")
+        assert expand_all(16384) == tuple(
+            name for name, (_, hi, _) in CHECKS.items() if hi > DENSE_ORDER_LIMIT
         )
-        assert _expand_checks(CHECK_NAMES, 16384) == ("lemma1", "theorem1", "theorem2")
+        assert expand_all(16384) == ("lemma1", "theorem1", "theorem2")
 
     def test_dense_checks_accepted_at_dense_limit(self):
-        from recon_census.cli import DENSE_CHECKS, _parse_config
+        from recon_census.cli import _parse_config
+        from recon_census.weight_matrix import DENSE_ORDER_LIMIT
 
-        assert DENSE_CHECKS == ("lemma2", "lemma3", "swap", "hypo-sigma", "forced-iso")
-        config = _parse_config(
-            ["verify", "--p", "8192", "--checks", ",".join(DENSE_CHECKS)]
+        dense = tuple(
+            name for name, (_, hi, _) in CHECKS.items() if hi == DENSE_ORDER_LIMIT
         )
-        assert config.checks == DENSE_CHECKS
+        assert dense == ("lemma2", "lemma3", "hypo-sigma", "swap", "forced-iso")
+        config = _parse_config(["verify", "--p", "8192", "--checks", ",".join(dense)])
+        assert config.checks == dense
+
+    @pytest.mark.parametrize("target", ["dir", "under-a-file"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, target):
+        if target == "dir":
+            out = tmp_path
+        else:
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "rep.json"
+        args = ("verify", "--p", "16", "--checks", "lemma1", "--out", str(out))
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "error:" in err[0] and str(out) in err[0]
+
+
+class TestCheckTable:
+    @pytest.mark.parametrize(
+        "p, expected",
+        [
+            (4, ("lemma3", "theorem1", "theorem2", "hypo-sigma", "deck-match")),
+            (8, ("lemma1", "lemma2", "lemma3", "theorem1", "theorem2",
+                 "hypo-sigma", "deck-match", "swap", "forced-iso")),
+            (16, ("lemma1", "lemma2", "lemma3", "theorem1", "theorem2",
+                  "hypo-sigma", "swap", "forced-iso")),
+            (8192, ("lemma1", "lemma2", "lemma3", "theorem1", "theorem2",
+                    "hypo-sigma", "swap", "forced-iso")),
+            (16384, ("lemma1", "theorem1", "theorem2")),
+        ],
+    )
+    def test_all_expansion_is_pinned(self, p, expected):
+        assert expand_all(p) == expected
+
+    def test_min_order_8_checks_refused_by_the_library_at_4(self):
+        from recon_census.cli import RunConfig
+
+        names = [name for name, (lo, _, _) in CHECKS.items() if lo == 8]
+        assert names == ["lemma1", "lemma2", "swap", "forced-iso"]
+        for name in names:
+            with pytest.raises(ValueError):
+                CHECKS[name][2](RunConfig("verify", 4))
+
+    def test_cli_and_library_share_order_caps(self):
+        import recon_census.cli as cli_mod
+        from recon_census.digraph_builder import (
+            CENSUS_ORDERS,
+            assignment_census,
+            standard_pair,
+        )
+        from recon_census.iso_engine import (
+            DECK_MATCH_ORDER_LIMIT,
+            decks_match_independent,
+        )
+
+        assert cli_mod.CENSUS_ORDERS is CENSUS_ORDERS
+        assert cli_mod.DECK_MATCH_ORDER_LIMIT is DECK_MATCH_ORDER_LIMIT
+        assert CHECKS["deck-match"][1] == DECK_MATCH_ORDER_LIMIT
+        # the first order above the cap is refused on both sides
+        above = 1 << DECK_MATCH_ORDER_LIMIT.bit_length()
+        assert run_cli("verify", "--p", str(above), "--checks", "deck-match") == 2
+        with pytest.raises(ValueError):
+            decks_match_independent(*standard_pair(above))
+        for p in (4, 32):
+            assert p not in CENSUS_ORDERS
+            assert run_cli("census", "--p", str(p)) == 2
+            with pytest.raises(ValueError):
+                assignment_census(p)
+
+    @pytest.mark.parametrize(
+        "name, target",
+        [
+            ("theorem2", "verify_nonisomorphic_inductive"),
+            ("hypo-sigma", "standard_pair"),
+            ("swap", "swap_involution"),
+            ("forced-iso", "forced_isomorphism"),
+        ],
+    )
+    def test_contradiction_is_a_failing_report(self, tmp_path, monkeypatch, name, target):
+        import recon_census.cli as cli_mod
+        from recon_census.errors import ContradictionError
+
+        def contradiction(*args, **kwargs):
+            raise ContradictionError("self-check failed")
+
+        monkeypatch.setattr(cli_mod, target, contradiction)
+        out = tmp_path / "rep.json"
+        args = ("verify", "--p", "16", "--checks", f"lemma1,{name}", "--out", str(out))
+        assert run_cli(*args) == 1
+        doc = json.loads(out.read_text())
+        assert doc["all_pass"] is False
+        assert [r["outcome"] for r in doc["reports"]] == ["pass", "fail"]
+        rep = doc["reports"][1]
+        assert rep["check"] == name and rep["checked"] == 0
+        assert rep["counterexample"] == {
+            "k": 0, "i": 0, "j": 0, "lhs": "contradiction", "rhs": "self-check failed",
+        }
 
 
 class TestGenerate:
@@ -205,11 +310,11 @@ class TestVerifyReports:
         out = tmp_path / "rep.json"
         run_cli("verify", "--p", "8", "--checks", "all", "--out", str(out))
         doc = json.loads(out.read_text())
-        assert doc["schema"] == report_schema_version()
+        assert doc["schema"] == SCHEMA_VERSION
         assert doc["all_pass"] is True
         assert len(doc["reports"]) >= 8
         for rep in doc["reports"]:
-            assert rep["schema"] == report_schema_version()
+            assert rep["schema"] == SCHEMA_VERSION
             assert {"check", "p", "outcome", "checked"} <= set(rep)
 
     def test_byte_identical_reports(self, tmp_path):
@@ -283,10 +388,10 @@ class TestFailurePath:
 
 class TestSchemaVersion:
     def test_value(self):
-        assert report_schema_version() == "1.0.0"
+        assert SCHEMA_VERSION == "1.0.0"
 
     def test_parses_as_semver(self):
-        parts = report_schema_version().split(".")
+        parts = SCHEMA_VERSION.split(".")
         assert len(parts) == 3 and all(part.isdigit() for part in parts)
 
 

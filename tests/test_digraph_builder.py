@@ -13,7 +13,6 @@ from recon_census.digraph_builder import (
     assignment_from_mapping,
     constant_assignment,
     forced_isomorphism,
-    scores,
     standard_pair,
     swap_involution,
     threshold_scores,
@@ -100,13 +99,13 @@ class TestApplyAssignment:
 class TestStandardPair:
     def test_score_vectors_order_4(self):
         g, h = standard_pair(4)
-        assert g.scores().scores == (3, 1, 1, 1)
-        assert h.scores().scores == (0, 2, 2, 2)
+        assert g.scores() == (3, 1, 1, 1)
+        assert h.scores() == (0, 2, 2, 2)
 
     def test_score_split_order_8(self):
         g, h = standard_pair(8)
-        assert g.scores().scores == (4, 4, 4, 4, 3, 3, 3, 3)
-        assert h.scores().scores == (3, 3, 3, 3, 4, 4, 4, 4)
+        assert g.scores() == (4, 4, 4, 4, 3, 3, 3, 3)
+        assert h.scores() == (3, 3, 3, 3, 4, 4, 4, 4)
 
     @pytest.mark.parametrize("p", [4, 8, 16, 32, 64])
     def test_tournament_property(self, p):
@@ -118,13 +117,13 @@ class TestStandardPair:
 
     def test_scores_function(self):
         g, _ = standard_pair(16)
-        v = scores(g)
-        assert v.scores[0] == 8
-        assert v.arc_count == 16 * 15 // 2
+        v = g.scores()
+        assert v[0] == 8
+        assert sum(v) == g.arc_count() == 16 * 15 // 2
 
     def test_arcless_scores(self):
         empty = Digraph(4, np.zeros((4, 4), dtype=np.uint8))
-        assert scores(empty).scores == (0, 0, 0, 0)
+        assert empty.scores() == (0, 0, 0, 0)
 
     @pytest.mark.parametrize("p", [8, 16, 64, 256])
     def test_threshold_scores_closed_form(self, p):
@@ -145,8 +144,8 @@ class TestStandardPair:
     @pytest.mark.parametrize("p", [8, 32])
     def test_threshold_scores_match_built_digraph(self, p):
         g, h = standard_pair(p)
-        assert tuple(threshold_scores(p, PLAIN)) == g.scores().scores
-        assert tuple(threshold_scores(p, STAR)) == h.scores().scores
+        assert tuple(threshold_scores(p, PLAIN)) == g.scores()
+        assert tuple(threshold_scores(p, STAR)) == h.scores()
 
 
 class TestVariantPair:

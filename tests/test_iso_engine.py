@@ -95,7 +95,7 @@ class TestAreIsomorphic:
 class TestDeck:
     def test_first_card_of_order_4_is_a_cycle(self):
         g, _ = standard_pair(4)
-        card = deck(g).card(1)
+        card = deck(g)[0]
         assert np.array_equal(
             card.adjacency,
             np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=np.uint8),
@@ -103,20 +103,15 @@ class TestDeck:
 
     def test_starred_first_card_is_a_cycle(self):
         _, h = standard_pair(4)
-        card = deck(h).card(1)
+        card = deck(h)[0]
         power = np.linalg.matrix_power(card.adjacency.astype(int), 3)
         assert np.trace(power) == 3  # one directed 3-cycle through every point
 
     def test_card_counts_and_orders(self):
         g, _ = standard_pair(8)
         d = deck(g)
-        assert d.order == 8
-        assert all(card.order == 7 for card in d.cards)
-
-    def test_card_index_bounds(self):
-        g, _ = standard_pair(4)
-        with pytest.raises(IndexError):
-            deck(g).card(5)
+        assert len(d) == 8
+        assert all(card.order == 7 for card in d)
 
 
 class TestHypomorphicBySigma:
@@ -200,9 +195,8 @@ class TestDeckMatching:
     def test_order_8_pair_matches_and_identity_works(self):
         g, h = standard_pair(8)
         assert decks_match_independent(g, h) is not None
-        for k in range(1, 9):
-            verdict = are_isomorphic(deck(g).card(k), deck(h).card(k))
-            assert verdict.isomorphic
+        for card_g, card_h in zip(deck(g), deck(h)):
+            assert are_isomorphic(card_g, card_h).isomorphic
 
     def test_transitive_tournament_deck_differs(self):
         g, _ = standard_pair(4)
@@ -215,8 +209,8 @@ class TestDeckMatching:
             power = np.linalg.matrix_power(card.adjacency.astype(int), 3)
             return np.trace(power) > 0
 
-        assert any(has_cycle(c) for c in deck(g).cards)
-        assert not any(has_cycle(c) for c in deck(tt).cards)
+        assert any(has_cycle(c) for c in deck(g))
+        assert not any(has_cycle(c) for c in deck(tt))
 
     def test_order_bound(self):
         g, h = standard_pair(16)
