@@ -10,9 +10,9 @@ Subcommands:
 * ``export``: write the deletion-mapping table (tsv).
 
 Exit status: 0 when everything requested passed, 1 when a check failed
-(the report is still written), 2 on usage errors and when ``--out`` cannot
-be written.  Identical invocations (including ``--seed``) produce
-byte-identical outputs.
+(the report is still written), 2 on usage errors and when the output
+(``--out`` or stdout) cannot be written.  Identical invocations (including
+``--seed``) produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -272,18 +272,35 @@ def _cmd_export(config: RunConfig) -> int:
 
 
 def _write_output(text: str, out: Optional[Path]) -> None:
-    """Write to stdout or ``out``; an unwritable ``out`` exits 2, not 1 (a failed check)."""
-    if out is None:
-        sys.stdout.write(text)
-        return
+    """Write to stdout or ``out``; a failed write exits 2, not 1 (a failed check)."""
     try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        if out is None:
+            # a short text only reaches the device at the flush
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except OSError as exc:
+        target = "stdout" if out is None else f"--out {out}"
         reason = exc.strerror or exc
-        print(f"recon-census: error: cannot write --out {out}: {reason}", file=sys.stderr)
+        print(f"recon-census: error: cannot write {target}: {reason}", file=sys.stderr)
+        if out is None:
+            _discard_stdout()
         raise SystemExit(2) from exc
+
+
+def _discard_stdout() -> None:
+    """Send stdout to the null device, so that the exit-time flush of what a
+    failed write left buffered cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def run(config: RunConfig) -> int:
@@ -359,6 +376,8 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
     checks: tuple[str, ...] = ()
     if command == "verify":
         raw = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not raw:
+            parser.error(f"--checks names no check: {args.checks!r}")
         valid = [name for name, (lo, hi, _) in CHECKS.items() if lo <= args.p <= hi]
         if raw == ["all"]:
             checks = tuple(valid)

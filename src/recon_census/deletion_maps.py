@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from recon_census.report import VerificationReport
-from recon_census.weight_matrix import order_exponent
+from recon_census.weight_matrix import _text_grid, order_exponent
 
 __all__ = [
     "DeletionMap",
@@ -280,14 +280,19 @@ def extend_sigma_p1(p: int) -> ExtendedMap:
 
 
 def sigma_table_tsv(p: int) -> str:
-    """Tab-separated table, rows = point, columns = deleted point, 'X' at the hole."""
+    """Tab-separated table, rows = point, columns = deleted point, 'X' at the hole.
+
+    Row blocks are stacked from the cached map tables, whose absence
+    marker 0 at the hole is the code of 'X'.
+    """
     order_exponent(p)
     columns = [_map_table(p, k) for k in range(1, p + 1)]
-    lines = []
-    for i in range(1, p + 1):
-        cells = ["X" if i == k else str(int(columns[k - 1][i - 1])) for k in range(1, p + 1)]
-        lines.append("\t".join(cells) + "\n")
-    return "".join(lines)
+    return _text_grid(
+        p,
+        lambda rows: np.stack([col[rows] for col in columns], axis=1),
+        ["X", *map(str, range(1, p + 1))],
+        "\t",
+    )
 
 
 def check_lemma2(p: int) -> VerificationReport:

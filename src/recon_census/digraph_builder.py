@@ -32,6 +32,7 @@ from recon_census.weight_matrix import (
     MatrixVariant,
     WeightedMatrix,
     _offset_case_table,
+    _text_grid,
     build_dense,
     entry_grid,
     entry_values,
@@ -204,7 +205,7 @@ class Digraph:
         return f"Digraph(order={self.order}, arcs={self.arc_count()})"
 
     def to_csv(self) -> str:
-        return "".join(",".join(str(int(v)) for v in row) + "\n" for row in self.adjacency)
+        return _text_grid(self.order, self.adjacency.__getitem__, ("0", "1"), ",")
 
     def to_dot(self, name: str = "G") -> str:
         lines = [f"digraph {name} {{"]
@@ -220,7 +221,7 @@ class Digraph:
         if pad:
             bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
         groups = bits.reshape(-1, 6) @ (1 << np.arange(5, -1, -1, dtype=np.int32))
-        body = "".join(chr(int(g) + 63) for g in groups)
+        body = (groups + 63).astype(np.uint8).tobytes().decode("ascii")
         return "&" + _encode_count(self.order) + body
 
     @classmethod

@@ -102,6 +102,40 @@ def level_bound(p: int) -> int:
     return order_exponent(p) + 1
 
 
+#: Cells per row block of ``_text_grid``: bounds the encoders' scratch memory.
+_TEXT_BLOCK_CELLS = 1 << 18
+
+
+def _text_grid(p: int, codes, tokens, sep: str) -> str:
+    """Delimited text of a p x p integer grid, one newline-terminated line per row.
+
+    ``codes(rows)`` returns the codes of the rows in the slice ``rows``;
+    code c prints as the ASCII token ``tokens[c]``, and the cells of a row
+    are joined by ``sep``.  Each token sits zero-padded in one row of a
+    byte table, with its delimiter (``sep``, or a newline in the last
+    column) in the byte after it, so a block of rows is one gather of
+    table rows and one mask that drops the zero bytes.  No cell costs a
+    Python step, and the scratch memory is that of one block.
+    """
+    width = max(map(len, tokens)) + 1
+    table = np.zeros((2, len(tokens), width), dtype=np.uint8)
+    for c, token in enumerate(tokens):
+        raw = np.frombuffer(token.encode("ascii"), dtype=np.uint8)
+        table[:, c, : raw.size] = raw
+        table[:, c, raw.size] = (ord(sep), ord("\n"))
+    # one opaque item per table row, so that a gather moves whole rows
+    inner, last = table.view(np.dtype((np.void, width)))[..., 0]
+    step = max(1, _TEXT_BLOCK_CELLS // max(1, p))
+    pieces = []
+    for start in range(0, p, step):
+        block = codes(slice(start, start + step))
+        cells = inner[block]
+        cells[:, -1] = last[block[:, -1]]
+        flat = cells.view(np.uint8).reshape(-1)
+        pieces.append(str(flat[flat != 0], "ascii"))
+    return "".join(pieces)
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedMatrix:
     """Immutable dense matrix of one variant at one order.
@@ -155,8 +189,10 @@ class WeightedMatrix:
 
     def to_csv(self) -> str:
         """Rows as comma-separated signed integers, each newline-terminated."""
-        return "".join(
-            ",".join(str(int(v)) for v in row) + "\n" for row in self.entries
+        bound = self.exponent + 1
+        tokens = [str(v) for v in range(-bound, bound + 1)]
+        return _text_grid(
+            self.order, lambda rows: self.entries[rows] + bound, tokens, ","
         )
 
 

@@ -1,4 +1,10 @@
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +14,31 @@ from recon_census.report import SCHEMA_VERSION
 from conftest import FIXTURES
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(*args):
     return main(list(args))
+
+
+class FullStdout(io.StringIO):
+    """A stdout whose ``write`` or ``flush`` fails as on a full device."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def _full(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        if self.failing == "write":
+            self._full()
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            self._full()
 
 
 def expand_all(p):
@@ -129,6 +158,51 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert "error:" in err[0] and str(out) in err[0]
+
+    @pytest.mark.parametrize("checks", [",", "", " , "])
+    def test_checks_naming_nothing_is_usage_error(self, capsys, checks):
+        assert run_cli("verify", "--p", "8", "--checks", checks) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [l for l in captured.err.splitlines() if l.startswith("recon-census: error:")]
+        assert len(errors) == 1 and "--checks" in errors[0]
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "--p", "16", "--checks", "lemma1"),
+            ("export", "--p", "16", "--format", "tsv"),
+        ],
+    )
+    def test_failed_stdout_write_is_usage_error(self, monkeypatch, capsys, failing, args):
+        monkeypatch.setattr(sys, "stdout", FullStdout(failing))
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"recon-census: error: cannot write stdout: {os.strerror(errno.ENOSPC)}"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "--p", "16", "--checks", "lemma1"),
+            ("export", "--p", "16", "--format", "tsv"),
+            # larger than the stdout buffer: the write itself fails
+            ("generate", "--p", "256", "--kind", "weighted"),
+        ],
+    )
+    def test_stdout_on_full_device_exits_2(self, args):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "recon_census.cli", *args],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert proc.returncode == 2
+        # one line: no traceback, and no second report from the exit-time flush
+        assert proc.stderr.splitlines() == [
+            f"recon-census: error: cannot write stdout: {os.strerror(errno.ENOSPC)}"
+        ]
 
 
 class TestCheckTable:

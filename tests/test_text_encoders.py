@@ -1,0 +1,145 @@
+"""The vectorized text encoders against their per-element forms.
+
+``WeightedMatrix.to_csv``, ``Digraph.to_csv`` and ``sigma_table_tsv`` share
+one numpy kernel (``weight_matrix._text_grid``) and ``Digraph.to_digraph6``
+packs its payload without a per-character loop.  The per-element bodies
+they replaced are kept here as oracles, and the orders run up to 1024 so
+that 3-character weights (from p = 512) and 3- and 4-digit images meet
+the kernel's padding and row blocks.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import recon_census.deletion_maps as dm
+from recon_census.deletion_maps import sigma_table_tsv
+from recon_census.digraph_builder import Digraph, _encode_count, standard_pair
+from recon_census.iso_engine import deck
+from recon_census.weight_matrix import (
+    MatrixVariant,
+    WeightedMatrix,
+    _text_grid,
+    build_dense,
+)
+
+ORDERS = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
+
+
+def csv_reference(grid: np.ndarray) -> str:
+    """Per-cell ``str()`` form of a comma-separated grid."""
+    return "".join(",".join(str(int(v)) for v in row) + "\n" for row in grid)
+
+
+def sigma_tsv_reference(p: int) -> str:
+    """Per-cell form of the deletion-map table, 'X' where i = k."""
+    columns = [dm._map_table(p, k) for k in range(1, p + 1)]
+    lines = []
+    for i in range(1, p + 1):
+        cells = ["X" if i == k else str(int(columns[k - 1][i - 1])) for k in range(1, p + 1)]
+        lines.append("\t".join(cells) + "\n")
+    return "".join(lines)
+
+
+def digraph6_reference(g: Digraph) -> str:
+    """Per-character ``chr()`` form of the digraph6 payload."""
+    bits = g.adjacency.reshape(-1)
+    pad = (-bits.size) % 6
+    if pad:
+        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
+    groups = bits.reshape(-1, 6) @ (1 << np.arange(5, -1, -1, dtype=np.int32))
+    body = "".join(chr(int(g) + 63) for g in groups)
+    return "&" + _encode_count(g.order) + body
+
+
+class TestKernel:
+    def test_mixed_token_widths(self):
+        codes = np.array([[0, 1, 2], [2, 2, 0], [1, 0, 1]])
+        text = _text_grid(3, codes.__getitem__, ["X", "-10", "7"], "\t")
+        assert text == "X\t-10\t7\n7\t7\tX\n-10\tX\t-10\n"
+
+    def test_single_cell_and_empty_grid(self):
+        assert _text_grid(1, np.zeros((1, 1), int).__getitem__, ["ab"], ",") == "ab\n"
+        assert _text_grid(0, np.zeros((0, 0), int).__getitem__, ["0"], ",") == ""
+
+    def test_row_blocks_join_seamlessly(self, monkeypatch):
+        import recon_census.weight_matrix as wm
+
+        m = build_dense(64, MatrixVariant.STAR)
+        whole = m.to_csv()
+        for cells in (1, 64, 65, 1000):
+            monkeypatch.setattr(wm, "_TEXT_BLOCK_CELLS", cells)
+            assert m.to_csv() == whole, cells
+
+
+class TestWeightedCsv:
+    @pytest.mark.parametrize("variant", list(MatrixVariant))
+    @pytest.mark.parametrize("p", ORDERS)
+    def test_matches_per_cell_form(self, p, variant):
+        m = build_dense(p, variant)
+        assert m.to_csv() == csv_reference(m.entries)
+
+    def test_three_character_tokens_appear(self):
+        # the level bound reaches 10 at p = 512
+        for variant in MatrixVariant:
+            fields = set(build_dense(512, variant).to_csv().replace("\n", ",").split(","))
+            assert {"-10", "10"} <= fields
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (255, 256), (256, 1023), (1023, 0)])
+    def test_one_corrupted_cell_changes_only_its_lines(self, i, j):
+        # 0-based cell (i, j) and its antisymmetric twin (j, i); rows 255
+        # and 256 straddle a row block at p = 1024, column 1023 ends a line
+        p = 1024
+        clean = build_dense(p, MatrixVariant.PLAIN)
+        entries = clean.entries.copy()
+        value = -10 if entries[i, j] != -10 else 9
+        entries[i, j], entries[j, i] = value, -value
+        bad = WeightedMatrix(p, MatrixVariant.PLAIN, entries)
+        want, got = clean.to_csv().splitlines(), bad.to_csv().splitlines()
+        assert len(got) == p
+        assert [r for r in range(p) if got[r] != want[r]] == sorted({i, j})
+        for row, col, v in ((i, j, value), (j, i, -value)):
+            w, g = want[row].split(","), got[row].split(",")
+            assert [c for c in range(p) if g[c] != w[c]] == [col]
+            assert g[col] == str(v)
+
+
+class TestSigmaTsv:
+    @pytest.mark.parametrize("p", ORDERS)
+    def test_matches_per_cell_form(self, p):
+        assert sigma_table_tsv(p) == sigma_tsv_reference(p)
+
+    def test_four_digit_images_appear(self):
+        rows = sigma_table_tsv(1024).splitlines()
+        assert rows[0].split("\t")[0] == "X"
+        assert "1024" in rows[0].split("\t")
+
+
+class TestDigraphEncoders:
+    @pytest.mark.parametrize("p", [4, 8, 16, 32, 64, 128, 256, 512])
+    def test_standard_pair(self, p):
+        for g in standard_pair(p):
+            assert g.to_csv() == csv_reference(g.adjacency)
+            assert g.to_digraph6() == digraph6_reference(g)
+
+    @pytest.mark.parametrize("p", [4, 8, 16, 32, 64])
+    def test_deck_cards(self, p):
+        for g in standard_pair(p):
+            for card in deck(g):
+                assert card.to_csv() == csv_reference(card.adjacency)
+                assert card.to_digraph6() == digraph6_reference(card)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_adjacency(self, data):
+        # orders 0..20 cover every payload length mod 6; arcs are free, so
+        # most draws are not tournaments
+        n = data.draw(st.integers(0, 20))
+        bits = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        a = np.array(bits, dtype=np.uint8).reshape(n, n)
+        np.fill_diagonal(a, 0)
+        g = Digraph(n, a)
+        assert g.to_csv() == csv_reference(a)
+        assert g.to_digraph6() == digraph6_reference(g)
+        assert Digraph.from_digraph6(g.to_digraph6()) == g
