@@ -8,9 +8,6 @@ orders where an exhaustive sweep is infeasible).
 """
 
 from recon_census.deletion_maps import (
-    DeletionMap,
-    ExtendedMap,
-    base_sigma,
     build_all_maps,
     build_map,
     check_lemma2,
@@ -81,9 +78,7 @@ __all__ = [
     "CensusTable",
     "ContradictionError",
     "DENSE_ORDER_LIMIT",
-    "DeletionMap",
     "Digraph",
-    "ExtendedMap",
     "IsoStatus",
     "IsoVerdict",
     "MatrixVariant",
@@ -99,7 +94,6 @@ __all__ = [
     "assignment_from_bits",
     "assignment_from_mapping",
     "base_matrix",
-    "base_sigma",
     "build_all_maps",
     "build_dense",
     "build_map",

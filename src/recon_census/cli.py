@@ -120,13 +120,13 @@ def _theorem2(config: RunConfig) -> list[VerificationReport]:
 
 def _hypo_sigma(config: RunConfig) -> list[VerificationReport]:
     p = config.p
-    maps = build_all_maps(p)
+    tables = build_all_maps(p)
     pairs = [("hypo-sigma-tournament", standard_pair)]
     if p >= 8:
         pairs.append(("hypo-sigma-variant", variant_pair))
     reports = []
     for check_name, pair in pairs:
-        rep = verify_hypomorphic_by_sigma(*pair(p), maps)
+        rep = verify_hypomorphic_by_sigma(*pair(p), tables)
         reports.append(dataclasses.replace(rep, check_name=check_name))
     return reports
 
@@ -395,9 +395,9 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
     if command == "census" and args.p not in CENSUS_ORDERS:
         orders = " or ".join(map(str, CENSUS_ORDERS))
         parser.error(f"census is available at p = {orders}, got {args.p}")
-    if command in ("generate", "deck") and args.p > DENSE_ORDER_LIMIT:
+    if command in ("generate", "deck", "export") and args.p > DENSE_ORDER_LIMIT:
         parser.error(
-            f"{command} builds dense matrices, available up to "
+            f"{command} builds p x p tables, available up to "
             f"p = {DENSE_ORDER_LIMIT}, got {args.p}"
         )
     if command in ("generate", "deck") and getattr(args, "kind", "") == "variant-digraph" and args.p < 8:

@@ -15,6 +15,13 @@ recursion is kept alongside as ``sigma_reference`` and the three are
 cross-validated by the test suite (exhaustively at small orders), together
 with the printed order 4/8/16 tables.
 
+The mappings at order p are stored in one form only: the read-only
+``(p, p)`` int32 table of ``build_all_maps``, whose row k - 1 holds the
+1-based images under the deletion of k and 0 at the hole.  Every row is
+checked to be a bijection onto the points other than k, and only the last
+order's table is cached (4 * p**2 bytes).  ``build_map`` computes one row
+in O(p) without the table.
+
 ``_deletion_sweep`` is the one check that every mapping carries one
 matrix onto another away from its deleted point; the exhaustive theorem 1
 check and the digraph hypomorphism check both run it.
@@ -22,7 +29,6 @@ check and the digraph hypomorphism check both run it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -32,9 +38,7 @@ from recon_census.report import VerificationReport
 from recon_census.weight_matrix import _text_grid, order_exponent
 
 __all__ = [
-    "DeletionMap",
-    "ExtendedMap",
-    "base_sigma",
+    "build_all_maps",
     "build_map",
     "check_lemma2",
     "extend_sigma_p1",
@@ -56,6 +60,9 @@ _SIGMA4 = np.array(
     dtype=np.int32,
 )
 _SIGMA4.setflags(write=False)
+
+# cells per block of rows when a p x p map table is built or validated
+_BLOCK_CELLS = 1 << 14
 
 
 def _check_args(p: int, k: int, i: int) -> None:
@@ -123,6 +130,11 @@ def sigma_values(p: int, k, i) -> np.ndarray:
         raise IndexError(f"points must lie in 1..{p}")
     if np.any(i == k):
         raise ValueError("mapping is undefined at the deleted point")
+    return _sigma_closed_form(p, k, i)
+
+
+def _sigma_closed_form(p: int, k: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """``sigma_values`` without its checks; int32 k and i, any value where i = k."""
     a = i - 1
     b = k - 1
     diff = a ^ b
@@ -134,162 +146,115 @@ def sigma_values(p: int, k, i) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class DeletionMap:
-    """One mapping, tabulated.
-
-    ``table`` is a read-only int32 array of p slots where slot i-1 holds
-    the image of point i; the deleted point's slot holds the absence
-    marker 0.
-    """
-
-    order: int
-    deleted_point: int
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        order_exponent(self.order)
-        if not 1 <= self.deleted_point <= self.order:
-            raise ValueError(
-                f"deleted point must lie in 1..{self.order}, got {self.deleted_point}"
-            )
-        table = np.ascontiguousarray(self.table, dtype=np.int32)
-        if table.shape != (self.order,):
-            raise ValueError(f"table must have {self.order} slots")
-        if table[self.deleted_point - 1] != 0:
-            raise ValueError("the deleted slot must hold the absence marker 0")
-        points = np.arange(1, self.order + 1, dtype=np.int32)
-        keep = points != self.deleted_point
-        if not np.array_equal(np.sort(table[keep]), points[keep]):
-            raise ValueError(
-                "defined slots must form a bijection missing the deleted point"
-            )
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
-
-    def apply(self, i: int) -> int:
-        _check_args(self.order, self.deleted_point, i)
-        return int(self.table[i - 1])
-
-    def as_array(self) -> np.ndarray:
-        return self.table
-
-    def items(self):
-        """Yield (point, image) pairs in point order, skipping the deleted slot."""
-        for i in range(1, self.order + 1):
-            if i != self.deleted_point:
-                yield i, int(self.table[i - 1])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DeletionMap):
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.deleted_point == other.deleted_point
-            and np.array_equal(self.table, other.table)
-        )
-
-    def __repr__(self) -> str:
-        return f"DeletionMap(order={self.order}, deleted_point={self.deleted_point})"
-
-
-@dataclass(frozen=True, eq=False)
-class ExtendedMap:
-    """The deleted-point-1 mapping extended to a full permutation by fixing 1."""
-
-    order: int
-    permutation: np.ndarray
-
-    def __post_init__(self) -> None:
-        order_exponent(self.order)
-        if self.order < 8:
-            raise ValueError(f"extension requires order >= 8, got {self.order}")
-        perm = np.ascontiguousarray(self.permutation, dtype=np.int32)
-        if perm.shape != (self.order,):
-            raise ValueError(f"permutation must have {self.order} slots")
-        if perm[0] != 1:
-            raise ValueError("the extension must fix point 1")
-        points = np.arange(1, self.order + 1, dtype=np.int32)
-        if not np.array_equal(np.sort(perm), points):
-            raise ValueError("extension is not a permutation")
-        if not np.array_equal(perm[1:], _map_table(self.order, 1)[1:]):
-            raise ValueError("extension must restrict to the point-1 deletion mapping")
-        perm.setflags(write=False)
-        object.__setattr__(self, "permutation", perm)
-
-    def apply(self, i: int) -> int:
-        if not 1 <= i <= self.order:
-            raise IndexError(f"point must lie in 1..{self.order}, got {i}")
-        return int(self.permutation[i - 1])
-
-    def as_array(self) -> np.ndarray:
-        return self.permutation
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExtendedMap):
-            return NotImplemented
-        return self.order == other.order and np.array_equal(
-            self.permutation, other.permutation
-        )
-
-    def __repr__(self) -> str:
-        return f"ExtendedMap(order={self.order})"
-
-
-@lru_cache(maxsize=None)
-def _deletion_map(p: int, k: int) -> DeletionMap:
-    # DeletionMap checks the bijection onto {1..p} minus {k}, once per (p, k)
+def _map_rows(p: int, ks: np.ndarray) -> np.ndarray:
+    """Table rows of the maps deleting the points ``ks``: 1-based images, 0 at the hole."""
     points = np.arange(1, p + 1, dtype=np.int32)
-    keep = points != k
-    table = np.zeros(p, dtype=np.int32)
-    table[keep] = sigma_values(p, k, points[keep])
-    return DeletionMap(p, k, table)
+    rows = _sigma_closed_form(p, ks[:, None], points)
+    rows[np.arange(ks.size), ks - 1] = 0
+    return rows
 
 
-def _map_table(p: int, k: int) -> np.ndarray:
-    return _deletion_map(p, k).table
+def _check_rows(p: int, first: int, rows: np.ndarray) -> None:
+    """Raise ValueError unless each row is the table of a deletion map.
+
+    Row r must delete the point ``first + r``: 0 in its slot, and the
+    other slots a bijection onto the p - 1 other points.  One bincount
+    per block of rows, O(p) per row.
+    """
+    n = rows.shape[0]
+    ks = np.arange(first, first + n)
+    if rows.min() < 0 or rows.max() > p:
+        raise ValueError(f"images must lie in 1..{p}")
+    holes = rows[np.arange(n), ks - 1]
+    if np.any(holes != 0):
+        k = int(ks[np.argmax(holes != 0)])
+        raise ValueError(f"map {k}: the deleted slot must hold the absence marker 0")
+    counts = np.bincount(
+        (rows + (p + 1) * np.arange(n)[:, None]).ravel(), minlength=n * (p + 1)
+    ).reshape(n, p + 1)
+    counts[np.arange(n), ks] += 1
+    bad = np.nonzero((counts != 1).any(axis=1))[0]
+    if bad.size:
+        k = int(ks[bad[0]])
+        raise ValueError(f"map {k} is not a bijection onto the points other than {k}")
 
 
-def build_map(p: int, k: int) -> DeletionMap:
-    """Tabulate the order-p mapping deleting point k (cached per (p, k))."""
+def _block_rows(p: int) -> int:
+    """Rows in a block of about ``_BLOCK_CELLS`` cells of a p x p table."""
+    return max(1, _BLOCK_CELLS // p)
+
+
+def _check_table(p: int, tables) -> np.ndarray:
+    """``tables`` as a validated ``(p, p)`` table of all deletion maps at order p."""
+    tables = np.asarray(tables)
+    if tables.shape != (p, p) or not np.issubdtype(tables.dtype, np.integer):
+        raise ValueError(
+            f"expected a ({p}, {p}) integer table of deletion maps, "
+            f"got shape {tables.shape} of {tables.dtype}"
+        )
+    step = _block_rows(p)
+    for start in range(0, p, step):
+        _check_rows(p, start + 1, tables[start : start + step])
+    return tables
+
+
+def build_map(p: int, k: int) -> np.ndarray:
+    """Table of the order-p mapping deleting point k, in O(p).
+
+    Slot i - 1 holds the image of point i, and the deleted slot holds the
+    absence marker 0: row k - 1 of ``build_all_maps(p)``.
+    """
     order_exponent(p)
     if not 1 <= k <= p:
         raise IndexError(f"deleted point must lie in 1..{p}, got {k}")
-    return _deletion_map(p, k)
+    row = _map_rows(p, np.array([k], dtype=np.int32))
+    _check_rows(p, k, row)
+    return row[0]
 
 
-def base_sigma(k: int) -> DeletionMap:
-    """The fixed order-4 mapping deleting point k."""
-    return build_map(4, k)
+@lru_cache(maxsize=1)
+def build_all_maps(p: int) -> np.ndarray:
+    """All p mappings at order p as one read-only ``(p, p)`` int32 table.
 
-
-def build_all_maps(p: int) -> tuple[DeletionMap, ...]:
-    """All p mappings at order p, in deleted-point order."""
+    Row k - 1 is ``build_map(p, k)``.  The rows are built and validated
+    in blocks of about ``_BLOCK_CELLS`` cells, and only the last order
+    asked for is kept: 4 * p**2 bytes.
+    """
     order_exponent(p)
-    return tuple(build_map(p, k) for k in range(1, p + 1))
+    tables = np.empty((p, p), dtype=np.int32)
+    step = _block_rows(p)
+    for start in range(0, p, step):
+        ks = np.arange(start + 1, min(start + step, p) + 1, dtype=np.int32)
+        rows = _map_rows(p, ks)
+        _check_rows(p, start + 1, rows)
+        tables[start : start + ks.size] = rows
+    tables.setflags(write=False)
+    return tables
 
 
-def extend_sigma_p1(p: int) -> ExtendedMap:
-    """Extend the point-1 deletion mapping to a permutation by fixing point 1."""
+def extend_sigma_p1(p: int) -> np.ndarray:
+    """The point-1 deletion mapping extended to a permutation by fixing point 1.
+
+    Slot i - 1 holds the image of point i.
+    """
     order_exponent(p)
     if p < 8:
         raise ValueError(f"extend_sigma_p1 requires p >= 8, got {p}")
-    perm = _map_table(p, 1).copy()
+    perm = build_map(p, 1)
     perm[0] = 1
-    return ExtendedMap(p, perm)
+    return perm
 
 
 def sigma_table_tsv(p: int) -> str:
     """Tab-separated table, rows = point, columns = deleted point, 'X' at the hole.
 
-    Row blocks are stacked from the cached map tables, whose absence
-    marker 0 at the hole is the code of 'X'.
+    The row blocks are column blocks of ``build_all_maps(p)``, whose
+    absence marker 0 at the hole is the code of 'X'.
     """
-    order_exponent(p)
-    columns = [_map_table(p, k) for k in range(1, p + 1)]
+    tables = build_all_maps(p)
     return _text_grid(
         p,
-        lambda rows: np.stack([col[rows] for col in columns], axis=1),
+        lambda rows: tables[:, rows].T,
         ["X", *map(str, range(1, p + 1))],
         "\t",
     )
@@ -314,7 +279,7 @@ def check_lemma2(p: int) -> VerificationReport:
     if p < 8:
         raise ValueError(f"check_lemma2 requires p >= 8, got {p}")
     h = p // 2
-    cols = [_map_table(p, k) for k in range(1, p + 1)]
+    cols = build_all_maps(p)
     points = np.arange(1, p + 1, dtype=np.int32)
     checked = 0
     counterexample = None
@@ -373,13 +338,13 @@ def check_lemma2(p: int) -> VerificationReport:
 
 
 def _lemma2_d(p: int, cols) -> Optional[tuple]:
-    """First counterexample to lemma 2 (d) over the tables ``cols``, or None.
+    """First counterexample to lemma 2 (d) over the map table ``cols``, or None.
 
     Under the deletion of k, the pair (i, j) can fail only where j - i or
     image(i) - image(j) is +-p/2.  For each i those are the four columns
     i +- p/2 and the preimages of image(i) -+ p/2, read through the
-    inverse table, so each deletion costs O(p).  The tables must be
-    bijections, as ``DeletionMap`` checks.  The report is that of the
+    inverse table, so each deletion costs O(p).  The rows must be
+    bijections, as ``build_all_maps`` checks.  The report is that of the
     full-matrix form ``_lemma2_d_reference``: the first failing pair in
     row-major order.
     """

@@ -9,16 +9,19 @@ levels to 1 and negative levels to 0; the variant digraph pair maps
 Because the two extreme levels +-(n+1) are the only place the plain and
 starred matrices disagree under the extended point-1 mapping, any
 assignment giving both extremes the same bit produces an isomorphic pair
-(``forced_isomorphism`` returns the verified witness).  Conjugating by the
-half-swap involution exchanges the two extreme levels and nothing else
-(``swap_involution`` verifies this), which pairs up assignments into
-orbits yielding the same digraph pair.  ``assignment_census`` enumerates
-every proper assignment at small orders and tabulates which ones yield
-non-isomorphic pairs.
+(``forced_isomorphism`` returns the verified witness, the permutation
+array of ``deletion_maps.extend_sigma_p1``, built from one map row in
+O(p)).  Conjugating by the half-swap involution exchanges the two extreme
+levels and nothing else (``swap_involution`` verifies this), which pairs
+up assignments into orbits yielding the same digraph pair.
+``assignment_census`` enumerates every proper assignment at small orders
+and tabulates which ones yield non-isomorphic pairs, in at most as many
+worker processes as there are rows or CPUs.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from recon_census.deletion_maps import ExtendedMap, _permuted, extend_sigma_p1
+from recon_census.deletion_maps import _permuted, extend_sigma_p1
 from recon_census.errors import ContradictionError
 from recon_census.weight_matrix import (
     MatrixVariant,
@@ -346,13 +349,14 @@ def _is_arc_preserving(g: Digraph, h: Digraph, perm) -> bool:
     return np.array_equal(g.adjacency, _permuted(h.adjacency, sel))
 
 
-def forced_isomorphism(p: int, a: BinaryAssignment) -> Optional[ExtendedMap]:
-    """Witness map when both extreme levels get the same bit, else None.
+def forced_isomorphism(p: int, a: BinaryAssignment) -> Optional[np.ndarray]:
+    """Witness permutation when both extreme levels get the same bit, else None.
 
     When the assignment gives +-(n+1) equal bits, the extended point-1
-    mapping must carry the assigned plain digraph onto the assigned
-    starred digraph; the witness is verified arc by arc before being
-    returned, and a verification failure is a fatal internal error.
+    mapping (``extend_sigma_p1``, slot i - 1 holding the image of point i)
+    must carry the assigned plain digraph onto the assigned starred
+    digraph; the witness is verified arc by arc before being returned,
+    and a verification failure is a fatal internal error.
     """
     n = order_exponent(p)
     if p < 8:
@@ -364,7 +368,7 @@ def forced_isomorphism(p: int, a: BinaryAssignment) -> Optional[ExtendedMap]:
     ext = extend_sigma_p1(p)
     g = apply_assignment(build_dense(p, MatrixVariant.PLAIN), a)
     h = apply_assignment(build_dense(p, MatrixVariant.STAR), a)
-    if not _is_arc_preserving(g, h, ext.as_array()):
+    if not _is_arc_preserving(g, h, ext):
         raise ContradictionError(
             f"extended point-1 mapping is not an isomorphism at p={p} "
             f"for assignment {a.bit_string}"
@@ -480,9 +484,12 @@ def assignment_census(
     m = 2 * (n + 1)
     all_bits = [format(x, f"0{m}b") for x in range(1 << m)]
     tasks = [(p, bits, iso_budget) for bits in all_bits]
-    if jobs > 1:
-        chunk = max(1, len(tasks) // (8 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at once, so ask for no more than
+    # there are rows or CPUs
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        chunk = max(1, len(tasks) // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_census_entry, tasks, chunksize=chunk))
     else:
         results = [_census_entry(t) for t in tasks]

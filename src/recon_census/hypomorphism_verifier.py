@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from recon_census.deletion_maps import _deletion_sweep, _map_table, sigma_values
+from recon_census.deletion_maps import _deletion_sweep, build_all_maps, sigma_values
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import (
     MatrixVariant,
@@ -40,6 +40,7 @@ def check_lemma3(p: int) -> VerificationReport:
     h = p // 2
     plain = entry_grid(p, MatrixVariant.PLAIN).astype(np.int32)
     star = entry_grid(p, MatrixVariant.STAR).astype(np.int32)
+    tables = build_all_maps(p)
     points = np.arange(1, p + 1, dtype=np.int32)
     checked = 0
     counterexample = None
@@ -51,7 +52,7 @@ def check_lemma3(p: int) -> VerificationReport:
 
     # first equality: map the column by the deletion at the row point
     for i in range(1, p + 1):
-        t = _map_table(p, i)
+        t = tables[i - 1]
         js = points[points != i]
         lhs = plain[i - 1, js - 1]
         rhs = signs_for(i, js) * star[i - 1, t[js - 1] - 1]
@@ -64,7 +65,7 @@ def check_lemma3(p: int) -> VerificationReport:
 
     # second equality: map the row by the deletion at the column point
     for j in range(1, p + 1):
-        t = _map_table(p, j)
+        t = tables[j - 1]
         is_ = points[points != j]
         lhs = plain[is_ - 1, j - 1]
         rhs = signs_for(j, is_) * star[t[is_ - 1] - 1, j - 1]
@@ -97,8 +98,7 @@ def check_theorem1(p: int) -> VerificationReport:
     order_exponent(p)
     plain = entry_grid(p, MatrixVariant.PLAIN)
     star = entry_grid(p, MatrixVariant.STAR)
-    tables = [_map_table(p, k) for k in range(1, p + 1)]
-    counterexample, checked = _deletion_sweep(plain, star, tables)
+    counterexample, checked = _deletion_sweep(plain, star, build_all_maps(p))
     return VerificationReport(
         check_name="theorem1",
         order=p,

@@ -15,11 +15,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from recon_census.deletion_maps import DeletionMap, _deletion_sweep
+from recon_census.deletion_maps import _check_table, _deletion_sweep
 from recon_census.digraph_builder import (
     Digraph,
     _is_arc_preserving,
@@ -174,26 +174,21 @@ def deck(g: Digraph) -> tuple[Digraph, ...]:
     return tuple(g.delete_point(k) for k in range(1, g.order + 1))
 
 
-def verify_hypomorphic_by_sigma(
-    g: Digraph, h: Digraph, maps: Sequence[DeletionMap]
-) -> VerificationReport:
+def verify_hypomorphic_by_sigma(g: Digraph, h: Digraph, tables) -> VerificationReport:
     """Check that each deletion mapping carries card k of g onto card k of h.
 
-    The relabelings cancel, so the test is: for every deleted point k and
-    all points i, j other than k, g has the arc (i, j) exactly when h has
-    the arc (image(i), image(j)).
+    ``tables`` is a ``(p, p)`` map table laid out as ``build_all_maps(p)``
+    (row k - 1 holds the images under the deletion of k, 0 at the hole);
+    a row that is not such a bijection raises ValueError.  The relabelings
+    cancel, so the test is: for every deleted point k and all points i, j
+    other than k, g has the arc (i, j) exactly when h has the arc
+    (image(i), image(j)).
     """
     if g.order != h.order:
         raise ValueError(f"orders differ: {g.order} vs {h.order}")
     p = g.order
-    if len(maps) != p:
-        raise ValueError(f"expected {p} deletion maps, got {len(maps)}")
-    for k, m in enumerate(maps, start=1):
-        if m.order != p or m.deleted_point != k:
-            raise ValueError(f"map {k} does not delete point {k} at order {p}")
-    counterexample, checked = _deletion_sweep(
-        g.adjacency, h.adjacency, [m.as_array() for m in maps]
-    )
+    tables = _check_table(p, tables)
+    counterexample, checked = _deletion_sweep(g.adjacency, h.adjacency, tables)
     return VerificationReport(
         check_name="hypomorphic-by-sigma",
         order=p,

@@ -128,7 +128,8 @@ def _text_grid(p: int, codes, tokens, sep: str) -> str:
     step = max(1, _TEXT_BLOCK_CELLS // max(1, p))
     pieces = []
     for start in range(0, p, step):
-        block = codes(slice(start, start + step))
+        # C order, so that the gathered cells come out row by row
+        block = np.ascontiguousarray(codes(slice(start, start + step)))
         cells = inner[block]
         cells[:, -1] = last[block[:, -1]]
         flat = cells.view(np.uint8).reshape(-1)

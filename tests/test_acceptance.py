@@ -129,7 +129,7 @@ def test_criterion_6_census_order_8():
         if a.value_for(4) == a.value_for(-4):
             assert row.isomorphic is True, row
             witness = forced_isomorphism(8, a)  # verified arc by arc inside
-            assert witness is not None and witness.apply(1) == 1
+            assert witness is not None and witness[0] == 1
         else:
             assert forced_isomorphism(8, a) is None
     assert table.row_for(tournament_assignment(3)).isomorphic is False

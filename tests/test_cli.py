@@ -116,6 +116,27 @@ class TestExitCodes:
         ]
         assert str(p) in err.splitlines()[-1]
 
+    @pytest.mark.parametrize("p", [16384, 2**24])
+    def test_export_above_dense_limit_refused_as_usage_error(self, capsys, monkeypatch, p):
+        import recon_census.cli as cli
+        from recon_census.cli import _parse_config
+        from recon_census.weight_matrix import DENSE_ORDER_LIMIT
+
+        def no_run(config):
+            raise AssertionError("a refused order must not start any command")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        assert p > DENSE_ORDER_LIMIT
+        assert run_cli("export", "--p", str(p), "--format", "tsv") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            err.splitlines()[-1]
+        ]
+        assert str(p) in err.splitlines()[-1]
+        config = _parse_config(["export", "--p", str(DENSE_ORDER_LIMIT)])
+        assert config.p == DENSE_ORDER_LIMIT
+
     def test_oracle_limit_order_is_accepted(self):
         from recon_census.cli import _parse_config
         from recon_census.weight_matrix import ORACLE_ORDER_LIMIT
@@ -419,6 +440,16 @@ class TestVerifyReports:
         assert doc["checks"] == [
             "lemma3", "theorem1", "theorem2", "hypo-sigma", "deck-match",
         ]
+
+    def test_report_matches_golden_fixture(self, tmp_path, capsys):
+        # every map consumer's verdict, checked count and report order
+        out = tmp_path / "rep.json"
+        args = ("verify", "--p", "64", "--checks", "all", "--seed", "5")
+        assert run_cli(*args, "--out", str(out)) == 0
+        golden = (FIXTURES / "verify_p64_all.json").read_bytes()
+        assert out.read_bytes() == golden
+        assert run_cli(*args) == 0
+        assert capsys.readouterr().out.encode() == golden
 
     def test_stdout_default(self, capsys):
         run_cli("verify", "--p", "8", "--checks", "lemma1")

@@ -5,9 +5,6 @@ from hypothesis import strategies as st
 
 import recon_census.deletion_maps as dm
 from recon_census.deletion_maps import (
-    DeletionMap,
-    ExtendedMap,
-    base_sigma,
     build_all_maps,
     build_map,
     check_lemma2,
@@ -18,6 +15,7 @@ from recon_census.deletion_maps import (
     sigma_values,
 )
 from recon_census.digraph_builder import standard_pair, variant_pair
+from recon_census.iso_engine import verify_hypomorphic_by_sigma
 from recon_census.weight_matrix import MatrixVariant, entry_grid
 
 from conftest import load_sigma_fixture, swap_two_images
@@ -31,14 +29,12 @@ class TestSigmaValues:
         assert sigma(16, 2, 5) == 11
 
     def test_base_tables(self):
-        assert [base_sigma(1).apply(i) for i in (2, 3, 4)] == [4, 2, 3]
-        assert [base_sigma(4).apply(i) for i in (1, 2, 3)] == [2, 3, 1]
+        assert build_map(4, 1).tolist() == [0, 4, 2, 3]
+        assert build_map(4, 4).tolist() == [2, 3, 1, 0]
 
     def test_deleted_point_undefined(self):
         with pytest.raises(ValueError):
             sigma(8, 2, 2)
-        with pytest.raises(ValueError):
-            base_sigma(2).apply(2)
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
@@ -84,38 +80,116 @@ class TestSigmaValues:
             sigma_values(8, np.array([1, 2]), np.array([2, 2]))
 
 
-class TestBuildMap:
+class TestMapTable:
     @pytest.mark.parametrize("p", [4, 8, 16, 32])
-    def test_bijectivity_every_column(self, p):
+    def test_bijectivity_every_row(self, p):
+        tables = build_all_maps(p)
         for k in range(1, p + 1):
-            m = build_map(p, k)
-            images = sorted(image for _, image in m.items())
+            images = sorted(tables[k - 1][np.arange(p) != k - 1])
             assert images == [v for v in range(1, p + 1) if v != k]
 
-    def test_base_case_equality(self):
-        assert build_map(4, 2) == base_sigma(2)
+    @pytest.mark.parametrize("p", [4, 8, 16, 32])
+    def test_rows_equal_reference(self, p):
+        tables = build_all_maps(p)
+        assert tables.shape == (p, p) and tables.dtype == np.int32
+        for k in range(1, p + 1):
+            want = [0 if i == k else sigma_reference(p, k, i) for i in range(1, p + 1)]
+            assert tables[k - 1].tolist() == want, k
 
-    def test_tables_cached(self):
-        assert build_map(8, 3).table is build_map(8, 3).table
+    @pytest.mark.parametrize("p", [4, 8, 16, 32, 64])
+    def test_build_map_equals_table_row(self, p):
+        tables = build_all_maps(p)
+        for k in range(1, p + 1):
+            assert np.array_equal(build_map(p, k), tables[k - 1]), k
+
+    @pytest.mark.parametrize("p", [1024, 2048])
+    def test_block_boundaries(self, p):
+        # the rows either side of a block edge are those of build_map
+        tables = build_all_maps(p)
+        step = dm._block_rows(p)
+        assert step < p
+        for k in (1, step, step + 1, p - step, p - step + 1, p):
+            assert np.array_equal(build_map(p, k), tables[k - 1]), k
+
+    def test_one_order_cached(self):
+        build_all_maps(8)
+        assert build_all_maps(8) is build_all_maps(8)
+        build_all_maps(16)
+        assert build_all_maps.cache_info().currsize == 1
 
     def test_absent_slot_is_zero(self):
-        m = build_map(8, 5)
-        assert m.table[4] == 0
+        assert build_map(8, 5)[4] == 0
+        assert np.all(np.diagonal(build_all_maps(8)) == 0)
 
     def test_table_read_only(self):
         with pytest.raises(ValueError):
-            build_map(8, 1).table[2] = 9
+            build_all_maps(8)[0, 2] = 9
 
-    def test_direct_construction_validates(self):
-        with pytest.raises(ValueError):
-            DeletionMap(4, 1, np.array([0, 4, 4, 3]))
-        with pytest.raises(ValueError):
-            DeletionMap(4, 1, np.array([1, 4, 2, 3]))
+    def test_build_map_rejects_bad_point(self):
+        with pytest.raises(IndexError):
+            build_map(8, 0)
+        with pytest.raises(IndexError):
+            build_map(8, 9)
 
-    def test_build_all_maps(self):
-        maps = build_all_maps(8)
-        assert len(maps) == 8
-        assert [m.deleted_point for m in maps] == list(range(1, 9))
+
+def _malformed_tables():
+    """(name, table) pairs at order 4 that are not tables of the deletion maps."""
+    good = build_all_maps(4)
+    cases = {}
+    cases["wrong shape"] = good[:2]
+    cases["not square"] = good[:, :3]
+    cases["not integers"] = good.astype(float)
+    hole = good.copy()
+    hole[0, 0] = 1
+    cases["nonzero hole"] = hole
+    high = good.copy()
+    high[1, 0] = 5
+    cases["image above p"] = high
+    negative = good.copy()
+    negative[1, 0] = -1
+    cases["negative image"] = negative
+    zero = good.copy()
+    zero[2, 0] = 0
+    cases["zero off the hole"] = zero
+    repeated = good.copy()
+    repeated[3, 1] = repeated[3, 0]
+    cases["repeated image"] = repeated
+    deleted = good.copy()
+    deleted[3, 0] = 4
+    cases["image at the deleted point"] = deleted
+    return list(cases.items())
+
+
+class TestTableValidation:
+    @pytest.mark.parametrize("name, table", _malformed_tables())
+    def test_verifier_rejects_malformed_table(self, name, table):
+        g, h = standard_pair(4)
+        with pytest.raises(ValueError):
+            verify_hypomorphic_by_sigma(g, h, table)
+
+    def test_verifier_accepts_table_as_nested_lists(self):
+        g, h = standard_pair(4)
+        assert verify_hypomorphic_by_sigma(g, h, build_all_maps(4).tolist()).passed
+
+    def test_build_all_maps_checks_each_row(self, monkeypatch):
+        real = dm._map_rows
+
+        def faulty(p, ks):
+            # the map deleting 1 sends 2 and 3 to the same image
+            rows = real(p, ks)
+            rows[ks == 1, 1] = rows[ks == 1, 2]
+            return rows
+
+        monkeypatch.setattr(dm, "_map_rows", faulty)
+        build_all_maps.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="map 1 is not a bijection"):
+                build_all_maps(8)
+            with pytest.raises(ValueError, match="map 1 is not a bijection"):
+                build_map(8, 1)
+            assert build_map(8, 4)[3] == 0
+        finally:
+            build_all_maps.cache_clear()
 
 
 class TestGoldenTables:
@@ -127,14 +201,14 @@ class TestGoldenTables:
         want = load_sigma_fixture(8).splitlines()
         m = build_map(8, 3)
         column = [row.split("\t")[2] for row in want]
-        got = ["X" if i == 3 else str(m.apply(i)) for i in range(1, 9)]
+        got = ["X" if i == 3 else str(m[i - 1]) for i in range(1, 9)]
         assert got == column
 
     def test_order16_last_column(self):
         want = load_sigma_fixture(16).splitlines()
         m = build_map(16, 16)
         column = [row.split("\t")[15] for row in want]
-        got = ["X" if i == 16 else str(m.apply(i)) for i in range(1, 17)]
+        got = ["X" if i == 16 else str(m[i - 1]) for i in range(1, 17)]
         assert got == column
 
 
@@ -151,30 +225,21 @@ class TestLemma2:
 
     @pytest.mark.parametrize("p", [2**n for n in range(3, 9)])
     def test_part_d_matches_full_matrix_form(self, p, monkeypatch):
-        clean = [dm._map_table(p, k) for k in range(1, p + 1)]
+        clean = build_all_maps(p)
         assert dm._lemma2_d(p, clean) is None
         assert dm._lemma2_d_reference(p, clean) is None
-        real = dm._map_table
         rng = np.random.default_rng(p)
         hits = []
         for _ in range(6):
-            # swap the images of two kept points in a few tables: each table
+            # swap the images of two kept points in a few rows: each row
             # stays a bijection, so only the identities can break
-            swaps = {}
+            cols = clean.copy()
             for k in rng.choice(np.arange(1, p + 1), size=3, replace=False):
                 kept = np.delete(np.arange(p), k - 1)
-                swaps[int(k)] = rng.choice(kept, size=2, replace=False)
+                a, b = rng.choice(kept, size=2, replace=False)
+                cols[k - 1, [a, b]] = cols[k - 1, [b, a]]
 
-            def patched(q, k, swaps=swaps):
-                table = real(q, k)
-                if q == p and k in swaps:
-                    table = table.copy()
-                    a, b = swaps[k]
-                    table[[a, b]] = table[[b, a]]
-                return table
-
-            monkeypatch.setattr(dm, "_map_table", patched)
-            cols = [dm._map_table(p, k) for k in range(1, p + 1)]
+            monkeypatch.setattr(dm, "build_all_maps", lambda q, cols=cols: cols)
             hits.append(dm._lemma2_d(p, cols))
             assert hits[-1] == dm._lemma2_d_reference(p, cols)
             report = check_lemma2(p)
@@ -202,37 +267,29 @@ class TestLemma2:
                 assert sigma(p, k, i) == sigma(p, k + h, i)
 
 
-class TestExtendedMap:
+class TestExtendSigmaP1:
     def test_fixes_point_one(self):
         ext = extend_sigma_p1(8)
-        assert ext.apply(1) == 1
-        assert ext.apply(2) == 8
+        assert ext[0] == 1
+        assert ext[1] == 8
 
     def test_is_bijection(self):
-        ext = extend_sigma_p1(8)
-        assert sorted(ext.apply(i) for i in range(1, 9)) == list(range(1, 9))
+        assert sorted(extend_sigma_p1(8)) == list(range(1, 9))
 
     def test_restriction_matches_map(self):
-        ext = extend_sigma_p1(16)
-        m = build_map(16, 1)
-        for i in range(2, 17):
-            assert ext.apply(i) == m.apply(i)
+        assert np.array_equal(extend_sigma_p1(16)[1:], build_all_maps(16)[0, 1:])
 
     def test_requires_order_8(self):
         with pytest.raises(ValueError):
             extend_sigma_p1(4)
 
-    def test_direct_construction_validates(self):
-        good = extend_sigma_p1(8).as_array().copy()
-        ExtendedMap(8, good)
-        bad = good.copy()
-        bad[[1, 2]] = bad[[2, 1]]
-        with pytest.raises(ValueError):
-            ExtendedMap(8, bad)
+    def test_leaves_the_table_alone(self):
+        extend_sigma_p1(16)
+        assert build_all_maps(16)[0, 0] == 0
 
 
 def _clean_tables(p):
-    return [dm._map_table(p, k) for k in range(1, p + 1)]
+    return build_all_maps(p).copy()
 
 
 def _sweep_pairs(p):

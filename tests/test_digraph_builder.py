@@ -176,7 +176,7 @@ class TestForcedIsomorphism:
         mapping[-4] = 1
         ext = forced_isomorphism(8, assignment_from_mapping(3, mapping))
         assert ext is not None
-        assert ext.apply(1) == 1 and ext.apply(2) == 8
+        assert ext[0] == 1 and ext[1] == 8
 
     def test_distinct_extremes_yields_none(self):
         assert forced_isomorphism(8, tournament_assignment(3)) is None
@@ -194,10 +194,7 @@ class TestForcedIsomorphism:
         ext = forced_isomorphism(p, a)
         g = apply_assignment(build_dense(p, PLAIN), a)
         h = apply_assignment(build_dense(p, STAR), a)
-        perm = ext.as_array()
-        assert np.array_equal(
-            g.adjacency, h.adjacency[np.ix_(perm - 1, perm - 1)]
-        )
+        assert np.array_equal(g.adjacency, h.adjacency[np.ix_(ext - 1, ext - 1)])
 
 
 class TestSwapInvolution:
@@ -285,6 +282,41 @@ class TestCensus:
 
     def test_parallel_equals_serial(self, table8):
         assert assignment_census(8, jobs=2) == table8
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [
+            (10_000, 4, 4),  # capped by the CPUs
+            (10_000, 1000, 256),  # capped by the 256 rows
+            (3, 1000, 3),
+            (10_000, None, None),  # CPU count unknown: serial
+            (8, 1, None),
+        ],
+    )
+    def test_worker_processes_capped(self, table8, monkeypatch, jobs, cpus, workers):
+        import recon_census.digraph_builder as db
+
+        started = []
+
+        class SerialPool:
+            """Records the pool size it is asked for and maps in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(db, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(db.os, "cpu_count", lambda: cpus)
+        assert assignment_census(8, jobs=jobs) == table8
+        assert started == ([] if workers is None else [workers])
 
     def test_every_assignment_transfers_hypomorphism(self, table8):
         # the deletion mappings carry card k onto card k for the digraphs

@@ -95,13 +95,10 @@ class TestTheorem1Sweep:
     @pytest.mark.parametrize("late", ["last", "first-upper"])
     def test_patched_map_table(self, monkeypatch, p, late):
         bad_k = p if late == "last" else p // 2 + 1
-        real = hv._map_table
+        tables = dm.build_all_maps(p).copy()
+        tables[bad_k - 1] = swap_two_images(tables[bad_k - 1], bad_k)
 
-        def patched(q, k):
-            table = real(q, k)
-            return swap_two_images(table, k) if (q, k) == (p, bad_k) else table
-
-        monkeypatch.setattr(hv, "_map_table", patched)
+        monkeypatch.setattr(hv, "build_all_maps", lambda q: tables)
         report = self.both_reports(p, monkeypatch)
         assert not report.passed
         assert report.counterexample[0] == bad_k
@@ -110,16 +107,12 @@ class TestTheorem1Sweep:
 
 class TestLemma2Reporting:
     def test_detects_corrupted_table(self, monkeypatch):
-        real = dm._map_table
+        tables = dm.build_all_maps(8).copy()
+        # swap two images of the map deleting 2: still a bijection, breaks
+        # the identities
+        tables[1, [2, 4]] = tables[1, [4, 2]]
 
-        def patched(p, k):
-            table = real(p, k).copy()
-            if p == 8 and k == 2:
-                # swap two images: still a bijection, breaks the identities
-                table[[2, 4]] = table[[4, 2]]
-            return table
-
-        monkeypatch.setattr(dm, "_map_table", patched)
+        monkeypatch.setattr(dm, "build_all_maps", lambda p: tables)
         report = dm.check_lemma2(8)
         assert not report.passed
         k = report.counterexample[0]

@@ -34,7 +34,7 @@ def csv_reference(grid: np.ndarray) -> str:
 
 def sigma_tsv_reference(p: int) -> str:
     """Per-cell form of the deletion-map table, 'X' where i = k."""
-    columns = [dm._map_table(p, k) for k in range(1, p + 1)]
+    columns = dm.build_all_maps(p)
     lines = []
     for i in range(1, p + 1):
         cells = ["X" if i == k else str(int(columns[k - 1][i - 1])) for k in range(1, p + 1)]
