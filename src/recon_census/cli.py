@@ -11,7 +11,8 @@ Subcommands:
 
 Exit status: 0 when everything requested passed, 1 when a check failed
 (the report is still written), 2 on usage errors and when the output
-(``--out`` or stdout) cannot be written.  Identical invocations (including
+(``--out`` or stdout) cannot be written, 3 on an internal error (one
+``internal error:`` line on stderr).  Identical invocations (including
 ``--seed``) produce byte-identical outputs.
 """
 
@@ -433,6 +434,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run(_parse_config(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    except Exception as exc:
+        # a bug, or a failed self-check outside ``verify``: exit 1 would
+        # read as a failed check
+        message = " ".join(str(exc).split())
+        print(
+            f"recon-census: internal error: {type(exc).__name__}: {message}",
+            file=sys.stderr,
+        )
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,14 +9,21 @@ levels to 1 and negative levels to 0; the variant digraph pair maps
 Because the two extreme levels +-(n+1) are the only place the plain and
 starred matrices disagree under the extended point-1 mapping, any
 assignment giving both extremes the same bit produces an isomorphic pair
-(``forced_isomorphism`` returns the verified witness, the permutation
-array of ``deletion_maps.extend_sigma_p1``, built from one map row in
-O(p)).  Conjugating by the half-swap involution exchanges the two extreme
-levels and nothing else (``swap_involution`` verifies this), which pairs
-up assignments into orbits yielding the same digraph pair.
+(``forced_isomorphism`` returns the witness, the permutation array of
+``deletion_maps.extend_sigma_p1``, after checking that the assignment
+gives equal bits to both levels of every distinct off-diagonal level pair
+(plain(i, j), star(ext(i), ext(j))), collected once per order).
+Conjugating by the half-swap involution exchanges the two extreme levels
+and nothing else (``swap_involution`` verifies this), which pairs up
+assignments into orbits yielding the same digraph pair.
 ``assignment_census`` enumerates every proper assignment at small orders
-and tabulates which ones yield non-isomorphic pairs, in at most as many
-worker processes as there are rows or CPUs.
+and tabulates which ones yield non-isomorphic pairs.  It settles the rows
+with equal extreme bits through ``forced_isomorphism`` and runs one
+isomorphism search per remaining swap orbit (64 at p = 8, 256 at p = 16,
+in at most as many worker processes as there are searched rows or CPUs);
+the other member of the orbit copies the verdict.
+``_assignment_census_reference`` searches every row and is the census's
+test oracle.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -189,13 +196,8 @@ class Digraph:
     @cached_property
     def bitrows(self) -> tuple[int, ...]:
         """Row bitmasks: bit (j-1) of entry (i-1) set when arc i -> j exists."""
-        rows = []
-        for row in self.adjacency:
-            bits = 0
-            for j in np.nonzero(row)[0]:
-                bits |= 1 << int(j)
-            rows.append(bits)
-        return tuple(rows)
+        packed = np.packbits(self.adjacency, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
@@ -306,6 +308,15 @@ def _threshold_scores_reference(p: int, variant: MatrixVariant) -> np.ndarray:
     return out
 
 
+def _bit_lut(a: BinaryAssignment) -> np.ndarray:
+    """The bit of each level at slot level + n + 1; level 0 gets 0."""
+    top = a.order_n + 1
+    lut = np.zeros(2 * top + 1, dtype=np.uint8)
+    for level, bit in a.items():
+        lut[level + top] = bit
+    return lut
+
+
 def apply_assignment(m: WeightedMatrix, a: BinaryAssignment) -> Digraph:
     """Replace each off-diagonal entry by its assigned bit; no loops."""
     n = m.exponent
@@ -313,10 +324,7 @@ def apply_assignment(m: WeightedMatrix, a: BinaryAssignment) -> Digraph:
         raise ValueError(
             f"assignment covers levels up to {a.order_n + 1}, matrix needs {n + 1}"
         )
-    lut = np.zeros(2 * (n + 1) + 1, dtype=np.uint8)
-    for level, bit in a.items():
-        lut[level + n + 1] = bit
-    adj = lut[m.entries.astype(np.int16) + (n + 1)]
+    adj = _bit_lut(a)[m.entries.astype(np.int16) + (n + 1)]
     np.fill_diagonal(adj, 0)
     return Digraph(m.order, adj)
 
@@ -349,14 +357,62 @@ def _is_arc_preserving(g: Digraph, h: Digraph, perm) -> bool:
     return np.array_equal(g.adjacency, _permuted(h.adjacency, sel))
 
 
+class _LevelTable(NamedTuple):
+    witness: np.ndarray  # extend_sigma_p1(p), read-only
+    pairs: np.ndarray  # (k, 2): distinct (plain(i, j), star(ext(i), ext(j))), i != j
+    levels: np.ndarray  # the levels occurring off the diagonal
+
+
+# cells per block of rows when the level table is collected
+_LEVEL_BLOCK_CELLS = 1 << 18
+
+
+@lru_cache(maxsize=1)
+def _level_table(p: int) -> _LevelTable:
+    """The per-order table that decides forced rows and tournament rows.
+
+    The pairs record, for every off-diagonal cell, which level of the
+    plain matrix the extended point-1 mapping ``ext`` sends onto which
+    level of the starred matrix, so ``ext`` carries the assigned plain
+    digraph onto the assigned starred one exactly when every pair gets
+    equal bits.  A ``WeightedMatrix`` is antisymmetric, so arcs i -> j
+    and j -> i come from levels v and -v.  The pairs are counted from
+    the dense matrices in row blocks of about ``_LEVEL_BLOCK_CELLS``
+    cells, the p diagonal cells' (0, 0) taken off again; only the last
+    order is kept.
+    """
+    top = order_exponent(p) + 1
+    width = 2 * top + 1
+    ext = extend_sigma_p1(p)
+    ext.setflags(write=False)
+    plain = build_dense(p, MatrixVariant.PLAIN).entries
+    star = build_dense(p, MatrixVariant.STAR).entries
+    counts = np.zeros(width * width, dtype=np.int64)
+    step = max(1, _LEVEL_BLOCK_CELLS // p)
+    for s in range(0, p, step):
+        block = slice(s, min(s + step, p))
+        starred = star.take(ext[block] - 1, axis=0).take(ext - 1, axis=1)
+        codes = (plain[block].astype(np.int16) + top) * width + (starred + top)
+        counts += np.bincount(codes.ravel(), minlength=width * width)
+    counts[top * width + top] -= p
+    counts = counts.reshape(width, width)
+    pairs = np.argwhere(counts) - top
+    levels = np.flatnonzero(counts.any(axis=1) | counts.any(axis=0)) - top
+    for arr in (pairs, levels):
+        arr.setflags(write=False)
+    return _LevelTable(ext, pairs, levels)
+
+
 def forced_isomorphism(p: int, a: BinaryAssignment) -> Optional[np.ndarray]:
     """Witness permutation when both extreme levels get the same bit, else None.
 
     When the assignment gives +-(n+1) equal bits, the extended point-1
     mapping (``extend_sigma_p1``, slot i - 1 holding the image of point i)
     must carry the assigned plain digraph onto the assigned starred
-    digraph; the witness is verified arc by arc before being returned,
-    and a verification failure is a fatal internal error.
+    digraph.  That is checked before the witness is returned, one level
+    pair of ``_level_table`` at a time (the arc-by-arc check grouped by
+    level), and a failure is a fatal internal error.  The witness is the
+    table's read-only array.
     """
     n = order_exponent(p)
     if p < 8:
@@ -365,15 +421,32 @@ def forced_isomorphism(p: int, a: BinaryAssignment) -> Optional[np.ndarray]:
         raise ValueError("assignment exponent does not match the order")
     if a.value_for(n + 1) != a.value_for(-(n + 1)):
         return None
-    ext = extend_sigma_p1(p)
-    g = apply_assignment(build_dense(p, MatrixVariant.PLAIN), a)
-    h = apply_assignment(build_dense(p, MatrixVariant.STAR), a)
-    if not _is_arc_preserving(g, h, ext):
+    if not _witness_carries(p, a):
         raise ContradictionError(
             f"extended point-1 mapping is not an isomorphism at p={p} "
             f"for assignment {a.bit_string}"
         )
-    return ext
+    return _level_table(p).witness
+
+
+def _witness_carries(p: int, a: BinaryAssignment) -> bool:
+    """Whether ``extend_sigma_p1(p)`` carries a's plain digraph onto its
+    starred one: every level pair of ``_level_table`` gets equal bits."""
+    bit = _bit_lut(a)[_level_table(p).pairs + (order_exponent(p) + 1)]
+    return bool(np.array_equal(bit[:, 0], bit[:, 1]))
+
+
+def _assigns_tournaments(p: int, a: BinaryAssignment) -> bool:
+    """Whether the assignment's plain and starred digraphs are tournaments.
+
+    The matrices are antisymmetric (``WeightedMatrix`` checks it), so
+    this holds exactly when every level occurring off the diagonal gets
+    a different bit from its negation.
+    """
+    top = order_exponent(p) + 1
+    lut = _bit_lut(a)
+    levels = _level_table(p).levels
+    return bool(np.all(lut[levels + top] != lut[top - levels]))
 
 
 def swap_involution(p: int) -> np.ndarray:
@@ -441,22 +514,26 @@ class CensusTable:
         return "\n".join(lines) + "\n"
 
 
-def _census_entry(args: tuple[int, str, int]):
+def _assigned_pair(p: int, bits: str) -> tuple[Digraph, Digraph]:
+    a = assignment_from_bits(order_exponent(p), bits)
+    return (
+        apply_assignment(build_dense(p, MatrixVariant.PLAIN), a),
+        apply_assignment(build_dense(p, MatrixVariant.STAR), a),
+    )
+
+
+def _census_entry(args: tuple[int, str, int]) -> Optional[bool]:
+    """Search verdict for one row: None when the search exhausted the budget."""
     p, bits, budget = args
     # imported here to avoid a module cycle with the isomorphism engine
     from recon_census.iso_engine import IsoStatus, are_isomorphic
 
-    n = order_exponent(p)
-    a = assignment_from_bits(n, bits)
-    g = apply_assignment(build_dense(p, MatrixVariant.PLAIN), a)
-    h = apply_assignment(build_dense(p, MatrixVariant.STAR), a)
-    verdict = are_isomorphic(g, h, budget=budget)
-    iso = {
+    verdict = are_isomorphic(*_assigned_pair(p, bits), budget=budget)
+    return {
         IsoStatus.ISOMORPHIC: True,
         IsoStatus.NON_ISOMORPHIC: False,
         IsoStatus.UNDECIDED: None,
     }[verdict.status]
-    return g.is_tournament() and h.is_tournament(), iso
 
 
 def _swap_partner_bits(n: int, bits: str) -> str:
@@ -464,6 +541,19 @@ def _swap_partner_bits(n: int, bits: str) -> str:
     chars = list(bits)
     chars[n], chars[2 * n + 1] = chars[2 * n + 1], chars[n]
     return "".join(chars)
+
+
+def _census_bits(p: int) -> list[str]:
+    """Every proper assignment's bit string at a census order, ascending."""
+    if p not in CENSUS_ORDERS:
+        orders = " and ".join(map(str, CENSUS_ORDERS))
+        raise ValueError(f"census is budget-bounded to orders {orders}, got {p}")
+    m = 2 * (order_exponent(p) + 1)
+    return [format(x, f"0{m}b") for x in range(1 << m)]
+
+
+def _orbit_id(n: int, bits: str) -> int:
+    return min(int(bits, 2), int(_swap_partner_bits(n, bits), 2))
 
 
 def assignment_census(
@@ -476,16 +566,30 @@ def assignment_census(
     ``iso_budget``).  ``orbit_id`` is the smaller bit-string value of the
     row and its extreme-level-swap partner, which yield the same digraph
     pair up to the half-swap relabeling.
+
+    Rows are decided from the two symmetries first.  A row whose extreme
+    levels get equal bits is isomorphic by ``forced_isomorphism``, with
+    no search.  Of the other rows, only each orbit's first row (its
+    ``orbit_id``) is searched, in at most as many worker processes as
+    there are such rows or CPUs, and its partner copies the verdict.
+    Both per-order checks (``swap_involution`` and the level table) run
+    before any search.  The tournament flag is read from the levels.
     """
-    if p not in CENSUS_ORDERS:
-        orders = " and ".join(map(str, CENSUS_ORDERS))
-        raise ValueError(f"census is budget-bounded to orders {orders}, got {p}")
+    all_bits = _census_bits(p)
     n = order_exponent(p)
-    m = 2 * (n + 1)
-    all_bits = [format(x, f"0{m}b") for x in range(1 << m)]
-    tasks = [(p, bits, iso_budget) for bits in all_bits]
+    # partners may copy verdicts only because this identity holds; it raises
+    # otherwise
+    swap_involution(p)
+    verdict: dict[str, Optional[bool]] = {}
+    searched = []
+    for bits in all_bits:
+        if forced_isomorphism(p, assignment_from_bits(n, bits)) is not None:
+            verdict[bits] = True
+        elif int(bits, 2) == _orbit_id(n, bits):
+            searched.append(bits)
+    tasks = [(p, bits, iso_budget) for bits in searched]
     # a fork pool starts all its workers at once, so ask for no more than
-    # there are rows or CPUs
+    # there are searched rows or CPUs
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         chunk = max(1, len(tasks) // (8 * workers))
@@ -493,8 +597,33 @@ def assignment_census(
             results = list(pool.map(_census_entry, tasks, chunksize=chunk))
     else:
         results = [_census_entry(t) for t in tasks]
+    verdict.update(zip(searched, results))
     rows = []
-    for bits, (tourn, iso) in zip(all_bits, results):
-        orbit_id = min(int(bits, 2), int(_swap_partner_bits(n, bits), 2))
-        rows.append(CensusRow(bits, tourn, iso, orbit_id))
+    for bits in all_bits:
+        tourn = _assigns_tournaments(p, assignment_from_bits(n, bits))
+        decided = bits if bits in verdict else _swap_partner_bits(n, bits)
+        rows.append(CensusRow(bits, tourn, verdict[decided], _orbit_id(n, bits)))
+    return CensusTable(p, tuple(rows))
+
+
+def _assignment_census_reference(
+    p: int, iso_budget: int = DEFAULT_ISO_BUDGET
+) -> CensusTable:
+    """Every row searched and its tournament flag read off its digraphs.
+
+    The census without its symmetries, serially: the cross-check oracle
+    of ``assignment_census``.
+    """
+    n = order_exponent(p)
+    rows = []
+    for bits in _census_bits(p):
+        g, h = _assigned_pair(p, bits)
+        rows.append(
+            CensusRow(
+                bits,
+                g.is_tournament() and h.is_tournament(),
+                _census_entry((p, bits, iso_budget)),
+                _orbit_id(n, bits),
+            )
+        )
     return CensusTable(p, tuple(rows))

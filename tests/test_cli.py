@@ -308,6 +308,44 @@ class TestCheckTable:
         }
 
 
+class TestInternalErrors:
+    """A crash exits 3 with one stderr line: exit 1 means a check failed."""
+
+    def one_error_line(self, capsys):
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        return line
+
+    def test_census_self_check_failure_exits_3(self, monkeypatch, capsys):
+        import recon_census.digraph_builder as db
+        from recon_census.errors import ContradictionError
+
+        def broken(p):
+            raise ContradictionError("half-swap failed\nthe level-swap identity")
+
+        monkeypatch.setattr(db, "swap_involution", broken)
+        assert run_cli("census", "--p", "8") == 3
+        assert self.one_error_line(capsys) == (
+            "recon-census: internal error: ContradictionError: "
+            "half-swap failed the level-swap identity"
+        )
+
+    def test_bug_in_a_check_runner_exits_3(self, tmp_path, monkeypatch, capsys):
+        import recon_census.cli as cli_mod
+
+        def buggy(config):
+            raise RuntimeError("runner bug")
+
+        lo, hi, _ = CHECKS["lemma1"]
+        monkeypatch.setitem(cli_mod.CHECKS, "lemma1", (lo, hi, buggy))
+        out = tmp_path / "rep.json"
+        assert run_cli("verify", "--p", "8", "--checks", "lemma1", "--out", str(out)) == 3
+        assert self.one_error_line(capsys) == (
+            "recon-census: internal error: RuntimeError: runner bug"
+        )
+        assert not out.exists()
+
+
 class TestGenerate:
     def test_weighted_star_csv_is_byte_exact(self, tmp_path):
         out = tmp_path / "m8s.csv"
@@ -391,6 +429,16 @@ class TestCensusCommand:
         run_cli("census", "--p", "8", "--format", "json", "--out", str(out))
         doc = json.loads(out.read_text())
         assert doc["p"] == 8 and len(doc["rows"]) == 256
+
+    @pytest.mark.parametrize("p, jobs", [(8, "1"), (16, "1"), (16, "2")])
+    def test_csv_matches_golden_fixture(self, tmp_path, capsys, p, jobs):
+        golden = (FIXTURES / f"census_p{p}.csv").read_bytes()
+        out = tmp_path / "census.csv"
+        args = ("census", "--p", str(p), "--jobs", jobs)
+        assert run_cli(*args, "--out", str(out)) == 0
+        assert out.read_bytes() == golden
+        assert run_cli(*args) == 0
+        assert capsys.readouterr().out.encode() == golden
 
     def test_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"

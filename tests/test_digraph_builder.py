@@ -3,10 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recon_census.deletion_maps import extend_sigma_p1
 from recon_census.digraph_builder import (
     BinaryAssignment,
     Digraph,
+    _assignment_census_reference,
+    _assigns_tournaments,
+    _is_arc_preserving,
     _threshold_scores_reference,
+    _witness_carries,
     apply_assignment,
     assignment_census,
     assignment_from_bits,
@@ -23,8 +28,27 @@ from recon_census.digraph_builder import (
 from recon_census.errors import ContradictionError
 from recon_census.weight_matrix import MatrixVariant, build_dense
 
+from conftest import FIXTURES
+
 PLAIN = MatrixVariant.PLAIN
 STAR = MatrixVariant.STAR
+
+
+def every_assignment(p):
+    n = p.bit_length() - 1
+    m = 2 * (n + 1)
+    return [assignment_from_bits(n, format(x, f"0{m}b")) for x in range(1 << m)]
+
+
+def random_assignments(p, count, seed):
+    n = p.bit_length() - 1
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(count, 2 * (n + 1)))
+    return [BinaryAssignment(n, tuple(int(b) for b in row)) for row in bits]
+
+
+def assigned_pair(p, a):
+    return apply_assignment(build_dense(p, PLAIN), a), apply_assignment(build_dense(p, STAR), a)
 
 
 def reference_digraph6(g: Digraph) -> str:
@@ -196,6 +220,47 @@ class TestForcedIsomorphism:
         h = apply_assignment(build_dense(p, STAR), a)
         assert np.array_equal(g.adjacency, h.adjacency[np.ix_(ext - 1, ext - 1)])
 
+    @pytest.mark.parametrize(
+        "p, assignments",
+        [
+            (8, every_assignment(8)),
+            (16, every_assignment(16)),
+            (32, random_assignments(32, 200, seed=1)),
+            (64, random_assignments(64, 200, seed=2)),
+        ],
+        ids=["8-all", "16-all", "32-random", "64-random"],
+    )
+    def test_level_pairs_match_arc_by_arc_check(self, p, assignments):
+        ext = extend_sigma_p1(p)
+        n = p.bit_length() - 1
+        forced = 0
+        for a in assignments:
+            carried = _is_arc_preserving(*assigned_pair(p, a), ext)
+            assert _witness_carries(p, a) == carried, a.bit_string
+            equal_extremes = a.value_for(n + 1) == a.value_for(-(n + 1))
+            assert carried == equal_extremes, a.bit_string
+            witness = forced_isomorphism(p, a)
+            assert (witness is not None) == equal_extremes
+            if witness is not None:
+                assert np.array_equal(witness, ext)
+                forced += 1
+        assert 0 < forced < len(assignments)
+
+    def test_witness_is_read_only(self):
+        ext = forced_isomorphism(8, constant_assignment(3, 1))
+        with pytest.raises(ValueError):
+            ext[0] = 2
+
+    @pytest.mark.parametrize("p", [8, 16])
+    def test_tournament_flag_from_levels(self, p):
+        flags = set()
+        for a in every_assignment(p):
+            g, h = assigned_pair(p, a)
+            flag = g.is_tournament() and h.is_tournament()
+            assert _assigns_tournaments(p, a) == flag, a.bit_string
+            flags.add(flag)
+        assert flags == {False, True}
+
 
 class TestSwapInvolution:
     def test_permutation_shape(self):
@@ -267,8 +332,45 @@ class TestCensus:
                 assert right == left.relabel(tau)
 
     def test_undecided_rows_with_tiny_budget(self):
+        # forced rows need no search and partners copy their representative,
+        # so only representatives can be left undecided
         table = assignment_census(8, iso_budget=1)
-        assert any(r.isomorphic is None for r in table.rows)
+        for row in table.rows:
+            a = assignment_from_bits(3, row.assignment_bits)
+            if a.value_for(4) == a.value_for(-4):
+                assert row.isomorphic is True, row
+            partner = table.rows[row.orbit_id]
+            assert row.isomorphic == partner.isomorphic, row
+        assert any(
+            r.isomorphic is None and int(r.assignment_bits, 2) == r.orbit_id
+            for r in table.rows
+        )
+
+    @pytest.mark.parametrize("p, jobs", [(8, 1), (8, 2), (16, 1), (16, 2)])
+    def test_matches_every_row_search(self, p, jobs):
+        assert assignment_census(p, jobs=jobs) == _assignment_census_reference(p)
+
+    @pytest.mark.parametrize("p", [8, 16])
+    def test_matches_golden_fixture(self, p):
+        golden = (FIXTURES / f"census_p{p}.csv").read_text()
+        assert assignment_census(p).to_csv() == golden
+        assert _assignment_census_reference(p).to_csv() == golden
+
+    def test_searches_one_row_per_unforced_orbit(self, monkeypatch):
+        import recon_census.digraph_builder as db
+
+        searched = []
+        real = db._census_entry
+
+        def counting(args):
+            searched.append(args[1])
+            return real(args)
+
+        monkeypatch.setattr(db, "_census_entry", counting)
+        table = assignment_census(8)
+        assert len(searched) == 64
+        by_bits = {row.assignment_bits: row for row in table.rows}
+        assert all(int(bits, 2) == by_bits[bits].orbit_id for bits in searched)
 
     def test_rejects_other_orders(self):
         with pytest.raises(ValueError):
@@ -287,7 +389,7 @@ class TestCensus:
         "jobs, cpus, workers",
         [
             (10_000, 4, 4),  # capped by the CPUs
-            (10_000, 1000, 256),  # capped by the 256 rows
+            (10_000, 1000, 64),  # capped by the 64 searched rows
             (3, 1000, 3),
             (10_000, None, None),  # CPU count unknown: serial
             (8, 1, None),
@@ -442,3 +544,20 @@ class TestDigraphType:
     def test_bitrows(self):
         g, _ = standard_pair(4)
         assert g.bitrows == (0b1110, 0b0100, 0b1000, 0b0010)
+
+    def test_bitrows_match_arc_loop(self):
+        def arc_loop(g):
+            rows = []
+            for row in g.adjacency:
+                bits = 0
+                for j in np.nonzero(row)[0]:
+                    bits |= 1 << int(j)
+                rows.append(bits)
+            return tuple(rows)
+
+        rng = np.random.default_rng(7)
+        for p in range(1, 131):
+            a = (rng.random((p, p)) < rng.random()).astype(np.uint8)
+            np.fill_diagonal(a, 0)
+            g = Digraph(p, a)
+            assert g.bitrows == arc_loop(g), p

@@ -135,6 +135,18 @@ class TestSelfCheckingOperations:
         with pytest.raises(ContradictionError):
             db.swap_involution(8)
 
+    def test_census_checks_swap_before_any_search(self, monkeypatch):
+        def broken(p):
+            raise ContradictionError("half-swap failed")
+
+        def no_search(args):
+            raise AssertionError("searched before the per-order checks")
+
+        monkeypatch.setattr(db, "swap_involution", broken)
+        monkeypatch.setattr(db, "_census_entry", no_search)
+        with pytest.raises(ContradictionError, match="half-swap failed"):
+            db.assignment_census(8)
+
     def test_sampled_check_reports_coordinates(self, monkeypatch):
         real = hv.entry_values
 
@@ -296,3 +308,51 @@ class TestLemma1ClassTableReporting:
         assert main(args) == 1
         (report,) = json.loads(out.read_text())["reports"]
         assert report["outcome"] == "fail"
+
+
+@pytest.fixture
+def corrupt_star_extreme_cell(monkeypatch):
+    """A copy of the order-8 starred dense table with one cell at level 4 (and
+    its antisymmetric partner) moved to level 1, so the extended point-1
+    mapping no longer carries the forced rows' digraphs onto each other."""
+    real = db.build_dense
+
+    def patched(p, variant, **kwargs):
+        m = real(p, variant, **kwargs)
+        if p != 8 or variant is not wm.MatrixVariant.STAR:
+            return m
+        entries = m.entries.copy()
+        i, j = np.argwhere(entries == 4)[0]
+        entries[i, j], entries[j, i] = 1, -1
+        return wm.WeightedMatrix(p, variant, entries)
+
+    db._level_table.cache_clear()
+    monkeypatch.setattr(db, "build_dense", patched)
+    yield
+    db._level_table.cache_clear()
+
+
+class TestForcedRowFaults:
+    def test_forced_isomorphism_raises(self, corrupt_star_extreme_cell):
+        # extremes to 1, every other level to 0
+        a = db.assignment_from_bits(3, "00010001")
+        with pytest.raises(ContradictionError, match="for assignment 00010001"):
+            db.forced_isomorphism(8, a)
+
+    def test_census_raises_before_any_search(self, corrupt_star_extreme_cell, monkeypatch):
+        def no_search(args):
+            raise AssertionError("searched before the forced rows were checked")
+
+        monkeypatch.setattr(db, "_census_entry", no_search)
+        with pytest.raises(ContradictionError, match="not an isomorphism at p=8"):
+            db.assignment_census(8)
+
+    def test_cli_census_exits_3(self, corrupt_star_extreme_cell, capsys):
+        assert main(["census", "--p", "8"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(
+            "recon-census: internal error: ContradictionError: extended point-1 "
+            "mapping is not an isomorphism at p=8"
+        )
