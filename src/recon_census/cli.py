@@ -85,16 +85,7 @@ class RunConfig:
     checks: tuple[str, ...] = ()
     seed: int = 0
     budget: Optional[int] = None
-    jobs: int = 1
     out: Optional[Path] = None
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("RECON_CENSUS_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # Check runners take the validated configuration and return the check's
@@ -245,7 +236,7 @@ def _cmd_deck(config: RunConfig) -> int:
 
 def _cmd_census(config: RunConfig) -> int:
     budget = config.budget or DEFAULT_ISO_BUDGET
-    table = assignment_census(config.p, iso_budget=budget, jobs=config.jobs)
+    table = assignment_census(config.p, iso_budget=budget)
     if config.format == "json":
         doc = {
             "schema": SCHEMA_VERSION,
@@ -316,6 +307,9 @@ def run(config: RunConfig) -> int:
     return handler(config)
 
 
+_JOBS_HELP = "has no effect (every run is one process); accepted if >= 1"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="recon-census",
@@ -338,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--checks", default="all", help="comma list of checks, or 'all'")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--budget", type=int, default=None)
-    ver.add_argument("--jobs", type=int, default=None)
+    ver.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
 
     dk = sub.add_parser("deck", help="export every point-deleted card")
     add_common(dk)
@@ -350,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(cen)
     cen.add_argument("--format", choices=["csv", "json"], default="csv")
     cen.add_argument("--budget", type=int, default=None)
-    cen.add_argument("--jobs", type=int, default=None)
+    cen.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
 
     exp = sub.add_parser("export", help="write the deletion-mapping table")
     add_common(exp)
@@ -407,9 +401,7 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
         parser.error("weighted matrices export as csv only")
 
     jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        jobs = _default_jobs()
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         parser.error(f"--jobs must be >= 1, got {jobs}")
     budget = getattr(args, "budget", None)
     if budget is not None and budget < 1:
@@ -424,7 +416,6 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
         checks=checks,
         seed=getattr(args, "seed", 0),
         budget=budget,
-        jobs=jobs,
         out=args.out,
     )
 

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from recon_census.report import VerificationReport
-from recon_census.weight_matrix import _text_grid, order_exponent
+from recon_census.weight_matrix import _first_cell, _text_grid, order_exponent
 
 __all__ = [
     "build_all_maps",
@@ -270,7 +270,8 @@ def check_lemma2(p: int) -> VerificationReport:
     pairs differ by p/2 exactly when the points do, with the difference
     reversed in orientation.
 
-    Parts (a)-(c) cost O(p) per deletion.  So does (d): under each
+    Parts (a)-(c) are masked row-block scans of the map table
+    (``weight_matrix._first_cell``), O(p) per deletion.  So is (d): under each
     deletion only the points at distance p/2 and the preimages of the
     images at distance p/2 can fail (``_lemma2_d``), so the whole check
     is O(p**2), and ``checked`` still counts every admissible pair.
@@ -281,50 +282,38 @@ def check_lemma2(p: int) -> VerificationReport:
     h = p // 2
     cols = build_all_maps(p)
     points = np.arange(1, p + 1, dtype=np.int32)
-    checked = 0
+    low = points[:h]
+
+    # (a) column halving, rows k <= p/2, columns i
+    def halving(ks):
+        k = points[ks, None]
+        bad = cols[ks] != cols[ks.start + h : ks.stop + h]
+        return bad & (points != k) & (points != k + h)
+
+    # (b) half-shift equivariance, rows k, columns i <= p/2
+    def shift(ks):
+        k = points[ks, None]
+        return (cols[ks, h:] != cols[ks, :h] - h) & (low != k) & (low + h != k)
+
+    # (c) distance-p/2 detection under deletion of an endpoint, rows i, columns j
+    def detection(ks):
+        i, t = points[ks, None], cols[ks]
+        plus_bad = (points == i + h) != (t == i + h)
+        minus_bad = (points == i - h) != (t == i - h)
+        return (plus_bad | minus_bad) & (points != i)
+
     counterexample = None
-
-    # (a) column halving
-    for k in range(1, h + 1):
-        a, b = cols[k - 1], cols[k + h - 1]
-        mask = np.ones(p, dtype=bool)
-        mask[[k - 1, k + h - 1]] = False
-        checked += p - 2
-        if counterexample is None:
-            bad = np.nonzero((a != b) & mask)[0]
-            if bad.size:
-                i = int(bad[0]) + 1
-                counterexample = (k, i, 0, int(a[i - 1]), int(b[i - 1]))
-
-    # (b) half-shift equivariance
-    low = np.arange(1, h + 1, dtype=np.int32)
-    for k in range(1, p + 1):
-        t = cols[k - 1]
-        valid = (low != k) & (low + h != k)
-        checked += int(valid.sum())
-        if counterexample is None:
-            lhs = t[low + h - 1]
-            rhs = t[low - 1] - h
-            bad = np.nonzero((lhs != rhs) & valid)[0]
-            if bad.size:
-                i = int(low[bad[0]])
-                counterexample = (k, i + h, 0, int(lhs[bad[0]]), int(rhs[bad[0]]))
-
-    # (c) distance-p/2 detection under deletion of an endpoint
-    for i in range(1, p + 1):
-        t = cols[i - 1]
-        mask = points != i
-        checked += p - 1
-        if counterexample is None:
-            plus_bad = ((points == i + h) != (t == i + h)) & mask
-            minus_bad = ((points == i - h) != (t == i - h)) & mask
-            bad = np.nonzero(plus_bad | minus_bad)[0]
-            if bad.size:
-                j = int(points[bad[0]])
-                counterexample = (i, i, j, int(t[j - 1]), j)
+    if (cell := _first_cell(h, p, halving)) is not None:
+        k, i = cell
+        counterexample = (k + 1, i + 1, 0, int(cols[k, i]), int(cols[k + h, i]))
+    elif (cell := _first_cell(p, h, shift)) is not None:
+        k, i = cell
+        counterexample = (k + 1, i + h + 1, 0, int(cols[k, i + h]), int(cols[k, i]) - h)
+    elif (cell := _first_cell(p, p, detection)) is not None:
+        i, j = cell
+        counterexample = (i + 1, i + 1, j + 1, int(cols[i, j]), j + 1)
 
     # (d) distance-p/2 preservation under every deletion
-    checked += p * (p - 1) * (p - 1)
     if counterexample is None:
         counterexample = _lemma2_d(p, cols)
 
@@ -333,7 +322,8 @@ def check_lemma2(p: int) -> VerificationReport:
         order=p,
         outcome=counterexample is None,
         counterexample=counterexample,
-        checked_count=checked,
+        # admissible pairs of (a), (b), (c) and (d)
+        checked_count=h * (p - 2) + p * (h - 1) + p * (p - 1) + p * (p - 1) ** 2,
     )
 
 

@@ -20,16 +20,14 @@ assignments into orbits yielding the same digraph pair.
 and tabulates which ones yield non-isomorphic pairs.  It settles the rows
 with equal extreme bits through ``forced_isomorphism`` and runs one
 isomorphism search per remaining swap orbit (64 at p = 8, 256 at p = 16,
-in at most as many worker processes as there are searched rows or CPUs);
-the other member of the orbit copies the verdict.
+in the calling process); the other member of the orbit copies the
+verdict.
 ``_assignment_census_reference`` searches every row and is the census's
 test oracle.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
@@ -41,10 +39,11 @@ from recon_census.errors import ContradictionError
 from recon_census.weight_matrix import (
     MatrixVariant,
     WeightedMatrix,
+    _first_cell,
     _offset_case_table,
+    _row_blocks,
     _text_grid,
     build_dense,
-    entry_grid,
     entry_values,
     order_exponent,
 )
@@ -363,10 +362,6 @@ class _LevelTable(NamedTuple):
     levels: np.ndarray  # the levels occurring off the diagonal
 
 
-# cells per block of rows when the level table is collected
-_LEVEL_BLOCK_CELLS = 1 << 18
-
-
 @lru_cache(maxsize=1)
 def _level_table(p: int) -> _LevelTable:
     """The per-order table that decides forced rows and tournament rows.
@@ -377,9 +372,9 @@ def _level_table(p: int) -> _LevelTable:
     digraph onto the assigned starred one exactly when every pair gets
     equal bits.  A ``WeightedMatrix`` is antisymmetric, so arcs i -> j
     and j -> i come from levels v and -v.  The pairs are counted from
-    the dense matrices in row blocks of about ``_LEVEL_BLOCK_CELLS``
-    cells, the p diagonal cells' (0, 0) taken off again; only the last
-    order is kept.
+    the dense matrices one ``weight_matrix._row_blocks`` block at a time,
+    the p diagonal cells' (0, 0) taken off again; only the last order is
+    kept.
     """
     top = order_exponent(p) + 1
     width = 2 * top + 1
@@ -388,9 +383,7 @@ def _level_table(p: int) -> _LevelTable:
     plain = build_dense(p, MatrixVariant.PLAIN).entries
     star = build_dense(p, MatrixVariant.STAR).entries
     counts = np.zeros(width * width, dtype=np.int64)
-    step = max(1, _LEVEL_BLOCK_CELLS // p)
-    for s in range(0, p, step):
-        block = slice(s, min(s + step, p))
+    for block in _row_blocks(p, p):
         starred = star.take(ext[block] - 1, axis=0).take(ext - 1, axis=1)
         codes = (plain[block].astype(np.int16) + top) * width + (starred + top)
         counts += np.bincount(codes.ravel(), minlength=width * width)
@@ -454,7 +447,9 @@ def swap_involution(p: int) -> np.ndarray:
 
     Returns tau with tau(i) = i + p/2 for i <= p/2 and i - p/2 above.
     Conjugating either matrix by tau must swap the levels n+1 and -(n+1)
-    and fix every other level; failure is a fatal internal error.
+    and fix every other level; failure is a fatal internal error.  Each
+    variant is one masked row-block scan (``weight_matrix._first_cell``)
+    of the cached dense matrix.
     """
     n = order_exponent(p)
     if p < 8:
@@ -464,11 +459,16 @@ def swap_involution(p: int) -> np.ndarray:
         [np.arange(h + 1, p + 1, dtype=np.int32), np.arange(1, h + 1, dtype=np.int32)]
     )
     top = n + 1
+    idx = tau - 1
     for variant in (MatrixVariant.PLAIN, MatrixVariant.STAR):
-        grid = entry_grid(p, variant).astype(np.int16)
-        conjugated = _permuted(grid, tau - 1)
-        swapped = np.where(grid == top, -top, np.where(grid == -top, top, grid))
-        if not np.array_equal(conjugated, swapped):
+        e = build_dense(p, variant).entries
+
+        def unswapped(rows):
+            conjugated = e.take(idx[rows], axis=0).take(idx, axis=1)
+            block = e[rows]
+            return conjugated != np.where(np.abs(block) == top, -block, block)
+
+        if _first_cell(p, p, unswapped) is not None:
             raise ContradictionError(
                 f"half-swap failed the level-swap identity at p={p} ({variant.value})"
             )
@@ -522,9 +522,8 @@ def _assigned_pair(p: int, bits: str) -> tuple[Digraph, Digraph]:
     )
 
 
-def _census_entry(args: tuple[int, str, int]) -> Optional[bool]:
+def _census_entry(p: int, bits: str, budget: int) -> Optional[bool]:
     """Search verdict for one row: None when the search exhausted the budget."""
-    p, bits, budget = args
     # imported here to avoid a module cycle with the isomorphism engine
     from recon_census.iso_engine import IsoStatus, are_isomorphic
 
@@ -556,9 +555,7 @@ def _orbit_id(n: int, bits: str) -> int:
     return min(int(bits, 2), int(_swap_partner_bits(n, bits), 2))
 
 
-def assignment_census(
-    p: int, iso_budget: int = DEFAULT_ISO_BUDGET, jobs: int = 1
-) -> CensusTable:
+def assignment_census(p: int, iso_budget: int = DEFAULT_ISO_BUDGET) -> CensusTable:
     """Tabulate every proper assignment at an order p in ``CENSUS_ORDERS``.
 
     Each row records whether the assigned pair are tournaments and
@@ -570,8 +567,8 @@ def assignment_census(
     Rows are decided from the two symmetries first.  A row whose extreme
     levels get equal bits is isomorphic by ``forced_isomorphism``, with
     no search.  Of the other rows, only each orbit's first row (its
-    ``orbit_id``) is searched, in at most as many worker processes as
-    there are such rows or CPUs, and its partner copies the verdict.
+    ``orbit_id``) is searched, in the calling process, and its partner
+    copies the verdict.
     Both per-order checks (``swap_involution`` and the level table) run
     before any search.  The tournament flag is read from the levels.
     """
@@ -587,17 +584,8 @@ def assignment_census(
             verdict[bits] = True
         elif int(bits, 2) == _orbit_id(n, bits):
             searched.append(bits)
-    tasks = [(p, bits, iso_budget) for bits in searched]
-    # a fork pool starts all its workers at once, so ask for no more than
-    # there are searched rows or CPUs
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        chunk = max(1, len(tasks) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_census_entry, tasks, chunksize=chunk))
-    else:
-        results = [_census_entry(t) for t in tasks]
-    verdict.update(zip(searched, results))
+    for bits in searched:
+        verdict[bits] = _census_entry(p, bits, iso_budget)
     rows = []
     for bits in all_bits:
         tourn = _assigns_tournaments(p, assignment_from_bits(n, bits))
@@ -611,8 +599,8 @@ def _assignment_census_reference(
 ) -> CensusTable:
     """Every row searched and its tournament flag read off its digraphs.
 
-    The census without its symmetries, serially: the cross-check oracle
-    of ``assignment_census``.
+    The census without its symmetries: the cross-check oracle of
+    ``assignment_census``.
     """
     n = order_exponent(p)
     rows = []
@@ -622,7 +610,7 @@ def _assignment_census_reference(
             CensusRow(
                 bits,
                 g.is_tournament() and h.is_tournament(),
-                _census_entry((p, bits, iso_budget)),
+                _census_entry(p, bits, iso_budget),
                 _orbit_id(n, bits),
             )
         )

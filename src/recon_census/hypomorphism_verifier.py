@@ -6,9 +6,11 @@ point distance p/2, and everywhere off-diagonal at p = 4).
 
 ``check_theorem1`` verifies the hypomorphism identity exhaustively: for
 every deleted point k, the plain entry at (i, j) equals the starred entry
-at the mapped pair, over all p * (p-1)**2 admissible triples.
-``sample_theorem1`` spot-checks the same identity at orders where the
-cubic sweep is infeasible, with a seeded generator for reproducibility.
+at the mapped pair, over all p * (p-1)**2 admissible triples.  Both read
+the cached dense matrices of ``build_dense`` and the map table of
+``build_all_maps``.  ``sample_theorem1`` spot-checks the same identity at
+orders where the cubic sweep is infeasible, through the entry oracle,
+with a seeded generator for reproducibility.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from recon_census.deletion_maps import _deletion_sweep, build_all_maps, sigma_va
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import (
     MatrixVariant,
-    entry_grid,
+    _first_cell,
+    build_dense,
     entry_values,
     order_exponent,
 )
@@ -35,69 +38,74 @@ _SAMPLE_CHUNK = 1 << 18
 
 
 def check_lemma3(p: int) -> VerificationReport:
-    """Verify the sign rule over all ordered pairs of distinct points."""
+    """Verify the sign rule over all ordered pairs of distinct points.
+
+    The first equality maps the column by the deletion at the row point;
+    the second maps the row by the deletion at the column point, which is
+    the first read on the transposed matrices.  Each is one masked
+    row-block scan (``weight_matrix._first_cell``) of the cached dense
+    matrices against the map table, and a failure reports the first
+    pair, rows of the first equality before those of the second.
+    """
     order_exponent(p)
     h = p // 2
-    plain = entry_grid(p, MatrixVariant.PLAIN).astype(np.int32)
-    star = entry_grid(p, MatrixVariant.STAR).astype(np.int32)
+    plain = build_dense(p, MatrixVariant.PLAIN).entries
+    star = build_dense(p, MatrixVariant.STAR).entries
     tables = build_all_maps(p)
-    points = np.arange(1, p + 1, dtype=np.int32)
-    checked = 0
-    counterexample = None
+    points = np.arange(p)
 
-    def signs_for(fixed: int, others: np.ndarray) -> np.ndarray:
-        if p == 4:
-            return np.full(others.shape, -1, dtype=np.int32)
-        return np.where(np.abs(others - fixed) == h, -1, 1)
+    def first_failure(lhs, rhs, transposed):
+        """First (0, i, j, lhs, rhs) of one equality, or None."""
 
-    # first equality: map the column by the deletion at the row point
-    for i in range(1, p + 1):
-        t = tables[i - 1]
-        js = points[points != i]
-        lhs = plain[i - 1, js - 1]
-        rhs = signs_for(i, js) * star[i - 1, t[js - 1] - 1]
-        checked += p - 1
-        if counterexample is None:
-            bad = np.nonzero(lhs != rhs)[0]
-            if bad.size:
-                j = int(js[bad[0]])
-                counterexample = (0, i, j, int(lhs[bad[0]]), int(rhs[bad[0]]))
+        def signed(rows):
+            # rhs at the mapped column, negated where |i - j| = p/2 (j is
+            # i with the top bit flipped) and everywhere at p = 4
+            mapped = np.take_along_axis(rhs[rows], tables[rows] - 1, axis=1)
+            if p == 4:
+                return -mapped
+            mapped[np.arange(mapped.shape[0]), points[rows] ^ h] *= -1
+            return mapped
 
-    # second equality: map the row by the deletion at the column point
-    for j in range(1, p + 1):
-        t = tables[j - 1]
-        is_ = points[points != j]
-        lhs = plain[is_ - 1, j - 1]
-        rhs = signs_for(j, is_) * star[t[is_ - 1] - 1, j - 1]
-        checked += p - 1
-        if counterexample is None:
-            bad = np.nonzero(lhs != rhs)[0]
-            if bad.size:
-                i = int(is_[bad[0]])
-                counterexample = (0, i, j, int(lhs[bad[0]]), int(rhs[bad[0]]))
+        def unequal(rows):
+            neq = lhs[rows] != signed(rows)
+            # the diagonal, where the hole's 0 read column p
+            neq[np.arange(neq.shape[0]), points[rows]] = False
+            return neq
+
+        cell = _first_cell(p, p, unequal)
+        if cell is None:
+            return None
+        r, c = cell
+        i, j = (c, r) if transposed else (r, c)
+        return (0, i + 1, j + 1, int(lhs[r, c]), int(signed(slice(r, r + 1))[0, c]))
+
+    counterexample = first_failure(plain, star, False) or first_failure(
+        plain.T, star.T, True
+    )
 
     return VerificationReport(
         check_name="lemma3",
         order=p,
         outcome=counterexample is None,
         counterexample=counterexample,
-        checked_count=checked,
+        checked_count=2 * p * (p - 1),
     )
 
 
 def check_theorem1(p: int) -> VerificationReport:
     """Exhaustively verify the hypomorphism identity at order p.
 
-    Builds both dense grids (O(p**2) memory) and runs the shared
-    deletion sweep (``deletion_maps._deletion_sweep``): its gathers cost
-    O(p**2 log p) and each deletion one full-grid comparison, p**3 byte
-    comparisons in all (0.07 s at p = 512, 0.5 s at p = 1024, with the
-    map tables built).  The CLI switches to ``sample_theorem1`` above its
-    exhaustive limit.
+    Reads the cached dense matrices (``build_dense``, p <=
+    ``DENSE_ORDER_LIMIT``) and runs the shared deletion sweep
+    (``deletion_maps._deletion_sweep``): its gathers cost O(p**2 log p)
+    and each deletion one full-grid comparison, p**3 byte comparisons in
+    all (0.07 s at p = 512, 0.5 s at p = 1024, with the map tables
+    built).  The CLI switches to ``sample_theorem1`` above its exhaustive
+    limit.
     """
     order_exponent(p)
-    plain = entry_grid(p, MatrixVariant.PLAIN)
-    star = entry_grid(p, MatrixVariant.STAR)
+    plain = build_dense(p, MatrixVariant.PLAIN).entries
+    star = build_dense(p, MatrixVariant.STAR).entries
     counterexample, checked = _deletion_sweep(plain, star, build_all_maps(p))
     return VerificationReport(
         check_name="theorem1",

@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -47,7 +48,7 @@ __all__ = [
     "sign_flip",
 ]
 
-#: Largest order materialized as a dense matrix by default (16 MiB of int8).
+#: Largest order materialized as a dense matrix (64 MiB of int8 per variant).
 DENSE_ORDER_LIMIT = 8192
 
 #: Largest order the command line accepts.  The entry oracle builds a class
@@ -102,8 +103,30 @@ def level_bound(p: int) -> int:
     return order_exponent(p) + 1
 
 
-#: Cells per row block of ``_text_grid``: bounds the encoders' scratch memory.
-_TEXT_BLOCK_CELLS = 1 << 18
+#: Cells per row block of a grid scan: bounds the scratch memory of the
+#: text encoders, the census level table and the dense checks.
+_BLOCK_CELLS = 1 << 18
+
+
+def _row_blocks(rows: int, cols: int):
+    """Row slices covering ``range(rows)``, each of about ``_BLOCK_CELLS`` cells."""
+    step = max(1, _BLOCK_CELLS // max(1, cols))
+    return (slice(s, min(s + step, rows)) for s in range(0, rows, step))
+
+
+def _first_cell(rows: int, cols: int, bad) -> Optional[tuple[int, int]]:
+    """First 0-based (r, c) of a rows x cols grid where ``bad`` holds, row-major.
+
+    ``bad(block)`` returns the boolean mask of the rows in the slice
+    ``block``; the grid is scanned one ``_row_blocks`` block at a time and
+    the scan stops at the first block with a True cell.
+    """
+    for block in _row_blocks(rows, cols):
+        mask = bad(block)
+        if mask.any():
+            r, c = divmod(int(np.argmax(mask)), cols)
+            return block.start + r, c
+    return None
 
 
 def _text_grid(p: int, codes, tokens, sep: str) -> str:
@@ -125,11 +148,10 @@ def _text_grid(p: int, codes, tokens, sep: str) -> str:
         table[:, c, raw.size] = (ord(sep), ord("\n"))
     # one opaque item per table row, so that a gather moves whole rows
     inner, last = table.view(np.dtype((np.void, width)))[..., 0]
-    step = max(1, _TEXT_BLOCK_CELLS // max(1, p))
     pieces = []
-    for start in range(0, p, step):
+    for rows in _row_blocks(p, p):
         # C order, so that the gathered cells come out row by row
-        block = np.ascontiguousarray(codes(slice(start, start + step)))
+        block = np.ascontiguousarray(codes(rows))
         cells = inner[block]
         cells[:, -1] = last[block[:, -1]]
         flat = cells.view(np.uint8).reshape(-1)
@@ -156,9 +178,15 @@ class WeightedMatrix:
             raise ValueError("entries must be an int8 array of shape (p, p)")
         if np.any(np.diagonal(e) != 0):
             raise ValueError("diagonal entries must be 0")
-        if not np.array_equal(e.T, -e):
+        # tile by tile, so that the transposed reads stay in cache
+        t = 256
+        tiles = ((i, j) for i in range(0, len(e), t) for j in range(i, len(e), t))
+        if not all(
+            np.array_equal(e[i : i + t, j : j + t], -e[j : j + t, i : i + t].T)
+            for i, j in tiles
+        ):
             raise ValueError("matrix must be antisymmetric")
-        if int(np.abs(e).max()) > n + 1:
+        if max(-int(e.min()), int(e.max())) > n + 1:
             raise ValueError(f"entries must lie in [-(n+1), n+1] = [{-(n+1)}, {n+1}]")
         e.setflags(write=False)
 
@@ -226,36 +254,34 @@ def _offset_block(variant: MatrixVariant, d: int) -> np.ndarray:
     return block.astype(np.int8)
 
 
+def build_dense(p: int, variant: MatrixVariant) -> WeightedMatrix:
+    """Assemble the full matrix block by block.
+
+    Refuses orders above ``DENSE_ORDER_LIMIT`` (2**13) so that memory use
+    stays predictable; ``entry_at`` serves larger orders.  The validated
+    matrix is cached, so repeat calls return the same object: at most 16
+    matrices, about 180 MB if they are the largest.
+    """
+    order_exponent(p)
+    if p > DENSE_ORDER_LIMIT:
+        raise ValueError(
+            f"dense construction refused for p={p} > limit {DENSE_ORDER_LIMIT}; "
+            "use entry_at/entry_values instead"
+        )
+    return _dense_matrix(p, variant)
+
+
 @lru_cache(maxsize=16)
-def _dense_entries(p: int, variant: MatrixVariant) -> np.ndarray:
+def _dense_matrix(p: int, variant: MatrixVariant) -> WeightedMatrix:
     if p == 4:
-        return _BASE[variant]
+        return WeightedMatrix(p, variant, _BASE[variant])
     nb = p // 4
     tiled = np.zeros((nb, 4, nb, 4), dtype=np.int8)
     for d in range(-(nb - 1), nb):
         block = _offset_block(variant, d)
         rows = np.arange(max(0, -d), min(nb, nb - d))
         tiled[rows, :, rows + d, :] = block
-    entries = tiled.reshape(p, p)
-    entries.setflags(write=False)
-    return entries
-
-
-def build_dense(
-    p: int, variant: MatrixVariant, *, dense_limit: int = DENSE_ORDER_LIMIT
-) -> WeightedMatrix:
-    """Assemble the full matrix block by block.
-
-    Refuses orders above ``dense_limit`` (default 2**13) so that memory
-    use stays predictable; ``entry_at`` serves larger orders.
-    """
-    order_exponent(p)
-    if p > dense_limit:
-        raise ValueError(
-            f"dense construction refused for p={p} > limit {dense_limit}; "
-            "use entry_at/entry_values instead"
-        )
-    return WeightedMatrix(p, variant, _dense_entries(p, variant))
+    return WeightedMatrix(p, variant, tiled.reshape(p, p))
 
 
 def entry_at(p: int, variant: MatrixVariant, i: int, j: int) -> int:
@@ -377,17 +403,6 @@ def sign_flip(p: int, i: int, j: int) -> int:
     if p == 8:
         return -1
     return -1 if abs(j - i) == p // 4 else 1
-
-
-def _first_mismatch(lhs: np.ndarray, rhs: np.ndarray, rows, cols, mask=None):
-    """First (i, j, lhs, rhs) difference in row-major order, or None."""
-    neq = lhs != rhs
-    if mask is not None:
-        neq &= mask
-    if not neq.any():
-        return None
-    r, c = divmod(int(np.argmax(neq)), neq.shape[1])
-    return int(rows[r]), int(cols[c]), int(lhs[r, c]), int(rhs[r, c])
 
 
 def _nested_rows(p: int, variant: MatrixVariant) -> np.ndarray:
@@ -535,8 +550,17 @@ def _check_lemma1_reference(p: int) -> VerificationReport:
         raise ValueError(f"check_lemma1 requires p >= 8, got {p}")
     h = p // 2
     idx = np.arange(1, h + 1, dtype=np.int32)
+    everywhere = np.ones((h, h), dtype=bool)
+    off = ~np.eye(h, dtype=bool)
     checked = 0
     counterexample = None
+
+    def first_diff(lhs, rhs, rows, cols, keep):
+        cell = _first_cell(h, h, lambda b: (lhs[b] != rhs[b]) & keep[b])
+        if cell is None:
+            return None
+        r, c = cell
+        return (0, int(rows[r]), int(cols[c]), int(lhs[r, c]), int(rhs[r, c]))
 
     for variant in (MatrixVariant.PLAIN, MatrixVariant.STAR):
         top_left = entry_grid(p, variant, idx, idx)
@@ -552,9 +576,7 @@ def _check_lemma1_reference(p: int) -> VerificationReport:
         ):
             checked += h * h
             if counterexample is None:
-                hit = _first_mismatch(big, half, rows, cols)
-                if hit is not None:
-                    counterexample = (0, *hit)
+                counterexample = first_diff(big, half, rows, cols, everywhere)
 
         # (b)/(c) half-shift sign pattern on off-diagonal pairs
         if p == 8:
@@ -562,7 +584,6 @@ def _check_lemma1_reference(p: int) -> VerificationReport:
         else:
             dist = np.abs(idx[None, :] - idx[:, None])
             signs = np.where(dist == p // 4, -1, 1)
-        off = idx[:, None] != idx[None, :]
         expected = (signs * top_left.astype(np.int32)).astype(np.int8)
         for shifted, rows, cols in (
             (col_shift, idx, idx + h),
@@ -570,9 +591,7 @@ def _check_lemma1_reference(p: int) -> VerificationReport:
         ):
             checked += h * h - h
             if counterexample is None:
-                hit = _first_mismatch(shifted, expected, rows, cols, mask=off)
-                if hit is not None:
-                    counterexample = (0, *hit)
+                counterexample = first_diff(shifted, expected, rows, cols, off)
 
         # (d) extreme levels at offset p/2
         upper = 1 if variant is MatrixVariant.PLAIN else -1

@@ -1,7 +1,9 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -31,3 +33,37 @@ def swap_two_images(table: np.ndarray, k: int) -> np.ndarray:
     out = table.copy()
     out[[a, b]] = out[[b, a]]
     return out
+
+
+def swap_images_at_random(table: np.ndarray, rng, rows: int = 3) -> np.ndarray:
+    """Copy of a (p, p) map table with, in ``rows`` seeded rows, the images
+    of two kept points exchanged: every row stays a bijection, so only the
+    identities can break."""
+    p = table.shape[0]
+    out = table.copy()
+    for k in rng.choice(np.arange(1, p + 1), size=rows, replace=False):
+        kept = np.delete(np.arange(p), k - 1)
+        a, b = rng.choice(kept, size=2, replace=False)
+        out[k - 1, [a, b]] = out[k - 1, [b, a]]
+    return out
+
+
+def patch_dense(monkeypatch, module, p, variant, edit) -> np.ndarray:
+    """Feed ``module.build_dense`` an edited copy of the order-p ``variant``
+    matrix it returns now, and return the copy's entries (still writable).
+
+    ``edit`` changes the copied entries in place.  The copy is not a
+    validated ``WeightedMatrix``, so one cell may change without its
+    antisymmetric twin.  Other orders and variants come from the
+    function patched over, so edits to both variants combine.
+    """
+    current = module.build_dense
+    entries = current(p, variant).entries.copy()
+    edit(entries)
+    fake = SimpleNamespace(order=p, variant=variant, entries=entries)
+
+    def patched(q, v):
+        return fake if (q, v) == (p, variant) else current(q, v)
+
+    monkeypatch.setattr(module, "build_dense", patched)
+    return entries

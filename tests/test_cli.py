@@ -548,17 +548,36 @@ class TestSchemaVersion:
         assert len(parts) == 3 and all(part.isdigit() for part in parts)
 
 
-class TestJobsDefault:
-    def test_env_var_default(self, monkeypatch, tmp_path):
-        from recon_census.cli import _parse_config
+class TestJobsFlag:
+    """``--jobs`` is still accepted and validated, and changes nothing."""
+
+    @pytest.mark.parametrize(
+        "command", [("census", "--p", "8"), ("verify", "--p", "8", "--checks", "swap")]
+    )
+    def test_below_one_is_usage_error(self, capsys, command):
+        assert run_cli(*command, "--jobs", "0") == 2
+        assert "--jobs must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_not_part_of_the_configuration(self, monkeypatch):
+        import dataclasses
+
+        from recon_census.cli import RunConfig, _parse_config
 
         monkeypatch.setenv("RECON_CENSUS_JOBS", "3")
-        config = _parse_config(["census", "--p", "8"])
-        assert config.jobs == 3
+        assert "jobs" not in {f.name for f in dataclasses.fields(RunConfig)}
+        assert _parse_config(["census", "--p", "8", "--jobs", "4"]) == _parse_config(
+            ["census", "--p", "8"]
+        )
 
-    def test_explicit_flag_wins(self, monkeypatch):
-        from recon_census.cli import _parse_config
-
-        monkeypatch.setenv("RECON_CENSUS_JOBS", "3")
-        config = _parse_config(["census", "--p", "8", "--jobs", "1"])
-        assert config.jobs == 1
+    def test_import_starts_no_process_pool_machinery(self):
+        code = (
+            "import sys, recon_census.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

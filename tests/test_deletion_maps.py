@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recon_census.deletion_maps as dm
+import recon_census.weight_matrix as wm
 from recon_census.deletion_maps import (
     build_all_maps,
     build_map,
@@ -18,7 +19,8 @@ from recon_census.digraph_builder import standard_pair, variant_pair
 from recon_census.iso_engine import verify_hypomorphic_by_sigma
 from recon_census.weight_matrix import MatrixVariant, entry_grid
 
-from conftest import load_sigma_fixture, swap_two_images
+from conftest import load_sigma_fixture, swap_images_at_random, swap_two_images
+from loop_oracles import lemma2_loops
 
 
 class TestSigmaValues:
@@ -231,14 +233,7 @@ class TestLemma2:
         rng = np.random.default_rng(p)
         hits = []
         for _ in range(6):
-            # swap the images of two kept points in a few rows: each row
-            # stays a bijection, so only the identities can break
-            cols = clean.copy()
-            for k in rng.choice(np.arange(1, p + 1), size=3, replace=False):
-                kept = np.delete(np.arange(p), k - 1)
-                a, b = rng.choice(kept, size=2, replace=False)
-                cols[k - 1, [a, b]] = cols[k - 1, [b, a]]
-
+            cols = swap_images_at_random(clean, rng)
             monkeypatch.setattr(dm, "build_all_maps", lambda q, cols=cols: cols)
             hits.append(dm._lemma2_d(p, cols))
             assert hits[-1] == dm._lemma2_d_reference(p, cols)
@@ -247,6 +242,63 @@ class TestLemma2:
             assert check_lemma2(p) == report
             monkeypatch.undo()
         assert any(hit is not None for hit in hits)
+
+    @pytest.mark.parametrize("p", [8, 16, 32, 64, 128, 256, 512])
+    def test_matches_loop_form_clean(self, p):
+        report = check_lemma2(p)
+        assert report.passed
+        assert report == lemma2_loops(p, build_all_maps(p))
+
+    @pytest.mark.parametrize("p", [8, 16, 32, 64])
+    def test_matches_loop_form_under_image_swaps(self, monkeypatch, p):
+        # parts (a)-(c) come first in the report, so the loop form of (a)-(c)
+        # with the shared (d) pins their counterexamples and counts
+        rng = np.random.default_rng(p + 1)
+        reports = []
+        for _ in range(6):
+            cols = swap_images_at_random(build_all_maps(p), rng)
+            monkeypatch.setattr(dm, "build_all_maps", lambda q, cols=cols: cols)
+            reports.append(check_lemma2(p))
+            assert reports[-1] == lemma2_loops(p, cols)
+        assert not all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("p", [8, 16, 32, 64])
+    @pytest.mark.parametrize("part", ["a", "b", "c"])
+    @pytest.mark.parametrize("cells", [None, 100])
+    def test_matches_loop_form_when_one_part_breaks_first(
+        self, monkeypatch, p, part, cells
+    ):
+        if cells is not None:
+            # row blocks of one to 25 rows
+            monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
+        h = p // 2
+        rng = np.random.default_rng(p)
+        for _ in range(6):
+            k = int(rng.integers(1, (p if part == "c" else h) + 1))
+            cols = build_all_maps(p).copy()
+            if part == "c":
+                # under the deletion of k, the point at distance p/2 from k
+                # gets another image; (a) and (b) skip that cell
+                j = k + h if k <= h else k - h
+                image = int(rng.choice([x for x in range(1, p + 1) if x != j]))
+                cols[k - 1, j - 1] = image
+                want = (k, k, j, image, j)
+            else:
+                # swap two images in row k, for (a); in rows k and k + p/2
+                # alike, so that (a) holds and (b) breaks
+                kept = np.delete(np.arange(p), [k - 1, k + h - 1])
+                a, b = rng.choice(kept, size=2, replace=False)
+                for row in [k - 1] if part == "a" else [k - 1, k + h - 1]:
+                    cols[row, [a, b]] = cols[row, [b, a]]
+                want = None
+            monkeypatch.setattr(dm, "build_all_maps", lambda q, cols=cols: cols)
+            report = check_lemma2(p)
+            assert report == lemma2_loops(p, cols)
+            assert report.counterexample[0] == k
+            if want is not None:
+                assert report.counterexample == want
+            elif part == "b":
+                assert report.counterexample[1] > h and report.counterexample[2] == 0
 
     @pytest.mark.parametrize("p", [8, 16, 32])
     def test_half_shift_property_directly(self, p):

@@ -18,24 +18,18 @@ import recon_census.weight_matrix as wm
 from recon_census.cli import main
 from recon_census.errors import ContradictionError
 
-from conftest import swap_two_images
+from conftest import patch_dense, swap_two_images
 
 
 @pytest.fixture
 def corrupt_plain_entry(monkeypatch):
-    """Flip the sign of entry (2, 3) in every full plain grid of order 8."""
+    """Flip the sign of entry (2, 3), and of no other, in the order-8 plain
+    matrix that lemma 3 and theorem 1 read."""
 
-    real = wm.entry_grid
+    def flip(entries):
+        entries[1, 2] = -entries[1, 2]
 
-    def patched(p, variant, rows=None, cols=None):
-        grid = real(p, variant, rows, cols).copy()
-        if p == 8 and variant is wm.MatrixVariant.PLAIN and rows is None and cols is None:
-            grid[1, 2] = -grid[1, 2]
-        return grid
-
-    for module in (wm, hv):
-        monkeypatch.setattr(module, "entry_grid", patched)
-    return patched
+    patch_dense(monkeypatch, hv, 8, wm.MatrixVariant.PLAIN, flip)
 
 
 class TestLemma1Reporting:
@@ -121,25 +115,32 @@ class TestLemma2Reporting:
 
 class TestSelfCheckingOperations:
     def test_swap_involution_contradiction(self, monkeypatch):
-        import recon_census.digraph_builder as db
+        def flip(entries):
+            entries[0, 1] = -entries[0, 1]
 
-        real = db.entry_grid
-
-        def patched(p, variant, rows=None, cols=None):
-            grid = real(p, variant, rows, cols).copy()
-            if variant is db.MatrixVariant.PLAIN:
-                grid[0, 1] = -grid[0, 1]
-            return grid
-
-        monkeypatch.setattr(db, "entry_grid", patched)
-        with pytest.raises(ContradictionError):
+        patch_dense(monkeypatch, db, 8, wm.MatrixVariant.PLAIN, flip)
+        with pytest.raises(ContradictionError, match="half-swap failed"):
             db.swap_involution(8)
+
+    @pytest.mark.parametrize("p", [8, 16, 64])
+    def test_swap_involution_raises_on_any_one_cell_edit(self, monkeypatch, p):
+        top = p.bit_length()  # the extreme level n + 1
+        for variant in wm.MatrixVariant:
+            entries = patch_dense(monkeypatch, db, p, variant, lambda e: None)
+            for i, j in np.ndindex(p, p):
+                old = entries[i, j]
+                # the next level, cyclically: always a different value
+                entries[i, j] = (old + top + 1) % (2 * top + 1) - top
+                with pytest.raises(ContradictionError):
+                    db.swap_involution(p)
+                entries[i, j] = old
+            assert np.array_equal(db.swap_involution(p), np.roll(np.arange(1, p + 1), p // 2))
 
     def test_census_checks_swap_before_any_search(self, monkeypatch):
         def broken(p):
             raise ContradictionError("half-swap failed")
 
-        def no_search(args):
+        def no_search(*args):
             raise AssertionError("searched before the per-order checks")
 
         monkeypatch.setattr(db, "swap_involution", broken)
@@ -314,11 +315,14 @@ class TestLemma1ClassTableReporting:
 def corrupt_star_extreme_cell(monkeypatch):
     """A copy of the order-8 starred dense table with one cell at level 4 (and
     its antisymmetric partner) moved to level 1, so the extended point-1
-    mapping no longer carries the forced rows' digraphs onto each other."""
+    mapping no longer carries the forced rows' digraphs onto each other.
+    ``swap_involution`` still reads the clean matrices, so the census gets
+    past it to the forced rows."""
     real = db.build_dense
+    real_swap = db.swap_involution
 
-    def patched(p, variant, **kwargs):
-        m = real(p, variant, **kwargs)
+    def patched(p, variant):
+        m = real(p, variant)
         if p != 8 or variant is not wm.MatrixVariant.STAR:
             return m
         entries = m.entries.copy()
@@ -326,8 +330,14 @@ def corrupt_star_extreme_cell(monkeypatch):
         entries[i, j], entries[j, i] = 1, -1
         return wm.WeightedMatrix(p, variant, entries)
 
+    def swap_on_clean_matrices(p):
+        with monkeypatch.context() as m:
+            m.setattr(db, "build_dense", real)
+            return real_swap(p)
+
     db._level_table.cache_clear()
     monkeypatch.setattr(db, "build_dense", patched)
+    monkeypatch.setattr(db, "swap_involution", swap_on_clean_matrices)
     yield
     db._level_table.cache_clear()
 
@@ -340,7 +350,7 @@ class TestForcedRowFaults:
             db.forced_isomorphism(8, a)
 
     def test_census_raises_before_any_search(self, corrupt_star_extreme_cell, monkeypatch):
-        def no_search(args):
+        def no_search(*args):
             raise AssertionError("searched before the forced rows were checked")
 
         monkeypatch.setattr(db, "_census_entry", no_search)

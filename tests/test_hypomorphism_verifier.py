@@ -3,7 +3,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from recon_census.deletion_maps import sigma
+import recon_census.hypomorphism_verifier as hv
+import recon_census.weight_matrix as wm
+from recon_census.deletion_maps import build_all_maps, sigma
 from recon_census.hypomorphism_verifier import (
     check_lemma3,
     check_theorem1,
@@ -11,6 +13,9 @@ from recon_census.hypomorphism_verifier import (
 )
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import MatrixVariant, build_dense
+
+from conftest import patch_dense, swap_images_at_random
+from loop_oracles import lemma3_loops
 
 PLAIN = MatrixVariant.PLAIN
 STAR = MatrixVariant.STAR
@@ -42,6 +47,85 @@ class TestLemma3:
                     continue
                 s = -1 if abs(i - j) == 4 else 1
                 assert m.entry(i, j) == s * ms.entry(i, sigma(8, i, j))
+
+
+class TestLemma3LoopOracle:
+    """The row-block scans report as the per-point loops do on the same inputs."""
+
+    @staticmethod
+    def loops(p, tables):
+        return lemma3_loops(
+            p, hv.build_dense(p, PLAIN).entries, hv.build_dense(p, STAR).entries, tables
+        )
+
+    @pytest.mark.parametrize("p", [4, 8, 16, 32, 64, 128, 256, 512])
+    def test_clean(self, p):
+        report = check_lemma3(p)
+        assert report.passed
+        assert report == self.loops(p, build_all_maps(p))
+
+    @pytest.mark.parametrize("p", [8, 16, 32, 64])
+    def test_seeded_image_swaps(self, monkeypatch, p):
+        rng = np.random.default_rng(p)
+        reports = []
+        for _ in range(6):
+            tables = swap_images_at_random(build_all_maps(p), rng)
+            monkeypatch.setattr(hv, "build_all_maps", lambda q, t=tables: t)
+            reports.append(check_lemma3(p))
+            assert reports[-1] == self.loops(p, tables)
+        assert not all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("p", [4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("variant", [PLAIN, STAR])
+    @pytest.mark.parametrize("cells", [None, 100])
+    def test_single_cell_edits(self, monkeypatch, p, variant, cells):
+        if cells is not None:
+            # row blocks of one to 25 rows
+            monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(p)
+        top = p.bit_length()  # the extreme level n + 1
+        reports = []
+        for i, j in rng.integers(0, p, size=(8, 2)):
+
+            def edit(entries, i=i, j=j):
+                levels = [v for v in range(-top, top + 1) if v != entries[i, j]]
+                entries[i, j] = rng.choice(levels)
+
+            with monkeypatch.context() as m:
+                patch_dense(m, hv, p, variant, edit)
+                reports.append(check_lemma3(p))
+                assert reports[-1] == self.loops(p, build_all_maps(p))
+        assert not all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("p", [4, 8, 16, 32, 64])
+    def test_edit_only_the_second_equality_sees(self, monkeypatch, p):
+        # change plain(i, j) and the starred entry the first equality pairs it
+        # with alike: the first equality still holds everywhere, and the
+        # second fails in the column of one of the two edited cells (if the
+        # starred cell were (i, j) itself, nothing would read the change)
+        tables = build_all_maps(p)
+        clean = build_dense(p, PLAIN).entries
+        top = p.bit_length()  # the extreme level n + 1
+        rng = np.random.default_rng(p)
+        cells = [(i, j) for i, j in np.ndindex(p, p) if i != j and tables[i, j] != j + 1]
+        for c in rng.choice(len(cells), size=4, replace=False):
+            i, j = cells[c]
+            sign = -1 if p == 4 or abs(i - j) == p // 2 else 1
+            value = int(rng.choice([v for v in range(-top, top + 1) if v != clean[i, j]]))
+
+            def set_plain(entries, i=i, j=j, value=value):
+                entries[i, j] = value
+
+            def set_star(entries, i=i, j=j, value=value):
+                entries[i, tables[i, j] - 1] = sign * value
+
+            with monkeypatch.context() as m:
+                plain = patch_dense(m, hv, p, PLAIN, set_plain)
+                star = patch_dense(m, hv, p, STAR, set_star)
+                report = check_lemma3(p)
+            assert report == lemma3_loops(p, plain, star, tables)
+            assert not report.passed
+            assert report.counterexample[2] in (j + 1, tables[i, j])
 
 
 class TestTheorem1:

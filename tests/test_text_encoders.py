@@ -69,7 +69,7 @@ class TestKernel:
         m = build_dense(64, MatrixVariant.STAR)
         whole = m.to_csv()
         for cells in (1, 64, 65, 1000):
-            monkeypatch.setattr(wm, "_TEXT_BLOCK_CELLS", cells)
+            monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
             assert m.to_csv() == whole, cells
 
 

@@ -7,6 +7,7 @@ from recon_census.weight_matrix import (
     DENSE_ORDER_LIMIT,
     _check_lemma1_reference,
     MatrixVariant,
+    WeightedMatrix,
     base_matrix,
     build_dense,
     check_lemma1,
@@ -75,11 +76,32 @@ class TestBuildDense:
         with pytest.raises(ValueError):
             build_dense(bad, PLAIN)
 
-    def test_memory_budget(self):
+    def test_memory_budget(self, monkeypatch):
+        import recon_census.weight_matrix as wm
+
         with pytest.raises(ValueError, match="refused"):
             build_dense(2 * DENSE_ORDER_LIMIT, PLAIN)
+        build_dense(16, PLAIN)  # cached, and still refused below
+        monkeypatch.setattr(wm, "DENSE_ORDER_LIMIT", 8)
         with pytest.raises(ValueError, match="refused"):
-            build_dense(16, PLAIN, dense_limit=8)
+            build_dense(16, PLAIN)
+
+    def test_validated_once_per_order_and_variant(self, monkeypatch):
+        import recon_census.weight_matrix as wm
+
+        runs = []
+        real = wm.WeightedMatrix.__post_init__
+
+        def counting(self):
+            runs.append((self.order, self.variant))
+            real(self)
+
+        wm._dense_matrix.cache_clear()
+        monkeypatch.setattr(wm.WeightedMatrix, "__post_init__", counting)
+        first = build_dense(64, STAR)
+        assert build_dense(64, STAR) is first
+        assert build_dense(64, PLAIN) is not first
+        assert runs == [(64, STAR), (64, PLAIN)]
 
     def test_entries_read_only(self):
         m = build_dense(8, PLAIN)
@@ -98,6 +120,58 @@ class TestBuildDense:
         got = build_dense(8, STAR).to_csv()
         assert got == (fixtures_dir / "weighted_p8_star.csv").read_text()
         assert got.endswith("\n") and "," in got.splitlines()[0]
+
+
+class TestWeightedMatrixValidation:
+    @pytest.mark.parametrize(
+        "i, j", [(0, 1), (255, 256), (256, 255), (1023, 0), (0, 1023), (600, 700)]
+    )
+    def test_one_cell_without_its_twin_is_refused(self, i, j):
+        # p = 1024 is 4 x 4 tiles of the antisymmetry scan
+        entries = build_dense(1024, PLAIN).entries.copy()
+        WeightedMatrix(1024, PLAIN, entries.copy())
+        entries[i, j] = 1 if entries[i, j] != 1 else 2
+        with pytest.raises(ValueError, match="antisymmetric"):
+            WeightedMatrix(1024, PLAIN, entries)
+
+    def test_diagonal_and_level_bound(self):
+        entries = build_dense(16, STAR).entries.copy()
+        entries[3, 3] = 1
+        with pytest.raises(ValueError, match="diagonal"):
+            WeightedMatrix(16, STAR, entries)
+        for level in (6, -6):
+            entries = build_dense(16, STAR).entries.copy()
+            entries[0, 1], entries[1, 0] = level, -level
+            with pytest.raises(ValueError, match=r"\[-5, 5\]"):
+                WeightedMatrix(16, STAR, entries)
+
+
+class TestFirstCell:
+    @pytest.mark.parametrize("cells", [1, 5, 7, 30, 1 << 18])
+    def test_first_true_cell_in_row_major_order(self, monkeypatch, cells):
+        import recon_census.weight_matrix as wm
+
+        monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        for density in (0.0, 0.02, 0.3):
+            grid = rng.random((13, 7)) < density
+            asked = []
+
+            def bad(rows):
+                asked.append(rows)
+                return grid[rows]
+
+            got = wm._first_cell(13, 7, bad)
+            hits = np.argwhere(grid)
+            assert got == (tuple(int(x) for x in hits[0]) if hits.size else None)
+            # the blocks tile the rows in order, and the scan stops at the
+            # first block holding a True cell
+            starts = [b.start for b in asked]
+            assert starts == sorted(starts) and starts[0] == 0
+            if got is None:
+                assert asked[-1].stop == 13
+            else:
+                assert asked[-1].start <= got[0] < asked[-1].stop
 
 
 class TestEntryAt:
