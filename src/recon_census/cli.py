@@ -5,15 +5,15 @@ Subcommands:
 * ``generate``: build a weighted matrix, canonical tournament, or variant
   digraph and export it (csv, dot, d6).
 * ``verify``: run named checks at one order and write a JSON report.
-* ``deck``: export every point-deleted card of a digraph.
+* ``deck``: export every point-deleted card of a digraph, card by card.
 * ``census``: enumerate all proper assignments at order 8 or 16.
 * ``export``: write the deletion-mapping table (tsv).
 
 Exit status: 0 when everything requested passed, 1 when a check failed
 (the report is still written), 2 on usage errors and when the output
 (``--out`` or stdout) cannot be written, 3 on an internal error (one
-``internal error:`` line on stderr).  Identical invocations (including
-``--seed``) produce byte-identical outputs.
+``internal error:`` line on stderr; output written before it stays).
+Identical invocations (including ``--seed``) produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from recon_census.deletion_maps import (
     build_all_maps,
@@ -53,7 +53,6 @@ from recon_census.hypomorphism_verifier import (
 )
 from recon_census.iso_engine import (
     DECK_MATCH_ORDER_LIMIT,
-    deck,
     decks_match_independent,
     verify_hypomorphic_by_sigma,
     verify_nonisomorphic_inductive,
@@ -107,7 +106,7 @@ def _theorem1(config: RunConfig) -> list[VerificationReport]:
 
 def _theorem2(config: RunConfig) -> list[VerificationReport]:
     trace = verify_nonisomorphic_inductive(config.p)
-    return [VerificationReport("theorem2", config.p, True, None, len(trace.steps))]
+    return [VerificationReport("theorem2", config.p, None, len(trace.steps))]
 
 
 def _hypo_sigma(config: RunConfig) -> list[VerificationReport]:
@@ -133,13 +132,13 @@ def _deck_match(config: RunConfig) -> list[VerificationReport]:
         cex = (0, 0, 0, "undecided", str(exc))
     else:
         cex = None if matching is not None else (0, 0, 0, "no-perfect-matching", "")
-    return [VerificationReport("deck-match", p, cex is None, cex, p * p)]
+    return [VerificationReport("deck-match", p, cex, p * p)]
 
 
 def _swap(config: RunConfig) -> list[VerificationReport]:
     p = config.p
     swap_involution(p)
-    return [VerificationReport("swap", p, True, None, 2 * p * p)]
+    return [VerificationReport("swap", p, None, 2 * p * p)]
 
 
 def _forced_iso(config: RunConfig) -> list[VerificationReport]:
@@ -152,7 +151,7 @@ def _forced_iso(config: RunConfig) -> list[VerificationReport]:
     unforced = forced_isomorphism(p, tournament_assignment(n))
     ok = witness is not None and unforced is None
     cex = None if ok else (0, 0, 0, "wrong-witness-presence", "")
-    return [VerificationReport("forced-iso", p, ok, cex, p * p + 1)]
+    return [VerificationReport("forced-iso", p, cex, p * p + 1)]
 
 
 Runner = Callable[[RunConfig], list[VerificationReport]]
@@ -181,8 +180,8 @@ def _cmd_verify(config: RunConfig) -> int:
             reports += CHECKS[name][2](config)
         except ContradictionError as exc:
             cex = (0, 0, 0, "contradiction", str(exc))
-            reports.append(VerificationReport(name, config.p, False, cex, 0))
-    all_pass = all(r.outcome for r in reports)
+            reports.append(VerificationReport(name, config.p, cex, 0))
+    all_pass = all(r.passed for r in reports)
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "verify",
@@ -191,7 +190,7 @@ def _cmd_verify(config: RunConfig) -> int:
         "all_pass": all_pass,
         "reports": [r.to_json_dict() for r in reports],
     }
-    _write_output(json.dumps(doc, indent=2) + "\n", config.out)
+    _emit([json.dumps(doc, indent=2) + "\n"], config.out)
     return 0 if all_pass else 1
 
 
@@ -208,13 +207,21 @@ def _selected_digraphs(config: RunConfig) -> list[tuple[str, Digraph]]:
     return [named[config.variant]]
 
 
-def _encode(named: Sequence[tuple[str, Digraph | WeightedMatrix]], fmt: str) -> str:
-    """Named digraphs in one output format; weighted matrices export as csv only."""
-    if fmt == "d6":
-        return "".join(g.to_digraph6() + "\n" for _, g in named)
-    if fmt == "dot":
-        return "".join(g.to_dot(name) for name, g in named)
-    return "\n".join(g.to_csv() for _, g in named)
+def _encode(
+    named: Iterable[tuple[str, Digraph | WeightedMatrix]], fmt: str
+) -> Iterator[str]:
+    """Named digraphs in one output format, encoded one item at a time as
+    they are drawn; weighted matrices export as csv only."""
+    for index, (name, g) in enumerate(named):
+        if fmt == "d6":
+            yield g.to_digraph6() + "\n"
+        elif fmt == "dot":
+            yield g.to_dot(name)
+        else:
+            if index:
+                # csv items are separated by one empty line
+                yield "\n"
+            yield g.to_csv()
 
 
 def _cmd_generate(config: RunConfig) -> int:
@@ -223,14 +230,15 @@ def _cmd_generate(config: RunConfig) -> int:
         named = [(v, build_dense(config.p, MatrixVariant(v))) for v in variants]
     else:
         named = _selected_digraphs(config)
-    _write_output(_encode(named, config.format), config.out)
+    _emit(_encode(named, config.format), config.out)
     return 0
 
 
 def _cmd_deck(config: RunConfig) -> int:
     (name, g), = _selected_digraphs(config)
-    cards = [(f"{name}_card{k}", c) for k, c in enumerate(deck(g), start=1)]
-    _write_output(_encode(cards, config.format), config.out)
+    # one card at a time: memory holds one card and its text, not the deck
+    cards = ((f"{name}_card{k}", g.delete_point(k)) for k in range(1, g.order + 1))
+    _emit(_encode(cards, config.format), config.out)
     return 0
 
 
@@ -252,28 +260,37 @@ def _cmd_census(config: RunConfig) -> int:
                 for r in table.rows
             ],
         }
-        _write_output(json.dumps(doc, indent=2) + "\n", config.out)
+        _emit([json.dumps(doc, indent=2) + "\n"], config.out)
     else:
-        _write_output(table.to_csv(), config.out)
+        _emit([table.to_csv()], config.out)
     return 0
 
 
 def _cmd_export(config: RunConfig) -> int:
-    _write_output(sigma_table_tsv(config.p), config.out)
+    _emit([sigma_table_tsv(config.p)], config.out)
     return 0
 
 
-def _write_output(text: str, out: Optional[Path]) -> None:
-    """Write to stdout or ``out``; a failed write exits 2, not 1 (a failed check)."""
+def _write_output(text: str, stream: TextIO) -> None:
+    """Write one piece of output.  Every output byte passes here, so that a
+    wrapper (``perfbench/spans.py``) can count them."""
+    stream.write(text)
+
+
+def _emit(pieces: Iterable[str], out: Optional[Path]) -> None:
+    """Write the pieces to stdout or ``out`` as they are drawn; a failed
+    write exits 2, not 1 (a failed check)."""
     try:
         if out is None:
+            for piece in pieces:
+                _write_output(piece, sys.stdout)
             # a short text only reaches the device at the flush
-            sys.stdout.write(text)
             sys.stdout.flush()
         else:
             out.parent.mkdir(parents=True, exist_ok=True)
             with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                for piece in pieces:
+                    _write_output(piece, fh)
     except OSError as exc:
         target = "stdout" if out is None else f"--out {out}"
         reason = exc.strerror or exc
@@ -406,6 +423,9 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
     budget = getattr(args, "budget", None)
     if budget is not None and budget < 1:
         parser.error(f"--budget must be >= 1, got {budget}")
+    seed = getattr(args, "seed", 0)
+    if seed < 0:
+        parser.error(f"--seed must be >= 0, got {seed}")
 
     return RunConfig(
         command=command,
@@ -414,7 +434,7 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
         kind=getattr(args, "kind", "weighted"),
         format=getattr(args, "format", "csv"),
         checks=checks,
-        seed=getattr(args, "seed", 0),
+        seed=seed,
         budget=budget,
         out=args.out,
     )

@@ -320,7 +320,6 @@ def check_lemma2(p: int) -> VerificationReport:
     return VerificationReport(
         check_name="lemma2",
         order=p,
-        outcome=counterexample is None,
         counterexample=counterexample,
         # admissible pairs of (a), (b), (c) and (d)
         checked_count=h * (p - 2) + p * (h - 1) + p * (p - 1) + p * (p - 1) ** 2,

@@ -44,7 +44,7 @@ from recon_census.weight_matrix import (
     _row_blocks,
     _text_grid,
     build_dense,
-    entry_values,
+    entry_grid,
     order_exponent,
 )
 
@@ -293,18 +293,14 @@ def threshold_scores(p: int, variant: MatrixVariant) -> np.ndarray:
 def _threshold_scores_reference(p: int, variant: MatrixVariant) -> np.ndarray:
     """Chunked O(p**2) gather; cross-check oracle for ``threshold_scores``.
 
-    Counts positive entries per row through the entry oracle, a block of
-    rows at a time, so memory stays bounded while time grows as p**2.
+    Counts positive entries per row through ``entry_grid``, one row block
+    (``_row_blocks``) at a time, so memory stays bounded as time grows as p**2.
     """
     order_exponent(p)
-    out = np.empty(p, dtype=np.int64)
     idx = np.arange(1, p + 1, dtype=np.int32)
-    step = max(1, (1 << 22) // p)
-    for s in range(0, p, step):
-        rows = idx[s : s + step]
-        grid = entry_values(p, variant, rows[:, None], idx[None, :])
-        out[s : s + step] = (grid > 0).sum(axis=1)
-    return out
+    return np.concatenate(
+        [(entry_grid(p, variant, idx[b]) > 0).sum(axis=1) for b in _row_blocks(p, p)]
+    )
 
 
 def _bit_lut(a: BinaryAssignment) -> np.ndarray:
@@ -328,12 +324,17 @@ def apply_assignment(m: WeightedMatrix, a: BinaryAssignment) -> Digraph:
     return Digraph(m.order, adj)
 
 
+def _assigned_pair(p: int, a: BinaryAssignment) -> tuple[Digraph, Digraph]:
+    """One assignment applied to the cached plain and starred matrices."""
+    return (
+        apply_assignment(build_dense(p, MatrixVariant.PLAIN), a),
+        apply_assignment(build_dense(p, MatrixVariant.STAR), a),
+    )
+
+
 def standard_pair(p: int) -> tuple[Digraph, Digraph]:
     """The canonical tournament pair at order p (positive entries become arcs)."""
-    n = order_exponent(p)
-    a = tournament_assignment(n)
-    g = apply_assignment(build_dense(p, MatrixVariant.PLAIN), a)
-    h = apply_assignment(build_dense(p, MatrixVariant.STAR), a)
+    g, h = _assigned_pair(p, tournament_assignment(order_exponent(p)))
     if not (g.is_tournament() and h.is_tournament()):
         raise ContradictionError("canonical pair failed the tournament check")
     return g, h
@@ -344,10 +345,7 @@ def variant_pair(p: int) -> tuple[Digraph, Digraph]:
     n = order_exponent(p)
     if p < 8:
         raise ValueError(f"variant_pair requires p >= 8, got {p}")
-    a = variant_assignment(n)
-    g = apply_assignment(build_dense(p, MatrixVariant.PLAIN), a)
-    h = apply_assignment(build_dense(p, MatrixVariant.STAR), a)
-    return g, h
+    return _assigned_pair(p, variant_assignment(n))
 
 
 def _is_arc_preserving(g: Digraph, h: Digraph, perm) -> bool:
@@ -514,20 +512,13 @@ class CensusTable:
         return "\n".join(lines) + "\n"
 
 
-def _assigned_pair(p: int, bits: str) -> tuple[Digraph, Digraph]:
-    a = assignment_from_bits(order_exponent(p), bits)
-    return (
-        apply_assignment(build_dense(p, MatrixVariant.PLAIN), a),
-        apply_assignment(build_dense(p, MatrixVariant.STAR), a),
-    )
-
-
 def _census_entry(p: int, bits: str, budget: int) -> Optional[bool]:
     """Search verdict for one row: None when the search exhausted the budget."""
     # imported here to avoid a module cycle with the isomorphism engine
     from recon_census.iso_engine import IsoStatus, are_isomorphic
 
-    verdict = are_isomorphic(*_assigned_pair(p, bits), budget=budget)
+    a = assignment_from_bits(order_exponent(p), bits)
+    verdict = are_isomorphic(*_assigned_pair(p, a), budget=budget)
     return {
         IsoStatus.ISOMORPHIC: True,
         IsoStatus.NON_ISOMORPHIC: False,
@@ -605,7 +596,7 @@ def _assignment_census_reference(
     n = order_exponent(p)
     rows = []
     for bits in _census_bits(p):
-        g, h = _assigned_pair(p, bits)
+        g, h = _assigned_pair(p, assignment_from_bits(n, bits))
         rows.append(
             CensusRow(
                 bits,

@@ -86,7 +86,6 @@ def check_lemma3(p: int) -> VerificationReport:
     return VerificationReport(
         check_name="lemma3",
         order=p,
-        outcome=counterexample is None,
         counterexample=counterexample,
         checked_count=2 * p * (p - 1),
     )
@@ -110,7 +109,6 @@ def check_theorem1(p: int) -> VerificationReport:
     return VerificationReport(
         check_name="theorem1",
         order=p,
-        outcome=counterexample is None,
         counterexample=counterexample,
         checked_count=checked,
     )
@@ -158,7 +156,6 @@ def sample_theorem1(p: int, trials: int, rng_seed: int) -> VerificationReport:
     return VerificationReport(
         check_name="theorem1-sampled",
         order=p,
-        outcome=counterexample is None,
         counterexample=counterexample,
         checked_count=checked,
         seed=rng_seed,

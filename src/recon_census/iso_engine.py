@@ -7,14 +7,13 @@ over pairwise card isomorphism tests.  ``verify_nonisomorphic_inductive``
 runs the halving argument at any order: the score split forces any
 isomorphism of the canonical pair to map the first half onto the last
 half, those halves induce the canonical pair of half order, and the
-order-4 base case is settled by exhaustive search.
+order-4 base case is settled by exhaustive search; no verdict is cached.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -192,7 +191,6 @@ def verify_hypomorphic_by_sigma(g: Digraph, h: Digraph, tables) -> VerificationR
     return VerificationReport(
         check_name="hypomorphic-by-sigma",
         order=p,
-        outcome=counterexample is None,
         counterexample=counterexample,
         checked_count=checked,
     )
@@ -311,7 +309,6 @@ def _induced_halves_mismatch_reference(order: int) -> Optional[str]:
     return None
 
 
-@lru_cache(maxsize=None)
 def _verify_halving_step(order: int) -> str:
     """Verify the score split and the induced-half identity at one order."""
     h = order // 2
@@ -340,7 +337,6 @@ def _verify_halving_step(order: int) -> str:
     )
 
 
-@lru_cache(maxsize=1)
 def _verify_base_case() -> str:
     g, h = standard_pair(4)
     # unpruned so the search space really is every point bijection
@@ -356,8 +352,8 @@ def verify_nonisomorphic_inductive(p: int) -> NonIsoTrace:
     Each level's score split and induced-half identity are verified
     computationally on the per-order class table of block offsets and
     residues, in O(p) per level, so the chain works far beyond orders
-    where a dense matrix or a search would be feasible.
-    Any failing step raises ContradictionError.
+    where a dense matrix or a search would be feasible, afresh on every
+    call.  Any failing step raises ContradictionError.
     """
     order_exponent(p)
     steps = []

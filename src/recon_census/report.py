@@ -14,31 +14,26 @@ class VerificationReport:
 
     ``counterexample`` holds the first violation found, as a tuple
     ``(k, i, j, lhs, rhs)``.  ``k`` is the deleted point for checks
-    quantified over one, and 0 otherwise.  A report fails exactly when
-    a counterexample is present.
+    quantified over one, and 0 otherwise.  The verdict is read from it,
+    not stored: a report fails exactly when a counterexample is present.
     """
 
     check_name: str
     order: int
-    outcome: bool
     counterexample: Optional[tuple] = None
     checked_count: int = 0
     seed: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.outcome == (self.counterexample is not None):
-            raise ValueError("fail outcome and counterexample must appear together")
-
     @property
     def passed(self) -> bool:
-        return self.outcome
+        return self.counterexample is None
 
     def to_json_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
             "schema": SCHEMA_VERSION,
             "check": self.check_name,
             "p": self.order,
-            "outcome": "pass" if self.outcome else "fail",
+            "outcome": "pass" if self.passed else "fail",
             "checked": self.checked_count,
         }
         if self.counterexample is not None:
@@ -49,5 +44,5 @@ class VerificationReport:
         return doc
 
     def __str__(self) -> str:
-        status = "pass" if self.outcome else f"FAIL at {self.counterexample}"
+        status = "pass" if self.passed else f"FAIL at {self.counterexample}"
         return f"{self.check_name}(p={self.order}): {status} [{self.checked_count} checked]"

@@ -104,7 +104,8 @@ def level_bound(p: int) -> int:
 
 
 #: Cells per row block of a grid scan: bounds the scratch memory of the
-#: text encoders, the census level table and the dense checks.
+#: text encoders, the census level table, the dense checks and the entry
+#: grids.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -273,8 +274,6 @@ def build_dense(p: int, variant: MatrixVariant) -> WeightedMatrix:
 
 @lru_cache(maxsize=16)
 def _dense_matrix(p: int, variant: MatrixVariant) -> WeightedMatrix:
-    if p == 4:
-        return WeightedMatrix(p, variant, _BASE[variant])
     nb = p // 4
     tiled = np.zeros((nb, 4, nb, 4), dtype=np.int8)
     for d in range(-(nb - 1), nb):
@@ -369,18 +368,15 @@ def entry_values(p: int, variant: MatrixVariant, i, j) -> np.ndarray:
 def entry_grid(
     p: int, variant: MatrixVariant, rows=None, cols=None
 ) -> np.ndarray:
-    """Rectangular grid of entries, evaluated in row chunks.
+    """Rectangular grid of entries, evaluated one ``_row_blocks`` block at a time.
 
     ``rows``/``cols`` are 1-based index vectors; both default to 1..p.
     """
     rows = np.arange(1, p + 1, dtype=np.int32) if rows is None else np.asarray(rows, np.int32)
     cols = np.arange(1, p + 1, dtype=np.int32) if cols is None else np.asarray(cols, np.int32)
     out = np.empty((rows.size, cols.size), dtype=np.int8)
-    step = max(1, (1 << 22) // max(1, cols.size))
-    for s in range(0, rows.size, step):
-        out[s : s + step] = entry_values(
-            p, variant, rows[s : s + step, None], cols[None, :]
-        )
+    for block in _row_blocks(rows.size, cols.size):
+        out[block] = entry_values(p, variant, rows[block, None], cols[None, :])
     return out
 
 
@@ -528,7 +524,6 @@ def check_lemma1(p: int) -> VerificationReport:
     return VerificationReport(
         check_name="lemma1",
         order=p,
-        outcome=counterexample is None,
         counterexample=counterexample,
         checked_count=checked,
     )
@@ -619,7 +614,6 @@ def _check_lemma1_reference(p: int) -> VerificationReport:
     return VerificationReport(
         check_name="lemma1",
         order=p,
-        outcome=counterexample is None,
         counterexample=counterexample,
         checked_count=checked,
     )

@@ -64,7 +64,7 @@ def lemma2_loops(p, cols):
     if counterexample is None:
         counterexample = _lemma2_d(p, cols)
 
-    return VerificationReport("lemma2", p, counterexample is None, counterexample, checked)
+    return VerificationReport("lemma2", p, counterexample, checked)
 
 
 def lemma3_loops(p, plain, star, tables):
@@ -107,4 +107,4 @@ def lemma3_loops(p, plain, star, tables):
                 i = int(is_[bad[0]])
                 counterexample = (0, i, j, int(lhs[bad[0]]), int(rhs[bad[0]]))
 
-    return VerificationReport("lemma3", p, counterexample is None, counterexample, checked)
+    return VerificationReport("lemma3", p, counterexample, checked)

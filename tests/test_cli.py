@@ -210,6 +210,8 @@ class TestExitCodes:
             ("export", "--p", "16", "--format", "tsv"),
             # larger than the stdout buffer: the write itself fails
             ("generate", "--p", "256", "--kind", "weighted"),
+            # written card by card: a write partway through fails
+            ("deck", "--p", "64"),
         ],
     )
     def test_stdout_on_full_device_exits_2(self, args):
@@ -407,6 +409,73 @@ class TestDeckCommand:
         run_cli("deck", "--p", "4", "--kind", "tournament", "--out", str(out))
         assert out.exists()
 
+    def test_matches_golden_fixture(self, tmp_path, capsys):
+        golden = (FIXTURES / "deck_p8.d6").read_bytes()
+        out = tmp_path / "deck.d6"
+        assert run_cli("deck", "--p", "8", "--out", str(out)) == 0
+        assert out.read_bytes() == golden
+        assert run_cli("deck", "--p", "8") == 0
+        assert capsys.readouterr().out.encode() == golden
+
+    @pytest.mark.parametrize("fmt", ["d6", "csv", "dot"])
+    @pytest.mark.parametrize("kind, name", [("tournament", "G16"), ("variant-digraph", "D16")])
+    def test_same_bytes_as_whole_deck_encoding(self, tmp_path, fmt, kind, name):
+        from recon_census.digraph_builder import standard_pair, variant_pair
+        from recon_census.iso_engine import deck
+
+        g, _ = (standard_pair if kind == "tournament" else variant_pair)(16)
+        cards = deck(g)
+        want = {
+            "d6": "".join(c.to_digraph6() + "\n" for c in cards),
+            "csv": "\n".join(c.to_csv() for c in cards),
+            "dot": "".join(
+                c.to_dot(f"{name}_card{k}") for k, c in enumerate(cards, start=1)
+            ),
+        }[fmt]
+        out = tmp_path / f"deck.{fmt}"
+        assert run_cli("deck", "--p", "16", "--kind", kind, "--format", fmt,
+                       "--out", str(out)) == 0
+        assert out.read_text() == want
+
+    def test_memory_holds_one_card(self, tmp_path):
+        import tracemalloc
+
+        from recon_census.digraph_builder import standard_pair
+
+        standard_pair(128)  # the cached dense matrices are not the deck's
+        out = tmp_path / "deck.csv"
+        tracemalloc.start()
+        try:
+            status = run_cli("deck", "--p", "128", "--format", "csv", "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        # the whole deck's text is 128 * 127 * 254 = 4.1 MB
+        assert out.stat().st_size == 128 * 127 * 254 + 127
+        assert peak < 2 * 1024 * 1024
+
+    def test_internal_error_leaves_the_cards_before_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from recon_census.digraph_builder import Digraph
+
+        real = Digraph.delete_point
+
+        def failing(self, k):
+            if k == 3:
+                raise RuntimeError("card 3")
+            return real(self, k)
+
+        monkeypatch.setattr(Digraph, "delete_point", failing)
+        out = tmp_path / "deck.d6"
+        assert run_cli("deck", "--p", "8", "--out", str(out)) == 3
+        golden = (FIXTURES / "deck_p8.d6").read_text().splitlines(keepends=True)
+        assert out.read_text() == "".join(golden[:2])
+        assert capsys.readouterr().err == (
+            "recon-census: internal error: RuntimeError: card 3\n"
+        )
+
 
 class TestExportCommand:
     @pytest.mark.parametrize("p", [4, 8, 16])
@@ -527,7 +596,7 @@ class TestFailurePath:
         from recon_census.report import VerificationReport
 
         def failing_check(p):
-            return VerificationReport("lemma1", p, False, (0, 1, 2, 3, 4), 10)
+            return VerificationReport("lemma1", p, (0, 1, 2, 3, 4), 10)
 
         monkeypatch.setattr(cli_mod, "check_lemma1", failing_check)
         out = tmp_path / "rep.json"
@@ -546,6 +615,16 @@ class TestSchemaVersion:
     def test_parses_as_semver(self):
         parts = SCHEMA_VERSION.split(".")
         assert len(parts) == 3 and all(part.isdigit() for part in parts)
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("p", [16, 512])
+    def test_negative_is_usage_error(self, capsys, p):
+        assert run_cli("verify", "--p", str(p), "--checks", "theorem1", "--seed", "-1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [l for l in captured.err.splitlines() if "error" in l]
+        assert errors == ["recon-census: error: --seed must be >= 0, got -1"]
 
 
 class TestJobsFlag:

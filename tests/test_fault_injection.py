@@ -195,14 +195,6 @@ def _swap_opposite_signs(table):
     table[4, 1, [0, 2]] = table[4, 1, [2, 0]]
 
 
-@pytest.fixture
-def fresh_halving_cache():
-    """Keep a cached pass from hiding the fault, and the fault from leaking."""
-    ie._verify_halving_step.cache_clear()
-    yield
-    ie._verify_halving_step.cache_clear()
-
-
 def _theorem2_error(p):
     with pytest.raises(ContradictionError) as info:
         ie.verify_nonisomorphic_inductive(p)
@@ -220,19 +212,28 @@ class TestTheorem2Reporting:
             (_swap_opposite_signs, "induced first half at p=16 differs from p=8"),
         ],
     )
-    def test_same_message_as_reference_form(
-        self, monkeypatch, fresh_halving_cache, edit, message
-    ):
+    def test_same_message_as_reference_form(self, monkeypatch, edit, message):
         _corrupt_class_table(monkeypatch, edit)
         assert _theorem2_error(16) == message
-        ie._verify_halving_step.cache_clear()
         monkeypatch.setattr(ie, "threshold_scores", db._threshold_scores_reference)
         monkeypatch.setattr(
             ie, "_induced_halves_mismatch", ie._induced_halves_mismatch_reference
         )
         assert _theorem2_error(16) == message
 
-    def test_cli_reports_failure(self, monkeypatch, fresh_halving_cache, tmp_path):
+    def test_no_pass_is_cached(self, monkeypatch):
+        # each call verifies every level afresh, so a fault that appears
+        # after a clean run is still found
+        ie.verify_nonisomorphic_inductive(16)
+        _corrupt_class_table(monkeypatch, _flip_positive_entry)
+        assert _theorem2_error(16).startswith("score split failed at p=16")
+        monkeypatch.undo()
+        ie.verify_nonisomorphic_inductive(16)
+        g, _ = db.standard_pair(4)
+        monkeypatch.setattr(ie, "standard_pair", lambda p: (g, g))
+        assert _theorem2_error(16) == "order-4 pair failed the exhaustive base case"
+
+    def test_cli_reports_failure(self, monkeypatch, tmp_path):
         _corrupt_class_table(monkeypatch, _flip_positive_entry)
         out = tmp_path / "report.json"
         args = ["verify", "--p", "16", "--checks", "theorem2", "--out", str(out)]

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -182,11 +183,18 @@ class TestSampleTheorem1:
 
 
 class TestReportShape:
-    def test_outcome_and_counterexample_coupled(self):
-        with pytest.raises(ValueError):
-            VerificationReport("x", 8, True, (0, 1, 2, 3, 4), 1)
-        with pytest.raises(ValueError):
-            VerificationReport("x", 8, False, None, 1)
+    def test_verdict_follows_counterexample(self):
+        clean = VerificationReport("x", 8, None, 1)
+        failed = VerificationReport("x", 8, (0, 1, 2, 3, 4), 1)
+        assert clean.passed and not failed.passed
+        assert clean.to_json_dict()["outcome"] == "pass"
+        doc = failed.to_json_dict()
+        assert doc["outcome"] == "fail"
+        assert doc["counterexample"] == {"k": 0, "i": 1, "j": 2, "lhs": 3, "rhs": 4}
+        assert str(clean) == "x(p=8): pass [1 checked]"
+        assert str(failed) == "x(p=8): FAIL at (0, 1, 2, 3, 4) [1 checked]"
+        # the verdict is read from the counterexample, not stored beside it
+        assert "outcome" not in {f.name for f in dataclasses.fields(failed)}
 
     def test_json_fields(self):
         doc = check_theorem1(8).to_json_dict()
