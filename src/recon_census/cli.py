@@ -43,6 +43,8 @@ from recon_census.digraph_builder import (
     standard_pair,
     swap_involution,
     tournament_assignment,
+    tournament_digraph,
+    variant_digraph,
     variant_pair,
 )
 from recon_census.errors import BudgetExhausted, ContradictionError
@@ -194,17 +196,22 @@ def _cmd_verify(config: RunConfig) -> int:
     return 0 if all_pass else 1
 
 
-def _selected_digraphs(config: RunConfig) -> list[tuple[str, Digraph]]:
-    if config.kind == "tournament":
-        g, h = standard_pair(config.p)
-        tag = "G"
-    else:
-        g, h = variant_pair(config.p)
-        tag = "D"
-    named = {"plain": (f"{tag}{config.p}", g), "star": (f"{tag}{config.p}s", h)}
+def _selected_variants(config: RunConfig) -> list[MatrixVariant]:
     if config.variant == "both":
-        return [named["plain"], named["star"]]
-    return [named[config.variant]]
+        return list(MatrixVariant)
+    return [MatrixVariant(config.variant)]
+
+
+def _selected_digraphs(config: RunConfig) -> Iterator[tuple[str, Digraph]]:
+    """The named digraphs of ``--kind`` and ``--variant``, each built only
+    when drawn."""
+    tag, build = {
+        "tournament": ("G", tournament_digraph),
+        "variant-digraph": ("D", variant_digraph),
+    }[config.kind]
+    for variant in _selected_variants(config):
+        suffix = "s" if variant is MatrixVariant.STAR else ""
+        yield f"{tag}{config.p}{suffix}", build(config.p, variant)
 
 
 def _encode(
@@ -226,8 +233,9 @@ def _encode(
 
 def _cmd_generate(config: RunConfig) -> int:
     if config.kind == "weighted":
-        variants = ["plain", "star"] if config.variant == "both" else [config.variant]
-        named = [(v, build_dense(config.p, MatrixVariant(v))) for v in variants]
+        named = (
+            (v.value, build_dense(config.p, v)) for v in _selected_variants(config)
+        )
     else:
         named = _selected_digraphs(config)
     _emit(_encode(named, config.format), config.out)

@@ -334,7 +334,7 @@ def _lemma2_d(p: int, cols) -> Optional[tuple]:
     i +- p/2 and the preimages of image(i) -+ p/2, read through the
     inverse table, so each deletion costs O(p).  The rows must be
     bijections, as ``build_all_maps`` checks.  The report is that of the
-    full-matrix form ``_lemma2_d_reference``: the first failing pair in
+    full-matrix form the test suite keeps: the first failing pair in
     row-major order.
     """
     h = p // 2
@@ -367,33 +367,6 @@ def _lemma2_d(p: int, cols) -> Optional[tuple]:
                 int(point_diff[r, c]),
             )
     return None
-
-
-def _lemma2_d_reference(p: int, cols) -> Optional[tuple]:
-    """Full-matrix form of ``_lemma2_d`` ((p-1)**2 pairs per deletion); test oracle."""
-    h = p // 2
-    points = np.arange(1, p + 1, dtype=np.int32)
-    counterexample = None
-    for k in range(1, p + 1):
-        t = cols[k - 1]
-        rest = points[points != k]
-        imgs = t[rest - 1]
-        point_diff = rest[None, :] - rest[:, None]       # j - i
-        image_diff = imgs[:, None] - imgs[None, :]       # image(i) - image(j)
-        if counterexample is None:
-            bad = ((point_diff == h) != (image_diff == h)) | (
-                (point_diff == -h) != (image_diff == -h)
-            )
-            if bad.any():
-                r, c = divmod(int(np.argmax(bad)), bad.shape[1])
-                counterexample = (
-                    k,
-                    int(rest[r]),
-                    int(rest[c]),
-                    int(image_diff[r, c]),
-                    int(point_diff[r, c]),
-                )
-    return counterexample
 
 
 def _permuted(x: np.ndarray, s) -> np.ndarray:
@@ -437,7 +410,7 @@ def _deletion_sweep(
     column k of ``rhs`` are overwritten with those of a, so one full
     comparison per k checks every pair away from k; deletions above the
     best counterexample so far are not compared.  The per-deletion block
-    copy this replaces is kept as ``_deletion_sweep_reference``.
+    copy this replaces is kept in the test suite as its oracle.
     """
     p = a.shape[0]
     rhs = None
@@ -461,29 +434,3 @@ def _deletion_sweep(
         idx[s] = -1
         held = idx
     return best, p * (p - 1) * (p - 1)
-
-
-def _deletion_sweep_reference(
-    a: np.ndarray, b: np.ndarray, tables
-) -> tuple[Optional[tuple], int]:
-    """Per-deletion (p-1) x (p-1) block copy form of ``_deletion_sweep``; test oracle."""
-    p = a.shape[0]
-    points = np.arange(1, p + 1, dtype=np.int32)
-    checked = 0
-    counterexample = None
-    for k in range(1, p + 1):
-        rest = points[points != k]
-        imgs = tables[k - 1][rest - 1]
-        lhs = a[np.ix_(rest - 1, rest - 1)]
-        rhs = b[np.ix_(imgs - 1, imgs - 1)]
-        checked += (p - 1) * (p - 1)
-        if counterexample is None and not np.array_equal(lhs, rhs):
-            r, c = divmod(int(np.argmax(lhs != rhs)), p - 1)
-            counterexample = (
-                k,
-                int(rest[r]),
-                int(rest[c]),
-                int(lhs[r, c]),
-                int(rhs[r, c]),
-            )
-    return counterexample, checked

@@ -21,9 +21,8 @@ and tabulates which ones yield non-isomorphic pairs.  It settles the rows
 with equal extreme bits through ``forced_isomorphism`` and runs one
 isomorphism search per remaining swap orbit (64 at p = 8, 256 at p = 16,
 in the calling process); the other member of the orbit copies the
-verdict.
-``_assignment_census_reference`` searches every row and is the census's
-test oracle.
+verdict.  The test suite checks the census against a form that searches
+every row.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from recon_census.weight_matrix import (
     _row_blocks,
     _text_grid,
     build_dense,
-    entry_grid,
     order_exponent,
 )
 
@@ -65,7 +63,9 @@ __all__ = [
     "swap_involution",
     "threshold_scores",
     "tournament_assignment",
+    "tournament_digraph",
     "variant_assignment",
+    "variant_digraph",
     "variant_pair",
 ]
 
@@ -259,17 +259,25 @@ def _encode_count(n: int) -> str:
 
 
 def _decode_count(text: str, pos: int) -> tuple[int, int]:
-    first = ord(text[pos]) - 63
-    if first != 63:
-        return first, pos + 1
-    if ord(text[pos + 1]) - 63 != 63:
-        chunk = [ord(c) - 63 for c in text[pos + 1 : pos + 4]]
-        return (chunk[0] << 12) | (chunk[1] << 6) | chunk[2], pos + 4
-    chunk = [ord(c) - 63 for c in text[pos + 2 : pos + 8]]
+    """The count at ``pos`` (one, '~' and three, or '~~' and six size
+    characters) and the position after it.  A truncated count, or a size
+    character outside '?'..'~', raises ValueError."""
+    if text.startswith("~~", pos):
+        start, width = pos + 2, 6
+    elif text.startswith("~", pos):
+        start, width = pos + 1, 3
+    else:
+        start, width = pos, 1
+    field = text[start : start + width]
+    if len(field) != width:
+        raise ValueError("digraph6 header is truncated")
     value = 0
-    for c in chunk:
-        value = (value << 6) | c
-    return value, pos + 8
+    for c in field:
+        code = ord(c) - 63
+        if not 0 <= code <= 63:
+            raise ValueError(f"digraph6 size character {c!r} is outside '?'..'~'")
+        value = (value << 6) | code
+    return value, start + width
 
 
 def threshold_scores(p: int, variant: MatrixVariant) -> np.ndarray:
@@ -288,19 +296,6 @@ def threshold_scores(p: int, variant: MatrixVariant) -> np.ndarray:
     np.cumsum(positive, axis=0, out=cum[1:])
     b = np.arange(nb)
     return (cum[2 * nb - 1 - b] - cum[nb - 1 - b]).reshape(p)
-
-
-def _threshold_scores_reference(p: int, variant: MatrixVariant) -> np.ndarray:
-    """Chunked O(p**2) gather; cross-check oracle for ``threshold_scores``.
-
-    Counts positive entries per row through ``entry_grid``, one row block
-    (``_row_blocks``) at a time, so memory stays bounded as time grows as p**2.
-    """
-    order_exponent(p)
-    idx = np.arange(1, p + 1, dtype=np.int32)
-    return np.concatenate(
-        [(entry_grid(p, variant, idx[b]) > 0).sum(axis=1) for b in _row_blocks(p, p)]
-    )
 
 
 def _bit_lut(a: BinaryAssignment) -> np.ndarray:
@@ -326,26 +321,35 @@ def apply_assignment(m: WeightedMatrix, a: BinaryAssignment) -> Digraph:
 
 def _assigned_pair(p: int, a: BinaryAssignment) -> tuple[Digraph, Digraph]:
     """One assignment applied to the cached plain and starred matrices."""
-    return (
-        apply_assignment(build_dense(p, MatrixVariant.PLAIN), a),
-        apply_assignment(build_dense(p, MatrixVariant.STAR), a),
-    )
+    return tuple(apply_assignment(build_dense(p, v), a) for v in MatrixVariant)
+
+
+def tournament_digraph(p: int, variant: MatrixVariant) -> Digraph:
+    """One digraph of the canonical tournament pair, built alone and
+    checked to be a tournament (positive entries become arcs)."""
+    a = tournament_assignment(order_exponent(p))
+    g = apply_assignment(build_dense(p, variant), a)
+    if not g.is_tournament():
+        raise ContradictionError("canonical pair failed the tournament check")
+    return g
+
+
+def variant_digraph(p: int, variant: MatrixVariant) -> Digraph:
+    """One digraph of the variant pair at order p >= 8, built alone."""
+    n = order_exponent(p)
+    if p < 8:
+        raise ValueError(f"variant digraphs require p >= 8, got {p}")
+    return apply_assignment(build_dense(p, variant), variant_assignment(n))
 
 
 def standard_pair(p: int) -> tuple[Digraph, Digraph]:
-    """The canonical tournament pair at order p (positive entries become arcs)."""
-    g, h = _assigned_pair(p, tournament_assignment(order_exponent(p)))
-    if not (g.is_tournament() and h.is_tournament()):
-        raise ContradictionError("canonical pair failed the tournament check")
-    return g, h
+    """The canonical tournament pair at order p."""
+    return tuple(tournament_digraph(p, v) for v in MatrixVariant)
 
 
 def variant_pair(p: int) -> tuple[Digraph, Digraph]:
     """The second digraph pair at order p >= 8 (not tournaments)."""
-    n = order_exponent(p)
-    if p < 8:
-        raise ValueError(f"variant_pair requires p >= 8, got {p}")
-    return _assigned_pair(p, variant_assignment(n))
+    return tuple(variant_digraph(p, v) for v in MatrixVariant)
 
 
 def _is_arc_preserving(g: Digraph, h: Digraph, perm) -> bool:
@@ -582,27 +586,4 @@ def assignment_census(p: int, iso_budget: int = DEFAULT_ISO_BUDGET) -> CensusTab
         tourn = _assigns_tournaments(p, assignment_from_bits(n, bits))
         decided = bits if bits in verdict else _swap_partner_bits(n, bits)
         rows.append(CensusRow(bits, tourn, verdict[decided], _orbit_id(n, bits)))
-    return CensusTable(p, tuple(rows))
-
-
-def _assignment_census_reference(
-    p: int, iso_budget: int = DEFAULT_ISO_BUDGET
-) -> CensusTable:
-    """Every row searched and its tournament flag read off its digraphs.
-
-    The census without its symmetries: the cross-check oracle of
-    ``assignment_census``.
-    """
-    n = order_exponent(p)
-    rows = []
-    for bits in _census_bits(p):
-        g, h = _assigned_pair(p, assignment_from_bits(n, bits))
-        rows.append(
-            CensusRow(
-                bits,
-                g.is_tournament() and h.is_tournament(),
-                _census_entry(p, bits, iso_budget),
-                _orbit_id(n, bits),
-            )
-        )
     return CensusTable(p, tuple(rows))

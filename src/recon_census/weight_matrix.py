@@ -459,7 +459,7 @@ def check_lemma1(p: int) -> VerificationReport:
     offset by +-p/8, the sign of (b)/(c) is -1 exactly at offset +-p/16
     with r = c (everywhere at p = 8), and the extreme levels sit at
     offset +-p/8 with r = c.  ``checked`` counts positions, as the
-    entry-grid form ``_check_lemma1_reference`` does.
+    entry-grid form in the test suite does; the two give the same report.
     """
     n = order_exponent(p)
     if p < 8:
@@ -518,96 +518,6 @@ def check_lemma1(p: int) -> VerificationReport:
                         b + 1 + col_shift,
                         int(got[b]),
                         int(want),
-                    )
-                    break
-
-    return VerificationReport(
-        check_name="lemma1",
-        order=p,
-        counterexample=counterexample,
-        checked_count=checked,
-    )
-
-
-def _check_lemma1_reference(p: int) -> VerificationReport:
-    """Entry-grid form of ``check_lemma1`` (O(p**2)); test oracle.
-
-    Exhaustively verifies the four structural identities at order p >= 8.
-
-    (a) both half-order quadrants (top-left, bottom-right) equal the
-    half-order matrix entrywise; (b)/(c) half-shifted entries flip sign
-    exactly as ``sign_flip`` states; (d) the extreme levels +-(n+1) sit
-    exactly at column/row offsets of p/2.  Both variants are checked;
-    the first violation, if any, is reported.
-    """
-    n = order_exponent(p)
-    if p < 8:
-        raise ValueError(f"check_lemma1 requires p >= 8, got {p}")
-    h = p // 2
-    idx = np.arange(1, h + 1, dtype=np.int32)
-    everywhere = np.ones((h, h), dtype=bool)
-    off = ~np.eye(h, dtype=bool)
-    checked = 0
-    counterexample = None
-
-    def first_diff(lhs, rhs, rows, cols, keep):
-        cell = _first_cell(h, h, lambda b: (lhs[b] != rhs[b]) & keep[b])
-        if cell is None:
-            return None
-        r, c = cell
-        return (0, int(rows[r]), int(cols[c]), int(lhs[r, c]), int(rhs[r, c]))
-
-    for variant in (MatrixVariant.PLAIN, MatrixVariant.STAR):
-        top_left = entry_grid(p, variant, idx, idx)
-        half = entry_grid(h, variant, idx, idx)
-        bottom_right = entry_grid(p, variant, idx + h, idx + h)
-        col_shift = entry_grid(p, variant, idx, idx + h)
-        row_shift = entry_grid(p, variant, idx + h, idx)
-
-        # (a) nested copies
-        for big, rows, cols in (
-            (top_left, idx, idx),
-            (bottom_right, idx + h, idx + h),
-        ):
-            checked += h * h
-            if counterexample is None:
-                counterexample = first_diff(big, half, rows, cols, everywhere)
-
-        # (b)/(c) half-shift sign pattern on off-diagonal pairs
-        if p == 8:
-            signs = np.full((h, h), -1, dtype=np.int32)
-        else:
-            dist = np.abs(idx[None, :] - idx[:, None])
-            signs = np.where(dist == p // 4, -1, 1)
-        expected = (signs * top_left.astype(np.int32)).astype(np.int8)
-        for shifted, rows, cols in (
-            (col_shift, idx, idx + h),
-            (row_shift, idx + h, idx),
-        ):
-            checked += h * h - h
-            if counterexample is None:
-                counterexample = first_diff(shifted, expected, rows, cols, off)
-
-        # (d) extreme levels at offset p/2
-        upper = 1 if variant is MatrixVariant.PLAIN else -1
-        want_up = np.full(h, upper * (n + 1), dtype=np.int8)
-        up = entry_values(p, variant, idx, idx + h)
-        down = entry_values(p, variant, idx + h, idx)
-        checked += 2 * h
-        if counterexample is None:
-            for got, want, rows, cols in (
-                (up, want_up, idx, idx + h),
-                (down, -want_up, idx + h, idx),
-            ):
-                bad = np.nonzero(got != want)[0]
-                if bad.size:
-                    b = int(bad[0])
-                    counterexample = (
-                        0,
-                        int(rows[b]),
-                        int(cols[b]),
-                        int(got[b]),
-                        int(want[b]),
                     )
                     break
 

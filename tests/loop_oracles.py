@@ -1,14 +1,34 @@
-"""Per-point loop forms of lemma 2 (a)-(c) and lemma 3: test oracles.
+"""The slow forms of the library's fast paths: test oracles.
 
-``check_lemma2`` and ``check_lemma3`` scan their grids in masked row
-blocks (``weight_matrix._first_cell``).  These are the loops they
-replaced, one numpy step per deletion or per point, fed the same map
-table and matrices, so a test can require the two to report the same
-verdict, counterexample and count.
+Each function here computes what one fast path computes, the long way, so
+a test can require the two to give the same verdict, counterexample and
+count:
+
+* ``lemma2_loops`` and ``lemma3_loops``: the per-point loops that the
+  masked row-block scans of ``check_lemma2`` and ``check_lemma3``
+  (``weight_matrix._first_cell``) replaced;
+* ``check_lemma1_reference``: lemma 1 on entry grids, O(p**2);
+* ``lemma2_d_reference``: lemma 2 (d) on full (p-1) x (p-1) difference
+  matrices per deletion;
+* ``deletion_sweep_reference``: ``_deletion_sweep`` as a block copy per
+  deletion;
+* ``threshold_scores_reference`` and ``induced_halves_mismatch_reference``:
+  the two per-level steps of theorem 2 on entry grids, O(p**2);
+* ``assignment_census_reference``: the census with every row searched;
+* ``every_relabeling_code``: an isomorphism invariant that is complete
+  because it tries all p! relabelings.
+
+Library functions are reached through their modules (``wm.entry_grid``,
+``db._census_entry``, ...), so a test that patches a seam there reaches the
+oracle too.
 """
+
+import itertools
 
 import numpy as np
 
+import recon_census.digraph_builder as db
+import recon_census.weight_matrix as wm
 from recon_census.deletion_maps import _lemma2_d
 from recon_census.report import VerificationReport
 
@@ -108,3 +128,193 @@ def lemma3_loops(p, plain, star, tables):
                 counterexample = (0, i, j, int(lhs[bad[0]]), int(rhs[bad[0]]))
 
     return VerificationReport("lemma3", p, counterexample, checked)
+
+
+def check_lemma1_reference(p):
+    """``check_lemma1(p)`` on entry grids (O(p**2)): the same report.
+
+    (a) both half-order quadrants (top-left, bottom-right) equal the
+    half-order matrix entrywise; (b)/(c) half-shifted entries flip sign
+    exactly as ``sign_flip`` states; (d) the extreme levels +-(n+1) sit
+    exactly at column/row offsets of p/2.  Both variants are checked;
+    the first violation, if any, is reported.
+    """
+    n = wm.order_exponent(p)
+    if p < 8:
+        raise ValueError(f"check_lemma1 requires p >= 8, got {p}")
+    h = p // 2
+    idx = np.arange(1, h + 1, dtype=np.int32)
+    everywhere = np.ones((h, h), dtype=bool)
+    off = ~np.eye(h, dtype=bool)
+    checked = 0
+    counterexample = None
+
+    def first_diff(lhs, rhs, rows, cols, keep):
+        cell = wm._first_cell(h, h, lambda b: (lhs[b] != rhs[b]) & keep[b])
+        if cell is None:
+            return None
+        r, c = cell
+        return (0, int(rows[r]), int(cols[c]), int(lhs[r, c]), int(rhs[r, c]))
+
+    for variant in (wm.MatrixVariant.PLAIN, wm.MatrixVariant.STAR):
+        top_left = wm.entry_grid(p, variant, idx, idx)
+        half = wm.entry_grid(h, variant, idx, idx)
+        bottom_right = wm.entry_grid(p, variant, idx + h, idx + h)
+        col_shift = wm.entry_grid(p, variant, idx, idx + h)
+        row_shift = wm.entry_grid(p, variant, idx + h, idx)
+
+        # (a) nested copies
+        for big, rows, cols in (
+            (top_left, idx, idx),
+            (bottom_right, idx + h, idx + h),
+        ):
+            checked += h * h
+            if counterexample is None:
+                counterexample = first_diff(big, half, rows, cols, everywhere)
+
+        # (b)/(c) half-shift sign pattern on off-diagonal pairs
+        if p == 8:
+            signs = np.full((h, h), -1, dtype=np.int32)
+        else:
+            dist = np.abs(idx[None, :] - idx[:, None])
+            signs = np.where(dist == p // 4, -1, 1)
+        expected = (signs * top_left.astype(np.int32)).astype(np.int8)
+        for shifted, rows, cols in (
+            (col_shift, idx, idx + h),
+            (row_shift, idx + h, idx),
+        ):
+            checked += h * h - h
+            if counterexample is None:
+                counterexample = first_diff(shifted, expected, rows, cols, off)
+
+        # (d) extreme levels at offset p/2
+        upper = 1 if variant is wm.MatrixVariant.PLAIN else -1
+        want_up = np.full(h, upper * (n + 1), dtype=np.int8)
+        up = wm.entry_values(p, variant, idx, idx + h)
+        down = wm.entry_values(p, variant, idx + h, idx)
+        checked += 2 * h
+        if counterexample is None:
+            for got, want, rows, cols in (
+                (up, want_up, idx, idx + h),
+                (down, -want_up, idx + h, idx),
+            ):
+                bad = np.nonzero(got != want)[0]
+                if bad.size:
+                    b = int(bad[0])
+                    counterexample = (
+                        0,
+                        int(rows[b]),
+                        int(cols[b]),
+                        int(got[b]),
+                        int(want[b]),
+                    )
+                    break
+
+    return VerificationReport("lemma1", p, counterexample, checked)
+
+
+def lemma2_d_reference(p, cols):
+    """``_lemma2_d(p, cols)`` with (p-1)**2 pairs compared per deletion."""
+    h = p // 2
+    points = np.arange(1, p + 1, dtype=np.int32)
+    for k in range(1, p + 1):
+        t = cols[k - 1]
+        rest = points[points != k]
+        imgs = t[rest - 1]
+        point_diff = rest[None, :] - rest[:, None]       # j - i
+        image_diff = imgs[:, None] - imgs[None, :]       # image(i) - image(j)
+        bad = ((point_diff == h) != (image_diff == h)) | (
+            (point_diff == -h) != (image_diff == -h)
+        )
+        if bad.any():
+            r, c = divmod(int(np.argmax(bad)), bad.shape[1])
+            return (
+                k,
+                int(rest[r]),
+                int(rest[c]),
+                int(image_diff[r, c]),
+                int(point_diff[r, c]),
+            )
+    return None
+
+
+def deletion_sweep_reference(a, b, tables):
+    """``_deletion_sweep(a, b, tables)`` as one (p-1) x (p-1) block copy per deletion."""
+    p = a.shape[0]
+    points = np.arange(1, p + 1, dtype=np.int32)
+    checked = 0
+    counterexample = None
+    for k in range(1, p + 1):
+        rest = points[points != k]
+        imgs = tables[k - 1][rest - 1]
+        lhs = a[np.ix_(rest - 1, rest - 1)]
+        rhs = b[np.ix_(imgs - 1, imgs - 1)]
+        checked += (p - 1) * (p - 1)
+        if counterexample is None and not np.array_equal(lhs, rhs):
+            r, c = divmod(int(np.argmax(lhs != rhs)), p - 1)
+            counterexample = (
+                k,
+                int(rest[r]),
+                int(rest[c]),
+                int(lhs[r, c]),
+                int(rhs[r, c]),
+            )
+    return counterexample, checked
+
+
+def threshold_scores_reference(p, variant):
+    """``threshold_scores(p, variant)`` as positive entries counted per row
+    of ``entry_grid``, one row block (``_row_blocks``) at a time: O(p**2)
+    time in bounded memory."""
+    wm.order_exponent(p)
+    idx = np.arange(1, p + 1, dtype=np.int32)
+    return np.concatenate(
+        [(wm.entry_grid(p, variant, idx[b]) > 0).sum(axis=1) for b in wm._row_blocks(p, p)]
+    )
+
+
+def induced_halves_mismatch_reference(order):
+    """``iso_engine._induced_halves_mismatch(order)`` on entry grids (O(p**2))."""
+    h = order // 2
+    idx = np.arange(1, h + 1, dtype=np.int32)
+    for variant, which, shift in (
+        (wm.MatrixVariant.PLAIN, "first", 0),
+        (wm.MatrixVariant.STAR, "last", h),
+    ):
+        big = wm.entry_grid(order, variant, idx + shift, idx + shift) > 0
+        small = wm.entry_grid(h, variant, idx, idx) > 0
+        if not np.array_equal(big, small):
+            return f"induced {which} half at p={order} differs from p={h}"
+    return None
+
+
+def assignment_census_reference(p, iso_budget=db.DEFAULT_ISO_BUDGET):
+    """``assignment_census(p)`` without its symmetries: every row searched,
+    and its tournament flag read off its digraphs."""
+    n = wm.order_exponent(p)
+    rows = []
+    for bits in db._census_bits(p):
+        g, h = db._assigned_pair(p, db.assignment_from_bits(n, bits))
+        rows.append(
+            db.CensusRow(
+                bits,
+                g.is_tournament() and h.is_tournament(),
+                db._census_entry(p, bits, iso_budget),
+                db._orbit_id(n, bits),
+            )
+        )
+    return db.CensusTable(p, tuple(rows))
+
+
+def every_relabeling_code(g):
+    """The least adjacency code of g over all p! relabelings, for p <= 7.
+
+    Entry (i, j) is bit i * p + j of a relabeling's code, so two digraphs
+    of one order are isomorphic exactly when their codes are equal.
+    """
+    p = g.order
+    if p > 7:
+        raise ValueError(f"every_relabeling_code needs p <= 7, got {p}")
+    perms = np.array(list(itertools.permutations(range(p))), dtype=np.intp).reshape(-1, p)
+    grids = g.adjacency[perms[:, :, None], perms[:, None, :]].reshape(len(perms), -1)
+    return int((grids.astype(np.int64) @ (1 << np.arange(p * p, dtype=np.int64))).min())

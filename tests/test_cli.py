@@ -371,6 +371,37 @@ class TestGenerate:
         assert all(line.startswith("&") for line in lines)
         assert lines[0] != lines[1]
 
+    @pytest.mark.parametrize(
+        "kind, builder",
+        [("tournament", "tournament_digraph"), ("variant-digraph", "variant_digraph")],
+    )
+    def test_builds_only_the_digraphs_it_writes(self, monkeypatch, capsys, kind, builder):
+        import recon_census.cli as cli_mod
+        from recon_census.weight_matrix import MatrixVariant
+
+        real = getattr(cli_mod, builder)
+        built = []
+
+        def recording(p, variant):
+            built.append(variant)
+            return real(p, variant)
+
+        monkeypatch.setattr(cli_mod, builder, recording)
+        lines = {}
+        for variant in ("plain", "star", "both"):
+            built.clear()
+            args = ["--p", "16", "--kind", kind, "--variant", variant]
+            assert run_cli("generate", *args, "--format", "d6") == 0
+            lines[variant] = capsys.readouterr().out.splitlines()
+            want = list(MatrixVariant) if variant == "both" else [MatrixVariant(variant)]
+            assert built == want
+            if variant != "both":
+                built.clear()
+                assert run_cli("deck", *args) == 0
+                assert built == want
+                capsys.readouterr()
+        assert lines["both"] == lines["plain"] + lines["star"]
+
     def test_variant_digraph_requires_order_8(self):
         assert run_cli("generate", "--p", "4", "--kind", "variant-digraph") == 2
 
@@ -575,15 +606,15 @@ class TestVerifyReports:
 
 
     def test_sweep_and_reference_reports_are_byte_identical(self, tmp_path, monkeypatch):
-        import recon_census.deletion_maps as dm
         import recon_census.hypomorphism_verifier as hv
         import recon_census.iso_engine as ie
+        from loop_oracles import deletion_sweep_reference
 
         args = ("verify", "--p", "256", "--checks", "theorem1,hypo-sigma", "--out")
         fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
         assert run_cli(*args, str(fast)) == 0
         for module in (hv, ie):
-            monkeypatch.setattr(module, "_deletion_sweep", dm._deletion_sweep_reference)
+            monkeypatch.setattr(module, "_deletion_sweep", deletion_sweep_reference)
         assert run_cli(*args, str(slow)) == 0
         assert fast.read_bytes() == slow.read_bytes()
         names = [r["check"] for r in json.loads(fast.read_text())["reports"]]

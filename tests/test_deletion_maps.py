@@ -20,7 +20,7 @@ from recon_census.iso_engine import verify_hypomorphic_by_sigma
 from recon_census.weight_matrix import MatrixVariant, entry_grid
 
 from conftest import load_sigma_fixture, swap_images_at_random, swap_two_images
-from loop_oracles import lemma2_loops
+from loop_oracles import deletion_sweep_reference, lemma2_d_reference, lemma2_loops
 
 
 class TestSigmaValues:
@@ -229,16 +229,16 @@ class TestLemma2:
     def test_part_d_matches_full_matrix_form(self, p, monkeypatch):
         clean = build_all_maps(p)
         assert dm._lemma2_d(p, clean) is None
-        assert dm._lemma2_d_reference(p, clean) is None
+        assert lemma2_d_reference(p, clean) is None
         rng = np.random.default_rng(p)
         hits = []
         for _ in range(6):
             cols = swap_images_at_random(clean, rng)
             monkeypatch.setattr(dm, "build_all_maps", lambda q, cols=cols: cols)
             hits.append(dm._lemma2_d(p, cols))
-            assert hits[-1] == dm._lemma2_d_reference(p, cols)
+            assert hits[-1] == lemma2_d_reference(p, cols)
             report = check_lemma2(p)
-            monkeypatch.setattr(dm, "_lemma2_d", dm._lemma2_d_reference)
+            monkeypatch.setattr(dm, "_lemma2_d", lemma2_d_reference)
             assert check_lemma2(p) == report
             monkeypatch.undo()
         assert any(hit is not None for hit in hits)
@@ -382,7 +382,7 @@ class TestDeletionSweep:
             # the reversed and the self pair fail somewhere; same report
             for x, y in ((b, a), (a, a)):
                 report = dm._deletion_sweep(x, y, tables)
-                assert report == dm._deletion_sweep_reference(x, y, tables)
+                assert report == deletion_sweep_reference(x, y, tables)
 
     @pytest.mark.parametrize("p", [8, 16, 64, 128])
     def test_smaller_of_two_faulty_deletions_is_reported(self, p):
@@ -394,11 +394,11 @@ class TestDeletionSweep:
             tables[big - 1] = swap_two_images(tables[big - 1], big)
             report = dm._deletion_sweep(a, b, tables)
             assert report[0][0] == big
-            assert report == dm._deletion_sweep_reference(a, b, tables)
+            assert report == deletion_sweep_reference(a, b, tables)
             tables[small - 1] = swap_two_images(tables[small - 1], small)
             report = dm._deletion_sweep(a, b, tables)
             assert report[0][0] == small
-            assert report == dm._deletion_sweep_reference(a, b, tables)
+            assert report == deletion_sweep_reference(a, b, tables)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -413,6 +413,6 @@ class TestDeletionSweep:
         cells = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
         for i, j in data.draw(st.lists(cells, max_size=3)):
             b[i, j] = 1 - b[i, j]
-        assert dm._deletion_sweep(a, b, tables) == dm._deletion_sweep_reference(
+        assert dm._deletion_sweep(a, b, tables) == deletion_sweep_reference(
             a, b, tables
         )

@@ -7,10 +7,8 @@ from recon_census.deletion_maps import extend_sigma_p1
 from recon_census.digraph_builder import (
     BinaryAssignment,
     Digraph,
-    _assignment_census_reference,
     _assigns_tournaments,
     _is_arc_preserving,
-    _threshold_scores_reference,
     _witness_carries,
     apply_assignment,
     assignment_census,
@@ -22,13 +20,16 @@ from recon_census.digraph_builder import (
     swap_involution,
     threshold_scores,
     tournament_assignment,
+    tournament_digraph,
     variant_assignment,
+    variant_digraph,
     variant_pair,
 )
 from recon_census.errors import ContradictionError
 from recon_census.weight_matrix import MatrixVariant, build_dense
 
 from conftest import FIXTURES
+from loop_oracles import assignment_census_reference, threshold_scores_reference
 
 PLAIN = MatrixVariant.PLAIN
 STAR = MatrixVariant.STAR
@@ -161,7 +162,7 @@ class TestStandardPair:
     def test_threshold_scores_match_reference(self, p):
         for variant in (PLAIN, STAR):
             got = threshold_scores(p, variant)
-            want = _threshold_scores_reference(p, variant)
+            want = threshold_scores_reference(p, variant)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (p, variant)
 
@@ -170,6 +171,18 @@ class TestStandardPair:
         g, h = standard_pair(p)
         assert tuple(threshold_scores(p, PLAIN)) == g.scores()
         assert tuple(threshold_scores(p, STAR)) == h.scores()
+
+    def test_each_digraph_built_alone_is_checked(self, monkeypatch):
+        import recon_census.digraph_builder as db
+        from recon_census.cli import main
+
+        # every level to 1: both arcs between any two points
+        monkeypatch.setattr(db, "tournament_assignment", lambda n: constant_assignment(n, 1))
+        for variant in (PLAIN, STAR):
+            with pytest.raises(ContradictionError, match="tournament check"):
+                tournament_digraph(8, variant)
+        args = ["generate", "--p", "8", "--kind", "tournament", "--variant", "star"]
+        assert main(args) == 3
 
 
 class TestVariantPair:
@@ -192,6 +205,8 @@ class TestVariantPair:
     def test_requires_order_8(self):
         with pytest.raises(ValueError):
             variant_pair(4)
+        with pytest.raises(ValueError, match="require p >= 8"):
+            variant_digraph(4, STAR)
 
 
 class TestForcedIsomorphism:
@@ -348,13 +363,13 @@ class TestCensus:
 
     @pytest.mark.parametrize("p", [8, 16])
     def test_matches_every_row_search(self, p):
-        assert assignment_census(p) == _assignment_census_reference(p)
+        assert assignment_census(p) == assignment_census_reference(p)
 
     @pytest.mark.parametrize("p", [8, 16])
     def test_matches_golden_fixture(self, p):
         golden = (FIXTURES / f"census_p{p}.csv").read_text()
         assert assignment_census(p).to_csv() == golden
-        assert _assignment_census_reference(p).to_csv() == golden
+        assert assignment_census_reference(p).to_csv() == golden
 
     def test_searches_one_row_per_unforced_orbit(self, monkeypatch):
         import recon_census.digraph_builder as db
@@ -478,6 +493,25 @@ class TestDigraphExports:
             Digraph.from_digraph6("&C[`")
         with pytest.raises(ValueError, match="payload"):
             Digraph.from_digraph6("&C[`OO")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "&",  # no size character
+            "&~",  # 4-character size, truncated
+            "&~?",
+            "&~??",
+            "&~~??",  # 8-character size, truncated
+            "&~~?????",
+            "&>",  # size characters outside '?'..'~'
+            "&\x7f",
+            "&~?>?",
+            "&~~?????\x80",
+        ],
+    )
+    def test_from_digraph6_rejects_malformed_header(self, text):
+        with pytest.raises(ValueError, match="header is truncated|size character"):
+            Digraph.from_digraph6(text)
 
 
 class TestDigraphType:

@@ -19,6 +19,12 @@ from recon_census.cli import main
 from recon_census.errors import ContradictionError
 
 from conftest import patch_dense, swap_two_images
+from loop_oracles import (
+    check_lemma1_reference,
+    deletion_sweep_reference,
+    induced_halves_mismatch_reference,
+    threshold_scores_reference,
+)
 
 
 @pytest.fixture
@@ -44,7 +50,7 @@ class TestLemma1Reporting:
             return grid
 
         monkeypatch.setattr(wm, "entry_grid", patched)
-        report = wm._check_lemma1_reference(16)
+        report = check_lemma1_reference(16)
         assert not report.passed
         k, i, j, lhs, rhs = report.counterexample
         assert (k, i, j) == (0, 3, 5)
@@ -76,7 +82,7 @@ class TestTheorem1Sweep:
     def both_reports(p, monkeypatch):
         report = hv.check_theorem1(p)
         with monkeypatch.context() as m:
-            m.setattr(hv, "_deletion_sweep", dm._deletion_sweep_reference)
+            m.setattr(hv, "_deletion_sweep", deletion_sweep_reference)
             assert hv.check_theorem1(p) == report
         return report
 
@@ -215,9 +221,9 @@ class TestTheorem2Reporting:
     def test_same_message_as_reference_form(self, monkeypatch, edit, message):
         _corrupt_class_table(monkeypatch, edit)
         assert _theorem2_error(16) == message
-        monkeypatch.setattr(ie, "threshold_scores", db._threshold_scores_reference)
+        monkeypatch.setattr(ie, "threshold_scores", threshold_scores_reference)
         monkeypatch.setattr(
-            ie, "_induced_halves_mismatch", ie._induced_halves_mismatch_reference
+            ie, "_induced_halves_mismatch", induced_halves_mismatch_reference
         )
         assert _theorem2_error(16) == message
 
@@ -289,7 +295,7 @@ class TestLemma1ClassTableReporting:
         order, edit = _lemma1_edit(part, p)
         _corrupt_class_table(monkeypatch, edit, order, variant)
         report = wm.check_lemma1(p)
-        assert report == wm._check_lemma1_reference(p)
+        assert report == check_lemma1_reference(p)
         assert not report.passed and report.checked_count == 2 * p * p
         _, i, j, lhs, rhs = report.counterexample
         h = p // 2

@@ -1,9 +1,9 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-import recon_census.deletion_maps as dm
 import recon_census.iso_engine as ie
 import recon_census.weight_matrix as wm
 from recon_census.deletion_maps import build_all_maps
@@ -21,6 +21,11 @@ from recon_census.iso_engine import (
 )
 
 from conftest import swap_two_images
+from loop_oracles import (
+    deletion_sweep_reference,
+    every_relabeling_code,
+    induced_halves_mismatch_reference,
+)
 
 
 def random_digraph(rng: np.random.Generator, p: int, density: float = 0.5) -> Digraph:
@@ -78,7 +83,8 @@ class TestAreIsomorphic:
                         assert h.arc(i, j) == g.arc(w[i - 1], w[j - 1])
 
     def test_pruning_never_changes_verdicts(self):
-        # seeded suite of 100 small pairs, half relabelings, half random
+        # seeded suite of 100 small pairs, half relabelings, half random;
+        # the degree-pruned search against every relabeling of both
         rng = np.random.default_rng(2024)
         for t in range(100):
             p = int(rng.integers(4, 8))
@@ -87,9 +93,18 @@ class TestAreIsomorphic:
                 h = g.relabel(rng.permutation(p) + 1)
             else:
                 h = random_digraph(rng, p)
-            pruned = are_isomorphic(g, h, degree_pruning=True)
-            unpruned = are_isomorphic(g, h, degree_pruning=False)
-            assert pruned.status == unpruned.status, (t, p)
+            want = every_relabeling_code(g) == every_relabeling_code(h)
+            verdict = are_isomorphic(g, h)
+            assert verdict.status is not IsoStatus.UNDECIDED, (t, p)
+            assert verdict.isomorphic == want, (t, p)
+
+    def test_every_relabeling_code_is_an_invariant(self):
+        rng = np.random.default_rng(11)
+        for p in range(1, 8):
+            g = random_digraph(rng, p)
+            code = every_relabeling_code(g)
+            assert code == every_relabeling_code(g.relabel(rng.permutation(p) + 1))
+            assert code <= int("".join(map(str, g.adjacency.ravel()[::-1])), 2)
 
 
 class TestDeck:
@@ -153,7 +168,7 @@ class TestHypomorphicBySigmaSweep:
     def both_reports(g, h, maps, monkeypatch):
         report = verify_hypomorphic_by_sigma(g, h, maps)
         with monkeypatch.context() as m:
-            m.setattr(ie, "_deletion_sweep", dm._deletion_sweep_reference)
+            m.setattr(ie, "_deletion_sweep", deletion_sweep_reference)
             assert verify_hypomorphic_by_sigma(g, h, maps) == report
         return report
 
@@ -219,6 +234,39 @@ class TestDeckMatching:
         with pytest.raises(BudgetExhausted):
             decks_match_independent(g, h, budget=1)
 
+    @staticmethod
+    def check_matching(g, h):
+        """The matching against the decks' isomorphism-class counts."""
+        codes_g = [every_relabeling_code(c) for c in deck(g)]
+        codes_h = [every_relabeling_code(c) for c in deck(h)]
+        matching = decks_match_independent(g, h)
+        assert (matching is None) == (Counter(codes_g) != Counter(codes_h))
+        if matching is not None:
+            assert sorted(matching) == list(range(1, g.order + 1))
+            for k, m in enumerate(matching):
+                assert codes_g[k] == codes_h[m - 1], (k + 1, m)
+        return matching
+
+    @pytest.mark.parametrize(
+        "pair, p", [(standard_pair, 4), (standard_pair, 8), (variant_pair, 8)]
+    )
+    def test_canonical_pairs_match_card_for_card(self, pair, p):
+        assert self.check_matching(*pair(p)) is not None
+
+    def test_random_pairs(self):
+        # 50 seeded pairs at p = 5..7, half of them relabelings
+        rng = np.random.default_rng(31)
+        found = []
+        for t in range(50):
+            p = int(rng.integers(5, 8))
+            g = random_digraph(rng, p)
+            if t % 2 == 0:
+                h = g.relabel(rng.permutation(p) + 1)
+            else:
+                h = random_digraph(rng, p)
+            found.append(self.check_matching(g, h) is not None)
+        assert found[::2] == [True] * 25 and not all(found)
+
 
 class TestInductiveNonIsomorphism:
     def test_base_case_trace(self):
@@ -226,6 +274,7 @@ class TestInductiveNonIsomorphism:
         assert len(trace.steps) == 1
         assert trace.steps[0].order == 4
         assert trace.steps[0].reason == REASON_BASE_CASE
+        assert "24 point bijections" in trace.steps[0].detail
 
     def test_three_step_trace(self):
         trace = verify_nonisomorphic_inductive(16)
@@ -253,7 +302,7 @@ class TestInductiveNonIsomorphism:
     @pytest.mark.parametrize("p", [2**n for n in range(3, 11)])
     def test_induced_halves_class_form_matches_grid_form(self, p, monkeypatch):
         assert ie._induced_halves_mismatch(p) is None
-        assert ie._induced_halves_mismatch_reference(p) is None
+        assert induced_halves_mismatch_reference(p) is None
         real = wm._offset_case_table
         nb, nh = p // 4, p // 8
         # negate one entry at an offset inside, then just outside, the half range
@@ -270,7 +319,7 @@ class TestInductiveNonIsomorphism:
                 for module in (wm, ie):
                     monkeypatch.setattr(module, "_offset_case_table", patched)
                 got = ie._induced_halves_mismatch(p)
-                assert got == ie._induced_halves_mismatch_reference(p)
+                assert got == induced_halves_mismatch_reference(p)
                 assert (got is None) == (abs(d) >= nh), (p, variant, d)
 
     def test_json_serialization(self):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from recon_census.weight_matrix import (
     DENSE_ORDER_LIMIT,
-    _check_lemma1_reference,
     MatrixVariant,
     WeightedMatrix,
     base_matrix,
@@ -20,6 +19,7 @@ from recon_census.weight_matrix import (
 )
 
 from conftest import load_matrix_fixture
+from loop_oracles import check_lemma1_reference
 
 PLAIN = MatrixVariant.PLAIN
 STAR = MatrixVariant.STAR
@@ -279,7 +279,7 @@ class TestLemma1:
     @pytest.mark.parametrize("p", [2**n for n in range(3, 11)])
     def test_class_form_matches_grid_form(self, p):
         report = check_lemma1(p)
-        assert report == _check_lemma1_reference(p)
+        assert report == check_lemma1_reference(p)
         assert report.passed and report.checked_count == 2 * p * p
 
     def test_nested_copies_directly(self):
