@@ -258,15 +258,7 @@ def _cmd_census(config: RunConfig) -> int:
             "schema": SCHEMA_VERSION,
             "command": "census",
             "p": config.p,
-            "rows": [
-                {
-                    "assignment_bits": r.assignment_bits,
-                    "is_tournament": r.is_tournament,
-                    "isomorphic": r.isomorphic,
-                    "orbit_id": r.orbit_id,
-                }
-                for r in table.rows
-            ],
+            "rows": [dataclasses.asdict(r) for r in table.rows],
         }
         _emit([json.dumps(doc, indent=2) + "\n"], config.out)
     else:

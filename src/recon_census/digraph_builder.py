@@ -15,7 +15,9 @@ gives equal bits to both levels of every distinct off-diagonal level pair
 (plain(i, j), star(ext(i), ext(j))), collected once per order).
 Conjugating by the half-swap involution exchanges the two extreme levels
 and nothing else (``swap_involution`` verifies this), which pairs up
-assignments into orbits yielding the same digraph pair.
+assignments into orbits yielding the same digraph pair.  Both point maps
+are checked through one scan, ``_level_pairs``, which collects the
+distinct level pairs a point map makes between two dense matrices.
 ``assignment_census`` enumerates every proper assignment at small orders
 and tabulates which ones yield non-isomorphic pairs.  It settles the rows
 with equal extreme bits through ``forced_isomorphism`` and runs one
@@ -69,6 +71,7 @@ __all__ = [
     "variant_pair",
 ]
 
+#: Node budget of one isomorphism search when the caller names none.
 DEFAULT_ISO_BUDGET = 200_000
 #: Orders where the census tabulates every proper assignment within budget.
 CENSUS_ORDERS = (8, 16)
@@ -175,10 +178,16 @@ class Digraph:
         return tuple(int(s) for s in self.adjacency.sum(axis=1))
 
     def is_tournament(self) -> bool:
+        """Whether exactly one of the arcs i -> j, j -> i exists for every
+        i != j, read one ``weight_matrix._row_blocks`` block at a time."""
         a = self.adjacency
-        both = a + a.T
-        off = ~np.eye(self.order, dtype=bool)
-        return bool(np.all(both[off] == 1))
+
+        def unpaired(rows):
+            same = a[rows] == a.T[rows]
+            np.fill_diagonal(same[:, rows.start :], False)
+            return same
+
+        return _first_cell(self.order, self.order, unpaired) is None
 
     def delete_point(self, k: int) -> "Digraph":
         """Point-deleted subgraph, remaining points relabeled order-preservingly."""
@@ -220,13 +229,19 @@ class Digraph:
         return "\n".join(lines) + "\n"
 
     def to_digraph6(self) -> str:
+        """'&', the order, then one character per six adjacency bits in
+        row-major order, the last group zero-padded.  The groups are packed
+        in uint8, one ``weight_matrix._row_blocks`` block of them at a time."""
         bits = self.adjacency.reshape(-1)
-        pad = (-bits.size) % 6
-        if pad:
-            bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-        groups = bits.reshape(-1, 6) @ (1 << np.arange(5, -1, -1, dtype=np.int32))
-        body = (groups + 63).astype(np.uint8).tobytes().decode("ascii")
-        return "&" + _encode_count(self.order) + body
+        weights = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
+        pieces = ["&", _encode_count(self.order)]
+        for block in _row_blocks(-(-bits.size // 6), 6):
+            chunk = bits[6 * block.start : 6 * block.stop]
+            if chunk.size % 6:
+                chunk = np.concatenate([chunk, np.zeros(-chunk.size % 6, np.uint8)])
+            codes = chunk.reshape(-1, 6) @ weights + np.uint8(63)
+            pieces.append(codes.tobytes().decode("ascii"))
+        return "".join(pieces)
 
     @classmethod
     def from_digraph6(cls, text: str) -> "Digraph":
@@ -299,11 +314,12 @@ def threshold_scores(p: int, variant: MatrixVariant) -> np.ndarray:
 
 
 def _bit_lut(a: BinaryAssignment) -> np.ndarray:
-    """The bit of each level at slot level + n + 1; level 0 gets 0."""
-    top = a.order_n + 1
-    lut = np.zeros(2 * top + 1, dtype=np.uint8)
+    """The bit of each level at index level, a negative level counted from
+    the end as numpy indexes; level 0 gets 0.  So an array of levels (int8
+    entries too) indexes it directly, with no shifted copy."""
+    lut = np.zeros(2 * a.order_n + 3, dtype=np.uint8)
     for level, bit in a.items():
-        lut[level + top] = bit
+        lut[level] = bit
     return lut
 
 
@@ -314,9 +330,8 @@ def apply_assignment(m: WeightedMatrix, a: BinaryAssignment) -> Digraph:
         raise ValueError(
             f"assignment covers levels up to {a.order_n + 1}, matrix needs {n + 1}"
         )
-    adj = _bit_lut(a)[m.entries.astype(np.int16) + (n + 1)]
-    np.fill_diagonal(adj, 0)
-    return Digraph(m.order, adj)
+    # the diagonal's level 0 gets bit 0
+    return Digraph(m.order, _bit_lut(a)[m.entries])
 
 
 def _assigned_pair(p: int, a: BinaryAssignment) -> tuple[Digraph, Digraph]:
@@ -358,6 +373,30 @@ def _is_arc_preserving(g: Digraph, h: Digraph, perm) -> bool:
     return np.array_equal(g.adjacency, _permuted(h.adjacency, sel))
 
 
+def _level_pairs(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The distinct off-diagonal level pairs (a[i, j], b[perm[i], perm[j]]).
+
+    ``a`` and ``b`` are p x p level matrices and ``perm`` a 0-based point
+    map, so the pairs say which level of ``a`` the map sends onto which
+    level of ``b``.  They are counted one ``weight_matrix._row_blocks``
+    block at a time and returned as a read-only (k, 2) array in ascending
+    order.  The p diagonal cells are taken off the (0, 0) count again, so
+    a nonzero diagonal cell still shows as a pair.
+    """
+    p = len(a)
+    top = order_exponent(p) + 1
+    width = 2 * top + 1
+    counts = np.zeros(width * width, dtype=np.int64)
+    for block in _row_blocks(p, p):
+        image = b.take(perm[block], axis=0).take(perm, axis=1)
+        codes = (a[block].astype(np.int16) + top) * width + (image + top)
+        counts += np.bincount(codes.ravel(), minlength=width * width)
+    counts[top * width + top] -= p
+    pairs = np.argwhere(counts.reshape(width, width)) - top
+    pairs.setflags(write=False)
+    return pairs
+
+
 class _LevelTable(NamedTuple):
     witness: np.ndarray  # extend_sigma_p1(p), read-only
     pairs: np.ndarray  # (k, 2): distinct (plain(i, j), star(ext(i), ext(j))), i != j
@@ -368,33 +407,24 @@ class _LevelTable(NamedTuple):
 def _level_table(p: int) -> _LevelTable:
     """The per-order table that decides forced rows and tournament rows.
 
-    The pairs record, for every off-diagonal cell, which level of the
-    plain matrix the extended point-1 mapping ``ext`` sends onto which
-    level of the starred matrix, so ``ext`` carries the assigned plain
-    digraph onto the assigned starred one exactly when every pair gets
-    equal bits.  A ``WeightedMatrix`` is antisymmetric, so arcs i -> j
-    and j -> i come from levels v and -v.  The pairs are counted from
-    the dense matrices one ``weight_matrix._row_blocks`` block at a time,
-    the p diagonal cells' (0, 0) taken off again; only the last order is
+    The pairs are ``_level_pairs`` of the plain and starred matrices under
+    the extended point-1 mapping ``ext``, so ``ext`` carries the assigned
+    plain digraph onto the assigned starred one exactly when every pair
+    gets equal bits.  A ``WeightedMatrix`` is antisymmetric, so arcs
+    i -> j and j -> i come from levels v and -v.  Only the last order is
     kept.
     """
-    top = order_exponent(p) + 1
-    width = 2 * top + 1
     ext = extend_sigma_p1(p)
     ext.setflags(write=False)
-    plain = build_dense(p, MatrixVariant.PLAIN).entries
-    star = build_dense(p, MatrixVariant.STAR).entries
-    counts = np.zeros(width * width, dtype=np.int64)
-    for block in _row_blocks(p, p):
-        starred = star.take(ext[block] - 1, axis=0).take(ext - 1, axis=1)
-        codes = (plain[block].astype(np.int16) + top) * width + (starred + top)
-        counts += np.bincount(codes.ravel(), minlength=width * width)
-    counts[top * width + top] -= p
-    counts = counts.reshape(width, width)
-    pairs = np.argwhere(counts) - top
-    levels = np.flatnonzero(counts.any(axis=1) | counts.any(axis=0)) - top
-    for arr in (pairs, levels):
-        arr.setflags(write=False)
+    pairs = _level_pairs(
+        build_dense(p, MatrixVariant.PLAIN).entries,
+        build_dense(p, MatrixVariant.STAR).entries,
+        ext - 1,
+    )
+    # not np.union1d: np.unique imports numpy.ma, a start-up cost per process
+    top = order_exponent(p) + 1
+    levels = np.flatnonzero(np.bincount(pairs.ravel() + top)) - top
+    levels.setflags(write=False)
     return _LevelTable(ext, pairs, levels)
 
 
@@ -427,7 +457,7 @@ def forced_isomorphism(p: int, a: BinaryAssignment) -> Optional[np.ndarray]:
 def _witness_carries(p: int, a: BinaryAssignment) -> bool:
     """Whether ``extend_sigma_p1(p)`` carries a's plain digraph onto its
     starred one: every level pair of ``_level_table`` gets equal bits."""
-    bit = _bit_lut(a)[_level_table(p).pairs + (order_exponent(p) + 1)]
+    bit = _bit_lut(a)[_level_table(p).pairs]
     return bool(np.array_equal(bit[:, 0], bit[:, 1]))
 
 
@@ -438,10 +468,9 @@ def _assigns_tournaments(p: int, a: BinaryAssignment) -> bool:
     this holds exactly when every level occurring off the diagonal gets
     a different bit from its negation.
     """
-    top = order_exponent(p) + 1
     lut = _bit_lut(a)
     levels = _level_table(p).levels
-    return bool(np.all(lut[levels + top] != lut[top - levels]))
+    return bool(np.all(lut[levels] != lut[-levels]))
 
 
 def swap_involution(p: int) -> np.ndarray:
@@ -450,8 +479,9 @@ def swap_involution(p: int) -> np.ndarray:
     Returns tau with tau(i) = i + p/2 for i <= p/2 and i - p/2 above.
     Conjugating either matrix by tau must swap the levels n+1 and -(n+1)
     and fix every other level; failure is a fatal internal error.  Each
-    variant is one masked row-block scan (``weight_matrix._first_cell``)
-    of the cached dense matrix.
+    variant reads the ``_level_pairs`` of its cached dense matrix with
+    itself under tau: every pair (u, v) must have v = -u where |u| = n+1
+    and v = u elsewhere.
     """
     n = order_exponent(p)
     if p < 8:
@@ -460,17 +490,10 @@ def swap_involution(p: int) -> np.ndarray:
     tau = np.concatenate(
         [np.arange(h + 1, p + 1, dtype=np.int32), np.arange(1, h + 1, dtype=np.int32)]
     )
-    top = n + 1
-    idx = tau - 1
     for variant in (MatrixVariant.PLAIN, MatrixVariant.STAR):
         e = build_dense(p, variant).entries
-
-        def unswapped(rows):
-            conjugated = e.take(idx[rows], axis=0).take(idx, axis=1)
-            block = e[rows]
-            return conjugated != np.where(np.abs(block) == top, -block, block)
-
-        if _first_cell(p, p, unswapped) is not None:
+        u, v = _level_pairs(e, e, tau - 1).T
+        if np.any(v != np.where(np.abs(u) == n + 1, -u, u)):
             raise ContradictionError(
                 f"half-swap failed the level-swap identity at p={p} ({variant.value})"
             )

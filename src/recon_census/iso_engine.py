@@ -23,6 +23,7 @@ import numpy as np
 
 from recon_census.deletion_maps import _check_table, _deletion_sweep
 from recon_census.digraph_builder import (
+    DEFAULT_ISO_BUDGET,
     Digraph,
     _is_arc_preserving,
     standard_pair,
@@ -41,7 +42,6 @@ __all__ = [
     "DECK_MATCH_ORDER_LIMIT",
     "IsoStatus",
     "IsoVerdict",
-    "NODE_BUDGET",
     "NonIsoTrace",
     "REASON_BASE_CASE",
     "REASON_SCORE_SPLIT",
@@ -53,7 +53,6 @@ __all__ = [
     "verify_nonisomorphic_inductive",
 ]
 
-NODE_BUDGET = 1_000_000
 #: Largest order where deck matching's p**2 card-pair searches fit the budget.
 DECK_MATCH_ORDER_LIMIT = 12
 
@@ -85,7 +84,9 @@ class _BudgetHit(Exception):
     pass
 
 
-def are_isomorphic(g: Digraph, h: Digraph, budget: int = NODE_BUDGET) -> IsoVerdict:
+def are_isomorphic(
+    g: Digraph, h: Digraph, budget: int = DEFAULT_ISO_BUDGET
+) -> IsoVerdict:
     """Decide isomorphism by backtracking over point bijections.
 
     Points of ``g`` are processed in (outdegree, indegree, index) order
@@ -193,7 +194,7 @@ def verify_hypomorphic_by_sigma(g: Digraph, h: Digraph, tables) -> VerificationR
 
 
 def decks_match_independent(
-    g: Digraph, h: Digraph, budget: int = NODE_BUDGET
+    g: Digraph, h: Digraph, budget: int = DEFAULT_ISO_BUDGET
 ) -> Optional[tuple[int, ...]]:
     """Match the two decks card-for-card without using the deletion mappings.
 

@@ -14,11 +14,14 @@ The starred variant uses the opposite diagonal signs throughout.  Entries
 are "levels" in [-(n+1), n+1]; the extreme levels +-(n+1) occur exactly at
 the p positions (i, i +- p/2).
 
-Two independent evaluation routes are provided and cross-validated by the
-test suite: ``build_dense`` assembles the block structure literally, while
-``entry_at``/``entry_values`` evaluate any single entry in constant time
-from the offset decomposition.  All public indices are 1-based so that
-printed fixtures can be compared positionally.
+The block rule is written twice, and the test suite checks one form
+against the other.  The per-order class table (``_offset_case_table``, one
+4x4 block per offset d, evaluated with numpy) is what ``build_dense``
+places down each block diagonal and what ``entry_values`` gathers from;
+``entry_at`` evaluates any single entry in constant time from the offset
+decomposition, in plain Python, and serves as the oracle of both.  All
+public indices are 1-based so that printed fixtures can be compared
+positionally.
 """
 
 from __future__ import annotations
@@ -231,32 +234,9 @@ def base_matrix(variant: MatrixVariant) -> WeightedMatrix:
     return WeightedMatrix(4, variant, _BASE[variant].copy())
 
 
-def _offset_block(variant: MatrixVariant, d: int) -> np.ndarray:
-    """The 4x4 block placed at signed block offset d."""
-    base = _BASE[variant]
-    if d == 0:
-        return base
-    star = variant is MatrixVariant.STAR
-    if d % 2 == 1:
-        sign = 1 if d % 4 == 1 else -1
-        if star:
-            sign = -sign
-        block = -base.astype(np.int32) + 4 * sign * np.eye(4, dtype=np.int32)
-    else:
-        x = (d & -d).bit_length() - 1
-        y = d >> x
-        # the offset case split is total: every even d is y * 2**x, y odd
-        if not (x >= 1 and y % 2 == 1):
-            raise AssertionError(f"offset decomposition failed for d={d}")
-        sign = 1 if y % 4 == 1 else -1
-        if star:
-            sign = -sign
-        block = base.astype(np.int32) + (x + 4) * sign * np.eye(4, dtype=np.int32)
-    return block.astype(np.int8)
-
-
 def build_dense(p: int, variant: MatrixVariant) -> WeightedMatrix:
-    """Assemble the full matrix block by block.
+    """Assemble the full matrix: the block of offset d, row d + p/4 - 1 of
+    the class table, is placed at every block position (b, b + d).
 
     Refuses orders above ``DENSE_ORDER_LIMIT`` (2**13) so that memory use
     stays predictable; ``entry_at`` serves larger orders.  The validated
@@ -275,11 +255,11 @@ def build_dense(p: int, variant: MatrixVariant) -> WeightedMatrix:
 @lru_cache(maxsize=16)
 def _dense_matrix(p: int, variant: MatrixVariant) -> WeightedMatrix:
     nb = p // 4
+    table = _offset_case_table(p, variant)
     tiled = np.zeros((nb, 4, nb, 4), dtype=np.int8)
     for d in range(-(nb - 1), nb):
-        block = _offset_block(variant, d)
         rows = np.arange(max(0, -d), min(nb, nb - d))
-        tiled[rows, :, rows + d, :] = block
+        tiled[rows, :, rows + d, :] = table[d + nb - 1]
     return WeightedMatrix(p, variant, tiled.reshape(p, p))
 
 

@@ -557,3 +557,30 @@ class TestDigraphType:
             np.fill_diagonal(a, 0)
             g = Digraph(p, a)
             assert g.bitrows == arc_loop(g), p
+
+
+def test_digraph_passes_hold_no_p_squared_scratch():
+    """At p = 2048 the digraph is 4 MiB.  Applying an assignment allocates
+    little beyond it, and the tournament scan and the digraph6 packer hold
+    one row block of scratch besides the 0.7 MB of digraph6 text."""
+    import tracemalloc
+
+    p = 2048
+    m = build_dense(p, STAR)
+    a = tournament_assignment(p.bit_length() - 1)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            result = run()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    g, applied = peak(lambda: apply_assignment(m, a))
+    tournament, scanned = peak(g.is_tournament)
+    text, packed = peak(g.to_digraph6)
+    assert tournament and len(text) == 5 + (p * p + 5) // 6
+    assert applied < p * p + (1 << 19)
+    assert scanned < 1 << 20
+    assert packed < 2 << 20

@@ -5,7 +5,9 @@ one numpy kernel (``weight_matrix._text_grid``) and ``Digraph.to_digraph6``
 packs its payload without a per-character loop.  The per-element bodies
 they replaced are kept here as oracles, and the orders run up to 1024 so
 that 3-character weights (from p = 512) and 3- and 4-digit images meet
-the kernel's padding and row blocks.
+the kernel's padding and row blocks.  ``Digraph.is_tournament``, a row-block
+scan, is checked against its whole-matrix form where the blocks are made
+small.
 """
 
 import numpy as np
@@ -53,6 +55,13 @@ def digraph6_reference(g: Digraph) -> str:
     return "&" + _encode_count(g.order) + body
 
 
+def is_tournament_reference(g: Digraph) -> bool:
+    """Whole-matrix form: exactly one arc between every two distinct points."""
+    a = g.adjacency
+    off = ~np.eye(g.order, dtype=bool)
+    return bool(np.all((a + a.T)[off] == 1))
+
+
 class TestKernel:
     def test_mixed_token_widths(self):
         codes = np.array([[0, 1, 2], [2, 2, 0], [1, 0, 1]])
@@ -68,9 +77,22 @@ class TestKernel:
 
         m = build_dense(64, MatrixVariant.STAR)
         whole = m.to_csv()
-        for cells in (1, 64, 65, 1000):
+        # an odd-order card: its rows do not end on 6-bit group boundaries
+        g = standard_pair(64)[1]
+        digraphs = [g, g.delete_point(5)]
+        # one pair of points with both arcs or neither, on either side of
+        # block seams: not tournaments
+        for i, j in ((0, 1), (3, 60), (40, 41), (62, 63)):
+            a = g.adjacency.copy()
+            a[j, i] = a[i, j]
+            digraphs.append(Digraph(64, a))
+        for cells in (1, 6, 7, 64, 65, 1000):
             monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
             assert m.to_csv() == whole, cells
+            for d in digraphs:
+                assert d.to_digraph6() == digraph6_reference(d), cells
+                assert d.is_tournament() == is_tournament_reference(d), cells
+        assert [d.is_tournament() for d in digraphs] == [True] * 2 + [False] * 4
 
 
 class TestWeightedCsv:
