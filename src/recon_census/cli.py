@@ -72,7 +72,7 @@ from recon_census.weight_matrix import (
 __all__ = ["CHECKS", "RunConfig", "main", "run"]
 
 #: Largest order where the cubic hypomorphism sweep runs exhaustively.
-EXHAUSTIVE_LIMIT = 256
+EXHAUSTIVE_LIMIT = 512
 DEFAULT_TRIALS = 1_000_000
 
 

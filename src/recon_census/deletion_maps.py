@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from recon_census.report import VerificationReport
-from recon_census.weight_matrix import _first_cell, _text_grid, order_exponent
+from recon_census.weight_matrix import _first_cell, _row_blocks, _text_grid, order_exponent
 
 __all__ = [
     "build_all_maps",
@@ -60,9 +60,6 @@ _SIGMA4 = np.array(
     dtype=np.int32,
 )
 _SIGMA4.setflags(write=False)
-
-# cells per block of rows when a p x p map table is built or validated
-_BLOCK_CELLS = 1 << 14
 
 
 def _check_args(p: int, k: int, i: int) -> None:
@@ -179,11 +176,6 @@ def _check_rows(p: int, first: int, rows: np.ndarray) -> None:
         raise ValueError(f"map {k} is not a bijection onto the points other than {k}")
 
 
-def _block_rows(p: int) -> int:
-    """Rows in a block of about ``_BLOCK_CELLS`` cells of a p x p table."""
-    return max(1, _BLOCK_CELLS // p)
-
-
 def _check_table(p: int, tables) -> np.ndarray:
     """``tables`` as a validated ``(p, p)`` table of all deletion maps at order p."""
     tables = np.asarray(tables)
@@ -192,9 +184,8 @@ def _check_table(p: int, tables) -> np.ndarray:
             f"expected a ({p}, {p}) integer table of deletion maps, "
             f"got shape {tables.shape} of {tables.dtype}"
         )
-    step = _block_rows(p)
-    for start in range(0, p, step):
-        _check_rows(p, start + 1, tables[start : start + step])
+    for rows in _row_blocks(p, p):
+        _check_rows(p, rows.start + 1, tables[rows])
     return tables
 
 
@@ -217,17 +208,16 @@ def build_all_maps(p: int) -> np.ndarray:
     """All p mappings at order p as one read-only ``(p, p)`` int32 table.
 
     Row k - 1 is ``build_map(p, k)``.  The rows are built and validated
-    in blocks of about ``_BLOCK_CELLS`` cells, and only the last order
-    asked for is kept: 4 * p**2 bytes.
+    one ``weight_matrix._row_blocks`` block at a time, and only the last
+    order asked for is kept: 4 * p**2 bytes.
     """
     order_exponent(p)
     tables = np.empty((p, p), dtype=np.int32)
-    step = _block_rows(p)
-    for start in range(0, p, step):
-        ks = np.arange(start + 1, min(start + step, p) + 1, dtype=np.int32)
-        rows = _map_rows(p, ks)
-        _check_rows(p, start + 1, rows)
-        tables[start : start + ks.size] = rows
+    for rows in _row_blocks(p, p):
+        ks = np.arange(rows.start + 1, rows.stop + 1, dtype=np.int32)
+        block = _map_rows(p, ks)
+        _check_rows(p, rows.start + 1, block)
+        tables[rows] = block
     tables.setflags(write=False)
     return tables
 

@@ -8,7 +8,7 @@ cards for isomorphism and matches the decks card for card.
 the score split forces any isomorphism of the canonical pair to map the
 first half onto the last half, those halves induce the canonical pair of
 half order, and the order-4 base case is settled by checking all 24 point
-bijections; no verdict is cached.  The test suite checks the class-table
+bijections; no verdict is cached.  The test suite checks the offset-table
 halving step against its entry-grid form.
 """
 
@@ -258,7 +258,7 @@ def _induced_halves_mismatch(order: int) -> Optional[str]:
 
     This is lemma 1(a) read through signs: the first half of the plain
     matrix and the last half of the starred one are diagonal quadrants,
-    so comparing their class-table rows (``_nested_rows``) with the
+    so comparing their offset-table rows (``_nested_rows``) with the
     half-order table is the entrywise comparison, in O(p).
     """
     h = order // 2
@@ -313,10 +313,10 @@ def verify_nonisomorphic_inductive(p: int) -> NonIsoTrace:
     """Run the halving argument from order p down to the order-4 base case.
 
     Each level's score split and induced-half identity are verified
-    computationally on the per-order class table of block offsets and
-    residues, in O(p) per level, so the chain works far beyond orders
-    where a dense matrix or a search would be feasible, afresh on every
-    call.  Any failing step raises ContradictionError.
+    computationally on the offset table of block offsets and residues
+    (``_offset_case_table``), in O(p) per level, so the chain works far
+    beyond orders where a dense matrix or a search would be feasible,
+    afresh on every call.  Any failing step raises ContradictionError.
     """
     order_exponent(p)
     steps = []

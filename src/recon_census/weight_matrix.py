@@ -15,9 +15,11 @@ are "levels" in [-(n+1), n+1]; the extreme levels +-(n+1) occur exactly at
 the p positions (i, i +- p/2).
 
 The block rule is written twice, and the test suite checks one form
-against the other.  The per-order class table (``_offset_case_table``, one
-4x4 block per offset d, evaluated with numpy) is what ``build_dense``
-places down each block diagonal and what ``entry_values`` gathers from;
+against the other.  The class table (``_CLASS_TABLE``, evaluated with
+numpy) holds one 4x4 block per class of offsets, d = 0 or (x, y mod 4),
+for every order at once (order 2**n reaches 2n - 3 classes):
+``entry_values`` gathers from it, and ``_offset_case_table`` expands it to
+one block per offset for ``build_dense`` and the row-reading checks.
 ``entry_at`` evaluates any single entry in constant time from the offset
 decomposition, in plain Python, and serves as the oracle of both.  All
 public indices are 1-based so that printed fixtures can be compared
@@ -54,9 +56,10 @@ __all__ = [
 #: Largest order materialized as a dense matrix (64 MiB of int8 per variant).
 DENSE_ORDER_LIMIT = 8192
 
-#: Largest order the command line accepts.  The entry oracle builds a class
-#: table of 8p bytes per variant, about 60 MB of peak memory per 2**20
-#: points (about 1 GB for a sampled theorem 1 run at 2**24).
+#: Largest order the command line accepts.  The entry oracle costs O(1)
+#: memory per query at every order; only the per-offset rows (8p bytes per
+#: variant) that lemma 1, theorem 2 and ``threshold_scores`` read are O(p):
+#: about 850 MB of peak memory for those two checks at 2**24.
 ORACLE_ORDER_LIMIT = 1 << 24
 
 
@@ -236,7 +239,7 @@ def base_matrix(variant: MatrixVariant) -> WeightedMatrix:
 
 def build_dense(p: int, variant: MatrixVariant) -> WeightedMatrix:
     """Assemble the full matrix: the block of offset d, row d + p/4 - 1 of
-    the class table, is placed at every block position (b, b + d).
+    ``_offset_case_table``, is placed at every block position (b, b + d).
 
     Refuses orders above ``DENSE_ORDER_LIMIT`` (2**13) so that memory use
     stays predictable; ``entry_at`` serves larger orders.  The validated
@@ -297,52 +300,73 @@ def entry_at(p: int, variant: MatrixVariant, i: int, j: int) -> int:
 def _offset_case_values(variant: MatrixVariant, d, r, c) -> np.ndarray:
     """Closed-form value for block offset d and in-block residues r, c (0-based).
 
-    The diagonal increment depends on d alone, so it is computed at the
-    shape of d and only the final int8 composition broadcasts over r, c.
+    An odd d is the case x = 0 of d = y * 2**x, with the base block negated.
     """
     base = _BASE[variant][r, c]
-    odd = (d & 1) == 1
-    odd_sign = np.where((d & 3) == 1, 4, -4)
-    safe = np.where(odd | (d == 0), np.int32(2), d)
-    x = np.bitwise_count((safe & -safe) - np.int32(1)).astype(np.int32)
-    y = safe >> x
-    even_sign = np.where((y & 3) == 1, x + 4, -(x + 4))
-    sign = np.where(odd, odd_sign, even_sign).astype(np.int8)
+    safe = np.where(d == 0, 1, d)
+    x = np.bitwise_count((safe & -safe) - 1).astype(np.int8)
+    sign = np.where(((safe >> x) & 3) == 1, x + 4, -(x + 4))
     if variant is MatrixVariant.STAR:
         sign = -sign
-    vals = np.where(odd, -base, base)
+    vals = np.where(d & 1, -base, base)
     return np.where((r == c) & (d != 0), vals + sign, vals)
 
 
-@lru_cache(maxsize=32)
-def _offset_case_table(p: int, variant: MatrixVariant) -> np.ndarray:
-    """All distinct entry values at order p, indexed [d + p/4 - 1, r, c]."""
-    nb = p // 4
-    d = np.arange(-(nb - 1), nb, dtype=np.int32)[:, None, None]
-    r = np.arange(4, dtype=np.int32)[:, None]
-    c = np.arange(4, dtype=np.int32)[None, :]
-    table = _offset_case_values(variant, d, r, c)
+def _offset_class(d: np.ndarray) -> np.ndarray:
+    """Class-table row of each int32 block offset in ``d``, written over ``d``.
+
+    As 32 unsigned bits, d ^ (d - 1) has m = x + 1 bits set (32 at d = 0),
+    and bit m of d is set exactly when y = 3 mod 4: the row is 2m plus
+    that bit, O(1) per offset at every order.
+    """
+    u = np.asarray(d).view(np.uint32)
+    m = np.bitwise_count(u ^ (u - 1))
+    np.right_shift(u, m, out=u)
+    u &= 1
+    u |= m << 1
+    return u.view(np.int32)
+
+
+def _class_table(variant: MatrixVariant) -> np.ndarray:
+    """One block per ``_offset_class`` row, the closed form at the offsets 0
+    and +-2**x (y = 1 and 3 mod 4); rows 0, 1 and 65 match no offset."""
+    d = np.array([0] + [s << x for x in range(31) for s in (1, -1)], dtype=np.int32)
+    table = np.zeros((66, 4, 4), dtype=np.int8)
+    table[_offset_class(d.copy())] = _offset_case_values(
+        variant, d[:, None, None], np.arange(4)[:, None], np.arange(4)
+    )
     table.setflags(write=False)
     return table
+
+
+_CLASS_TABLE = {variant: _class_table(variant) for variant in MatrixVariant}
+
+
+def _offset_case_table(p: int, variant: MatrixVariant) -> np.ndarray:
+    """The block of every offset at order p, indexed [d + p/4 - 1, r, c]:
+    the offset table, a gather of class-table rows, O(p) and uncached."""
+    d = np.arange(1 - p // 4, p // 4, dtype=np.int32)
+    return _CLASS_TABLE[variant].take(_offset_class(d), axis=0)
 
 
 def entry_values(p: int, variant: MatrixVariant, i, j) -> np.ndarray:
     """Vectorized ``entry_at``: i and j are broadcast 1-based index arrays.
 
-    Entries depend only on the block offset and the in-block residues, so
-    the closed form is evaluated once per distinct case into a per-order
-    table and the query becomes a single gather.
+    Entries depend only on the class of the block offset and the in-block
+    residues, so each query is one gather from the order-free class table:
+    O(1) time and memory per query at every order.
     """
     order_exponent(p)
-    i = np.asarray(i, dtype=np.int32)
-    j = np.asarray(j, dtype=np.int32)
-    if i.size and (i.min() < 1 or i.max() > p):
+    a = np.asarray(i, dtype=np.int32) - 1
+    b = np.asarray(j, dtype=np.int32) - 1
+    if a.size and (a.min() < 0 or a.max() >= p):
         raise IndexError(f"row indices must lie in 1..{p}")
-    if j.size and (j.min() < 1 or j.max() > p):
+    if b.size and (b.min() < 0 or b.max() >= p):
         raise IndexError(f"column indices must lie in 1..{p}")
-    table = _offset_case_table(p, variant)
-    offset = ((j - 1) >> 2) - ((i - 1) >> 2) + (p // 4 - 1)
-    return table[offset, (i - 1) & 3, (j - 1) & 3]
+    key = _offset_class((b >> 2) - (a >> 2))
+    key <<= 4
+    key |= (a & 3) << 2 | b & 3
+    return _CLASS_TABLE[variant].take(key)
 
 
 def entry_grid(
@@ -382,12 +406,12 @@ def sign_flip(p: int, i: int, j: int) -> int:
 
 
 def _nested_rows(p: int, variant: MatrixVariant) -> np.ndarray:
-    """Class-table rows of the two diagonal p/2 x p/2 quadrants at order p.
+    """Offset-table rows of the two diagonal p/2 x p/2 quadrants at order p.
 
     Both quadrants hold the blocks at offsets -(p/8-1)..p/8-1, exactly the
     offset range of the half-order matrix, and the residues line up because
     p/2 is a multiple of 4.  Row for row, these rows are therefore the
-    half-order class table exactly when the quadrants equal the half-order
+    half-order offset table exactly when the quadrants equal the half-order
     matrix entrywise.
     """
     nb, nh = p // 4, p // 8
@@ -407,9 +431,9 @@ def _first_class_mismatch(lhs, rhs, row_shift, col_shift, off_diagonal=False):
     neq = lhs != rhs
     if off_diagonal:
         np.fill_diagonal(neq[len(neq) // 2], False)
-    bad = np.argwhere(neq)
-    if not bad.size:
+    if not neq.any():
         return None
+    bad = np.argwhere(neq)
     row, r, c = bad.T
     d = row - len(neq) // 2
     block = np.maximum(0, -d)
@@ -435,7 +459,7 @@ def check_lemma1(p: int) -> VerificationReport:
     the first violation in row-major order, if any, is reported.
 
     Every entry depends only on its block offset and residues, so each
-    identity compares class-table rows: a shift by p/2 moves the block
+    identity compares offset-table rows: a shift by p/2 moves the block
     offset by +-p/8, the sign of (b)/(c) is -1 exactly at offset +-p/16
     with r = c (everywhere at p = 8), and the extreme levels sit at
     offset +-p/8 with r = c.  ``checked`` counts positions, as the
@@ -492,13 +516,8 @@ def check_lemma1(p: int) -> VerificationReport:
                 bad = np.nonzero(got != want)[0]
                 if bad.size:
                     b = int(bad[0])
-                    counterexample = (
-                        0,
-                        b + 1 + row_shift,
-                        b + 1 + col_shift,
-                        int(got[b]),
-                        int(want),
-                    )
+                    cell = (b + 1 + row_shift, b + 1 + col_shift)
+                    counterexample = (0, *cell, int(got[b]), int(want))
                     break
 
     return VerificationReport(

@@ -67,3 +67,25 @@ def patch_dense(monkeypatch, module, p, variant, edit) -> np.ndarray:
 
     monkeypatch.setattr(module, "build_dense", patched)
     return entries
+
+
+def patch_case_table(monkeypatch, patched, modules) -> None:
+    """Install ``patched`` as ``_offset_case_table`` in each of ``modules``,
+    and make ``weight_matrix.entry_values`` (so ``entry_grid`` too) gather
+    from it, so that the offset-table readers and the grid-form oracles of
+    ``loop_oracles`` read one and the same, possibly corrupted, matrix.
+
+    ``patched(p, variant)`` returns the order-p table, indexed
+    [d + p/4 - 1, r, c] like ``_offset_case_table``.
+    """
+    import recon_census.weight_matrix as wm
+
+    def entry_values(p, variant, i, j):
+        a = np.asarray(i, dtype=np.int32) - 1
+        b = np.asarray(j, dtype=np.int32) - 1
+        offset = (b >> 2) - (a >> 2) + (p // 4 - 1)
+        return patched(p, variant)[offset, a & 3, b & 3]
+
+    for module in modules:
+        monkeypatch.setattr(module, "_offset_case_table", patched)
+    monkeypatch.setattr(wm, "entry_values", entry_values)

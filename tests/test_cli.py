@@ -360,6 +360,12 @@ class TestGenerate:
         )
         assert out.read_bytes() == (FIXTURES / "weighted_p8_star.csv").read_bytes()
 
+    def test_tournament_dot_both_is_byte_exact(self, tmp_path):
+        out = tmp_path / "pair.dot"
+        args = ("--p", "8", "--kind", "tournament", "--variant", "both")
+        assert run_cli("generate", *args, "--format", "dot", "--out", str(out)) == 0
+        assert out.read_bytes() == (FIXTURES / "tournament_p8.dot").read_bytes()
+
     def test_tournament_d6_both(self, tmp_path):
         out = tmp_path / "pair.d6"
         run_cli(
@@ -565,15 +571,29 @@ class TestVerifyReports:
         b = tmp_path / "b.json"
         for path in (a, b):
             run_cli(
-                "verify", "--p", "512", "--checks", "theorem1",
+                "verify", "--p", "1024", "--checks", "theorem1",
                 "--seed", "11", "--budget", "2000", "--out", str(path),
             )
         assert a.read_bytes() == b.read_bytes()
 
+    def test_exhaustive_through_limit(self, tmp_path, capsys):
+        from recon_census.cli import EXHAUSTIVE_LIMIT
+
+        p = EXHAUSTIVE_LIMIT
+        assert p == 512
+        out = tmp_path / "rep.json"
+        args = ("--p", str(p), "--checks", "theorem1", "--seed", "3", "--out", str(out))
+        assert run_cli("verify", *args) == 0
+        (rep,) = json.loads(out.read_text())["reports"]
+        assert rep["check"] == "theorem1"
+        assert rep["checked"] == p * (p - 1) ** 2
+        assert "seed" not in rep
+        assert "sampled" not in capsys.readouterr().err
+
     def test_sampled_switch_above_exhaustive_limit(self, tmp_path):
         out = tmp_path / "rep.json"
         run_cli(
-            "verify", "--p", "512", "--checks", "theorem1",
+            "verify", "--p", "1024", "--checks", "theorem1",
             "--seed", "3", "--budget", "1000", "--out", str(out),
         )
         (rep,) = json.loads(out.read_text())["reports"]

@@ -108,7 +108,7 @@ class TestMapTable:
     def test_block_boundaries(self, p):
         # the rows either side of a block edge are those of build_map
         tables = build_all_maps(p)
-        step = dm._block_rows(p)
+        step = next(wm._row_blocks(p, p)).stop
         assert step < p
         for k in (1, step, step + 1, p - step, p - step + 1, p):
             assert np.array_equal(build_map(p, k), tables[k - 1]), k

@@ -18,7 +18,7 @@ import recon_census.weight_matrix as wm
 from recon_census.cli import main
 from recon_census.errors import ContradictionError
 
-from conftest import patch_dense, swap_two_images
+from conftest import patch_case_table, patch_dense, swap_two_images
 from loop_oracles import (
     check_lemma1_reference,
     deletion_sweep_reference,
@@ -173,9 +173,10 @@ class TestSelfCheckingOperations:
 def _corrupt_class_table(
     monkeypatch, edit, order=16, which=wm.MatrixVariant.PLAIN
 ):
-    """Apply ``edit`` to a copy of one class table (by default the order-16
+    """Apply ``edit`` to a copy of one offset table (by default the order-16
     plain one, whose offsets -3..3 are rows 0..6), in every namespace that
-    reads the table."""
+    reads the table; the entry oracle, and so the reference forms, read the
+    edited copy too."""
     real = wm._offset_case_table
 
     def patched(p, variant):
@@ -185,8 +186,7 @@ def _corrupt_class_table(
             edit(table)
         return table
 
-    for module in (wm, db, ie):
-        monkeypatch.setattr(module, "_offset_case_table", patched)
+    patch_case_table(monkeypatch, patched, (wm, db, ie))
 
 
 def _flip_positive_entry(table):

@@ -181,6 +181,20 @@ class TestSampleTheorem1:
         with pytest.raises(ValueError):
             sample_theorem1(8, 0, rng_seed=1)
 
+    def test_memory_does_not_grow_with_the_order(self):
+        # the entry oracle gathers from the order-free class table, so the
+        # scratch memory is that of one sample chunk, at 2**24 as at 2**4
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            report = sample_theorem1(wm.ORACLE_ORDER_LIMIT, 10**5, rng_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.checked_count == 10**5
+        assert peak < 16 * 2**20, peak
+
 
 class TestReportShape:
     def test_verdict_follows_counterexample(self):

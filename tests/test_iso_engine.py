@@ -20,7 +20,7 @@ from recon_census.iso_engine import (
     verify_nonisomorphic_inductive,
 )
 
-from conftest import swap_two_images
+from conftest import patch_case_table, swap_two_images
 from loop_oracles import (
     deletion_sweep_reference,
     every_relabeling_code,
@@ -316,8 +316,7 @@ class TestInductiveNonIsomorphism:
                         table[d + nb - 1, 0, 1] *= -1
                     return table
 
-                for module in (wm, ie):
-                    monkeypatch.setattr(module, "_offset_case_table", patched)
+                patch_case_table(monkeypatch, patched, (wm, ie))
                 got = ie._induced_halves_mismatch(p)
                 assert got == induced_halves_mismatch_reference(p)
                 assert (got is None) == (abs(d) >= nh), (p, variant, d)

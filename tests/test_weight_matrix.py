@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recon_census.weight_matrix as wm
 from recon_census.weight_matrix import (
     DENSE_ORDER_LIMIT,
     MatrixVariant,
@@ -235,6 +236,43 @@ class TestEntryAt:
             for i in range(1, p // 2 + 1):
                 assert entry_at(p, PLAIN, i, i + p // 2) == n + 1
                 assert entry_at(p, STAR, i, i + p // 2) == -(n + 1)
+
+
+def class_offsets(p):
+    """One offset per class reachable at order p: 0 and s * y * 2**x for
+    each sign s, y in {1, 3} and x <= n - 3, where |d| < p/4."""
+    n = order_exponent(p)
+    d = {s * y << x for s in (1, -1) for y in (1, 3) for x in range(n - 2)}
+    return sorted({0} | {v for v in d if abs(v) < p // 4})
+
+
+class TestClassTable:
+    @pytest.mark.parametrize("n", range(3, 25))
+    def test_gather_matches_scalar_oracle_at_every_class(self, n):
+        p = 2**n
+        assert p <= wm.ORACLE_ORDER_LIMIT
+        offsets = class_offsets(p)
+        # both odd-part residues for every valuation x <= n - 3
+        assert {(v & -v, (v // (v & -v)) % 4) for v in offsets if v} == {
+            (1 << x, y) for x in range(n - 2) for y in (1, 3)
+        }
+        for d in offsets:
+            b = max(0, -d)  # a block row where offset d stays inside the matrix
+            i = 4 * b + np.arange(1, 5)[:, None]
+            j = 4 * (b + d) + np.arange(1, 5)[None, :]
+            for variant in (PLAIN, STAR):
+                got = entry_values(p, variant, i, j)
+                want = [[entry_at(p, variant, int(r), int(c)) for c in j[0]] for r in i[:, 0]]
+                assert got.tolist() == want, (p, variant, d)
+
+    @pytest.mark.parametrize("p", [2**n for n in range(2, 15)])
+    @pytest.mark.parametrize("variant,_", VARIANTS)
+    def test_offset_table_is_the_closed_form_at_every_offset(self, p, variant, _):
+        nb = p // 4
+        d = np.arange(1 - nb, nb)[:, None, None]
+        want = wm._offset_case_values(variant, d, np.arange(4)[:, None], np.arange(4))
+        got = wm._offset_case_table(p, variant)
+        assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
 class TestSignFlip:
