@@ -22,6 +22,10 @@ checked to be a bijection onto the points other than k, and only the last
 order's table is cached (4 * p**2 bytes).  ``build_map`` computes one row
 in O(p) without the table.
 
+``check_lemma2`` checks each of the four parts of lemma 2 with one masked
+row-block scan of that table; part (d) pairs each point with its partner
+at distance p/2 in the same row.
+
 ``_deletion_sweep`` is the one check that every mapping carries one
 matrix onto another away from its deleted point; the exhaustive theorem 1
 check and the digraph hypomorphism check both run it.
@@ -260,11 +264,12 @@ def check_lemma2(p: int) -> VerificationReport:
     pairs differ by p/2 exactly when the points do, with the difference
     reversed in orientation.
 
-    Parts (a)-(c) are masked row-block scans of the map table
-    (``weight_matrix._first_cell``), O(p) per deletion.  So is (d): under each
-    deletion only the points at distance p/2 and the preimages of the
-    images at distance p/2 can fail (``_lemma2_d``), so the whole check
-    is O(p**2), and ``checked`` still counts every admissible pair.
+    Each part is one masked row-block scan of the map table
+    (``weight_matrix._first_cell``), O(p) per deletion.  For (d) each cell
+    compares a point's image with that of its partner at distance p/2
+    (``_lemma2_d``), so the whole check is O(p**2), and ``checked`` still
+    counts every admissible pair.  On bijective rows (d) follows from (b)
+    and (c), but it keeps its own scan and counterexample.
     """
     order_exponent(p)
     if p < 8:
@@ -319,44 +324,33 @@ def check_lemma2(p: int) -> VerificationReport:
 def _lemma2_d(p: int, cols) -> Optional[tuple]:
     """First counterexample to lemma 2 (d) over the map table ``cols``, or None.
 
-    Under the deletion of k, the pair (i, j) can fail only where j - i or
-    image(i) - image(j) is +-p/2.  For each i those are the four columns
-    i +- p/2 and the preimages of image(i) -+ p/2, read through the
-    inverse table, so each deletion costs O(p).  The rows must be
-    bijections, as ``build_all_maps`` checks.  The report is that of the
-    full-matrix form the test suite keeps: the first failing pair in
-    row-major order.
+    Let partner(i) = ((i - 1) XOR p/2) + 1, the point at distance p/2
+    from i.  Under the deletion of k, (i, j) can fail only at j = partner(i)
+    or at the preimage of partner(image(i)), so every pair holds exactly
+    when image(i) - image(partner(i)) = partner(i) - i for each i other
+    than k and partner(k), and partner(k) is fixed: one ``_first_cell``
+    scan over (k, i), O(p**2).  The rows must be bijections, as
+    ``build_all_maps`` checks.  The report is that of the full-matrix form
+    the test suite keeps: the first failing pair in row-major order.
     """
-    h = p // 2
-    points = np.arange(1, p + 1, dtype=np.int64)
-    for k in range(1, p + 1):
-        t = cols[k - 1].astype(np.int64)
-        rest = points[points != k]
-        imgs = t[rest - 1]
-        # inv[v + h] is the preimage of v, or 0 where v has none
-        inv = np.zeros(2 * p + 1, dtype=np.int64)
-        inv[imgs + h] = rest
-        cand = np.stack([rest + h, rest - h, inv[imgs], inv[imgs + p]], axis=1)
-        valid = (cand >= 1) & (cand <= p) & (cand != k)
-        j = np.where(valid, cand, k)
-        point_diff = j - rest[:, None]
-        image_diff = imgs[:, None] - t[j - 1]
-        bad = valid & (
-            ((point_diff == h) != (image_diff == h))
-            | ((point_diff == -h) != (image_diff == -h))
-        )
-        rows = np.nonzero(bad.any(axis=1))[0]
-        if rows.size:
-            r = int(rows[0])
-            c = int(np.argmin(np.where(bad[r], j[r], p + 1)))
-            return (
-                k,
-                int(rest[r]),
-                int(j[r, c]),
-                int(image_diff[r, c]),
-                int(point_diff[r, c]),
-            )
-    return None
+    points = np.arange(1, p + 1, dtype=np.int32)
+    partner = ((points - 1) ^ (p // 2)) + 1
+
+    def unmatched(ks):
+        k, t = points[ks, None], cols[ks]
+        kept = (points != k) & (partner != k)
+        bad = t - t[:, partner - 1] != partner - points
+        return (bad & kept) | ((partner == k) & (t != points))
+
+    if (cell := _first_cell(p, p, unmatched)) is None:
+        return None
+    k, i = cell
+    t = cols[k]
+    image_diff = t[i] - t
+    point_diff = points - (i + 1)
+    candidates = (points == partner[i]) | (t == partner[t[i] - 1])
+    j = int(np.argmax(candidates & (image_diff != point_diff) & (points != k + 1)))
+    return (k + 1, i + 1, j + 1, int(image_diff[j]), int(point_diff[j]))
 
 
 def _permuted(x: np.ndarray, s) -> np.ndarray:

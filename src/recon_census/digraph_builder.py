@@ -303,16 +303,18 @@ def threshold_scores(p: int, variant: MatrixVariant) -> np.ndarray:
     the positive entries are counted once per (d, r) in the offset table
     and summed cumulatively over d.  A row in block b reaches exactly the
     offsets -b..p/4-1-b, so its score is a difference of two prefix sums:
-    O(p) work and memory in total.
+    O(p) work and memory in total.  The prefix sums, each below 2p, are
+    held in int32 (exact up to p = 2**30); the scores are int64.
     """
     order_exponent(p)
     nb = p // 4
     # a row's four cells as the 0/1 bytes of one uint32, whose bit count is
     # the positive count: ten times faster than a sum over an axis of 4
     positive = np.bitwise_count((_offset_case_table(p, variant) > 0).view(np.uint32))
-    cum = np.zeros((2 * nb, 4), dtype=np.int64)
-    np.cumsum(positive[..., 0], axis=0, dtype=np.int64, out=cum[1:])
-    return (cum[2 * nb - 1 : nb - 1 : -1] - cum[nb - 1 :: -1]).reshape(p)
+    cum = np.zeros((2 * nb, 4), dtype=np.int32)
+    np.cumsum(positive[..., 0], axis=0, dtype=np.int32, out=cum[1:])
+    upper, lower = cum[2 * nb - 1 : nb - 1 : -1], cum[nb - 1 :: -1]
+    return np.subtract(upper, lower, dtype=np.int64).reshape(p)
 
 
 def _bit_lut(a: BinaryAssignment) -> np.ndarray:

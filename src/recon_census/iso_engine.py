@@ -266,7 +266,7 @@ def _induced_halves_mismatch(order: int) -> Optional[str]:
         (MatrixVariant.PLAIN, "first"),
         (MatrixVariant.STAR, "last"),
     ):
-        big = _nested_rows(order, variant) > 0
+        big = _nested_rows(_offset_case_table(order, variant)) > 0
         small = _offset_case_table(h, variant) > 0
         if not np.array_equal(big, small):
             return f"induced {which} half at p={order} differs from p={h}"

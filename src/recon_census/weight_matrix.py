@@ -59,7 +59,7 @@ DENSE_ORDER_LIMIT = 8192
 #: Largest order the command line accepts.  The entry oracle costs O(1)
 #: memory per query at every order; only the per-offset rows (8p bytes per
 #: variant) that lemma 1, theorem 2 and ``threshold_scores`` read are O(p):
-#: about 850 MB of peak memory for those two checks at 2**24.
+#: about 550 MB of peak memory for lemma 1 and 660 MB for theorem 2 at 2**24.
 ORACLE_ORDER_LIMIT = 1 << 24
 
 
@@ -405,8 +405,9 @@ def sign_flip(p: int, i: int, j: int) -> int:
     return -1 if abs(j - i) == p // 4 else 1
 
 
-def _nested_rows(p: int, variant: MatrixVariant) -> np.ndarray:
-    """Offset-table rows of the two diagonal p/2 x p/2 quadrants at order p.
+def _nested_rows(table: np.ndarray) -> np.ndarray:
+    """The central rows of an order-p offset table (``_offset_case_table``),
+    which hold the two diagonal p/2 x p/2 quadrants.
 
     Both quadrants hold the blocks at offsets -(p/8-1)..p/8-1, exactly the
     offset range of the half-order matrix, and the residues line up because
@@ -414,8 +415,8 @@ def _nested_rows(p: int, variant: MatrixVariant) -> np.ndarray:
     half-order offset table exactly when the quadrants equal the half-order
     matrix entrywise.
     """
-    nb, nh = p // 4, p // 8
-    return _offset_case_table(p, variant)[nb - nh : nb + nh - 1]
+    q = (len(table) + 1) // 4  # p/8
+    return table[q:-q]
 
 
 def _first_class_mismatch(lhs, rhs, row_shift, col_shift, off_diagonal=False):
@@ -474,7 +475,7 @@ def check_lemma1(p: int) -> VerificationReport:
 
     for variant in (MatrixVariant.PLAIN, MatrixVariant.STAR):
         table = _offset_case_table(p, variant)
-        quadrant = _nested_rows(p, variant)
+        quadrant = _nested_rows(table)
 
         # (a) nested copies
         half = _offset_case_table(h, variant)

@@ -226,7 +226,11 @@ class TestLemma2:
             check_lemma2(4)
 
     @pytest.mark.parametrize("p", [2**n for n in range(3, 9)])
-    def test_part_d_matches_full_matrix_form(self, p, monkeypatch):
+    @pytest.mark.parametrize("cells", [None, 100])
+    def test_part_d_matches_full_matrix_form(self, p, cells, monkeypatch):
+        if cells is not None:
+            # row blocks of one to 12 rows
+            monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
         clean = build_all_maps(p)
         assert dm._lemma2_d(p, clean) is None
         assert lemma2_d_reference(p, clean) is None
@@ -234,14 +238,27 @@ class TestLemma2:
         hits = []
         for _ in range(6):
             cols = swap_images_at_random(clean, rng)
-            monkeypatch.setattr(dm, "build_all_maps", lambda q, cols=cols: cols)
-            hits.append(dm._lemma2_d(p, cols))
-            assert hits[-1] == lemma2_d_reference(p, cols)
-            report = check_lemma2(p)
-            monkeypatch.setattr(dm, "_lemma2_d", lemma2_d_reference)
-            assert check_lemma2(p) == report
-            monkeypatch.undo()
+            with monkeypatch.context() as m:
+                m.setattr(dm, "build_all_maps", lambda q, cols=cols: cols)
+                hits.append(dm._lemma2_d(p, cols))
+                assert hits[-1] == lemma2_d_reference(p, cols)
+                report = check_lemma2(p)
+                m.setattr(dm, "_lemma2_d", lemma2_d_reference)
+                assert check_lemma2(p) == report
         assert any(hit is not None for hit in hits)
+
+    @pytest.mark.parametrize("p", [8, 16, 32, 64])
+    def test_part_d_reports_unfixed_partner_of_deleted_point(self, p):
+        # under the deletion of k = p/2 + 1 its partner, point 1, must be
+        # fixed; with the images of points 1 and 2 swapped it is not, and
+        # point 1 is the first to fail
+        h = p // 2
+        k = h + 1
+        cols = build_all_maps(p).copy()
+        cols[k - 1, [0, 1]] = cols[k - 1, [1, 0]]
+        report = dm._lemma2_d(p, cols)
+        assert report == lemma2_d_reference(p, cols)
+        assert report[:2] == (k, 1)
 
     @pytest.mark.parametrize("p", [8, 16, 32, 64, 128, 256, 512])
     def test_matches_loop_form_clean(self, p):
