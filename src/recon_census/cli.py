@@ -74,6 +74,11 @@ __all__ = ["CHECKS", "RunConfig", "main", "run"]
 #: Largest order where the cubic hypomorphism sweep runs exhaustively.
 EXHAUSTIVE_LIMIT = 512
 DEFAULT_TRIALS = 1_000_000
+#: Largest order ``deck`` writes.  Its p cards of order p - 1 take about
+#: ``_DECK_BYTES_PER_P3[format] * p**3`` bytes (measured), so every accepted
+#: deck stays under about 1 GB (dot at p = 512: 0.9 GB).
+DECK_ORDER_LIMIT = 512
+_DECK_BYTES_PER_P3 = {"d6": 1 / 6, "csv": 2, "dot": 6.5}
 
 
 @dataclass(frozen=True)
@@ -407,7 +412,13 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
     if command == "census" and args.p not in CENSUS_ORDERS:
         orders = " or ".join(map(str, CENSUS_ORDERS))
         parser.error(f"census is available at p = {orders}, got {args.p}")
-    if command in ("generate", "deck", "export") and args.p > DENSE_ORDER_LIMIT:
+    if command == "deck" and args.p > DECK_ORDER_LIMIT:
+        size = _DECK_BYTES_PER_P3[args.format] * args.p**3
+        parser.error(
+            f"deck --p {args.p} would write about {size / 1e9:.1f} GB as "
+            f"{args.format}; deck is available up to p = {DECK_ORDER_LIMIT}"
+        )
+    if command in ("generate", "export") and args.p > DENSE_ORDER_LIMIT:
         parser.error(
             f"{command} builds p x p tables, available up to "
             f"p = {DENSE_ORDER_LIMIT}, got {args.p}"

@@ -297,7 +297,14 @@ def _decode_count(text: str, pos: int) -> tuple[int, int]:
 
 
 def threshold_scores(p: int, variant: MatrixVariant) -> np.ndarray:
-    """Scores of the canonical tournament at order p without materializing it.
+    """Scores of the order-p canonical tournament, from its offset table's signs."""
+    order_exponent(p)
+    return _sign_scores(_offset_case_table(p, variant) > 0)
+
+
+def _sign_scores(positive: np.ndarray) -> np.ndarray:
+    """Scores of the tournament whose arcs are the true entries of the
+    order-p offset-table signs ``positive`` (``_offset_case_table > 0``).
 
     An entry depends only on its block offset d and its residues (r, c), so
     the positive entries are counted once per (d, r) in the offset table
@@ -306,15 +313,14 @@ def threshold_scores(p: int, variant: MatrixVariant) -> np.ndarray:
     O(p) work and memory in total.  The prefix sums, each below 2p, are
     held in int32 (exact up to p = 2**30); the scores are int64.
     """
-    order_exponent(p)
-    nb = p // 4
+    nb = (len(positive) + 1) // 2
     # a row's four cells as the 0/1 bytes of one uint32, whose bit count is
     # the positive count: ten times faster than a sum over an axis of 4
-    positive = np.bitwise_count((_offset_case_table(p, variant) > 0).view(np.uint32))
+    counts = np.bitwise_count(positive.view(np.uint32))
     cum = np.zeros((2 * nb, 4), dtype=np.int32)
-    np.cumsum(positive[..., 0], axis=0, dtype=np.int32, out=cum[1:])
+    np.cumsum(counts[..., 0], axis=0, dtype=np.int32, out=cum[1:])
     upper, lower = cum[2 * nb - 1 : nb - 1 : -1], cum[nb - 1 :: -1]
-    return np.subtract(upper, lower, dtype=np.int64).reshape(p)
+    return np.subtract(upper, lower, dtype=np.int64).reshape(4 * nb)
 
 
 def _bit_lut(a: BinaryAssignment) -> np.ndarray:

@@ -8,8 +8,10 @@ cards for isomorphism and matches the decks card for card.
 the score split forces any isomorphism of the canonical pair to map the
 first half onto the last half, those halves induce the canonical pair of
 half order, and the order-4 base case is settled by checking all 24 point
-bijections; no verdict is cached.  The test suite checks the offset-table
-halving step against its entry-grid form.
+bijections.  The chain reads the signs of one offset table per variant
+and order, each level handing its half-order tables down to the next;
+neither they nor the verdict outlive the call.  The test suite checks the
+chain against its entry-grid form.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from recon_census.digraph_builder import (
     DEFAULT_ISO_BUDGET,
     Digraph,
     _is_arc_preserving,
+    _sign_scores,
     standard_pair,
-    threshold_scores,
 )
 from recon_census.errors import BudgetExhausted, ContradictionError
 from recon_census.report import VerificationReport
@@ -253,48 +255,38 @@ class NonIsoTrace:
         ]
 
 
-def _induced_halves_mismatch(order: int) -> Optional[str]:
-    """The first failing induced-half identity at one order, or None.
-
-    This is lemma 1(a) read through signs: the first half of the plain
-    matrix and the last half of the starred one are diagonal quadrants,
-    so comparing their offset-table rows (``_nested_rows``) with the
-    half-order table is the entrywise comparison, in O(p).
-    """
-    h = order // 2
-    for variant, which in (
-        (MatrixVariant.PLAIN, "first"),
-        (MatrixVariant.STAR, "last"),
-    ):
-        big = _nested_rows(_offset_case_table(order, variant)) > 0
-        small = _offset_case_table(h, variant) > 0
-        if not np.array_equal(big, small):
-            return f"induced {which} half at p={order} differs from p={h}"
-    return None
-
-
-def _verify_halving_step(order: int) -> str:
-    """Verify the score split and the induced-half identity at one order."""
-    h = order // 2
-    for variant, first in (
-        (MatrixVariant.PLAIN, h),
-        (MatrixVariant.STAR, h - 1),
-    ):
-        got = threshold_scores(order, variant)
-        expected = np.concatenate(
-            [
-                np.full(h, first, dtype=np.int64),
-                np.full(h, order - 1 - first, dtype=np.int64),
-            ]
+def _check_score_split(order: int, variant: MatrixVariant, signs: np.ndarray, first: int) -> None:
+    """The first half of the points scores ``first``, the last half
+    ``order - 1 - first``.  The scores and their p-byte comparison are
+    freed on return, before the next variant is scored."""
+    bad = _sign_scores(signs).reshape(2, order // 2) != [[first], [order - 1 - first]]
+    if bad.any():
+        raise ContradictionError(
+            f"score split failed at p={order} ({variant.value}): "
+            f"first mismatch at point {int(bad.argmax()) + 1}"
         )
-        if not np.array_equal(got, expected):
-            raise ContradictionError(
-                f"score split failed at p={order} ({variant.value}): "
-                f"first mismatch at point {int(np.argmax(got != expected)) + 1}"
-            )
-    mismatch = _induced_halves_mismatch(order)
-    if mismatch is not None:
-        raise ContradictionError(mismatch)
+
+
+def _induced_half(order: int, variant: MatrixVariant, signs: np.ndarray) -> np.ndarray:
+    """The half-order signs, checked to be induced on the first half (plain)
+    or the last half (starred) of the order-p ``signs``: lemma 1(a) read
+    through signs, as both halves are diagonal quadrants, whose rows
+    (``_nested_rows``) are compared with the half-order table, in O(p)."""
+    half = _offset_case_table(order // 2, variant) > 0
+    if not np.array_equal(_nested_rows(signs), half):
+        which = "first" if variant is MatrixVariant.PLAIN else "last"
+        raise ContradictionError(f"induced {which} half at p={order} differs from p={order // 2}")
+    return half
+
+
+def _verify_halving_step(order: int, signs: dict[MatrixVariant, np.ndarray]) -> str:
+    """Verify the score split and the induced-half identity at one order on
+    its sign tables, ``signs``, replacing each with the half-order one."""
+    h = order // 2
+    _check_score_split(order, MatrixVariant.PLAIN, signs[MatrixVariant.PLAIN], h)
+    _check_score_split(order, MatrixVariant.STAR, signs[MatrixVariant.STAR], h - 1)
+    for variant in MatrixVariant:
+        signs[variant] = _induced_half(order, variant, signs[variant])
     return (
         f"scores split {h}/{h - 1} (reversed for the starred tournament); "
         f"induced halves equal the order-{h} pair entrywise"
@@ -312,17 +304,18 @@ def _verify_base_case() -> str:
 def verify_nonisomorphic_inductive(p: int) -> NonIsoTrace:
     """Run the halving argument from order p down to the order-4 base case.
 
-    Each level's score split and induced-half identity are verified
-    computationally on the offset table of block offsets and residues
-    (``_offset_case_table``), in O(p) per level, so the chain works far
-    beyond orders where a dense matrix or a search would be feasible,
+    Each level's score split and induced-half identity are verified on the
+    signs of the offset table (``_offset_case_table``), built once per
+    variant and order and handed down, in O(p) per level, so the chain works
+    far beyond orders where a dense matrix or a search would be feasible,
     afresh on every call.  Any failing step raises ContradictionError.
     """
     order_exponent(p)
+    signs = {variant: _offset_case_table(p, variant) > 0 for variant in MatrixVariant}
     steps = []
     level = p
     while level >= 8:
-        steps.append(TraceStep(level, REASON_SCORE_SPLIT, _verify_halving_step(level)))
+        steps.append(TraceStep(level, REASON_SCORE_SPLIT, _verify_halving_step(level, signs)))
         level //= 2
     steps.append(TraceStep(4, REASON_BASE_CASE, _verify_base_case()))
     return NonIsoTrace(tuple(steps))

@@ -59,7 +59,7 @@ DENSE_ORDER_LIMIT = 8192
 #: Largest order the command line accepts.  The entry oracle costs O(1)
 #: memory per query at every order; only the per-offset rows (8p bytes per
 #: variant) that lemma 1, theorem 2 and ``threshold_scores`` read are O(p):
-#: about 550 MB of peak memory for lemma 1 and 660 MB for theorem 2 at 2**24.
+#: about 550 MB of peak memory for lemma 1 and 580 MB for theorem 2 at 2**24.
 ORACLE_ORDER_LIMIT = 1 << 24
 
 

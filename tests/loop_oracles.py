@@ -13,7 +13,8 @@ count:
 * ``deletion_sweep_reference``: ``_deletion_sweep`` as a block copy per
   deletion;
 * ``threshold_scores_reference`` and ``induced_halves_mismatch_reference``:
-  the two per-level steps of theorem 2 on entry grids, O(p**2);
+  the two per-level steps of theorem 2 on entry grids, O(p**2), and
+  ``halving_chain_reference``, which runs them level by level;
 * ``assignment_census_reference``: the census with every row searched;
 * ``every_relabeling_code``: an isomorphism invariant that is complete
   because it tries all p! relabelings.
@@ -274,7 +275,9 @@ def threshold_scores_reference(p, variant):
 
 
 def induced_halves_mismatch_reference(order):
-    """``iso_engine._induced_halves_mismatch(order)`` on entry grids (O(p**2))."""
+    """The first failing induced-half identity of theorem 2 at one order, or
+    None, on entry grids (O(p**2)): the plain matrix's first half and the
+    starred one's last half against the half-order pair."""
     h = order // 2
     idx = np.arange(1, h + 1, dtype=np.int32)
     for variant, which, shift in (
@@ -285,6 +288,30 @@ def induced_halves_mismatch_reference(order):
         small = wm.entry_grid(h, variant, idx, idx) > 0
         if not np.array_equal(big, small):
             return f"induced {which} half at p={order} differs from p={h}"
+    return None
+
+
+def halving_chain_reference(p):
+    """The message of the first failing halving step of theorem 2 from
+    order p down to 8, or None: at each order the score splits of the plain
+    and the starred tournament (``threshold_scores_reference``), then
+    ``induced_halves_mismatch_reference``, the order in which
+    ``verify_nonisomorphic_inductive`` runs them."""
+    order = p
+    while order >= 8:
+        h = order // 2
+        for variant, first in ((wm.MatrixVariant.PLAIN, h), (wm.MatrixVariant.STAR, h - 1)):
+            got = threshold_scores_reference(order, variant)
+            expected = np.repeat([first, order - 1 - first], h)
+            if not np.array_equal(got, expected):
+                return (
+                    f"score split failed at p={order} ({variant.value}): "
+                    f"first mismatch at point {int(np.argmax(got != expected)) + 1}"
+                )
+        mismatch = induced_halves_mismatch_reference(order)
+        if mismatch is not None:
+            return mismatch
+        order = h
     return None
 
 

@@ -137,6 +137,25 @@ class TestExitCodes:
         config = _parse_config(["export", "--p", str(DENSE_ORDER_LIMIT)])
         assert config.p == DENSE_ORDER_LIMIT
 
+    @pytest.mark.parametrize(
+        "fmt, size", [("d6", "0.2 GB"), ("csv", "2.1 GB"), ("dot", "7.0 GB")]
+    )
+    def test_deck_above_its_cap_refused_with_its_size(self, capsys, monkeypatch, fmt, size):
+        import recon_census.cli as cli
+
+        def no_run(config):
+            raise AssertionError("a refused order must not start any command")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        assert cli.DECK_ORDER_LIMIT == 512
+        assert run_cli("deck", "--p", "1024", "--format", fmt) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert f"deck --p 1024 would write about {size} as {fmt}" in last
+        assert "up to p = 512" in last
+        assert cli._parse_config(["deck", "--p", "512", "--format", fmt]).p == 512
+
     def test_oracle_limit_order_is_accepted(self):
         from recon_census.cli import _parse_config
         from recon_census.weight_matrix import ORACLE_ORDER_LIMIT

@@ -22,8 +22,7 @@ from conftest import patch_case_table, patch_dense, swap_two_images
 from loop_oracles import (
     check_lemma1_reference,
     deletion_sweep_reference,
-    induced_halves_mismatch_reference,
-    threshold_scores_reference,
+    halving_chain_reference,
 )
 
 
@@ -201,6 +200,24 @@ def _swap_opposite_signs(table):
     table[4, 1, [0, 2]] = table[4, 1, [2, 0]]
 
 
+def _flip_order8_entry(table):
+    # the order-8 table, offset 1 (row 2), residues (1, 0): a positive entry
+    assert table[2, 1, 0] > 0
+    table[2, 1, 0] = -table[2, 1, 0]
+
+
+def _flip_starred_entry(table):
+    # the starred order-16 table, offset 1, residues (0, 1): a positive entry
+    assert table[4, 0, 1] > 0
+    table[4, 0, 1] = -table[4, 0, 1]
+
+
+def _swap_starred_signs(table):
+    # the starred order-16 table, offset 1, residue row 0: same positive count
+    assert table[4, 0, 1] > 0 > table[4, 0, 0]
+    table[4, 0, [0, 1]] = table[4, 0, [1, 0]]
+
+
 def _theorem2_error(p):
     with pytest.raises(ContradictionError) as info:
         ie.verify_nonisomorphic_inductive(p)
@@ -221,11 +238,39 @@ class TestTheorem2Reporting:
     def test_same_message_as_reference_form(self, monkeypatch, edit, message):
         _corrupt_class_table(monkeypatch, edit)
         assert _theorem2_error(16) == message
-        monkeypatch.setattr(ie, "threshold_scores", threshold_scores_reference)
-        monkeypatch.setattr(
-            ie, "_induced_halves_mismatch", induced_halves_mismatch_reference
-        )
+        assert halving_chain_reference(16) == message
+
+    @pytest.mark.parametrize(
+        "order, which, edit, message",
+        [
+            # the p = 16 level builds the order-8 table as its half-order one
+            (
+                8,
+                wm.MatrixVariant.PLAIN,
+                _flip_order8_entry,
+                "induced first half at p=16 differs from p=8",
+            ),
+            (
+                16,
+                wm.MatrixVariant.STAR,
+                _flip_starred_entry,
+                "score split failed at p=16 (star): first mismatch at point 1",
+            ),
+            # the scores hold, so only the induced last half differs
+            (
+                16,
+                wm.MatrixVariant.STAR,
+                _swap_starred_signs,
+                "induced last half at p=16 differs from p=8",
+            ),
+        ],
+    )
+    def test_fault_in_one_table_of_the_chain(
+        self, monkeypatch, order, which, edit, message
+    ):
+        _corrupt_class_table(monkeypatch, edit, order, which)
         assert _theorem2_error(16) == message
+        assert halving_chain_reference(16) == message
 
     def test_no_pass_is_cached(self, monkeypatch):
         # each call verifies every level afresh, so a fault that appears

@@ -8,7 +8,7 @@ import recon_census.iso_engine as ie
 import recon_census.weight_matrix as wm
 from recon_census.deletion_maps import build_all_maps
 from recon_census.digraph_builder import Digraph, standard_pair, variant_pair
-from recon_census.errors import BudgetExhausted
+from recon_census.errors import BudgetExhausted, ContradictionError
 from recon_census.iso_engine import (
     IsoStatus,
     REASON_BASE_CASE,
@@ -268,6 +268,18 @@ class TestDeckMatching:
         assert found[::2] == [True] * 25 and not all(found)
 
 
+def _induced_halves_message(p):
+    """The induced-half comparison of one theorem 2 level, plain then
+    starred, on the order-p signs of ``_offset_case_table``: the message of
+    the first failure, or None."""
+    try:
+        for variant in wm.MatrixVariant:
+            ie._induced_half(p, variant, ie._offset_case_table(p, variant) > 0)
+    except ContradictionError as exc:
+        return str(exc)
+    return None
+
+
 class TestInductiveNonIsomorphism:
     def test_base_case_trace(self):
         trace = verify_nonisomorphic_inductive(4)
@@ -299,9 +311,24 @@ class TestInductiveNonIsomorphism:
         assert np.array_equal(g_big.adjacency[:h, :h], g_small.adjacency)
         assert np.array_equal(s_big.adjacency[h:, h:], s_small.adjacency)
 
+    @pytest.mark.parametrize("p", [16, 1024])
+    def test_one_table_build_per_variant_and_order(self, p, monkeypatch):
+        real = ie._offset_case_table
+        calls = Counter()
+
+        def counted(q, variant):
+            calls[q, variant] += 1
+            return real(q, variant)
+
+        monkeypatch.setattr(ie, "_offset_case_table", counted)
+        verify_nonisomorphic_inductive(p)
+        orders = [p >> k for k in range(wm.order_exponent(p) - 1)]
+        assert orders[-1] == 4
+        assert calls == Counter({(q, v): 1 for q in orders for v in wm.MatrixVariant})
+
     @pytest.mark.parametrize("p", [2**n for n in range(3, 11)])
     def test_induced_halves_class_form_matches_grid_form(self, p, monkeypatch):
-        assert ie._induced_halves_mismatch(p) is None
+        assert _induced_halves_message(p) is None
         assert induced_halves_mismatch_reference(p) is None
         real = wm._offset_case_table
         nb, nh = p // 4, p // 8
@@ -317,7 +344,7 @@ class TestInductiveNonIsomorphism:
                     return table
 
                 patch_case_table(monkeypatch, patched, (wm, ie))
-                got = ie._induced_halves_mismatch(p)
+                got = _induced_halves_message(p)
                 assert got == induced_halves_mismatch_reference(p)
                 assert (got is None) == (abs(d) >= nh), (p, variant, d)
 
