@@ -27,11 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
-from recon_census.deletion_maps import (
-    build_all_maps,
-    check_lemma2,
-    sigma_table_tsv,
-)
+from recon_census.deletion_maps import check_lemma2, sigma_table_tsv
 from recon_census.digraph_builder import (
     CENSUS_ORDERS,
     DEFAULT_ISO_BUDGET,
@@ -118,13 +114,12 @@ def _theorem2(config: RunConfig) -> list[VerificationReport]:
 
 def _hypo_sigma(config: RunConfig) -> list[VerificationReport]:
     p = config.p
-    tables = build_all_maps(p)
     pairs = [("hypo-sigma-tournament", standard_pair)]
     if p >= 8:
         pairs.append(("hypo-sigma-variant", variant_pair))
     reports = []
     for check_name, pair in pairs:
-        rep = verify_hypomorphic_by_sigma(*pair(p), tables)
+        rep = verify_hypomorphic_by_sigma(*pair(p))
         reports.append(dataclasses.replace(rep, check_name=check_name))
     return reports
 
@@ -402,6 +397,9 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
             unknown = [c for c in raw if c not in CHECKS]
             if unknown:
                 parser.error(f"unknown checks: {', '.join(unknown)}")
+            repeated = [c for c in dict.fromkeys(raw) if raw.count(c) > 1]
+            if repeated:
+                parser.error(f"checks named more than once: {', '.join(repeated)}")
             invalid = [c for c in raw if c not in valid]
             if invalid:
                 parser.error(

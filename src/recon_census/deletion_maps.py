@@ -18,9 +18,10 @@ with the printed order 4/8/16 tables.
 The mappings at order p are stored in one form only: the read-only
 ``(p, p)`` int32 table of ``build_all_maps``, whose row k - 1 holds the
 1-based images under the deletion of k and 0 at the hole.  Every row is
-checked to be a bijection onto the points other than k, and only the last
-order's table is cached (4 * p**2 bytes).  ``build_map`` computes one row
-in O(p) without the table.
+checked to be a bijection onto the points other than k where it is built,
+the one place a table is validated, and only the last order's table is
+cached (4 * p**2 bytes).  ``build_map`` computes one row in O(p) without
+the table.
 
 ``check_lemma2`` checks each of the four parts of lemma 2 with one masked
 row-block scan of that table; part (d) pairs each point with its partner
@@ -28,7 +29,8 @@ at distance p/2 in the same row.
 
 ``_deletion_sweep`` is the one check that every mapping carries one
 matrix onto another away from its deleted point; the exhaustive theorem 1
-check and the digraph hypomorphism check both run it.
+check and the digraph hypomorphism check both run it on the table of
+``build_all_maps``, which each reads itself.
 """
 
 from __future__ import annotations
@@ -178,19 +180,6 @@ def _check_rows(p: int, first: int, rows: np.ndarray) -> None:
     if bad.size:
         k = int(ks[bad[0]])
         raise ValueError(f"map {k} is not a bijection onto the points other than {k}")
-
-
-def _check_table(p: int, tables) -> np.ndarray:
-    """``tables`` as a validated ``(p, p)`` table of all deletion maps at order p."""
-    tables = np.asarray(tables)
-    if tables.shape != (p, p) or not np.issubdtype(tables.dtype, np.integer):
-        raise ValueError(
-            f"expected a ({p}, {p}) integer table of deletion maps, "
-            f"got shape {tables.shape} of {tables.dtype}"
-        )
-    for rows in _row_blocks(p, p):
-        _check_rows(p, rows.start + 1, tables[rows])
-    return tables
 
 
 def build_map(p: int, k: int) -> np.ndarray:

@@ -7,10 +7,12 @@ point distance p/2, and everywhere off-diagonal at p = 4).
 ``check_theorem1`` verifies the hypomorphism identity exhaustively: for
 every deleted point k, the plain entry at (i, j) equals the starred entry
 at the mapped pair, over all p * (p-1)**2 admissible triples.  Both read
-the cached dense matrices of ``build_dense`` and the map table of
-``build_all_maps``.  ``sample_theorem1`` spot-checks the same identity at
-orders where the cubic sweep is infeasible, through the entry oracle,
-with a seeded generator for reproducibility.
+the cached dense matrices of ``build_dense`` (one class-table gather) and
+the map table of ``build_all_maps``, as the digraph check
+``iso_engine.verify_hypomorphic_by_sigma`` does.  ``sample_theorem1``
+spot-checks the same identity at orders where the cubic sweep is
+infeasible, through the entry oracle, with a seeded generator for
+reproducibility.
 """
 
 from __future__ import annotations

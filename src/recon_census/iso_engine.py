@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from recon_census.deletion_maps import _check_table, _deletion_sweep
+from recon_census.deletion_maps import _deletion_sweep, build_all_maps
 from recon_census.digraph_builder import (
     DEFAULT_ISO_BUDGET,
     Digraph,
@@ -172,21 +172,20 @@ def deck(g: Digraph) -> tuple[Digraph, ...]:
     return tuple(g.delete_point(k) for k in range(1, g.order + 1))
 
 
-def verify_hypomorphic_by_sigma(g: Digraph, h: Digraph, tables) -> VerificationReport:
+def verify_hypomorphic_by_sigma(g: Digraph, h: Digraph) -> VerificationReport:
     """Check that each deletion mapping carries card k of g onto card k of h.
 
-    ``tables`` is a ``(p, p)`` map table laid out as ``build_all_maps(p)``
-    (row k - 1 holds the images under the deletion of k, 0 at the hole);
-    a row that is not such a bijection raises ValueError.  The relabelings
-    cancel, so the test is: for every deleted point k and all points i, j
-    other than k, g has the arc (i, j) exactly when h has the arc
-    (image(i), image(j)).
+    The maps are the validated table ``build_all_maps(p)`` of the common
+    order.  The relabelings cancel, so the test is: for every deleted
+    point k and all points i, j other than k, g has the arc (i, j) exactly
+    when h has the arc (image(i), image(j)).
     """
     if g.order != h.order:
         raise ValueError(f"orders differ: {g.order} vs {h.order}")
     p = g.order
-    tables = _check_table(p, tables)
-    counterexample, checked = _deletion_sweep(g.adjacency, h.adjacency, tables)
+    counterexample, checked = _deletion_sweep(
+        g.adjacency, h.adjacency, build_all_maps(p)
+    )
     return VerificationReport(
         check_name="hypomorphic-by-sigma",
         order=p,

@@ -18,8 +18,9 @@ The block rule is written twice, and the test suite checks one form
 against the other.  The class table (``_CLASS_TABLE``, evaluated with
 numpy) holds one 4x4 block per class of offsets, d = 0 or (x, y mod 4),
 for every order at once (order 2**n reaches 2n - 3 classes):
-``entry_values`` gathers from it, and ``_offset_case_table`` expands it to
-one block per offset for ``build_dense`` and the row-reading checks.
+``entry_values`` gathers from it, ``build_dense`` is one such gather over
+the whole grid (``entry_grid``), and ``_offset_case_table`` expands it to
+one block per offset for the row-reading checks.
 ``entry_at`` evaluates any single entry in constant time from the offset
 decomposition, in plain Python, and serves as the oracle of both.  All
 public indices are 1-based so that printed fixtures can be compared
@@ -238,8 +239,8 @@ def base_matrix(variant: MatrixVariant) -> WeightedMatrix:
 
 
 def build_dense(p: int, variant: MatrixVariant) -> WeightedMatrix:
-    """Assemble the full matrix: the block of offset d, row d + p/4 - 1 of
-    ``_offset_case_table``, is placed at every block position (b, b + d).
+    """The full matrix, gathered from the class table one row block at a
+    time (``entry_grid``).
 
     Refuses orders above ``DENSE_ORDER_LIMIT`` (2**13) so that memory use
     stays predictable; ``entry_at`` serves larger orders.  The validated
@@ -257,13 +258,7 @@ def build_dense(p: int, variant: MatrixVariant) -> WeightedMatrix:
 
 @lru_cache(maxsize=16)
 def _dense_matrix(p: int, variant: MatrixVariant) -> WeightedMatrix:
-    nb = p // 4
-    table = _offset_case_table(p, variant)
-    tiled = np.zeros((nb, 4, nb, 4), dtype=np.int8)
-    for d in range(-(nb - 1), nb):
-        rows = np.arange(max(0, -d), min(nb, nb - d))
-        tiled[rows, :, rows + d, :] = table[d + nb - 1]
-    return WeightedMatrix(p, variant, tiled.reshape(p, p))
+    return WeightedMatrix(p, variant, entry_grid(p, variant))
 
 
 def entry_at(p: int, variant: MatrixVariant, i: int, j: int) -> int:

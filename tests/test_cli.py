@@ -59,6 +59,19 @@ class TestExitCodes:
     def test_unknown_check_rejected_at_parse_time(self):
         assert run_cli("verify", "--p", "8", "--checks", "lemma9") == 2
 
+    @pytest.mark.parametrize(
+        "checks, named",
+        [
+            ("lemma1,lemma1", "lemma1"),
+            ("theorem2,lemma1,theorem2,swap,lemma1", "theorem2, lemma1"),
+        ],
+    )
+    def test_repeated_check_is_usage_error(self, capsys, checks, named):
+        assert run_cli("verify", "--p", "8", "--checks", checks) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith(f"checks named more than once: {named}")
+
     def test_non_power_of_two_rejected(self):
         assert run_cli("verify", "--p", "12", "--checks", "all") == 2
 

@@ -16,7 +16,6 @@ from recon_census.deletion_maps import (
     sigma_values,
 )
 from recon_census.digraph_builder import standard_pair, variant_pair
-from recon_census.iso_engine import verify_hypomorphic_by_sigma
 from recon_census.weight_matrix import MatrixVariant, entry_grid
 
 from conftest import load_sigma_fixture, swap_images_at_random, swap_two_images
@@ -135,43 +134,37 @@ class TestMapTable:
 
 
 def _malformed_tables():
-    """(name, table) pairs at order 4 that are not tables of the deletion maps."""
+    """(table, k, error) cases at order 4, named: ``table`` is not a table
+    of the deletion maps, its row k - 1 is the one that fails, and
+    ``error`` matches the message of ``_check_rows``."""
     good = build_all_maps(4)
-    cases = {}
-    cases["wrong shape"] = good[:2]
-    cases["not square"] = good[:, :3]
-    cases["not integers"] = good.astype(float)
-    hole = good.copy()
-    hole[0, 0] = 1
-    cases["nonzero hole"] = hole
-    high = good.copy()
-    high[1, 0] = 5
-    cases["image above p"] = high
-    negative = good.copy()
-    negative[1, 0] = -1
-    cases["negative image"] = negative
-    zero = good.copy()
-    zero[2, 0] = 0
-    cases["zero off the hole"] = zero
-    repeated = good.copy()
-    repeated[3, 1] = repeated[3, 0]
-    cases["repeated image"] = repeated
-    deleted = good.copy()
-    deleted[3, 0] = 4
-    cases["image at the deleted point"] = deleted
-    return list(cases.items())
+    cases = []
+    for name, k, i, image, error in (
+        ("nonzero hole", 1, 1, 1, "absence marker"),
+        ("image above p", 2, 1, 5, "images must lie in 1..4"),
+        ("negative image", 2, 1, -1, "images must lie in 1..4"),
+        ("zero off the hole", 3, 1, 0, "not a bijection"),
+        ("repeated image", 4, 2, good[3, 0], "not a bijection"),
+        ("image at the deleted point", 4, 1, 4, "not a bijection"),
+    ):
+        table = good.copy()
+        table[k - 1, i - 1] = image
+        cases.append(pytest.param(table, k, error, id=name))
+    return cases
 
 
 class TestTableValidation:
-    @pytest.mark.parametrize("name, table", _malformed_tables())
-    def test_verifier_rejects_malformed_table(self, name, table):
-        g, h = standard_pair(4)
-        with pytest.raises(ValueError):
-            verify_hypomorphic_by_sigma(g, h, table)
-
-    def test_verifier_accepts_table_as_nested_lists(self):
-        g, h = standard_pair(4)
-        assert verify_hypomorphic_by_sigma(g, h, build_all_maps(4).tolist()).passed
+    @pytest.mark.parametrize("table, k, error", _malformed_tables())
+    def test_build_all_maps_rejects_malformed_row(self, table, k, error, monkeypatch):
+        monkeypatch.setattr(dm, "_map_rows", lambda p, ks: table[ks - 1])
+        build_all_maps.cache_clear()
+        try:
+            with pytest.raises(ValueError, match=error):
+                build_all_maps(4)
+            with pytest.raises(ValueError, match=error):
+                build_map(4, k)
+        finally:
+            build_all_maps.cache_clear()
 
     def test_build_all_maps_checks_each_row(self, monkeypatch):
         real = dm._map_rows

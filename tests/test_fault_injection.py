@@ -104,6 +104,26 @@ class TestTheorem1Sweep:
         assert report.checked_count == p * (p - 1) ** 2
 
 
+class TestHypoSigmaReporting:
+    @pytest.mark.parametrize("late", ["last", "first-upper"])
+    def test_patched_map_table_fails_both_pairs(self, monkeypatch, capsys, late):
+        # the table that ``verify_hypomorphic_by_sigma`` reads is the one the
+        # command line's hypo-sigma check reports on
+        p = 16
+        bad_k = p if late == "last" else p // 2 + 1
+        tables = dm.build_all_maps(p).copy()
+        tables[bad_k - 1] = swap_two_images(tables[bad_k - 1], bad_k)
+
+        monkeypatch.setattr(ie, "build_all_maps", lambda q: tables)
+        assert main(["verify", "--p", str(p), "--checks", "hypo-sigma"]) == 1
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [r["check"] for r in reports] == [
+            "hypo-sigma-tournament",
+            "hypo-sigma-variant",
+        ]
+        assert [r["counterexample"]["k"] for r in reports] == [bad_k, bad_k]
+
+
 class TestLemma2Reporting:
     def test_detects_corrupted_table(self, monkeypatch):
         tables = dm.build_all_maps(8).copy()

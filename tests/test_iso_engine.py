@@ -133,32 +133,34 @@ class TestHypomorphicBySigma:
     @pytest.mark.parametrize("p", [8, 16])
     def test_standard_pair(self, p):
         g, h = standard_pair(p)
-        report = verify_hypomorphic_by_sigma(g, h, build_all_maps(p))
+        report = verify_hypomorphic_by_sigma(g, h)
         assert report.passed
         assert report.checked_count == p * (p - 1) ** 2
 
     @pytest.mark.parametrize("p", [8, 16])
     def test_variant_pair(self, p):
         g, h = variant_pair(p)
-        assert verify_hypomorphic_by_sigma(g, h, build_all_maps(p)).passed
+        assert verify_hypomorphic_by_sigma(g, h).passed
 
-    def test_self_hypomorphic_under_identity_maps(self):
+    def test_self_hypomorphic_under_identity_maps(self, monkeypatch):
         g, _ = standard_pair(8)
         tables = np.tile(np.arange(1, 9, dtype=np.int32), (8, 1))
         np.fill_diagonal(tables, 0)
-        assert verify_hypomorphic_by_sigma(g, g, tables).passed
+        monkeypatch.setattr(ie, "build_all_maps", lambda q: tables)
+        assert verify_hypomorphic_by_sigma(g, g).passed
+
+    def test_orders_differ(self):
+        g, _ = standard_pair(8)
+        h, _ = standard_pair(16)
+        with pytest.raises(ValueError, match="orders differ"):
+            verify_hypomorphic_by_sigma(g, h)
 
     def test_detects_mismatch(self):
         g, _ = standard_pair(8)
-        report = verify_hypomorphic_by_sigma(g, transitive_tournament(8), build_all_maps(8))
+        report = verify_hypomorphic_by_sigma(g, transitive_tournament(8))
         assert not report.passed
         k, i, j, lhs, rhs = report.counterexample
         assert 1 <= k <= 8 and lhs != rhs
-
-    def test_map_set_validated(self):
-        g, h = standard_pair(8)
-        with pytest.raises(ValueError):
-            verify_hypomorphic_by_sigma(g, h, build_all_maps(8)[:4])
 
 
 class TestHypomorphicBySigmaSweep:
@@ -166,10 +168,11 @@ class TestHypomorphicBySigmaSweep:
 
     @staticmethod
     def both_reports(g, h, maps, monkeypatch):
-        report = verify_hypomorphic_by_sigma(g, h, maps)
         with monkeypatch.context() as m:
+            m.setattr(ie, "build_all_maps", lambda q: maps)
+            report = verify_hypomorphic_by_sigma(g, h)
             m.setattr(ie, "_deletion_sweep", deletion_sweep_reference)
-            assert verify_hypomorphic_by_sigma(g, h, maps) == report
+            assert verify_hypomorphic_by_sigma(g, h) == report
         return report
 
     @pytest.mark.parametrize("p", [16, 64, 128])

@@ -104,6 +104,22 @@ class TestBuildDense:
         assert build_dense(64, PLAIN) is not first
         assert runs == [(64, STAR), (64, PLAIN)]
 
+    def test_gathered_grid_is_validated(self, monkeypatch):
+        import recon_census.weight_matrix as wm
+
+        def one_cell_off(p, variant):
+            grid = entry_grid(p, variant)
+            grid[0, 1] += 1  # its twin (1, 0) unchanged
+            return grid
+
+        wm._dense_matrix.cache_clear()
+        monkeypatch.setattr(wm, "entry_grid", one_cell_off)
+        try:
+            with pytest.raises(ValueError, match="antisymmetric"):
+                build_dense(16, PLAIN)
+        finally:
+            wm._dense_matrix.cache_clear()
+
     def test_entries_read_only(self):
         m = build_dense(8, PLAIN)
         with pytest.raises(ValueError):
