@@ -337,6 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--p", type=int, required=True, help="order (power of two >= 4)")
         sp.add_argument("--out", type=Path, default=None, help="output path (default: stdout)")
+        # errors found after parsing are reported with this usage line
+        sp.set_defaults(parser=sp)
 
     gen = sub.add_parser("generate", help="build and export one artifact")
     add_common(gen)
@@ -371,8 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    parser = args.parser
 
     try:
         order_exponent(args.p)

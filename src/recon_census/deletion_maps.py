@@ -137,16 +137,42 @@ def sigma_values(p: int, k, i) -> np.ndarray:
 
 
 def _sigma_closed_form(p: int, k: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """``sigma_values`` without its checks; int32 k and i, any value where i = k."""
-    a = i - 1
-    b = k - 1
-    diff = a ^ b
-    low = diff & -diff
-    below = np.maximum(2 * low - 1, 3)
-    shift = ~a & (p - 1) & ~below
-    out = np.where(low >= 4, (a & below) + 1, _SIGMA4[b & 3, a & 3])
-    out += shift
-    return out
+    """``sigma_values`` without its checks; int32 k and i, any value where i = k.
+
+    Branch-free int32 bit operations.  With a = i - 1, b = k - 1 and
+    d = a ^ b, the mask d ^ (d - 1) holds the bits through the lowest one
+    in which a and b differ, where the fold stops.  The image is
+    ((a ^ (p - 1) ^ mask) & ~3) + 1 + LOW[b & 3, a & 3]: a's own bits
+    from bit 2 up to the stopping level, its complemented bits above it
+    (the half orders added on the way down), and the order-4 residue.
+    LOW[b, a] is ``_SIGMA4[b, a] - 1`` where the low residues differ (the
+    fold reached order 4) and a where they agree (it stopped above).  Its
+    sixteen 2-bit entries are packed into one int32 word, entry (b, a) at
+    bit 2 * (4 * b + a), and read with one shift and mask per query, so
+    no index array is widened and there is no ``where`` or gather.  The
+    word is derived from ``_SIGMA4`` on every call, which keeps that the
+    one order-4 table.
+    """
+    r = np.arange(4, dtype=np.int32)
+    low = _SIGMA4 - 1
+    low[r, r] = r
+    word = np.bitwise_or.reduce(low.ravel() << np.arange(0, 32, 2, dtype=np.int32))
+    a = np.subtract(i, 1, dtype=np.int32)
+    b = np.subtract(k, 1, dtype=np.int32)
+    t = a ^ b
+    t ^= t - 1
+    t ^= a
+    t ^= p - 1
+    t &= ~3
+    t += 1
+    b &= 3
+    b <<= 3
+    a &= 3
+    a <<= 1
+    residue = word >> (b | a)
+    residue &= 3
+    t += residue
+    return t
 
 
 def _map_rows(p: int, ks: np.ndarray) -> np.ndarray:

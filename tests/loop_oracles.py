@@ -12,6 +12,8 @@ count:
   matrices per deletion;
 * ``deletion_sweep_reference``: ``_deletion_sweep`` as a block copy per
   deletion;
+* ``sample_theorem1_reference``: ``sample_theorem1`` with one
+  ``entry_at``/``sigma`` evaluation per drawn triple;
 * ``threshold_scores_reference`` and ``induced_halves_mismatch_reference``:
   the two per-level steps of theorem 2 on entry grids, O(p**2), and
   ``halving_chain_reference``, which runs them level by level;
@@ -28,7 +30,9 @@ import itertools
 
 import numpy as np
 
+import recon_census.deletion_maps as dm
 import recon_census.digraph_builder as db
+import recon_census.hypomorphism_verifier as hv
 import recon_census.weight_matrix as wm
 from recon_census.deletion_maps import _lemma2_d
 from recon_census.report import VerificationReport
@@ -261,6 +265,40 @@ def deletion_sweep_reference(a, b, tables):
                 int(rhs[r, c]),
             )
     return counterexample, checked
+
+
+def sample_theorem1_reference(p, trials, rng_seed):
+    """``sample_theorem1(p, trials, rng_seed)`` one triple at a time.
+
+    The triples are drawn as there, ``hv._SAMPLE_CHUNK`` at a time (k,
+    then i, then j); each is evaluated with the scalar ``wm.entry_at`` and
+    ``dm.sigma``, and the first failing triple is the counterexample.
+    Python-speed: a few thousand trials.
+    """
+    rng = np.random.default_rng(rng_seed)
+    counterexample = None
+    for start in range(0, trials, hv._SAMPLE_CHUNK):
+        size = min(hv._SAMPLE_CHUNK, trials - start)
+        # k, then i and j over the p - 1 points other than k
+        draws = (
+            rng.integers(1, p + 1, size=size, dtype=np.int64),
+            rng.integers(1, p, size=size, dtype=np.int64),
+            rng.integers(1, p, size=size, dtype=np.int64),
+        )
+        for k, i, j in zip(*(d.tolist() for d in draws)):
+            i += i >= k
+            j += j >= k
+            lhs = wm.entry_at(p, wm.MatrixVariant.PLAIN, i, j)
+            rhs = wm.entry_at(p, wm.MatrixVariant.STAR, dm.sigma(p, k, i), dm.sigma(p, k, j))
+            if counterexample is None and lhs != rhs:
+                counterexample = (k, i, j, lhs, rhs)
+    return VerificationReport(
+        check_name="theorem1-sampled",
+        order=p,
+        counterexample=counterexample,
+        checked_count=trials,
+        seed=rng_seed,
+    )
 
 
 def threshold_scores_reference(p, variant):

@@ -60,6 +60,23 @@ class TestExitCodes:
         assert run_cli("verify", "--p", "8", "--checks", "lemma9") == 2
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("verify", "--p", "8", "--checks", "lemma9"), "unknown checks: lemma9"),
+            (("verify", "--p", "12"), "--p must be a power of two >= 4, got 12"),
+            (("census", "--p", "32"), "census is available at p = 8 or 16, got 32"),
+        ],
+    )
+    def test_post_parse_error_shows_the_subcommand_usage(self, capsys, args, message):
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: recon-census {args[0]} [-h] --p P")
+        assert err[-1] == f"recon-census {args[0]}: error: {message}"
+        # the usage lines of argparse's own errors for the subcommand
+        assert run_cli(args[0], "--p", "x") == 2
+        assert capsys.readouterr().err.splitlines()[:-1] == err[:-1]
+
+    @pytest.mark.parametrize(
         "checks, named",
         [
             ("lemma1,lemma1", "lemma1"),
@@ -217,7 +234,7 @@ class TestExitCodes:
         assert run_cli("verify", "--p", "8", "--checks", checks) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        errors = [l for l in captured.err.splitlines() if l.startswith("recon-census: error:")]
+        errors = [l for l in captured.err.splitlines() if l.startswith("recon-census verify: error:")]
         assert len(errors) == 1 and "--checks" in errors[0]
 
     @pytest.mark.parametrize("failing", ["write", "flush"])
@@ -707,7 +724,7 @@ class TestSeedFlag:
         captured = capsys.readouterr()
         assert captured.out == ""
         errors = [l for l in captured.err.splitlines() if "error" in l]
-        assert errors == ["recon-census: error: --seed must be >= 0, got -1"]
+        assert errors == ["recon-census verify: error: --seed must be >= 0, got -1"]
 
 
 class TestJobsFlag:

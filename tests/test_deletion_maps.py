@@ -76,6 +76,28 @@ class TestSigmaValues:
         got = sigma_values(p, k, i)
         assert np.array_equal(got, [sigma(p, int(a), int(b)) for a, b in zip(k, i)])
 
+    def test_patched_order4_table_reaches_every_form(self, monkeypatch):
+        """``_SIGMA4`` is the one order-4 table: no form keeps its own copy."""
+        p = 16
+        k, i = np.divmod(np.arange(p * p, dtype=np.int32), p)
+        off = k != i
+        k, i = k[off] + 1, i[off] + 1
+        printed = sigma_values(p, k, i)
+        # each row the inverse of the printed one: other bijections onto the
+        # points other than k
+        inverse = np.zeros_like(dm._SIGMA4)
+        for b in range(4):
+            for a in range(4):
+                if a != b:
+                    inverse[b, dm._SIGMA4[b, a] - 1] = a + 1
+        monkeypatch.setattr(dm, "_SIGMA4", inverse)
+        want = [sigma_reference(p, int(a), int(b)) for a, b in zip(k, i)]
+        assert not np.array_equal(want, printed)
+        assert [sigma(p, int(a), int(b)) for a, b in zip(k, i)] == want
+        assert np.array_equal(sigma_values(p, k, i), want)
+        rows = np.concatenate([np.delete(build_map(p, b), b - 1) for b in range(1, p + 1)])
+        assert np.array_equal(rows, want)
+
     def test_vectorized_rejects_deleted_point(self):
         with pytest.raises(ValueError):
             sigma_values(8, np.array([1, 2]), np.array([2, 2]))

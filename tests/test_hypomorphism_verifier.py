@@ -6,7 +6,7 @@ import pytest
 
 import recon_census.hypomorphism_verifier as hv
 import recon_census.weight_matrix as wm
-from recon_census.deletion_maps import build_all_maps, sigma
+from recon_census.deletion_maps import build_all_maps, sigma, sigma_values
 from recon_census.hypomorphism_verifier import (
     check_lemma3,
     check_theorem1,
@@ -16,7 +16,7 @@ from recon_census.report import VerificationReport
 from recon_census.weight_matrix import MatrixVariant, build_dense
 
 from conftest import patch_dense, swap_images_at_random
-from loop_oracles import lemma3_loops
+from loop_oracles import lemma3_loops, sample_theorem1_reference
 
 PLAIN = MatrixVariant.PLAIN
 STAR = MatrixVariant.STAR
@@ -180,6 +180,47 @@ class TestSampleTheorem1:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             sample_theorem1(8, 0, rng_seed=1)
+
+    @pytest.mark.parametrize("block", ["default", 7])
+    @pytest.mark.parametrize("faulty", [False, True])
+    @pytest.mark.parametrize("p", [64, 1024])
+    def test_equals_triple_by_triple_reference(self, monkeypatch, p, faulty, block):
+        trials, seed = 5_000, 11
+        if block != "default":
+            monkeypatch.setattr(hv, "_EVAL_BLOCK", block)
+        if faulty:
+            # one starred cell changed, in the entry oracles of both forms: the
+            # mapped pair of the first triple from index 100 on (in a later
+            # block of 7) whose pair no earlier triple maps to
+            rng = np.random.default_rng(seed)
+            k = rng.integers(1, p + 1, size=trials)
+            i = rng.integers(1, p, size=trials)
+            j = rng.integers(1, p, size=trials)
+            i += i >= k
+            j += j >= k
+            cells = sigma_values(p, k, i).astype(np.int64) * (p + 1) + sigma_values(p, k, j)
+            t = next(t for t in range(100, trials) if cells[t] not in cells[:t])
+            cell = divmod(int(cells[t]), p + 1)
+            entry_values, entry_at = hv.entry_values, wm.entry_at
+
+            def faulty_values(q, variant, rows, cols):
+                out = entry_values(q, variant, rows, cols)
+                if variant is STAR:
+                    out = out + ((rows == cell[0]) & (cols == cell[1]))
+                return out
+
+            def faulty_at(q, variant, row, col):
+                return entry_at(q, variant, row, col) + (variant is STAR and (row, col) == cell)
+
+            monkeypatch.setattr(hv, "entry_values", faulty_values)
+            monkeypatch.setattr(wm, "entry_at", faulty_at)
+
+        report = sample_theorem1(p, trials, rng_seed=seed)
+        assert report == sample_theorem1_reference(p, trials, rng_seed=seed)
+        if faulty:
+            assert report.counterexample[:3] == (k[t], i[t], j[t])
+        else:
+            assert report.passed
 
     def test_memory_does_not_grow_with_the_order(self):
         # the entry oracle gathers from the order-free class table, so the
