@@ -41,7 +41,13 @@ from typing import Optional
 import numpy as np
 
 from recon_census.report import VerificationReport
-from recon_census.weight_matrix import _first_cell, _row_blocks, _text_grid, order_exponent
+from recon_census.weight_matrix import (
+    _first_cell,
+    _points_int32,
+    _row_blocks,
+    _text_grid,
+    order_exponent,
+)
 
 __all__ = [
     "build_all_maps",
@@ -124,13 +130,7 @@ def sigma_values(p: int, k, i) -> np.ndarray:
     stopping level.
     """
     order_exponent(p)
-    k = np.asarray(k, dtype=np.int32)
-    i = np.asarray(i, dtype=np.int32)
-    k, i = np.broadcast_arrays(k, i)
-    if i.size == 0:
-        return np.zeros(i.shape, dtype=np.int32)
-    if i.min() < 1 or i.max() > p or k.min() < 1 or k.max() > p:
-        raise IndexError(f"points must lie in 1..{p}")
+    k, i = np.broadcast_arrays(_points_int32(k, p, "points"), _points_int32(i, p, "points"))
     if np.any(i == k):
         raise ValueError("mapping is undefined at the deleted point")
     return _sigma_closed_form(p, k, i)
@@ -187,22 +187,23 @@ def _check_rows(p: int, first: int, rows: np.ndarray) -> None:
     """Raise ValueError unless each row is the table of a deletion map.
 
     Row r must delete the point ``first + r``: 0 in its slot, and the
-    other slots a bijection onto the p - 1 other points.  One bincount
-    per block of rows, O(p) per row.
+    other slots a bijection onto the p - 1 other points.  With the hole
+    filled by k, a row is such a table exactly when it sorts to 1..p: one
+    int32 sort per block of rows, in place on one copy of the block.
     """
     n = rows.shape[0]
-    ks = np.arange(first, first + n)
+    ks = np.arange(first, first + n, dtype=np.int32)
     if rows.min() < 0 or rows.max() > p:
         raise ValueError(f"images must lie in 1..{p}")
-    holes = rows[np.arange(n), ks - 1]
-    if np.any(holes != 0):
-        k = int(ks[np.argmax(holes != 0)])
+    holes = (np.arange(n), ks - 1)
+    marked = rows[holes] != 0
+    if marked.any():
+        k = int(ks[np.argmax(marked)])
         raise ValueError(f"map {k}: the deleted slot must hold the absence marker 0")
-    counts = np.bincount(
-        (rows + (p + 1) * np.arange(n)[:, None]).ravel(), minlength=n * (p + 1)
-    ).reshape(n, p + 1)
-    counts[np.arange(n), ks] += 1
-    bad = np.nonzero((counts != 1).any(axis=1))[0]
+    filled = rows.copy()
+    filled[holes] = ks
+    filled.sort(axis=1)
+    bad = np.nonzero((filled != np.arange(1, p + 1, dtype=np.int32)).any(axis=1))[0]
     if bad.size:
         k = int(ks[bad[0]])
         raise ValueError(f"map {k} is not a bijection onto the points other than {k}")

@@ -10,16 +10,17 @@ Because the two extreme levels +-(n+1) are the only place the plain and
 starred matrices disagree under the extended point-1 mapping, any
 assignment giving both extremes the same bit produces an isomorphic pair
 (``forced_isomorphism`` returns the witness, the permutation array of
-``deletion_maps.extend_sigma_p1``, after checking that the assignment
-gives equal bits to both levels of every distinct off-diagonal level pair
-(plain(i, j), star(ext(i), ext(j))), collected once per order).
-Conjugating by the half-swap involution exchanges the two extreme levels
-and nothing else (``swap_involution`` verifies this), which pairs up
-assignments into orbits yielding the same digraph pair.  Both point maps
-are checked through one scan, ``_level_pairs``, which collects the
-distinct level pairs a point map makes between two dense matrices.
-``assignment_census`` enumerates every proper assignment at small orders
-and tabulates which ones yield non-isomorphic pairs.  It settles the rows
+``deletion_maps.extend_sigma_p1``).  That identity is checked once per
+order: every distinct off-diagonal level pair (plain(i, j),
+star(ext(i), ext(j))) must be (u, u) or an extreme pair
+(+-(n+1), -+(n+1)).  Conjugating by the half-swap involution exchanges
+the two extreme levels and nothing else (``swap_involution`` verifies
+this), which pairs up assignments into orbits yielding the same digraph
+pair.  Both point maps are checked through one scan, ``_level_pairs``,
+which collects the distinct level pairs a point map makes between two
+dense matrices.  ``assignment_census`` enumerates every proper
+assignment at small orders, in one pass over the integer rows, and
+tabulates which ones yield non-isomorphic pairs.  It settles the rows
 with equal extreme bits through ``forced_isomorphism`` and runs one
 isomorphism search per remaining swap orbit (64 at p = 8, 256 at p = 16,
 in the calling process); the other member of the orbit copies the
@@ -409,20 +410,22 @@ def _level_pairs(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 class _LevelTable(NamedTuple):
     witness: np.ndarray  # extend_sigma_p1(p), read-only
-    pairs: np.ndarray  # (k, 2): distinct (plain(i, j), star(ext(i), ext(j))), i != j
     levels: np.ndarray  # the levels occurring off the diagonal
 
 
 @lru_cache(maxsize=1)
 def _level_table(p: int) -> _LevelTable:
-    """The per-order table that decides forced rows and tournament rows.
+    """The per-order table behind forced rows and tournament rows, checked.
 
-    The pairs are ``_level_pairs`` of the plain and starred matrices under
-    the extended point-1 mapping ``ext``, so ``ext`` carries the assigned
-    plain digraph onto the assigned starred one exactly when every pair
-    gets equal bits.  A ``WeightedMatrix`` is antisymmetric, so arcs
-    i -> j and j -> i come from levels v and -v.  Only the last order is
-    kept.
+    The extended point-1 mapping ``ext`` must change only the extreme
+    levels: every ``_level_pairs`` pair (plain(i, j), star(ext(i), ext(j)))
+    of the plain and starred matrices is (u, u) or (+-(n+1), -+(n+1)).
+    Then ``ext`` carries the assigned plain digraph onto the assigned
+    starred one for every assignment giving both extremes the same bit,
+    so the identity is checked here, once per order, and a violation
+    (named by its first pair) is a fatal internal error.  A
+    ``WeightedMatrix`` is antisymmetric, so arcs i -> j and j -> i come
+    from levels v and -v.  Only the last order is kept.
     """
     ext = extend_sigma_p1(p)
     ext.setflags(write=False)
@@ -431,23 +434,31 @@ def _level_table(p: int) -> _LevelTable:
         build_dense(p, MatrixVariant.STAR).entries,
         ext - 1,
     )
-    # not np.union1d: np.unique imports numpy.ma, a start-up cost per process
     top = order_exponent(p) + 1
+    u, v = pairs.T
+    stray = (v != u) & ((np.abs(u) != top) | (v != -u))
+    if stray.any():
+        u, v = pairs[np.argmax(stray)].tolist()
+        raise ContradictionError(
+            f"extended point-1 mapping is not an isomorphism at p={p}: "
+            f"it sends plain level {u} onto starred level {v}"
+        )
+    # not np.union1d: np.unique imports numpy.ma, a start-up cost per process
     levels = np.flatnonzero(np.bincount(pairs.ravel() + top)) - top
     levels.setflags(write=False)
-    return _LevelTable(ext, pairs, levels)
+    return _LevelTable(ext, levels)
 
 
 def forced_isomorphism(p: int, a: BinaryAssignment) -> Optional[np.ndarray]:
     """Witness permutation when both extreme levels get the same bit, else None.
 
-    When the assignment gives +-(n+1) equal bits, the extended point-1
-    mapping (``extend_sigma_p1``, slot i - 1 holding the image of point i)
-    must carry the assigned plain digraph onto the assigned starred
-    digraph.  That is checked before the witness is returned, one level
-    pair of ``_level_table`` at a time (the arc-by-arc check grouped by
-    level), and a failure is a fatal internal error.  The witness is the
-    table's read-only array.
+    The witness is the extended point-1 mapping (``extend_sigma_p1``, slot
+    i - 1 holding the image of point i) as the read-only array of
+    ``_level_table``, which checks once per order that the mapping changes
+    only the extreme levels.  So it carries the assigned plain digraph onto
+    the assigned starred one, and an order where it does not raises
+    ContradictionError for every assignment with equal extreme bits, the
+    all-zero one too.
     """
     n = order_exponent(p)
     if p < 8:
@@ -456,19 +467,7 @@ def forced_isomorphism(p: int, a: BinaryAssignment) -> Optional[np.ndarray]:
         raise ValueError("assignment exponent does not match the order")
     if a.value_for(n + 1) != a.value_for(-(n + 1)):
         return None
-    if not _witness_carries(p, a):
-        raise ContradictionError(
-            f"extended point-1 mapping is not an isomorphism at p={p} "
-            f"for assignment {a.bit_string}"
-        )
     return _level_table(p).witness
-
-
-def _witness_carries(p: int, a: BinaryAssignment) -> bool:
-    """Whether ``extend_sigma_p1(p)`` carries a's plain digraph onto its
-    starred one: every level pair of ``_level_table`` gets equal bits."""
-    bit = _bit_lut(a)[_level_table(p).pairs]
-    return bool(np.array_equal(bit[:, 0], bit[:, 1]))
 
 
 def _assigns_tournaments(p: int, a: BinaryAssignment) -> bool:
@@ -549,12 +548,11 @@ class CensusTable:
         return "\n".join(lines) + "\n"
 
 
-def _census_entry(p: int, bits: str, budget: int) -> Optional[bool]:
+def _census_entry(p: int, a: BinaryAssignment, budget: int) -> Optional[bool]:
     """Search verdict for one row: None when the search exhausted the budget."""
     # imported here to avoid a module cycle with the isomorphism engine
     from recon_census.iso_engine import IsoStatus, are_isomorphic
 
-    a = assignment_from_bits(order_exponent(p), bits)
     verdict = are_isomorphic(*_assigned_pair(p, a), budget=budget)
     return {
         IsoStatus.ISOMORPHIC: True,
@@ -563,60 +561,47 @@ def _census_entry(p: int, bits: str, budget: int) -> Optional[bool]:
     }[verdict.status]
 
 
-def _swap_partner_bits(n: int, bits: str) -> str:
-    """Bit string of the assignment with the two extreme levels' bits exchanged."""
-    chars = list(bits)
-    chars[n], chars[2 * n + 1] = chars[2 * n + 1], chars[n]
-    return "".join(chars)
-
-
-def _census_bits(p: int) -> list[str]:
-    """Every proper assignment's bit string at a census order, ascending."""
-    if p not in CENSUS_ORDERS:
-        orders = " and ".join(map(str, CENSUS_ORDERS))
-        raise ValueError(f"census is budget-bounded to orders {orders}, got {p}")
-    m = 2 * (order_exponent(p) + 1)
-    return [format(x, f"0{m}b") for x in range(1 << m)]
-
-
-def _orbit_id(n: int, bits: str) -> int:
-    return min(int(bits, 2), int(_swap_partner_bits(n, bits), 2))
-
-
 def assignment_census(p: int, iso_budget: int = DEFAULT_ISO_BUDGET) -> CensusTable:
     """Tabulate every proper assignment at an order p in ``CENSUS_ORDERS``.
 
     Each row records whether the assigned pair are tournaments and
     whether they are isomorphic (None when the search exhausted
-    ``iso_budget``).  ``orbit_id`` is the smaller bit-string value of the
-    row and its extreme-level-swap partner, which yield the same digraph
-    pair up to the half-swap relabeling.
+    ``iso_budget``).  Row x has the assignment whose bit string is x in
+    binary, so the extreme levels n+1 and -(n+1) are bit n+1 and bit 0.
+    ``orbit_id`` is the smaller of x and its partner, x with those two
+    bits exchanged, which yields the same digraph pair up to the half-swap
+    relabeling.
 
-    Rows are decided from the two symmetries first.  A row whose extreme
-    levels get equal bits is isomorphic by ``forced_isomorphism``, with
-    no search.  Of the other rows, only each orbit's first row (its
-    ``orbit_id``) is searched, in the calling process, and its partner
-    copies the verdict.
-    Both per-order checks (``swap_involution`` and the level table) run
-    before any search.  The tournament flag is read from the levels.
+    One ascending pass decides the rows, building each row's assignment
+    once.  A row whose extreme levels get equal bits (its own partner) is
+    isomorphic by ``forced_isomorphism``, with no search.  Of the other
+    rows, the one below its partner is searched through ``_census_entry``,
+    in the calling process, and the partner copies its verdict.  Both
+    per-order identities, ``swap_involution`` and the point-1 level check
+    of ``_level_table``, run before any search.  The tournament flag is
+    read from the levels.
     """
-    all_bits = _census_bits(p)
+    if p not in CENSUS_ORDERS:
+        orders = " and ".join(map(str, CENSUS_ORDERS))
+        raise ValueError(f"census is budget-bounded to orders {orders}, got {p}")
     n = order_exponent(p)
-    # partners may copy verdicts only because this identity holds; it raises
-    # otherwise
+    m = 2 * (n + 1)
+    # forced rows and partners may skip the search only because these
+    # identities hold; each raises otherwise
     swap_involution(p)
-    verdict: dict[str, Optional[bool]] = {}
-    searched = []
-    for bits in all_bits:
-        if forced_isomorphism(p, assignment_from_bits(n, bits)) is not None:
-            verdict[bits] = True
-        elif int(bits, 2) == _orbit_id(n, bits):
-            searched.append(bits)
-    for bits in searched:
-        verdict[bits] = _census_entry(p, bits, iso_budget)
-    rows = []
-    for bits in all_bits:
-        tourn = _assigns_tournaments(p, assignment_from_bits(n, bits))
-        decided = bits if bits in verdict else _swap_partner_bits(n, bits)
-        rows.append(CensusRow(bits, tourn, verdict[decided], _orbit_id(n, bits)))
+    _level_table(p)
+    extremes = 1 << (n + 1) | 1
+    rows: list[CensusRow] = []
+    for x in range(1 << m):
+        a = assignment_from_bits(n, format(x, f"0{m}b"))
+        if forced_isomorphism(p, a) is not None:
+            partner, isomorphic = x, True
+        else:
+            partner = x ^ extremes
+            if x < partner:
+                isomorphic = _census_entry(p, a, iso_budget)
+            else:
+                isomorphic = rows[partner].isomorphic
+        tourn = _assigns_tournaments(p, a)
+        rows.append(CensusRow(a.bit_string, tourn, isomorphic, min(x, partner)))
     return CensusTable(p, tuple(rows))

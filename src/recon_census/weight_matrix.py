@@ -344,6 +344,18 @@ def _offset_case_table(p: int, variant: MatrixVariant) -> np.ndarray:
     return _CLASS_TABLE[variant].take(_offset_class(d), axis=0)
 
 
+def _points_int32(x, p: int, what: str) -> np.ndarray:
+    """``x`` as an int32 array, IndexError unless each value lies in 1..p.
+
+    The range is checked before the narrowing, so a value beyond int32
+    cannot wrap into range; an int32 array is neither copied nor converted.
+    """
+    x = np.asarray(x)
+    if x.size and (x.min() < 1 or x.max() > p):
+        raise IndexError(f"{what} must lie in 1..{p}")
+    return x.astype(np.int32, copy=False)
+
+
 def entry_values(p: int, variant: MatrixVariant, i, j) -> np.ndarray:
     """Vectorized ``entry_at``: i and j are broadcast 1-based index arrays.
 
@@ -352,12 +364,8 @@ def entry_values(p: int, variant: MatrixVariant, i, j) -> np.ndarray:
     O(1) time and memory per query at every order.
     """
     order_exponent(p)
-    a = np.asarray(i, dtype=np.int32) - 1
-    b = np.asarray(j, dtype=np.int32) - 1
-    if a.size and (a.min() < 0 or a.max() >= p):
-        raise IndexError(f"row indices must lie in 1..{p}")
-    if b.size and (b.min() < 0 or b.max() >= p):
-        raise IndexError(f"column indices must lie in 1..{p}")
+    a = _points_int32(i, p, "row indices") - 1
+    b = _points_int32(j, p, "column indices") - 1
     key = _offset_class((b >> 2) - (a >> 2))
     key <<= 4
     key |= (a & 3) << 2 | b & 3

@@ -355,17 +355,23 @@ def halving_chain_reference(p):
 
 def assignment_census_reference(p, iso_budget=db.DEFAULT_ISO_BUDGET):
     """``assignment_census(p)`` without its symmetries: every row searched,
-    and its tournament flag read off its digraphs."""
+    its tournament flag read off its digraphs, and its orbit id the smaller
+    value of its bit string and that string with the two extreme levels'
+    characters exchanged."""
     n = wm.order_exponent(p)
     rows = []
-    for bits in db._census_bits(p):
-        g, h = db._assigned_pair(p, db.assignment_from_bits(n, bits))
+    for chars in itertools.product("01", repeat=2 * (n + 1)):
+        bits = "".join(chars)
+        a = db.assignment_from_bits(n, bits)
+        g, h = db._assigned_pair(p, a)
+        swapped = list(chars)
+        swapped[n], swapped[-1] = chars[-1], chars[n]
         rows.append(
             db.CensusRow(
                 bits,
                 g.is_tournament() and h.is_tournament(),
-                db._census_entry(p, bits, iso_budget),
-                db._orbit_id(n, bits),
+                db._census_entry(p, a, iso_budget),
+                min(int(bits, 2), int("".join(swapped), 2)),
             )
         )
     return db.CensusTable(p, tuple(rows))

@@ -126,7 +126,7 @@ def test_criterion_6_census_order_8():
         a = assignment_from_bits(3, row.assignment_bits)
         if a.value_for(4) == a.value_for(-4):
             assert row.isomorphic is True, row
-            witness = forced_isomorphism(8, a)  # verified arc by arc inside
+            witness = forced_isomorphism(8, a)  # its order's level identity is checked
             assert witness is not None and witness[0] == 1
         else:
             assert forced_isomorphism(8, a) is None

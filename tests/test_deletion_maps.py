@@ -43,6 +43,23 @@ class TestSigmaValues:
         with pytest.raises(IndexError):
             sigma(8, 1, 9)
 
+    @pytest.mark.parametrize(
+        "k, i",
+        [
+            # 2**32 + 3 narrowed to int32 would read as point 3: sigma_3(1) = 16
+            (np.array([2**32 + 3]), np.array([1])),
+            (np.array([1]), np.array([2**32 + 2])),
+            (np.array([2]), np.array([-(2**32) + 1])),
+            (2**31, 1),
+            # beyond int64: an object array, not an OverflowError
+            (1, 2**70),
+            (np.array([17], dtype=np.int32), np.array([1], dtype=np.int32)),
+        ],
+    )
+    def test_vectorized_checks_range_before_narrowing(self, k, i):
+        with pytest.raises(IndexError, match="points must lie in 1..16"):
+            sigma_values(16, k, i)
+
     @pytest.mark.parametrize("p", [4, 8, 16, 32, 64])
     def test_folded_equals_reference(self, p):
         for k in range(1, p + 1):

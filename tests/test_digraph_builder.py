@@ -9,7 +9,6 @@ from recon_census.digraph_builder import (
     Digraph,
     _assigns_tournaments,
     _is_arc_preserving,
-    _witness_carries,
     apply_assignment,
     assignment_census,
     assignment_from_bits,
@@ -251,7 +250,6 @@ class TestForcedIsomorphism:
         forced = 0
         for a in assignments:
             carried = _is_arc_preserving(*assigned_pair(p, a), ext)
-            assert _witness_carries(p, a) == carried, a.bit_string
             equal_extremes = a.value_for(n + 1) == a.value_for(-(n + 1))
             assert carried == equal_extremes, a.bit_string
             witness = forced_isomorphism(p, a)
@@ -371,19 +369,20 @@ class TestCensus:
         assert assignment_census(p).to_csv() == golden
         assert assignment_census_reference(p).to_csv() == golden
 
-    def test_searches_one_row_per_unforced_orbit(self, monkeypatch):
+    @pytest.mark.parametrize("p, searches", [(8, 64), (16, 256)])
+    def test_searches_one_row_per_unforced_orbit(self, monkeypatch, p, searches):
         import recon_census.digraph_builder as db
 
         searched = []
         real = db._census_entry
 
-        def counting(p, bits, budget):
-            searched.append(bits)
-            return real(p, bits, budget)
+        def counting(p, a, budget):
+            searched.append(a.bit_string)
+            return real(p, a, budget)
 
         monkeypatch.setattr(db, "_census_entry", counting)
-        table = assignment_census(8)
-        assert len(searched) == 64
+        table = assignment_census(p)
+        assert len(searched) == searches
         by_bits = {row.assignment_bits: row for row in table.rows}
         assert all(int(bits, 2) == by_bits[bits].orbit_id for bits in searched)
 

@@ -26,6 +26,11 @@ from loop_oracles import (
 )
 
 
+def no_search(*args):
+    """A census search seam that fails: the per-order checks come first."""
+    raise AssertionError("searched before the per-order checks")
+
+
 @pytest.fixture
 def corrupt_plain_entry(monkeypatch):
     """Flip the sign of entry (2, 3), and of no other, in the order-8 plain
@@ -164,9 +169,6 @@ class TestSelfCheckingOperations:
     def test_census_checks_swap_before_any_search(self, monkeypatch):
         def broken(p):
             raise ContradictionError("half-swap failed")
-
-        def no_search(*args):
-            raise AssertionError("searched before the per-order checks")
 
         monkeypatch.setattr(db, "swap_involution", broken)
         monkeypatch.setattr(db, "_census_entry", no_search)
@@ -383,13 +385,11 @@ class TestLemma1ClassTableReporting:
         assert report["outcome"] == "fail"
 
 
-@pytest.fixture
-def corrupt_star_extreme_cell(monkeypatch):
-    """A copy of the order-8 starred dense table with one cell at level 4 (and
-    its antisymmetric partner) moved to level 1, so the extended point-1
-    mapping no longer carries the forced rows' digraphs onto each other.
+def corrupt_star_cell(monkeypatch, old, new):
+    """Feed the order-8 starred dense table with its first cell at level
+    ``old`` (and that cell's antisymmetric partner) moved to level ``new``.
     ``swap_involution`` still reads the clean matrices, so the census gets
-    past it to the forced rows."""
+    past it to the point-1 level check."""
     real = db.build_dense
     real_swap = db.swap_involution
 
@@ -398,8 +398,8 @@ def corrupt_star_extreme_cell(monkeypatch):
         if p != 8 or variant is not wm.MatrixVariant.STAR:
             return m
         entries = m.entries.copy()
-        i, j = np.argwhere(entries == 4)[0]
-        entries[i, j], entries[j, i] = 1, -1
+        i, j = np.argwhere(entries == old)[0]
+        entries[i, j], entries[j, i] = new, -new
         return wm.WeightedMatrix(p, variant, entries)
 
     def swap_on_clean_matrices(p):
@@ -410,6 +410,23 @@ def corrupt_star_extreme_cell(monkeypatch):
     db._level_table.cache_clear()
     monkeypatch.setattr(db, "build_dense", patched)
     monkeypatch.setattr(db, "swap_involution", swap_on_clean_matrices)
+
+
+@pytest.fixture
+def corrupt_star_extreme_cell(monkeypatch):
+    """A starred cell at the extreme level 4 moved to level 1, so the
+    extended point-1 mapping no longer carries the forced rows' digraphs
+    onto each other."""
+    corrupt_star_cell(monkeypatch, 4, 1)
+    yield
+    db._level_table.cache_clear()
+
+
+@pytest.fixture
+def corrupt_star_level_two_cell(monkeypatch):
+    """A starred cell moved from level 2 to level 3: a pair of non-extreme
+    levels that the all-zero assignment alone would not tell apart."""
+    corrupt_star_cell(monkeypatch, 2, 3)
     yield
     db._level_table.cache_clear()
 
@@ -418,13 +435,12 @@ class TestForcedRowFaults:
     def test_forced_isomorphism_raises(self, corrupt_star_extreme_cell):
         # extremes to 1, every other level to 0
         a = db.assignment_from_bits(3, "00010001")
-        with pytest.raises(ContradictionError, match="for assignment 00010001"):
+        with pytest.raises(
+            ContradictionError, match="at p=8: it sends plain level -4 onto starred level 1$"
+        ):
             db.forced_isomorphism(8, a)
 
     def test_census_raises_before_any_search(self, corrupt_star_extreme_cell, monkeypatch):
-        def no_search(*args):
-            raise AssertionError("searched before the forced rows were checked")
-
         monkeypatch.setattr(db, "_census_entry", no_search)
         with pytest.raises(ContradictionError, match="not an isomorphism at p=8"):
             db.assignment_census(8)
@@ -438,3 +454,28 @@ class TestForcedRowFaults:
             "recon-census: internal error: ContradictionError: extended point-1 "
             "mapping is not an isomorphism at p=8"
         )
+
+
+class TestNonExtremeLevelFault:
+    """The point-1 level identity is checked once per order, so a stray
+    pair of two non-extreme levels raises even for an assignment that
+    gives both levels the same bit."""
+
+    MESSAGE = (
+        "extended point-1 mapping is not an isomorphism at p=8: "
+        "it sends plain level -2 onto starred level -3"
+    )
+
+    def test_error_names_the_pair(self, corrupt_star_level_two_cell):
+        with pytest.raises(ContradictionError) as info:
+            db._level_table(8)
+        assert str(info.value) == self.MESSAGE
+
+    def test_forced_isomorphism_raises_for_all_zero(self, corrupt_star_level_two_cell):
+        with pytest.raises(ContradictionError, match=self.MESSAGE):
+            db.forced_isomorphism(8, db.constant_assignment(3, 0))
+
+    def test_census_raises_before_any_search(self, corrupt_star_level_two_cell, monkeypatch):
+        monkeypatch.setattr(db, "_census_entry", no_search)
+        with pytest.raises(ContradictionError, match=self.MESSAGE):
+            db.assignment_census(8)

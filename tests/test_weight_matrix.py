@@ -215,6 +215,27 @@ class TestEntryAt:
         with pytest.raises(IndexError):
             entry_at(8, PLAIN, 1, 9)
 
+    @pytest.mark.parametrize(
+        "i, j, axis",
+        [
+            # 2**32 + 5 narrowed to int32 would read as row 5: entry (5, 1)
+            (np.array([2**32 + 5]), np.array([1]), "row"),
+            (np.array([1]), np.array([2**32 + 1]), "column"),
+            (np.array([-(2**32) + 3]), 1, "row"),
+            (2**31, 1, "row"),
+            # beyond int64: an object array, not an OverflowError
+            (1, 2**70, "column"),
+            (np.array([0, 3], dtype=np.int32), 1, "row"),
+        ],
+    )
+    def test_vectorized_checks_range_before_narrowing(self, i, j, axis):
+        with pytest.raises(IndexError, match=f"{axis} indices must lie in 1..16"):
+            entry_values(16, PLAIN, i, j)
+
+    def test_int32_points_are_not_copied(self):
+        i = np.arange(1, 17, dtype=np.int32)
+        assert wm._points_int32(i, 16, "row indices") is i
+
     @given(
         p=st.sampled_from([4, 8, 16, 64, 512, 4096]),
         data=st.data(),
