@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
-from recon_census.deletion_maps import check_lemma2, sigma_table_tsv
+from recon_census.deletion_maps import check_lemma2, sigma_tsv_blocks
 from recon_census.digraph_builder import (
     CENSUS_ORDERS,
     DEFAULT_ISO_BUDGET,
@@ -217,18 +217,19 @@ def _selected_digraphs(config: RunConfig) -> Iterator[tuple[str, Digraph]]:
 def _encode(
     named: Iterable[tuple[str, Digraph | WeightedMatrix]], fmt: str
 ) -> Iterator[str]:
-    """Named digraphs in one output format, encoded one item at a time as
-    they are drawn; weighted matrices export as csv only."""
+    """Named digraphs in one output format, encoded one row block at a time
+    as they are drawn; weighted matrices export as csv only."""
     for index, (name, g) in enumerate(named):
         if fmt == "d6":
-            yield g.to_digraph6() + "\n"
+            yield from g.digraph6_blocks()
+            yield "\n"
         elif fmt == "dot":
-            yield g.to_dot(name)
+            yield from g.dot_blocks(name)
         else:
             if index:
                 # csv items are separated by one empty line
                 yield "\n"
-            yield g.to_csv()
+            yield from g.csv_blocks()
 
 
 def _cmd_generate(config: RunConfig) -> int:
@@ -267,7 +268,7 @@ def _cmd_census(config: RunConfig) -> int:
 
 
 def _cmd_export(config: RunConfig) -> int:
-    _emit([sigma_table_tsv(config.p)], config.out)
+    _emit(sigma_tsv_blocks(config.p), config.out)
     return 0
 
 

@@ -36,7 +36,7 @@ check and the digraph hypomorphism check both run it on the table of
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -57,6 +57,7 @@ __all__ = [
     "sigma",
     "sigma_reference",
     "sigma_table_tsv",
+    "sigma_tsv_blocks",
     "sigma_values",
 ]
 
@@ -255,11 +256,12 @@ def extend_sigma_p1(p: int) -> np.ndarray:
     return perm
 
 
-def sigma_table_tsv(p: int) -> str:
-    """Tab-separated table, rows = point, columns = deleted point, 'X' at the hole.
+def sigma_tsv_blocks(p: int) -> Iterator[str]:
+    """Tab-separated table, rows = point, columns = deleted point, 'X' at
+    the hole, one ``weight_matrix._text_grid`` block at a time.
 
-    The row blocks are column blocks of ``build_all_maps(p)``, whose
-    absence marker 0 at the hole is the code of 'X'.
+    The row blocks are column blocks of ``build_all_maps(p)``, built when
+    this is called, whose absence marker 0 at the hole is the code of 'X'.
     """
     tables = build_all_maps(p)
     return _text_grid(
@@ -268,6 +270,11 @@ def sigma_table_tsv(p: int) -> str:
         ["X", *map(str, range(1, p + 1))],
         "\t",
     )
+
+
+def sigma_table_tsv(p: int) -> str:
+    """The whole text of ``sigma_tsv_blocks(p)``."""
+    return "".join(sigma_tsv_blocks(p))
 
 
 def check_lemma2(p: int) -> VerificationReport:

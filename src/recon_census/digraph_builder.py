@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from recon_census.errors import ContradictionError
 from recon_census.weight_matrix import (
     MatrixVariant,
     WeightedMatrix,
+    _ascii_text,
     _first_cell,
     _offset_case_table,
     _row_blocks,
@@ -218,32 +219,54 @@ class Digraph:
     def __repr__(self) -> str:
         return f"Digraph(order={self.order}, arcs={self.arc_count()})"
 
-    def to_csv(self) -> str:
+    def csv_blocks(self) -> Iterator[str]:
+        """Rows of 0/1 cells, comma-separated, one ``_text_grid`` block at a time."""
         return _text_grid(self.order, self.adjacency.__getitem__, ("0", "1"), ",")
 
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"digraph {name} {{"]
-        lines += [f"  {i};" for i in range(1, self.order + 1)]
-        rows, cols = np.nonzero(self.adjacency)
-        # Python ints, which format several times faster than numpy scalars
-        lines += [f"  {i} -> {j};" for i, j in zip((rows + 1).tolist(), (cols + 1).tolist())]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+    def dot_blocks(self, name: str = "G") -> Iterator[str]:
+        """Graphviz text: the header with every point declared, the arc
+        lines of one ``weight_matrix._row_blocks`` block of rows at a time,
+        then the closing brace.
 
-    def to_digraph6(self) -> str:
-        """'&', the order, then one character per six adjacency bits in
+        An arc line is the zero-padded byte string of its tail point joined
+        to that of its head point, gathered and masked as in
+        ``weight_matrix._text_grid``, and a block counts each cell as the
+        bytes of its line plus its two indices.
+        """
+        p = self.order
+        yield f"digraph {name} {{\n" + "".join([f"  {i};\n" for i in range(1, p + 1)])
+        tails = np.array([f"  {i} -> " for i in range(1, p + 1)], dtype="S")
+        heads = np.array([f"{j};\n" for j in range(1, p + 1)], dtype="S")
+        line = tails.itemsize + heads.itemsize
+        for block in _row_blocks(p, p * (line + 16)):
+            rows, cols = np.nonzero(self.adjacency[block])
+            rows += block.start
+            yield _ascii_text(np.strings.add(tails[rows], heads[cols]))
+        yield "}\n"
+
+    def digraph6_blocks(self) -> Iterator[str]:
+        """'&' and the order, then one character per six adjacency bits in
         row-major order, the last group zero-padded.  The groups are packed
-        in uint8, one ``weight_matrix._row_blocks`` block of them at a time."""
+        in uint8 and yielded one ``weight_matrix._row_blocks`` block of them
+        at a time."""
         bits = self.adjacency.reshape(-1)
         weights = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
-        pieces = ["&", _encode_count(self.order)]
+        yield "&" + _encode_count(self.order)
         for block in _row_blocks(-(-bits.size // 6), 6):
             chunk = bits[6 * block.start : 6 * block.stop]
             if chunk.size % 6:
                 chunk = np.concatenate([chunk, np.zeros(-chunk.size % 6, np.uint8)])
             codes = chunk.reshape(-1, 6) @ weights + np.uint8(63)
-            pieces.append(codes.tobytes().decode("ascii"))
-        return "".join(pieces)
+            yield codes.tobytes().decode("ascii")
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_blocks())
+
+    def to_dot(self, name: str = "G") -> str:
+        return "".join(self.dot_blocks(name))
+
+    def to_digraph6(self) -> str:
+        return "".join(self.digraph6_blocks())
 
     @classmethod
     def from_digraph6(cls, text: str) -> "Digraph":

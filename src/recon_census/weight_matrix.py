@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -137,34 +137,38 @@ def _first_cell(rows: int, cols: int, bad) -> Optional[tuple[int, int]]:
     return None
 
 
-def _text_grid(p: int, codes, tokens, sep: str) -> str:
-    """Delimited text of a p x p integer grid, one newline-terminated line per row.
+def _text_grid(p: int, codes, tokens, sep: str) -> Iterator[str]:
+    """Delimited text of a p x p integer grid, one newline-terminated line
+    per row, yielded one row block at a time.
 
     ``codes(rows)`` returns the codes of the rows in the slice ``rows``;
     code c prints as the ASCII token ``tokens[c]``, and the cells of a row
-    are joined by ``sep``.  Each token sits zero-padded in one row of a
-    byte table, with its delimiter (``sep``, or a newline in the last
-    column) in the byte after it, so a block of rows is one gather of
-    table rows and one mask that drops the zero bytes.  No cell costs a
-    Python step, and the scratch memory is that of one block.
+    are joined by ``sep``.  Each token and its delimiter (``sep``, or a
+    newline in the last column) sit zero-padded in one fixed-width byte
+    string, so a block of rows is one gather of table items and one mask
+    that drops the zero bytes; no cell costs a Python step.  A block counts
+    each cell as the bytes it gathers plus its index, so the scratch
+    memory, the block's text included, is a few times ``_BLOCK_CELLS``
+    bytes at every order and token width.
     """
     width = max(map(len, tokens)) + 1
-    table = np.zeros((2, len(tokens), width), dtype=np.uint8)
-    for c, token in enumerate(tokens):
-        raw = np.frombuffer(token.encode("ascii"), dtype=np.uint8)
-        table[:, c, : raw.size] = raw
-        table[:, c, raw.size] = (ord(sep), ord("\n"))
-    # one opaque item per table row, so that a gather moves whole rows
-    inner, last = table.view(np.dtype((np.void, width)))[..., 0]
-    pieces = []
-    for rows in _row_blocks(p, p):
+    inner, last = (
+        np.array([token + end for token in tokens], dtype=f"S{width}")
+        for end in (sep, "\n")
+    )
+    for rows in _row_blocks(p, p * (width + 8)):
         # C order, so that the gathered cells come out row by row
-        block = np.ascontiguousarray(codes(rows))
+        block = np.asarray(codes(rows), dtype=np.intp, order="C")
         cells = inner[block]
         cells[:, -1] = last[block[:, -1]]
-        flat = cells.view(np.uint8).reshape(-1)
-        pieces.append(str(flat[flat != 0], "ascii"))
-    return "".join(pieces)
+        yield _ascii_text(cells)
+
+
+def _ascii_text(items: np.ndarray) -> str:
+    """The bytes of a C-ordered fixed-width byte-string array, zero padding
+    dropped, as text."""
+    flat = items.view(np.uint8).reshape(-1)
+    return str(flat[flat != 0], "ascii")
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,13 +228,17 @@ class WeightedMatrix:
     def __repr__(self) -> str:
         return f"WeightedMatrix(order={self.order}, variant={self.variant.value})"
 
-    def to_csv(self) -> str:
-        """Rows as comma-separated signed integers, each newline-terminated."""
+    def csv_blocks(self) -> Iterator[str]:
+        """Rows as comma-separated signed integers, each newline-terminated,
+        one ``_text_grid`` block at a time."""
         bound = self.exponent + 1
         tokens = [str(v) for v in range(-bound, bound + 1)]
         return _text_grid(
             self.order, lambda rows: self.entries[rows] + bound, tokens, ","
         )
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_blocks())
 
 
 def base_matrix(variant: MatrixVariant) -> WeightedMatrix:

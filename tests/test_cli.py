@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from recon_census.cli import CHECKS, main
+from recon_census.deletion_maps import build_all_maps, sigma_table_tsv
 from recon_census.report import SCHEMA_VERSION
+from recon_census.weight_matrix import MatrixVariant, build_dense
 
 from conftest import FIXTURES
 
@@ -22,18 +24,22 @@ def run_cli(*args):
 
 
 class FullStdout(io.StringIO):
-    """A stdout whose ``write`` or ``flush`` fails as on a full device."""
+    """A stdout whose ``write`` or ``flush`` fails as on a full device; a
+    failing ``write`` succeeds ``writes`` times first."""
 
-    def __init__(self, failing: str):
+    def __init__(self, failing: str, writes: int = 0):
         super().__init__()
         self.failing = failing
+        self.writes = writes
 
     def _full(self):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     def write(self, text):
         if self.failing == "write":
-            self._full()
+            if not self.writes:
+                self._full()
+            self.writes -= 1
         return super().write(text)
 
     def flush(self):
@@ -250,6 +256,28 @@ class TestExitCodes:
         assert run_cli(*args) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"recon-census: error: cannot write stdout: {os.strerror(errno.ENOSPC)}"]
+
+    @pytest.mark.parametrize(
+        "args, whole",
+        [
+            (
+                ("generate", "--p", "256", "--kind", "weighted"),
+                lambda: build_dense(256, MatrixVariant.PLAIN).to_csv(),
+            ),
+            (("export", "--p", "256"), lambda: sigma_table_tsv(256)),
+        ],
+    )
+    def test_failed_write_partway_through_is_usage_error(
+        self, monkeypatch, capsys, args, whole
+    ):
+        # each text goes out in three or more row blocks; the third write fails
+        stdout = FullStdout("write", writes=2)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"recon-census: error: cannot write stdout: {os.strerror(errno.ENOSPC)}"]
+        written = stdout.getvalue()
+        assert 0 < len(written) < len(whole()) and whole().startswith(written)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize(
@@ -569,6 +597,115 @@ class TestExportCommand:
         out = tmp_path / "sigma.tsv"
         run_cli("export", "--p", str(p), "--out", str(out))
         assert out.read_bytes() == (FIXTURES / f"sigma_p{p}.tsv").read_bytes()
+
+
+def _items_text(named, fmt):
+    """Named items in one output format, from the public encoders."""
+    if fmt == "d6":
+        return "".join(g.to_digraph6() + "\n" for _, g in named)
+    if fmt == "dot":
+        return "".join(g.to_dot(name) for name, g in named)
+    return "\n".join(g.to_csv() for _, g in named)
+
+
+def _streamed_cases():
+    """(args, expected text from the public encoders, fixture or None)."""
+    from recon_census.digraph_builder import standard_pair, variant_pair
+
+    for p in (4, 8, 16, 64):
+        pairs = {"tournament": ("G", standard_pair(p))}
+        if p >= 8:
+            pairs["variant-digraph"] = ("D", variant_pair(p))
+        fixture = None
+        if p <= 16:
+            fixture = "\n".join(
+                (FIXTURES / f"weighted_p{p}_{v.value}.csv").read_text()
+                for v in MatrixVariant
+            )
+        matrices = [(v.value, build_dense(p, v)) for v in MatrixVariant]
+        yield ("generate", "--p", str(p), "--kind", "weighted", "--variant", "both"), \
+            _items_text(matrices, "csv"), fixture
+        tsv = FIXTURES / f"sigma_p{p}.tsv"
+        yield ("export", "--p", str(p)), sigma_table_tsv(p), \
+            tsv.read_text() if tsv.exists() else None
+        for kind, (tag, (g, h)) in pairs.items():
+            for fmt in ("csv", "dot", "d6"):
+                fixture = None
+                if (p, kind, fmt) == (8, "tournament", "dot"):
+                    fixture = (FIXTURES / "tournament_p8.dot").read_text()
+                named = [(f"{tag}{p}", g), (f"{tag}{p}s", h)]
+                yield ("generate", "--p", str(p), "--kind", kind, "--variant", "both",
+                       "--format", fmt), _items_text(named, fmt), fixture
+        g = pairs["tournament"][1][0]
+        cards = [(f"G{p}_card{k}", g.delete_point(k)) for k in range(1, p + 1)]
+        for fmt in ("csv", "dot", "d6"):
+            fixture = None
+            if (p, fmt) == (8, "d6"):
+                fixture = (FIXTURES / "deck_p8.d6").read_text()
+            yield ("deck", "--p", str(p), "--format", fmt), _items_text(cards, fmt), fixture
+
+
+class TestStreamedWrites:
+    """The CLI writes every large text one row block at a time."""
+
+    # 1: one row (or one 6-bit group) per block; the others leave a partial
+    # last block, e.g. 3 of 4 rows of the weighted csv at p = 4 (150 cells),
+    # 5 of 16 at p = 16 (1000) and 14 of 64 at p = 64 (10000)
+    @pytest.mark.parametrize("cells", [1, 150, 1000, 10000])
+    def test_block_seams_leave_the_bytes_unchanged(self, tmp_path, monkeypatch, cells):
+        import recon_census.cli as cli_mod
+        import recon_census.weight_matrix as wm
+
+        cases = list(_streamed_cases())
+        fixtures = sum(fixture is not None for _, _, fixture in cases)
+        assert fixtures == 8
+        monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
+        pieces = []
+        real = cli_mod._write_output
+
+        def recording(text, stream):
+            pieces.append(text)
+            real(text, stream)
+
+        monkeypatch.setattr(cli_mod, "_write_output", recording)
+        out = tmp_path / "out.txt"
+        for args, want, fixture in cases:
+            pieces.clear()
+            assert run_cli(*args, "--out", str(out)) == 0
+            if cells == 1:
+                # at least one piece per row
+                assert len(pieces) >= int(args[2]), args
+            got = out.read_bytes()
+            assert got == want.encode(), (args, cells)
+            if fixture is not None:
+                assert got == fixture.encode(), (args, cells)
+
+    @pytest.mark.parametrize(
+        "args, warm",
+        [
+            (
+                ("generate", "--p", "2048", "--kind", "weighted", "--variant", "both"),
+                lambda: [build_dense(2048, v) for v in MatrixVariant],
+            ),
+            (("export", "--p", "1024"), lambda: build_all_maps(1024)),
+        ],
+    )
+    def test_scratch_is_a_fraction_of_the_text(self, tmp_path, args, warm):
+        import tracemalloc
+
+        # the cached matrices and map table are not the writer's scratch
+        warm()
+        out = tmp_path / "out.txt"
+        tracemalloc.start()
+        try:
+            status = run_cli(*args, "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        # 21.0 MB and 4.1 MB written; writers that built the whole text
+        # first peaked at 22.5 MB and 10.7 MB
+        assert peak < out.stat().st_size / 4
 
 
 class TestCensusCommand:

@@ -1,8 +1,9 @@
 """The vectorized text encoders against their per-element forms.
 
 ``WeightedMatrix.to_csv``, ``Digraph.to_csv`` and ``sigma_table_tsv`` share
-one numpy kernel (``weight_matrix._text_grid``) and ``Digraph.to_digraph6``
-packs its payload without a per-character loop.  The per-element bodies
+one numpy kernel (``weight_matrix._text_grid``), ``Digraph.to_dot`` gathers
+its arc lines the same way and ``Digraph.to_digraph6`` packs its payload
+without a per-character loop.  The per-element bodies
 they replaced are kept here as oracles, and the orders run up to 1024 so
 that 3-character weights (from p = 512) and 3- and 4-digit images meet
 the kernel's padding and row blocks.  ``Digraph.is_tournament``, a row-block
@@ -55,6 +56,14 @@ def digraph6_reference(g: Digraph) -> str:
     return "&" + _encode_count(g.order) + body
 
 
+def dot_reference(g: Digraph, name: str) -> str:
+    """Per-arc ``f-string`` form of the Graphviz text."""
+    lines = [f"digraph {name} {{"] + [f"  {i};" for i in range(1, g.order + 1)]
+    rows, cols = np.nonzero(g.adjacency)
+    lines += [f"  {i + 1} -> {j + 1};" for i, j in zip(rows.tolist(), cols.tolist())]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 def is_tournament_reference(g: Digraph) -> bool:
     """Whole-matrix form: exactly one arc between every two distinct points."""
     a = g.adjacency
@@ -63,14 +72,20 @@ def is_tournament_reference(g: Digraph) -> bool:
 
 
 class TestKernel:
-    def test_mixed_token_widths(self):
+    def test_mixed_token_widths(self, monkeypatch):
+        import recon_census.weight_matrix as wm
+
         codes = np.array([[0, 1, 2], [2, 2, 0], [1, 0, 1]])
+        lines = ["X\t-10\t7\n", "7\t7\tX\n", "-10\tX\t-10\n"]
         text = _text_grid(3, codes.__getitem__, ["X", "-10", "7"], "\t")
-        assert text == "X\t-10\t7\n7\t7\tX\n-10\tX\t-10\n"
+        assert list(text) == ["".join(lines)]
+        # a block counts the 4 gathered bytes of each cell: one row of 12
+        monkeypatch.setattr(wm, "_BLOCK_CELLS", 12)
+        assert list(_text_grid(3, codes.__getitem__, ["X", "-10", "7"], "\t")) == lines
 
     def test_single_cell_and_empty_grid(self):
-        assert _text_grid(1, np.zeros((1, 1), int).__getitem__, ["ab"], ",") == "ab\n"
-        assert _text_grid(0, np.zeros((0, 0), int).__getitem__, ["0"], ",") == ""
+        assert list(_text_grid(1, np.zeros((1, 1), int).__getitem__, ["ab"], ",")) == ["ab\n"]
+        assert list(_text_grid(0, np.zeros((0, 0), int).__getitem__, ["0"], ",")) == []
 
     def test_row_blocks_join_seamlessly(self, monkeypatch):
         import recon_census.weight_matrix as wm
@@ -91,6 +106,7 @@ class TestKernel:
             assert m.to_csv() == whole, cells
             for d in digraphs:
                 assert d.to_digraph6() == digraph6_reference(d), cells
+                assert d.to_dot("G") == dot_reference(d, "G"), cells
                 assert d.is_tournament() == is_tournament_reference(d), cells
         assert [d.is_tournament() for d in digraphs] == [True] * 2 + [False] * 4
 
@@ -144,6 +160,7 @@ class TestDigraphEncoders:
         for g in standard_pair(p):
             assert g.to_csv() == csv_reference(g.adjacency)
             assert g.to_digraph6() == digraph6_reference(g)
+            assert g.to_dot("G") == dot_reference(g, "G")
 
     @pytest.mark.parametrize("p", [4, 8, 16, 32, 64])
     def test_deck_cards(self, p):
@@ -151,6 +168,7 @@ class TestDigraphEncoders:
             for card in deck(g):
                 assert card.to_csv() == csv_reference(card.adjacency)
                 assert card.to_digraph6() == digraph6_reference(card)
+                assert card.to_dot("c") == dot_reference(card, "c")
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -164,4 +182,5 @@ class TestDigraphEncoders:
         g = Digraph(n, a)
         assert g.to_csv() == csv_reference(a)
         assert g.to_digraph6() == digraph6_reference(g)
+        assert g.to_dot("G") == dot_reference(g, "G")
         assert Digraph.from_digraph6(g.to_digraph6()) == g
