@@ -26,7 +26,6 @@ from recon_census.digraph_builder import (
     assignment_census,
     assignment_from_bits,
     assignment_from_mapping,
-    constant_assignment,
     forced_isomorphism,
     standard_pair,
     swap_involution,
@@ -101,7 +100,6 @@ __all__ = [
     "check_lemma2",
     "check_lemma3",
     "check_theorem1",
-    "constant_assignment",
     "deck",
     "decks_match_independent",
     "entry_at",

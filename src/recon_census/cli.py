@@ -41,7 +41,6 @@ from recon_census.digraph_builder import (
     tournament_assignment,
     tournament_digraph,
     variant_digraph,
-    variant_pair,
 )
 from recon_census.errors import BudgetExhausted, ContradictionError
 from recon_census.hypomorphism_verifier import (
@@ -52,8 +51,8 @@ from recon_census.hypomorphism_verifier import (
 from recon_census.iso_engine import (
     DECK_MATCH_ORDER_LIMIT,
     decks_match_independent,
-    verify_hypomorphic_by_sigma,
     verify_nonisomorphic_inductive,
+    verify_pairs_by_sigma,
 )
 from recon_census.report import SCHEMA_VERSION, VerificationReport
 from recon_census.weight_matrix import (
@@ -113,15 +112,9 @@ def _theorem2(config: RunConfig) -> list[VerificationReport]:
 
 
 def _hypo_sigma(config: RunConfig) -> list[VerificationReport]:
-    p = config.p
-    pairs = [("hypo-sigma-tournament", standard_pair)]
-    if p >= 8:
-        pairs.append(("hypo-sigma-variant", variant_pair))
-    reports = []
-    for check_name, pair in pairs:
-        rep = verify_hypomorphic_by_sigma(*pair(p))
-        reports.append(dataclasses.replace(rep, check_name=check_name))
-    return reports
+    # the tournament self-check, O(p**2); the sweep reads the level matrices
+    standard_pair(config.p)
+    return verify_pairs_by_sigma(config.p)
 
 
 def _deck_match(config: RunConfig) -> list[VerificationReport]:

@@ -28,9 +28,11 @@ row-block scan of that table; part (d) pairs each point with its partner
 at distance p/2 in the same row.
 
 ``_deletion_sweep`` is the one check that every mapping carries one
-matrix onto another away from its deleted point; the exhaustive theorem 1
-check and the digraph hypomorphism check both run it on the table of
-``build_all_maps``, which each reads itself.
+matrix onto another away from its deleted point, read through a list of
+level tables.  The exhaustive theorem 1 check runs it with the identity
+table; the digraph hypomorphism checks run it with bit tables, the
+tournament and the variant pair of an order in one sweep of the level
+matrices.  Each reads the table of ``build_all_maps`` itself.
 """
 
 from __future__ import annotations
@@ -400,14 +402,18 @@ def _gray_slots(p: int) -> list[int]:
 
 
 def _deletion_sweep(
-    a: np.ndarray, b: np.ndarray, tables
-) -> tuple[Optional[tuple], int]:
-    """Does each deletion map carry the p x p matrix a onto b?
+    a: np.ndarray, b: np.ndarray, tables, luts
+) -> tuple[list[Optional[tuple]], int]:
+    """Does each deletion map carry the p x p level matrix a onto b, read
+    through each level table of ``luts``?
 
     ``tables[k-1]`` holds the 1-based images of the map deleting k (its
-    deleted slot is ignored).  Returns the first (k, i, j, a[i, j],
-    b[image(i), image(j)]) with the two values unequal, in k order and
-    then row-major (i, j), or None; and the p * (p-1)**2 triples checked.
+    deleted slot is ignored).  A level table is an array that a level
+    array indexes directly, as numpy indexes (a negative level counted
+    from the end).  Returns, per level table ``lut``, the first
+    (k, i, j, lut[a[i, j]], lut[b[image(i), image(j)]]) with the two
+    values unequal, in k order and then row-major (i, j), or None; and the
+    p * (p-1)**2 triples checked for each table.
 
     One buffer ``rhs`` holds b[idx][:, idx] for the 0-based table ``idx``
     of the current deletion.  Deletions are visited in ``_gray_slots``
@@ -415,15 +421,20 @@ def _deletion_sweep(
     changed are gathered again, so the gathers cost O(p**2 log p) for
     the order's own tables (and stay correct for any tables).  Row and
     column k of ``rhs`` are overwritten with those of a, so one full
-    comparison per k checks every pair away from k; deletions above the
-    best counterexample so far are not compared.  The per-deletion block
-    copy this replaces is kept in the test suite as its oracle.
+    level comparison per k checks every pair away from k for every
+    table: equal levels read as equal values.  Only at a deletion whose
+    levels differ does each table read the differing cells, one row
+    block of them at a time and only until it finds its first, and only
+    while it has no counterexample below k; a deletion that no table
+    needs is not compared.  Two levels may read as one value, so a
+    deletion can fail one table and pass another.  The per-deletion
+    block copy this replaces is kept in the test suite as its oracle.
     """
     p = a.shape[0]
     rhs = None
     # per slot, the row and column of b that rhs holds; -1 where it holds a's
     held = None
-    best = None
+    best: list[Optional[tuple]] = [None] * len(luts)
     for s in _gray_slots(p):
         idx = np.subtract(tables[s], 1, dtype=np.int64)
         idx[s] = s
@@ -435,9 +446,28 @@ def _deletion_sweep(
             rhs[:, d] = b.take(idx[d], axis=1).take(idx, axis=0)
         rhs[s, :] = a[s, :]
         rhs[:, s] = a[:, s]
-        if (best is None or s + 1 < best[0]) and not np.array_equal(a, rhs):
-            r, c = divmod(int(np.argmax(a != rhs)), p)
-            best = (s + 1, r + 1, c + 1, int(a[r, c]), int(rhs[r, c]))
+        open_tables = [t for t, cex in enumerate(best) if cex is None or s + 1 < cex[0]]
+        if open_tables:
+            ne = a != rhs
+            rows = np.flatnonzero(ne.any(axis=1))
+            # the rows whose levels differ, one row block at a time in
+            # row-major order, until every open table has its first cell
+            for block in _row_blocks(rows.size, p):
+                if not open_tables:
+                    break
+                block_rows = rows[block]
+                r, c = np.nonzero(ne[block_rows])
+                r = block_rows[r]
+                x, y = a[r, c], rhs[r, c]
+                for t in open_tables[:]:
+                    lhs, read = luts[t][x], luts[t][y]
+                    differ = np.flatnonzero(lhs != read)
+                    if differ.size:
+                        f = differ[0]
+                        best[t] = (
+                            s + 1, int(r[f]) + 1, int(c[f]) + 1, int(lhs[f]), int(read[f])
+                        )
+                        open_tables.remove(t)
         idx[s] = -1
         held = idx
     return best, p * (p - 1) * (p - 1)

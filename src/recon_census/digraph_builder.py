@@ -61,7 +61,6 @@ __all__ = [
     "assignment_census",
     "assignment_from_bits",
     "assignment_from_mapping",
-    "constant_assignment",
     "forced_isomorphism",
     "standard_pair",
     "swap_involution",
@@ -144,10 +143,6 @@ def variant_assignment(n: int) -> BinaryAssignment:
         mapping[v] = 0 if v == 2 else 1
         mapping[-v] = 1 if v == 1 else 0
     return assignment_from_mapping(n, mapping)
-
-
-def constant_assignment(n: int, bit: int) -> BinaryAssignment:
-    return BinaryAssignment(n, (int(bit),) * (2 * (n + 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -547,14 +542,6 @@ class CensusTable:
 
     order: int
     rows: tuple[CensusRow, ...]
-
-    @cached_property
-    def _by_bits(self) -> dict[str, CensusRow]:
-        return {row.assignment_bits: row for row in self.rows}
-
-    def row_for(self, a) -> CensusRow:
-        bits = a.bit_string if isinstance(a, BinaryAssignment) else str(a)
-        return self._by_bits[bits]
 
     def to_csv(self) -> str:
         def word(value: Optional[bool]) -> str:

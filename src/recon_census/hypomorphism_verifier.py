@@ -8,8 +8,10 @@ point distance p/2, and everywhere off-diagonal at p = 4).
 every deleted point k, the plain entry at (i, j) equals the starred entry
 at the mapped pair, over all p * (p-1)**2 admissible triples.  Both read
 the cached dense matrices of ``build_dense`` (one class-table gather) and
-the map table of ``build_all_maps``, as the digraph check
-``iso_engine.verify_hypomorphic_by_sigma`` does.  ``sample_theorem1``
+the map table of ``build_all_maps``, as the digraph pairs' check
+``iso_engine.verify_pairs_by_sigma`` does.  Theorem 1 and that check run
+the one deletion sweep, reading the levels through the identity table
+and through the pairs' bit tables respectively.  ``sample_theorem1``
 spot-checks the same identity at orders where the cubic sweep is
 infeasible, through the entry oracle, with a seeded generator for
 reproducibility.
@@ -40,6 +42,9 @@ __all__ = [
 # int32 index arrays and temporaries (256 KB each) stay within a 2 MB L2.
 _SAMPLE_CHUNK = 1 << 18
 _EVAL_BLOCK = 1 << 16
+# The identity level table of the int8 levels: entry v, counted from the
+# end where v < 0 as numpy indexes, holds v itself.
+_INT8_IDENTITY = np.arange(256, dtype=np.uint8).view(np.int8)
 
 
 def check_lemma3(p: int) -> VerificationReport:
@@ -101,7 +106,8 @@ def check_theorem1(p: int) -> VerificationReport:
 
     Reads the cached dense matrices (``build_dense``, p <=
     ``DENSE_ORDER_LIMIT``) and runs the shared deletion sweep
-    (``deletion_maps._deletion_sweep``): its gathers cost O(p**2 log p)
+    (``deletion_maps._deletion_sweep``) with the identity level table, so
+    the levels themselves are compared: its gathers cost O(p**2 log p)
     and each deletion one full-grid comparison, p**3 byte comparisons in
     all (0.06 s at p = 512, 0.5 s at p = 1024, with the map tables
     built).  The CLI runs it through p = 512 (``cli.EXHAUSTIVE_LIMIT``)
@@ -110,7 +116,9 @@ def check_theorem1(p: int) -> VerificationReport:
     order_exponent(p)
     plain = build_dense(p, MatrixVariant.PLAIN).entries
     star = build_dense(p, MatrixVariant.STAR).entries
-    counterexample, checked = _deletion_sweep(plain, star, build_all_maps(p))
+    (counterexample,), checked = _deletion_sweep(
+        plain, star, build_all_maps(p), [_INT8_IDENTITY]
+    )
     return VerificationReport(
         check_name="theorem1",
         order=p,

@@ -1,7 +1,11 @@
 """Digraph isomorphism decisions, decks, and the inductive non-isomorphism proof.
 
 ``are_isomorphic`` is a budgeted backtracking search over point bijections
-used as an oracle at small orders.  ``decks_match_independent`` validates
+used as an oracle at small orders.  ``verify_hypomorphic_by_sigma`` checks
+that the deletion mappings carry the deck of one digraph onto that of
+another, and ``verify_pairs_by_sigma`` checks the tournament and the
+variant pair of an order in one deletion sweep of the level matrices,
+read through each pair's bit table.  ``decks_match_independent`` validates
 hypomorphism without trusting the deletion mappings: it tests every pair of
 cards for isomorphism and matches the decks card for card.
 ``verify_nonisomorphic_inductive`` runs the halving argument at any order:
@@ -27,9 +31,12 @@ from recon_census.deletion_maps import _deletion_sweep, build_all_maps
 from recon_census.digraph_builder import (
     DEFAULT_ISO_BUDGET,
     Digraph,
+    _bit_lut,
     _is_arc_preserving,
     _sign_scores,
     standard_pair,
+    tournament_assignment,
+    variant_assignment,
 )
 from recon_census.errors import BudgetExhausted, ContradictionError
 from recon_census.report import VerificationReport
@@ -37,6 +44,7 @@ from recon_census.weight_matrix import (
     MatrixVariant,
     _nested_rows,
     _offset_case_table,
+    build_dense,
     order_exponent,
 )
 
@@ -53,6 +61,7 @@ __all__ = [
     "decks_match_independent",
     "verify_hypomorphic_by_sigma",
     "verify_nonisomorphic_inductive",
+    "verify_pairs_by_sigma",
 ]
 
 #: Largest order where deck matching's p**2 card-pair searches fit the budget.
@@ -183,8 +192,8 @@ def verify_hypomorphic_by_sigma(g: Digraph, h: Digraph) -> VerificationReport:
     if g.order != h.order:
         raise ValueError(f"orders differ: {g.order} vs {h.order}")
     p = g.order
-    counterexample, checked = _deletion_sweep(
-        g.adjacency, h.adjacency, build_all_maps(p)
+    (counterexample,), checked = _deletion_sweep(
+        g.adjacency, h.adjacency, build_all_maps(p), [np.array([0, 1])]
     )
     return VerificationReport(
         check_name="hypomorphic-by-sigma",
@@ -192,6 +201,35 @@ def verify_hypomorphic_by_sigma(g: Digraph, h: Digraph) -> VerificationReport:
         counterexample=counterexample,
         checked_count=checked,
     )
+
+
+def verify_pairs_by_sigma(p: int) -> list[VerificationReport]:
+    """``verify_hypomorphic_by_sigma`` for both digraph pairs of order p,
+    in one deletion sweep of the level matrices.
+
+    Each digraph of a pair is its plain or starred level matrix read
+    through its assignment's bit table (``apply_assignment``), so one
+    sweep of the plain and starred ``build_dense(p, variant).entries`` over
+    ``build_all_maps(p)`` reads both pairs: the tournament pair,
+    ``hypo-sigma-tournament``, and from p = 8 the variant pair,
+    ``hypo-sigma-variant``.  Each report is the one
+    ``verify_hypomorphic_by_sigma`` gives for that pair, under the pair's
+    name.
+    """
+    n = order_exponent(p)
+    assignments = {"hypo-sigma-tournament": tournament_assignment(n)}
+    if p >= 8:
+        assignments["hypo-sigma-variant"] = variant_assignment(n)
+    counterexamples, checked = _deletion_sweep(
+        build_dense(p, MatrixVariant.PLAIN).entries,
+        build_dense(p, MatrixVariant.STAR).entries,
+        build_all_maps(p),
+        [_bit_lut(a) for a in assignments.values()],
+    )
+    return [
+        VerificationReport(name, p, counterexample, checked)
+        for name, counterexample in zip(assignments, counterexamples)
+    ]
 
 
 def decks_match_independent(

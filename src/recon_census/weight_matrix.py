@@ -386,9 +386,12 @@ def entry_grid(
     """Rectangular grid of entries, evaluated one ``_row_blocks`` block at a time.
 
     ``rows``/``cols`` are 1-based index vectors; both default to 1..p.
+    Each is range-checked before it is narrowed to int32, as in
+    ``entry_values``.
     """
-    rows = np.arange(1, p + 1, dtype=np.int32) if rows is None else np.asarray(rows, np.int32)
-    cols = np.arange(1, p + 1, dtype=np.int32) if cols is None else np.asarray(cols, np.int32)
+    points = np.arange(1, p + 1, dtype=np.int32)
+    rows = points if rows is None else _points_int32(rows, p, "row indices")
+    cols = points if cols is None else _points_int32(cols, p, "column indices")
     out = np.empty((rows.size, cols.size), dtype=np.int8)
     for block in _row_blocks(rows.size, cols.size):
         out[block] = entry_values(p, variant, rows[block, None], cols[None, :])

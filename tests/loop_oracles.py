@@ -11,7 +11,7 @@ count:
 * ``lemma2_d_reference``: lemma 2 (d) on full (p-1) x (p-1) difference
   matrices per deletion;
 * ``deletion_sweep_reference``: ``_deletion_sweep`` as a block copy per
-  deletion;
+  deletion, read through each level table;
 * ``sample_theorem1_reference``: ``sample_theorem1`` with one
   ``entry_at``/``sigma`` evaluation per drawn triple;
 * ``threshold_scores_reference`` and ``induced_halves_mismatch_reference``:
@@ -243,28 +243,31 @@ def lemma2_d_reference(p, cols):
     return None
 
 
-def deletion_sweep_reference(a, b, tables):
-    """``_deletion_sweep(a, b, tables)`` as one (p-1) x (p-1) block copy per deletion."""
+def deletion_sweep_reference(a, b, tables, luts):
+    """``_deletion_sweep(a, b, tables, luts)`` as one (p-1) x (p-1) block
+    copy per deletion, read through each level table in turn."""
     p = a.shape[0]
     points = np.arange(1, p + 1, dtype=np.int32)
     checked = 0
-    counterexample = None
+    counterexamples = [None] * len(luts)
     for k in range(1, p + 1):
         rest = points[points != k]
         imgs = tables[k - 1][rest - 1]
-        lhs = a[np.ix_(rest - 1, rest - 1)]
-        rhs = b[np.ix_(imgs - 1, imgs - 1)]
+        lhs_levels = a[np.ix_(rest - 1, rest - 1)]
+        rhs_levels = b[np.ix_(imgs - 1, imgs - 1)]
         checked += (p - 1) * (p - 1)
-        if counterexample is None and not np.array_equal(lhs, rhs):
-            r, c = divmod(int(np.argmax(lhs != rhs)), p - 1)
-            counterexample = (
-                k,
-                int(rest[r]),
-                int(rest[c]),
-                int(lhs[r, c]),
-                int(rhs[r, c]),
-            )
-    return counterexample, checked
+        for t, lut in enumerate(luts):
+            lhs, rhs = lut[lhs_levels], lut[rhs_levels]
+            if counterexamples[t] is None and not np.array_equal(lhs, rhs):
+                r, c = divmod(int(np.argmax(lhs != rhs)), p - 1)
+                counterexamples[t] = (
+                    k,
+                    int(rest[r]),
+                    int(rest[c]),
+                    int(lhs[r, c]),
+                    int(rhs[r, c]),
+                )
+    return counterexamples, checked
 
 
 def sample_theorem1_reference(p, trials, rng_seed):

@@ -130,8 +130,8 @@ def test_criterion_6_census_order_8():
             assert witness is not None and witness[0] == 1
         else:
             assert forced_isomorphism(8, a) is None
-    assert table.row_for(tournament_assignment(3)).isomorphic is False
-    assert table.row_for(variant_assignment(3)).isomorphic is False
+    assert table.rows[int(tournament_assignment(3).bit_string, 2)].isomorphic is False
+    assert table.rows[int(variant_assignment(3).bit_string, 2)].isomorphic is False
     for p in (8, 16, 32, 64, 128, 256):
         swap_involution(p)  # raises on any level-swap violation
     _report(6, "proper-assignment census at p=8", started, 120.0)

@@ -826,6 +826,27 @@ class TestVerifyReports:
         names = [r["check"] for r in json.loads(fast.read_text())["reports"]]
         assert names == ["theorem1", "hypo-sigma-tournament", "hypo-sigma-variant"]
 
+    @pytest.mark.parametrize("checks, sweeps", [("hypo-sigma", 1), ("all", 2)])
+    def test_one_deletion_sweep_per_check(self, tmp_path, monkeypatch, checks, sweeps):
+        # both digraph pairs share one sweep of the level matrices, and
+        # theorem 1 runs its own
+        import recon_census.hypomorphism_verifier as hv
+        import recon_census.iso_engine as ie
+
+        calls = []
+        for module in (hv, ie):
+
+            def spy(*args, sweep=module._deletion_sweep):
+                calls.append(args)
+                return sweep(*args)
+
+            monkeypatch.setattr(module, "_deletion_sweep", spy)
+        out = tmp_path / "rep.json"
+        assert run_cli("verify", "--p", "16", "--checks", checks, "--out", str(out)) == 0
+        assert len(calls) == sweeps
+        names = [r["check"] for r in json.loads(out.read_text())["reports"]]
+        assert {"hypo-sigma-tournament", "hypo-sigma-variant"} <= set(names)
+
 
 class TestFailurePath:
     def test_check_failure_exits_1_and_still_writes_report(self, tmp_path, monkeypatch):

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recon_census.deletion_maps as dm
+import recon_census.digraph_builder as db
+import recon_census.hypomorphism_verifier as hv
 import recon_census.weight_matrix as wm
 from recon_census.deletion_maps import (
     build_all_maps,
@@ -393,14 +395,36 @@ def _clean_tables(p):
     return build_all_maps(p).copy()
 
 
+BITS = np.array([0, 1])
+
+
+def _level_luts(p):
+    """The level tables one sweep of the weighted pair reads at order p:
+    theorem 1's identity, then the bit tables of the tournament pair and,
+    from p = 8, of the variant pair."""
+    n = p.bit_length() - 1
+    luts = [hv._INT8_IDENTITY, db._bit_lut(db.tournament_assignment(n))]
+    if p >= 8:
+        luts.append(db._bit_lut(db.variant_assignment(n)))
+    return luts
+
+
 def _sweep_pairs(p):
-    """The (a, b) pairs each deletion map carries onto each other at order p."""
-    pairs = [(entry_grid(p, MatrixVariant.PLAIN), entry_grid(p, MatrixVariant.STAR))]
+    """The (a, b, luts) each deletion map carries onto each other at order
+    p: the weighted pair read through ``_level_luts``, and each digraph
+    pair read through its bits."""
+    pairs = [
+        (
+            entry_grid(p, MatrixVariant.PLAIN),
+            entry_grid(p, MatrixVariant.STAR),
+            _level_luts(p),
+        )
+    ]
     g, h = standard_pair(p)
-    pairs.append((g.adjacency, h.adjacency))
+    pairs.append((g.adjacency, h.adjacency, [BITS]))
     if p >= 8:
         g, h = variant_pair(p)
-        pairs.append((g.adjacency, h.adjacency))
+        pairs.append((g.adjacency, h.adjacency, [BITS]))
     return pairs
 
 
@@ -426,34 +450,35 @@ class TestDeletionSweep:
     @pytest.mark.parametrize("p", [2**n for n in range(2, 8)])
     def test_matches_reference_on_clean_tables(self, p):
         tables = _clean_tables(p)
-        for a, b in _sweep_pairs(p):
-            assert dm._deletion_sweep(a, b, tables) == (None, p * (p - 1) ** 2)
+        for a, b, luts in _sweep_pairs(p):
+            clean = ([None] * len(luts), p * (p - 1) ** 2)
+            assert dm._deletion_sweep(a, b, tables, luts) == clean
             # the reversed and the self pair fail somewhere; same report
             for x, y in ((b, a), (a, a)):
-                report = dm._deletion_sweep(x, y, tables)
-                assert report == deletion_sweep_reference(x, y, tables)
+                report = dm._deletion_sweep(x, y, tables, luts)
+                assert report == deletion_sweep_reference(x, y, tables, luts)
 
     @pytest.mark.parametrize("p", [8, 16, 64, 128])
     def test_smaller_of_two_faulty_deletions_is_reported(self, p):
         slots = dm._gray_slots(p)
         big, small = p // 2 + 1, p // 4 + 1
         assert slots.index(big - 1) < slots.index(small - 1)
-        for a, b in _sweep_pairs(p):
+        for a, b, luts in _sweep_pairs(p):
             tables = _clean_tables(p)
             tables[big - 1] = swap_two_images(tables[big - 1], big)
-            report = dm._deletion_sweep(a, b, tables)
-            assert report[0][0] == big
-            assert report == deletion_sweep_reference(a, b, tables)
+            report = dm._deletion_sweep(a, b, tables, luts)
+            assert [cex[0] for cex in report[0]] == [big] * len(luts)
+            assert report == deletion_sweep_reference(a, b, tables, luts)
             tables[small - 1] = swap_two_images(tables[small - 1], small)
-            report = dm._deletion_sweep(a, b, tables)
-            assert report[0][0] == small
-            assert report == deletion_sweep_reference(a, b, tables)
+            report = dm._deletion_sweep(a, b, tables, luts)
+            assert [cex[0] for cex in report[0]] == [small] * len(luts)
+            assert report == deletion_sweep_reference(a, b, tables, luts)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_matches_reference_on_random_tables(self, data):
         p = data.draw(st.sampled_from([8, 16]))
-        a, b = _sweep_pairs(p)[data.draw(st.integers(0, 2))]
+        a, b, luts = _sweep_pairs(p)[data.draw(st.integers(0, 2))]
         tables = _clean_tables(p)
         for k in data.draw(st.sets(st.integers(1, p), max_size=3)):
             images = data.draw(st.lists(st.integers(1, p), min_size=p, max_size=p))
@@ -462,6 +487,64 @@ class TestDeletionSweep:
         cells = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
         for i, j in data.draw(st.lists(cells, max_size=3)):
             b[i, j] = 1 - b[i, j]
-        assert dm._deletion_sweep(a, b, tables) == deletion_sweep_reference(
-            a, b, tables
+        assert dm._deletion_sweep(a, b, tables, luts) == deletion_sweep_reference(
+            a, b, tables, luts
         )
+
+    @pytest.mark.parametrize("p", [8, 16, 32, 64, 128])
+    @pytest.mark.parametrize(
+        "fault", ["map-rows", "plain-cell", "star-cell", "star-3-to-4"]
+    )
+    def test_level_tables_match_reference_on_seeded_faults(self, p, fault):
+        # one sweep of the weighted pair through theorem 1's identity and
+        # both pairs' bit tables, against the block copy read per table
+        rng = np.random.default_rng(p)
+        luts = _level_luts(p)
+        for _ in range(4):
+            plain = entry_grid(p, MatrixVariant.PLAIN)
+            star = entry_grid(p, MatrixVariant.STAR)
+            tables = _clean_tables(p)
+            if fault == "map-rows":
+                tables = swap_images_at_random(tables, rng)
+            elif fault == "star-3-to-4":
+                # a starred level 3 becomes 4, which both pairs read as one bit
+                threes = np.argwhere(star == 3)
+                i, j = threes[rng.integers(len(threes))]
+                star[i, j] = 4
+            else:
+                edited = plain if fault == "plain-cell" else star
+                i, j = rng.choice(p, size=2, replace=False)
+                top = p.bit_length()  # n + 1, the extreme level
+                levels = [v for v in range(-top, top + 1) if v not in (0, edited[i, j])]
+                edited[i, j] = rng.choice(levels)
+            report = dm._deletion_sweep(plain, star, tables, luts)
+            assert report == deletion_sweep_reference(plain, star, tables, luts)
+            # every fault changes a level somewhere that the maps read
+            assert report[0][0] is not None
+            if fault == "star-3-to-4":
+                (theorem1, *pairs), _ = report
+                assert theorem1[3:] == (3, 4)
+                assert pairs == [None, None]
+
+    @pytest.mark.parametrize("p", [8, 32, 128])
+    @pytest.mark.parametrize("cells", [1, 64, 1 << 18])
+    def test_broadly_wrong_map_rows_read_block_by_block(self, p, cells, monkeypatch):
+        # a scrambled map row makes most cells of its deletion differ; they
+        # are read one row block at a time, a table reading only the bottom
+        # level (absent from a's first p/2 rows) often reads past the first
+        # block, and a table reading every level as one value reads them
+        # all and stays clean
+        monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(p)
+        bottom = np.zeros_like(hv._INT8_IDENTITY)
+        bottom[-p.bit_length()] = 1
+        luts = _level_luts(p) + [bottom, np.zeros_like(bottom)]
+        plain = entry_grid(p, MatrixVariant.PLAIN)
+        star = entry_grid(p, MatrixVariant.STAR)
+        tables = _clean_tables(p)
+        for k in rng.choice(np.arange(1, p + 1), size=2, replace=False):
+            tables[k - 1] = rng.permutation(p).astype(tables.dtype) + 1
+        report = dm._deletion_sweep(plain, star, tables, luts)
+        assert report == deletion_sweep_reference(plain, star, tables, luts)
+        assert report[0][0] is not None
+        assert report[0][-1] is None

@@ -13,7 +13,6 @@ from recon_census.digraph_builder import (
     assignment_census,
     assignment_from_bits,
     assignment_from_mapping,
-    constant_assignment,
     forced_isomorphism,
     standard_pair,
     swap_involution,
@@ -110,7 +109,7 @@ class TestApplyAssignment:
         assert list(h.adjacency[0]) == [0, 0, 0, 0]
 
     def test_all_ones_gives_complete_digraph(self):
-        g = apply_assignment(build_dense(8, PLAIN), constant_assignment(3, 1))
+        g = apply_assignment(build_dense(8, PLAIN), assignment_from_bits(3, "1" * 8))
         expected = np.ones((8, 8), dtype=np.uint8)
         np.fill_diagonal(expected, 0)
         assert np.array_equal(g.adjacency, expected)
@@ -176,7 +175,10 @@ class TestStandardPair:
         from recon_census.cli import main
 
         # every level to 1: both arcs between any two points
-        monkeypatch.setattr(db, "tournament_assignment", lambda n: constant_assignment(n, 1))
+        def all_ones(n):
+            return assignment_from_bits(n, "1" * (2 * n + 2))
+
+        monkeypatch.setattr(db, "tournament_assignment", all_ones)
         for variant in (PLAIN, STAR):
             with pytest.raises(ContradictionError, match="tournament check"):
                 tournament_digraph(8, variant)
@@ -220,7 +222,7 @@ class TestForcedIsomorphism:
         assert forced_isomorphism(8, tournament_assignment(3)) is None
 
     def test_all_zero_assignment_still_verifies(self):
-        ext = forced_isomorphism(8, constant_assignment(3, 0))
+        ext = forced_isomorphism(8, assignment_from_bits(3, "0" * 8))
         assert ext is not None
 
     @pytest.mark.parametrize("p", [8, 16, 32])
@@ -260,7 +262,7 @@ class TestForcedIsomorphism:
         assert 0 < forced < len(assignments)
 
     def test_witness_is_read_only(self):
-        ext = forced_isomorphism(8, constant_assignment(3, 1))
+        ext = forced_isomorphism(8, assignment_from_bits(3, "1" * 8))
         with pytest.raises(ValueError):
             ext[0] = 2
 
@@ -310,10 +312,10 @@ class TestCensus:
         assert len(table8.rows) == 256
 
     def test_canonical_rows_non_isomorphic(self, table8):
-        assert table8.row_for(tournament_assignment(3)).isomorphic is False
-        assert table8.row_for(variant_assignment(3)).isomorphic is False
-        assert table8.row_for(tournament_assignment(3)).is_tournament
-        assert not table8.row_for(variant_assignment(3)).is_tournament
+        tournament = table8.rows[int(tournament_assignment(3).bit_string, 2)]
+        variant = table8.rows[int(variant_assignment(3).bit_string, 2)]
+        assert tournament.isomorphic is False and tournament.is_tournament
+        assert variant.isomorphic is False and not variant.is_tournament
 
     def test_equal_extremes_always_isomorphic(self, table8):
         for row in table8.rows:
@@ -427,7 +429,7 @@ class TestCensus:
                 mapping[v] = 1
                 mapping[-v] = 0
             b = assignment_from_mapping(4, mapping)
-            assert table.row_for(b).isomorphic is False
+            assert table.rows[int(b.bit_string, 2)].isomorphic is False
             for m in (mp, ms):
                 verdict = are_isomorphic(
                     apply_assignment(m, a), apply_assignment(m, b), budget=500_000

@@ -128,6 +128,26 @@ class TestHypoSigmaReporting:
         ]
         assert [r["counterexample"]["k"] for r in reports] == [bad_k, bad_k]
 
+    @pytest.mark.parametrize("p", [8, 64])
+    def test_starred_level_edit_keeping_its_bits(self, monkeypatch, capsys, p):
+        # one starred level 3 becomes 4: theorem 1 fails, while both digraph
+        # pairs, whose assignments read 3 and 4 as one bit, pass
+        def edit(entries):
+            i, j = np.argwhere(entries == 3)[0]
+            entries[i, j] = 4
+
+        for module in (hv, ie):
+            patch_dense(monkeypatch, module, p, wm.MatrixVariant.STAR, edit)
+        assert main(["verify", "--p", str(p), "--checks", "theorem1,hypo-sigma"]) == 1
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [(r["check"], r["outcome"]) for r in reports] == [
+            ("theorem1", "fail"),
+            ("hypo-sigma-tournament", "pass"),
+            ("hypo-sigma-variant", "pass"),
+        ]
+        cex = reports[0]["counterexample"]
+        assert (cex["lhs"], cex["rhs"]) == (3, 4)
+
 
 class TestLemma2Reporting:
     def test_detects_corrupted_table(self, monkeypatch):
@@ -473,7 +493,7 @@ class TestNonExtremeLevelFault:
 
     def test_forced_isomorphism_raises_for_all_zero(self, corrupt_star_level_two_cell):
         with pytest.raises(ContradictionError, match=self.MESSAGE):
-            db.forced_isomorphism(8, db.constant_assignment(3, 0))
+            db.forced_isomorphism(8, db.assignment_from_bits(3, "0" * 8))
 
     def test_census_raises_before_any_search(self, corrupt_star_level_two_cell, monkeypatch):
         monkeypatch.setattr(db, "_census_entry", no_search)

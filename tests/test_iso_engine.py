@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -18,9 +19,10 @@ from recon_census.iso_engine import (
     decks_match_independent,
     verify_hypomorphic_by_sigma,
     verify_nonisomorphic_inductive,
+    verify_pairs_by_sigma,
 )
 
-from conftest import patch_case_table, swap_two_images
+from conftest import patch_case_table, swap_images_at_random, swap_two_images
 from loop_oracles import (
     deletion_sweep_reference,
     every_relabeling_code,
@@ -200,6 +202,36 @@ class TestHypomorphicBySigmaSweep:
         # the deletion of point 1 never reads point 1 of h
         assert not report.passed
         assert report.counterexample[0] >= 2
+
+
+class TestPairsBySigma:
+    """One sweep of the level matrices reports as the per-pair digraph sweeps."""
+
+    @staticmethod
+    def per_pair(p):
+        pairs = {"hypo-sigma-tournament": standard_pair(p)}
+        if p >= 8:
+            pairs["hypo-sigma-variant"] = variant_pair(p)
+        return [
+            dataclasses.replace(verify_hypomorphic_by_sigma(*pair), check_name=name)
+            for name, pair in pairs.items()
+        ]
+
+    @pytest.mark.parametrize("p", [4, 8, 16, 64])
+    def test_clean_order(self, p):
+        reports = verify_pairs_by_sigma(p)
+        assert reports == self.per_pair(p)
+        assert all(r.passed and r.checked_count == p * (p - 1) ** 2 for r in reports)
+
+    @pytest.mark.parametrize("p", [8, 16, 32, 64, 128])
+    def test_seeded_map_faults(self, p, monkeypatch):
+        rng = np.random.default_rng(p)
+        for _ in range(3):
+            maps = swap_images_at_random(build_all_maps(p), rng)
+            monkeypatch.setattr(ie, "build_all_maps", lambda q: maps)
+            reports = verify_pairs_by_sigma(p)
+            assert reports == self.per_pair(p)
+            assert not any(r.passed for r in reports)
 
 
 class TestDeckMatching:

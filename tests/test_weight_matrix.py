@@ -232,6 +232,18 @@ class TestEntryAt:
         with pytest.raises(IndexError, match=f"{axis} indices must lie in 1..16"):
             entry_values(16, PLAIN, i, j)
 
+    @pytest.mark.parametrize(
+        "rows, cols, axis",
+        [
+            # 2**32 + 1 narrowed to int32 would read as row 1: entry (1, 2)
+            (np.array([2**32 + 1]), [2], "row"),
+            ([2], np.array([2**32 + 1]), "column"),
+        ],
+    )
+    def test_grid_checks_range_before_narrowing(self, rows, cols, axis):
+        with pytest.raises(IndexError, match=f"{axis} indices must lie in 1..8"):
+            entry_grid(8, PLAIN, rows=rows, cols=cols)
+
     def test_int32_points_are_not_copied(self):
         i = np.arange(1, 17, dtype=np.int32)
         assert wm._points_int32(i, 16, "row indices") is i
