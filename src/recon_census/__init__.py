@@ -36,6 +36,7 @@ from recon_census.digraph_builder import (
 )
 from recon_census.errors import BudgetExhausted, ContradictionError
 from recon_census.hypomorphism_verifier import (
+    check_hypomorphisms,
     check_lemma3,
     check_theorem1,
     sample_theorem1,
@@ -50,6 +51,7 @@ from recon_census.iso_engine import (
     decks_match_independent,
     verify_hypomorphic_by_sigma,
     verify_nonisomorphic_inductive,
+    verify_pairs_by_sigma,
 )
 from recon_census.report import SCHEMA_VERSION, VerificationReport
 from recon_census.weight_matrix import (
@@ -96,6 +98,7 @@ __all__ = [
     "build_all_maps",
     "build_dense",
     "build_map",
+    "check_hypomorphisms",
     "check_lemma1",
     "check_lemma2",
     "check_lemma3",
@@ -123,4 +126,5 @@ __all__ = [
     "variant_pair",
     "verify_hypomorphic_by_sigma",
     "verify_nonisomorphic_inductive",
+    "verify_pairs_by_sigma",
 ]

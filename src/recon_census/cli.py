@@ -44,6 +44,7 @@ from recon_census.digraph_builder import (
 )
 from recon_census.errors import BudgetExhausted, ContradictionError
 from recon_census.hypomorphism_verifier import (
+    check_hypomorphisms,
     check_lemma3,
     check_theorem1,
     sample_theorem1,
@@ -62,6 +63,7 @@ from recon_census.weight_matrix import (
     WeightedMatrix,
     check_lemma1,
     order_exponent,
+    release_dense,
 )
 
 __all__ = ["CHECKS", "RunConfig", "main", "run"]
@@ -168,9 +170,32 @@ CHECKS: dict[str, tuple[int, int, Runner]] = {
 }
 
 
+def _shared_sweep(config: RunConfig) -> dict[str, list[VerificationReport]]:
+    """The reports of ``theorem1`` and ``hypo-sigma`` from one deletion sweep,
+    when both are named and theorem 1 is exhaustive at this order; else
+    none, and each check runs alone.
+
+    A failed tournament self-check also leaves both to run alone, so that
+    ``hypo-sigma`` reports the contradiction and ``theorem1`` its verdict.
+    """
+    p = config.p
+    if not {"theorem1", "hypo-sigma"} <= set(config.checks) or p > EXHAUSTIVE_LIMIT:
+        return {}
+    try:
+        standard_pair(p)
+    except ContradictionError:
+        return {}
+    theorem1, *pairs = check_hypomorphisms(p)
+    return {"theorem1": [theorem1], "hypo-sigma": pairs}
+
+
 def _cmd_verify(config: RunConfig) -> int:
     reports: list[VerificationReport] = []
+    shared = _shared_sweep(config)
     for name in config.checks:
+        if name in shared:
+            reports += shared[name]
+            continue
         try:
             reports += CHECKS[name][2](config)
         except ContradictionError as exc:
@@ -195,49 +220,54 @@ def _selected_variants(config: RunConfig) -> list[MatrixVariant]:
     return [MatrixVariant(config.variant)]
 
 
-def _selected_digraphs(config: RunConfig) -> Iterator[tuple[str, Digraph]]:
-    """The named digraphs of ``--kind`` and ``--variant``, each built only
-    when drawn."""
+def _selected_items(
+    config: RunConfig,
+) -> Iterator[tuple[str, Digraph | WeightedMatrix]]:
+    """The named matrices or digraphs of ``--kind`` and ``--variant``, each
+    built only when drawn.  Drawing the next one first drops the cached
+    matrix of the last, so that one variant is held at a time."""
+    p = config.p
     tag, build = {
+        "weighted": (None, build_dense),
         "tournament": ("G", tournament_digraph),
         "variant-digraph": ("D", variant_digraph),
     }[config.kind]
     for variant in _selected_variants(config):
         suffix = "s" if variant is MatrixVariant.STAR else ""
-        yield f"{tag}{config.p}{suffix}", build(config.p, variant)
+        name = variant.value if tag is None else f"{tag}{p}{suffix}"
+        yield name, build(p, variant)
+        release_dense(p, variant)
 
 
 def _encode(
     named: Iterable[tuple[str, Digraph | WeightedMatrix]], fmt: str
 ) -> Iterator[str]:
     """Named digraphs in one output format, encoded one row block at a time
-    as they are drawn; weighted matrices export as csv only."""
-    for index, (name, g) in enumerate(named):
+    as they are drawn, each freed before the next is drawn; weighted
+    matrices export as csv only."""
+    first = True
+    for name, g in named:
         if fmt == "d6":
             yield from g.digraph6_blocks()
             yield "\n"
         elif fmt == "dot":
             yield from g.dot_blocks(name)
         else:
-            if index:
+            if not first:
                 # csv items are separated by one empty line
                 yield "\n"
             yield from g.csv_blocks()
+        first = False
+        del g
 
 
 def _cmd_generate(config: RunConfig) -> int:
-    if config.kind == "weighted":
-        named = (
-            (v.value, build_dense(config.p, v)) for v in _selected_variants(config)
-        )
-    else:
-        named = _selected_digraphs(config)
-    _emit(_encode(named, config.format), config.out)
+    _emit(_encode(_selected_items(config), config.format), config.out)
     return 0
 
 
 def _cmd_deck(config: RunConfig) -> int:
-    (name, g), = _selected_digraphs(config)
+    (name, g), = _selected_items(config)
     # one card at a time: memory holds one card and its text, not the deck
     cards = ((f"{name}_card{k}", g.delete_point(k)) for k in range(1, g.order + 1))
     _emit(_encode(cards, config.format), config.out)

@@ -29,10 +29,11 @@ at distance p/2 in the same row.
 
 ``_deletion_sweep`` is the one check that every mapping carries one
 matrix onto another away from its deleted point, read through a list of
-level tables.  The exhaustive theorem 1 check runs it with the identity
-table; the digraph hypomorphism checks run it with bit tables, the
-tournament and the variant pair of an order in one sweep of the level
-matrices.  Each reads the table of ``build_all_maps`` itself.
+level tables.  ``hypomorphism_verifier.check_hypomorphisms`` runs it
+once on the level matrices for theorem 1, with the identity table, and
+for the tournament and the variant pair of the order, with their bit
+tables; ``verify_hypomorphic_by_sigma`` runs it on one digraph pair.
+Each reads the table of ``build_all_maps`` itself.
 """
 
 from __future__ import annotations
@@ -422,16 +423,22 @@ def _deletion_sweep(
     the order's own tables (and stay correct for any tables).  Row and
     column k of ``rhs`` are overwritten with those of a, so one full
     level comparison per k checks every pair away from k for every
-    table: equal levels read as equal values.  Only at a deletion whose
-    levels differ does each table read the differing cells, one row
-    block of them at a time and only until it finds its first, and only
-    while it has no counterexample below k; a deletion that no table
-    needs is not compared.  Two levels may read as one value, so a
-    deletion can fail one table and pass another.  The per-deletion
-    block copy this replaces is kept in the test suite as its oracle.
+    table: equal levels read as equal values.  That comparison is one
+    equality of the two grids read as 8-byte words (a and b share one
+    dtype, and p**2 bytes are a multiple of 8 at every p >= 4).  Only at
+    a deletion whose levels differ does each table read the differing
+    cells, compared level by level one row block at a time and only
+    until it finds its first, and only while it has no counterexample
+    below k; a deletion that no table needs is not compared.  Two levels
+    may read as one value, so a deletion can fail one table and pass
+    another.  The per-deletion block copy this replaces is kept in the
+    test suite as its oracle.
     """
+    if a.dtype != b.dtype:
+        raise ValueError(f"level matrices differ in dtype: {a.dtype} vs {b.dtype}")
     p = a.shape[0]
-    rhs = None
+    a_words = a.reshape(-1).view(np.uint64)
+    rhs = rhs_words = None
     # per slot, the row and column of b that rhs holds; -1 where it holds a's
     held = None
     best: list[Optional[tuple]] = [None] * len(luts)
@@ -440,6 +447,7 @@ def _deletion_sweep(
         idx[s] = s
         if rhs is None:
             rhs = _permuted(b, idx)
+            rhs_words = rhs.reshape(-1).view(np.uint64)
         else:
             d = np.flatnonzero(idx != held)
             rhs[d, :] = b.take(idx[d], axis=0).take(idx, axis=1)
@@ -447,7 +455,7 @@ def _deletion_sweep(
         rhs[s, :] = a[s, :]
         rhs[:, s] = a[:, s]
         open_tables = [t for t, cex in enumerate(best) if cex is None or s + 1 < cex[0]]
-        if open_tables:
+        if open_tables and not np.array_equal(a_words, rhs_words):
             ne = a != rhs
             rows = np.flatnonzero(ne.any(axis=1))
             # the rows whose levels differ, one row block at a time in

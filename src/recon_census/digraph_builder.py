@@ -193,11 +193,6 @@ class Digraph:
         trimmed = np.delete(np.delete(self.adjacency, k - 1, axis=0), k - 1, axis=1)
         return Digraph(self.order - 1, np.ascontiguousarray(trimmed))
 
-    def relabel(self, perm) -> "Digraph":
-        """Digraph whose arc (i, j) mirrors this one's arc (perm(i), perm(j))."""
-        sel = np.asarray(perm, dtype=np.int64) - 1
-        return Digraph(self.order, _permuted(self.adjacency, sel))
-
     @cached_property
     def bitrows(self) -> tuple[int, ...]:
         """Row bitmasks: bit (j-1) of entry (i-1) set when arc i -> j exists."""

@@ -6,15 +6,16 @@ point distance p/2, and everywhere off-diagonal at p = 4).
 
 ``check_theorem1`` verifies the hypomorphism identity exhaustively: for
 every deleted point k, the plain entry at (i, j) equals the starred entry
-at the mapped pair, over all p * (p-1)**2 admissible triples.  Both read
-the cached dense matrices of ``build_dense`` (one class-table gather) and
-the map table of ``build_all_maps``, as the digraph pairs' check
-``iso_engine.verify_pairs_by_sigma`` does.  Theorem 1 and that check run
-the one deletion sweep, reading the levels through the identity table
-and through the pairs' bit tables respectively.  ``sample_theorem1``
-spot-checks the same identity at orders where the cubic sweep is
-infeasible, through the entry oracle, with a seeded generator for
-reproducibility.
+at the mapped pair, over all p * (p-1)**2 admissible triples.
+``check_hypomorphisms`` runs that one deletion sweep for theorem 1 and
+for both digraph pairs of the order at once, reading the levels through
+the identity table and through each pair's bit table; ``check_theorem1``
+and ``iso_engine.verify_pairs_by_sigma`` are its one-check forms.  Both
+read the cached dense matrices of ``build_dense`` (one class-table
+gather), as ``check_lemma3`` does, and the map table of
+``build_all_maps``.  ``sample_theorem1`` spot-checks the same identity at
+orders where the cubic sweep is infeasible, through the entry oracle,
+with a seeded generator for reproducibility.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from __future__ import annotations
 import numpy as np
 
 from recon_census.deletion_maps import _deletion_sweep, build_all_maps, sigma_values
+from recon_census.digraph_builder import (
+    _bit_lut,
+    tournament_assignment,
+    variant_assignment,
+)
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import (
     MatrixVariant,
@@ -33,6 +39,7 @@ from recon_census.weight_matrix import (
 
 __all__ = [
     "VerificationReport",
+    "check_hypomorphisms",
     "check_lemma3",
     "check_theorem1",
     "sample_theorem1",
@@ -101,30 +108,57 @@ def check_lemma3(p: int) -> VerificationReport:
     )
 
 
+def check_hypomorphisms(
+    p: int, theorem1: bool = True, pairs: bool = True
+) -> list[VerificationReport]:
+    """Theorem 1 and the hypomorphism of both digraph pairs of order p, in
+    one deletion sweep of the level matrices.
+
+    The sweep (``deletion_maps._deletion_sweep``) reads the plain and
+    starred cached dense matrices (``build_dense``, p <=
+    ``DENSE_ORDER_LIMIT``) over ``build_all_maps(p)``, through one level
+    table per report: the identity table for ``theorem1``, which compares
+    the levels themselves, and for ``pairs`` the bit table of the
+    tournament assignment, ``hypo-sigma-tournament``, and from p = 8 of
+    the variant assignment, ``hypo-sigma-variant``.  Each digraph of a
+    pair is its level matrix read through its assignment
+    (``apply_assignment``), so each pair's report is the one
+    ``iso_engine.verify_hypomorphic_by_sigma`` gives for it.  Reports come
+    in that order, each with p * (p-1)**2 triples checked.
+    """
+    n = order_exponent(p)
+    luts = {}
+    if theorem1:
+        luts["theorem1"] = _INT8_IDENTITY
+    if pairs:
+        luts["hypo-sigma-tournament"] = _bit_lut(tournament_assignment(n))
+        if p >= 8:
+            luts["hypo-sigma-variant"] = _bit_lut(variant_assignment(n))
+    counterexamples, checked = _deletion_sweep(
+        build_dense(p, MatrixVariant.PLAIN).entries,
+        build_dense(p, MatrixVariant.STAR).entries,
+        build_all_maps(p),
+        list(luts.values()),
+    )
+    return [
+        VerificationReport(name, p, counterexample, checked)
+        for name, counterexample in zip(luts, counterexamples)
+    ]
+
+
 def check_theorem1(p: int) -> VerificationReport:
     """Exhaustively verify the hypomorphism identity at order p.
 
-    Reads the cached dense matrices (``build_dense``, p <=
-    ``DENSE_ORDER_LIMIT``) and runs the shared deletion sweep
-    (``deletion_maps._deletion_sweep``) with the identity level table, so
-    the levels themselves are compared: its gathers cost O(p**2 log p)
-    and each deletion one full-grid comparison, p**3 byte comparisons in
-    all (0.06 s at p = 512, 0.5 s at p = 1024, with the map tables
-    built).  The CLI runs it through p = 512 (``cli.EXHAUSTIVE_LIMIT``)
-    and switches to ``sample_theorem1`` above.
+    ``check_hypomorphisms`` for theorem 1 alone: one deletion sweep of the
+    cached dense matrices through the identity level table, so the levels
+    themselves are compared.  Its gathers cost O(p**2 log p), and each
+    deletion one word-wide comparison of the p**2 levels: p**3 bytes in
+    all (0.03 s at p = 512 and 0.3 s at p = 1024, with the matrices and
+    the map table built).  The CLI runs it through p = 512
+    (``cli.EXHAUSTIVE_LIMIT``) and switches to ``sample_theorem1`` above.
     """
-    order_exponent(p)
-    plain = build_dense(p, MatrixVariant.PLAIN).entries
-    star = build_dense(p, MatrixVariant.STAR).entries
-    (counterexample,), checked = _deletion_sweep(
-        plain, star, build_all_maps(p), [_INT8_IDENTITY]
-    )
-    return VerificationReport(
-        check_name="theorem1",
-        order=p,
-        counterexample=counterexample,
-        checked_count=checked,
-    )
+    (report,) = check_hypomorphisms(p, pairs=False)
+    return report
 
 
 def sample_theorem1(p: int, trials: int, rng_seed: int) -> VerificationReport:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -51,6 +50,7 @@ __all__ = [
     "entry_values",
     "level_bound",
     "order_exponent",
+    "release_dense",
     "sign_flip",
 ]
 
@@ -246,14 +246,20 @@ def base_matrix(variant: MatrixVariant) -> WeightedMatrix:
     return WeightedMatrix(4, variant, _BASE[variant].copy())
 
 
+# The validated dense matrices by (order, variant), least recently used first.
+_DENSE_CACHE: dict[tuple[int, MatrixVariant], WeightedMatrix] = {}
+_DENSE_CACHE_SIZE = 16
+
+
 def build_dense(p: int, variant: MatrixVariant) -> WeightedMatrix:
     """The full matrix, gathered from the class table one row block at a
     time (``entry_grid``).
 
     Refuses orders above ``DENSE_ORDER_LIMIT`` (2**13) so that memory use
     stays predictable; ``entry_at`` serves larger orders.  The validated
-    matrix is cached, so repeat calls return the same object: at most 16
-    matrices, about 180 MB if they are the largest.
+    matrix is cached, so repeat calls return the same object until
+    ``release_dense`` drops it: at most 16 matrices, the least recently
+    used going first, about 180 MB if they are the largest.
     """
     order_exponent(p)
     if p > DENSE_ORDER_LIMIT:
@@ -261,12 +267,20 @@ def build_dense(p: int, variant: MatrixVariant) -> WeightedMatrix:
             f"dense construction refused for p={p} > limit {DENSE_ORDER_LIMIT}; "
             "use entry_at/entry_values instead"
         )
-    return _dense_matrix(p, variant)
+    key = (p, variant)
+    matrix = _DENSE_CACHE.pop(key, None)
+    if matrix is None:
+        matrix = WeightedMatrix(p, variant, entry_grid(p, variant))
+        if len(_DENSE_CACHE) >= _DENSE_CACHE_SIZE:
+            del _DENSE_CACHE[next(iter(_DENSE_CACHE))]
+    _DENSE_CACHE[key] = matrix
+    return matrix
 
 
-@lru_cache(maxsize=16)
-def _dense_matrix(p: int, variant: MatrixVariant) -> WeightedMatrix:
-    return WeightedMatrix(p, variant, entry_grid(p, variant))
+def release_dense(p: int, variant: MatrixVariant) -> None:
+    """Drop the cached order-p ``variant`` matrix, if it is held, so that a
+    caller done with it frees its p**2 bytes."""
+    _DENSE_CACHE.pop((p, variant), None)
 
 
 def entry_at(p: int, variant: MatrixVariant, i: int, j: int) -> int:

@@ -19,7 +19,9 @@ count:
   ``halving_chain_reference``, which runs them level by level;
 * ``assignment_census_reference``: the census with every row searched;
 * ``every_relabeling_code``: an isomorphism invariant that is complete
-  because it tries all p! relabelings.
+  because it tries all p! relabelings;
+* ``relabel``: a digraph with its points renamed by a permutation, which
+  the census's orbit partners must equal.
 
 Library functions are reached through their modules (``wm.entry_grid``,
 ``db._census_entry``, ...), so a test that patches a seam there reaches the
@@ -378,6 +380,13 @@ def assignment_census_reference(p, iso_budget=db.DEFAULT_ISO_BUDGET):
             )
         )
     return db.CensusTable(p, tuple(rows))
+
+
+def relabel(g, perm):
+    """The digraph whose arc (i, j) mirrors g's arc (perm(i), perm(j)), for a
+    1-based permutation ``perm`` of g's points."""
+    sel = np.asarray(perm, dtype=np.int64) - 1
+    return db.Digraph(g.order, dm._permuted(g.adjacency, sel))
 
 
 def every_relabeling_code(g):

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass line
 per criterion with its runtime.
 """
 
+import re
 import time
 
 import numpy as np
@@ -40,7 +41,7 @@ from recon_census.iso_engine import (
 )
 from recon_census.weight_matrix import MatrixVariant, check_lemma1, entry_at
 
-from conftest import load_matrix_fixture, load_sigma_fixture
+from conftest import FIXTURES, load_matrix_fixture, load_sigma_fixture
 
 PLAIN = MatrixVariant.PLAIN
 STAR = MatrixVariant.STAR
@@ -154,3 +155,15 @@ def test_criterion_7_cross_validation_of_derived_forms():
                     mismatches += 1
     assert mismatches == 0
     _report(7, "derived closed forms vs literal constructions", started, 60.0)
+
+
+def test_readme_library_examples_run():
+    # every python example of the README's library section imports what it
+    # names from the package and runs as written
+    text = (FIXTURES.parent.parent / "README.md").read_text()
+    start = text.index("\n## Library\n")
+    end = text.find("\n## ", start + 1)
+    blocks = re.findall(r"```python\n(.*?)```", text[start:end], re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

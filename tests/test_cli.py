@@ -13,7 +13,7 @@ from recon_census.deletion_maps import build_all_maps, sigma_table_tsv
 from recon_census.report import SCHEMA_VERSION
 from recon_census.weight_matrix import MatrixVariant, build_dense
 
-from conftest import FIXTURES
+from conftest import FIXTURES, swap_two_images
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -485,6 +485,41 @@ class TestGenerate:
                 capsys.readouterr()
         assert lines["both"] == lines["plain"] + lines["star"]
 
+    @pytest.mark.parametrize(
+        "kind, builder, fmt",
+        [
+            ("weighted", "build_dense", "csv"),
+            ("tournament", "tournament_digraph", "dot"),
+            ("variant-digraph", "variant_digraph", "d6"),
+        ],
+    )
+    def test_both_holds_one_variant_at_a_time(self, monkeypatch, capsys, kind, builder, fmt):
+        # when the starred item is built, the plain item written before it
+        # is freed, and so is its dense matrix in the cache
+        import weakref
+
+        import recon_census.cli as cli_mod
+        import recon_census.weight_matrix as wm
+
+        real = getattr(cli_mod, builder)
+        written = []
+
+        def recording(p, variant):
+            assert [ref() for ref in written] == [None] * len(written)
+            assert not {(p, v) for v in MatrixVariant if v is not variant} & set(
+                wm._DENSE_CACHE
+            )
+            item = real(p, variant)
+            entries = wm.build_dense(p, variant).entries
+            written.extend([weakref.ref(item), weakref.ref(entries)])
+            return item
+
+        monkeypatch.setattr(cli_mod, builder, recording)
+        args = ["--p", "16", "--kind", kind, "--variant", "both", "--format", fmt]
+        assert run_cli("generate", *args) == 0
+        assert len(written) == 4
+        capsys.readouterr()
+
     def test_variant_digraph_requires_order_8(self):
         assert run_cli("generate", "--p", "4", "--kind", "variant-digraph") == 2
 
@@ -826,10 +861,19 @@ class TestVerifyReports:
         names = [r["check"] for r in json.loads(fast.read_text())["reports"]]
         assert names == ["theorem1", "hypo-sigma-tournament", "hypo-sigma-variant"]
 
-    @pytest.mark.parametrize("checks, sweeps", [("hypo-sigma", 1), ("all", 2)])
+    @pytest.mark.parametrize(
+        "checks, sweeps",
+        [
+            ("theorem1", 1),
+            ("hypo-sigma", 1),
+            ("theorem1,hypo-sigma", 1),
+            ("hypo-sigma,lemma3,theorem1", 1),
+            ("all", 1),
+        ],
+    )
     def test_one_deletion_sweep_per_check(self, tmp_path, monkeypatch, checks, sweeps):
-        # both digraph pairs share one sweep of the level matrices, and
-        # theorem 1 runs its own
+        # theorem 1 and both digraph pairs share one sweep of the level
+        # matrices, wherever they stand in the list
         import recon_census.hypomorphism_verifier as hv
         import recon_census.iso_engine as ie
 
@@ -844,8 +888,73 @@ class TestVerifyReports:
         out = tmp_path / "rep.json"
         assert run_cli("verify", "--p", "16", "--checks", checks, "--out", str(out)) == 0
         assert len(calls) == sweeps
-        names = [r["check"] for r in json.loads(out.read_text())["reports"]]
-        assert {"hypo-sigma-tournament", "hypo-sigma-variant"} <= set(names)
+
+
+def _verify_reports(tmp_path, p, checks):
+    """(exit status, the reports' JSON text) of one ``verify`` run."""
+    out = tmp_path / "rep.json"
+    status = run_cli("verify", "--p", str(p), "--checks", checks, "--out", str(out))
+    return status, json.dumps(json.loads(out.read_text())["reports"], indent=2)
+
+
+def _joined(*texts):
+    """The JSON text of the report lists ``texts``, concatenated."""
+    return json.dumps(sum((json.loads(t) for t in texts), []), indent=2)
+
+
+class TestSharedSweep:
+    """``theorem1`` and ``hypo-sigma`` named together report as run apart."""
+
+    @staticmethod
+    def apart_and_together(tmp_path, p):
+        """Check that theorem1 and hypo-sigma named together, in either
+        order, report and exit as run apart; return the reports."""
+        s1, theorem1 = _verify_reports(tmp_path, p, "theorem1")
+        s2, hypo = _verify_reports(tmp_path, p, "hypo-sigma")
+        s3, together = _verify_reports(tmp_path, p, "theorem1,hypo-sigma")
+        s4, reversed_ = _verify_reports(tmp_path, p, "hypo-sigma,theorem1")
+        assert together == _joined(theorem1, hypo)
+        assert reversed_ == _joined(hypo, theorem1)
+        assert s3 == s4 == max(s1, s2)
+        return json.loads(together)
+
+    @pytest.mark.parametrize("p", [8, 16, 32, 64, 128, 256])
+    def test_clean_orders(self, tmp_path, p):
+        reports = self.apart_and_together(tmp_path, p)
+        assert [(r["check"], r["outcome"], r["checked"]) for r in reports] == [
+            (name, "pass", p * (p - 1) ** 2)
+            for name in ("theorem1", "hypo-sigma-tournament", "hypo-sigma-variant")
+        ]
+
+    @pytest.mark.parametrize("p", [8, 64, 256])
+    def test_swapped_map_row_fails_all_three_at_one_k(self, tmp_path, monkeypatch, p):
+        import recon_census.hypomorphism_verifier as hv
+
+        bad_k = p // 2 + 1
+        tables = build_all_maps(p).copy()
+        tables[bad_k - 1] = swap_two_images(tables[bad_k - 1], bad_k)
+        monkeypatch.setattr(hv, "build_all_maps", lambda q: tables)
+        reports = self.apart_and_together(tmp_path, p)
+        assert [r["outcome"] for r in reports] == ["fail"] * 3
+        assert [r["counterexample"]["k"] for r in reports] == [bad_k] * 3
+
+    def test_contradiction_in_the_pair_leaves_theorem1_its_verdict(
+        self, tmp_path, monkeypatch
+    ):
+        import recon_census.cli as cli_mod
+        from recon_census.errors import ContradictionError
+
+        def contradiction(p):
+            raise ContradictionError("self-check failed")
+
+        monkeypatch.setattr(cli_mod, "standard_pair", contradiction)
+        status, text = _verify_reports(tmp_path, 16, "theorem1,hypo-sigma")
+        assert status == 1
+        theorem1, hypo = json.loads(text)
+        assert (theorem1["check"], theorem1["outcome"]) == ("theorem1", "pass")
+        assert theorem1["checked"] == 16 * 15**2
+        assert hypo["check"] == "hypo-sigma" and hypo["checked"] == 0
+        assert hypo["counterexample"]["lhs"] == "contradiction"
 
 
 class TestFailurePath:

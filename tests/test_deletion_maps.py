@@ -526,6 +526,52 @@ class TestDeletionSweep:
                 assert theorem1[3:] == (3, 4)
                 assert pairs == [None, None]
 
+    @pytest.mark.parametrize("p", [4, 8, 16, 64])
+    def test_word_compare_sees_a_one_cell_edit_in_any_byte(self, p):
+        # each deletion compares the two level grids as 8-byte words: at
+        # p = 4 the grid is two words and every cell is edited; above, the
+        # last byte of each word in three rows, (p - 1, p - 1) among them
+        if p == 4:
+            cells = list(np.ndindex(p, p))
+        else:
+            cells = [(i, j) for i in (0, 1, p - 1) for j in range(7, p, 8)]
+        assert (p - 1, p - 1) in cells
+        tables = _clean_tables(p)
+        for a, b, luts in _sweep_pairs(p):
+            for side in range(2):
+                for i, j in cells:
+                    pair = [a.copy(), b.copy()]
+                    pair[side][i, j] = 1 - pair[side][i, j]
+                    report = dm._deletion_sweep(*pair, tables, luts)
+                    assert report == deletion_sweep_reference(*pair, tables, luts)
+                    assert report[0][0] is not None, (side, i, j)
+
+    @pytest.mark.parametrize("p", [8, 16, 64])
+    def test_differences_in_the_deleted_row_and_column_do_not_count(self, p):
+        # at every deletion of the clean pair, b's row and column at the
+        # deleted point, gathered through the map, differ from a's; the
+        # grids compared word by word hold a's there, so the pair passes,
+        # and a fault at one later deletion is still theorem 1's first
+        a, b, luts = _sweep_pairs(p)[0]
+        tables = _clean_tables(p)
+        for k in range(1, p + 1):
+            idx = tables[k - 1].astype(np.int64) - 1
+            idx[k - 1] = k - 1
+            assert (b[k - 1, idx] != a[k - 1]).any()
+            assert (b[idx, k - 1] != a[:, k - 1]).any()
+        clean = ([None] * len(luts), p * (p - 1) ** 2)
+        assert dm._deletion_sweep(a, b, tables, luts) == clean
+        bad_k = p // 2 + 1
+        tables[bad_k - 1] = swap_two_images(tables[bad_k - 1], bad_k)
+        report = dm._deletion_sweep(a, b, tables, luts)
+        assert report[0][0][0] == bad_k
+        assert report == deletion_sweep_reference(a, b, tables, luts)
+
+    def test_level_matrices_of_two_dtypes_are_refused(self):
+        a, b, luts = _sweep_pairs(8)[0]
+        with pytest.raises(ValueError, match="dtype"):
+            dm._deletion_sweep(a, b.astype(np.int16), _clean_tables(8), luts)
+
     @pytest.mark.parametrize("p", [8, 32, 128])
     @pytest.mark.parametrize("cells", [1, 64, 1 << 18])
     def test_broadly_wrong_map_rows_read_block_by_block(self, p, cells, monkeypatch):

@@ -27,7 +27,11 @@ from recon_census.errors import ContradictionError
 from recon_census.weight_matrix import MatrixVariant, build_dense
 
 from conftest import FIXTURES
-from loop_oracles import assignment_census_reference, threshold_scores_reference
+from loop_oracles import (
+    assignment_census_reference,
+    relabel,
+    threshold_scores_reference,
+)
 
 PLAIN = MatrixVariant.PLAIN
 STAR = MatrixVariant.STAR
@@ -344,7 +348,7 @@ class TestCensus:
             for m in (mp, ms):
                 left = apply_assignment(m, a)
                 right = apply_assignment(m, b)
-                assert right == left.relabel(tau)
+                assert right == relabel(left, tau)
 
     def test_undecided_rows_with_tiny_budget(self):
         # forced rows need no search and partners copy their representative,

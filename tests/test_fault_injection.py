@@ -112,14 +112,14 @@ class TestTheorem1Sweep:
 class TestHypoSigmaReporting:
     @pytest.mark.parametrize("late", ["last", "first-upper"])
     def test_patched_map_table_fails_both_pairs(self, monkeypatch, capsys, late):
-        # the table that ``verify_hypomorphic_by_sigma`` reads is the one the
+        # the table that ``check_hypomorphisms`` reads is the one the
         # command line's hypo-sigma check reports on
         p = 16
         bad_k = p if late == "last" else p // 2 + 1
         tables = dm.build_all_maps(p).copy()
         tables[bad_k - 1] = swap_two_images(tables[bad_k - 1], bad_k)
 
-        monkeypatch.setattr(ie, "build_all_maps", lambda q: tables)
+        monkeypatch.setattr(hv, "build_all_maps", lambda q: tables)
         assert main(["verify", "--p", str(p), "--checks", "hypo-sigma"]) == 1
         reports = json.loads(capsys.readouterr().out)["reports"]
         assert [r["check"] for r in reports] == [
@@ -136,8 +136,7 @@ class TestHypoSigmaReporting:
             i, j = np.argwhere(entries == 3)[0]
             entries[i, j] = 4
 
-        for module in (hv, ie):
-            patch_dense(monkeypatch, module, p, wm.MatrixVariant.STAR, edit)
+        patch_dense(monkeypatch, hv, p, wm.MatrixVariant.STAR, edit)
         assert main(["verify", "--p", str(p), "--checks", "theorem1,hypo-sigma"]) == 1
         reports = json.loads(capsys.readouterr().out)["reports"]
         assert [(r["check"], r["outcome"]) for r in reports] == [
