@@ -51,7 +51,6 @@ from recon_census.iso_engine import (
     decks_match_independent,
     verify_hypomorphic_by_sigma,
     verify_nonisomorphic_inductive,
-    verify_pairs_by_sigma,
 )
 from recon_census.report import SCHEMA_VERSION, VerificationReport
 from recon_census.weight_matrix import (
@@ -126,5 +125,4 @@ __all__ = [
     "variant_pair",
     "verify_hypomorphic_by_sigma",
     "verify_nonisomorphic_inductive",
-    "verify_pairs_by_sigma",
 ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -46,14 +47,12 @@ from recon_census.errors import BudgetExhausted, ContradictionError
 from recon_census.hypomorphism_verifier import (
     check_hypomorphisms,
     check_lemma3,
-    check_theorem1,
     sample_theorem1,
 )
 from recon_census.iso_engine import (
     DECK_MATCH_ORDER_LIMIT,
     decks_match_independent,
     verify_nonisomorphic_inductive,
-    verify_pairs_by_sigma,
 )
 from recon_census.report import SCHEMA_VERSION, VerificationReport
 from recon_census.weight_matrix import (
@@ -91,15 +90,20 @@ class RunConfig:
     out: Optional[Path] = None
 
 
-# Check runners take the validated configuration and return the check's
-# reports.  They name library functions through this module's globals when
-# called, so a wrapper or test double bound to ``cli.<name>`` reaches them.
+# Check runners take the validated configuration and the order's deletion
+# sweep, and return the check's reports.  The sweep is a function that runs
+# ``check_hypomorphisms`` on its first call and returns those reports on
+# every call, so the checks that read it share one run.  Runners name
+# library functions through this module's globals when called, so a
+# wrapper or test double bound to ``cli.<name>`` reaches them.
+
+Sweep = Callable[[], list[VerificationReport]]
 
 
-def _theorem1(config: RunConfig) -> list[VerificationReport]:
+def _theorem1(config: RunConfig, sweep: Sweep) -> list[VerificationReport]:
     p = config.p
     if p <= EXHAUSTIVE_LIMIT:
-        return [check_theorem1(p)]
+        return sweep()[:1]
     trials = config.budget or DEFAULT_TRIALS
     print(
         f"theorem1 at p={p}: sampled mode, {trials} trials, seed={config.seed}",
@@ -108,18 +112,18 @@ def _theorem1(config: RunConfig) -> list[VerificationReport]:
     return [sample_theorem1(p, trials, config.seed)]
 
 
-def _theorem2(config: RunConfig) -> list[VerificationReport]:
+def _theorem2(config: RunConfig, sweep: Sweep) -> list[VerificationReport]:
     trace = verify_nonisomorphic_inductive(config.p)
     return [VerificationReport("theorem2", config.p, None, len(trace.steps))]
 
 
-def _hypo_sigma(config: RunConfig) -> list[VerificationReport]:
+def _hypo_sigma(config: RunConfig, sweep: Sweep) -> list[VerificationReport]:
     # the tournament self-check, O(p**2); the sweep reads the level matrices
     standard_pair(config.p)
-    return verify_pairs_by_sigma(config.p)
+    return sweep()[1:]
 
 
-def _deck_match(config: RunConfig) -> list[VerificationReport]:
+def _deck_match(config: RunConfig, sweep: Sweep) -> list[VerificationReport]:
     p = config.p
     g, h = standard_pair(p)
     budget = config.budget or DEFAULT_ISO_BUDGET
@@ -132,13 +136,13 @@ def _deck_match(config: RunConfig) -> list[VerificationReport]:
     return [VerificationReport("deck-match", p, cex, p * p)]
 
 
-def _swap(config: RunConfig) -> list[VerificationReport]:
+def _swap(config: RunConfig, sweep: Sweep) -> list[VerificationReport]:
     p = config.p
     swap_involution(p)
     return [VerificationReport("swap", p, None, 2 * p * p)]
 
 
-def _forced_iso(config: RunConfig) -> list[VerificationReport]:
+def _forced_iso(config: RunConfig, sweep: Sweep) -> list[VerificationReport]:
     p = config.p
     n = p.bit_length() - 1
     mapping = {v: 1 for v in range(1, n + 2)}
@@ -151,16 +155,16 @@ def _forced_iso(config: RunConfig) -> list[VerificationReport]:
     return [VerificationReport("forced-iso", p, cex, p * p + 1)]
 
 
-Runner = Callable[[RunConfig], list[VerificationReport]]
+Runner = Callable[[RunConfig, Sweep], list[VerificationReport]]
 
 #: Every check, in report order: name -> (min_p, max_p, runner).  ``all``
 #: expands to the checks whose range holds the order, and naming a check
 #: outside its range is a usage error.  The checks capped at
 #: ``DENSE_ORDER_LIMIT`` hold dense p x p grids or all p deletion maps.
 CHECKS: dict[str, tuple[int, int, Runner]] = {
-    "lemma1": (8, ORACLE_ORDER_LIMIT, lambda c: [check_lemma1(c.p)]),
-    "lemma2": (8, DENSE_ORDER_LIMIT, lambda c: [check_lemma2(c.p)]),
-    "lemma3": (4, DENSE_ORDER_LIMIT, lambda c: [check_lemma3(c.p)]),
+    "lemma1": (8, ORACLE_ORDER_LIMIT, lambda c, _: [check_lemma1(c.p)]),
+    "lemma2": (8, DENSE_ORDER_LIMIT, lambda c, _: [check_lemma2(c.p)]),
+    "lemma3": (4, DENSE_ORDER_LIMIT, lambda c, _: [check_lemma3(c.p)]),
     "theorem1": (4, ORACLE_ORDER_LIMIT, _theorem1),
     "theorem2": (4, ORACLE_ORDER_LIMIT, _theorem2),
     "hypo-sigma": (4, DENSE_ORDER_LIMIT, _hypo_sigma),
@@ -170,34 +174,13 @@ CHECKS: dict[str, tuple[int, int, Runner]] = {
 }
 
 
-def _shared_sweep(config: RunConfig) -> dict[str, list[VerificationReport]]:
-    """The reports of ``theorem1`` and ``hypo-sigma`` from one deletion sweep,
-    when both are named and theorem 1 is exhaustive at this order; else
-    none, and each check runs alone.
-
-    A failed tournament self-check also leaves both to run alone, so that
-    ``hypo-sigma`` reports the contradiction and ``theorem1`` its verdict.
-    """
-    p = config.p
-    if not {"theorem1", "hypo-sigma"} <= set(config.checks) or p > EXHAUSTIVE_LIMIT:
-        return {}
-    try:
-        standard_pair(p)
-    except ContradictionError:
-        return {}
-    theorem1, *pairs = check_hypomorphisms(p)
-    return {"theorem1": [theorem1], "hypo-sigma": pairs}
-
-
 def _cmd_verify(config: RunConfig) -> int:
     reports: list[VerificationReport] = []
-    shared = _shared_sweep(config)
+    # run on first use, and dropped with this call
+    sweep = functools.cache(lambda: check_hypomorphisms(config.p))
     for name in config.checks:
-        if name in shared:
-            reports += shared[name]
-            continue
         try:
-            reports += CHECKS[name][2](config)
+            reports += CHECKS[name][2](config, sweep)
         except ContradictionError as exc:
             cex = (0, 0, 0, "contradiction", str(exc))
             reports.append(VerificationReport(name, config.p, cex, 0))
@@ -417,7 +400,9 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
         if not raw:
             parser.error(f"--checks names no check: {args.checks!r}")
         valid = [name for name, (lo, hi, _) in CHECKS.items() if lo <= args.p <= hi]
-        if raw == ["all"]:
+        if "all" in raw:
+            if raw != ["all"]:
+                parser.error(f"'all' must be named alone, got {args.checks!r}")
             checks = tuple(valid)
         else:
             unknown = [c for c in raw if c not in CHECKS]

@@ -29,11 +29,12 @@ at distance p/2 in the same row.
 
 ``_deletion_sweep`` is the one check that every mapping carries one
 matrix onto another away from its deleted point, read through a list of
-level tables.  ``hypomorphism_verifier.check_hypomorphisms`` runs it
-once on the level matrices for theorem 1, with the identity table, and
-for the tournament and the variant pair of the order, with their bit
-tables; ``verify_hypomorphic_by_sigma`` runs it on one digraph pair.
-Each reads the table of ``build_all_maps`` itself.
+level tables.  It has two callers, each reading the table of
+``build_all_maps`` itself: ``hypomorphism_verifier.check_hypomorphisms``
+runs it on the level matrices through every level table of the order at
+once (the identity for theorem 1, the bit tables of the tournament and
+the variant pair), and ``iso_engine.verify_hypomorphic_by_sigma`` on one
+digraph pair.
 """
 
 from __future__ import annotations

@@ -7,12 +7,11 @@ point distance p/2, and everywhere off-diagonal at p = 4).
 ``check_theorem1`` verifies the hypomorphism identity exhaustively: for
 every deleted point k, the plain entry at (i, j) equals the starred entry
 at the mapped pair, over all p * (p-1)**2 admissible triples.
-``check_hypomorphisms`` runs that one deletion sweep for theorem 1 and
-for both digraph pairs of the order at once, reading the levels through
-the identity table and through each pair's bit table; ``check_theorem1``
-and ``iso_engine.verify_pairs_by_sigma`` are its one-check forms.  Both
-read the cached dense matrices of ``build_dense`` (one class-table
-gather), as ``check_lemma3`` does, and the map table of
+``check_hypomorphisms`` checks theorem 1 and both digraph pairs of the
+order in one deletion sweep, reading the levels through the identity
+table and through each pair's bit table; ``check_theorem1`` is its first
+report.  It reads the cached dense matrices of ``build_dense`` (one
+class-table gather), as ``check_lemma3`` does, and the map table of
 ``build_all_maps``.  ``sample_theorem1`` spot-checks the same identity at
 orders where the cubic sweep is infeasible, through the entry oracle,
 with a seeded generator for reproducibility.
@@ -108,32 +107,30 @@ def check_lemma3(p: int) -> VerificationReport:
     )
 
 
-def check_hypomorphisms(
-    p: int, theorem1: bool = True, pairs: bool = True
-) -> list[VerificationReport]:
+def check_hypomorphisms(p: int) -> list[VerificationReport]:
     """Theorem 1 and the hypomorphism of both digraph pairs of order p, in
     one deletion sweep of the level matrices.
 
     The sweep (``deletion_maps._deletion_sweep``) reads the plain and
     starred cached dense matrices (``build_dense``, p <=
     ``DENSE_ORDER_LIMIT``) over ``build_all_maps(p)``, through one level
-    table per report: the identity table for ``theorem1``, which compares
-    the levels themselves, and for ``pairs`` the bit table of the
-    tournament assignment, ``hypo-sigma-tournament``, and from p = 8 of
-    the variant assignment, ``hypo-sigma-variant``.  Each digraph of a
-    pair is its level matrix read through its assignment
-    (``apply_assignment``), so each pair's report is the one
-    ``iso_engine.verify_hypomorphic_by_sigma`` gives for it.  Reports come
-    in that order, each with p * (p-1)**2 triples checked.
+    table per report: the identity table, ``theorem1``, which compares the
+    levels themselves; the bit table of the tournament assignment,
+    ``hypo-sigma-tournament``; and from p = 8 that of the variant
+    assignment, ``hypo-sigma-variant``.  The tables are read only at a
+    deletion whose levels differ, so on clean input the pairs' tables cost
+    nothing.  Each digraph of a pair is its level matrix read through
+    its assignment (``apply_assignment``), so each pair's report is the
+    one ``iso_engine.verify_hypomorphic_by_sigma`` gives for it.  Reports
+    come in that order, each with p * (p-1)**2 triples checked.
     """
     n = order_exponent(p)
-    luts = {}
-    if theorem1:
-        luts["theorem1"] = _INT8_IDENTITY
-    if pairs:
-        luts["hypo-sigma-tournament"] = _bit_lut(tournament_assignment(n))
-        if p >= 8:
-            luts["hypo-sigma-variant"] = _bit_lut(variant_assignment(n))
+    luts = {
+        "theorem1": _INT8_IDENTITY,
+        "hypo-sigma-tournament": _bit_lut(tournament_assignment(n)),
+    }
+    if p >= 8:
+        luts["hypo-sigma-variant"] = _bit_lut(variant_assignment(n))
     counterexamples, checked = _deletion_sweep(
         build_dense(p, MatrixVariant.PLAIN).entries,
         build_dense(p, MatrixVariant.STAR).entries,
@@ -149,16 +146,16 @@ def check_hypomorphisms(
 def check_theorem1(p: int) -> VerificationReport:
     """Exhaustively verify the hypomorphism identity at order p.
 
-    ``check_hypomorphisms`` for theorem 1 alone: one deletion sweep of the
-    cached dense matrices through the identity level table, so the levels
-    themselves are compared.  Its gathers cost O(p**2 log p), and each
-    deletion one word-wide comparison of the p**2 levels: p**3 bytes in
-    all (0.03 s at p = 512 and 0.3 s at p = 1024, with the matrices and
-    the map table built).  The CLI runs it through p = 512
-    (``cli.EXHAUSTIVE_LIMIT``) and switches to ``sample_theorem1`` above.
+    The first report of ``check_hypomorphisms``: one deletion sweep of the
+    cached dense matrices, whose identity level table compares the levels
+    themselves.  Its gathers cost O(p**2 log p), and each deletion one
+    word-wide comparison of the p**2 levels: p**3 bytes in all (0.03 s at
+    p = 512 and 0.3 s at p = 1024, with the matrices and the map table
+    built).  The CLI's ``theorem1`` reads this report from its one
+    ``check_hypomorphisms`` call through p = 512 (``cli.EXHAUSTIVE_LIMIT``)
+    and switches to ``sample_theorem1`` above.
     """
-    (report,) = check_hypomorphisms(p, pairs=False)
-    return report
+    return check_hypomorphisms(p)[0]
 
 
 def sample_theorem1(p: int, trials: int, rng_seed: int) -> VerificationReport:

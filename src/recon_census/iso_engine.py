@@ -3,11 +3,9 @@
 ``are_isomorphic`` is a budgeted backtracking search over point bijections
 used as an oracle at small orders.  ``verify_hypomorphic_by_sigma`` checks
 that the deletion mappings carry the deck of one digraph onto that of
-another, and ``verify_pairs_by_sigma`` checks the tournament and the
-variant pair of an order in one deletion sweep of the level matrices,
-read through each pair's bit table: the sweep of
-``hypomorphism_verifier.check_hypomorphisms``, which reads theorem 1 in
-the same pass when asked.  ``decks_match_independent`` validates
+another; ``hypomorphism_verifier.check_hypomorphisms`` gives its report
+for both digraph pairs of an order, with theorem 1's, in one deletion
+sweep of the level matrices.  ``decks_match_independent`` validates
 hypomorphism without trusting the deletion mappings: it tests every pair of
 cards for isomorphism and matches the decks card for card.
 ``verify_nonisomorphic_inductive`` runs the halving argument at any order:
@@ -38,7 +36,6 @@ from recon_census.digraph_builder import (
     standard_pair,
 )
 from recon_census.errors import BudgetExhausted, ContradictionError
-from recon_census.hypomorphism_verifier import check_hypomorphisms
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import (
     MatrixVariant,
@@ -60,7 +57,6 @@ __all__ = [
     "decks_match_independent",
     "verify_hypomorphic_by_sigma",
     "verify_nonisomorphic_inductive",
-    "verify_pairs_by_sigma",
 ]
 
 #: Largest order where deck matching's p**2 card-pair searches fit the budget.
@@ -200,20 +196,6 @@ def verify_hypomorphic_by_sigma(g: Digraph, h: Digraph) -> VerificationReport:
         counterexample=counterexample,
         checked_count=checked,
     )
-
-
-def verify_pairs_by_sigma(p: int) -> list[VerificationReport]:
-    """``verify_hypomorphic_by_sigma`` for both digraph pairs of order p,
-    in one deletion sweep of the level matrices.
-
-    ``hypomorphism_verifier.check_hypomorphisms`` without theorem 1: the
-    tournament pair, ``hypo-sigma-tournament``, and from p = 8 the variant
-    pair, ``hypo-sigma-variant``, each read as its plain and starred level
-    matrices through its assignment's bit table.  Each report is the one
-    ``verify_hypomorphic_by_sigma`` gives for that pair, under the pair's
-    name.
-    """
-    return check_hypomorphisms(p, theorem1=False)
 
 
 def decks_match_independent(

@@ -1,5 +1,6 @@
 import errno
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -94,6 +95,15 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines()[-1].endswith(f"checks named more than once: {named}")
+
+    @pytest.mark.parametrize("checks", ["all,lemma1", "lemma1,all", "all,all"])
+    def test_all_with_other_names_is_usage_error(self, capsys, checks):
+        assert run_cli("verify", "--p", "8", "--checks", checks) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"recon-census verify: error: 'all' must be named alone, got {checks!r}"
+        )
 
     def test_non_power_of_two_rejected(self):
         assert run_cli("verify", "--p", "12", "--checks", "all") == 2
@@ -329,7 +339,7 @@ class TestCheckTable:
         assert names == ["lemma1", "lemma2", "swap", "forced-iso"]
         for name in names:
             with pytest.raises(ValueError):
-                CHECKS[name][2](RunConfig("verify", 4))
+                CHECKS[name][2](RunConfig("verify", 4), None)
 
     def test_cli_and_library_share_order_caps(self):
         import recon_census.cli as cli_mod
@@ -412,7 +422,7 @@ class TestInternalErrors:
     def test_bug_in_a_check_runner_exits_3(self, tmp_path, monkeypatch, capsys):
         import recon_census.cli as cli_mod
 
-        def buggy(config):
+        def buggy(config, sweep):
             raise RuntimeError("runner bug")
 
         lo, hi, _ = CHECKS["lemma1"]
@@ -902,59 +912,74 @@ def _joined(*texts):
     return json.dumps(sum((json.loads(t) for t in texts), []), indent=2)
 
 
-class TestSharedSweep:
-    """``theorem1`` and ``hypo-sigma`` named together report as run apart."""
+class TestCompanions:
+    """No check's reports or exit status depend on the checks named with it."""
 
-    @staticmethod
-    def apart_and_together(tmp_path, p):
-        """Check that theorem1 and hypo-sigma named together, in either
-        order, report and exit as run apart; return the reports."""
-        s1, theorem1 = _verify_reports(tmp_path, p, "theorem1")
-        s2, hypo = _verify_reports(tmp_path, p, "hypo-sigma")
-        s3, together = _verify_reports(tmp_path, p, "theorem1,hypo-sigma")
-        s4, reversed_ = _verify_reports(tmp_path, p, "hypo-sigma,theorem1")
-        assert together == _joined(theorem1, hypo)
-        assert reversed_ == _joined(hypo, theorem1)
-        assert s3 == s4 == max(s1, s2)
-        return json.loads(together)
+    NAMES = ("theorem1", "hypo-sigma", "lemma3")
 
-    @pytest.mark.parametrize("p", [8, 16, 32, 64, 128, 256])
+    @classmethod
+    def alone_and_together(cls, tmp_path, p):
+        """Check that the three checks, named two or three at a time in
+        every order, report and exit as each named alone; return the
+        reports of each alone."""
+        alone = {name: _verify_reports(tmp_path, p, name) for name in cls.NAMES}
+        for r in (2, 3):
+            for names in itertools.permutations(cls.NAMES, r):
+                status, text = _verify_reports(tmp_path, p, ",".join(names))
+                assert text == _joined(*(alone[name][1] for name in names)), names
+                assert status == max(alone[name][0] for name in names), names
+        return {name: json.loads(text) for name, (_, text) in alone.items()}
+
+    @pytest.mark.parametrize("p", [8, 64, 512])
     def test_clean_orders(self, tmp_path, p):
-        reports = self.apart_and_together(tmp_path, p)
-        assert [(r["check"], r["outcome"], r["checked"]) for r in reports] == [
-            (name, "pass", p * (p - 1) ** 2)
-            for name in ("theorem1", "hypo-sigma-tournament", "hypo-sigma-variant")
-        ]
+        reports = self.alone_and_together(tmp_path, p)
+        sweep = p * (p - 1) ** 2
+        assert {
+            name: [(r["check"], r["outcome"], r["checked"]) for r in rs]
+            for name, rs in reports.items()
+        } == {
+            "theorem1": [("theorem1", "pass", sweep)],
+            "hypo-sigma": [
+                ("hypo-sigma-tournament", "pass", sweep),
+                ("hypo-sigma-variant", "pass", sweep),
+            ],
+            "lemma3": [("lemma3", "pass", 2 * p * (p - 1))],
+        }
 
-    @pytest.mark.parametrize("p", [8, 64, 256])
-    def test_swapped_map_row_fails_all_three_at_one_k(self, tmp_path, monkeypatch, p):
+    @pytest.mark.parametrize("p", [8, 64, 512])
+    def test_swapped_map_row(self, tmp_path, monkeypatch, p):
         import recon_census.hypomorphism_verifier as hv
 
         bad_k = p // 2 + 1
         tables = build_all_maps(p).copy()
         tables[bad_k - 1] = swap_two_images(tables[bad_k - 1], bad_k)
         monkeypatch.setattr(hv, "build_all_maps", lambda q: tables)
-        reports = self.apart_and_together(tmp_path, p)
-        assert [r["outcome"] for r in reports] == ["fail"] * 3
-        assert [r["counterexample"]["k"] for r in reports] == [bad_k] * 3
+        reports = self.alone_and_together(tmp_path, p)
+        swept = reports["theorem1"] + reports["hypo-sigma"]
+        # theorem 1 and both pairs fail at the swapped row
+        assert [r["outcome"] for r in swept] == ["fail"] * 3
+        assert [r["counterexample"]["k"] for r in swept] == [bad_k] * 3
 
-    def test_contradiction_in_the_pair_leaves_theorem1_its_verdict(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize("p", [8, 64, 512])
+    def test_contradiction_in_the_pair_leaves_the_others_their_verdicts(
+        self, tmp_path, monkeypatch, p
     ):
         import recon_census.cli as cli_mod
         from recon_census.errors import ContradictionError
 
-        def contradiction(p):
+        def contradiction(q):
             raise ContradictionError("self-check failed")
 
         monkeypatch.setattr(cli_mod, "standard_pair", contradiction)
-        status, text = _verify_reports(tmp_path, 16, "theorem1,hypo-sigma")
-        assert status == 1
-        theorem1, hypo = json.loads(text)
-        assert (theorem1["check"], theorem1["outcome"]) == ("theorem1", "pass")
-        assert theorem1["checked"] == 16 * 15**2
+        reports = self.alone_and_together(tmp_path, p)
+        (hypo,) = reports["hypo-sigma"]
         assert hypo["check"] == "hypo-sigma" and hypo["checked"] == 0
         assert hypo["counterexample"]["lhs"] == "contradiction"
+        assert [r["outcome"] for r in reports["theorem1"] + reports["lemma3"]] == [
+            "pass",
+            "pass",
+        ]
+        assert reports["theorem1"][0]["checked"] == p * (p - 1) ** 2
 
 
 class TestFailurePath:

@@ -4,19 +4,33 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import recon_census.deletion_maps as dm
 import recon_census.hypomorphism_verifier as hv
+import recon_census.iso_engine as ie
 import recon_census.weight_matrix as wm
 from recon_census.deletion_maps import build_all_maps, sigma, sigma_values
+from recon_census.digraph_builder import (
+    Digraph,
+    _bit_lut,
+    tournament_assignment,
+    variant_assignment,
+)
 from recon_census.hypomorphism_verifier import (
+    check_hypomorphisms,
     check_lemma3,
     check_theorem1,
     sample_theorem1,
 )
+from recon_census.iso_engine import verify_hypomorphic_by_sigma
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import MatrixVariant, build_dense
 
 from conftest import patch_dense, swap_images_at_random
-from loop_oracles import lemma3_loops, sample_theorem1_reference
+from loop_oracles import (
+    deletion_sweep_reference,
+    lemma3_loops,
+    sample_theorem1_reference,
+)
 
 PLAIN = MatrixVariant.PLAIN
 STAR = MatrixVariant.STAR
@@ -159,6 +173,95 @@ class TestTheorem1:
             sub = m[np.ix_(keep, keep)]
             sub_star = ms[np.ix_(keep, keep)]
             assert Counter(sub.ravel().tolist()) == Counter(sub_star.ravel().tolist())
+
+
+class TestCheckHypomorphisms:
+    """``check_hypomorphisms(p)`` is theorem 1's report of the block-copy
+    sweep, then ``verify_hypomorphic_by_sigma`` on each digraph pair read
+    from the same level matrices and map table."""
+
+    @staticmethod
+    def expected(p):
+        plain = hv.build_dense(p, PLAIN).entries
+        star = hv.build_dense(p, STAR).entries
+        (theorem1,), checked = deletion_sweep_reference(
+            plain, star, hv.build_all_maps(p), [hv._INT8_IDENTITY]
+        )
+        reports = [VerificationReport("theorem1", p, theorem1, checked)]
+        n = p.bit_length() - 1
+        assignments = {"hypo-sigma-tournament": tournament_assignment(n)}
+        if p >= 8:
+            assignments["hypo-sigma-variant"] = variant_assignment(n)
+        for name, a in assignments.items():
+            g, h = (Digraph(p, _bit_lut(a)[m]) for m in (plain, star))
+            report = verify_hypomorphic_by_sigma(g, h)
+            reports.append(dataclasses.replace(report, check_name=name))
+        return reports
+
+    @staticmethod
+    def swapped_rows(p, rng):
+        """The map table with seeded rows swapped: random ones, and rows
+        that fix the point the sweep deletes next, one keeping that fixed
+        point and one moving it."""
+        clean = build_all_maps(p)
+        slots = dm._gray_slots(p)
+        fixing = [(s, t) for s, t in zip(slots, slots[1:]) if clean[s, t] == t + 1]
+        tables = swap_images_at_random(clean, rng)
+        if fixing:
+            for moved, pick in enumerate(rng.choice(len(fixing), size=2, replace=False)):
+                s, t = fixing[pick]
+                kept = [c for c in range(p) if c not in (s, t)]
+                a, b = rng.choice(kept, size=2, replace=False)
+                a = t if moved else a
+                tables[s, [a, b]] = tables[s, [b, a]]
+        return tables
+
+    @pytest.mark.parametrize(
+        "fault, p",
+        [
+            (fault, p)
+            for fault in ("none", "map-rows", "entry", "star-3-to-4")
+            # level 4 exists from p = 8 on
+            for p in [4, 8, 16, 32, 64, 128, 256][fault == "star-3-to-4" :]
+        ],
+    )
+    def test_equals_theorem1_reference_and_per_pair_sweeps(self, monkeypatch, p, fault):
+        rng = np.random.default_rng(p)
+        for _ in range(1 if fault == "none" else 3):
+            with monkeypatch.context() as m:
+                if fault == "map-rows":
+                    tables = self.swapped_rows(p, rng)
+                    for module in (hv, ie):
+                        m.setattr(module, "build_all_maps", lambda q, t=tables: t)
+                elif fault == "entry":
+                    i, j = rng.choice(p, size=2, replace=False)
+                    top = p.bit_length()  # n + 1, the extreme level
+
+                    def edit(entries, i=i, j=j):
+                        levels = [v for v in range(-top, top + 1) if v not in (0, entries[i, j])]
+                        entries[i, j] = rng.choice(levels)
+
+                    patch_dense(m, hv, p, rng.choice([PLAIN, STAR]), edit)
+                elif fault == "star-3-to-4":
+
+                    def edit(entries):
+                        threes = np.argwhere(entries == 3)
+                        i, j = threes[rng.integers(len(threes))]
+                        entries[i, j] = 4
+
+                    patch_dense(m, hv, p, STAR, edit)
+                reports = check_hypomorphisms(p)
+                assert reports == self.expected(p)
+            theorem1, *pairs = reports
+            assert [r.check_name for r in pairs] == (
+                ["hypo-sigma-tournament", "hypo-sigma-variant"][: 1 + (p >= 8)]
+            )
+            # every fault changes a level that some deletion map reads
+            assert theorem1.passed == (fault == "none")
+            if fault == "star-3-to-4":
+                # both pairs read 3 and 4 as one bit
+                assert theorem1.counterexample[3:] == (3, 4)
+                assert all(r.passed for r in pairs)
 
 
 class TestSampleTheorem1:

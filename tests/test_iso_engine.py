@@ -20,7 +20,6 @@ from recon_census.iso_engine import (
     decks_match_independent,
     verify_hypomorphic_by_sigma,
     verify_nonisomorphic_inductive,
-    verify_pairs_by_sigma,
 )
 
 from conftest import patch_case_table, swap_images_at_random, swap_two_images
@@ -207,7 +206,8 @@ class TestHypomorphicBySigmaSweep:
 
 
 class TestPairsBySigma:
-    """One sweep of the level matrices reports as the per-pair digraph sweeps."""
+    """The pair reports of ``check_hypomorphisms``, from one sweep of the
+    level matrices, are those of the per-pair digraph sweeps."""
 
     @staticmethod
     def per_pair(p):
@@ -221,7 +221,7 @@ class TestPairsBySigma:
 
     @pytest.mark.parametrize("p", [4, 8, 16, 64])
     def test_clean_order(self, p):
-        reports = verify_pairs_by_sigma(p)
+        reports = hv.check_hypomorphisms(p)[1:]
         assert reports == self.per_pair(p)
         assert all(r.passed and r.checked_count == p * (p - 1) ** 2 for r in reports)
 
@@ -232,7 +232,7 @@ class TestPairsBySigma:
             maps = swap_images_at_random(build_all_maps(p), rng)
             for module in (hv, ie):
                 monkeypatch.setattr(module, "build_all_maps", lambda q: maps)
-            reports = verify_pairs_by_sigma(p)
+            reports = hv.check_hypomorphisms(p)[1:]
             assert reports == self.per_pair(p)
             assert not any(r.passed for r in reports)
 
