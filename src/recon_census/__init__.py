@@ -3,8 +3,9 @@
 For every order p = 2**n >= 4 the package builds a pair of antisymmetric
 weighted matrices, the point-deletion mappings joining them, and the
 digraph pairs obtained from proper binary assignments, and verifies all
-of their defining identities exhaustively (or by seeded sampling at
-orders where an exhaustive sweep is infeasible).
+of their defining identities exactly: by exhaustive sweeps, or, for the
+hypomorphism identity at orders beyond its sweep, by a finite automaton
+over the binary digits of the points.
 """
 
 from recon_census.deletion_maps import (
@@ -53,6 +54,7 @@ from recon_census.iso_engine import (
     verify_nonisomorphic_inductive,
 )
 from recon_census.report import SCHEMA_VERSION, VerificationReport
+from recon_census.theorem1_automaton import decide_theorem1
 from recon_census.weight_matrix import (
     DENSE_ORDER_LIMIT,
     MatrixVariant,
@@ -103,6 +105,7 @@ __all__ = [
     "check_lemma3",
     "check_theorem1",
     "deck",
+    "decide_theorem1",
     "decks_match_independent",
     "entry_at",
     "entry_grid",

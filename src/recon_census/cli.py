@@ -13,7 +13,8 @@ Exit status: 0 when everything requested passed, 1 when a check failed
 (the report is still written), 2 on usage errors and when the output
 (``--out`` or stdout) cannot be written, 3 on an internal error (one
 ``internal error:`` line on stderr; output written before it stays).
-Identical invocations (including ``--seed``) produce byte-identical outputs.
+Identical invocations produce byte-identical outputs; every verdict is
+exact, and ``verify --seed`` is accepted but reaches nothing.
 """
 
 from __future__ import annotations
@@ -44,17 +45,14 @@ from recon_census.digraph_builder import (
     variant_digraph,
 )
 from recon_census.errors import BudgetExhausted, ContradictionError
-from recon_census.hypomorphism_verifier import (
-    check_hypomorphisms,
-    check_lemma3,
-    sample_theorem1,
-)
+from recon_census.hypomorphism_verifier import check_hypomorphisms, check_lemma3
 from recon_census.iso_engine import (
     DECK_MATCH_ORDER_LIMIT,
     decks_match_independent,
     verify_nonisomorphic_inductive,
 )
 from recon_census.report import SCHEMA_VERSION, VerificationReport
+from recon_census.theorem1_automaton import decide_theorem1
 from recon_census.weight_matrix import (
     DENSE_ORDER_LIMIT,
     MatrixVariant,
@@ -67,9 +65,9 @@ from recon_census.weight_matrix import (
 
 __all__ = ["CHECKS", "RunConfig", "main", "run"]
 
-#: Largest order where the cubic hypomorphism sweep runs exhaustively.
+#: Largest order where theorem 1 is the cubic deletion sweep; the digit
+#: automaton decides it above.
 EXHAUSTIVE_LIMIT = 512
-DEFAULT_TRIALS = 1_000_000
 #: Largest order ``deck`` writes.  Its p cards of order p - 1 take about
 #: ``_DECK_BYTES_PER_P3[format] * p**3`` bytes (measured), so every accepted
 #: deck stays under about 1 GB (dot at p = 512: 0.9 GB).
@@ -85,7 +83,6 @@ class RunConfig:
     kind: str = "weighted"
     format: str = "csv"
     checks: tuple[str, ...] = ()
-    seed: int = 0
     budget: Optional[int] = None
     out: Optional[Path] = None
 
@@ -101,15 +98,9 @@ Sweep = Callable[[], list[VerificationReport]]
 
 
 def _theorem1(config: RunConfig, sweep: Sweep) -> list[VerificationReport]:
-    p = config.p
-    if p <= EXHAUSTIVE_LIMIT:
+    if config.p <= EXHAUSTIVE_LIMIT:
         return sweep()[:1]
-    trials = config.budget or DEFAULT_TRIALS
-    print(
-        f"theorem1 at p={p}: sampled mode, {trials} trials, seed={config.seed}",
-        file=sys.stderr,
-    )
-    return [sample_theorem1(p, trials, config.seed)]
+    return [decide_theorem1(config.p)]
 
 
 def _theorem2(config: RunConfig, sweep: Sweep) -> list[VerificationReport]:
@@ -356,7 +347,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run checks and write a JSON report")
     add_common(ver)
     ver.add_argument("--checks", default="all", help="comma list of checks, or 'all'")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument(
+        "--seed", type=int, default=0,
+        help="has no effect (every verdict is exact); accepted if >= 0",
+    )
     ver.add_argument("--budget", type=int, default=None)
     ver.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
 
@@ -454,7 +448,6 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
         kind=getattr(args, "kind", "weighted"),
         format=getattr(args, "format", "csv"),
         checks=checks,
-        seed=seed,
         budget=budget,
         out=args.out,
     )

@@ -12,9 +12,11 @@ order in one deletion sweep, reading the levels through the identity
 table and through each pair's bit table; ``check_theorem1`` is its first
 report.  It reads the cached dense matrices of ``build_dense`` (one
 class-table gather), as ``check_lemma3`` does, and the map table of
-``build_all_maps``.  ``sample_theorem1`` spot-checks the same identity at
-orders where the cubic sweep is infeasible, through the entry oracle,
-with a seeded generator for reproducibility.
+``build_all_maps``.  Above the orders the sweep serves,
+``theorem1_automaton.decide_theorem1`` decides the same identity exactly.
+``sample_theorem1`` checks it on seeded random triples through the entry
+oracle; the command line does not run it, and the test suite uses it as
+an independent oracle of the automaton at large orders.
 """
 
 from __future__ import annotations
@@ -153,7 +155,8 @@ def check_theorem1(p: int) -> VerificationReport:
     p = 512 and 0.3 s at p = 1024, with the matrices and the map table
     built).  The CLI's ``theorem1`` reads this report from its one
     ``check_hypomorphisms`` call through p = 512 (``cli.EXHAUSTIVE_LIMIT``)
-    and switches to ``sample_theorem1`` above.
+    and from ``theorem1_automaton.decide_theorem1``, which gives the same
+    report, above.
     """
     return check_hypomorphisms(p)[0]
 

@@ -39,6 +39,8 @@ from recon_census.iso_engine import (
     verify_hypomorphic_by_sigma,
     verify_nonisomorphic_inductive,
 )
+from recon_census.report import VerificationReport
+from recon_census.theorem1_automaton import decide_theorem1
 from recon_census.weight_matrix import MatrixVariant, check_lemma1, entry_at
 
 from conftest import FIXTURES, load_matrix_fixture, load_sigma_fixture
@@ -87,6 +89,8 @@ def test_criterion_3_theorem1():
     sampled = sample_theorem1(4096, 1_000_000, rng_seed=1)
     assert sampled.passed
     assert sampled.checked_count == 1_000_000
+    p = 4096
+    assert decide_theorem1(p) == VerificationReport("theorem1", p, None, p * (p - 1) ** 2)
     _report(3, "hypomorphism identity", started, 60.0)
 
 

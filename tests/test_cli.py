@@ -821,16 +821,24 @@ class TestVerifyReports:
         assert "seed" not in rep
         assert "sampled" not in capsys.readouterr().err
 
-    def test_sampled_switch_above_exhaustive_limit(self, tmp_path):
+    def test_automaton_above_exhaustive_limit(self, tmp_path, capsys):
+        # above the sweep the digit automaton gives the same exact report:
+        # --seed and --budget reach nothing, and nothing goes to stderr
+        p = 1024
         out = tmp_path / "rep.json"
-        run_cli(
-            "verify", "--p", "1024", "--checks", "theorem1",
+        assert run_cli(
+            "verify", "--p", str(p), "--checks", "theorem1",
             "--seed", "3", "--budget", "1000", "--out", str(out),
-        )
+        ) == 0
         (rep,) = json.loads(out.read_text())["reports"]
-        assert rep["check"] == "theorem1-sampled"
-        assert rep["checked"] == 1000
-        assert rep["seed"] == 3
+        assert rep == {
+            "schema": SCHEMA_VERSION,
+            "check": "theorem1",
+            "p": p,
+            "outcome": "pass",
+            "checked": p * (p - 1) ** 2,
+        }
+        assert capsys.readouterr().err == ""
 
     def test_all_expansion_respects_order(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -1010,13 +1018,32 @@ class TestSchemaVersion:
 
 
 class TestSeedFlag:
-    @pytest.mark.parametrize("p", [16, 512])
+    """``--seed`` is still accepted and validated, and changes nothing."""
+
+    @pytest.mark.parametrize("p", [16, 512, 1024])
     def test_negative_is_usage_error(self, capsys, p):
         assert run_cli("verify", "--p", str(p), "--checks", "theorem1", "--seed", "-1") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         errors = [l for l in captured.err.splitlines() if "error" in l]
         assert errors == ["recon-census verify: error: --seed must be >= 0, got -1"]
+
+    @pytest.mark.parametrize("p", [512, 2048])
+    def test_reports_do_not_depend_on_it(self, tmp_path, p):
+        texts = []
+        for seed in ("0", "9"):
+            out = tmp_path / f"rep{seed}.json"
+            args = ("--p", str(p), "--checks", "theorem1", "--seed", seed, "--out", str(out))
+            assert run_cli("verify", *args) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        assert b"seed" not in texts[0]
+
+    def test_help_says_it_has_no_effect(self, capsys):
+        assert run_cli("verify", "--help") == 0
+        lines = capsys.readouterr().out.splitlines()
+        (line,) = [l for l in lines if l.lstrip().startswith("--seed")]
+        assert "has no effect" in line
 
 
 class TestJobsFlag:
