@@ -4,8 +4,8 @@ For every order p = 2**n >= 4 the package builds a pair of antisymmetric
 weighted matrices, the point-deletion mappings joining them, and the
 digraph pairs obtained from proper binary assignments, and verifies all
 of their defining identities exactly: by exhaustive sweeps, or, for the
-hypomorphism identity at orders beyond its sweep, by a finite automaton
-over the binary digits of the points.
+hypomorphism identity and both digraph pairs, by a finite automaton over
+the binary digits of the points at every order.
 """
 
 from recon_census.deletion_maps import (
@@ -54,7 +54,7 @@ from recon_census.iso_engine import (
     verify_nonisomorphic_inductive,
 )
 from recon_census.report import SCHEMA_VERSION, VerificationReport
-from recon_census.theorem1_automaton import decide_theorem1
+from recon_census.theorem1_automaton import decide_hypomorphisms, decide_theorem1
 from recon_census.weight_matrix import (
     DENSE_ORDER_LIMIT,
     MatrixVariant,
@@ -105,6 +105,7 @@ __all__ = [
     "check_lemma3",
     "check_theorem1",
     "deck",
+    "decide_hypomorphisms",
     "decide_theorem1",
     "decks_match_independent",
     "entry_at",

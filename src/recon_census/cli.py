@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -45,14 +44,14 @@ from recon_census.digraph_builder import (
     variant_digraph,
 )
 from recon_census.errors import BudgetExhausted, ContradictionError
-from recon_census.hypomorphism_verifier import check_hypomorphisms, check_lemma3
+from recon_census.hypomorphism_verifier import check_lemma3
 from recon_census.iso_engine import (
     DECK_MATCH_ORDER_LIMIT,
     decks_match_independent,
     verify_nonisomorphic_inductive,
 )
 from recon_census.report import SCHEMA_VERSION, VerificationReport
-from recon_census.theorem1_automaton import decide_theorem1
+from recon_census.theorem1_automaton import decide_hypomorphisms
 from recon_census.weight_matrix import (
     DENSE_ORDER_LIMIT,
     MatrixVariant,
@@ -65,9 +64,6 @@ from recon_census.weight_matrix import (
 
 __all__ = ["CHECKS", "RunConfig", "main", "run"]
 
-#: Largest order where theorem 1 is the cubic deletion sweep; the digit
-#: automaton decides it above.
-EXHAUSTIVE_LIMIT = 512
 #: Largest order ``deck`` writes.  Its p cards of order p - 1 take about
 #: ``_DECK_BYTES_PER_P3[format] * p**3`` bytes (measured), so every accepted
 #: deck stays under about 1 GB (dot at p = 512: 0.9 GB).
@@ -87,34 +83,23 @@ class RunConfig:
     out: Optional[Path] = None
 
 
-# Check runners take the validated configuration and the order's deletion
-# sweep, and return the check's reports.  The sweep is a function that runs
-# ``check_hypomorphisms`` on its first call and returns those reports on
-# every call, so the checks that read it share one run.  Runners name
-# library functions through this module's globals when called, so a
-# wrapper or test double bound to ``cli.<name>`` reaches them.
-
-Sweep = Callable[[], list[VerificationReport]]
+# Check runners take the validated configuration and return the check's
+# reports.  They name library functions through this module's globals when
+# called, so a wrapper or test double bound to ``cli.<name>`` reaches them.
 
 
-def _theorem1(config: RunConfig, sweep: Sweep) -> list[VerificationReport]:
-    if config.p <= EXHAUSTIVE_LIMIT:
-        return sweep()[:1]
-    return [decide_theorem1(config.p)]
-
-
-def _theorem2(config: RunConfig, sweep: Sweep) -> list[VerificationReport]:
+def _theorem2(config: RunConfig) -> list[VerificationReport]:
     trace = verify_nonisomorphic_inductive(config.p)
     return [VerificationReport("theorem2", config.p, None, len(trace.steps))]
 
 
-def _hypo_sigma(config: RunConfig, sweep: Sweep) -> list[VerificationReport]:
-    # the tournament self-check, O(p**2); the sweep reads the level matrices
+def _hypo_sigma(config: RunConfig) -> list[VerificationReport]:
+    # the tournament self-check, O(p**2); the automaton reads no matrix
     standard_pair(config.p)
-    return sweep()[1:]
+    return decide_hypomorphisms(config.p)[1:]
 
 
-def _deck_match(config: RunConfig, sweep: Sweep) -> list[VerificationReport]:
+def _deck_match(config: RunConfig) -> list[VerificationReport]:
     p = config.p
     g, h = standard_pair(p)
     budget = config.budget or DEFAULT_ISO_BUDGET
@@ -127,13 +112,13 @@ def _deck_match(config: RunConfig, sweep: Sweep) -> list[VerificationReport]:
     return [VerificationReport("deck-match", p, cex, p * p)]
 
 
-def _swap(config: RunConfig, sweep: Sweep) -> list[VerificationReport]:
+def _swap(config: RunConfig) -> list[VerificationReport]:
     p = config.p
     swap_involution(p)
     return [VerificationReport("swap", p, None, 2 * p * p)]
 
 
-def _forced_iso(config: RunConfig, sweep: Sweep) -> list[VerificationReport]:
+def _forced_iso(config: RunConfig) -> list[VerificationReport]:
     p = config.p
     n = p.bit_length() - 1
     mapping = {v: 1 for v in range(1, n + 2)}
@@ -146,17 +131,17 @@ def _forced_iso(config: RunConfig, sweep: Sweep) -> list[VerificationReport]:
     return [VerificationReport("forced-iso", p, cex, p * p + 1)]
 
 
-Runner = Callable[[RunConfig, Sweep], list[VerificationReport]]
+Runner = Callable[[RunConfig], list[VerificationReport]]
 
 #: Every check, in report order: name -> (min_p, max_p, runner).  ``all``
 #: expands to the checks whose range holds the order, and naming a check
 #: outside its range is a usage error.  The checks capped at
 #: ``DENSE_ORDER_LIMIT`` hold dense p x p grids or all p deletion maps.
 CHECKS: dict[str, tuple[int, int, Runner]] = {
-    "lemma1": (8, ORACLE_ORDER_LIMIT, lambda c, _: [check_lemma1(c.p)]),
-    "lemma2": (8, DENSE_ORDER_LIMIT, lambda c, _: [check_lemma2(c.p)]),
-    "lemma3": (4, DENSE_ORDER_LIMIT, lambda c, _: [check_lemma3(c.p)]),
-    "theorem1": (4, ORACLE_ORDER_LIMIT, _theorem1),
+    "lemma1": (8, ORACLE_ORDER_LIMIT, lambda c: [check_lemma1(c.p)]),
+    "lemma2": (8, DENSE_ORDER_LIMIT, lambda c: [check_lemma2(c.p)]),
+    "lemma3": (4, DENSE_ORDER_LIMIT, lambda c: [check_lemma3(c.p)]),
+    "theorem1": (4, ORACLE_ORDER_LIMIT, lambda c: decide_hypomorphisms(c.p)[:1]),
     "theorem2": (4, ORACLE_ORDER_LIMIT, _theorem2),
     "hypo-sigma": (4, DENSE_ORDER_LIMIT, _hypo_sigma),
     "deck-match": (4, DECK_MATCH_ORDER_LIMIT, _deck_match),
@@ -167,11 +152,9 @@ CHECKS: dict[str, tuple[int, int, Runner]] = {
 
 def _cmd_verify(config: RunConfig) -> int:
     reports: list[VerificationReport] = []
-    # run on first use, and dropped with this call
-    sweep = functools.cache(lambda: check_hypomorphisms(config.p))
     for name in config.checks:
         try:
-            reports += CHECKS[name][2](config, sweep)
+            reports += CHECKS[name][2](config)
         except ContradictionError as exc:
             cex = (0, 0, 0, "contradiction", str(exc))
             reports.append(VerificationReport(name, config.p, cex, 0))

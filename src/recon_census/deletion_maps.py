@@ -29,12 +29,12 @@ at distance p/2 in the same row.
 
 ``_deletion_sweep`` is the one check that every mapping carries one
 matrix onto another away from its deleted point, read through a list of
-level tables.  It has two callers, each reading the table of
-``build_all_maps`` itself: ``hypomorphism_verifier.check_hypomorphisms``
-runs it on the level matrices through every level table of the order at
-once (the identity for theorem 1, the bit tables of the tournament and
-the variant pair), and ``iso_engine.verify_hypomorphic_by_sigma`` on one
-digraph pair.
+level tables.  Its two callers, each reading the table of
+``build_all_maps`` itself, are library routes that the command line does
+not run: ``hypomorphism_verifier.check_hypomorphisms`` runs it on the
+level matrices through every level table of the order at once, the test
+oracle of the digit automaton, and ``iso_engine.verify_hypomorphic_by_sigma``
+on one digraph pair.
 """
 
 from __future__ import annotations

@@ -8,15 +8,13 @@ point distance p/2, and everywhere off-diagonal at p = 4).
 every deleted point k, the plain entry at (i, j) equals the starred entry
 at the mapped pair, over all p * (p-1)**2 admissible triples.
 ``check_hypomorphisms`` checks theorem 1 and both digraph pairs of the
-order in one deletion sweep, reading the levels through the identity
-table and through each pair's bit table; ``check_theorem1`` is its first
-report.  It reads the cached dense matrices of ``build_dense`` (one
-class-table gather), as ``check_lemma3`` does, and the map table of
-``build_all_maps``.  Above the orders the sweep serves,
-``theorem1_automaton.decide_theorem1`` decides the same identity exactly.
-``sample_theorem1`` checks it on seeded random triples through the entry
-oracle; the command line does not run it, and the test suite uses it as
-an independent oracle of the automaton at large orders.
+order in one deletion sweep of the cached dense matrices of
+``build_dense`` over the map table of ``build_all_maps``, reading the
+levels through each table of ``level_tables``; ``check_theorem1`` is its
+first report.  It is the library's dense route and the test oracle of
+``theorem1_automaton.decide_hypomorphisms``, which the command line runs.
+``sample_theorem1`` checks theorem 1 on seeded random triples through the
+entry oracle, the automaton's test oracle at large orders.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ __all__ = [
     "check_hypomorphisms",
     "check_lemma3",
     "check_theorem1",
+    "level_tables",
     "sample_theorem1",
 ]
 
@@ -109,23 +108,11 @@ def check_lemma3(p: int) -> VerificationReport:
     )
 
 
-def check_hypomorphisms(p: int) -> list[VerificationReport]:
-    """Theorem 1 and the hypomorphism of both digraph pairs of order p, in
-    one deletion sweep of the level matrices.
-
-    The sweep (``deletion_maps._deletion_sweep``) reads the plain and
-    starred cached dense matrices (``build_dense``, p <=
-    ``DENSE_ORDER_LIMIT``) over ``build_all_maps(p)``, through one level
-    table per report: the identity table, ``theorem1``, which compares the
-    levels themselves; the bit table of the tournament assignment,
-    ``hypo-sigma-tournament``; and from p = 8 that of the variant
-    assignment, ``hypo-sigma-variant``.  The tables are read only at a
-    deletion whose levels differ, so on clean input the pairs' tables cost
-    nothing.  Each digraph of a pair is its level matrix read through
-    its assignment (``apply_assignment``), so each pair's report is the
-    one ``iso_engine.verify_hypomorphic_by_sigma`` gives for it.  Reports
-    come in that order, each with p * (p-1)**2 triples checked.
-    """
+def level_tables(p: int) -> dict[str, np.ndarray]:
+    """Each report's level table at order p, by name in report order: the
+    identity for ``theorem1``, and the bit tables of the tournament and,
+    from p = 8, the variant assignment for the digraph pairs (a digraph is
+    its level matrix read through its assignment, ``apply_assignment``)."""
     n = order_exponent(p)
     luts = {
         "theorem1": _INT8_IDENTITY,
@@ -133,6 +120,21 @@ def check_hypomorphisms(p: int) -> list[VerificationReport]:
     }
     if p >= 8:
         luts["hypo-sigma-variant"] = _bit_lut(variant_assignment(n))
+    return luts
+
+
+def check_hypomorphisms(p: int) -> list[VerificationReport]:
+    """Theorem 1 and the hypomorphism of both digraph pairs of order p, in
+    one deletion sweep of the level matrices.
+
+    The sweep (``deletion_maps._deletion_sweep``) reads the cached dense
+    matrices (``build_dense``, p <= ``DENSE_ORDER_LIMIT``) over
+    ``build_all_maps(p)`` through each table of ``level_tables(p)``, only
+    at deletions whose levels differ.  Each pair's report is the one
+    ``iso_engine.verify_hypomorphic_by_sigma`` gives for it, and each
+    report counts p * (p-1)**2 triples.
+    """
+    luts = level_tables(p)
     counterexamples, checked = _deletion_sweep(
         build_dense(p, MatrixVariant.PLAIN).entries,
         build_dense(p, MatrixVariant.STAR).entries,
@@ -153,10 +155,8 @@ def check_theorem1(p: int) -> VerificationReport:
     themselves.  Its gathers cost O(p**2 log p), and each deletion one
     word-wide comparison of the p**2 levels: p**3 bytes in all (0.03 s at
     p = 512 and 0.3 s at p = 1024, with the matrices and the map table
-    built).  The CLI's ``theorem1`` reads this report from its one
-    ``check_hypomorphisms`` call through p = 512 (``cli.EXHAUSTIVE_LIMIT``)
-    and from ``theorem1_automaton.decide_theorem1``, which gives the same
-    report, above.
+    built).  ``theorem1_automaton.decide_theorem1`` gives the same report
+    at every order without the dense matrices; the CLI runs that.
     """
     return check_hypomorphisms(p)[0]
 

@@ -3,9 +3,10 @@
 ``are_isomorphic`` is a budgeted backtracking search over point bijections
 used as an oracle at small orders.  ``verify_hypomorphic_by_sigma`` checks
 that the deletion mappings carry the deck of one digraph onto that of
-another; ``hypomorphism_verifier.check_hypomorphisms`` gives its report
-for both digraph pairs of an order, with theorem 1's, in one deletion
-sweep of the level matrices.  ``decks_match_independent`` validates
+another; ``theorem1_automaton.decide_hypomorphisms`` gives its report
+for both digraph pairs of an order, with theorem 1's, at every order,
+and ``hypomorphism_verifier.check_hypomorphisms`` from one dense deletion
+sweep.  ``decks_match_independent`` validates
 hypomorphism without trusting the deletion mappings: it tests every pair of
 cards for isomorphism and matches the decks card for card.
 ``verify_nonisomorphic_inductive`` runs the halving argument at any order:

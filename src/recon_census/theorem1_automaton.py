@@ -1,4 +1,4 @@
-"""Theorem 1 at every order, decided by a finite automaton over binary digits.
+"""Theorem 1 and its digraph pairs at every order, by a digit automaton.
 
 Theorem 1 is the identity plain(i, j) = star(sigma_k(i), sigma_k(j)) over
 the p * (p-1)**2 triples with i, j != k.  With a = i - 1, b = k - 1 and
@@ -13,7 +13,7 @@ c = j - 1, every term of it is read off the binary digits:
   table that ``deletion_maps._sigma_closed_form`` derives from
   ``_SIGMA4``.
 
-``decide_theorem1`` reads (a, b, c) least significant digit first: one
+``decide_hypomorphisms`` reads (a, b, c) least significant digit first: one
 layer of the three residues mod 4, then one layer per block bit.  A state
 holds whether a != b and c != b have been seen (a bit of sigma is
 complemented exactly when its side has seen one), the borrows of
@@ -28,25 +28,28 @@ a neighbour compare: ``np.unique`` would import ``numpy.ma``).  The reachable
 sets stay near a thousand states, so the verdict costs O(log p) array
 steps of that size, a few milliseconds at every accepted order.
 
+A final state holds the level of each side.  Each report reads the two
+through its table of ``hypomorphism_verifier.level_tables``: theorem 1
+the levels themselves, each digraph pair the bits its assignment gives
+them, which two levels may share.
+
 The class table, ``_offset_class`` and ``_SIGMA4`` are read on every call,
-so the automaton decides the identity of the tables that ``entry_values``
-and ``sigma_values`` read at that moment, faults included.  Through
-p = 512 the command line keeps the exhaustive deletion sweep
-(``hypomorphism_verifier.check_theorem1``); the test suite checks that the
-two reports agree field for field there.
+so the automaton decides the identities of the tables that ``entry_values``
+and ``sigma_values`` read at that moment, faults included.  The command
+line runs it at every order; the test suite holds it to the dense deletion
+sweep (``hypomorphism_verifier.check_hypomorphisms``) field by field.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from recon_census import deletion_maps, weight_matrix
+from recon_census.hypomorphism_verifier import level_tables
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import MatrixVariant, order_exponent
 
-__all__ = ["decide_theorem1"]
+__all__ = ["decide_hypomorphisms", "decide_theorem1"]
 
 # State code fields: bit 0 and 1 say a != b and c != b have been seen, bits
 # 2 and 3 hold the borrows of the plain and the starred offset, and each
@@ -122,8 +125,8 @@ def _block_codes(states: np.ndarray, x: int, rule: _Rule) -> np.ndarray:
     return out
 
 
-def _bad_states(states: np.ndarray, n: int, rule: _Rule) -> np.ndarray:
-    """Which final states hold a triple with i, j != k and lhs != rhs."""
+def _final_levels(states: np.ndarray, n: int, rule: _Rule) -> list[np.ndarray]:
+    """The plain and the starred level of each final state, as int8."""
     values = []
     for side in range(2):
         borrow = states >> 2 + side & 1
@@ -131,8 +134,10 @@ def _bad_states(states: np.ndarray, n: int, rule: _Rule) -> np.ndarray:
         status, payload = field & 3, field >> 2
         # pending after the top layer: the final borrow is the bit above
         row = np.where(status == _ZERO, rule.zero_row, rule.rows[n - 2][borrow])
-        values.append(np.where(status == _RESOLVED, payload, rule.value(side, row, payload)))
-    return (states & 3 == 3) & (values[0] != values[1])
+        value = np.where(status == _RESOLVED, payload, rule.value(side, row, payload))
+        # a byte; level tables are indexed by the signed level
+        values.append(value.astype(np.uint8).view(np.int8))
+    return values
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:
@@ -144,14 +149,12 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     return flat[keep]
 
 
-def decide_theorem1(p: int) -> VerificationReport:
-    """Theorem 1 at order p, exact at every order: the report of
-    ``hypomorphism_verifier.check_theorem1``.
-
-    ``checked`` is p * (p-1)**2 as a Python int, and a failure reports the
-    first failing (k, i, j) in k order and then row-major (i, j), with its
-    plain and starred entries.
-    """
+def decide_hypomorphisms(p: int) -> list[VerificationReport]:
+    """Theorem 1 and both digraph pairs at order p, exact at every order:
+    the reports of ``hypomorphism_verifier.check_hypomorphisms``, every
+    table of ``level_tables(p)`` read off one run of the layers.  A failure
+    is the first (k, i, j) in k order, then row-major (i, j), with its two
+    levels read through the report's table."""
     n = order_exponent(p)
     rule = _Rule(n)
     layers = []  # per layer: the states, their next codes and the letters
@@ -163,13 +166,29 @@ def decide_theorem1(p: int) -> VerificationReport:
         codes = _block_codes(states, x, rule)
         layers.append((states, codes, _BIT_LETTERS))
     final = _distinct(codes)
-    bad = _bad_states(final, n, rule)
-    counterexample = _first_failure(p, layers, final, bad) if bad.any() else None
-    return VerificationReport("theorem1", p, counterexample, p * (p - 1) ** 2)
+    plain, star = _final_levels(final, n, rule)
+    admissible = final & 3 == 3  # i, j != k
+    reports = []
+    for name, lut in level_tables(p).items():
+        bad = admissible & (lut[plain] != lut[star])
+        counterexample = None
+        if bad.any():
+            k, i, j = _first_failure(layers, final, bad)
+            si, sj = deletion_maps.sigma_values(p, k, [i, j])
+            lhs = weight_matrix.entry_values(p, MatrixVariant.PLAIN, i, j)
+            rhs = weight_matrix.entry_values(p, MatrixVariant.STAR, si, sj)
+            counterexample = (k, i, j, int(lut[lhs]), int(lut[rhs]))
+        reports.append(VerificationReport(name, p, counterexample, p * (p - 1) ** 2))
+    return reports
 
 
-def _first_failure(p: int, layers, final: np.ndarray, bad: np.ndarray) -> Optional[tuple]:
-    """The first failing (k, i, j, lhs, rhs) in (k, i, j) order.
+def decide_theorem1(p: int) -> VerificationReport:
+    """Theorem 1 at order p: ``hypomorphism_verifier.check_theorem1``'s report."""
+    return decide_hypomorphisms(p)[0]
+
+
+def _first_failure(layers, final: np.ndarray, bad: np.ndarray) -> tuple[int, int, int]:
+    """The first (k, i, j), in that order, that reaches a ``bad`` final state.
 
     The digits of b, then of a, then of c are fixed from the top layer
     down, each to the least value from which a bad final state stays
@@ -202,12 +221,4 @@ def _first_failure(p: int, layers, final: np.ndarray, bad: np.ndarray) -> Option
             for t, ((_, _, letters), allow) in enumerate(zip(layers, allowed)))
         for var in range(3)
     )
-    k, i, j = b + 1, a + 1, c + 1
-    lhs = weight_matrix.entry_values(p, MatrixVariant.PLAIN, i, j)
-    rhs = weight_matrix.entry_values(
-        p,
-        MatrixVariant.STAR,
-        deletion_maps.sigma_values(p, k, i),
-        deletion_maps.sigma_values(p, k, j),
-    )
-    return (k, i, j, int(lhs), int(rhs))
+    return b + 1, a + 1, c + 1

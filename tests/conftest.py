@@ -89,3 +89,64 @@ def patch_case_table(monkeypatch, patched, modules) -> None:
     for module in modules:
         monkeypatch.setattr(module, "_offset_case_table", patched)
     monkeypatch.setattr(wm, "entry_values", entry_values)
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Edit the class table and ``_SIGMA4`` in place of the library's.
+
+    ``hypomorphism_verifier.build_dense`` reads unvalidated entry grids, so
+    that a one-cell fault, which breaks antisymmetry, reaches the deletion
+    sweep as it reaches the digit automaton; the map table and dense caches
+    are cleared around each test.
+    """
+    import recon_census.deletion_maps as dm
+    import recon_census.hypomorphism_verifier as hv
+    import recon_census.weight_matrix as wm
+
+    monkeypatch.setattr(
+        hv, "build_dense", lambda q, v: SimpleNamespace(entries=wm.entry_grid(q, v))
+    )
+    dm.build_all_maps.cache_clear()
+    wm._DENSE_CACHE.clear()
+    clean = dict(wm._CLASS_TABLE)
+
+    def class_cells(variant, row, cells):
+        """The cells ``{(r, c): value}`` of one row of ``variant`` set, the
+        other variant clean."""
+        table = clean[variant].copy()
+        for (r, c), value in cells.items():
+            table[row, r, c] = value
+        table.setflags(write=False)
+        for v in clean:
+            monkeypatch.setitem(wm._CLASS_TABLE, v, table if v is variant else clean[v])
+        wm._DENSE_CACHE.clear()
+
+    def class_cell(variant, row, r, c, value=None):
+        """One cell of ``variant`` set to ``value`` (by default the cell
+        negated, or 1 where it is 0), the other variant clean."""
+        old = clean[variant][row, r, c]
+        class_cells(variant, row, {(r, c): -old or 1 if value is None else value})
+
+    def sigma_swap(k, x, y):
+        """Swap the images of x and y in row k of ``_SIGMA4`` (0-based)."""
+        table = dm._SIGMA4.copy()
+        table[k, [x, y]] = table[k, [y, x]]
+        monkeypatch.setattr(dm, "_SIGMA4", table)
+        dm.build_all_maps.cache_clear()
+
+    yield SimpleNamespace(
+        class_cells=class_cells, class_cell=class_cell, sigma_swap=sigma_swap
+    )
+    dm.build_all_maps.cache_clear()
+    wm._DENSE_CACHE.clear()
+
+
+def reached_rows(p):
+    """The class-table rows of the block offsets of order p: d = 0, and
+    2m + (y = 3 mod 4) for d = y * 2**(m-1), 1 <= m <= n - 2."""
+    import recon_census.weight_matrix as wm
+
+    n = p.bit_length() - 1
+    zero = int(wm._offset_class(np.zeros(1, np.int32))[0])
+    return [zero] + [2 * m + s for m in range(1, n - 1) for s in (0, 1)]

@@ -14,7 +14,7 @@ from recon_census.deletion_maps import build_all_maps, sigma_table_tsv
 from recon_census.report import SCHEMA_VERSION
 from recon_census.weight_matrix import MatrixVariant, build_dense
 
-from conftest import FIXTURES, swap_two_images
+from conftest import FIXTURES
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -339,7 +339,7 @@ class TestCheckTable:
         assert names == ["lemma1", "lemma2", "swap", "forced-iso"]
         for name in names:
             with pytest.raises(ValueError):
-                CHECKS[name][2](RunConfig("verify", 4), None)
+                CHECKS[name][2](RunConfig("verify", 4))
 
     def test_cli_and_library_share_order_caps(self):
         import recon_census.cli as cli_mod
@@ -422,7 +422,7 @@ class TestInternalErrors:
     def test_bug_in_a_check_runner_exits_3(self, tmp_path, monkeypatch, capsys):
         import recon_census.cli as cli_mod
 
-        def buggy(config, sweep):
+        def buggy(config):
             raise RuntimeError("runner bug")
 
         lo, hi, _ = CHECKS["lemma1"]
@@ -807,24 +807,10 @@ class TestVerifyReports:
             )
         assert a.read_bytes() == b.read_bytes()
 
-    def test_exhaustive_through_limit(self, tmp_path, capsys):
-        from recon_census.cli import EXHAUSTIVE_LIMIT
-
-        p = EXHAUSTIVE_LIMIT
-        assert p == 512
-        out = tmp_path / "rep.json"
-        args = ("--p", str(p), "--checks", "theorem1", "--seed", "3", "--out", str(out))
-        assert run_cli("verify", *args) == 0
-        (rep,) = json.loads(out.read_text())["reports"]
-        assert rep["check"] == "theorem1"
-        assert rep["checked"] == p * (p - 1) ** 2
-        assert "seed" not in rep
-        assert "sampled" not in capsys.readouterr().err
-
-    def test_automaton_above_exhaustive_limit(self, tmp_path, capsys):
-        # above the sweep the digit automaton gives the same exact report:
-        # --seed and --budget reach nothing, and nothing goes to stderr
-        p = 1024
+    @pytest.mark.parametrize("p", [512, 1024])
+    def test_exact_theorem1_report(self, tmp_path, capsys, p):
+        # one exact report at every order, 512 and 1024 alike: --seed and
+        # --budget reach nothing, and nothing goes to stderr
         out = tmp_path / "rep.json"
         assert run_cli(
             "verify", "--p", str(p), "--checks", "theorem1",
@@ -864,48 +850,49 @@ class TestVerifyReports:
         assert doc["reports"][0]["check"] == "lemma1"
 
 
-    def test_sweep_and_reference_reports_are_byte_identical(self, tmp_path, monkeypatch):
+    def test_reports_are_the_reference_sweeps_byte_for_byte(self, tmp_path, monkeypatch):
+        # the command line's reports, byte for byte, are those of the
+        # dense route with the sweep's block-copy reference in place
         import recon_census.hypomorphism_verifier as hv
-        import recon_census.iso_engine as ie
         from loop_oracles import deletion_sweep_reference
 
-        args = ("verify", "--p", "256", "--checks", "theorem1,hypo-sigma", "--out")
-        fast, slow = tmp_path / "fast.json", tmp_path / "slow.json"
-        assert run_cli(*args, str(fast)) == 0
-        for module in (hv, ie):
-            monkeypatch.setattr(module, "_deletion_sweep", deletion_sweep_reference)
-        assert run_cli(*args, str(slow)) == 0
-        assert fast.read_bytes() == slow.read_bytes()
-        names = [r["check"] for r in json.loads(fast.read_text())["reports"]]
+        p, checks = 256, ["theorem1", "hypo-sigma"]
+        out = tmp_path / "rep.json"
+        assert run_cli("verify", "--p", str(p), "--checks", ",".join(checks), "--out", str(out)) == 0
+        monkeypatch.setattr(hv, "_deletion_sweep", deletion_sweep_reference)
+        reports = [r.to_json_dict() for r in hv.check_hypomorphisms(p)]
+        doc = {
+            "schema": SCHEMA_VERSION,
+            "command": "verify",
+            "p": p,
+            "checks": checks,
+            "all_pass": True,
+            "reports": reports,
+        }
+        assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+        names = [r["check"] for r in reports]
         assert names == ["theorem1", "hypo-sigma-tournament", "hypo-sigma-variant"]
 
-    @pytest.mark.parametrize(
-        "checks, sweeps",
-        [
-            ("theorem1", 1),
-            ("hypo-sigma", 1),
-            ("theorem1,hypo-sigma", 1),
-            ("hypo-sigma,lemma3,theorem1", 1),
-            ("all", 1),
-        ],
-    )
-    def test_one_deletion_sweep_per_check(self, tmp_path, monkeypatch, checks, sweeps):
-        # theorem 1 and both digraph pairs share one sweep of the level
-        # matrices, wherever they stand in the list
+    @pytest.mark.parametrize("p", [16, 512])
+    @pytest.mark.parametrize("checks", ["theorem1", "hypo-sigma", "hypo-sigma,theorem1"])
+    def test_no_deletion_sweep(self, tmp_path, monkeypatch, p, checks):
+        # theorem 1 and both digraph pairs come from the digit automaton:
+        # no deletion sweep and no map table
         import recon_census.hypomorphism_verifier as hv
         import recon_census.iso_engine as ie
 
         calls = []
         for module in (hv, ie):
+            for name in ("_deletion_sweep", "build_all_maps"):
 
-            def spy(*args, sweep=module._deletion_sweep):
-                calls.append(args)
-                return sweep(*args)
+                def spy(*args, name=name, real=getattr(module, name)):
+                    calls.append(name)
+                    return real(*args)
 
-            monkeypatch.setattr(module, "_deletion_sweep", spy)
+                monkeypatch.setattr(module, name, spy)
         out = tmp_path / "rep.json"
-        assert run_cli("verify", "--p", "16", "--checks", checks, "--out", str(out)) == 0
-        assert len(calls) == sweeps
+        assert run_cli("verify", "--p", str(p), "--checks", checks, "--out", str(out)) == 0
+        assert calls == []
 
 
 def _verify_reports(tmp_path, p, checks):
@@ -955,18 +942,17 @@ class TestCompanions:
         }
 
     @pytest.mark.parametrize("p", [8, 64, 512])
-    def test_swapped_map_row(self, tmp_path, monkeypatch, p):
+    def test_swapped_map_row(self, tmp_path, tables, p):
         import recon_census.hypomorphism_verifier as hv
 
-        bad_k = p // 2 + 1
-        tables = build_all_maps(p).copy()
-        tables[bad_k - 1] = swap_two_images(tables[bad_k - 1], bad_k)
-        monkeypatch.setattr(hv, "build_all_maps", lambda q: tables)
+        # two images swapped in the order-4 map deleting point 1, which
+        # every deletion of a point 1 mod 4 reads
+        tables.sigma_swap(0, 1, 3)
         reports = self.alone_and_together(tmp_path, p)
-        swept = reports["theorem1"] + reports["hypo-sigma"]
-        # theorem 1 and both pairs fail at the swapped row
-        assert [r["outcome"] for r in swept] == ["fail"] * 3
-        assert [r["counterexample"]["k"] for r in swept] == [bad_k] * 3
+        decided = reports["theorem1"] + reports["hypo-sigma"]
+        # theorem 1 and both pairs fail, as the dense route reports them
+        assert [r["outcome"] for r in decided] == ["fail"] * 3
+        assert decided == [r.to_json_dict() for r in hv.check_hypomorphisms(p)]
 
     @pytest.mark.parametrize("p", [8, 64, 512])
     def test_contradiction_in_the_pair_leaves_the_others_their_verdicts(

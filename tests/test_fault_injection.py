@@ -18,7 +18,7 @@ import recon_census.weight_matrix as wm
 from recon_census.cli import main
 from recon_census.errors import ContradictionError
 
-from conftest import patch_case_table, patch_dense, swap_two_images
+from conftest import patch_case_table, patch_dense, reached_rows, swap_two_images
 from loop_oracles import (
     check_lemma1_reference,
     deletion_sweep_reference,
@@ -111,32 +111,61 @@ class TestTheorem1Sweep:
 
 class TestHypoSigmaReporting:
     @pytest.mark.parametrize("late", ["last", "first-upper"])
-    def test_patched_map_table_fails_both_pairs(self, monkeypatch, capsys, late):
-        # the table that ``check_hypomorphisms`` reads is the one the
-        # command line's hypo-sigma check reports on
+    def test_patched_map_table_fails_both_pairs(self, monkeypatch, late):
+        # the dense route reads the map table of ``build_all_maps``
         p = 16
         bad_k = p if late == "last" else p // 2 + 1
         tables = dm.build_all_maps(p).copy()
         tables[bad_k - 1] = swap_two_images(tables[bad_k - 1], bad_k)
 
         monkeypatch.setattr(hv, "build_all_maps", lambda q: tables)
-        assert main(["verify", "--p", str(p), "--checks", "hypo-sigma"]) == 1
-        reports = json.loads(capsys.readouterr().out)["reports"]
-        assert [r["check"] for r in reports] == [
+        reports = hv.check_hypomorphisms(p)[1:]
+        assert [r.check_name for r in reports] == [
             "hypo-sigma-tournament",
             "hypo-sigma-variant",
         ]
-        assert [r["counterexample"]["k"] for r in reports] == [bad_k, bad_k]
+        assert [r.counterexample[0] for r in reports] == [bad_k, bad_k]
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_swapped_sigma4_images_fail_both_pairs(self, tables, capsys, k):
+        # the command line's twin: the digit automaton reads ``_SIGMA4``,
+        # and reports both pairs as the dense route does
+        p = 16
+        kept = [x for x in range(4) if x != k]
+        tables.sigma_swap(k, kept[0], kept[-1])
+        assert main(["verify", "--p", str(p), "--checks", "hypo-sigma"]) == 1
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [r["outcome"] for r in reports] == ["fail", "fail"]
+        assert reports == [r.to_json_dict() for r in hv.check_hypomorphisms(p)[1:]]
 
     @pytest.mark.parametrize("p", [8, 64])
-    def test_starred_level_edit_keeping_its_bits(self, monkeypatch, capsys, p):
-        # one starred level 3 becomes 4: theorem 1 fails, while both digraph
-        # pairs, whose assignments read 3 and 4 as one bit, pass
+    def test_starred_level_edit_keeping_its_bits(self, monkeypatch, p):
+        # one starred level 3 becomes 4 in the dense matrix: theorem 1
+        # fails, while both digraph pairs, whose assignments read 3 and 4
+        # as one bit, pass
         def edit(entries):
             i, j = np.argwhere(entries == 3)[0]
             entries[i, j] = 4
 
         patch_dense(monkeypatch, hv, p, wm.MatrixVariant.STAR, edit)
+        reports = hv.check_hypomorphisms(p)
+        assert [(r.check_name, r.passed) for r in reports] == [
+            ("theorem1", False),
+            ("hypo-sigma-tournament", True),
+            ("hypo-sigma-variant", True),
+        ]
+        assert reports[0].counterexample[3:] == (3, 4)
+
+    @pytest.mark.parametrize("p", [8, 64])
+    def test_starred_class_table_edit_keeping_its_bits(self, tables, capsys, p):
+        # the command line's twin: a starred 3 of the class table becomes 4
+        # and its antisymmetric -3 becomes -4, so the validated tournament
+        # pair of the self-check still builds; theorem 1 fails, both pairs
+        # pass
+        star = wm.MatrixVariant.STAR
+        row = reached_rows(p)[0]  # the offset 0, whose twin cell is (c, r)
+        r, c = (int(v) for v in np.argwhere(wm._CLASS_TABLE[star][row] == 3)[0])
+        tables.class_cells(star, row, {(r, c): 4, (c, r): -4})
         assert main(["verify", "--p", str(p), "--checks", "theorem1,hypo-sigma"]) == 1
         reports = json.loads(capsys.readouterr().out)["reports"]
         assert [(r["check"], r["outcome"]) for r in reports] == [

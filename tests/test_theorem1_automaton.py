@@ -1,16 +1,18 @@
-"""The digit automaton of theorem 1 against the deletion sweep and the oracles.
+"""The digit automaton of theorem 1 and both digraph pairs against the
+deletion sweep and the oracles.
 
-Through p = 512 its report must equal the sweep's (``check_theorem1``)
-field by field, on clean tables and under faults in the tables that both
-read: one cell of each class-table row the order reaches, in either
-variant, and two images swapped in one ``_SIGMA4`` row.  Above, its first
+Through p = 512 its reports must equal the sweep's
+(``check_hypomorphisms``) field by field, on clean tables and under faults
+in the tables that both read: one cell of each class-table row the order
+reaches, in either variant, and two images swapped in one ``_SIGMA4`` row;
+at 1024 under one planted fault; and under an edit to a level that keeps
+its bit, which theorem 1 sees and neither pair does.  Above, its first
 failing triple under a planted class-table fault must fail under the
 scalar oracles ``entry_at`` and ``sigma``, and no failing triple that
 ``sample_theorem1`` finds may sort before it.
 """
 
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,61 +22,22 @@ import recon_census.hypomorphism_verifier as hv
 import recon_census.weight_matrix as wm
 from recon_census.cli import main
 from recon_census.report import VerificationReport
-from recon_census.theorem1_automaton import decide_theorem1
+from recon_census.theorem1_automaton import decide_hypomorphisms, decide_theorem1
+
+from conftest import reached_rows
 
 PLAIN = wm.MatrixVariant.PLAIN
 STAR = wm.MatrixVariant.STAR
 SWEPT_ORDERS = [4 << t for t in range(8)]  # 4 .. 512
 
 
-@pytest.fixture
-def tables(monkeypatch):
-    """Edit the class table and ``_SIGMA4`` in place of the library's.
-
-    The sweep reads unvalidated entry grids, so that a one-cell fault,
-    which breaks antisymmetry, reaches it as it reaches the automaton;
-    the map table and dense caches are cleared around each test.
-    """
-    monkeypatch.setattr(
-        hv, "build_dense", lambda q, v: SimpleNamespace(entries=wm.entry_grid(q, v))
-    )
-    dm.build_all_maps.cache_clear()
-    wm._DENSE_CACHE.clear()
-    clean = dict(wm._CLASS_TABLE)
-
-    def class_cell(variant, row, r, c, value=None):
-        """One cell of ``variant`` set to ``value`` (by default the cell
-        negated, or 1 where it is 0), the other variant clean."""
-        table = clean[variant].copy()
-        table[row, r, c] = -table[row, r, c] or 1 if value is None else value
-        table.setflags(write=False)
-        for v in clean:
-            monkeypatch.setitem(wm._CLASS_TABLE, v, table if v is variant else clean[v])
-
-    def sigma_swap(k, x, y):
-        table = dm._SIGMA4.copy()
-        table[k, [x, y]] = table[k, [y, x]]
-        monkeypatch.setattr(dm, "_SIGMA4", table)
-        dm.build_all_maps.cache_clear()
-
-    yield SimpleNamespace(class_cell=class_cell, sigma_swap=sigma_swap)
-    dm.build_all_maps.cache_clear()
-    wm._DENSE_CACHE.clear()
-
-
-def reached_rows(p):
-    """The class-table rows of the block offsets of order p: d = 0, and
-    2m + (y = 3 mod 4) for d = y * 2**(m-1), 1 <= m <= n - 2."""
-    n = p.bit_length() - 1
-    zero = int(wm._offset_class(np.zeros(1, np.int32))[0])
-    return [zero] + [2 * m + s for m in range(1, n - 1) for s in (0, 1)]
-
-
 @pytest.mark.parametrize("p", SWEPT_ORDERS)
 def test_clean_equals_sweep(p):
-    report = decide_theorem1(p)
-    assert report == hv.check_theorem1(p)
-    assert report == VerificationReport("theorem1", p, None, p * (p - 1) ** 2)
+    reports = decide_hypomorphisms(p)
+    assert reports == hv.check_hypomorphisms(p)
+    names = ["theorem1", "hypo-sigma-tournament"] + ["hypo-sigma-variant"] * (p >= 8)
+    assert reports == [VerificationReport(name, p, None, p * (p - 1) ** 2) for name in names]
+    assert decide_theorem1(p) == reports[0]
 
 
 @pytest.mark.parametrize("p", SWEPT_ORDERS)
@@ -84,9 +47,9 @@ def test_class_table_faults_equal_sweep(tables, p):
         for row in reached_rows(p):
             r, c = (int(v) for v in rng.integers(0, 4, size=2))
             tables.class_cell(variant, row, r, c)
-            report = decide_theorem1(p)
-            assert not report.passed, (variant, row, r, c)
-            assert report == hv.check_theorem1(p), (variant, row, r, c)
+            reports = decide_hypomorphisms(p)
+            assert not reports[0].passed, (variant, row, r, c)
+            assert reports == hv.check_hypomorphisms(p), (variant, row, r, c)
 
 
 @pytest.mark.parametrize("p", SWEPT_ORDERS)
@@ -94,9 +57,37 @@ def test_class_table_faults_equal_sweep(tables, p):
 def test_sigma4_swaps_equal_sweep(tables, p, k):
     kept = [x for x in range(4) if x != k]
     tables.sigma_swap(k, kept[0], kept[-1])
-    report = decide_theorem1(p)
-    assert not report.passed
-    assert report == hv.check_theorem1(p)
+    reports = decide_hypomorphisms(p)
+    assert not reports[0].passed
+    assert reports == hv.check_hypomorphisms(p)
+
+
+def test_planted_fault_equals_sweep_at_1024(tables):
+    # one starred cell negated in the row of the top offset 2**(n-3): its
+    # sign, so its tournament bit, changes
+    p = 1024
+    tables.class_cell(STAR, reached_rows(p)[-2], 1, 2)
+    reports = decide_hypomorphisms(p)
+    assert [r.passed for r in reports[:2]] == [False, False]
+    assert reports == hv.check_hypomorphisms(p)
+
+
+@pytest.mark.parametrize("p", [8, 64, 512])
+def test_level_edit_keeping_its_bits_fails_theorem1_alone(tables, p):
+    # a starred 3 becomes 4: both assignments give 3 and 4 one bit, so the
+    # pairs, which compare bits, pass where theorem 1, which compares
+    # levels, fails
+    row = reached_rows(p)[0]
+    r, c = (int(v) for v in np.argwhere(wm._CLASS_TABLE[STAR][row] == 3)[0])
+    tables.class_cell(STAR, row, r, c, 4)
+    reports = decide_hypomorphisms(p)
+    assert [(rep.check_name, rep.passed) for rep in reports] == [
+        ("theorem1", False),
+        ("hypo-sigma-tournament", True),
+        ("hypo-sigma-variant", True),
+    ]
+    assert reports[0].counterexample[3:] == (3, 4)
+    assert reports == hv.check_hypomorphisms(p)
 
 
 def scalar_class(p, i, j):
@@ -147,7 +138,7 @@ def test_planted_fault_above_the_sweep(tables, p, top):
     assert found == (0 if top else 8)
 
 
-def test_command_line_reports_the_automaton_above_the_sweep(tables, capsys):
+def test_command_line_reports_the_automaton(tables, capsys):
     p = 1024
     tables.class_cell(PLAIN, reached_rows(p)[-1], 0, 3)
     assert main(["verify", "--p", str(p), "--checks", "theorem1"]) == 1
