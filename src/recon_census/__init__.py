@@ -3,9 +3,11 @@
 For every order p = 2**n >= 4 the package builds a pair of antisymmetric
 weighted matrices, the point-deletion mappings joining them, and the
 digraph pairs obtained from proper binary assignments, and verifies all
-of their defining identities exactly: by exhaustive sweeps, or, for the
+of their defining identities exactly: by exhaustive scans, or, for the
 hypomorphism identity and both digraph pairs, by a finite automaton over
-the binary digits of the points at every order.
+the binary digits of the points at every order.  A dense deletion sweep
+(``check_theorem1``, ``verify_hypomorphic_by_sigma``) is the library's
+route to the same identities at small orders, and the automaton's oracle.
 """
 
 from recon_census.deletion_maps import (
@@ -37,7 +39,6 @@ from recon_census.digraph_builder import (
 )
 from recon_census.errors import BudgetExhausted, ContradictionError
 from recon_census.hypomorphism_verifier import (
-    check_hypomorphisms,
     check_lemma3,
     check_theorem1,
     sample_theorem1,
@@ -99,7 +100,6 @@ __all__ = [
     "build_all_maps",
     "build_dense",
     "build_map",
-    "check_hypomorphisms",
     "check_lemma1",
     "check_lemma2",
     "check_lemma3",

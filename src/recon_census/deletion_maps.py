@@ -28,13 +28,12 @@ row-block scan of that table; part (d) pairs each point with its partner
 at distance p/2 in the same row.
 
 ``_deletion_sweep`` is the one check that every mapping carries one
-matrix onto another away from its deleted point, read through a list of
-level tables.  Its two callers, each reading the table of
-``build_all_maps`` itself, are library routes that the command line does
-not run: ``hypomorphism_verifier.check_hypomorphisms`` runs it on the
-level matrices through every level table of the order at once, the test
-oracle of the digit automaton, and ``iso_engine.verify_hypomorphic_by_sigma``
-on one digraph pair.
+matrix onto another away from its deleted point, one block copy per
+deletion.  Its two callers, each reading the table of ``build_all_maps``
+itself, are library routes that the command line does not run:
+``hypomorphism_verifier.check_theorem1`` runs it on the dense level
+matrices, and ``iso_engine.verify_hypomorphic_by_sigma`` on one digraph
+pair.  The test suite holds the digit automaton to it.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ import numpy as np
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import (
     _first_cell,
+    _int32_order,
     _points_int32,
     _row_blocks,
     _text_grid,
@@ -134,7 +134,7 @@ def sigma_values(p: int, k, i) -> np.ndarray:
     that level's half order, i.e. the complemented bits of a above the
     stopping level.
     """
-    order_exponent(p)
+    _int32_order(p)
     k, i = np.broadcast_arrays(_points_int32(k, p, "points"), _points_int32(i, p, "points"))
     if np.any(i == k):
         raise ValueError("mapping is undefined at the deleted point")
@@ -385,98 +385,22 @@ def _permuted(x: np.ndarray, s) -> np.ndarray:
     return x.take(s, axis=0).take(s, axis=1)
 
 
-def _gray_slots(p: int) -> list[int]:
-    """Slots 0..p-1 in bit-reversed Gray order: bitrev(j ^ (j >> 1)), j = 0..p-1.
-
-    Consecutive slots differ in one bit, and bit t flips 2**t times in
-    all.  For t >= 2 such a flip changes the table only at the p / 2**t
-    points that agree with k - 1 below bit t (every other point's fold
-    stops below bit t, at the same place for both deleted points), so
-    each bit costs about p changed slots and the sweep about p * log2(p).
-    """
-    n = order_exponent(p)
-    j = np.arange(p)
-    gray = j ^ (j >> 1)
-    rev = np.zeros(p, dtype=np.int64)
-    for t in range(n):
-        rev |= ((gray >> t) & 1) << (n - 1 - t)
-    return rev.tolist()
-
-
-def _deletion_sweep(
-    a: np.ndarray, b: np.ndarray, tables, luts
-) -> tuple[list[Optional[tuple]], int]:
-    """Does each deletion map carry the p x p level matrix a onto b, read
-    through each level table of ``luts``?
+def _deletion_sweep(a: np.ndarray, b: np.ndarray, tables) -> Optional[tuple]:
+    """Does each deletion map carry the p x p matrix a onto b?
 
     ``tables[k-1]`` holds the 1-based images of the map deleting k (its
-    deleted slot is ignored).  A level table is an array that a level
-    array indexes directly, as numpy indexes (a negative level counted
-    from the end).  Returns, per level table ``lut``, the first
-    (k, i, j, lut[a[i, j]], lut[b[image(i), image(j)]]) with the two
-    values unequal, in k order and then row-major (i, j), or None; and the
-    p * (p-1)**2 triples checked for each table.
-
-    One buffer ``rhs`` holds b[idx][:, idx] for the 0-based table ``idx``
-    of the current deletion.  Deletions are visited in ``_gray_slots``
-    order, and between two of them only the rows and columns whose index
-    changed are gathered again, so the gathers cost O(p**2 log p) for
-    the order's own tables (and stay correct for any tables).  Row and
-    column k of ``rhs`` are overwritten with those of a, so one full
-    level comparison per k checks every pair away from k for every
-    table: equal levels read as equal values.  That comparison is one
-    equality of the two grids read as 8-byte words (a and b share one
-    dtype, and p**2 bytes are a multiple of 8 at every p >= 4).  Only at
-    a deletion whose levels differ does each table read the differing
-    cells, compared level by level one row block at a time and only
-    until it finds its first, and only while it has no counterexample
-    below k; a deletion that no table needs is not compared.  Two levels
-    may read as one value, so a deletion can fail one table and pass
-    another.  The per-deletion block copy this replaces is kept in the
-    test suite as its oracle.
+    deleted slot is ignored).  Returns the first (k, i, j, a[i, j],
+    b[image(i), image(j)]) with the two values unequal, in k order and
+    then row-major (i, j), or None.  Each deletion is one block copy of b
+    at its images (``_permuted``), compared away from row and column k:
+    O(p**3) in all, stopping at the first failing deletion.
     """
-    if a.dtype != b.dtype:
-        raise ValueError(f"level matrices differ in dtype: {a.dtype} vs {b.dtype}")
-    p = a.shape[0]
-    a_words = a.reshape(-1).view(np.uint64)
-    rhs = rhs_words = None
-    # per slot, the row and column of b that rhs holds; -1 where it holds a's
-    held = None
-    best: list[Optional[tuple]] = [None] * len(luts)
-    for s in _gray_slots(p):
-        idx = np.subtract(tables[s], 1, dtype=np.int64)
+    for s, images in enumerate(tables):
+        idx = images - 1
         idx[s] = s
-        if rhs is None:
-            rhs = _permuted(b, idx)
-            rhs_words = rhs.reshape(-1).view(np.uint64)
-        else:
-            d = np.flatnonzero(idx != held)
-            rhs[d, :] = b.take(idx[d], axis=0).take(idx, axis=1)
-            rhs[:, d] = b.take(idx[d], axis=1).take(idx, axis=0)
-        rhs[s, :] = a[s, :]
-        rhs[:, s] = a[:, s]
-        open_tables = [t for t, cex in enumerate(best) if cex is None or s + 1 < cex[0]]
-        if open_tables and not np.array_equal(a_words, rhs_words):
-            ne = a != rhs
-            rows = np.flatnonzero(ne.any(axis=1))
-            # the rows whose levels differ, one row block at a time in
-            # row-major order, until every open table has its first cell
-            for block in _row_blocks(rows.size, p):
-                if not open_tables:
-                    break
-                block_rows = rows[block]
-                r, c = np.nonzero(ne[block_rows])
-                r = block_rows[r]
-                x, y = a[r, c], rhs[r, c]
-                for t in open_tables[:]:
-                    lhs, read = luts[t][x], luts[t][y]
-                    differ = np.flatnonzero(lhs != read)
-                    if differ.size:
-                        f = differ[0]
-                        best[t] = (
-                            s + 1, int(r[f]) + 1, int(c[f]) + 1, int(lhs[f]), int(read[f])
-                        )
-                        open_tables.remove(t)
-        idx[s] = -1
-        held = idx
-    return best, p * (p - 1) * (p - 1)
+        ne = a != _permuted(b, idx)
+        ne[s, :] = ne[:, s] = False
+        if ne.any():
+            i, j = divmod(int(ne.argmax()), len(a))
+            return (s + 1, i + 1, j + 1, int(a[i, j]), int(b[idx[i], idx[j]]))
+    return None

@@ -6,13 +6,11 @@ point distance p/2, and everywhere off-diagonal at p = 4).
 
 ``check_theorem1`` verifies the hypomorphism identity exhaustively: for
 every deleted point k, the plain entry at (i, j) equals the starred entry
-at the mapped pair, over all p * (p-1)**2 admissible triples.
-``check_hypomorphisms`` checks theorem 1 and both digraph pairs of the
-order in one deletion sweep of the cached dense matrices of
-``build_dense`` over the map table of ``build_all_maps``, reading the
-levels through each table of ``level_tables``; ``check_theorem1`` is its
-first report.  It is the library's dense route and the test oracle of
-``theorem1_automaton.decide_hypomorphisms``, which the command line runs.
+at the mapped pair, over all p * (p-1)**2 admissible triples, in one
+deletion sweep of the cached dense matrices of ``build_dense`` over the
+map table of ``build_all_maps``.  It is the library's dense route;
+``theorem1_automaton.decide_theorem1``, which the command line runs,
+gives the same report at every order.
 ``sample_theorem1`` checks theorem 1 on seeded random triples through the
 entry oracle, the automaton's test oracle at large orders.
 """
@@ -22,11 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from recon_census.deletion_maps import _deletion_sweep, build_all_maps, sigma_values
-from recon_census.digraph_builder import (
-    _bit_lut,
-    tournament_assignment,
-    variant_assignment,
-)
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import (
     MatrixVariant,
@@ -38,10 +31,8 @@ from recon_census.weight_matrix import (
 
 __all__ = [
     "VerificationReport",
-    "check_hypomorphisms",
     "check_lemma3",
     "check_theorem1",
-    "level_tables",
     "sample_theorem1",
 ]
 
@@ -49,9 +40,6 @@ __all__ = [
 # int32 index arrays and temporaries (256 KB each) stay within a 2 MB L2.
 _SAMPLE_CHUNK = 1 << 18
 _EVAL_BLOCK = 1 << 16
-# The identity level table of the int8 levels: entry v, counted from the
-# end where v < 0 as numpy indexes, holds v itself.
-_INT8_IDENTITY = np.arange(256, dtype=np.uint8).view(np.int8)
 
 
 def check_lemma3(p: int) -> VerificationReport:
@@ -108,57 +96,20 @@ def check_lemma3(p: int) -> VerificationReport:
     )
 
 
-def level_tables(p: int) -> dict[str, np.ndarray]:
-    """Each report's level table at order p, by name in report order: the
-    identity for ``theorem1``, and the bit tables of the tournament and,
-    from p = 8, the variant assignment for the digraph pairs (a digraph is
-    its level matrix read through its assignment, ``apply_assignment``)."""
-    n = order_exponent(p)
-    luts = {
-        "theorem1": _INT8_IDENTITY,
-        "hypo-sigma-tournament": _bit_lut(tournament_assignment(n)),
-    }
-    if p >= 8:
-        luts["hypo-sigma-variant"] = _bit_lut(variant_assignment(n))
-    return luts
-
-
-def check_hypomorphisms(p: int) -> list[VerificationReport]:
-    """Theorem 1 and the hypomorphism of both digraph pairs of order p, in
-    one deletion sweep of the level matrices.
-
-    The sweep (``deletion_maps._deletion_sweep``) reads the cached dense
-    matrices (``build_dense``, p <= ``DENSE_ORDER_LIMIT``) over
-    ``build_all_maps(p)`` through each table of ``level_tables(p)``, only
-    at deletions whose levels differ.  Each pair's report is the one
-    ``iso_engine.verify_hypomorphic_by_sigma`` gives for it, and each
-    report counts p * (p-1)**2 triples.
-    """
-    luts = level_tables(p)
-    counterexamples, checked = _deletion_sweep(
-        build_dense(p, MatrixVariant.PLAIN).entries,
-        build_dense(p, MatrixVariant.STAR).entries,
-        build_all_maps(p),
-        list(luts.values()),
-    )
-    return [
-        VerificationReport(name, p, counterexample, checked)
-        for name, counterexample in zip(luts, counterexamples)
-    ]
-
-
 def check_theorem1(p: int) -> VerificationReport:
     """Exhaustively verify the hypomorphism identity at order p.
 
-    The first report of ``check_hypomorphisms``: one deletion sweep of the
-    cached dense matrices, whose identity level table compares the levels
-    themselves.  Its gathers cost O(p**2 log p), and each deletion one
-    word-wide comparison of the p**2 levels: p**3 bytes in all (0.03 s at
-    p = 512 and 0.3 s at p = 1024, with the matrices and the map table
-    built).  ``theorem1_automaton.decide_theorem1`` gives the same report
-    at every order without the dense matrices; the CLI runs that.
+    One deletion sweep (``deletion_maps._deletion_sweep``) of the cached
+    dense matrices (``build_dense``) over ``build_all_maps(p)``, O(p**3):
+    0.3 s at p = 512 and about 2 s at p = 1024.  The CLI runs
+    ``theorem1_automaton.decide_theorem1``, the same report at every order.
     """
-    return check_hypomorphisms(p)[0]
+    counterexample = _deletion_sweep(
+        build_dense(p, MatrixVariant.PLAIN).entries,
+        build_dense(p, MatrixVariant.STAR).entries,
+        build_all_maps(p),
+    )
+    return VerificationReport("theorem1", p, counterexample, p * (p - 1) ** 2)
 
 
 def sample_theorem1(p: int, trials: int, rng_seed: int) -> VerificationReport:

@@ -3,10 +3,10 @@
 ``are_isomorphic`` is a budgeted backtracking search over point bijections
 used as an oracle at small orders.  ``verify_hypomorphic_by_sigma`` checks
 that the deletion mappings carry the deck of one digraph onto that of
-another; ``theorem1_automaton.decide_hypomorphisms`` gives its report
-for both digraph pairs of an order, with theorem 1's, at every order,
-and ``hypomorphism_verifier.check_hypomorphisms`` from one dense deletion
-sweep.  ``decks_match_independent`` validates
+another, in one dense deletion sweep;
+``theorem1_automaton.decide_hypomorphisms`` gives its report for both
+digraph pairs of an order, with theorem 1's, at every order, and the
+command line runs that.  ``decks_match_independent`` validates
 hypomorphism without trusting the deletion mappings: it tests every pair of
 cards for isomorphism and matches the decks card for card.
 ``verify_nonisomorphic_inductive`` runs the halving argument at any order:
@@ -188,14 +188,12 @@ def verify_hypomorphic_by_sigma(g: Digraph, h: Digraph) -> VerificationReport:
     if g.order != h.order:
         raise ValueError(f"orders differ: {g.order} vs {h.order}")
     p = g.order
-    (counterexample,), checked = _deletion_sweep(
-        g.adjacency, h.adjacency, build_all_maps(p), [np.array([0, 1])]
-    )
+    counterexample = _deletion_sweep(g.adjacency, h.adjacency, build_all_maps(p))
     return VerificationReport(
         check_name="hypomorphic-by-sigma",
         order=p,
         counterexample=counterexample,
-        checked_count=checked,
+        checked_count=p * (p - 1) ** 2,
     )
 
 

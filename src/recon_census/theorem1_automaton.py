@@ -29,15 +29,16 @@ sets stay near a thousand states, so the verdict costs O(log p) array
 steps of that size, a few milliseconds at every accepted order.
 
 A final state holds the level of each side.  Each report reads the two
-through its table of ``hypomorphism_verifier.level_tables``: theorem 1
-the levels themselves, each digraph pair the bits its assignment gives
-them, which two levels may share.
+through its table of ``level_tables``: theorem 1 the levels themselves,
+each digraph pair the bits its assignment gives them, which two levels
+may share.
 
 The class table, ``_offset_class`` and ``_SIGMA4`` are read on every call,
 so the automaton decides the identities of the tables that ``entry_values``
 and ``sigma_values`` read at that moment, faults included.  The command
-line runs it at every order; the test suite holds it to the dense deletion
-sweep (``hypomorphism_verifier.check_hypomorphisms``) field by field.
+line runs it at every order; the test suite holds it field by field to
+the dense deletion sweep (``deletion_maps._deletion_sweep``) of the level
+matrices read through each table of ``level_tables``.
 """
 
 from __future__ import annotations
@@ -45,11 +46,15 @@ from __future__ import annotations
 import numpy as np
 
 from recon_census import deletion_maps, weight_matrix
-from recon_census.hypomorphism_verifier import level_tables
+from recon_census.digraph_builder import _bit_lut, tournament_assignment, variant_assignment
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import MatrixVariant, order_exponent
 
-__all__ = ["decide_hypomorphisms", "decide_theorem1"]
+__all__ = ["decide_hypomorphisms", "decide_theorem1", "level_tables"]
+
+# The identity level table of the int8 levels: entry v, counted from the
+# end where v < 0 as numpy indexes, holds v itself.
+_INT8_IDENTITY = np.arange(256, dtype=np.uint8).view(np.int8)
 
 # State code fields: bit 0 and 1 say a != b and c != b have been seen, bits
 # 2 and 3 hold the borrows of the plain and the starred offset, and each
@@ -86,6 +91,21 @@ class _Rule:
     def value(self, side: int, row, pair):
         """Class-table values of ``row`` at residue pairs ``pair``, as bytes."""
         return self.tables[side][row << 4 | pair & 15].astype(np.int64) & 0xFF
+
+
+def level_tables(p: int) -> dict[str, np.ndarray]:
+    """Each report's level table at order p, by name in report order: the
+    identity for ``theorem1``, and the bit tables of the tournament and,
+    from p = 8, the variant assignment for the digraph pairs (a digraph is
+    its level matrix read through its assignment, ``apply_assignment``)."""
+    n = order_exponent(p)
+    luts = {
+        "theorem1": _INT8_IDENTITY,
+        "hypo-sigma-tournament": _bit_lut(tournament_assignment(n)),
+    }
+    if p >= 8:
+        luts["hypo-sigma-variant"] = _bit_lut(variant_assignment(n))
+    return luts
 
 
 def _residue_codes(rule: _Rule) -> np.ndarray:
@@ -151,10 +171,9 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
 
 def decide_hypomorphisms(p: int) -> list[VerificationReport]:
     """Theorem 1 and both digraph pairs at order p, exact at every order:
-    the reports of ``hypomorphism_verifier.check_hypomorphisms``, every
-    table of ``level_tables(p)`` read off one run of the layers.  A failure
-    is the first (k, i, j) in k order, then row-major (i, j), with its two
-    levels read through the report's table."""
+    one report per table of ``level_tables(p)``, all read off one run of
+    the layers.  A failure is the first (k, i, j) in k order, then
+    row-major (i, j), with its two levels read through the report's table."""
     n = order_exponent(p)
     rule = _Rule(n)
     layers = []  # per layer: the states, their next codes and the letters

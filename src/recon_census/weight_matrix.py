@@ -110,6 +110,10 @@ def level_bound(p: int) -> int:
     return order_exponent(p) + 1
 
 
+#: Largest order of the int32 index paths: ``entry_values``,
+#: ``entry_grid`` and ``sigma_values``.
+_INT32_ORDER_LIMIT = 1 << 30
+
 #: Cells per row block of a grid scan: bounds the scratch memory of the
 #: text encoders, the census level table, the dense checks and the entry
 #: grids.
@@ -366,15 +370,27 @@ def _offset_case_table(p: int, variant: MatrixVariant) -> np.ndarray:
     return _CLASS_TABLE[variant].take(_offset_class(d), axis=0)
 
 
+def _int32_order(p: int) -> None:
+    """``order_exponent(p)``, and ValueError above ``_INT32_ORDER_LIMIT``,
+    where a point or an offset could wrap in int32."""
+    order_exponent(p)
+    if p > _INT32_ORDER_LIMIT:
+        raise ValueError(f"vectorized index paths take orders up to 2**30, got {p}")
+
+
 def _points_int32(x, p: int, what: str) -> np.ndarray:
-    """``x`` as an int32 array, IndexError unless each value lies in 1..p.
+    """``x`` as an int32 array, IndexError unless each value lies in 1..p
+    and then ValueError unless each is an integer, not a float or a bool.
 
     The range is checked before the narrowing, so a value beyond int32
     cannot wrap into range; an int32 array is neither copied nor converted.
     """
     x = np.asarray(x)
-    if x.size and (x.min() < 1 or x.max() > p):
-        raise IndexError(f"{what} must lie in 1..{p}")
+    if x.size:
+        if x.min() < 1 or x.max() > p:
+            raise IndexError(f"{what} must lie in 1..{p}")
+        if x.dtype.kind not in "iu":
+            raise ValueError(f"{what} must be integers, got {x.dtype}")
     return x.astype(np.int32, copy=False)
 
 
@@ -383,9 +399,10 @@ def entry_values(p: int, variant: MatrixVariant, i, j) -> np.ndarray:
 
     Entries depend only on the class of the block offset and the in-block
     residues, so each query is one gather from the order-free class table:
-    O(1) time and memory per query at every order.
+    O(1) time and memory per query at every order up to
+    ``_INT32_ORDER_LIMIT``.
     """
-    order_exponent(p)
+    _int32_order(p)
     a = _points_int32(i, p, "row indices") - 1
     b = _points_int32(j, p, "column indices") - 1
     key = _offset_class((b >> 2) - (a >> 2))
@@ -403,6 +420,7 @@ def entry_grid(
     Each is range-checked before it is narrowed to int32, as in
     ``entry_values``.
     """
+    _int32_order(p)
     points = np.arange(1, p + 1, dtype=np.int32)
     rows = points if rows is None else _points_int32(rows, p, "row indices")
     cols = points if cols is None else _points_int32(cols, p, "column indices")

@@ -11,7 +11,9 @@ count:
 * ``lemma2_d_reference``: lemma 2 (d) on full (p-1) x (p-1) difference
   matrices per deletion;
 * ``deletion_sweep_reference``: ``_deletion_sweep`` as a block copy per
-  deletion, read through each level table;
+  deletion, with the deleted row and column left out;
+* ``hypomorphisms_reference``: the reports of ``decide_hypomorphisms``
+  from one deletion sweep of the dense level matrices per level table;
 * ``sample_theorem1_reference``: ``sample_theorem1`` with one
   ``entry_at``/``sigma`` evaluation per drawn triple;
 * ``threshold_scores_reference`` and ``induced_halves_mismatch_reference``:
@@ -35,6 +37,7 @@ import numpy as np
 import recon_census.deletion_maps as dm
 import recon_census.digraph_builder as db
 import recon_census.hypomorphism_verifier as hv
+import recon_census.theorem1_automaton as t1a
 import recon_census.weight_matrix as wm
 from recon_census.deletion_maps import _lemma2_d
 from recon_census.report import VerificationReport
@@ -245,31 +248,35 @@ def lemma2_d_reference(p, cols):
     return None
 
 
-def deletion_sweep_reference(a, b, tables, luts):
-    """``_deletion_sweep(a, b, tables, luts)`` as one (p-1) x (p-1) block
-    copy per deletion, read through each level table in turn."""
+def deletion_sweep_reference(a, b, tables):
+    """``_deletion_sweep(a, b, tables)`` as one (p-1) x (p-1) block copy
+    per deletion, with the deleted row and column left out."""
     p = a.shape[0]
     points = np.arange(1, p + 1, dtype=np.int32)
-    checked = 0
-    counterexamples = [None] * len(luts)
     for k in range(1, p + 1):
         rest = points[points != k]
         imgs = tables[k - 1][rest - 1]
-        lhs_levels = a[np.ix_(rest - 1, rest - 1)]
-        rhs_levels = b[np.ix_(imgs - 1, imgs - 1)]
-        checked += (p - 1) * (p - 1)
-        for t, lut in enumerate(luts):
-            lhs, rhs = lut[lhs_levels], lut[rhs_levels]
-            if counterexamples[t] is None and not np.array_equal(lhs, rhs):
-                r, c = divmod(int(np.argmax(lhs != rhs)), p - 1)
-                counterexamples[t] = (
-                    k,
-                    int(rest[r]),
-                    int(rest[c]),
-                    int(lhs[r, c]),
-                    int(rhs[r, c]),
-                )
-    return counterexamples, checked
+        lhs = a[np.ix_(rest - 1, rest - 1)]
+        rhs = b[np.ix_(imgs - 1, imgs - 1)]
+        if not np.array_equal(lhs, rhs):
+            r, c = divmod(int(np.argmax(lhs != rhs)), p - 1)
+            return (k, int(rest[r]), int(rest[c]), int(lhs[r, c]), int(rhs[r, c]))
+    return None
+
+
+def hypomorphisms_reference(p):
+    """``decide_hypomorphisms(p)`` by the dense route: for each table of
+    ``level_tables(p)``, one ``hv._deletion_sweep`` of the level matrices
+    of ``hv.build_dense`` read through it, over ``hv.build_all_maps(p)``."""
+    plain = hv.build_dense(p, wm.MatrixVariant.PLAIN).entries
+    star = hv.build_dense(p, wm.MatrixVariant.STAR).entries
+    maps = hv.build_all_maps(p)
+    return [
+        VerificationReport(
+            name, p, hv._deletion_sweep(lut[plain], lut[star], maps), p * (p - 1) ** 2
+        )
+        for name, lut in t1a.level_tables(p).items()
+    ]
 
 
 def sample_theorem1_reference(p, trials, rng_seed):

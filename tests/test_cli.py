@@ -854,13 +854,13 @@ class TestVerifyReports:
         # the command line's reports, byte for byte, are those of the
         # dense route with the sweep's block-copy reference in place
         import recon_census.hypomorphism_verifier as hv
-        from loop_oracles import deletion_sweep_reference
+        from loop_oracles import deletion_sweep_reference, hypomorphisms_reference
 
         p, checks = 256, ["theorem1", "hypo-sigma"]
         out = tmp_path / "rep.json"
         assert run_cli("verify", "--p", str(p), "--checks", ",".join(checks), "--out", str(out)) == 0
         monkeypatch.setattr(hv, "_deletion_sweep", deletion_sweep_reference)
-        reports = [r.to_json_dict() for r in hv.check_hypomorphisms(p)]
+        reports = [r.to_json_dict() for r in hypomorphisms_reference(p)]
         doc = {
             "schema": SCHEMA_VERSION,
             "command": "verify",
@@ -873,23 +873,25 @@ class TestVerifyReports:
         names = [r["check"] for r in reports]
         assert names == ["theorem1", "hypo-sigma-tournament", "hypo-sigma-variant"]
 
-    @pytest.mark.parametrize("p", [16, 512])
-    @pytest.mark.parametrize("checks", ["theorem1", "hypo-sigma", "hypo-sigma,theorem1"])
+    @pytest.mark.parametrize("p", [8, 16, 512])
+    @pytest.mark.parametrize(
+        "checks", ["theorem1", "hypo-sigma", "hypo-sigma,theorem1", "all"]
+    )
     def test_no_deletion_sweep(self, tmp_path, monkeypatch, p, checks):
-        # theorem 1 and both digraph pairs come from the digit automaton:
-        # no deletion sweep and no map table
+        # theorem 1 and both digraph pairs come from the digit automaton,
+        # and no check runs the O(p**3) deletion sweep
+        import recon_census.deletion_maps as dm
         import recon_census.hypomorphism_verifier as hv
         import recon_census.iso_engine as ie
 
         calls = []
-        for module in (hv, ie):
-            for name in ("_deletion_sweep", "build_all_maps"):
+        for module in (dm, hv, ie):
 
-                def spy(*args, name=name, real=getattr(module, name)):
-                    calls.append(name)
-                    return real(*args)
+            def spy(*args, module=module, real=module._deletion_sweep):
+                calls.append(module.__name__)
+                return real(*args)
 
-                monkeypatch.setattr(module, name, spy)
+            monkeypatch.setattr(module, "_deletion_sweep", spy)
         out = tmp_path / "rep.json"
         assert run_cli("verify", "--p", str(p), "--checks", checks, "--out", str(out)) == 0
         assert calls == []
@@ -943,7 +945,7 @@ class TestCompanions:
 
     @pytest.mark.parametrize("p", [8, 64, 512])
     def test_swapped_map_row(self, tmp_path, tables, p):
-        import recon_census.hypomorphism_verifier as hv
+        from loop_oracles import hypomorphisms_reference
 
         # two images swapped in the order-4 map deleting point 1, which
         # every deletion of a point 1 mod 4 reads
@@ -952,7 +954,7 @@ class TestCompanions:
         decided = reports["theorem1"] + reports["hypo-sigma"]
         # theorem 1 and both pairs fail, as the dense route reports them
         assert [r["outcome"] for r in decided] == ["fail"] * 3
-        assert decided == [r.to_json_dict() for r in hv.check_hypomorphisms(p)]
+        assert decided == [r.to_json_dict() for r in hypomorphisms_reference(p)]
 
     @pytest.mark.parametrize("p", [8, 64, 512])
     def test_contradiction_in_the_pair_leaves_the_others_their_verdicts(

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recon_census.deletion_maps as dm
-import recon_census.digraph_builder as db
-import recon_census.hypomorphism_verifier as hv
+import recon_census.theorem1_automaton as t1a
 import recon_census.weight_matrix as wm
 from recon_census.deletion_maps import (
     build_all_maps,
@@ -61,6 +60,16 @@ class TestSigmaValues:
     def test_vectorized_checks_range_before_narrowing(self, k, i):
         with pytest.raises(IndexError, match="points must lie in 1..16"):
             sigma_values(16, k, i)
+
+    @pytest.mark.parametrize("k, i", [(1.5, 3), (2, np.array([3.0])), (True, 3), (3, True)])
+    def test_vectorized_refuses_non_integer_points(self, k, i):
+        # 1.5 would be truncated to point 1: sigma_1(3) = 6
+        with pytest.raises(ValueError, match="points must be integers"):
+            sigma_values(8, k, i)
+
+    def test_vectorized_refuses_orders_above_int32(self):
+        with pytest.raises(ValueError, match="orders up to 2"):
+            sigma_values(2**40, 1, 2**33 + 2)
 
     @pytest.mark.parametrize("p", [4, 8, 16, 32, 64])
     def test_folded_equals_reference(self, p):
@@ -395,90 +404,50 @@ def _clean_tables(p):
     return build_all_maps(p).copy()
 
 
-BITS = np.array([0, 1])
-
-
-def _level_luts(p):
-    """The level tables one sweep of the weighted pair reads at order p:
-    theorem 1's identity, then the bit tables of the tournament pair and,
-    from p = 8, of the variant pair."""
-    n = p.bit_length() - 1
-    luts = [hv._INT8_IDENTITY, db._bit_lut(db.tournament_assignment(n))]
-    if p >= 8:
-        luts.append(db._bit_lut(db.variant_assignment(n)))
-    return luts
-
-
 def _sweep_pairs(p):
-    """The (a, b, luts) each deletion map carries onto each other at order
-    p: the weighted pair read through ``_level_luts``, and each digraph
-    pair read through its bits."""
-    pairs = [
-        (
-            entry_grid(p, MatrixVariant.PLAIN),
-            entry_grid(p, MatrixVariant.STAR),
-            _level_luts(p),
-        )
-    ]
-    g, h = standard_pair(p)
-    pairs.append((g.adjacency, h.adjacency, [BITS]))
+    """The (a, b) pairs each deletion map carries onto each other at order
+    p: the weighted pair read through each table of ``level_tables``, and
+    each digraph pair."""
+    plain = entry_grid(p, MatrixVariant.PLAIN)
+    star = entry_grid(p, MatrixVariant.STAR)
+    pairs = [(lut[plain], lut[star]) for lut in t1a.level_tables(p).values()]
+    pairs.append(tuple(g.adjacency for g in standard_pair(p)))
     if p >= 8:
-        g, h = variant_pair(p)
-        pairs.append((g.adjacency, h.adjacency, [BITS]))
+        pairs.append(tuple(g.adjacency for g in variant_pair(p)))
     return pairs
 
 
 class TestDeletionSweep:
-    @pytest.mark.parametrize("p", [2**n for n in range(2, 11)])
-    def test_gray_slots_flip_one_bit_per_step(self, p):
-        slots = dm._gray_slots(p)
-        assert sorted(slots) == list(range(p))
-        assert slots[0] == 0
-        steps = [a ^ b for a, b in zip(slots, slots[1:])]
-        assert all(s & (s - 1) == 0 for s in steps)
-        # half of the steps flip the top bit
-        assert steps.count(p // 2) == p // 2
-        # the order's own tables change in about p * log2(p) slots in all
-        n = p.bit_length() - 1
-        tables = _clean_tables(p)
-        changed = sum(
-            int(np.count_nonzero(tables[s] != tables[t]))
-            for s, t in zip(slots, slots[1:])
-        )
-        assert changed <= (n + 2) * p
-
     @pytest.mark.parametrize("p", [2**n for n in range(2, 8)])
     def test_matches_reference_on_clean_tables(self, p):
         tables = _clean_tables(p)
-        for a, b, luts in _sweep_pairs(p):
-            clean = ([None] * len(luts), p * (p - 1) ** 2)
-            assert dm._deletion_sweep(a, b, tables, luts) == clean
+        for a, b in _sweep_pairs(p):
+            assert dm._deletion_sweep(a, b, tables) is None
             # the reversed and the self pair fail somewhere; same report
             for x, y in ((b, a), (a, a)):
-                report = dm._deletion_sweep(x, y, tables, luts)
-                assert report == deletion_sweep_reference(x, y, tables, luts)
+                report = dm._deletion_sweep(x, y, tables)
+                assert report == deletion_sweep_reference(x, y, tables)
 
     @pytest.mark.parametrize("p", [8, 16, 64, 128])
     def test_smaller_of_two_faulty_deletions_is_reported(self, p):
-        slots = dm._gray_slots(p)
         big, small = p // 2 + 1, p // 4 + 1
-        assert slots.index(big - 1) < slots.index(small - 1)
-        for a, b, luts in _sweep_pairs(p):
+        for a, b in _sweep_pairs(p):
             tables = _clean_tables(p)
             tables[big - 1] = swap_two_images(tables[big - 1], big)
-            report = dm._deletion_sweep(a, b, tables, luts)
-            assert [cex[0] for cex in report[0]] == [big] * len(luts)
-            assert report == deletion_sweep_reference(a, b, tables, luts)
+            report = dm._deletion_sweep(a, b, tables)
+            assert report[0] == big
+            assert report == deletion_sweep_reference(a, b, tables)
             tables[small - 1] = swap_two_images(tables[small - 1], small)
-            report = dm._deletion_sweep(a, b, tables, luts)
-            assert [cex[0] for cex in report[0]] == [small] * len(luts)
-            assert report == deletion_sweep_reference(a, b, tables, luts)
+            report = dm._deletion_sweep(a, b, tables)
+            assert report[0] == small
+            assert report == deletion_sweep_reference(a, b, tables)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_matches_reference_on_random_tables(self, data):
         p = data.draw(st.sampled_from([8, 16]))
-        a, b, luts = _sweep_pairs(p)[data.draw(st.integers(0, 2))]
+        pairs = _sweep_pairs(p)
+        a, b = pairs[data.draw(st.integers(0, len(pairs) - 1))]
         tables = _clean_tables(p)
         for k in data.draw(st.sets(st.integers(1, p), max_size=3)):
             images = data.draw(st.lists(st.integers(1, p), min_size=p, max_size=p))
@@ -487,19 +456,17 @@ class TestDeletionSweep:
         cells = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
         for i, j in data.draw(st.lists(cells, max_size=3)):
             b[i, j] = 1 - b[i, j]
-        assert dm._deletion_sweep(a, b, tables, luts) == deletion_sweep_reference(
-            a, b, tables, luts
-        )
+        assert dm._deletion_sweep(a, b, tables) == deletion_sweep_reference(a, b, tables)
 
     @pytest.mark.parametrize("p", [8, 16, 32, 64, 128])
     @pytest.mark.parametrize(
         "fault", ["map-rows", "plain-cell", "star-cell", "star-3-to-4"]
     )
     def test_level_tables_match_reference_on_seeded_faults(self, p, fault):
-        # one sweep of the weighted pair through theorem 1's identity and
-        # both pairs' bit tables, against the block copy read per table
+        # the weighted pair read through theorem 1's identity and both
+        # pairs' bit tables, one sweep per table, against the reference
         rng = np.random.default_rng(p)
-        luts = _level_luts(p)
+        luts = t1a.level_tables(p)
         for _ in range(4):
             plain = entry_grid(p, MatrixVariant.PLAIN)
             star = entry_grid(p, MatrixVariant.STAR)
@@ -517,80 +484,74 @@ class TestDeletionSweep:
                 top = p.bit_length()  # n + 1, the extreme level
                 levels = [v for v in range(-top, top + 1) if v not in (0, edited[i, j])]
                 edited[i, j] = rng.choice(levels)
-            report = dm._deletion_sweep(plain, star, tables, luts)
-            assert report == deletion_sweep_reference(plain, star, tables, luts)
+            reports = {}
+            for name, lut in luts.items():
+                a, b = lut[plain], lut[star]
+                reports[name] = dm._deletion_sweep(a, b, tables)
+                assert reports[name] == deletion_sweep_reference(a, b, tables)
             # every fault changes a level somewhere that the maps read
-            assert report[0][0] is not None
+            assert reports["theorem1"] is not None
             if fault == "star-3-to-4":
-                (theorem1, *pairs), _ = report
+                theorem1 = reports.pop("theorem1")
                 assert theorem1[3:] == (3, 4)
-                assert pairs == [None, None]
+                assert list(reports.values()) == [None] * len(reports)
 
     @pytest.mark.parametrize("p", [4, 8, 16, 64])
-    def test_word_compare_sees_a_one_cell_edit_in_any_byte(self, p):
-        # each deletion compares the two level grids as 8-byte words: at
-        # p = 4 the grid is two words and every cell is edited; above, the
-        # last byte of each word in three rows, (p - 1, p - 1) among them
-        if p == 4:
+    def test_sweep_sees_a_one_cell_edit_anywhere(self, p):
+        # every cell up to p = 16; above, every cell of the first two rows,
+        # which the first two deletions leave out in turn, and of the last
+        if p <= 16:
             cells = list(np.ndindex(p, p))
         else:
-            cells = [(i, j) for i in (0, 1, p - 1) for j in range(7, p, 8)]
-        assert (p - 1, p - 1) in cells
+            cells = [(i, j) for i in (0, 1, p - 1) for j in range(p)]
         tables = _clean_tables(p)
-        for a, b, luts in _sweep_pairs(p):
+        for a, b in _sweep_pairs(p):
             for side in range(2):
                 for i, j in cells:
                     pair = [a.copy(), b.copy()]
                     pair[side][i, j] = 1 - pair[side][i, j]
-                    report = dm._deletion_sweep(*pair, tables, luts)
-                    assert report == deletion_sweep_reference(*pair, tables, luts)
-                    assert report[0][0] is not None, (side, i, j)
+                    report = dm._deletion_sweep(*pair, tables)
+                    assert report == deletion_sweep_reference(*pair, tables)
+                    assert report is not None, (side, i, j)
+
+    @pytest.mark.parametrize("p", [8, 32, 128])
+    def test_scrambled_map_rows_match_reference(self, p):
+        # a scrambled map row makes most cells of its deletion differ; a
+        # table reading only the bottom level (absent from a's first p/2
+        # rows) still fails there, and a table reading every level as one
+        # value stays clean
+        rng = np.random.default_rng(p)
+        bottom = np.zeros_like(t1a._INT8_IDENTITY)
+        bottom[-p.bit_length()] = 1
+        luts = [*t1a.level_tables(p).values(), bottom, np.zeros_like(bottom)]
+        plain = entry_grid(p, MatrixVariant.PLAIN)
+        star = entry_grid(p, MatrixVariant.STAR)
+        tables = _clean_tables(p)
+        for k in rng.choice(np.arange(1, p + 1), size=2, replace=False):
+            tables[k - 1] = rng.permutation(p).astype(tables.dtype) + 1
+        reports = [dm._deletion_sweep(lut[plain], lut[star], tables) for lut in luts]
+        for lut, report in zip(luts, reports):
+            assert report == deletion_sweep_reference(lut[plain], lut[star], tables)
+        assert reports[0] is not None
+        assert reports[-2] is not None
+        assert reports[-1] is None
 
     @pytest.mark.parametrize("p", [8, 16, 64])
     def test_differences_in_the_deleted_row_and_column_do_not_count(self, p):
         # at every deletion of the clean pair, b's row and column at the
         # deleted point, gathered through the map, differ from a's; the
-        # grids compared word by word hold a's there, so the pair passes,
-        # and a fault at one later deletion is still theorem 1's first
-        a, b, luts = _sweep_pairs(p)[0]
+        # block copy holds a's there, so the pair passes, and a fault at
+        # one later deletion is still the first
+        a, b = _sweep_pairs(p)[0]
         tables = _clean_tables(p)
         for k in range(1, p + 1):
             idx = tables[k - 1].astype(np.int64) - 1
             idx[k - 1] = k - 1
             assert (b[k - 1, idx] != a[k - 1]).any()
             assert (b[idx, k - 1] != a[:, k - 1]).any()
-        clean = ([None] * len(luts), p * (p - 1) ** 2)
-        assert dm._deletion_sweep(a, b, tables, luts) == clean
+        assert dm._deletion_sweep(a, b, tables) is None
         bad_k = p // 2 + 1
         tables[bad_k - 1] = swap_two_images(tables[bad_k - 1], bad_k)
-        report = dm._deletion_sweep(a, b, tables, luts)
-        assert report[0][0][0] == bad_k
-        assert report == deletion_sweep_reference(a, b, tables, luts)
-
-    def test_level_matrices_of_two_dtypes_are_refused(self):
-        a, b, luts = _sweep_pairs(8)[0]
-        with pytest.raises(ValueError, match="dtype"):
-            dm._deletion_sweep(a, b.astype(np.int16), _clean_tables(8), luts)
-
-    @pytest.mark.parametrize("p", [8, 32, 128])
-    @pytest.mark.parametrize("cells", [1, 64, 1 << 18])
-    def test_broadly_wrong_map_rows_read_block_by_block(self, p, cells, monkeypatch):
-        # a scrambled map row makes most cells of its deletion differ; they
-        # are read one row block at a time, a table reading only the bottom
-        # level (absent from a's first p/2 rows) often reads past the first
-        # block, and a table reading every level as one value reads them
-        # all and stays clean
-        monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
-        rng = np.random.default_rng(p)
-        bottom = np.zeros_like(hv._INT8_IDENTITY)
-        bottom[-p.bit_length()] = 1
-        luts = _level_luts(p) + [bottom, np.zeros_like(bottom)]
-        plain = entry_grid(p, MatrixVariant.PLAIN)
-        star = entry_grid(p, MatrixVariant.STAR)
-        tables = _clean_tables(p)
-        for k in rng.choice(np.arange(1, p + 1), size=2, replace=False):
-            tables[k - 1] = rng.permutation(p).astype(tables.dtype) + 1
-        report = dm._deletion_sweep(plain, star, tables, luts)
-        assert report == deletion_sweep_reference(plain, star, tables, luts)
-        assert report[0][0] is not None
-        assert report[0][-1] is None
+        report = dm._deletion_sweep(a, b, tables)
+        assert report[0] == bad_k
+        assert report == deletion_sweep_reference(a, b, tables)

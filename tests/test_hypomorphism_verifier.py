@@ -4,7 +4,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import recon_census.deletion_maps as dm
 import recon_census.hypomorphism_verifier as hv
 import recon_census.iso_engine as ie
 import recon_census.weight_matrix as wm
@@ -16,7 +15,6 @@ from recon_census.digraph_builder import (
     variant_assignment,
 )
 from recon_census.hypomorphism_verifier import (
-    check_hypomorphisms,
     check_lemma3,
     check_theorem1,
     sample_theorem1,
@@ -28,6 +26,7 @@ from recon_census.weight_matrix import MatrixVariant, build_dense
 from conftest import patch_dense, swap_images_at_random
 from loop_oracles import (
     deletion_sweep_reference,
+    hypomorphisms_reference,
     lemma3_loops,
     sample_theorem1_reference,
 )
@@ -175,19 +174,18 @@ class TestTheorem1:
             assert Counter(sub.ravel().tolist()) == Counter(sub_star.ravel().tolist())
 
 
-class TestCheckHypomorphisms:
-    """``check_hypomorphisms(p)`` is theorem 1's report of the block-copy
-    sweep, then ``verify_hypomorphic_by_sigma`` on each digraph pair read
-    from the same level matrices and map table."""
+class TestDenseRoute:
+    """``check_theorem1(p)`` is the block-copy sweep's report, and the
+    dense route of the automaton's tests (``hypomorphisms_reference``)
+    reads each digraph pair as ``verify_hypomorphic_by_sigma`` does on the
+    pair read from the same level matrices and map table."""
 
     @staticmethod
     def expected(p):
         plain = hv.build_dense(p, PLAIN).entries
         star = hv.build_dense(p, STAR).entries
-        (theorem1,), checked = deletion_sweep_reference(
-            plain, star, hv.build_all_maps(p), [hv._INT8_IDENTITY]
-        )
-        reports = [VerificationReport("theorem1", p, theorem1, checked)]
+        theorem1 = deletion_sweep_reference(plain, star, hv.build_all_maps(p))
+        reports = [VerificationReport("theorem1", p, theorem1, p * (p - 1) ** 2)]
         n = p.bit_length() - 1
         assignments = {"hypo-sigma-tournament": tournament_assignment(n)}
         if p >= 8:
@@ -197,24 +195,6 @@ class TestCheckHypomorphisms:
             report = verify_hypomorphic_by_sigma(g, h)
             reports.append(dataclasses.replace(report, check_name=name))
         return reports
-
-    @staticmethod
-    def swapped_rows(p, rng):
-        """The map table with seeded rows swapped: random ones, and rows
-        that fix the point the sweep deletes next, one keeping that fixed
-        point and one moving it."""
-        clean = build_all_maps(p)
-        slots = dm._gray_slots(p)
-        fixing = [(s, t) for s, t in zip(slots, slots[1:]) if clean[s, t] == t + 1]
-        tables = swap_images_at_random(clean, rng)
-        if fixing:
-            for moved, pick in enumerate(rng.choice(len(fixing), size=2, replace=False)):
-                s, t = fixing[pick]
-                kept = [c for c in range(p) if c not in (s, t)]
-                a, b = rng.choice(kept, size=2, replace=False)
-                a = t if moved else a
-                tables[s, [a, b]] = tables[s, [b, a]]
-        return tables
 
     @pytest.mark.parametrize(
         "fault, p",
@@ -230,7 +210,7 @@ class TestCheckHypomorphisms:
         for _ in range(1 if fault == "none" else 3):
             with monkeypatch.context() as m:
                 if fault == "map-rows":
-                    tables = self.swapped_rows(p, rng)
+                    tables = swap_images_at_random(build_all_maps(p), rng)
                     for module in (hv, ie):
                         m.setattr(module, "build_all_maps", lambda q, t=tables: t)
                 elif fault == "entry":
@@ -250,8 +230,9 @@ class TestCheckHypomorphisms:
                         entries[i, j] = 4
 
                     patch_dense(m, hv, p, STAR, edit)
-                reports = check_hypomorphisms(p)
+                reports = hypomorphisms_reference(p)
                 assert reports == self.expected(p)
+                assert check_theorem1(p) == reports[0]
             theorem1, *pairs = reports
             assert [r.check_name for r in pairs] == (
                 ["hypo-sigma-tournament", "hypo-sigma-variant"][: 1 + (p >= 8)]
@@ -265,6 +246,11 @@ class TestCheckHypomorphisms:
 
 
 class TestSampleTheorem1:
+    def test_refuses_orders_above_int32(self):
+        # its int32 draws would wrap above 2**31
+        with pytest.raises(ValueError, match="orders up to 2"):
+            sample_theorem1(2**40, 10, rng_seed=0)
+
     def test_small_order_subsumed_by_exhaustive(self):
         report = sample_theorem1(8, 100, rng_seed=7)
         assert report.passed

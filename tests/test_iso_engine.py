@@ -26,6 +26,7 @@ from conftest import patch_case_table, swap_images_at_random, swap_two_images
 from loop_oracles import (
     deletion_sweep_reference,
     every_relabeling_code,
+    hypomorphisms_reference,
     induced_halves_mismatch_reference,
     relabel,
 )
@@ -206,8 +207,9 @@ class TestHypomorphicBySigmaSweep:
 
 
 class TestPairsBySigma:
-    """The pair reports of ``check_hypomorphisms``, from one sweep of the
-    level matrices, are those of the per-pair digraph sweeps."""
+    """The pair reports of the dense route (``hypomorphisms_reference``),
+    each one sweep of the level matrices read through the pair's bit
+    table, are those of the per-pair digraph sweeps."""
 
     @staticmethod
     def per_pair(p):
@@ -221,7 +223,7 @@ class TestPairsBySigma:
 
     @pytest.mark.parametrize("p", [4, 8, 16, 64])
     def test_clean_order(self, p):
-        reports = hv.check_hypomorphisms(p)[1:]
+        reports = hypomorphisms_reference(p)[1:]
         assert reports == self.per_pair(p)
         assert all(r.passed and r.checked_count == p * (p - 1) ** 2 for r in reports)
 
@@ -232,7 +234,7 @@ class TestPairsBySigma:
             maps = swap_images_at_random(build_all_maps(p), rng)
             for module in (hv, ie):
                 monkeypatch.setattr(module, "build_all_maps", lambda q: maps)
-            reports = hv.check_hypomorphisms(p)[1:]
+            reports = hypomorphisms_reference(p)[1:]
             assert reports == self.per_pair(p)
             assert not any(r.passed for r in reports)
 

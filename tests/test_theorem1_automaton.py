@@ -1,11 +1,11 @@
 """The digit automaton of theorem 1 and both digraph pairs against the
 deletion sweep and the oracles.
 
-Through p = 512 its reports must equal the sweep's
-(``check_hypomorphisms``) field by field, on clean tables and under faults
-in the tables that both read: one cell of each class-table row the order
-reaches, in either variant, and two images swapped in one ``_SIGMA4`` row;
-at 1024 under one planted fault; and under an edit to a level that keeps
+Through p = 512 its reports must equal those of the dense deletion sweep
+(``loop_oracles.hypomorphisms_reference``) field by field, on clean
+tables and under faults in the tables that both read: one cell of each
+class-table row the order reaches, in either variant, and two images
+swapped in one ``_SIGMA4`` row; at 1024 under one planted fault; and under an edit to a level that keeps
 its bit, which theorem 1 sees and neither pair does.  Above, its first
 failing triple under a planted class-table fault must fail under the
 scalar oracles ``entry_at`` and ``sigma``, and no failing triple that
@@ -25,6 +25,7 @@ from recon_census.report import VerificationReport
 from recon_census.theorem1_automaton import decide_hypomorphisms, decide_theorem1
 
 from conftest import reached_rows
+from loop_oracles import hypomorphisms_reference
 
 PLAIN = wm.MatrixVariant.PLAIN
 STAR = wm.MatrixVariant.STAR
@@ -34,7 +35,7 @@ SWEPT_ORDERS = [4 << t for t in range(8)]  # 4 .. 512
 @pytest.mark.parametrize("p", SWEPT_ORDERS)
 def test_clean_equals_sweep(p):
     reports = decide_hypomorphisms(p)
-    assert reports == hv.check_hypomorphisms(p)
+    assert reports == hypomorphisms_reference(p)
     names = ["theorem1", "hypo-sigma-tournament"] + ["hypo-sigma-variant"] * (p >= 8)
     assert reports == [VerificationReport(name, p, None, p * (p - 1) ** 2) for name in names]
     assert decide_theorem1(p) == reports[0]
@@ -49,7 +50,7 @@ def test_class_table_faults_equal_sweep(tables, p):
             tables.class_cell(variant, row, r, c)
             reports = decide_hypomorphisms(p)
             assert not reports[0].passed, (variant, row, r, c)
-            assert reports == hv.check_hypomorphisms(p), (variant, row, r, c)
+            assert reports == hypomorphisms_reference(p), (variant, row, r, c)
 
 
 @pytest.mark.parametrize("p", SWEPT_ORDERS)
@@ -59,7 +60,7 @@ def test_sigma4_swaps_equal_sweep(tables, p, k):
     tables.sigma_swap(k, kept[0], kept[-1])
     reports = decide_hypomorphisms(p)
     assert not reports[0].passed
-    assert reports == hv.check_hypomorphisms(p)
+    assert reports == hypomorphisms_reference(p)
 
 
 def test_planted_fault_equals_sweep_at_1024(tables):
@@ -69,7 +70,7 @@ def test_planted_fault_equals_sweep_at_1024(tables):
     tables.class_cell(STAR, reached_rows(p)[-2], 1, 2)
     reports = decide_hypomorphisms(p)
     assert [r.passed for r in reports[:2]] == [False, False]
-    assert reports == hv.check_hypomorphisms(p)
+    assert reports == hypomorphisms_reference(p)
 
 
 @pytest.mark.parametrize("p", [8, 64, 512])
@@ -87,7 +88,7 @@ def test_level_edit_keeping_its_bits_fails_theorem1_alone(tables, p):
         ("hypo-sigma-variant", True),
     ]
     assert reports[0].counterexample[3:] == (3, 4)
-    assert reports == hv.check_hypomorphisms(p)
+    assert reports == hypomorphisms_reference(p)
 
 
 def scalar_class(p, i, j):

@@ -266,6 +266,37 @@ class TestEntryAt:
         with pytest.raises(IndexError, match=f"{axis} indices must lie in 1..8"):
             entry_grid(8, PLAIN, rows=rows, cols=cols)
 
+    @pytest.mark.parametrize("p", [2**31, 2**40])
+    def test_vectorized_refuses_orders_above_int32(self, p):
+        # the offset 2**32 would wrap to 0: entry_at reads 36 at 2**40
+        with pytest.raises(ValueError, match="orders up to 2"):
+            entry_values(p, PLAIN, [1], [2**34 + 1])
+        with pytest.raises(ValueError, match="orders up to 2"):
+            entry_grid(p, PLAIN, rows=[1], cols=[2])
+
+    def test_vectorized_takes_the_top_int32_order(self):
+        p = 2**30
+        i, j = [1, 3, p - 1], [p, 2**29 + 7, 2]
+        got = entry_values(p, STAR, i, j).tolist()
+        assert got == [entry_at(p, STAR, a, b) for a, b in zip(i, j)]
+
+    @pytest.mark.parametrize(
+        "i, j, axis",
+        [
+            # a float would be truncated to row 1, a bool read as row 1
+            (1.5, 2, "row"),
+            (1, np.array([2.0, 3.0]), "column"),
+            (True, 5, "row"),
+            (np.array([1, 2]), np.array([True, True]), "column"),
+        ],
+    )
+    def test_vectorized_refuses_non_integer_indices(self, i, j, axis):
+        with pytest.raises(ValueError, match=f"{axis} indices must be integers"):
+            entry_values(8, PLAIN, i, j)
+        rows, cols = (i, [2]) if axis == "row" else ([2], j)
+        with pytest.raises(ValueError, match=f"{axis} indices must be integers"):
+            entry_grid(8, PLAIN, rows=np.atleast_1d(rows), cols=np.atleast_1d(cols))
+
     def test_int32_points_are_not_copied(self):
         i = np.arange(1, 17, dtype=np.int32)
         assert wm._points_int32(i, 16, "row indices") is i
