@@ -33,8 +33,10 @@ from recon_census.digraph_builder import (
     CENSUS_ORDERS,
     DEFAULT_ISO_BUDGET,
     Digraph,
+    _assigns_tournaments,
+    _twin_levels,
     assignment_census,
-    assignment_from_mapping,
+    assignment_from_bits,
     build_dense,
     forced_isomorphism,
     standard_pair,
@@ -94,9 +96,12 @@ def _theorem2(config: RunConfig) -> list[VerificationReport]:
 
 
 def _hypo_sigma(config: RunConfig) -> list[VerificationReport]:
-    # the tournament self-check, O(p**2); the automaton reads no matrix
-    standard_pair(config.p)
-    return decide_hypomorphisms(config.p)[1:]
+    # the tournament self-check reads O(log p) class-table rows, no matrix
+    p = config.p
+    tournament = tournament_assignment(order_exponent(p))
+    if not _assigns_tournaments(_twin_levels(p), tournament):
+        raise ContradictionError("canonical pair failed the tournament check")
+    return decide_hypomorphisms(p)[1:]
 
 
 def _deck_match(config: RunConfig) -> list[VerificationReport]:
@@ -121,14 +126,9 @@ def _swap(config: RunConfig) -> list[VerificationReport]:
 def _forced_iso(config: RunConfig) -> list[VerificationReport]:
     p = config.p
     n = p.bit_length() - 1
-    mapping = {v: 1 for v in range(1, n + 2)}
-    mapping.update({-v: 0 for v in range(1, n + 2)})
-    mapping[-(n + 1)] = 1
-    witness = forced_isomorphism(p, assignment_from_mapping(n, mapping))
-    unforced = forced_isomorphism(p, tournament_assignment(n))
-    ok = witness is not None and unforced is None
-    cex = None if ok else (0, 0, 0, "wrong-witness-presence", "")
-    return [VerificationReport("forced-iso", p, cex, p * p + 1)]
+    # equal extreme bits: the witness, or ContradictionError
+    forced_isomorphism(p, assignment_from_bits(n, "1" * (n + 1) + "0" * n + "1"))
+    return [VerificationReport("forced-iso", p, None, p * p + 1)]
 
 
 Runner = Callable[[RunConfig], list[VerificationReport]]
@@ -143,7 +143,7 @@ CHECKS: dict[str, tuple[int, int, Runner]] = {
     "lemma3": (4, DENSE_ORDER_LIMIT, lambda c: [check_lemma3(c.p)]),
     "theorem1": (4, ORACLE_ORDER_LIMIT, lambda c: decide_hypomorphisms(c.p)[:1]),
     "theorem2": (4, ORACLE_ORDER_LIMIT, _theorem2),
-    "hypo-sigma": (4, DENSE_ORDER_LIMIT, _hypo_sigma),
+    "hypo-sigma": (4, ORACLE_ORDER_LIMIT, _hypo_sigma),
     "deck-match": (4, DECK_MATCH_ORDER_LIMIT, _deck_match),
     "swap": (8, DENSE_ORDER_LIMIT, _swap),
     "forced-iso": (8, DENSE_ORDER_LIMIT, _forced_iso),

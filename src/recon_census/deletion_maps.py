@@ -45,6 +45,7 @@ import numpy as np
 
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import (
+    _check_integers,
     _first_cell,
     _int32_order,
     _points_int32,
@@ -79,12 +80,21 @@ _SIGMA4 = np.array(
 _SIGMA4.setflags(write=False)
 
 
+def _low_residues() -> np.ndarray:
+    """LOW[b, a], the residue of sigma_k(i) - 1 for residues b of k - 1 and
+    a of i - 1: ``_SIGMA4[b, a] - 1`` off the diagonal, a on it.  Uncached."""
+    low = _SIGMA4 - 1
+    np.fill_diagonal(low, np.arange(4))
+    return low
+
+
 def _check_args(p: int, k: int, i: int) -> None:
     order_exponent(p)
     if not 1 <= k <= p:
         raise IndexError(f"deleted point must lie in 1..{p}, got {k}")
     if not 1 <= i <= p:
         raise IndexError(f"point must lie in 1..{p}, got {i}")
+    _check_integers("point", k, i)
     if i == k:
         raise ValueError(f"mapping is undefined at the deleted point {k}")
 
@@ -150,17 +160,13 @@ def _sigma_closed_form(p: int, k: np.ndarray, i: np.ndarray) -> np.ndarray:
     ((a ^ (p - 1) ^ mask) & ~3) + 1 + LOW[b & 3, a & 3]: a's own bits
     from bit 2 up to the stopping level, its complemented bits above it
     (the half orders added on the way down), and the order-4 residue.
-    LOW[b, a] is ``_SIGMA4[b, a] - 1`` where the low residues differ (the
-    fold reached order 4) and a where they agree (it stopped above).  Its
-    sixteen 2-bit entries are packed into one int32 word, entry (b, a) at
-    bit 2 * (4 * b + a), and read with one shift and mask per query, so
-    no index array is widened and there is no ``where`` or gather.  The
-    word is derived from ``_SIGMA4`` on every call, which keeps that the
-    one order-4 table.
+    LOW is ``_low_residues()``.  Its sixteen 2-bit entries are packed into
+    one int32 word, entry (b, a) at bit 2 * (4 * b + a), and read with one
+    shift and mask per query, so no index array is widened and there is
+    no ``where`` or gather.  The word is derived on every call, which
+    keeps ``_SIGMA4`` the one order-4 table.
     """
-    r = np.arange(4, dtype=np.int32)
-    low = _SIGMA4 - 1
-    low[r, r] = r
+    low = _low_residues()
     word = np.bitwise_or.reduce(low.ravel() << np.arange(0, 32, 2, dtype=np.int32))
     a = np.subtract(i, 1, dtype=np.int32)
     b = np.subtract(k, 1, dtype=np.int32)
@@ -223,6 +229,7 @@ def build_map(p: int, k: int) -> np.ndarray:
     order_exponent(p)
     if not 1 <= k <= p:
         raise IndexError(f"deleted point must lie in 1..{p}, got {k}")
+    _check_integers("deleted point", k)
     row = _map_rows(p, np.array([k], dtype=np.int32))
     _check_rows(p, k, row)
     return row[0]

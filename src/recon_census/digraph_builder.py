@@ -18,10 +18,12 @@ the two extreme levels and nothing else (``swap_involution`` verifies
 this), which pairs up assignments into orbits yielding the same digraph
 pair.  Both point maps are checked through one scan, ``_level_pairs``,
 which collects the distinct level pairs a point map makes between two
-dense matrices.  ``assignment_census`` enumerates every proper
-assignment at small orders, in one pass over the integer rows, and
-tabulates which ones yield non-isomorphic pairs.  It settles the rows
-with equal extreme bits through ``forced_isomorphism`` and runs one
+dense matrices.  Whether an assignment yields tournaments is read off
+the class table alone (``_twin_levels``), at every order.
+``assignment_census`` enumerates every proper assignment at small
+orders, in one pass over the integer rows, and tabulates which ones
+yield tournaments and non-isomorphic pairs.  It settles the rows with
+equal extreme bits through ``forced_isomorphism`` and runs one
 isomorphism search per remaining swap orbit (64 at p = 8, 256 at p = 16,
 in the calling process); the other member of the orbit copies the
 verdict.  The test suite checks the census against a form that searches
@@ -32,18 +34,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from recon_census.deletion_maps import _permuted, extend_sigma_p1
 from recon_census.errors import ContradictionError
 from recon_census.weight_matrix import (
+    _CLASS_TABLE,
     MatrixVariant,
     WeightedMatrix,
     _ascii_text,
     _first_cell,
     _offset_case_table,
+    _reached_rows,
     _row_blocks,
     _text_grid,
     build_dense,
@@ -421,14 +425,9 @@ def _level_pairs(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return pairs
 
 
-class _LevelTable(NamedTuple):
-    witness: np.ndarray  # extend_sigma_p1(p), read-only
-    levels: np.ndarray  # the levels occurring off the diagonal
-
-
 @lru_cache(maxsize=1)
-def _level_table(p: int) -> _LevelTable:
-    """The per-order table behind forced rows and tournament rows, checked.
+def _level_table(p: int) -> np.ndarray:
+    """The forced rows' witness ``extend_sigma_p1(p)``, checked, read-only.
 
     The extended point-1 mapping ``ext`` must change only the extreme
     levels: every ``_level_pairs`` pair (plain(i, j), star(ext(i), ext(j)))
@@ -436,9 +435,8 @@ def _level_table(p: int) -> _LevelTable:
     Then ``ext`` carries the assigned plain digraph onto the assigned
     starred one for every assignment giving both extremes the same bit,
     so the identity is checked here, once per order, and a violation
-    (named by its first pair) is a fatal internal error.  A
-    ``WeightedMatrix`` is antisymmetric, so arcs i -> j and j -> i come
-    from levels v and -v.  Only the last order is kept.
+    (named by its first pair) is a fatal internal error.  Only the last
+    order is kept.
     """
     ext = extend_sigma_p1(p)
     ext.setflags(write=False)
@@ -456,10 +454,7 @@ def _level_table(p: int) -> _LevelTable:
             f"extended point-1 mapping is not an isomorphism at p={p}: "
             f"it sends plain level {u} onto starred level {v}"
         )
-    # not np.union1d: np.unique imports numpy.ma, a start-up cost per process
-    levels = np.flatnonzero(np.bincount(pairs.ravel() + top)) - top
-    levels.setflags(write=False)
-    return _LevelTable(ext, levels)
+    return ext
 
 
 def forced_isomorphism(p: int, a: BinaryAssignment) -> Optional[np.ndarray]:
@@ -480,19 +475,39 @@ def forced_isomorphism(p: int, a: BinaryAssignment) -> Optional[np.ndarray]:
         raise ValueError("assignment exponent does not match the order")
     if a.value_for(n + 1) != a.value_for(-(n + 1)):
         return None
-    return _level_table(p).witness
+    return _level_table(p)
 
 
-def _assigns_tournaments(p: int, a: BinaryAssignment) -> bool:
-    """Whether the assignment's plain and starred digraphs are tournaments.
-
-    The matrices are antisymmetric (``WeightedMatrix`` checks it), so
-    this holds exactly when every level occurring off the diagonal gets
-    a different bit from its negation.
+def _twin_levels(p: int) -> np.ndarray:
+    """The level pairs (u, v), an int8 (2, k) array, of each off-diagonal
+    cell (i, j) and its twin (j, i) at order p, both variants, read off the
+    class table's ``_reached_rows`` on every call: the twin of residues
+    (r, c) in the row of offset d is (c, r) in the row of -d (``row ^ 1``).
+    The row of d = 0 is its own twin, and a nonzero level on its diagonal
+    (a loop) pairs with itself.  An assignment yields a pair of
+    tournaments exactly when it gives u and v unlike bits in every pair.
     """
+    rows = _reached_rows(p)
+    twins = np.where(rows == rows[0], rows, rows ^ 1)
+    classes = np.stack([_CLASS_TABLE[v] for v in MatrixVariant])
+    u, v = classes[:, rows], classes[:, twins].swapaxes(2, 3)
+    # the zero row's diagonal cells at level 0 pair with nothing
+    keep = np.ones(u.shape, dtype=bool)
+    keep[:, 0] = ~np.eye(4, dtype=bool) | (u[:, 0] != 0)
+    return np.stack([u[keep], v[keep]])
+
+
+def _assigns_tournaments(twins: np.ndarray, a: BinaryAssignment) -> bool:
+    """Whether the assignment's plain and starred digraphs are tournaments:
+    whether it gives the two levels of every ``_twin_levels`` pair unlike
+    bits (level 0 gets 0, as off the diagonal it makes no arc).  A level
+    outside +-(n+1) has no bit (``_bit_lut`` would wrap it onto another
+    level's), so it fails."""
+    top = a.order_n + 1
+    if twins.min() < -top or twins.max() > top:
+        return False
     lut = _bit_lut(a)
-    levels = _level_table(p).levels
-    return bool(np.all(lut[levels] != lut[-levels]))
+    return bool(np.all(lut[twins[0]] != lut[twins[1]]))
 
 
 def swap_involution(p: int) -> np.ndarray:
@@ -584,7 +599,7 @@ def assignment_census(p: int, iso_budget: int = DEFAULT_ISO_BUDGET) -> CensusTab
     in the calling process, and the partner copies its verdict.  Both
     per-order identities, ``swap_involution`` and the point-1 level check
     of ``_level_table``, run before any search.  The tournament flag is
-    read from the levels.
+    read from the ``_twin_levels`` pairs, taken once per order.
     """
     if p not in CENSUS_ORDERS:
         orders = " and ".join(map(str, CENSUS_ORDERS))
@@ -595,6 +610,7 @@ def assignment_census(p: int, iso_budget: int = DEFAULT_ISO_BUDGET) -> CensusTab
     # identities hold; each raises otherwise
     swap_involution(p)
     _level_table(p)
+    twins = _twin_levels(p)
     extremes = 1 << (n + 1) | 1
     rows: list[CensusRow] = []
     for x in range(1 << m):
@@ -607,6 +623,6 @@ def assignment_census(p: int, iso_budget: int = DEFAULT_ISO_BUDGET) -> CensusTab
                 isomorphic = _census_entry(p, a, iso_budget)
             else:
                 isomorphic = rows[partner].isomorphic
-        tourn = _assigns_tournaments(p, a)
+        tourn = _assigns_tournaments(twins, a)
         rows.append(CensusRow(a.bit_string, tourn, isomorphic, min(x, partner)))
     return CensusTable(p, tuple(rows))

@@ -10,8 +10,7 @@ c = j - 1, every term of it is read off the binary digits:
   fix (``weight_matrix._offset_class``);
 * sigma_k(i) - 1 keeps the bits of a up to the lowest bit L where a and b
   differ and complements those above it; below bit 2 it is the low-residue
-  table that ``deletion_maps._sigma_closed_form`` derives from
-  ``_SIGMA4``.
+  table ``deletion_maps._low_residues``, derived from ``_SIGMA4``.
 
 ``decide_hypomorphisms`` reads (a, b, c) least significant digit first: one
 layer of the three residues mod 4, then one layer per block bit.  A state
@@ -74,19 +73,14 @@ _RESIDUE_LETTERS = np.array(np.unravel_index(np.arange(64), (4, 4, 4)))
 class _Rule:
     """The tables of the identity as the library reads them now."""
 
-    def __init__(self, n: int):
+    def __init__(self, p: int):
         self.tables = [weight_matrix._CLASS_TABLE[v].reshape(-1) for v in _SIDES]
         # rows[x, d]: the class of an offset whose lowest one is block bit
-        # x - 1 and whose bit x is d, x >= 1; row 0 is never read
-        x = np.arange(n - 1)[:, None]
-        lowest = np.left_shift(1, np.maximum(x - 1, 0))
-        offsets = (lowest * (1 + 2 * np.arange(2))).astype(np.int32)
-        self.rows = weight_matrix._offset_class(offsets)
-        self.zero_row = int(weight_matrix._offset_class(np.zeros(1, np.int32))[0])
-        r = np.arange(4)
-        low = deletion_maps._SIGMA4 - 1
-        low[r, r] = r
-        self.low = low.astype(np.int64)
+        # x - 1 and whose bit x is d, x >= 1; row 0 is never selected
+        reached = weight_matrix._reached_rows(p)
+        self.zero_row = int(reached[0])
+        self.rows = np.concatenate([reached[:1], reached]).reshape(-1, 2)
+        self.low = deletion_maps._low_residues().astype(np.int64)
 
     def value(self, side: int, row, pair):
         """Class-table values of ``row`` at residue pairs ``pair``, as bytes."""
@@ -175,7 +169,7 @@ def decide_hypomorphisms(p: int) -> list[VerificationReport]:
     the layers.  A failure is the first (k, i, j) in k order, then
     row-major (i, j), with its two levels read through the report's table."""
     n = order_exponent(p)
-    rule = _Rule(n)
+    rule = _Rule(p)
     layers = []  # per layer: the states, their next codes and the letters
     states = np.zeros(1, dtype=np.int64)
     codes = _residue_codes(rule)

@@ -287,6 +287,15 @@ def release_dense(p: int, variant: MatrixVariant) -> None:
     _DENSE_CACHE.pop((p, variant), None)
 
 
+def _check_integers(what: str, *values) -> None:
+    """ValueError unless each value is an ``int`` or a numpy integer, not a
+    bool: the scalar twin of ``_points_int32``'s dtype check, made after
+    the caller's range checks."""
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
 def entry_at(p: int, variant: MatrixVariant, i: int, j: int) -> int:
     """Constant-time evaluation of entry (i, j) at order p (1-based).
 
@@ -298,6 +307,7 @@ def entry_at(p: int, variant: MatrixVariant, i: int, j: int) -> int:
     order_exponent(p)
     if not (1 <= i <= p and 1 <= j <= p):
         raise IndexError(f"indices must lie in 1..{p}, got ({i}, {j})")
+    _check_integers("index", i, j)
     r = (i - 1) & 3
     c = (j - 1) & 3
     base = int(_BASE[variant][r, c])
@@ -361,6 +371,14 @@ def _class_table(variant: MatrixVariant) -> np.ndarray:
 
 
 _CLASS_TABLE = {variant: _class_table(variant) for variant in MatrixVariant}
+
+
+def _reached_rows(p: int) -> np.ndarray:
+    """Class-table rows of order p's block offsets: d = 0 first, then
+    d = 2**x and d = -2**x (one bit apart) for x <= n - 3, 2n - 3 rows."""
+    n = order_exponent(p)
+    d = [0] + [s << x for x in range(n - 2) for s in (1, -1)]
+    return _offset_class(np.array(d, dtype=np.int32))
 
 
 def _offset_case_table(p: int, variant: MatrixVariant) -> np.ndarray:
@@ -444,6 +462,7 @@ def sign_flip(p: int, i: int, j: int) -> int:
     h = p // 2
     if not (1 <= i <= h and 1 <= j <= h):
         raise IndexError(f"indices must lie in 1..{h}, got ({i}, {j})")
+    _check_integers("index", i, j)
     if i == j:
         raise ValueError("sign_flip is undefined on the diagonal")
     if p == 8:

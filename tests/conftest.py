@@ -140,13 +140,3 @@ def tables(monkeypatch):
     )
     dm.build_all_maps.cache_clear()
     wm._DENSE_CACHE.clear()
-
-
-def reached_rows(p):
-    """The class-table rows of the block offsets of order p: d = 0, and
-    2m + (y = 3 mod 4) for d = y * 2**(m-1), 1 <= m <= n - 2."""
-    import recon_census.weight_matrix as wm
-
-    n = p.bit_length() - 1
-    zero = int(wm._offset_class(np.zeros(1, np.int32))[0])
-    return [zero] + [2 * m + s for m in range(1, n - 1) for s in (0, 1)]

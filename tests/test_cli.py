@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from recon_census.cli import CHECKS, main
@@ -120,7 +121,6 @@ class TestExitCodes:
             ("generate", "--p", "16384", "--kind", "weighted"),
             ("generate", "--p", "16384", "--kind", "tournament", "--format", "d6"),
             ("deck", "--p", "16384"),
-            ("verify", "--p", "16384", "--checks", "hypo-sigma"),
             ("verify", "--p", "16384", "--checks", "forced-iso"),
             ("verify", "--p", "16384", "--checks", "lemma2"),
             ("verify", "--p", "16384", "--checks", "lemma3"),
@@ -219,7 +219,7 @@ class TestExitCodes:
         assert expand_all(16384) == tuple(
             name for name, (_, hi, _) in CHECKS.items() if hi > DENSE_ORDER_LIMIT
         )
-        assert expand_all(16384) == ("lemma1", "theorem1", "theorem2")
+        assert expand_all(16384) == ("lemma1", "theorem1", "theorem2", "hypo-sigma")
 
     def test_dense_checks_accepted_at_dense_limit(self):
         from recon_census.cli import _parse_config
@@ -228,7 +228,7 @@ class TestExitCodes:
         dense = tuple(
             name for name, (_, hi, _) in CHECKS.items() if hi == DENSE_ORDER_LIMIT
         )
-        assert dense == ("lemma2", "lemma3", "hypo-sigma", "swap", "forced-iso")
+        assert dense == ("lemma2", "lemma3", "swap", "forced-iso")
         config = _parse_config(["verify", "--p", "8192", "--checks", ",".join(dense)])
         assert config.checks == dense
 
@@ -326,7 +326,7 @@ class TestCheckTable:
                   "hypo-sigma", "swap", "forced-iso")),
             (8192, ("lemma1", "lemma2", "lemma3", "theorem1", "theorem2",
                     "hypo-sigma", "swap", "forced-iso")),
-            (16384, ("lemma1", "theorem1", "theorem2")),
+            (16384, ("lemma1", "theorem1", "theorem2", "hypo-sigma")),
         ],
     )
     def test_all_expansion_is_pinned(self, p, expected):
@@ -371,7 +371,7 @@ class TestCheckTable:
         "name, target",
         [
             ("theorem2", "verify_nonisomorphic_inductive"),
-            ("hypo-sigma", "standard_pair"),
+            ("hypo-sigma", "_twin_levels"),
             ("swap", "swap_involution"),
             ("forced-iso", "forced_isomorphism"),
         ],
@@ -897,6 +897,83 @@ class TestVerifyReports:
         assert calls == []
 
 
+TOURNAMENT_CHECK = "canonical pair failed the tournament check"
+
+
+class TestTournamentSelfCheck:
+    """``hypo-sigma``'s tournament self-check reads the class table's twin
+    levels: no dense matrix or digraph at any order, and a class-table
+    fault is its failing report, not an internal error."""
+
+    DENSE = {"build_dense", "entry_grid", "standard_pair", "apply_assignment"}
+
+    def spied(self, monkeypatch, tmp_path, p, checks):
+        """The names of ``DENSE`` called, in any ``recon_census`` module,
+        while ``verify`` runs ``checks`` at order p, and its reports."""
+        calls = []
+        modules = [m for n, m in sys.modules.items() if n.startswith("recon_census.")]
+        for module in modules:
+            for name in self.DENSE & set(vars(module)):
+
+                def spy(*args, name=name, real=getattr(module, name), **kwargs):
+                    calls.append(name)
+                    return real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, spy)
+        out = tmp_path / "rep.json"
+        assert run_cli("verify", "--p", str(p), "--checks", checks, "--out", str(out)) == 0
+        return calls, json.loads(out.read_text())["reports"]
+
+    @pytest.mark.parametrize("p", [8, 512, 2**20])
+    def test_reads_no_dense_matrix_or_digraph(self, tmp_path, monkeypatch, p):
+        calls, reports = self.spied(monkeypatch, tmp_path, p, "hypo-sigma")
+        assert calls == []
+        assert [(r["check"], r["outcome"]) for r in reports] == [
+            ("hypo-sigma-tournament", "pass"),
+            ("hypo-sigma-variant", "pass"),
+        ]
+
+    def test_spies_see_the_dense_route(self, tmp_path, monkeypatch):
+        import recon_census.weight_matrix as wm
+
+        wm._DENSE_CACHE.clear()
+        calls, _ = self.spied(monkeypatch, tmp_path, 8, "deck-match")
+        assert set(calls) == self.DENSE
+
+    @pytest.mark.parametrize("p", [4, 64, 2**20])
+    @pytest.mark.parametrize("variant", list(MatrixVariant))
+    def test_class_fault_is_a_contradiction_report(self, tmp_path, tables, p, variant):
+        import recon_census.weight_matrix as wm
+        from recon_census.report import VerificationReport
+
+        # one off-diagonal cell negated in the row of the largest offsets
+        # (at p = 4 the zero row): its twin keeps its level, so the pair
+        # loses an arc, and the dense matrix is no longer antisymmetric
+        tables.class_cell(variant, int(wm._reached_rows(p)[-1]), 1, 2)
+        out = tmp_path / "rep.json"
+        args = ("verify", "--p", str(p), "--checks", "hypo-sigma", "--out", str(out))
+        assert run_cli(*args) == 1
+        (rep,) = json.loads(out.read_text())["reports"]
+        cex = (0, 0, 0, "contradiction", TOURNAMENT_CHECK)
+        assert rep == VerificationReport("hypo-sigma", p, cex, 0).to_json_dict()
+
+    @pytest.mark.parametrize("p", [8, 64])
+    def test_level_outside_the_domain_is_a_contradiction_report(self, tmp_path, tables, p):
+        import recon_census.weight_matrix as wm
+
+        # a starred -2 becomes n + 2, whose bit table slot is that of
+        # -(n+1): 0, unlike its twin's, so only the domain check catches it
+        zero = int(wm._reached_rows(p)[0])
+        cells = np.argwhere(wm._CLASS_TABLE[MatrixVariant.STAR][zero] == -2)
+        r, c = (int(v) for v in cells[0])
+        tables.class_cell(MatrixVariant.STAR, zero, r, c, p.bit_length() + 1)
+        out = tmp_path / "rep.json"
+        args = ("verify", "--p", str(p), "--checks", "hypo-sigma", "--out", str(out))
+        assert run_cli(*args) == 1
+        (rep,) = json.loads(out.read_text())["reports"]
+        assert rep["counterexample"]["rhs"] == TOURNAMENT_CHECK
+
+
 def _verify_reports(tmp_path, p, checks):
     """(exit status, the reports' JSON text) of one ``verify`` run."""
     out = tmp_path / "rep.json"
@@ -963,14 +1040,13 @@ class TestCompanions:
         import recon_census.cli as cli_mod
         from recon_census.errors import ContradictionError
 
-        def contradiction(q):
-            raise ContradictionError("self-check failed")
-
-        monkeypatch.setattr(cli_mod, "standard_pair", contradiction)
+        # the self-check finds an assignment that yields no tournaments
+        monkeypatch.setattr(cli_mod, "_assigns_tournaments", lambda twins, a: False)
         reports = self.alone_and_together(tmp_path, p)
         (hypo,) = reports["hypo-sigma"]
         assert hypo["check"] == "hypo-sigma" and hypo["checked"] == 0
         assert hypo["counterexample"]["lhs"] == "contradiction"
+        assert hypo["counterexample"]["rhs"] == TOURNAMENT_CHECK
         assert [r["outcome"] for r in reports["theorem1"] + reports["lemma3"]] == [
             "pass",
             "pass",

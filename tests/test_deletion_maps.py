@@ -71,6 +71,24 @@ class TestSigmaValues:
         with pytest.raises(ValueError, match="orders up to 2"):
             sigma_values(2**40, 1, 2**33 + 2)
 
+    @pytest.mark.parametrize("k, i", [(1.5, 3), (2, 3.0), (True, 3), (3, True), (np.True_, 3)])
+    @pytest.mark.parametrize("scalar", [sigma, sigma_reference])
+    def test_scalar_refuses_non_integer_points(self, scalar, k, i):
+        # as sigma_values does: sigma(8, True, 3) read sigma_1(3) = 6
+        with pytest.raises(ValueError, match="point must be an integer"):
+            scalar(8, k, i)
+
+    @pytest.mark.parametrize("scalar", [sigma, sigma_reference])
+    def test_scalar_checks_range_before_the_type(self, scalar):
+        with pytest.raises(IndexError, match="deleted point must lie in 1..8"):
+            scalar(8, 8.5, 1)
+        with pytest.raises(IndexError, match="point must lie in 1..8"):
+            scalar(8, 1, 0.5)
+
+    def test_scalar_takes_numpy_integers(self):
+        assert sigma(16, np.int64(3), np.int32(9)) == sigma(16, 3, 9)
+        assert sigma_reference(16, np.uint8(3), np.int16(9)) == sigma(16, 3, 9)
+
     @pytest.mark.parametrize("p", [4, 8, 16, 32, 64])
     def test_folded_equals_reference(self, p):
         for k in range(1, p + 1):
@@ -146,6 +164,15 @@ class TestMapTable:
         for k in range(1, p + 1):
             want = [0 if i == k else sigma_reference(p, k, i) for i in range(1, p + 1)]
             assert tables[k - 1].tolist() == want, k
+
+    @pytest.mark.parametrize("k", [2.5, True, np.True_, 2.0])
+    def test_build_map_refuses_non_integer_points(self, k):
+        # build_map(8, 2.5) returned the map deleting 2, True the one deleting 1
+        with pytest.raises(ValueError, match="deleted point must be an integer"):
+            build_map(8, k)
+        with pytest.raises(IndexError, match="deleted point must lie in 1..8"):
+            build_map(8, 8.5)
+        assert np.array_equal(build_map(8, np.int64(2)), build_map(8, 2))
 
     @pytest.mark.parametrize("p", [4, 8, 16, 32, 64])
     def test_build_map_equals_table_row(self, p):

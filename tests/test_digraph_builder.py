@@ -8,7 +8,9 @@ from recon_census.digraph_builder import (
     BinaryAssignment,
     Digraph,
     _assigns_tournaments,
+    _bit_lut,
     _is_arc_preserving,
+    _twin_levels,
     apply_assignment,
     assignment_census,
     assignment_from_bits,
@@ -24,7 +26,8 @@ from recon_census.digraph_builder import (
     variant_pair,
 )
 from recon_census.errors import ContradictionError
-from recon_census.weight_matrix import MatrixVariant, build_dense
+import recon_census.weight_matrix as wm
+from recon_census.weight_matrix import MatrixVariant, build_dense, entry_grid
 
 from conftest import FIXTURES
 from loop_oracles import (
@@ -272,13 +275,75 @@ class TestForcedIsomorphism:
 
     @pytest.mark.parametrize("p", [8, 16])
     def test_tournament_flag_from_levels(self, p):
+        twins = _twin_levels(p)
         flags = set()
         for a in every_assignment(p):
             g, h = assigned_pair(p, a)
             flag = g.is_tournament() and h.is_tournament()
-            assert _assigns_tournaments(p, a) == flag, a.bit_string
+            assert _assigns_tournaments(twins, a) == flag, a.bit_string
             flags.add(flag)
         assert flags == {False, True}
+
+
+def dense_tournaments(p, a):
+    """Whether assignment ``a`` makes tournaments of both level grids, read
+    unvalidated from the class table (``entry_grid``): a zero diagonal, and
+    a tournament of the assigned bits (``Digraph.is_tournament``)."""
+    lut = _bit_lut(a)
+    for variant in (PLAIN, STAR):
+        levels = entry_grid(p, variant)
+        if np.diagonal(levels).any() or not Digraph(p, lut[levels]).is_tournament():
+            return False
+    return True
+
+
+class TestTwinLevels:
+    """The class-table tournament rule against the dense tournament test."""
+
+    @pytest.mark.parametrize("p", [4, 8, 16, 32, 64])
+    def test_equals_dense_test_under_every_one_cell_class_fault(self, tables, p):
+        n = p.bit_length() - 1
+        named = [tournament_assignment(n)] + [variant_assignment(n)] * (p >= 8)
+        assignments = named + random_assignments(p, 6, seed=p)
+        flags = set()
+        faults = [None] + [
+            (variant, int(row), r, c)
+            for variant in (PLAIN, STAR)
+            for row in wm._reached_rows(p)
+            for r in range(4)
+            for c in range(4)
+        ]
+        assert len(faults) == 1 + 2 * (2 * n - 3) * 16
+        for fault in faults:
+            if fault is not None:
+                tables.class_cell(*fault)
+            twins = _twin_levels(p)
+            for a in assignments:
+                flag = dense_tournaments(p, a)
+                assert _assigns_tournaments(twins, a) == flag, (fault, a.bit_string)
+                flags.add((fault is None, a in named, flag))
+        # the tournament assignment yields tournaments on the clean tables,
+        # and each fault (a negated cell, whose twin keeps its level) breaks it
+        assert (True, True, True) in flags and (False, True, True) not in flags
+
+    @pytest.mark.parametrize("p", [4, 8])
+    @pytest.mark.parametrize("variant", [PLAIN, STAR])
+    def test_zero_row_diagonal_fault_fails_every_assignment(self, tables, p, variant):
+        # a nonzero level on the diagonal is a loop whatever its bit: it
+        # pairs with itself, so even an assignment giving it 0 fails
+        tables.class_cell(variant, int(wm._reached_rows(p)[0]), 2, 2, -1)
+        twins = _twin_levels(p)
+        for a in every_assignment(p):
+            assert not _assigns_tournaments(twins, a), a.bit_string
+            assert not dense_tournaments(p, a)
+
+    def test_twins_are_negations_on_clean_tables(self):
+        for p in (4, 8, 1 << 24):
+            u, v = _twin_levels(p)
+            assert u.dtype == np.int8 and np.array_equal(u, -v)
+            # 2n - 3 rows of 16 cells in each variant, less the 4 diagonal cells
+            n = p.bit_length() - 1
+            assert u.size == 2 * ((2 * n - 3) * 16 - 4)
 
 
 class TestSwapInvolution:

@@ -18,7 +18,7 @@ import recon_census.weight_matrix as wm
 from recon_census.cli import main
 from recon_census.errors import ContradictionError
 
-from conftest import patch_case_table, patch_dense, reached_rows, swap_two_images
+from conftest import patch_case_table, patch_dense, swap_two_images
 from loop_oracles import (
     check_lemma1_reference,
     deletion_sweep_reference,
@@ -164,7 +164,7 @@ class TestHypoSigmaReporting:
         # pair of the self-check still builds; theorem 1 fails, both pairs
         # pass
         star = wm.MatrixVariant.STAR
-        row = reached_rows(p)[0]  # the offset 0, whose twin cell is (c, r)
+        row = wm._reached_rows(p)[0]  # the offset 0, whose twin cell is (c, r)
         r, c = (int(v) for v in np.argwhere(wm._CLASS_TABLE[star][row] == 3)[0])
         tables.class_cells(star, row, {(r, c): 4, (c, r): -4})
         assert main(["verify", "--p", str(p), "--checks", "theorem1,hypo-sigma"]) == 1

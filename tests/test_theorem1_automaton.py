@@ -24,7 +24,6 @@ from recon_census.cli import main
 from recon_census.report import VerificationReport
 from recon_census.theorem1_automaton import decide_hypomorphisms, decide_theorem1
 
-from conftest import reached_rows
 from loop_oracles import hypomorphisms_reference
 
 PLAIN = wm.MatrixVariant.PLAIN
@@ -45,7 +44,7 @@ def test_clean_equals_sweep(p):
 def test_class_table_faults_equal_sweep(tables, p):
     rng = np.random.default_rng(p)
     for variant in (PLAIN, STAR):
-        for row in reached_rows(p):
+        for row in wm._reached_rows(p):
             r, c = (int(v) for v in rng.integers(0, 4, size=2))
             tables.class_cell(variant, row, r, c)
             reports = decide_hypomorphisms(p)
@@ -67,7 +66,7 @@ def test_planted_fault_equals_sweep_at_1024(tables):
     # one starred cell negated in the row of the top offset 2**(n-3): its
     # sign, so its tournament bit, changes
     p = 1024
-    tables.class_cell(STAR, reached_rows(p)[-2], 1, 2)
+    tables.class_cell(STAR, wm._reached_rows(p)[-2], 1, 2)
     reports = decide_hypomorphisms(p)
     assert [r.passed for r in reports[:2]] == [False, False]
     assert reports == hypomorphisms_reference(p)
@@ -78,7 +77,7 @@ def test_level_edit_keeping_its_bits_fails_theorem1_alone(tables, p):
     # a starred 3 becomes 4: both assignments give 3 and 4 one bit, so the
     # pairs, which compare bits, pass where theorem 1, which compares
     # levels, fails
-    row = reached_rows(p)[0]
+    row = wm._reached_rows(p)[0]
     r, c = (int(v) for v in np.argwhere(wm._CLASS_TABLE[STAR][row] == 3)[0])
     tables.class_cell(STAR, row, r, c, 4)
     reports = decide_hypomorphisms(p)
@@ -95,7 +94,7 @@ def scalar_class(p, i, j):
     """Class-table row of entry (i, j), from the offset by scalar arithmetic."""
     d = ((j - 1) >> 2) - ((i - 1) >> 2)
     if d == 0:
-        return reached_rows(p)[0]
+        return wm._reached_rows(p)[0]
     x = (d & -d).bit_length() - 1
     return 2 * (x + 1) + ((d >> x) % 4 == 3)
 
@@ -141,7 +140,7 @@ def test_planted_fault_above_the_sweep(tables, p, top):
 
 def test_command_line_reports_the_automaton(tables, capsys):
     p = 1024
-    tables.class_cell(PLAIN, reached_rows(p)[-1], 0, 3)
+    tables.class_cell(PLAIN, wm._reached_rows(p)[-1], 0, 3)
     assert main(["verify", "--p", str(p), "--checks", "theorem1"]) == 1
     (rep,) = json.loads(capsys.readouterr().out)["reports"]
     assert rep == decide_theorem1(p).to_json_dict()

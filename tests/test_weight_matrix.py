@@ -238,6 +238,25 @@ class TestEntryAt:
             entry_at(8, PLAIN, 1, 9)
 
     @pytest.mark.parametrize(
+        "i, j", [(True, 2), (2, True), (np.True_, 2), (1.5, 2), (2, 2.0), (np.float64(3), 1)]
+    )
+    def test_refuses_non_integer_indices(self, i, j):
+        # as entry_values does: True would read as row 1, 1.5 as row 1
+        with pytest.raises(ValueError, match="index must be an integer"):
+            entry_at(8, PLAIN, i, j)
+        with pytest.raises(ValueError, match="row indices must be integers|column"):
+            entry_values(8, PLAIN, i, j)
+
+    def test_range_is_checked_before_the_type(self):
+        with pytest.raises(IndexError, match="indices must lie in 1..8"):
+            entry_at(8, PLAIN, 8.5, 1)
+
+    def test_takes_numpy_integers(self):
+        i, j = np.int64(3), np.int32(6)
+        assert entry_at(8, STAR, i, j) == entry_at(8, STAR, 3, 6)
+        assert sign_flip(16, np.int16(1), np.uint8(5)) == sign_flip(16, 1, 5)
+
+    @pytest.mark.parametrize(
         "i, j, axis",
         [
             # 2**32 + 5 narrowed to int32 would read as row 5: entry (5, 1)
@@ -377,6 +396,20 @@ class TestClassTable:
         assert got.dtype == np.int8 and np.array_equal(got, want)
 
 
+class TestReachedRows:
+    @pytest.mark.parametrize("n", range(2, 29))
+    def test_pinned(self, n):
+        # d = 0 is row 64 (d ^ (d - 1) has all 32 bits set); d = y * 2**(m-1)
+        # is row 2m + (y = 3 mod 4), for 1 <= m <= n - 2
+        want = [64] + [2 * m + s for m in range(1, n - 1) for s in (0, 1)]
+        assert wm._reached_rows(2**n).tolist() == want
+
+    @pytest.mark.parametrize("p", [4, 8, 64, 4096])
+    def test_the_rows_every_offset_reads(self, p):
+        d = np.arange(1 - p // 4, p // 4, dtype=np.int32)
+        assert set(wm._offset_class(d).tolist()) == set(wm._reached_rows(p).tolist())
+
+
 class TestSignFlip:
     def test_printed_cases(self):
         assert sign_flip(8, 1, 2) == -1
@@ -390,6 +423,16 @@ class TestSignFlip:
     def test_requires_order_8(self):
         with pytest.raises(ValueError):
             sign_flip(4, 1, 2)
+
+    @pytest.mark.parametrize("i, j", [(2.5, 6.5), (True, 5), (1, np.True_), (1.0, 5)])
+    def test_refuses_non_integer_indices(self, i, j):
+        # 2.5 and 6.5 are a quarter-order apart: sign_flip(16, 2.5, 6.5) read -1
+        with pytest.raises(ValueError, match="index must be an integer"):
+            sign_flip(16, i, j)
+
+    def test_range_is_checked_before_the_type(self):
+        with pytest.raises(IndexError, match="indices must lie in 1..8"):
+            sign_flip(16, 0.5, 2)
 
     @pytest.mark.parametrize("p", [8, 16, 32])
     def test_postcondition(self, p):
