@@ -20,14 +20,17 @@ pair.  Both point maps are checked through one scan, ``_level_pairs``,
 which collects the distinct level pairs a point map makes between two
 dense matrices.  Whether an assignment yields tournaments is read off
 the class table alone (``_twin_levels``), at every order.
-``assignment_census`` enumerates every proper assignment at small
-orders, in one pass over the integer rows, and tabulates which ones
-yield tournaments and non-isomorphic pairs.  It settles the rows with
-equal extreme bits through ``forced_isomorphism`` and runs one
-isomorphism search per remaining swap orbit (64 at p = 8, 256 at p = 16,
-in the calling process); the other member of the orbit copies the
-verdict.  The test suite checks the census against a form that searches
-every row.
+``assignment_census`` tabulates which proper assignments at small
+orders yield tournaments and non-isomorphic pairs, reading the bits of
+all of them as one table.  The rows with equal extreme bits are settled
+by ``forced_isomorphism``'s witness, and the other member of each swap
+orbit copies its representative's verdict.  The representatives are
+walked in ascending order: one still open is searched (in the calling
+process), and each witness a search finds is checked against the stacked
+digraphs of every representative at once, deciding each row it carries
+with no search (30 searches at p = 8 and 66 at p = 16, where one per
+orbit took 64 and 256).  The test suite checks the census against a form
+that searches every row.
 """
 
 from __future__ import annotations
@@ -341,14 +344,20 @@ def _sign_scores(positive: np.ndarray) -> np.ndarray:
     return np.subtract(upper, lower, dtype=np.int64).reshape(4 * nb)
 
 
+def _bit_luts(bits: np.ndarray) -> np.ndarray:
+    """Level tables of assignments given as 0/1 ``bits`` rows aligned with
+    ``level_order()``: in each, the bit of each level at index level, a
+    negative level counted from the end as numpy indexes, and level 0 gets
+    0.  So an array of levels (int8 entries too) indexes a table directly,
+    with no shifted copy; a stack of rows gives a stack of tables."""
+    top = bits.shape[-1] // 2
+    zero = np.zeros_like(bits[..., :1])
+    return np.concatenate([zero, bits[..., :top], bits[..., top:][..., ::-1]], axis=-1)
+
+
 def _bit_lut(a: BinaryAssignment) -> np.ndarray:
-    """The bit of each level at index level, a negative level counted from
-    the end as numpy indexes; level 0 gets 0.  So an array of levels (int8
-    entries too) indexes it directly, with no shifted copy."""
-    lut = np.zeros(2 * a.order_n + 3, dtype=np.uint8)
-    for level, bit in a.items():
-        lut[level] = bit
-    return lut
+    """The level table of one assignment (``_bit_luts``)."""
+    return _bit_luts(np.array(a.bits, dtype=np.uint8))
 
 
 def apply_assignment(m: WeightedMatrix, a: BinaryAssignment) -> Digraph:
@@ -497,17 +506,21 @@ def _twin_levels(p: int) -> np.ndarray:
     return np.stack([u[keep], v[keep]])
 
 
-def _assigns_tournaments(twins: np.ndarray, a: BinaryAssignment) -> bool:
-    """Whether the assignment's plain and starred digraphs are tournaments:
-    whether it gives the two levels of every ``_twin_levels`` pair unlike
-    bits (level 0 gets 0, as off the diagonal it makes no arc).  A level
-    outside +-(n+1) has no bit (``_bit_lut`` would wrap it onto another
-    level's), so it fails."""
-    top = a.order_n + 1
+def _tournament_rows(twins: np.ndarray, luts: np.ndarray) -> np.ndarray:
+    """Whether each level table of the stack ``luts`` (``_bit_luts``)
+    yields a pair of tournaments: whether it gives the two levels of every
+    ``_twin_levels`` pair unlike bits (level 0 gets 0, as off the diagonal
+    it makes no arc).  A level outside +-(n+1) has no bit (the table would
+    wrap it onto another level's), so it fails every table."""
+    top = luts.shape[-1] // 2
     if twins.min() < -top or twins.max() > top:
-        return False
-    lut = _bit_lut(a)
-    return bool(np.all(lut[twins[0]] != lut[twins[1]]))
+        return np.zeros(luts.shape[:-1], dtype=bool)
+    return np.all(luts[..., twins[0]] != luts[..., twins[1]], axis=-1)
+
+
+def _assigns_tournaments(twins: np.ndarray, a: BinaryAssignment) -> bool:
+    """``_tournament_rows`` of one assignment."""
+    return bool(_tournament_rows(twins, _bit_lut(a)))
 
 
 def swap_involution(p: int) -> np.ndarray:
@@ -568,38 +581,88 @@ class CensusTable:
         return "\n".join(lines) + "\n"
 
 
-def _census_entry(p: int, a: BinaryAssignment, budget: int) -> Optional[bool]:
-    """Search verdict for one row: None when the search exhausted the budget."""
+def _census_entry(
+    p: int, a: BinaryAssignment, budget: int
+) -> tuple[Optional[bool], Optional[tuple[int, ...]]]:
+    """Search verdict for one row, None when the search exhausted the
+    budget, with its witness (1-based images) on the isomorphic verdict."""
     # imported here to avoid a module cycle with the isomorphism engine
     from recon_census.iso_engine import IsoStatus, are_isomorphic
 
     verdict = are_isomorphic(*_assigned_pair(p, a), budget=budget)
-    return {
+    isomorphic = {
         IsoStatus.ISOMORPHIC: True,
         IsoStatus.NON_ISOMORPHIC: False,
         IsoStatus.UNDECIDED: None,
     }[verdict.status]
+    return isomorphic, verdict.witness
+
+
+def _search_orbits(
+    p: int, reps: np.ndarray, plain: np.ndarray, star: np.ndarray, budget: int
+) -> list[Optional[bool]]:
+    """The verdicts of the representatives ``reps`` (ascending row values)
+    of the unforced orbits, whose assigned digraphs are stacked in
+    ``plain`` and ``star`` as (R, p, p) uint8 arrays.
+
+    A row still open gets one search through ``_census_entry``.  Each
+    witness w found is tried against every stacked row at once, as
+    ``plain == star[:, w][:, :, w]``, and every row it carries reads True
+    with no search of its own, an undecided one too.  A witness that does
+    not carry its own row, or that carries a row a search called
+    non-isomorphic, is a fatal internal error.
+    """
+    n = order_exponent(p)
+    m = 2 * (n + 1)
+    verdicts: list[Optional[bool]] = [None] * len(reps)
+    carried = np.zeros(len(reps), dtype=bool)
+    refuted = np.zeros(len(reps), dtype=bool)
+    for r, x in enumerate(reps.tolist()):
+        if carried[r]:
+            continue
+        bits = format(x, f"0{m}b")
+        verdicts[r], witness = _census_entry(p, assignment_from_bits(n, bits), budget)
+        if verdicts[r] is False:
+            refuted[r] = True
+        elif verdicts[r]:
+            w = np.asarray(witness, dtype=np.intp) - 1
+            hits = np.all(plain == star[:, w][:, :, w], axis=(1, 2))
+            if not hits[r]:
+                raise ContradictionError(
+                    f"census witness for {bits} at p={p} does not carry its pair"
+                )
+            wrong = hits & refuted
+            if wrong.any():
+                other = format(int(reps[np.argmax(wrong)]), f"0{m}b")
+                raise ContradictionError(
+                    f"census witness for {bits} at p={p} carries the pair of {other}, "
+                    "which the search called non-isomorphic"
+                )
+            carried |= hits
+    return [True if c else v for c, v in zip(carried.tolist(), verdicts)]
 
 
 def assignment_census(p: int, iso_budget: int = DEFAULT_ISO_BUDGET) -> CensusTable:
     """Tabulate every proper assignment at an order p in ``CENSUS_ORDERS``.
 
     Each row records whether the assigned pair are tournaments and
-    whether they are isomorphic (None when the search exhausted
-    ``iso_budget``).  Row x has the assignment whose bit string is x in
-    binary, so the extreme levels n+1 and -(n+1) are bit n+1 and bit 0.
-    ``orbit_id`` is the smaller of x and its partner, x with those two
-    bits exchanged, which yields the same digraph pair up to the half-swap
-    relabeling.
+    whether they are isomorphic (None when no search decided it within
+    ``iso_budget`` and no witness found in the run carries it).  Row x has
+    the assignment whose bit string is x in binary, so the extreme levels
+    n+1 and -(n+1) are bit n+1 and bit 0.  ``orbit_id`` is the smaller of
+    x and its partner, x with those two bits exchanged, which yields the
+    same digraph pair up to the half-swap relabeling.
 
-    One ascending pass decides the rows, building each row's assignment
-    once.  A row whose extreme levels get equal bits (its own partner) is
-    isomorphic by ``forced_isomorphism``, with no search.  Of the other
-    rows, the one below its partner is searched through ``_census_entry``,
-    in the calling process, and the partner copies its verdict.  Both
+    The bits of all 2^m rows are read as one (2^m, m) table, and each
+    flag is one vector operation over it.  A row whose extreme levels get
+    equal bits (its own partner) is isomorphic by ``forced_isomorphism``'s
+    witness, with no search.  The other orbits' representatives, the rows
+    below their partners, are decided by ``_search_orbits`` on their
+    stacked digraphs (each stack one bit lookup of the cached dense
+    levels), and each partner copies its representative's verdict.  Both
     per-order identities, ``swap_involution`` and the point-1 level check
-    of ``_level_table``, run before any search.  The tournament flag is
-    read from the ``_twin_levels`` pairs, taken once per order.
+    of ``_level_table``, run before any search.  The tournament flag reads
+    the ``_twin_levels`` pairs, taken once per order, for every row.
     """
     if p not in CENSUS_ORDERS:
         orders = " and ".join(map(str, CENSUS_ORDERS))
@@ -610,19 +673,18 @@ def assignment_census(p: int, iso_budget: int = DEFAULT_ISO_BUDGET) -> CensusTab
     # identities hold; each raises otherwise
     swap_involution(p)
     _level_table(p)
-    twins = _twin_levels(p)
-    extremes = 1 << (n + 1) | 1
-    rows: list[CensusRow] = []
-    for x in range(1 << m):
-        a = assignment_from_bits(n, format(x, f"0{m}b"))
-        if forced_isomorphism(p, a) is not None:
-            partner, isomorphic = x, True
-        else:
-            partner = x ^ extremes
-            if x < partner:
-                isomorphic = _census_entry(p, a, iso_budget)
-            else:
-                isomorphic = rows[partner].isomorphic
-        tourn = _assigns_tournaments(twins, a)
-        rows.append(CensusRow(a.bit_string, tourn, isomorphic, min(x, partner)))
-    return CensusTable(p, tuple(rows))
+    x = np.arange(1 << m)
+    bits = (x[:, None] >> np.arange(m - 1, -1, -1) & 1).astype(np.uint8)
+    luts = _bit_luts(bits)
+    # the extreme levels n+1 and -(n+1) are columns n and m - 1
+    partner = np.where(bits[:, n] == bits[:, -1], x, x ^ (1 << (n + 1) | 1))
+    reps = np.flatnonzero(x < partner)
+    plain, star = (luts[reps][:, build_dense(p, v).entries] for v in MatrixVariant)
+    decided = dict(zip(reps.tolist(), _search_orbits(p, reps, plain, star, iso_budget)))
+    tournaments = _tournament_rows(_twin_levels(p), luts)
+    rows = tuple(
+        # a forced row is its own orbit and not a representative
+        CensusRow(format(v, f"0{m}b"), t, decided.get(o, True), o)
+        for v, t, o in zip(x.tolist(), tournaments.tolist(), np.minimum(x, partner).tolist())
+    )
+    return CensusTable(p, rows)

@@ -30,7 +30,8 @@ steps of that size, a few milliseconds at every accepted order.
 A final state holds the level of each side.  Each report reads the two
 through its table of ``level_tables``: theorem 1 the levels themselves,
 each digraph pair the bits its assignment gives them, which two levels
-may share.
+may share.  A level beyond a bit table's +-(n+1) has no bit and fails
+the pair's report.
 
 The class table, ``_offset_class`` and ``_SIGMA4`` are read on every call,
 so the automaton decides the identities of the tables that ``entry_values``
@@ -167,7 +168,14 @@ def decide_hypomorphisms(p: int) -> list[VerificationReport]:
     """Theorem 1 and both digraph pairs at order p, exact at every order:
     one report per table of ``level_tables(p)``, all read off one run of
     the layers.  A failure is the first (k, i, j) in k order, then
-    row-major (i, j), with its two levels read through the report's table."""
+    row-major (i, j), with its two levels read through the report's table.
+
+    A table of length L reaches the levels of magnitude up to L // 2.  A
+    level beyond them has no entry (a bit table would wrap it onto another
+    level's bit), so a triple that reads one fails that table, and its
+    counterexample names the raw level.  The identity table reaches every
+    int8 level, so only the pair reports see this; the check costs one
+    compare per final state."""
     n = order_exponent(p)
     rule = _Rule(p)
     layers = []  # per layer: the states, their next codes and the letters
@@ -181,18 +189,28 @@ def decide_hypomorphisms(p: int) -> list[VerificationReport]:
     final = _distinct(codes)
     plain, star = _final_levels(final, n, rule)
     admissible = final & 3 == 3  # i, j != k
+    magnitude = np.maximum(np.abs(plain.astype(np.int16)), np.abs(star.astype(np.int16)))
     reports = []
     for name, lut in level_tables(p).items():
-        bad = admissible & (lut[plain] != lut[star])
+        outside = magnitude > len(lut) // 2
+        left, right = (lut[np.where(outside, 0, levels)] for levels in (plain, star))
+        bad = admissible & (outside | (left != right))
         counterexample = None
         if bad.any():
             k, i, j = _first_failure(layers, final, bad)
             si, sj = deletion_maps.sigma_values(p, k, [i, j])
             lhs = weight_matrix.entry_values(p, MatrixVariant.PLAIN, i, j)
             rhs = weight_matrix.entry_values(p, MatrixVariant.STAR, si, sj)
-            counterexample = (k, i, j, int(lut[lhs]), int(lut[rhs]))
+            counterexample = (k, i, j, _read(lut, lhs), _read(lut, rhs))
         reports.append(VerificationReport(name, p, counterexample, p * (p - 1) ** 2))
     return reports
+
+
+def _read(lut: np.ndarray, level) -> int:
+    """The entry of ``lut`` at ``level``, or the level itself where it lies
+    beyond the table's reach (``decide_hypomorphisms``)."""
+    level = int(level)
+    return int(lut[level]) if abs(level) <= len(lut) // 2 else level
 
 
 def decide_theorem1(p: int) -> VerificationReport:

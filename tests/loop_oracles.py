@@ -267,16 +267,28 @@ def deletion_sweep_reference(a, b, tables):
 def hypomorphisms_reference(p):
     """``decide_hypomorphisms(p)`` by the dense route: for each table of
     ``level_tables(p)``, one ``hv._deletion_sweep`` of the level matrices
-    of ``hv.build_dense`` read through it, over ``hv.build_all_maps(p)``."""
+    of ``hv.build_dense`` read through it, over ``hv.build_all_maps(p)``.
+
+    A level beyond the table's reach (magnitude above ``len(lut) // 2``)
+    has no entry: it is read as the level plus 1000 on the plain side and
+    plus 2000 on the starred side, so it differs from every value of the
+    other side, and the counterexample names it as the raw level."""
     plain = hv.build_dense(p, wm.MatrixVariant.PLAIN).entries
     star = hv.build_dense(p, wm.MatrixVariant.STAR).entries
     maps = hv.build_all_maps(p)
-    return [
-        VerificationReport(
-            name, p, hv._deletion_sweep(lut[plain], lut[star], maps), p * (p - 1) ** 2
-        )
-        for name, lut in t1a.level_tables(p).items()
-    ]
+
+    def read(levels, lut, missing):
+        wide = levels.astype(np.int16)
+        inside = np.abs(wide) <= len(lut) // 2
+        return np.where(inside, lut[np.where(inside, levels, 0)], wide + missing)
+
+    reports = []
+    for name, lut in t1a.level_tables(p).items():
+        cex = hv._deletion_sweep(read(plain, lut, 1000), read(star, lut, 2000), maps)
+        if cex is not None:
+            cex = cex[:3] + tuple(v - 1000 * round(v / 1000) for v in cex[3:])
+        reports.append(VerificationReport(name, p, cex, p * (p - 1) ** 2))
+    return reports
 
 
 def sample_theorem1_reference(p, trials, rng_seed):
@@ -382,7 +394,7 @@ def assignment_census_reference(p, iso_budget=db.DEFAULT_ISO_BUDGET):
             db.CensusRow(
                 bits,
                 g.is_tournament() and h.is_tournament(),
-                db._census_entry(p, a, iso_budget),
+                db._census_entry(p, a, iso_budget)[0],
                 min(int(bits, 2), int("".join(swapped), 2)),
             )
         )

@@ -440,22 +440,60 @@ class TestCensus:
         assert assignment_census(p).to_csv() == golden
         assert assignment_census_reference(p).to_csv() == golden
 
-    @pytest.mark.parametrize("p, searches", [(8, 64), (16, 256)])
+    @pytest.mark.parametrize("p, searches", [(8, 30), (16, 66)])
     def test_searches_one_row_per_unforced_orbit(self, monkeypatch, p, searches):
+        # walking the unforced orbits' representatives in ascending order,
+        # a row is searched exactly when no witness found before it
+        # carries its pair
         import recon_census.digraph_builder as db
 
-        searched = []
+        searched = {}
         real = db._census_entry
 
         def counting(p, a, budget):
-            searched.append(a.bit_string)
-            return real(p, a, budget)
+            searched[a.bit_string] = real(p, a, budget)
+            return searched[a.bit_string]
 
         monkeypatch.setattr(db, "_census_entry", counting)
         table = assignment_census(p)
         assert len(searched) == searches
-        by_bits = {row.assignment_bits: row for row in table.rows}
-        assert all(int(bits, 2) == by_bits[bits].orbit_id for bits in searched)
+        n = p.bit_length() - 1
+        witnesses = []
+        for row in table.rows:
+            a = assignment_from_bits(n, row.assignment_bits)
+            if int(row.assignment_bits, 2) != row.orbit_id or forced_isomorphism(p, a) is not None:
+                assert row.assignment_bits not in searched, row
+                continue
+            g, h = assigned_pair(p, a)
+            carried = any(_is_arc_preserving(g, h, w) for w in witnesses)
+            assert (row.assignment_bits in searched) != carried, row
+            if not carried and searched[row.assignment_bits][0]:
+                witnesses.append(searched[row.assignment_bits][1])
+
+    def test_small_budget_decides_no_row_differently(self):
+        # at a budget where some representatives' own searches stop
+        # undecided, every decided row equals the default-budget table, and
+        # a row is undecided only where its representative's own search is
+        # (where a census without witness reuse leaves it undecided)
+        import recon_census.digraph_builder as db
+
+        budget = 1000
+        table = assignment_census(16, iso_budget=budget)
+        full = assignment_census(16).rows
+        assert all(r == f for r, f in zip(table.rows, full) if r.isomorphic is not None)
+        own_search = {}
+        for row in table.rows:
+            a = assignment_from_bits(4, format(row.orbit_id, "010b"))
+            if forced_isomorphism(16, a) is None and row.orbit_id not in own_search:
+                own_search[row.orbit_id] = db._census_entry(16, a, budget)[0]
+        own_search_undecided = {
+            r.assignment_bits for r in table.rows
+            if r.orbit_id in own_search and own_search[r.orbit_id] is None
+        }
+        assert len(own_search_undecided) == 16
+        undecided = {r.assignment_bits for r in table.rows if r.isomorphic is None}
+        assert undecided <= own_search_undecided
+        assert not undecided
 
     def test_rejects_other_orders(self):
         with pytest.raises(ValueError):

@@ -240,6 +240,41 @@ class TestSelfCheckingOperations:
         assert lhs != rhs and 1 <= k <= 64
 
 
+class TestCensusWitnessFaults:
+    """Each witness the census search returns is checked against the
+    stacked digraphs of every representative before it decides a row."""
+
+    def test_forged_witness_raises(self, monkeypatch):
+        identity = tuple(range(1, 9))
+        first = db.assignment_from_bits(3, "00000001")
+        # the identity does not carry the first searched row's pair
+        assert not db._is_arc_preserving(*db._assigned_pair(8, first), identity)
+        monkeypatch.setattr(db, "_census_entry", lambda p, a, budget: (True, identity))
+        with pytest.raises(
+            ContradictionError, match="witness for 00000001 at p=8 does not carry its pair"
+        ):
+            db.assignment_census(8)
+
+    def test_carried_row_called_non_isomorphic_raises(self, monkeypatch):
+        # the first searched row is isomorphic, and the witness of the
+        # second searched row carries it too
+        real = db._census_entry
+        asked = []
+
+        def first_refuted(p, a, budget):
+            asked.append(a.bit_string)
+            return (False, None) if len(asked) == 1 else real(p, a, budget)
+
+        monkeypatch.setattr(db, "_census_entry", first_refuted)
+        with pytest.raises(
+            ContradictionError,
+            match="witness for 00000011 at p=8 carries the pair of 00000001, "
+            "which the search called non-isomorphic",
+        ):
+            db.assignment_census(8)
+        assert asked == ["00000001", "00000011"]
+
+
 def _corrupt_class_table(
     monkeypatch, edit, order=16, which=wm.MatrixVariant.PLAIN
 ):

@@ -5,8 +5,10 @@ Through p = 512 its reports must equal those of the dense deletion sweep
 (``loop_oracles.hypomorphisms_reference``) field by field, on clean
 tables and under faults in the tables that both read: one cell of each
 class-table row the order reaches, in either variant, and two images
-swapped in one ``_SIGMA4`` row; at 1024 under one planted fault; and under an edit to a level that keeps
-its bit, which theorem 1 sees and neither pair does.  Above, its first
+swapped in one ``_SIGMA4`` row; at 1024 under one planted fault; under
+an edit to a level that keeps its bit, which theorem 1 sees and neither
+pair does; and under an edit to a level beyond +-(n+1), which has no bit
+and fails both pairs.  Above, its first
 failing triple under a planted class-table fault must fail under the
 scalar oracles ``entry_at`` and ``sigma``, and no failing triple that
 ``sample_theorem1`` finds may sort before it.
@@ -87,6 +89,38 @@ def test_level_edit_keeping_its_bits_fails_theorem1_alone(tables, p):
         ("hypo-sigma-variant", True),
     ]
     assert reports[0].counterexample[3:] == (3, 4)
+    assert reports == hypomorphisms_reference(p)
+
+
+def test_level_beyond_the_domain_fails_both_pairs(tables):
+    # a starred -2 becomes 5 at p = 8, whose levels stop at +-4: level 5
+    # has no bit (a bit table would read it as -4's), so both pairs fail
+    # where theorem 1 does, and each counterexample names the raw level
+    p = 8
+    row = wm._reached_rows(p)[0]
+    assert wm._CLASS_TABLE[STAR][row, 0, 1] == -2
+    tables.class_cell(STAR, row, 0, 1, 5)
+    reports = decide_hypomorphisms(p)
+    assert [(rep.check_name, rep.passed) for rep in reports] == [
+        ("theorem1", False),
+        ("hypo-sigma-tournament", False),
+        ("hypo-sigma-variant", False),
+    ]
+    assert [rep.counterexample for rep in reports] == [
+        (1, 5, 3, -2, 5),
+        (1, 5, 3, 0, 5),
+        (1, 5, 3, 0, 5),
+    ]
+    assert reports == hypomorphisms_reference(p)
+
+
+@pytest.mark.parametrize("level", [-7, 100, -128])
+@pytest.mark.parametrize("variant", [PLAIN, STAR])
+def test_levels_beyond_the_domain_equal_sweep(tables, variant, level):
+    p = 16
+    tables.class_cell(variant, wm._reached_rows(p)[-1], 0, 1, level)
+    reports = decide_hypomorphisms(p)
+    assert not any(rep.passed for rep in reports)
     assert reports == hypomorphisms_reference(p)
 
 
