@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``generate``: build a weighted matrix, canonical tournament, or variant
-  digraph and export it (csv, dot, d6).
+* ``generate``: print a weighted matrix (csv), or build a canonical
+  tournament or variant digraph and export it (csv, dot, d6).
 * ``verify``: run named checks at one order and write a JSON report.
 * ``deck``: export every point-deleted card of a digraph, card by card.
 * ``census``: enumerate all proper assignments at order 8 or 16.
@@ -37,7 +37,6 @@ from recon_census.digraph_builder import (
     _twin_levels,
     assignment_census,
     assignment_from_bits,
-    build_dense,
     forced_isomorphism,
     standard_pair,
     swap_involution,
@@ -58,8 +57,8 @@ from recon_census.weight_matrix import (
     DENSE_ORDER_LIMIT,
     MatrixVariant,
     ORACLE_ORDER_LIMIT,
-    WeightedMatrix,
     check_lemma1,
+    csv_blocks,
     order_exponent,
     release_dense,
 )
@@ -177,31 +176,24 @@ def _selected_variants(config: RunConfig) -> list[MatrixVariant]:
     return [MatrixVariant(config.variant)]
 
 
-def _selected_items(
-    config: RunConfig,
-) -> Iterator[tuple[str, Digraph | WeightedMatrix]]:
-    """The named matrices or digraphs of ``--kind`` and ``--variant``, each
-    built only when drawn.  Drawing the next one first drops the cached
-    matrix of the last, so that one variant is held at a time."""
+def _selected_items(config: RunConfig) -> Iterator[tuple[str, Digraph]]:
+    """The named digraphs of ``--kind`` and ``--variant``, each built only
+    when drawn.  Drawing the next one first drops the cached matrix of the
+    last, so that one variant is held at a time."""
     p = config.p
     tag, build = {
-        "weighted": (None, build_dense),
         "tournament": ("G", tournament_digraph),
         "variant-digraph": ("D", variant_digraph),
     }[config.kind]
     for variant in _selected_variants(config):
         suffix = "s" if variant is MatrixVariant.STAR else ""
-        name = variant.value if tag is None else f"{tag}{p}{suffix}"
-        yield name, build(p, variant)
+        yield f"{tag}{p}{suffix}", build(p, variant)
         release_dense(p, variant)
 
 
-def _encode(
-    named: Iterable[tuple[str, Digraph | WeightedMatrix]], fmt: str
-) -> Iterator[str]:
+def _encode(named: Iterable[tuple[str, Digraph]], fmt: str) -> Iterator[str]:
     """Named digraphs in one output format, encoded one row block at a time
-    as they are drawn, each freed before the next is drawn; weighted
-    matrices export as csv only."""
+    as they are drawn, each freed before the next is drawn."""
     first = True
     for name, g in named:
         if fmt == "d6":
@@ -218,8 +210,25 @@ def _encode(
         del g
 
 
+def _weighted_csv(config: RunConfig) -> Iterator[str]:
+    """The weighted csv of each variant of ``--variant``, separated by one
+    empty line, from ``weight_matrix.csv_blocks``: each row a slice of four
+    row templates, no p x p matrix.  A variant's table is checked before
+    the empty line that precedes it is drawn, so a failed check leaves the
+    text before it whole."""
+    for k, variant in enumerate(_selected_variants(config)):
+        blocks = csv_blocks(config.p, variant)
+        if k:
+            yield "\n"
+        yield from blocks
+
+
 def _cmd_generate(config: RunConfig) -> int:
-    _emit(_encode(_selected_items(config), config.format), config.out)
+    if config.kind == "weighted":
+        pieces = _weighted_csv(config)
+    else:
+        pieces = _encode(_selected_items(config), config.format)
+    _emit(pieces, config.out)
     return 0
 
 

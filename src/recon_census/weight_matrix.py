@@ -20,7 +20,9 @@ numpy) holds one 4x4 block per class of offsets, d = 0 or (x, y mod 4),
 for every order at once (order 2**n reaches 2n - 3 classes):
 ``entry_values`` gathers from it, ``build_dense`` is one such gather over
 the whole grid (``entry_grid``), and ``_offset_case_table`` expands it to
-one block per offset for the row-reading checks.
+one block per offset for the row-reading checks and for ``csv_blocks``,
+which prints every row of the weighted CSV as one slice of four residue
+templates, with no dense matrix.
 ``entry_at`` evaluates any single entry in constant time from the offset
 decomposition, in plain Python, and serves as the oracle of both.  All
 public indices are 1-based so that printed fixtures can be compared
@@ -45,6 +47,7 @@ __all__ = [
     "base_matrix",
     "build_dense",
     "check_lemma1",
+    "csv_blocks",
     "entry_at",
     "entry_grid",
     "entry_values",
@@ -155,12 +158,8 @@ def _text_grid(p: int, codes, tokens, sep: str) -> Iterator[str]:
     memory, the block's text included, is a few times ``_BLOCK_CELLS``
     bytes at every order and token width.
     """
-    width = max(map(len, tokens)) + 1
-    inner, last = (
-        np.array([token + end for token in tokens], dtype=f"S{width}")
-        for end in (sep, "\n")
-    )
-    for rows in _row_blocks(p, p * (width + 8)):
+    inner, last = (_token_items(tokens, end) for end in (sep, "\n"))
+    for rows in _text_blocks(p, inner):
         # C order, so that the gathered cells come out row by row
         block = np.asarray(codes(rows), dtype=np.intp, order="C")
         cells = inner[block]
@@ -168,11 +167,40 @@ def _text_grid(p: int, codes, tokens, sep: str) -> Iterator[str]:
         yield _ascii_text(cells)
 
 
+def _token_items(tokens, end: str) -> np.ndarray:
+    """Each token followed by ``end``, zero-padded in one fixed-width byte
+    string."""
+    return np.array([token + end for token in tokens], dtype="S")
+
+
+def _text_blocks(p: int, items: np.ndarray):
+    """The row blocks of a text grid of p columns of ``items``: a cell
+    counts the bytes it gathers plus its index."""
+    return _row_blocks(p, p * (items.itemsize + 8))
+
+
 def _ascii_text(items: np.ndarray) -> str:
     """The bytes of a C-ordered fixed-width byte-string array, zero padding
     dropped, as text."""
     flat = items.view(np.uint8).reshape(-1)
     return str(flat[flat != 0], "ascii")
+
+
+def _check_levels(n: int, diagonal, antisymmetric: bool, levels) -> None:
+    """The checks of a weighted matrix at order 2**n, in order: a zero
+    ``diagonal``, ``antisymmetric``, and every one of ``levels`` in
+    [-(n+1), n+1]; ValueError at the first that fails."""
+    if np.any(diagonal != 0):
+        raise ValueError("diagonal entries must be 0")
+    if not antisymmetric:
+        raise ValueError("matrix must be antisymmetric")
+    if max(-int(levels.min()), int(levels.max())) > n + 1:
+        raise ValueError(f"entries must lie in [-(n+1), n+1] = [{-(n+1)}, {n+1}]")
+
+
+def _level_tokens(bound: int) -> list[str]:
+    """The text of each level -bound..bound, indexed by level + bound."""
+    return [str(v) for v in range(-bound, bound + 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,18 +220,14 @@ class WeightedMatrix:
         e = self.entries
         if e.shape != (self.order, self.order) or e.dtype != np.int8:
             raise ValueError("entries must be an int8 array of shape (p, p)")
-        if np.any(np.diagonal(e) != 0):
-            raise ValueError("diagonal entries must be 0")
         # tile by tile, so that the transposed reads stay in cache
         t = 256
         tiles = ((i, j) for i in range(0, len(e), t) for j in range(i, len(e), t))
-        if not all(
+        antisymmetric = all(
             np.array_equal(e[i : i + t, j : j + t], -e[j : j + t, i : i + t].T)
             for i, j in tiles
-        ):
-            raise ValueError("matrix must be antisymmetric")
-        if max(-int(e.min()), int(e.max())) > n + 1:
-            raise ValueError(f"entries must lie in [-(n+1), n+1] = [{-(n+1)}, {n+1}]")
+        )
+        _check_levels(n, np.diagonal(e), antisymmetric, e)
         e.setflags(write=False)
 
     @property
@@ -234,9 +258,10 @@ class WeightedMatrix:
 
     def csv_blocks(self) -> Iterator[str]:
         """Rows as comma-separated signed integers, each newline-terminated,
-        one ``_text_grid`` block at a time."""
+        one ``_text_grid`` block at a time: the dense oracle of the
+        module's ``csv_blocks``."""
         bound = self.exponent + 1
-        tokens = [str(v) for v in range(-bound, bound + 1)]
+        tokens = _level_tokens(bound)
         return _text_grid(
             self.order, lambda rows: self.entries[rows] + bound, tokens, ","
         )
@@ -386,6 +411,47 @@ def _offset_case_table(p: int, variant: MatrixVariant) -> np.ndarray:
     the offset table, a gather of class-table rows, O(p) and uncached."""
     d = np.arange(1 - p // 4, p // 4, dtype=np.int32)
     return _CLASS_TABLE[variant].take(_offset_class(d), axis=0)
+
+
+def csv_blocks(p: int, variant: MatrixVariant) -> Iterator[str]:
+    """The blocks of ``build_dense(p, variant).csv_blocks()``, printed from
+    the offset table with no p x p matrix.
+
+    Row i = 4B + r reads, at column j = 4B' + c, the offset table at
+    (B' - B, r, c).  Laid end to end, the 2p - 4 cells ``t[:, r, :]`` are
+    the residue-r template, and row i is its p cells from u0 = p - 4 - 4B
+    on: one slice of the template's text, whose cell offsets are a cumsum
+    of token lengths.  The table is first checked as ``WeightedMatrix``
+    checks a matrix, in its order and with its messages.  The checks are
+    exact, since every (d, r, c) of the table occurs at order p and cells
+    (i, j) and (j, i) sit at (d, r, c) and (-d, c, r).
+
+    The table is read and checked, and the four templates printed, when
+    this is called, so a bad table raises before any text is drawn.  The
+    rows come in ``_text_blocks``, as ``_text_grid``'s do, so the pieces
+    are the dense writer's; besides the text, the work and memory are O(p).
+    """
+    n = order_exponent(p)
+    t = _offset_case_table(p, variant)
+    antisymmetric = np.array_equal(t, -t[::-1].transpose(0, 2, 1))
+    _check_levels(n, np.diagonal(t[p // 4 - 1]), antisymmetric, t)
+    bound = n + 1
+    items = _token_items(_level_tokens(bound), ",")
+    # the four templates, one after another: (4, 2p - 4) codes
+    codes = t.transpose(1, 0, 2).reshape(4, -1).astype(np.intp) + bound
+    text = _ascii_text(items[codes])
+    start = np.zeros(codes.size + 1, dtype=np.intp)
+    np.cumsum(np.char.str_len(items)[codes], out=start[1:])
+
+    def rows() -> Iterator[str]:
+        for block in _text_blocks(p, items):
+            i = np.arange(block.start, block.stop)
+            first = (i & 3) * (2 * p - 4) + p - 4 - 4 * (i >> 2)
+            # each slice ends before its last cell's comma
+            spans = zip(start[first].tolist(), (start[first + p] - 1).tolist())
+            yield "\n".join([text[a:b] for a, b in spans]) + "\n"
+
+    return rows()
 
 
 def _int32_order(p: int) -> None:

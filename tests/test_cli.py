@@ -498,21 +498,26 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "kind, builder, fmt",
         [
-            ("weighted", "build_dense", "csv"),
+            ("weighted", "csv_blocks", "csv"),
             ("tournament", "tournament_digraph", "dot"),
             ("variant-digraph", "variant_digraph", "d6"),
         ],
     )
     def test_both_holds_one_variant_at_a_time(self, monkeypatch, capsys, kind, builder, fmt):
         # when the starred item is built, the plain item written before it
-        # is freed, and so is its dense matrix in the cache
+        # is freed, and so is its dense matrix in the cache; the weighted
+        # rows are sliced from row templates, and no matrix is cached at all
         import weakref
 
         import recon_census.cli as cli_mod
         import recon_census.weight_matrix as wm
 
         real = getattr(cli_mod, builder)
-        written = []
+        written, drawn = [], []
+        both = {(16, v) for v in MatrixVariant}
+        if kind == "weighted":
+            for v in MatrixVariant:
+                wm.release_dense(16, v)
 
         def recording(p, variant):
             assert [ref() for ref in written] == [None] * len(written)
@@ -520,6 +525,10 @@ class TestGenerate:
                 wm._DENSE_CACHE
             )
             item = real(p, variant)
+            drawn.append(variant)
+            if kind == "weighted":
+                assert not both & set(wm._DENSE_CACHE)
+                return item
             entries = wm.build_dense(p, variant).entries
             written.extend([weakref.ref(item), weakref.ref(entries)])
             return item
@@ -527,7 +536,9 @@ class TestGenerate:
         monkeypatch.setattr(cli_mod, builder, recording)
         args = ["--p", "16", "--kind", kind, "--variant", "both", "--format", fmt]
         assert run_cli("generate", *args) == 0
-        assert len(written) == 4
+        assert drawn == list(MatrixVariant)
+        assert len(written) == (0 if kind == "weighted" else 4)
+        assert not both & set(wm._DENSE_CACHE)
         capsys.readouterr()
 
     def test_variant_digraph_requires_order_8(self):
@@ -750,6 +761,27 @@ class TestStreamedWrites:
         assert status == 0
         # 21.0 MB and 4.1 MB written; writers that built the whole text
         # first peaked at 22.5 MB and 10.7 MB
+        assert peak < out.stat().st_size / 4
+
+    def test_cold_weighted_scratch_is_a_fraction_of_the_text(self, tmp_path):
+        import tracemalloc
+
+        import recon_census.weight_matrix as wm
+
+        # nothing warmed: the writer builds what it needs under the trace
+        for variant in MatrixVariant:
+            wm.release_dense(2048, variant)
+        out = tmp_path / "out.csv"
+        args = ("generate", "--p", "2048", "--kind", "weighted", "--variant", "both")
+        tracemalloc.start()
+        try:
+            status = run_cli(*args, "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        # 21.0 MB written, 0.9 MB peak: each variant's offset table, four
+        # row templates and one row block, no dense matrix
         assert peak < out.stat().st_size / 4
 
 

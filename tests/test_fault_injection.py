@@ -563,3 +563,59 @@ class TestNonExtremeLevelFault:
         monkeypatch.setattr(db, "_census_entry", no_search)
         with pytest.raises(ContradictionError, match=self.MESSAGE):
             db.assignment_census(8)
+
+
+def _weighted_faults():
+    """(name, edit(tables, variant, p), the dense route's message): one
+    class-table fault each, in the order ``WeightedMatrix`` checks them."""
+
+    def lone_cell(tables, variant, p):
+        # the largest offsets' row: the twin cell sits in another row
+        tables.class_cell(variant, int(wm._reached_rows(p)[-1]), 1, 2)
+
+    def diagonal(tables, variant, p):
+        tables.class_cell(variant, int(wm._reached_rows(p)[0]), 2, 2, 1)
+
+    def beyond_the_range(tables, variant, p):
+        level = p.bit_length() + 1  # n + 2
+        row = int(wm._reached_rows(p)[0])
+        tables.class_cells(variant, row, {(0, 1): level, (1, 0): -level})
+
+    return [
+        ("lone-cell", lone_cell, "matrix must be antisymmetric"),
+        ("diagonal", diagonal, "diagonal entries must be 0"),
+        ("range", beyond_the_range, "entries must lie in [-(n+1), n+1]"),
+    ]
+
+
+class TestWeightedCsvFaults:
+    """``generate --kind weighted`` checks the offset table as the dense
+    route checks each matrix: the same exit, error line and output bytes."""
+
+    @pytest.mark.parametrize("variant", list(wm.MatrixVariant))
+    @pytest.mark.parametrize("p", [8, 64])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [pytest.param(edit, message, id=name) for name, edit, message in _weighted_faults()],
+    )
+    def test_same_error_and_bytes_as_dense_route(
+        self, tables, tmp_path, capsys, edit, message, p, variant
+    ):
+        edit(tables, variant, p)
+        # the dense route: each variant built and validated in turn, its
+        # text written before the next is built
+        texts, error = [], None
+        for v in wm.MatrixVariant:
+            try:
+                texts.append(wm.build_dense(p, v).to_csv())
+            except ValueError as exc:
+                error = f"recon-census: internal error: ValueError: {exc}\n"
+                break
+        assert error is not None and message in error
+        out = tmp_path / "m.csv"
+        args = ["generate", "--p", str(p), "--kind", "weighted", "--variant", "both"]
+        assert main([*args, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == error
+        # a starred fault leaves the clean plain text
+        assert out.read_text() == "\n".join(texts)
+        assert len(texts) == (variant is wm.MatrixVariant.STAR)

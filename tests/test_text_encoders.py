@@ -3,7 +3,9 @@
 ``WeightedMatrix.to_csv``, ``Digraph.to_csv`` and ``sigma_table_tsv`` share
 one numpy kernel (``weight_matrix._text_grid``), ``Digraph.to_dot`` gathers
 its arc lines the same way and ``Digraph.to_digraph6`` packs its payload
-without a per-character loop.  The per-element bodies
+without a per-character loop.  ``weight_matrix.csv_blocks`` prints the
+weighted CSV from four row templates, with the dense ``to_csv`` as its
+oracle.  The per-element bodies
 they replaced are kept here as oracles, and the orders run up to 1024 so
 that 3-character weights (from p = 512) and 3- and 4-digit images meet
 the kernel's padding and row blocks.  ``Digraph.is_tournament``, a row-block
@@ -11,12 +13,15 @@ scan, is checked against its whole-matrix form where the blocks are made
 small.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recon_census.deletion_maps as dm
+from recon_census.cli import main
 from recon_census.deletion_maps import sigma_table_tsv
 from recon_census.digraph_builder import Digraph, _encode_count, standard_pair
 from recon_census.iso_engine import deck
@@ -25,6 +30,7 @@ from recon_census.weight_matrix import (
     WeightedMatrix,
     _text_grid,
     build_dense,
+    csv_blocks,
 )
 
 ORDERS = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
@@ -141,6 +147,57 @@ class TestWeightedCsv:
             w, g = want[row].split(","), got[row].split(",")
             assert [c for c in range(p) if g[c] != w[c]] == [col]
             assert g[col] == str(v)
+
+
+class TestSlicedCsv:
+    """``csv_blocks`` slices each row from a residue template of the offset
+    table; the dense matrix's ``csv_blocks`` is its oracle."""
+
+    @pytest.mark.parametrize("variant", list(MatrixVariant))
+    @pytest.mark.parametrize("p", ORDERS + [2048])
+    def test_matches_dense_route(self, p, variant):
+        m = build_dense(p, variant)
+        # the same pieces, not only the same text
+        assert list(csv_blocks(p, variant)) == list(m.csv_blocks())
+        assert "".join(csv_blocks(p, variant)) == m.to_csv()
+
+    @pytest.mark.parametrize("cells", [1, 150, 1000, 10000])
+    def test_block_seams_leave_the_bytes_unchanged(self, monkeypatch, cells):
+        import recon_census.weight_matrix as wm
+
+        monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
+        for p in ORDERS + [2048]:
+            for variant in MatrixVariant:
+                got = "".join(csv_blocks(p, variant))
+                assert got == build_dense(p, variant).to_csv(), (p, variant, cells)
+
+    def spied(self, monkeypatch, tmp_path, *args):
+        """The dense builders called, in any ``recon_census`` module, while
+        ``generate`` runs with ``args``."""
+        calls = []
+        modules = [m for n, m in sys.modules.items() if n.startswith("recon_census.")]
+        for module in modules:
+            for name in {"build_dense", "entry_grid"} & set(vars(module)):
+
+                def spy(*a, name=name, real=getattr(module, name), **kw):
+                    calls.append(name)
+                    return real(*a, **kw)
+
+                monkeypatch.setattr(module, name, spy)
+        out = tmp_path / "out.csv"
+        assert main(["generate", *args, "--variant", "both", "--out", str(out)]) == 0
+        return calls
+
+    @pytest.mark.parametrize("p", [4, 64, 2048])
+    def test_generate_builds_no_dense_matrix(self, monkeypatch, tmp_path, p):
+        assert self.spied(monkeypatch, tmp_path, "--p", str(p), "--kind", "weighted") == []
+
+    def test_spies_see_the_dense_route(self, monkeypatch, tmp_path):
+        import recon_census.weight_matrix as wm
+
+        wm._DENSE_CACHE.clear()
+        calls = self.spied(monkeypatch, tmp_path, "--p", "8", "--kind", "tournament")
+        assert set(calls) == {"build_dense", "entry_grid"}
 
 
 class TestSigmaTsv:
