@@ -4,8 +4,9 @@ For every order p = 2**n >= 4 the package builds a pair of antisymmetric
 weighted matrices, the point-deletion mappings joining them, and the
 digraph pairs obtained from proper binary assignments, and verifies all
 of their defining identities exactly: by exhaustive scans, or, for the
-hypomorphism identity and both digraph pairs, by a finite automaton over
-the binary digits of the points at every order.  A dense deletion sweep
+hypomorphism identity, both digraph pairs, lemma 3 and the point-1
+isomorphism, by a finite automaton over the binary digits of the points
+at every order.  A dense deletion sweep
 (``check_theorem1``, ``verify_hypomorphic_by_sigma``) is the library's
 route to the same identities at small orders, and the automaton's oracle.
 """

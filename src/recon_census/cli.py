@@ -134,18 +134,18 @@ Runner = Callable[[RunConfig], list[VerificationReport]]
 
 #: Every check, in report order: name -> (min_p, max_p, runner).  ``all``
 #: expands to the checks whose range holds the order, and naming a check
-#: outside its range is a usage error.  The checks capped at
-#: ``DENSE_ORDER_LIMIT`` hold dense p x p grids or all p deletion maps.
+#: outside its range is a usage error.  ``lemma2``, capped at
+#: ``DENSE_ORDER_LIMIT``, reads all p deletion maps.
 CHECKS: dict[str, tuple[int, int, Runner]] = {
     "lemma1": (8, ORACLE_ORDER_LIMIT, lambda c: [check_lemma1(c.p)]),
     "lemma2": (8, DENSE_ORDER_LIMIT, lambda c: [check_lemma2(c.p)]),
-    "lemma3": (4, DENSE_ORDER_LIMIT, lambda c: [check_lemma3(c.p)]),
+    "lemma3": (4, ORACLE_ORDER_LIMIT, lambda c: [check_lemma3(c.p)]),
     "theorem1": (4, ORACLE_ORDER_LIMIT, lambda c: decide_hypomorphisms(c.p)[:1]),
     "theorem2": (4, ORACLE_ORDER_LIMIT, _theorem2),
     "hypo-sigma": (4, ORACLE_ORDER_LIMIT, _hypo_sigma),
     "deck-match": (4, DECK_MATCH_ORDER_LIMIT, _deck_match),
-    "swap": (8, DENSE_ORDER_LIMIT, _swap),
-    "forced-iso": (8, DENSE_ORDER_LIMIT, _forced_iso),
+    "swap": (8, ORACLE_ORDER_LIMIT, _swap),
+    "forced-iso": (8, ORACLE_ORDER_LIMIT, _forced_iso),
 }
 
 

@@ -16,10 +16,10 @@ star(ext(i), ext(j))) must be (u, u) or an extreme pair
 (+-(n+1), -+(n+1)).  Conjugating by the half-swap involution exchanges
 the two extreme levels and nothing else (``swap_involution`` verifies
 this), which pairs up assignments into orbits yielding the same digraph
-pair.  Both point maps are checked through one scan, ``_level_pairs``,
-which collects the distinct level pairs a point map makes between two
-dense matrices.  Whether an assignment yields tournaments is read off
-the class table alone (``_twin_levels``), at every order.
+pair.  Neither check builds a matrix: the point-1 pairs are read off
+theorem 1's digit automaton on the plane k = 1 (``_point1_pairs``), and
+the half swap off O(log p) class-table rows, as is whether an
+assignment yields tournaments (``_twin_levels``), at every order.
 ``assignment_census`` tabulates which proper assignments at small
 orders yield tournaments and non-isomorphic pairs, reading the bits of
 all of them as one table.  The rows with equal extreme bits are settled
@@ -410,28 +410,21 @@ def _is_arc_preserving(g: Digraph, h: Digraph, perm) -> bool:
     return np.array_equal(g.adjacency, _permuted(h.adjacency, sel))
 
 
-def _level_pairs(a: np.ndarray, b: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """The distinct off-diagonal level pairs (a[i, j], b[perm[i], perm[j]]).
+def _point1_pairs(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct level pairs (u, v) = (plain(i, j), star(ext(i), ext(j)))
+    of the extended point-1 mapping ``ext``, ascending, as two arrays: the
+    final levels of theorem 1's digit automaton on its plane k = 1, less
+    the diagonal states that read (0, 0), so a nonzero diagonal shows."""
+    # imported here to avoid a module cycle with the digit automaton
+    from recon_census.theorem1_automaton import _ZERO, _distinct, _plain_offset, _plane, _walk
 
-    ``a`` and ``b`` are p x p level matrices and ``perm`` a 0-based point
-    map, so the pairs say which level of ``a`` the map sends onto which
-    level of ``b``.  They are counted one ``weight_matrix._row_blocks``
-    block at a time and returned as a read-only (k, 2) array in ascending
-    order.  The p diagonal cells are taken off the (0, 0) count again, so
-    a nonzero diagonal cell still shows as a pair.
-    """
-    p = len(a)
-    top = order_exponent(p) + 1
-    width = 2 * top + 1
-    counts = np.zeros(width * width, dtype=np.int64)
-    for block in _row_blocks(p, p):
-        image = b.take(perm[block], axis=0).take(perm, axis=1)
-        codes = (a[block].astype(np.int16) + top) * width + (image + top)
-        counts += np.bincount(codes.ravel(), minlength=width * width)
-    counts[top * width + top] -= p
-    pairs = np.argwhere(counts.reshape(width, width)) - top
-    pairs.setflags(write=False)
-    return pairs
+    _, final, plain, star = _walk(p, *_plane(lambda a, b, c: b == 0))
+    status, r, c = _plain_offset(final)
+    keep = (status != _ZERO) | (r != c) | (plain != 0) | (star != 0)
+    # ascending (u, v) pairs as ascending codes (u + 128) * 256 + v + 128
+    u, v = (levels[keep].astype(np.int32) + 128 for levels in (plain, star))
+    codes = _distinct(u << 8 | v)
+    return (codes >> 8) - 128, (codes & 0xFF) - 128
 
 
 @lru_cache(maxsize=1)
@@ -439,29 +432,23 @@ def _level_table(p: int) -> np.ndarray:
     """The forced rows' witness ``extend_sigma_p1(p)``, checked, read-only.
 
     The extended point-1 mapping ``ext`` must change only the extreme
-    levels: every ``_level_pairs`` pair (plain(i, j), star(ext(i), ext(j)))
-    of the plain and starred matrices is (u, u) or (+-(n+1), -+(n+1)).
-    Then ``ext`` carries the assigned plain digraph onto the assigned
-    starred one for every assignment giving both extremes the same bit,
-    so the identity is checked here, once per order, and a violation
-    (named by its first pair) is a fatal internal error.  Only the last
-    order is kept.
+    levels: every ``_point1_pairs`` pair (plain(i, j), star(ext(i), ext(j)))
+    is (u, u) or (+-(n+1), -+(n+1)).  Then ``ext`` carries the assigned
+    plain digraph onto the assigned starred one for every assignment
+    giving both extremes the same bit, so the identity is checked here,
+    once per order, and a violation (named by its first pair) is a fatal
+    internal error.  Only the last order is kept.
     """
     ext = extend_sigma_p1(p)
     ext.setflags(write=False)
-    pairs = _level_pairs(
-        build_dense(p, MatrixVariant.PLAIN).entries,
-        build_dense(p, MatrixVariant.STAR).entries,
-        ext - 1,
-    )
+    u, v = _point1_pairs(p)
     top = order_exponent(p) + 1
-    u, v = pairs.T
     stray = (v != u) & ((np.abs(u) != top) | (v != -u))
     if stray.any():
-        u, v = pairs[np.argmax(stray)].tolist()
+        at = np.argmax(stray)
         raise ContradictionError(
             f"extended point-1 mapping is not an isomorphism at p={p}: "
-            f"it sends plain level {u} onto starred level {v}"
+            f"it sends plain level {u[at]} onto starred level {v[at]}"
         )
     return ext
 
@@ -528,22 +515,27 @@ def swap_involution(p: int) -> np.ndarray:
 
     Returns tau with tau(i) = i + p/2 for i <= p/2 and i - p/2 above.
     Conjugating either matrix by tau must swap the levels n+1 and -(n+1)
-    and fix every other level; failure is a fatal internal error.  Each
-    variant reads the ``_level_pairs`` of its cached dense matrix with
-    itself under tau: every pair (u, v) must have v = -u where |u| = n+1
-    and v = u elsewhere.
+    and fix every other level; failure is a fatal internal error.
+
+    tau keeps every cell's residues and offset class but exchanges the
+    offsets +-p/8, the last two ``_reached_rows``: it keeps an offset D
+    where the top block bits are equal (|D| < p/8), and sends it to
+    D -+ p/4, of D's class unless D = +-p/8, where they differ.  So in
+    each variant no other reached row may hold +-(n+1), and the row of
+    -p/8 must be that of +p/8 with +-(n+1) negated.
     """
     n = order_exponent(p)
     if p < 8:
         raise ValueError(f"swap_involution requires p >= 8, got {p}")
-    h = p // 2
-    tau = np.concatenate(
-        [np.arange(h + 1, p + 1, dtype=np.int32), np.arange(1, h + 1, dtype=np.int32)]
-    )
+    tau = np.arange(p, dtype=np.int32)
+    tau ^= p // 2  # tau(i) - 1 is i - 1 with its top bit flipped
+    tau += 1
+    rows = _reached_rows(p)
     for variant in (MatrixVariant.PLAIN, MatrixVariant.STAR):
-        e = build_dense(p, variant).entries
-        u, v = _level_pairs(e, e, tau - 1).T
-        if np.any(v != np.where(np.abs(u) == n + 1, -u, u)):
+        levels = _CLASS_TABLE[variant][rows].astype(np.int16)
+        up, down = levels[-2:]
+        swapped = np.where(np.abs(up) == n + 1, -up, up)
+        if np.any(np.abs(levels[:-2]) == n + 1) or np.any(down != swapped):
             raise ContradictionError(
                 f"half-swap failed the level-swap identity at p={p} ({variant.value})"
             )

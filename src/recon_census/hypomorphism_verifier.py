@@ -2,7 +2,8 @@
 
 ``check_lemma3`` verifies the sign rule linking an entry of the plain
 matrix to the starred entry at the mapped position (negated exactly at
-point distance p/2, and everywhere off-diagonal at p = 4).
+point distance p/2, and everywhere off-diagonal at p = 4) at every order,
+on two planes of theorem 1's digit automaton.
 
 ``check_theorem1`` verifies the hypomorphism identity exhaustively: for
 every deleted point k, the plain entry at (i, j) equals the starred entry
@@ -21,13 +22,14 @@ import numpy as np
 
 from recon_census.deletion_maps import _deletion_sweep, build_all_maps, sigma_values
 from recon_census.report import VerificationReport
-from recon_census.weight_matrix import (
-    MatrixVariant,
-    _first_cell,
-    build_dense,
-    entry_values,
-    order_exponent,
+from recon_census.theorem1_automaton import (
+    _PENDING,
+    _first_failure,
+    _plain_offset,
+    _plane,
+    _walk,
 )
+from recon_census.weight_matrix import MatrixVariant, build_dense, entry_values, order_exponent
 
 __all__ = [
     "VerificationReport",
@@ -45,55 +47,31 @@ _EVAL_BLOCK = 1 << 16
 def check_lemma3(p: int) -> VerificationReport:
     """Verify the sign rule over all ordered pairs of distinct points.
 
-    The first equality maps the column by the deletion at the row point;
-    the second maps the row by the deletion at the column point, which is
-    the first read on the transposed matrices.  Each is one masked
-    row-block scan (``weight_matrix._first_cell``) of the cached dense
-    matrices against the map table, and a failure reports the first
-    pair, rows of the first equality before those of the second.
+    The first equality maps the column by the deletion at the row point,
+    the second the row by the deletion at the column point: theorem 1's
+    digit automaton on its planes k = i and k = j (``theorem1_automaton``).
+    The sign is -1 where the plain offset is pending after the top layer
+    with r = c (|i - j| = p/2), and everywhere at p = 4.  A failure reports
+    the first pair, rows of the first equality before those of the
+    second, its entries read through ``entry_values`` and ``sigma_values``.
     """
-    order_exponent(p)
-    h = p // 2
-    plain = build_dense(p, MatrixVariant.PLAIN).entries
-    star = build_dense(p, MatrixVariant.STAR).entries
-    tables = build_all_maps(p)
-    points = np.arange(p)
-
-    def first_failure(lhs, rhs, transposed):
-        """First (0, i, j, lhs, rhs) of one equality, or None."""
-
-        def signed(rows):
-            # rhs at the mapped column, negated where |i - j| = p/2 (j is
-            # i with the top bit flipped) and everywhere at p = 4
-            mapped = np.take_along_axis(rhs[rows], tables[rows] - 1, axis=1)
-            if p == 4:
-                return -mapped
-            mapped[np.arange(mapped.shape[0]), points[rows] ^ h] *= -1
-            return mapped
-
-        def unequal(rows):
-            neq = lhs[rows] != signed(rows)
-            # the diagonal, where the hole's 0 read column p
-            neq[np.arange(neq.shape[0]), points[rows]] = False
-            return neq
-
-        cell = _first_cell(p, p, unequal)
-        if cell is None:
-            return None
-        r, c = cell
-        i, j = (c, r) if transposed else (r, c)
-        return (0, i + 1, j + 1, int(lhs[r, c]), int(signed(slice(r, r + 1))[0, c]))
-
-    counterexample = first_failure(plain, star, False) or first_failure(
-        plain.T, star.T, True
-    )
-
-    return VerificationReport(
-        check_name="lemma3",
-        order=p,
-        counterexample=counterexample,
-        checked_count=2 * p * (p - 1),
-    )
+    counterexample = None
+    planes = (lambda a, b, c: b == a, lambda a, b, c: b == c)  # k = i, then k = j
+    for first, plane in zip((True, False), planes):
+        layers, final, plain, star = _walk(p, *_plane(plane))
+        status, r, c = _plain_offset(final)
+        sign = np.where((p == 4) | ((status == _PENDING) & (r == c)), -1, 1)
+        # one seen bit stays 0 on a plane, and the other says i != j
+        bad = (final & 3 != 0) & (plain != sign * star)
+        if bad.any():
+            _, i, j = _first_failure(layers, final, bad)
+            row, col = (i, sigma_values(p, i, j)) if first else (sigma_values(p, j, i), j)
+            s = -1 if p == 4 or abs(i - j) == p // 2 else 1
+            lhs = int(entry_values(p, MatrixVariant.PLAIN, i, j))
+            rhs = s * int(entry_values(p, MatrixVariant.STAR, row, col))
+            counterexample = (0, i, j, lhs, rhs)
+            break
+    return VerificationReport("lemma3", p, counterexample, 2 * p * (p - 1))
 
 
 def check_theorem1(p: int) -> VerificationReport:

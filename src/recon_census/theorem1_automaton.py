@@ -33,6 +33,14 @@ each digraph pair the bits its assignment gives them, which two levels
 may share.  A level beyond a bit table's +-(n+1) has no bit and fails
 the pair's report.
 
+The same layers, walked over a plane of the letters (``_plane``), decide
+two more checks.  At a = b the starred row map is the identity (no
+difference is seen, and ``_low_residues`` is a on its diagonal), so lemma
+3 (``hypomorphism_verifier.check_lemma3``) reads star(i, sigma_i(j)) on
+the plane b = a and star(sigma_j(i), j) on b = c, and the point-1 level
+check (``digraph_builder._point1_pairs``) reads the point-1 map extended
+by fixing point 1 on b = 0.
+
 The class table, ``_offset_class`` and ``_SIGMA4`` are read on every call,
 so the automaton decides the identities of the tables that ``entry_values``
 and ``sigma_values`` read at that moment, faults included.  The command
@@ -103,9 +111,9 @@ def level_tables(p: int) -> dict[str, np.ndarray]:
     return luts
 
 
-def _residue_codes(rule: _Rule) -> np.ndarray:
+def _residue_codes(rule: _Rule, letters: np.ndarray) -> np.ndarray:
     """The states after the residue layer, one per letter: offsets zero so far."""
-    a, b, c = _RESIDUE_LETTERS
+    a, b, c = letters
     sa, sc = rule.low[b, a], rule.low[b, c]
     code = (a != b) | (c != b) << 1
     for field, pair in zip(_FIELD, (a << 2 | c, sa << 2 | sc)):
@@ -113,10 +121,10 @@ def _residue_codes(rule: _Rule) -> np.ndarray:
     return code[None, :]
 
 
-def _block_codes(states: np.ndarray, x: int, rule: _Rule) -> np.ndarray:
-    """Next codes of every state under each letter of block bit x: (states, 8)."""
+def _block_codes(states: np.ndarray, x: int, rule: _Rule, letters: np.ndarray) -> np.ndarray:
+    """Next codes of every state under each letter of block bit x: (states, letters)."""
     s = states[:, None]
-    a, b, c = _BIT_LETTERS
+    a, b, c = letters
     seen_a, seen_c = s & 1, s >> 1 & 1
     out = seen_a | a ^ b | (seen_c | c ^ b) << 1
     # the digits whose difference is each side's offset: sigma complements
@@ -164,6 +172,33 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     return flat[keep]
 
 
+def _plane(where) -> tuple[np.ndarray, np.ndarray]:
+    """The residue and the bit letters (a, b, c) where ``where(a, b, c)`` holds."""
+    return tuple(letters[:, where(*letters)] for letters in (_RESIDUE_LETTERS, _BIT_LETTERS))
+
+
+def _walk(p: int, residue_letters: np.ndarray, bit_letters: np.ndarray):
+    """The layers of order p over the letters given (per layer the states,
+    their next codes and the letters), the final states and their levels."""
+    n = order_exponent(p)
+    rule = _Rule(p)
+    start = np.zeros(1, dtype=np.int64)
+    layers = [(start, _residue_codes(rule, residue_letters), residue_letters)]
+    for x in range(n - 2):
+        states = _distinct(layers[-1][1])
+        layers.append((states, _block_codes(states, x, rule, bit_letters), bit_letters))
+    final = _distinct(layers[-1][1])
+    return layers, final, *_final_levels(final, n, rule)
+
+
+def _plain_offset(final: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The status of each final state's plain offset and its residues (r, c),
+    unless resolved: zero with r = c is i = j, and pending with r = c is
+    |i - j| = p/2."""
+    field = final >> _FIELD[0] & 0x3FF
+    return field & 3, field >> 4 & 3, field >> 2 & 3
+
+
 def decide_hypomorphisms(p: int) -> list[VerificationReport]:
     """Theorem 1 and both digraph pairs at order p, exact at every order:
     one report per table of ``level_tables(p)``, all read off one run of
@@ -176,18 +211,7 @@ def decide_hypomorphisms(p: int) -> list[VerificationReport]:
     counterexample names the raw level.  The identity table reaches every
     int8 level, so only the pair reports see this; the check costs one
     compare per final state."""
-    n = order_exponent(p)
-    rule = _Rule(p)
-    layers = []  # per layer: the states, their next codes and the letters
-    states = np.zeros(1, dtype=np.int64)
-    codes = _residue_codes(rule)
-    layers.append((states, codes, _RESIDUE_LETTERS))
-    for x in range(n - 2):
-        states = _distinct(codes)
-        codes = _block_codes(states, x, rule)
-        layers.append((states, codes, _BIT_LETTERS))
-    final = _distinct(codes)
-    plain, star = _final_levels(final, n, rule)
+    layers, final, plain, star = _walk(p, _RESIDUE_LETTERS, _BIT_LETTERS)
     admissible = final & 3 == 3  # i, j != k
     magnitude = np.maximum(np.abs(plain.astype(np.int16)), np.abs(star.astype(np.int16)))
     reports = []

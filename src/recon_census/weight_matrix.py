@@ -118,8 +118,7 @@ def level_bound(p: int) -> int:
 _INT32_ORDER_LIMIT = 1 << 30
 
 #: Cells per row block of a grid scan: bounds the scratch memory of the
-#: text encoders, the census level table, the dense checks and the entry
-#: grids.
+#: text encoders, the map-table checks and the entry grids.
 _BLOCK_CELLS = 1 << 18
 
 

@@ -97,18 +97,23 @@ def tables(monkeypatch):
 
     ``hypomorphism_verifier.build_dense`` reads unvalidated entry grids, so
     that a one-cell fault, which breaks antisymmetry, reaches the deletion
-    sweep as it reaches the digit automaton; the map table and dense caches
-    are cleared around each test.
+    sweep as it reaches the digit automaton; the map table, the point-1
+    witness and the dense caches are cleared around each edit and test.
     """
     import recon_census.deletion_maps as dm
+    import recon_census.digraph_builder as db
     import recon_census.hypomorphism_verifier as hv
     import recon_census.weight_matrix as wm
+
+    def clear_caches():
+        dm.build_all_maps.cache_clear()
+        db._level_table.cache_clear()
+        wm._DENSE_CACHE.clear()
 
     monkeypatch.setattr(
         hv, "build_dense", lambda q, v: SimpleNamespace(entries=wm.entry_grid(q, v))
     )
-    dm.build_all_maps.cache_clear()
-    wm._DENSE_CACHE.clear()
+    clear_caches()
     clean = dict(wm._CLASS_TABLE)
 
     def class_cells(variant, row, cells):
@@ -120,7 +125,7 @@ def tables(monkeypatch):
         table.setflags(write=False)
         for v in clean:
             monkeypatch.setitem(wm._CLASS_TABLE, v, table if v is variant else clean[v])
-        wm._DENSE_CACHE.clear()
+        clear_caches()
 
     def class_cell(variant, row, r, c, value=None):
         """One cell of ``variant`` set to ``value`` (by default the cell
@@ -133,10 +138,9 @@ def tables(monkeypatch):
         table = dm._SIGMA4.copy()
         table[k, [x, y]] = table[k, [y, x]]
         monkeypatch.setattr(dm, "_SIGMA4", table)
-        dm.build_all_maps.cache_clear()
+        clear_caches()
 
     yield SimpleNamespace(
         class_cells=class_cells, class_cell=class_cell, sigma_swap=sigma_swap
     )
-    dm.build_all_maps.cache_clear()
-    wm._DENSE_CACHE.clear()
+    clear_caches()

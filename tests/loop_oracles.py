@@ -4,9 +4,14 @@ Each function here computes what one fast path computes, the long way, so
 a test can require the two to give the same verdict, counterexample and
 count:
 
-* ``lemma2_loops`` and ``lemma3_loops``: the per-point loops that the
-  masked row-block scans of ``check_lemma2`` and ``check_lemma3``
-  (``weight_matrix._first_cell``) replaced;
+* ``lemma2_loops``: the per-point loops that the masked row-block scans
+  of ``check_lemma2`` (``weight_matrix._first_cell``) replaced, and
+  ``lemma3_loops``, lemma 3 per point on dense matrices and the map table,
+  which ``check_lemma3`` reads off the digit automaton;
+* ``level_pairs``, the distinct level pairs a point map makes between two
+  dense matrices, and on it ``swap_reference`` and
+  ``level_table_reference``: ``swap_involution`` and the point-1 level
+  check of ``digraph_builder._level_table`` on entry grids;
 * ``check_lemma1_reference``: lemma 1 on entry grids, O(p**2);
 * ``lemma2_d_reference``: lemma 2 (d) on full (p-1) x (p-1) difference
   matrices per deletion;
@@ -138,6 +143,56 @@ def lemma3_loops(p, plain, star, tables):
                 counterexample = (0, i, j, int(lhs[bad[0]]), int(rhs[bad[0]]))
 
     return VerificationReport("lemma3", p, counterexample, checked)
+
+
+def level_pairs(a, b, perm):
+    """The distinct level pairs (a[i, j], b[perm[i], perm[j]]), ascending,
+    as a (k, 2) array.
+
+    ``a`` and ``b`` are p x p level matrices and ``perm`` a 0-based point
+    map, so the pairs say which level of ``a`` the map sends onto which
+    level of ``b``.  A diagonal cell that reads (0, 0) is no pair, so a
+    nonzero diagonal cell still shows as one.
+    """
+    u = a.astype(np.int32)
+    v = dm._permuted(b, perm).astype(np.int32)
+    blank = np.eye(len(a), dtype=bool) & (u == 0) & (v == 0)
+    codes = np.unique(((u + 128) << 8 | v + 128)[~blank])
+    return np.stack([(codes >> 8) - 128, (codes & 0xFF) - 128], axis=1)
+
+
+def swap_reference(p):
+    """``swap_involution(p)``'s ContradictionError message, or None where it
+    holds, on the unvalidated entry grids: under the half swap tau each
+    variant's level pairs with itself must be (u, -u) where |u| = n+1 and
+    (u, u) elsewhere."""
+    top = wm.order_exponent(p) + 1
+    tau = np.arange(p) ^ p // 2
+    for variant in (wm.MatrixVariant.PLAIN, wm.MatrixVariant.STAR):
+        levels = wm.entry_grid(p, variant)
+        u, v = level_pairs(levels, levels, tau).T
+        if np.any(v != np.where(np.abs(u) == top, -u, u)):
+            return f"half-swap failed the level-swap identity at p={p} ({variant.value})"
+    return None
+
+
+def level_table_reference(p):
+    """``digraph_builder._level_table(p)``'s ContradictionError message, or
+    None where it holds, on the unvalidated entry grids: every level pair
+    (plain(i, j), star(ext(i), ext(j))) under ``extend_sigma_p1`` must be
+    (u, u) or (+-(n+1), -+(n+1)), and the first that is not is named."""
+    top = wm.order_exponent(p) + 1
+    plain, star = (wm.entry_grid(p, v) for v in wm.MatrixVariant)
+    pairs = level_pairs(plain, star, dm.extend_sigma_p1(p) - 1)
+    u, v = pairs.T
+    stray = (v != u) & ((np.abs(u) != top) | (v != -u))
+    if not stray.any():
+        return None
+    u, v = pairs[np.argmax(stray)].tolist()
+    return (
+        f"extended point-1 mapping is not an isomorphism at p={p}: "
+        f"it sends plain level {u} onto starred level {v}"
+    )
 
 
 def check_lemma1_reference(p):

@@ -121,10 +121,7 @@ class TestExitCodes:
             ("generate", "--p", "16384", "--kind", "weighted"),
             ("generate", "--p", "16384", "--kind", "tournament", "--format", "d6"),
             ("deck", "--p", "16384"),
-            ("verify", "--p", "16384", "--checks", "forced-iso"),
             ("verify", "--p", "16384", "--checks", "lemma2"),
-            ("verify", "--p", "16384", "--checks", "lemma3"),
-            ("verify", "--p", "16384", "--checks", "swap"),
         ],
     )
     def test_dense_orders_refused_as_usage_error(self, capsys, args):
@@ -219,7 +216,9 @@ class TestExitCodes:
         assert expand_all(16384) == tuple(
             name for name, (_, hi, _) in CHECKS.items() if hi > DENSE_ORDER_LIMIT
         )
-        assert expand_all(16384) == ("lemma1", "theorem1", "theorem2", "hypo-sigma")
+        assert expand_all(16384) == (
+            "lemma1", "lemma3", "theorem1", "theorem2", "hypo-sigma", "swap", "forced-iso",
+        )
 
     def test_dense_checks_accepted_at_dense_limit(self):
         from recon_census.cli import _parse_config
@@ -228,9 +227,21 @@ class TestExitCodes:
         dense = tuple(
             name for name, (_, hi, _) in CHECKS.items() if hi == DENSE_ORDER_LIMIT
         )
-        assert dense == ("lemma2", "lemma3", "swap", "forced-iso")
+        assert dense == ("lemma2",)
         config = _parse_config(["verify", "--p", "8192", "--checks", ",".join(dense)])
         assert config.checks == dense
+
+    @pytest.mark.parametrize("p", [16384, 2**20])
+    def test_automaton_checks_run_above_dense_limit(self, tmp_path, p):
+        out = tmp_path / "rep.json"
+        args = ("verify", "--p", str(p), "--checks", "lemma3,swap,forced-iso")
+        assert run_cli(*args, "--out", str(out)) == 0
+        reports = json.loads(out.read_text())["reports"]
+        assert [(r["check"], r["outcome"]) for r in reports] == [
+            ("lemma3", "pass"),
+            ("swap", "pass"),
+            ("forced-iso", "pass"),
+        ]
 
     @pytest.mark.parametrize("target", ["dir", "under-a-file"])
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys, target):
@@ -326,7 +337,8 @@ class TestCheckTable:
                   "hypo-sigma", "swap", "forced-iso")),
             (8192, ("lemma1", "lemma2", "lemma3", "theorem1", "theorem2",
                     "hypo-sigma", "swap", "forced-iso")),
-            (16384, ("lemma1", "theorem1", "theorem2", "hypo-sigma")),
+            (16384, ("lemma1", "lemma3", "theorem1", "theorem2",
+                     "hypo-sigma", "swap", "forced-iso")),
         ],
     )
     def test_all_expansion_is_pinned(self, p, expected):
@@ -932,6 +944,51 @@ class TestVerifyReports:
 TOURNAMENT_CHECK = "canonical pair failed the tournament check"
 
 
+def spied_verify(monkeypatch, tmp_path, p, checks, names):
+    """Which of ``names`` are called, in any ``recon_census`` module, while
+    ``verify`` runs ``checks`` at order p, in call order, and its reports."""
+    calls = []
+    modules = [m for n, m in sys.modules.items() if n.startswith("recon_census.")]
+    for module in modules:
+        for name in names & set(vars(module)):
+
+            def spy(*args, name=name, real=getattr(module, name), **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+    out = tmp_path / "rep.json"
+    assert run_cli("verify", "--p", str(p), "--checks", checks, "--out", str(out)) == 0
+    return calls, json.loads(out.read_text())["reports"]
+
+
+class TestAutomatonPlanes:
+    """``lemma3`` and ``forced-iso`` read the digit automaton's planes and
+    ``swap`` the class table: no dense matrix and no map table."""
+
+    DENSE = {"build_dense", "entry_grid", "build_all_maps"}
+
+    def test_reads_no_dense_matrix_or_map_table(self, tmp_path, monkeypatch):
+        calls, reports = spied_verify(
+            monkeypatch, tmp_path, 512, "lemma3,swap,forced-iso", self.DENSE
+        )
+        assert calls == []
+        assert [(r["check"], r["outcome"]) for r in reports] == [
+            ("lemma3", "pass"),
+            ("swap", "pass"),
+            ("forced-iso", "pass"),
+        ]
+
+    def test_spies_see_the_dense_route(self, tmp_path, monkeypatch):
+        import recon_census.deletion_maps as dm
+        import recon_census.weight_matrix as wm
+
+        wm._DENSE_CACHE.clear()
+        dm.build_all_maps.cache_clear()
+        calls, _ = spied_verify(monkeypatch, tmp_path, 8, "lemma2,deck-match", self.DENSE)
+        assert set(calls) == self.DENSE
+
+
 class TestTournamentSelfCheck:
     """``hypo-sigma``'s tournament self-check reads the class table's twin
     levels: no dense matrix or digraph at any order, and a class-table
@@ -939,26 +996,9 @@ class TestTournamentSelfCheck:
 
     DENSE = {"build_dense", "entry_grid", "standard_pair", "apply_assignment"}
 
-    def spied(self, monkeypatch, tmp_path, p, checks):
-        """The names of ``DENSE`` called, in any ``recon_census`` module,
-        while ``verify`` runs ``checks`` at order p, and its reports."""
-        calls = []
-        modules = [m for n, m in sys.modules.items() if n.startswith("recon_census.")]
-        for module in modules:
-            for name in self.DENSE & set(vars(module)):
-
-                def spy(*args, name=name, real=getattr(module, name), **kwargs):
-                    calls.append(name)
-                    return real(*args, **kwargs)
-
-                monkeypatch.setattr(module, name, spy)
-        out = tmp_path / "rep.json"
-        assert run_cli("verify", "--p", str(p), "--checks", checks, "--out", str(out)) == 0
-        return calls, json.loads(out.read_text())["reports"]
-
     @pytest.mark.parametrize("p", [8, 512, 2**20])
     def test_reads_no_dense_matrix_or_digraph(self, tmp_path, monkeypatch, p):
-        calls, reports = self.spied(monkeypatch, tmp_path, p, "hypo-sigma")
+        calls, reports = spied_verify(monkeypatch, tmp_path, p, "hypo-sigma", self.DENSE)
         assert calls == []
         assert [(r["check"], r["outcome"]) for r in reports] == [
             ("hypo-sigma-tournament", "pass"),
@@ -969,7 +1009,7 @@ class TestTournamentSelfCheck:
         import recon_census.weight_matrix as wm
 
         wm._DENSE_CACHE.clear()
-        calls, _ = self.spied(monkeypatch, tmp_path, 8, "deck-match")
+        calls, _ = spied_verify(monkeypatch, tmp_path, 8, "deck-match", self.DENSE)
         assert set(calls) == self.DENSE
 
     @pytest.mark.parametrize("p", [4, 64, 2**20])

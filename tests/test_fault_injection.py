@@ -35,7 +35,7 @@ def no_search(*args):
 @pytest.fixture
 def corrupt_plain_entry(monkeypatch):
     """Flip the sign of entry (2, 3), and of no other, in the order-8 plain
-    matrix that lemma 3 and theorem 1 read."""
+    matrix that theorem 1's dense route reads."""
 
     def flip(entries):
         entries[1, 2] = -entries[1, 2]
@@ -63,7 +63,9 @@ class TestLemma1Reporting:
 
 
 class TestLemma3Reporting:
-    def test_detects_sign_violation(self, corrupt_plain_entry):
+    def test_detects_sign_violation(self, tables):
+        # the class-table cell of entry (2, 3) at p = 8, and of (6, 7)
+        tables.class_cell(wm.MatrixVariant.PLAIN, int(wm._reached_rows(8)[0]), 1, 2)
         report = hv.check_lemma3(8)
         assert not report.passed
         k, i, j, lhs, rhs = report.counterexample
@@ -193,27 +195,33 @@ class TestLemma2Reporting:
 
 
 class TestSelfCheckingOperations:
-    def test_swap_involution_contradiction(self, monkeypatch):
-        def flip(entries):
-            entries[0, 1] = -entries[0, 1]
-
-        patch_dense(monkeypatch, db, 8, wm.MatrixVariant.PLAIN, flip)
+    def test_swap_involution_contradiction(self, tables):
+        # plain (1, 6) at p = 8, in the row of offset +p/8, which the half
+        # swap exchanges with -p/8
+        tables.class_cell(wm.MatrixVariant.PLAIN, int(wm._reached_rows(8)[-2]), 0, 1)
         with pytest.raises(ContradictionError, match="half-swap failed"):
             db.swap_involution(8)
 
     @pytest.mark.parametrize("p", [8, 16, 64])
-    def test_swap_involution_raises_on_any_one_cell_edit(self, monkeypatch, p):
+    def test_swap_involution_raises_on_any_crossed_row_edit(self, tables, p):
+        # any one-cell edit of the rows of +-p/8 raises, and an edit of
+        # another reached row exactly when it writes an extreme level
         top = p.bit_length()  # the extreme level n + 1
+        rows = wm._reached_rows(p)
         for variant in wm.MatrixVariant:
-            entries = patch_dense(monkeypatch, db, p, variant, lambda e: None)
-            for i, j in np.ndindex(p, p):
-                old = entries[i, j]
-                # the next level, cyclically: always a different value
-                entries[i, j] = (old + top + 1) % (2 * top + 1) - top
-                with pytest.raises(ContradictionError):
-                    db.swap_involution(p)
-                entries[i, j] = old
-            assert np.array_equal(db.swap_involution(p), np.roll(np.arange(1, p + 1), p // 2))
+            for t, row in enumerate(rows):
+                for r, c in np.ndindex(4, 4):
+                    old = int(wm._CLASS_TABLE[variant][row, r, c])
+                    # the next level, cyclically: always a different value
+                    new = (old + top + 1) % (2 * top + 1) - top
+                    tables.class_cell(variant, int(row), r, c, new)
+                    if t >= len(rows) - 2 or abs(new) == top:
+                        with pytest.raises(ContradictionError):
+                            db.swap_involution(p)
+                    else:
+                        db.swap_involution(p)
+        tables.class_cells(wm.MatrixVariant.PLAIN, int(rows[0]), {})
+        assert np.array_equal(db.swap_involution(p), np.roll(np.arange(1, p + 1), p // 2))
 
     def test_census_checks_swap_before_any_search(self, monkeypatch):
         def broken(p):
@@ -470,30 +478,28 @@ class TestLemma1ClassTableReporting:
 
 
 def corrupt_star_cell(monkeypatch, old, new):
-    """Feed the order-8 starred dense table with its first cell at level
-    ``old`` (and that cell's antisymmetric partner) moved to level ``new``.
-    ``swap_involution`` still reads the clean matrices, so the census gets
-    past it to the point-1 level check."""
-    real = db.build_dense
+    """Move the order-8 starred class-table cell of the first entry at level
+    ``old``, and that of its antisymmetric partner, to level ``new``: at
+    p = 8 each cell of the rows of offsets +-1 is one entry.  The census's
+    ``swap_involution`` still reads the clean table, so the census gets past
+    it to the point-1 level check."""
+    star = wm.MatrixVariant.STAR
+    clean = wm._CLASS_TABLE[star]
     real_swap = db.swap_involution
+    i, j = (int(v) for v in np.argwhere(wm.entry_grid(8, star) == old)[0])
+    table = clean.copy()
+    for (r, c), level in (((i, j), new), ((j, i), -new)):
+        d = np.array([(c >> 2) - (r >> 2)], dtype=np.int32)
+        table[wm._offset_class(d)[0], r & 3, c & 3] = level
 
-    def patched(p, variant):
-        m = real(p, variant)
-        if p != 8 or variant is not wm.MatrixVariant.STAR:
-            return m
-        entries = m.entries.copy()
-        i, j = np.argwhere(entries == old)[0]
-        entries[i, j], entries[j, i] = new, -new
-        return wm.WeightedMatrix(p, variant, entries)
-
-    def swap_on_clean_matrices(p):
+    def swap_on_clean_table(p):
         with monkeypatch.context() as m:
-            m.setattr(db, "build_dense", real)
+            m.setitem(wm._CLASS_TABLE, star, clean)
             return real_swap(p)
 
     db._level_table.cache_clear()
-    monkeypatch.setattr(db, "build_dense", patched)
-    monkeypatch.setattr(db, "swap_involution", swap_on_clean_matrices)
+    monkeypatch.setitem(wm._CLASS_TABLE, star, table)
+    monkeypatch.setattr(db, "swap_involution", swap_on_clean_table)
 
 
 @pytest.fixture

@@ -64,13 +64,13 @@ class TestLemma3:
 
 
 class TestLemma3LoopOracle:
-    """The row-block scans report as the per-point loops do on the same inputs."""
+    """The automaton's planes report as the per-point loops do on the entry
+    grids and the map table; ``test_theorem1_automaton`` holds them to the
+    loops under class-table faults and ``_SIGMA4`` swaps."""
 
     @staticmethod
     def loops(p, tables):
-        return lemma3_loops(
-            p, hv.build_dense(p, PLAIN).entries, hv.build_dense(p, STAR).entries, tables
-        )
+        return lemma3_loops(p, wm.entry_grid(p, PLAIN), wm.entry_grid(p, STAR), tables)
 
     @pytest.mark.parametrize("p", [4, 8, 16, 32, 64, 128, 256, 512])
     def test_clean(self, p):
@@ -79,67 +79,109 @@ class TestLemma3LoopOracle:
         assert report == self.loops(p, build_all_maps(p))
 
     @pytest.mark.parametrize("p", [8, 16, 32, 64])
-    def test_seeded_image_swaps(self, monkeypatch, p):
+    def test_seeded_image_swaps(self, tables, p):
+        # in three seeded rows of the order-4 maps, two images exchanged:
+        # every row stays a bijection, so only the identities can break
         rng = np.random.default_rng(p)
         reports = []
         for _ in range(6):
-            tables = swap_images_at_random(build_all_maps(p), rng)
-            monkeypatch.setattr(hv, "build_all_maps", lambda q, t=tables: t)
+            swaps = []
+            for k in rng.choice(4, size=3, replace=False):
+                kept = [x for x in range(4) if x != k]
+                swaps.append((int(k), *map(int, rng.choice(kept, size=2, replace=False))))
+            for swap in swaps:
+                tables.sigma_swap(*swap)
             reports.append(check_lemma3(p))
-            assert reports[-1] == self.loops(p, tables)
+            assert reports[-1] == self.loops(p, build_all_maps(p)), swaps
+            for swap in swaps:
+                tables.sigma_swap(*swap)  # undone
         assert not all(r.passed for r in reports)
 
     @pytest.mark.parametrize("p", [4, 8, 16, 32, 64])
     @pytest.mark.parametrize("variant", [PLAIN, STAR])
     @pytest.mark.parametrize("cells", [None, 100])
-    def test_single_cell_edits(self, monkeypatch, p, variant, cells):
+    def test_single_cell_edits(self, monkeypatch, tables, p, variant, cells):
         if cells is not None:
-            # row blocks of one to 25 rows
+            # the loops' entry grids in row blocks of one to 25 rows
             monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
         rng = np.random.default_rng(p)
         top = p.bit_length()  # the extreme level n + 1
+        clean = wm._CLASS_TABLE[variant]
         reports = []
-        for i, j in rng.integers(0, p, size=(8, 2)):
-
-            def edit(entries, i=i, j=j):
-                levels = [v for v in range(-top, top + 1) if v != entries[i, j]]
-                entries[i, j] = rng.choice(levels)
-
-            with monkeypatch.context() as m:
-                patch_dense(m, hv, p, variant, edit)
-                reports.append(check_lemma3(p))
-                assert reports[-1] == self.loops(p, build_all_maps(p))
+        for _ in range(8):
+            row = int(rng.choice(wm._reached_rows(p)))
+            r, c = map(int, rng.integers(0, 4, size=2))
+            levels = [v for v in range(-top, top + 1) if v != clean[row, r, c]]
+            tables.class_cell(variant, row, r, c, int(rng.choice(levels)))
+            reports.append(check_lemma3(p))
+            assert reports[-1] == self.loops(p, build_all_maps(p)), (row, r, c)
         assert not all(r.passed for r in reports)
+
+    @staticmethod
+    def cell_key(p, i, j):
+        """The class-table cell (row, r, c) of entries (i, j), as one integer."""
+        a, b = np.asarray(i, dtype=np.int32) - 1, np.asarray(j, dtype=np.int32) - 1
+        return wm._offset_class((b >> 2) - (a >> 2)).astype(np.int64) << 4 | (a & 3) << 2 | b & 3
 
     @pytest.mark.parametrize("p", [4, 8, 16, 32, 64])
     def test_edit_only_the_second_equality_sees(self, monkeypatch, p):
-        # change plain(i, j) and the starred entry the first equality pairs it
-        # with alike: the first equality still holds everywhere, and the
-        # second fails in the column of one of the two edited cells (if the
-        # starred cell were (i, j) itself, nothing would read the change)
+        # change alike the plain and starred class-table cells of one
+        # component of the first equality's pairing, one that the second
+        # equality's pairing leaves: the first equality still holds
+        # everywhere, and the second fails at an entry of an edited cell
         tables = build_all_maps(p)
-        clean = build_dense(p, PLAIN).entries
+        rows, cols = np.indices((p, p)) + 1
+        i, j = rows[rows != cols], cols[rows != cols]
+        sign = np.where((p == 4) | (np.abs(i - j) == p // 2), -1, 1)
+        plain = self.cell_key(p, i, j)
+        first = self.cell_key(p, i, tables[i - 1, j - 1])  # star(i, sigma_i(j))
+        second = self.cell_key(p, tables[j - 1, i - 1], j)  # star(sigma_j(i), j)
+        edges = {}  # (0, plain cell) and (1, starred cell), with the sign
+        for x, y, s in set(zip(plain.tolist(), first.tolist(), sign.tolist())):
+            edges.setdefault((0, x), []).append(((1, y), s))
+            edges.setdefault((1, y), []).append(((0, x), s))
         top = p.bit_length()  # the extreme level n + 1
         rng = np.random.default_rng(p)
-        cells = [(i, j) for i, j in np.ndindex(p, p) if i != j and tables[i, j] != j + 1]
-        for c in rng.choice(len(cells), size=4, replace=False):
-            i, j = cells[c]
-            sign = -1 if p == 4 or abs(i - j) == p // 2 else 1
-            value = int(rng.choice([v for v in range(-top, top + 1) if v != clean[i, j]]))
-
-            def set_plain(entries, i=i, j=j, value=value):
-                entries[i, j] = value
-
-            def set_star(entries, i=i, j=j, value=value):
-                entries[i, tables[i, j] - 1] = sign * value
-
+        seen, edits = set(), 0
+        for root in sorted(edges):
+            if root in seen:
+                continue
+            old = wm._CLASS_TABLE[PLAIN].flat[root[1]]
+            value = {root: int(rng.choice([v for v in range(-top, top + 1) if v != old]))}
+            queue = [root]
+            while queue:
+                u = queue.pop()
+                for w, s in edges[u]:
+                    if w not in value:
+                        value[w] = s * value[u]
+                        queue.append(w)
+                    assert value[w] == s * value[u]  # one sign around each cycle
+            seen |= value.keys()
+            cells = [{c for t, c in value if t == side} for side in (0, 1)]
+            if np.array_equal(np.isin(plain, list(cells[0])), np.isin(second, list(cells[1]))):
+                continue  # the second equality pairs the component within itself
             with monkeypatch.context() as m:
-                plain = patch_dense(m, hv, p, PLAIN, set_plain)
-                star = patch_dense(m, hv, p, STAR, set_star)
+                for side, variant in enumerate((PLAIN, STAR)):
+                    table = wm._CLASS_TABLE[variant].copy()
+                    for cell in cells[side]:
+                        table.flat[cell] = value[side, cell]
+                    m.setitem(wm._CLASS_TABLE, variant, table)
                 report = check_lemma3(p)
-            assert report == lemma3_loops(p, plain, star, tables)
-            assert not report.passed
-            assert report.counterexample[2] in (j + 1, tables[i, j])
+                assert report == self.loops(p, tables)
+                assert not report.passed
+                _, ci, cj, lhs, rhs = report.counterexample
+                # a pair of the second equality, at an entry of an edited cell
+                row_point = int(tables[cj - 1, ci - 1])
+                c_sign = -1 if p == 4 or abs(ci - cj) == p // 2 else 1
+                assert lhs == int(wm.entry_values(p, PLAIN, ci, cj))
+                assert rhs == c_sign * int(wm.entry_values(p, STAR, row_point, cj))
+                assert lhs != rhs
+                assert (
+                    int(self.cell_key(p, ci, cj)) in cells[0]
+                    or int(self.cell_key(p, row_point, cj)) in cells[1]
+                )
+            edits += 1
+        assert edits >= 4
 
 
 class TestTheorem1:

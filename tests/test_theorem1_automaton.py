@@ -12,21 +12,37 @@ and fails both pairs.  Above, its first
 failing triple under a planted class-table fault must fail under the
 scalar oracles ``entry_at`` and ``sigma``, and no failing triple that
 ``sample_theorem1`` finds may sort before it.
+
+Lemma 3 and the point-1 level check run the automaton on planes of its
+letters, and the half swap reads the class table.  Through p = 512 each
+reports exactly as its dense oracle on the entry grids and the map table,
+on clean tables, under one-cell class-table faults and under every
+``_SIGMA4`` exchange; a fault in a row that only orders above 8192 reach
+passes at 8192 and fails at 2**20.
 """
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 import recon_census.deletion_maps as dm
+import recon_census.digraph_builder as db
 import recon_census.hypomorphism_verifier as hv
 import recon_census.weight_matrix as wm
 from recon_census.cli import main
+from recon_census.errors import ContradictionError
 from recon_census.report import VerificationReport
 from recon_census.theorem1_automaton import decide_hypomorphisms, decide_theorem1
 
-from loop_oracles import hypomorphisms_reference
+from loop_oracles import (
+    hypomorphisms_reference,
+    lemma3_loops,
+    level_pairs,
+    level_table_reference,
+    swap_reference,
+)
 
 PLAIN = wm.MatrixVariant.PLAIN
 STAR = wm.MatrixVariant.STAR
@@ -179,3 +195,134 @@ def test_command_line_reports_the_automaton(tables, capsys):
     (rep,) = json.loads(capsys.readouterr().out)["reports"]
     assert rep == decide_theorem1(p).to_json_dict()
     assert rep["outcome"] == "fail" and "seed" not in rep
+
+
+def plane_reports(p):
+    """lemma 3's report, then from p = 8 the ContradictionError messages of
+    the half swap and the point-1 level check (None where each holds) and
+    the point-1 level pairs, as a list of (u, v)."""
+    db._level_table.cache_clear()
+    out = [hv.check_lemma3(p)]
+    if p >= 8:
+        for check in (db.swap_involution, db._level_table):
+            try:
+                check(p)
+                out.append(None)
+            except ContradictionError as exc:
+                out.append(str(exc))
+        out.append(np.stack(db._point1_pairs(p), axis=1).tolist())
+    return out
+
+
+def dense_plane_reports(p):
+    """``plane_reports(p)`` by the dense oracles."""
+    plain, star = (wm.entry_grid(p, v) for v in (PLAIN, STAR))
+    out = [lemma3_loops(p, plain, star, dm.build_all_maps(p))]
+    if p >= 8:
+        pairs = level_pairs(plain, star, dm.extend_sigma_p1(p) - 1)
+        out += [swap_reference(p), level_table_reference(p), pairs.tolist()]
+    return out
+
+
+def reached_cell_faults(p):
+    """Every one-cell fault (variant, row, r, c) of the rows order p reaches."""
+    return [
+        (variant, int(row), r, c)
+        for variant in (PLAIN, STAR)
+        for row in wm._reached_rows(p)
+        for r in range(4)
+        for c in range(4)
+    ]
+
+
+@pytest.mark.parametrize("p", SWEPT_ORDERS)
+def test_planes_clean_equal_dense(p):
+    reports = plane_reports(p)
+    assert reports == dense_plane_reports(p)
+    clean = [VerificationReport("lemma3", p, None, 2 * p * (p - 1))]
+    assert reports[:3] == clean + [None, None] * (p >= 8)
+
+
+@pytest.mark.parametrize("p, seeded", [(8, None), (16, None), (32, 40), (64, 40)])
+def test_planes_under_cell_faults_equal_dense(tables, p, seeded):
+    # every one-cell fault of the reached rows, or a seeded share of them
+    faults = reached_cell_faults(p)
+    if seeded is not None:
+        rng = np.random.default_rng(p)
+        faults = [faults[t] for t in rng.choice(len(faults), size=seeded, replace=False)]
+    failed = set()
+    for fault in faults:
+        tables.class_cell(*fault)
+        reports = plane_reports(p)
+        assert reports == dense_plane_reports(p), fault
+        verdicts = (reports[0].passed, reports[1] is None, reports[2] is None)
+        failed |= {check for check, passed in enumerate(verdicts) if not passed}
+    # each check fails under some fault
+    assert failed == {0, 1, 2}
+
+
+@pytest.mark.parametrize("p", SWEPT_ORDERS[:5])
+def test_planes_under_sigma4_swaps_equal_dense(tables, p):
+    # every exchange of two images in one row of the order-4 maps
+    for k in range(4):
+        kept = [x for x in range(4) if x != k]
+        for x, y in itertools.combinations(kept, 2):
+            tables.sigma_swap(k, x, y)
+            reports = plane_reports(p)
+            assert reports == dense_plane_reports(p), (k, x, y)
+            assert not reports[0].passed
+            if p >= 8:
+                # the half swap reads no map; the point-1 check fails
+                # exactly when the map deleting point 1 changes
+                assert reports[1] is None
+                assert (reports[2] is None) == (k != 0)
+            tables.sigma_swap(k, x, y)  # undone
+
+
+DEEP = 1 << 20
+
+
+def deep_fault(tables):
+    """Negate plain cell (0, 1) in the row of block offset 2**17, p/8 at
+    order 2**20, which no order up to 2**19 reaches."""
+    row = int(wm._reached_rows(DEEP)[-2])
+    assert row not in wm._reached_rows(wm.DENSE_ORDER_LIMIT)
+    tables.class_cell(PLAIN, row, 0, 1)
+    return row
+
+
+def test_deep_fault_passes_at_the_dense_limit(tables):
+    deep_fault(tables)
+    p = wm.DENSE_ORDER_LIMIT
+    passed = VerificationReport("lemma3", p, None, 2 * p * (p - 1))
+    assert plane_reports(p)[:3] == [passed, None, None]
+
+
+def test_deep_fault_fails_above_it(tables):
+    row = deep_fault(tables)
+    p = DEEP
+    lemma3, swap, point1, _ = plane_reports(p)
+    assert swap == f"half-swap failed the level-swap identity at p={p} (plain)"
+    assert point1.startswith(f"extended point-1 mapping is not an isomorphism at p={p}")
+    assert lemma3.checked_count == 2 * p * (p - 1) and not lemma3.passed
+    _, i, j, lhs, rhs = lemma3.counterexample
+    # the first equality fails at an entry of the faulted class
+    assert scalar_class(p, i, j) == row and ((i - 1) & 3, (j - 1) & 3) == (0, 1)
+    sign = -1 if abs(i - j) == p // 2 else 1
+    assert lhs == int(wm.entry_values(p, PLAIN, i, j))
+    assert rhs == sign * int(wm.entry_values(p, STAR, i, dm.sigma_values(p, i, j)))
+    assert lhs != rhs
+
+
+def test_deep_fault_on_the_command_line(tables, capsys):
+    deep_fault(tables)
+    args = ["verify", "--checks", "lemma3,swap,forced-iso"]
+    assert main([*args, "--p", str(wm.DENSE_ORDER_LIMIT)]) == 0
+    capsys.readouterr()
+    assert main([*args, "--p", str(DEEP)]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [(r["check"], r["outcome"]) for r in reports] == [
+        ("lemma3", "fail"),
+        ("swap", "fail"),
+        ("forced-iso", "fail"),
+    ]
