@@ -34,12 +34,12 @@ from recon_census.digraph_builder import (
     DEFAULT_ISO_BUDGET,
     Digraph,
     _assigns_tournaments,
+    _check_half_swap,
     _twin_levels,
     assignment_census,
     assignment_from_bits,
     forced_isomorphism,
     standard_pair,
-    swap_involution,
     tournament_assignment,
     tournament_digraph,
     variant_digraph,
@@ -60,7 +60,6 @@ from recon_census.weight_matrix import (
     check_lemma1,
     csv_blocks,
     order_exponent,
-    release_dense,
 )
 
 __all__ = ["CHECKS", "RunConfig", "main", "run"]
@@ -118,7 +117,8 @@ def _deck_match(config: RunConfig) -> list[VerificationReport]:
 
 def _swap(config: RunConfig) -> list[VerificationReport]:
     p = config.p
-    swap_involution(p)
+    # the class-row identity alone: the permutation tau is not read
+    _check_half_swap(p)
     return [VerificationReport("swap", p, None, 2 * p * p)]
 
 
@@ -178,8 +178,7 @@ def _selected_variants(config: RunConfig) -> list[MatrixVariant]:
 
 def _selected_items(config: RunConfig) -> Iterator[tuple[str, Digraph]]:
     """The named digraphs of ``--kind`` and ``--variant``, each built only
-    when drawn.  Drawing the next one first drops the cached matrix of the
-    last, so that one variant is held at a time."""
+    when drawn, so that one variant is held at a time."""
     p = config.p
     tag, build = {
         "tournament": ("G", tournament_digraph),
@@ -188,7 +187,6 @@ def _selected_items(config: RunConfig) -> Iterator[tuple[str, Digraph]]:
     for variant in _selected_variants(config):
         suffix = "s" if variant is MatrixVariant.STAR else ""
         yield f"{tag}{p}{suffix}", build(p, variant)
-        release_dense(p, variant)
 
 
 def _encode(named: Iterable[tuple[str, Digraph]], fmt: str) -> Iterator[str]:

@@ -19,9 +19,9 @@ The mappings at order p are stored in one form only: the read-only
 ``(p, p)`` int32 table of ``build_all_maps``, whose row k - 1 holds the
 1-based images under the deletion of k and 0 at the hole.  Every row is
 checked to be a bijection onto the points other than k where it is built,
-the one place a table is validated, and only the last order's table is
-cached (4 * p**2 bytes).  ``build_map`` computes one row in O(p) without
-the table.
+the one place a table is validated, and nothing is cached: each call
+builds its 4 * p**2 bytes afresh.  ``build_map`` computes one row in O(p)
+without the table.
 
 ``check_lemma2`` checks each of the four parts of lemma 2 with one masked
 row-block scan of that table; part (d) pairs each point with its partner
@@ -38,7 +38,6 @@ pair.  The test suite holds the digit automaton to it.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -235,13 +234,12 @@ def build_map(p: int, k: int) -> np.ndarray:
     return row[0]
 
 
-@lru_cache(maxsize=1)
 def build_all_maps(p: int) -> np.ndarray:
     """All p mappings at order p as one read-only ``(p, p)`` int32 table.
 
     Row k - 1 is ``build_map(p, k)``.  The rows are built and validated
-    one ``weight_matrix._row_blocks`` block at a time, and only the last
-    order asked for is kept: 4 * p**2 bytes.
+    one ``weight_matrix._row_blocks`` block at a time, on every call:
+    4 * p**2 bytes.
     """
     order_exponent(p)
     tables = np.empty((p, p), dtype=np.int32)

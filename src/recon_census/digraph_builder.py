@@ -10,9 +10,9 @@ Because the two extreme levels +-(n+1) are the only place the plain and
 starred matrices disagree under the extended point-1 mapping, any
 assignment giving both extremes the same bit produces an isomorphic pair
 (``forced_isomorphism`` returns the witness, the permutation array of
-``deletion_maps.extend_sigma_p1``).  That identity is checked once per
-order: every distinct off-diagonal level pair (plain(i, j),
-star(ext(i), ext(j))) must be (u, u) or an extreme pair
+``deletion_maps.extend_sigma_p1``).  That identity is checked for the
+whole order, not per assignment: every distinct off-diagonal level pair
+(plain(i, j), star(ext(i), ext(j))) must be (u, u) or an extreme pair
 (+-(n+1), -+(n+1)).  Conjugating by the half-swap involution exchanges
 the two extreme levels and nothing else (``swap_involution`` verifies
 this), which pairs up assignments into orbits yielding the same digraph
@@ -36,7 +36,7 @@ that searches every row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -371,17 +371,15 @@ def apply_assignment(m: WeightedMatrix, a: BinaryAssignment) -> Digraph:
     return Digraph(m.order, _bit_lut(a)[m.entries])
 
 
-def _assigned_pair(p: int, a: BinaryAssignment) -> tuple[Digraph, Digraph]:
-    """One assignment applied to the cached plain and starred matrices."""
-    return tuple(apply_assignment(build_dense(p, v), a) for v in MatrixVariant)
-
-
 def tournament_digraph(p: int, variant: MatrixVariant) -> Digraph:
-    """One digraph of the canonical tournament pair, built alone and
-    checked to be a tournament (positive entries become arcs)."""
+    """One digraph of the canonical tournament pair (positive entries
+    become arcs), built alone.  Once its matrix is built and validated,
+    the pair is checked to be tournaments off the class table
+    (``_twin_levels``), as ``hypo-sigma`` checks it, with no scan of the
+    p**2 digraph."""
     a = tournament_assignment(order_exponent(p))
     g = apply_assignment(build_dense(p, variant), a)
-    if not g.is_tournament():
+    if not _assigns_tournaments(_twin_levels(p), a):
         raise ContradictionError("canonical pair failed the tournament check")
     return g
 
@@ -427,7 +425,6 @@ def _point1_pairs(p: int) -> tuple[np.ndarray, np.ndarray]:
     return (codes >> 8) - 128, (codes & 0xFF) - 128
 
 
-@lru_cache(maxsize=1)
 def _level_table(p: int) -> np.ndarray:
     """The forced rows' witness ``extend_sigma_p1(p)``, checked, read-only.
 
@@ -436,8 +433,8 @@ def _level_table(p: int) -> np.ndarray:
     is (u, u) or (+-(n+1), -+(n+1)).  Then ``ext`` carries the assigned
     plain digraph onto the assigned starred one for every assignment
     giving both extremes the same bit, so the identity is checked here,
-    once per order, and a violation (named by its first pair) is a fatal
-    internal error.  Only the last order is kept.
+    for the whole order on every call, and a violation (named by its
+    first pair) is a fatal internal error.
     """
     ext = extend_sigma_p1(p)
     ext.setflags(write=False)
@@ -458,7 +455,7 @@ def forced_isomorphism(p: int, a: BinaryAssignment) -> Optional[np.ndarray]:
 
     The witness is the extended point-1 mapping (``extend_sigma_p1``, slot
     i - 1 holding the image of point i) as the read-only array of
-    ``_level_table``, which checks once per order that the mapping changes
+    ``_level_table``, which checks on every call that the mapping changes
     only the extreme levels.  So it carries the assigned plain digraph onto
     the assigned starred one, and an order where it does not raises
     ContradictionError for every assignment with equal extreme bits, the
@@ -510,12 +507,10 @@ def _assigns_tournaments(twins: np.ndarray, a: BinaryAssignment) -> bool:
     return bool(_tournament_rows(twins, _bit_lut(a)))
 
 
-def swap_involution(p: int) -> np.ndarray:
-    """The half-swap permutation, verified to exchange only the extreme levels.
-
-    Returns tau with tau(i) = i + p/2 for i <= p/2 and i - p/2 above.
-    Conjugating either matrix by tau must swap the levels n+1 and -(n+1)
-    and fix every other level; failure is a fatal internal error.
+def _check_half_swap(p: int) -> None:
+    """ContradictionError unless conjugating either matrix by the half
+    swap tau of ``swap_involution`` exchanges the levels n+1 and -(n+1)
+    and fixes every other level, read off O(log p) class-table rows.
 
     tau keeps every cell's residues and offset class but exchanges the
     offsets +-p/8, the last two ``_reached_rows``: it keeps an offset D
@@ -527,9 +522,6 @@ def swap_involution(p: int) -> np.ndarray:
     n = order_exponent(p)
     if p < 8:
         raise ValueError(f"swap_involution requires p >= 8, got {p}")
-    tau = np.arange(p, dtype=np.int32)
-    tau ^= p // 2  # tau(i) - 1 is i - 1 with its top bit flipped
-    tau += 1
     rows = _reached_rows(p)
     for variant in (MatrixVariant.PLAIN, MatrixVariant.STAR):
         levels = _CLASS_TABLE[variant][rows].astype(np.int16)
@@ -539,6 +531,20 @@ def swap_involution(p: int) -> np.ndarray:
             raise ContradictionError(
                 f"half-swap failed the level-swap identity at p={p} ({variant.value})"
             )
+
+
+def swap_involution(p: int) -> np.ndarray:
+    """The half-swap permutation, verified to exchange only the extreme levels.
+
+    Returns tau with tau(i) = i + p/2 for i <= p/2 and i - p/2 above.
+    Conjugating either matrix by tau must swap the levels n+1 and -(n+1)
+    and fix every other level (``_check_half_swap``); failure is a fatal
+    internal error.
+    """
+    _check_half_swap(p)
+    tau = np.arange(p, dtype=np.int32)
+    tau ^= p // 2  # tau(i) - 1 is i - 1 with its top bit flipped
+    tau += 1
     tau.setflags(write=False)
     return tau
 
@@ -574,14 +580,15 @@ class CensusTable:
 
 
 def _census_entry(
-    p: int, a: BinaryAssignment, budget: int
+    g: Digraph, h: Digraph, budget: int
 ) -> tuple[Optional[bool], Optional[tuple[int, ...]]]:
-    """Search verdict for one row, None when the search exhausted the
-    budget, with its witness (1-based images) on the isomorphic verdict."""
+    """Search verdict for one row's assigned pair, None when the search
+    exhausted the budget, with its witness (1-based images) on the
+    isomorphic verdict."""
     # imported here to avoid a module cycle with the isomorphism engine
     from recon_census.iso_engine import IsoStatus, are_isomorphic
 
-    verdict = are_isomorphic(*_assigned_pair(p, a), budget=budget)
+    verdict = are_isomorphic(g, h, budget=budget)
     isomorphic = {
         IsoStatus.ISOMORPHIC: True,
         IsoStatus.NON_ISOMORPHIC: False,
@@ -597,12 +604,12 @@ def _search_orbits(
     of the unforced orbits, whose assigned digraphs are stacked in
     ``plain`` and ``star`` as (R, p, p) uint8 arrays.
 
-    A row still open gets one search through ``_census_entry``.  Each
-    witness w found is tried against every stacked row at once, as
-    ``plain == star[:, w][:, :, w]``, and every row it carries reads True
-    with no search of its own, an undecided one too.  A witness that does
-    not carry its own row, or that carries a row a search called
-    non-isomorphic, is a fatal internal error.
+    A row still open gets one search through ``_census_entry`` on its
+    own stacked digraphs.  Each witness w found is tried against every
+    stacked row at once, as ``plain == star[:, w][:, :, w]``, and every
+    row it carries reads True with no search of its own, an undecided one
+    too.  A witness that does not carry its own row, or that carries a row
+    a search called non-isomorphic, is a fatal internal error.
     """
     n = order_exponent(p)
     m = 2 * (n + 1)
@@ -613,7 +620,8 @@ def _search_orbits(
         if carried[r]:
             continue
         bits = format(x, f"0{m}b")
-        verdicts[r], witness = _census_entry(p, assignment_from_bits(n, bits), budget)
+        g, h = Digraph(p, plain[r]), Digraph(p, star[r])
+        verdicts[r], witness = _census_entry(g, h, budget)
         if verdicts[r] is False:
             refuted[r] = True
         elif verdicts[r]:
@@ -650,11 +658,12 @@ def assignment_census(p: int, iso_budget: int = DEFAULT_ISO_BUDGET) -> CensusTab
     equal bits (its own partner) is isomorphic by ``forced_isomorphism``'s
     witness, with no search.  The other orbits' representatives, the rows
     below their partners, are decided by ``_search_orbits`` on their
-    stacked digraphs (each stack one bit lookup of the cached dense
-    levels), and each partner copies its representative's verdict.  Both
-    per-order identities, ``swap_involution`` and the point-1 level check
-    of ``_level_table``, run before any search.  The tournament flag reads
-    the ``_twin_levels`` pairs, taken once per order, for every row.
+    stacked digraphs (each stack one bit lookup of the dense levels), and
+    each partner copies its representative's verdict.  Both per-order
+    identities, the half swap's (``_check_half_swap``) and the point-1
+    level check of ``_level_table``, run before any search.  The
+    tournament flag reads the ``_twin_levels`` pairs, taken once per
+    order, for every row.
     """
     if p not in CENSUS_ORDERS:
         orders = " and ".join(map(str, CENSUS_ORDERS))
@@ -663,7 +672,7 @@ def assignment_census(p: int, iso_budget: int = DEFAULT_ISO_BUDGET) -> CensusTab
     m = 2 * (n + 1)
     # forced rows and partners may skip the search only because these
     # identities hold; each raises otherwise
-    swap_involution(p)
+    _check_half_swap(p)
     _level_table(p)
     x = np.arange(1 << m)
     bits = (x[:, None] >> np.arange(m - 1, -1, -1) & 1).astype(np.uint8)

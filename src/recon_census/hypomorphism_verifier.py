@@ -8,8 +8,8 @@ on two planes of theorem 1's digit automaton.
 ``check_theorem1`` verifies the hypomorphism identity exhaustively: for
 every deleted point k, the plain entry at (i, j) equals the starred entry
 at the mapped pair, over all p * (p-1)**2 admissible triples, in one
-deletion sweep of the cached dense matrices of ``build_dense`` over the
-map table of ``build_all_maps``.  It is the library's dense route;
+deletion sweep of the dense matrices of ``build_dense`` over the map
+table of ``build_all_maps``, each built for the call.  It is the library's dense route;
 ``theorem1_automaton.decide_theorem1``, which the command line runs,
 gives the same report at every order.
 ``sample_theorem1`` checks theorem 1 on seeded random triples through the
@@ -77,8 +77,8 @@ def check_lemma3(p: int) -> VerificationReport:
 def check_theorem1(p: int) -> VerificationReport:
     """Exhaustively verify the hypomorphism identity at order p.
 
-    One deletion sweep (``deletion_maps._deletion_sweep``) of the cached
-    dense matrices (``build_dense``) over ``build_all_maps(p)``, O(p**3):
+    One deletion sweep (``deletion_maps._deletion_sweep``) of the dense
+    matrices (``build_dense``) over ``build_all_maps(p)``, O(p**3):
     0.3 s at p = 512 and about 2 s at p = 1024.  The CLI runs
     ``theorem1_automaton.decide_theorem1``, the same report at every order.
     """

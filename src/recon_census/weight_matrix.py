@@ -53,7 +53,6 @@ __all__ = [
     "entry_values",
     "level_bound",
     "order_exponent",
-    "release_dense",
     "sign_flip",
 ]
 
@@ -274,20 +273,12 @@ def base_matrix(variant: MatrixVariant) -> WeightedMatrix:
     return WeightedMatrix(4, variant, _BASE[variant].copy())
 
 
-# The validated dense matrices by (order, variant), least recently used first.
-_DENSE_CACHE: dict[tuple[int, MatrixVariant], WeightedMatrix] = {}
-_DENSE_CACHE_SIZE = 16
-
-
 def build_dense(p: int, variant: MatrixVariant) -> WeightedMatrix:
     """The full matrix, gathered from the class table one row block at a
-    time (``entry_grid``).
+    time (``entry_grid``) and validated, on every call.
 
     Refuses orders above ``DENSE_ORDER_LIMIT`` (2**13) so that memory use
-    stays predictable; ``entry_at`` serves larger orders.  The validated
-    matrix is cached, so repeat calls return the same object until
-    ``release_dense`` drops it: at most 16 matrices, the least recently
-    used going first, about 180 MB if they are the largest.
+    stays predictable; ``entry_at`` serves larger orders.
     """
     order_exponent(p)
     if p > DENSE_ORDER_LIMIT:
@@ -295,20 +286,7 @@ def build_dense(p: int, variant: MatrixVariant) -> WeightedMatrix:
             f"dense construction refused for p={p} > limit {DENSE_ORDER_LIMIT}; "
             "use entry_at/entry_values instead"
         )
-    key = (p, variant)
-    matrix = _DENSE_CACHE.pop(key, None)
-    if matrix is None:
-        matrix = WeightedMatrix(p, variant, entry_grid(p, variant))
-        if len(_DENSE_CACHE) >= _DENSE_CACHE_SIZE:
-            del _DENSE_CACHE[next(iter(_DENSE_CACHE))]
-    _DENSE_CACHE[key] = matrix
-    return matrix
-
-
-def release_dense(p: int, variant: MatrixVariant) -> None:
-    """Drop the cached order-p ``variant`` matrix, if it is held, so that a
-    caller done with it frees its p**2 bytes."""
-    _DENSE_CACHE.pop((p, variant), None)
+    return WeightedMatrix(p, variant, entry_grid(p, variant))
 
 
 def _check_integers(what: str, *values) -> None:

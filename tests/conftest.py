@@ -97,23 +97,16 @@ def tables(monkeypatch):
 
     ``hypomorphism_verifier.build_dense`` reads unvalidated entry grids, so
     that a one-cell fault, which breaks antisymmetry, reaches the deletion
-    sweep as it reaches the digit automaton; the map table, the point-1
-    witness and the dense caches are cleared around each edit and test.
+    sweep as it reaches the digit automaton.  No table is cached, so every
+    call after an edit reads it.
     """
     import recon_census.deletion_maps as dm
-    import recon_census.digraph_builder as db
     import recon_census.hypomorphism_verifier as hv
     import recon_census.weight_matrix as wm
-
-    def clear_caches():
-        dm.build_all_maps.cache_clear()
-        db._level_table.cache_clear()
-        wm._DENSE_CACHE.clear()
 
     monkeypatch.setattr(
         hv, "build_dense", lambda q, v: SimpleNamespace(entries=wm.entry_grid(q, v))
     )
-    clear_caches()
     clean = dict(wm._CLASS_TABLE)
 
     def class_cells(variant, row, cells):
@@ -125,7 +118,6 @@ def tables(monkeypatch):
         table.setflags(write=False)
         for v in clean:
             monkeypatch.setitem(wm._CLASS_TABLE, v, table if v is variant else clean[v])
-        clear_caches()
 
     def class_cell(variant, row, r, c, value=None):
         """One cell of ``variant`` set to ``value`` (by default the cell
@@ -138,9 +130,7 @@ def tables(monkeypatch):
         table = dm._SIGMA4.copy()
         table[k, [x, y]] = table[k, [y, x]]
         monkeypatch.setattr(dm, "_SIGMA4", table)
-        clear_caches()
 
-    yield SimpleNamespace(
+    return SimpleNamespace(
         class_cells=class_cells, class_cell=class_cell, sigma_swap=sigma_swap
     )
-    clear_caches()

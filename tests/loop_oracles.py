@@ -24,7 +24,9 @@ count:
 * ``threshold_scores_reference`` and ``induced_halves_mismatch_reference``:
   the two per-level steps of theorem 2 on entry grids, O(p**2), and
   ``halving_chain_reference``, which runs them level by level;
-* ``assignment_census_reference``: the census with every row searched;
+* ``assignment_census_reference``: the census with every row searched,
+  each on the pair ``assigned_pair`` builds through ``apply_assignment``
+  on the dense matrices, in place of the census's stacked rows;
 * ``every_relabeling_code``: an isomorphism invariant that is complete
   because it tries all p! relabelings;
 * ``relabel``: a digraph with its points renamed by a permutation, which
@@ -432,6 +434,12 @@ def halving_chain_reference(p):
     return None
 
 
+def assigned_pair(p, a):
+    """The plain and starred digraphs of assignment ``a`` at order p, each
+    ``apply_assignment`` on a validated dense matrix."""
+    return tuple(db.apply_assignment(wm.build_dense(p, v), a) for v in wm.MatrixVariant)
+
+
 def assignment_census_reference(p, iso_budget=db.DEFAULT_ISO_BUDGET):
     """``assignment_census(p)`` without its symmetries: every row searched,
     its tournament flag read off its digraphs, and its orbit id the smaller
@@ -442,14 +450,14 @@ def assignment_census_reference(p, iso_budget=db.DEFAULT_ISO_BUDGET):
     for chars in itertools.product("01", repeat=2 * (n + 1)):
         bits = "".join(chars)
         a = db.assignment_from_bits(n, bits)
-        g, h = db._assigned_pair(p, a)
+        g, h = assigned_pair(p, a)
         swapped = list(chars)
         swapped[n], swapped[-1] = chars[-1], chars[n]
         rows.append(
             db.CensusRow(
                 bits,
                 g.is_tournament() and h.is_tournament(),
-                db._census_entry(p, a, iso_budget)[0],
+                db._census_entry(g, h, iso_budget)[0],
                 min(int(bits, 2), int("".join(swapped), 2)),
             )
         )

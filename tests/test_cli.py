@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from recon_census.cli import CHECKS, main
-from recon_census.deletion_maps import build_all_maps, sigma_table_tsv
+from recon_census.deletion_maps import sigma_table_tsv, sigma_tsv_blocks
 from recon_census.report import SCHEMA_VERSION
-from recon_census.weight_matrix import MatrixVariant, build_dense
+from recon_census.weight_matrix import MatrixVariant, build_dense, csv_blocks
 
 from conftest import FIXTURES
 
@@ -384,7 +384,7 @@ class TestCheckTable:
         [
             ("theorem2", "verify_nonisomorphic_inductive"),
             ("hypo-sigma", "_twin_levels"),
-            ("swap", "swap_involution"),
+            ("swap", "_check_half_swap"),
             ("forced-iso", "forced_isomorphism"),
         ],
     )
@@ -424,7 +424,7 @@ class TestInternalErrors:
         def broken(p):
             raise ContradictionError("half-swap failed\nthe level-swap identity")
 
-        monkeypatch.setattr(db, "swap_involution", broken)
+        monkeypatch.setattr(db, "_check_half_swap", broken)
         assert run_cli("census", "--p", "8") == 3
         assert self.one_error_line(capsys) == (
             "recon-census: internal error: ContradictionError: "
@@ -517,40 +517,37 @@ class TestGenerate:
     )
     def test_both_holds_one_variant_at_a_time(self, monkeypatch, capsys, kind, builder, fmt):
         # when the starred item is built, the plain item written before it
-        # is freed, and so is its dense matrix in the cache; the weighted
-        # rows are sliced from row templates, and no matrix is cached at all
+        # is freed, and so is the dense matrix it was read from; the
+        # weighted rows are sliced from row templates, with no matrix
         import weakref
 
         import recon_census.cli as cli_mod
+        import recon_census.digraph_builder as db
         import recon_census.weight_matrix as wm
 
-        real = getattr(cli_mod, builder)
+        real, real_dense = getattr(cli_mod, builder), wm.build_dense
         written, drawn = [], []
-        both = {(16, v) for v in MatrixVariant}
-        if kind == "weighted":
-            for v in MatrixVariant:
-                wm.release_dense(16, v)
+
+        def dense(p, variant):
+            m = real_dense(p, variant)
+            written.append(weakref.ref(m))
+            return m
 
         def recording(p, variant):
             assert [ref() for ref in written] == [None] * len(written)
-            assert not {(p, v) for v in MatrixVariant if v is not variant} & set(
-                wm._DENSE_CACHE
-            )
             item = real(p, variant)
             drawn.append(variant)
-            if kind == "weighted":
-                assert not both & set(wm._DENSE_CACHE)
-                return item
-            entries = wm.build_dense(p, variant).entries
-            written.extend([weakref.ref(item), weakref.ref(entries)])
+            if kind != "weighted":
+                written.append(weakref.ref(item))
             return item
 
+        for module in (db, wm):
+            monkeypatch.setattr(module, "build_dense", dense)
         monkeypatch.setattr(cli_mod, builder, recording)
         args = ["--p", "16", "--kind", kind, "--variant", "both", "--format", fmt]
         assert run_cli("generate", *args) == 0
         assert drawn == list(MatrixVariant)
         assert len(written) == (0 if kind == "weighted" else 4)
-        assert not both & set(wm._DENSE_CACHE)
         capsys.readouterr()
 
     def test_variant_digraph_requires_order_8(self):
@@ -622,9 +619,6 @@ class TestDeckCommand:
     def test_memory_holds_one_card(self, tmp_path):
         import tracemalloc
 
-        from recon_census.digraph_builder import standard_pair
-
-        standard_pair(128)  # the cached dense matrices are not the deck's
         out = tmp_path / "deck.csv"
         tracemalloc.start()
         try:
@@ -749,28 +743,28 @@ class TestStreamedWrites:
                 assert got == fixture.encode(), (args, cells)
 
     @pytest.mark.parametrize(
-        "args, warm",
+        "texts",
         [
-            (
-                ("generate", "--p", "2048", "--kind", "weighted", "--variant", "both"),
-                lambda: [build_dense(2048, v) for v in MatrixVariant],
-            ),
-            (("export", "--p", "1024"), lambda: build_all_maps(1024)),
+            lambda: [csv_blocks(2048, v) for v in MatrixVariant],
+            lambda: [sigma_tsv_blocks(1024)],
         ],
+        ids=["weighted", "export"],
     )
-    def test_scratch_is_a_fraction_of_the_text(self, tmp_path, args, warm):
+    def test_scratch_is_a_fraction_of_the_text(self, tmp_path, texts):
         import tracemalloc
 
-        # the cached matrices and map table are not the writer's scratch
-        warm()
+        from recon_census.cli import _emit
+
+        # the row templates and the map table, which each call builds, are
+        # not the writer's scratch: only drawing and writing the text is
+        blocks = itertools.chain.from_iterable(texts())
         out = tmp_path / "out.txt"
         tracemalloc.start()
         try:
-            status = run_cli(*args, "--out", str(out))
+            _emit(blocks, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert status == 0
         # 21.0 MB and 4.1 MB written; writers that built the whole text
         # first peaked at 22.5 MB and 10.7 MB
         assert peak < out.stat().st_size / 4
@@ -778,11 +772,7 @@ class TestStreamedWrites:
     def test_cold_weighted_scratch_is_a_fraction_of_the_text(self, tmp_path):
         import tracemalloc
 
-        import recon_census.weight_matrix as wm
-
-        # nothing warmed: the writer builds what it needs under the trace
-        for variant in MatrixVariant:
-            wm.release_dense(2048, variant)
+        # the writer builds what it needs under the trace
         out = tmp_path / "out.csv"
         args = ("generate", "--p", "2048", "--kind", "weighted", "--variant", "both")
         tracemalloc.start()
@@ -820,6 +810,15 @@ class TestCensusCommand:
         assert out.read_bytes() == golden
         assert run_cli(*args) == 0
         assert capsys.readouterr().out.encode() == golden
+
+    def test_searches_read_the_stacked_rows(self, tmp_path, monkeypatch):
+        # each dense matrix is built once, to stack the representatives'
+        # digraphs, and no search builds its pair again
+        out = tmp_path / "census.csv"
+        names = {"build_dense", "apply_assignment"}
+        calls = spied_run(monkeypatch, names, "census", "--p", "16", "--out", str(out))
+        assert calls == ["build_dense", "build_dense"]
+        assert out.read_bytes() == (FIXTURES / "census_p16.csv").read_bytes()
 
     def test_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -944,9 +943,9 @@ class TestVerifyReports:
 TOURNAMENT_CHECK = "canonical pair failed the tournament check"
 
 
-def spied_verify(monkeypatch, tmp_path, p, checks, names):
+def spied_run(monkeypatch, names, *args):
     """Which of ``names`` are called, in any ``recon_census`` module, while
-    ``verify`` runs ``checks`` at order p, in call order, and its reports."""
+    the command line runs ``args`` (and exits 0), in call order."""
     calls = []
     modules = [m for n, m in sys.modules.items() if n.startswith("recon_census.")]
     for module in modules:
@@ -957,8 +956,16 @@ def spied_verify(monkeypatch, tmp_path, p, checks, names):
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, spy)
+    assert run_cli(*args) == 0
+    return calls
+
+
+def spied_verify(monkeypatch, tmp_path, p, checks, names):
+    """``spied_run`` of ``verify`` running ``checks`` at order p, and its
+    reports."""
     out = tmp_path / "rep.json"
-    assert run_cli("verify", "--p", str(p), "--checks", checks, "--out", str(out)) == 0
+    args = ("verify", "--p", str(p), "--checks", checks, "--out", str(out))
+    calls = spied_run(monkeypatch, names, *args)
     return calls, json.loads(out.read_text())["reports"]
 
 
@@ -980,11 +987,6 @@ class TestAutomatonPlanes:
         ]
 
     def test_spies_see_the_dense_route(self, tmp_path, monkeypatch):
-        import recon_census.deletion_maps as dm
-        import recon_census.weight_matrix as wm
-
-        wm._DENSE_CACHE.clear()
-        dm.build_all_maps.cache_clear()
         calls, _ = spied_verify(monkeypatch, tmp_path, 8, "lemma2,deck-match", self.DENSE)
         assert set(calls) == self.DENSE
 
@@ -1006,9 +1008,6 @@ class TestTournamentSelfCheck:
         ]
 
     def test_spies_see_the_dense_route(self, tmp_path, monkeypatch):
-        import recon_census.weight_matrix as wm
-
-        wm._DENSE_CACHE.clear()
         calls, _ = spied_verify(monkeypatch, tmp_path, 8, "deck-match", self.DENSE)
         assert set(calls) == self.DENSE
 

@@ -189,12 +189,6 @@ class TestMapTable:
         for k in (1, step, step + 1, p - step, p - step + 1, p):
             assert np.array_equal(build_map(p, k), tables[k - 1]), k
 
-    def test_one_order_cached(self):
-        build_all_maps(8)
-        assert build_all_maps(8) is build_all_maps(8)
-        build_all_maps(16)
-        assert build_all_maps.cache_info().currsize == 1
-
     def test_absent_slot_is_zero(self):
         assert build_map(8, 5)[4] == 0
         assert np.all(np.diagonal(build_all_maps(8)) == 0)
@@ -234,14 +228,10 @@ class TestTableValidation:
     @pytest.mark.parametrize("table, k, error", _malformed_tables())
     def test_build_all_maps_rejects_malformed_row(self, table, k, error, monkeypatch):
         monkeypatch.setattr(dm, "_map_rows", lambda p, ks: table[ks - 1])
-        build_all_maps.cache_clear()
-        try:
-            with pytest.raises(ValueError, match=error):
-                build_all_maps(4)
-            with pytest.raises(ValueError, match=error):
-                build_map(4, k)
-        finally:
-            build_all_maps.cache_clear()
+        with pytest.raises(ValueError, match=error):
+            build_all_maps(4)
+        with pytest.raises(ValueError, match=error):
+            build_map(4, k)
 
     def test_build_all_maps_checks_each_row(self, monkeypatch):
         real = dm._map_rows
@@ -253,15 +243,11 @@ class TestTableValidation:
             return rows
 
         monkeypatch.setattr(dm, "_map_rows", faulty)
-        build_all_maps.cache_clear()
-        try:
-            with pytest.raises(ValueError, match="map 1 is not a bijection"):
-                build_all_maps(8)
-            with pytest.raises(ValueError, match="map 1 is not a bijection"):
-                build_map(8, 1)
-            assert build_map(8, 4)[3] == 0
-        finally:
-            build_all_maps.cache_clear()
+        with pytest.raises(ValueError, match="map 1 is not a bijection"):
+            build_all_maps(8)
+        with pytest.raises(ValueError, match="map 1 is not a bijection"):
+            build_map(8, 1)
+        assert build_map(8, 4)[3] == 0
 
 
 class TestGoldenTables:

@@ -31,6 +31,7 @@ from recon_census.weight_matrix import MatrixVariant, build_dense, entry_grid
 
 from conftest import FIXTURES
 from loop_oracles import (
+    assigned_pair,
     assignment_census_reference,
     relabel,
     threshold_scores_reference,
@@ -51,10 +52,6 @@ def random_assignments(p, count, seed):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=(count, 2 * (n + 1)))
     return [BinaryAssignment(n, tuple(int(b) for b in row)) for row in bits]
-
-
-def assigned_pair(p, a):
-    return apply_assignment(build_dense(p, PLAIN), a), apply_assignment(build_dense(p, STAR), a)
 
 
 def reference_digraph6(g: Digraph) -> str:
@@ -447,12 +444,17 @@ class TestCensus:
         # carries its pair
         import recon_census.digraph_builder as db
 
+        # searches by the adjacency bytes of the pair searched, which
+        # tell the rows apart at these orders (every level occurs)
         searched = {}
         real = db._census_entry
 
-        def counting(p, a, budget):
-            searched[a.bit_string] = real(p, a, budget)
-            return searched[a.bit_string]
+        def key(g, h):
+            return g.adjacency.tobytes(), h.adjacency.tobytes()
+
+        def counting(g, h, budget):
+            searched[key(g, h)] = real(g, h, budget)
+            return searched[key(g, h)]
 
         monkeypatch.setattr(db, "_census_entry", counting)
         table = assignment_census(p)
@@ -461,14 +463,14 @@ class TestCensus:
         witnesses = []
         for row in table.rows:
             a = assignment_from_bits(n, row.assignment_bits)
-            if int(row.assignment_bits, 2) != row.orbit_id or forced_isomorphism(p, a) is not None:
-                assert row.assignment_bits not in searched, row
-                continue
             g, h = assigned_pair(p, a)
+            if int(row.assignment_bits, 2) != row.orbit_id or forced_isomorphism(p, a) is not None:
+                assert key(g, h) not in searched, row
+                continue
             carried = any(_is_arc_preserving(g, h, w) for w in witnesses)
-            assert (row.assignment_bits in searched) != carried, row
-            if not carried and searched[row.assignment_bits][0]:
-                witnesses.append(searched[row.assignment_bits][1])
+            assert (key(g, h) in searched) != carried, row
+            if not carried and searched[key(g, h)][0]:
+                witnesses.append(searched[key(g, h)][1])
 
     def test_small_budget_decides_no_row_differently(self):
         # at a budget where some representatives' own searches stop
@@ -485,7 +487,7 @@ class TestCensus:
         for row in table.rows:
             a = assignment_from_bits(4, format(row.orbit_id, "010b"))
             if forced_isomorphism(16, a) is None and row.orbit_id not in own_search:
-                own_search[row.orbit_id] = db._census_entry(16, a, budget)[0]
+                own_search[row.orbit_id] = db._census_entry(*assigned_pair(16, a), budget)[0]
         own_search_undecided = {
             r.assignment_bits for r in table.rows
             if r.orbit_id in own_search and own_search[r.orbit_id] is None

@@ -20,6 +20,7 @@ from recon_census.errors import ContradictionError
 
 from conftest import patch_case_table, patch_dense, swap_two_images
 from loop_oracles import (
+    assigned_pair,
     check_lemma1_reference,
     deletion_sweep_reference,
     halving_chain_reference,
@@ -227,7 +228,7 @@ class TestSelfCheckingOperations:
         def broken(p):
             raise ContradictionError("half-swap failed")
 
-        monkeypatch.setattr(db, "swap_involution", broken)
+        monkeypatch.setattr(db, "_check_half_swap", broken)
         monkeypatch.setattr(db, "_census_entry", no_search)
         with pytest.raises(ContradictionError, match="half-swap failed"):
             db.assignment_census(8)
@@ -254,10 +255,10 @@ class TestCensusWitnessFaults:
 
     def test_forged_witness_raises(self, monkeypatch):
         identity = tuple(range(1, 9))
-        first = db.assignment_from_bits(3, "00000001")
         # the identity does not carry the first searched row's pair
-        assert not db._is_arc_preserving(*db._assigned_pair(8, first), identity)
-        monkeypatch.setattr(db, "_census_entry", lambda p, a, budget: (True, identity))
+        first = db.assignment_from_bits(3, "00000001")
+        assert not db._is_arc_preserving(*assigned_pair(8, first), identity)
+        monkeypatch.setattr(db, "_census_entry", lambda g, h, budget: (True, identity))
         with pytest.raises(
             ContradictionError, match="witness for 00000001 at p=8 does not carry its pair"
         ):
@@ -267,11 +268,15 @@ class TestCensusWitnessFaults:
         # the first searched row is isomorphic, and the witness of the
         # second searched row carries it too
         real = db._census_entry
+        rows = [
+            (bits, assigned_pair(8, db.assignment_from_bits(3, bits)))
+            for bits in ("00000001", "00000011")
+        ]
         asked = []
 
-        def first_refuted(p, a, budget):
-            asked.append(a.bit_string)
-            return (False, None) if len(asked) == 1 else real(p, a, budget)
+        def first_refuted(g, h, budget):
+            asked.append(next((bits for bits, pair in rows if pair == (g, h)), None))
+            return (False, None) if len(asked) == 1 else real(g, h, budget)
 
         monkeypatch.setattr(db, "_census_entry", first_refuted)
         with pytest.raises(
@@ -481,11 +486,11 @@ def corrupt_star_cell(monkeypatch, old, new):
     """Move the order-8 starred class-table cell of the first entry at level
     ``old``, and that of its antisymmetric partner, to level ``new``: at
     p = 8 each cell of the rows of offsets +-1 is one entry.  The census's
-    ``swap_involution`` still reads the clean table, so the census gets past
-    it to the point-1 level check."""
+    half-swap check (``_check_half_swap``) still reads the clean table, so
+    the census gets past it to the point-1 level check."""
     star = wm.MatrixVariant.STAR
     clean = wm._CLASS_TABLE[star]
-    real_swap = db.swap_involution
+    real_swap = db._check_half_swap
     i, j = (int(v) for v in np.argwhere(wm.entry_grid(8, star) == old)[0])
     table = clean.copy()
     for (r, c), level in (((i, j), new), ((j, i), -new)):
@@ -497,9 +502,8 @@ def corrupt_star_cell(monkeypatch, old, new):
             m.setitem(wm._CLASS_TABLE, star, clean)
             return real_swap(p)
 
-    db._level_table.cache_clear()
     monkeypatch.setitem(wm._CLASS_TABLE, star, table)
-    monkeypatch.setattr(db, "swap_involution", swap_on_clean_table)
+    monkeypatch.setattr(db, "_check_half_swap", swap_on_clean_table)
 
 
 @pytest.fixture
@@ -508,8 +512,6 @@ def corrupt_star_extreme_cell(monkeypatch):
     extended point-1 mapping no longer carries the forced rows' digraphs
     onto each other."""
     corrupt_star_cell(monkeypatch, 4, 1)
-    yield
-    db._level_table.cache_clear()
 
 
 @pytest.fixture
@@ -517,8 +519,6 @@ def corrupt_star_level_two_cell(monkeypatch):
     """A starred cell moved from level 2 to level 3: a pair of non-extreme
     levels that the all-zero assignment alone would not tell apart."""
     corrupt_star_cell(monkeypatch, 2, 3)
-    yield
-    db._level_table.cache_clear()
 
 
 class TestForcedRowFaults:
@@ -547,7 +547,7 @@ class TestForcedRowFaults:
 
 
 class TestNonExtremeLevelFault:
-    """The point-1 level identity is checked once per order, so a stray
+    """The point-1 level identity is checked for the whole order, so a stray
     pair of two non-extreme levels raises even for an assignment that
     gives both levels the same bit."""
 
@@ -569,6 +569,39 @@ class TestNonExtremeLevelFault:
         monkeypatch.setattr(db, "_census_entry", no_search)
         with pytest.raises(ContradictionError, match=self.MESSAGE):
             db.assignment_census(8)
+
+
+class TestFaultAfterAFirstCall:
+    """A table edited after a first call in the same process reaches the
+    second call: no dense matrix, map table or point-1 witness outlives
+    the call that built it.  Each edit is made straight on the class table
+    or ``_SIGMA4``, not through the ``tables`` fixture."""
+
+    def test_build_dense(self, monkeypatch):
+        plain = wm.MatrixVariant.PLAIN
+        wm.build_dense(16, plain)
+        table = wm._CLASS_TABLE[plain].copy()
+        # a cell of the largest offsets' row, whose twin sits in another row
+        table[int(wm._reached_rows(16)[-1]), 1, 2] *= -1
+        monkeypatch.setitem(wm._CLASS_TABLE, plain, table)
+        with pytest.raises(ValueError, match="antisymmetric"):
+            wm.build_dense(16, plain)
+
+    def test_build_all_maps(self, monkeypatch):
+        before = dm.build_all_maps(8)
+        sigma4 = dm._SIGMA4.copy()
+        sigma4[0, [1, 2]] = sigma4[0, [2, 1]]
+        monkeypatch.setattr(dm, "_SIGMA4", sigma4)
+        after = dm.build_all_maps(8)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, [dm.build_map(8, k) for k in range(1, 9)])
+
+    def test_forced_isomorphism(self, monkeypatch):
+        a = db.assignment_from_bits(3, "00010001")
+        assert db.forced_isomorphism(8, a) is not None
+        corrupt_star_cell(monkeypatch, 4, 1)
+        with pytest.raises(ContradictionError, match="not an isomorphism at p=8"):
+            db.forced_isomorphism(8, a)
 
 
 def _weighted_faults():

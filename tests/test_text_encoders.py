@@ -193,9 +193,6 @@ class TestSlicedCsv:
         assert self.spied(monkeypatch, tmp_path, "--p", str(p), "--kind", "weighted") == []
 
     def test_spies_see_the_dense_route(self, monkeypatch, tmp_path):
-        import recon_census.weight_matrix as wm
-
-        wm._DENSE_CACHE.clear()
         calls = self.spied(monkeypatch, tmp_path, "--p", "8", "--kind", "tournament")
         assert set(calls) == {"build_dense", "entry_grid"}
 

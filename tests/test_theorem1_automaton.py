@@ -201,7 +201,6 @@ def plane_reports(p):
     """lemma 3's report, then from p = 8 the ContradictionError messages of
     the half swap and the point-1 level check (None where each holds) and
     the point-1 level pairs, as a list of (u, v)."""
-    db._level_table.cache_clear()
     out = [hv.check_lemma3(p)]
     if p >= 8:
         for check in (db.swap_involution, db._level_table):

@@ -82,49 +82,10 @@ class TestBuildDense:
 
         with pytest.raises(ValueError, match="refused"):
             build_dense(2 * DENSE_ORDER_LIMIT, PLAIN)
-        build_dense(16, PLAIN)  # cached, and still refused below
+        build_dense(16, PLAIN)  # accepted here, and refused below
         monkeypatch.setattr(wm, "DENSE_ORDER_LIMIT", 8)
         with pytest.raises(ValueError, match="refused"):
             build_dense(16, PLAIN)
-
-    def test_validated_once_per_order_and_variant(self, monkeypatch):
-        import recon_census.weight_matrix as wm
-
-        runs = []
-        real = wm.WeightedMatrix.__post_init__
-
-        def counting(self):
-            runs.append((self.order, self.variant))
-            real(self)
-
-        for variant in (STAR, PLAIN):
-            wm.release_dense(64, variant)
-        monkeypatch.setattr(wm.WeightedMatrix, "__post_init__", counting)
-        first = build_dense(64, STAR)
-        assert build_dense(64, STAR) is first
-        assert build_dense(64, PLAIN) is not first
-        assert runs == [(64, STAR), (64, PLAIN)]
-
-    def test_release_drops_one_matrix(self):
-        import recon_census.weight_matrix as wm
-
-        plain, star = build_dense(32, PLAIN), build_dense(32, STAR)
-        wm.release_dense(32, PLAIN)
-        wm.release_dense(32, PLAIN)  # not held: nothing to drop
-        again = build_dense(32, PLAIN)
-        assert again is not plain and again == plain
-        assert build_dense(32, STAR) is star
-
-    def test_cache_drops_the_least_recently_used(self, monkeypatch):
-        import recon_census.weight_matrix as wm
-
-        monkeypatch.setattr(wm, "_DENSE_CACHE_SIZE", 3)
-        monkeypatch.setattr(wm, "_DENSE_CACHE", {})
-        held = {p: build_dense(p, PLAIN) for p in (4, 8, 16)}
-        assert build_dense(4, PLAIN) is held[4]  # 8 is now the oldest
-        build_dense(32, PLAIN)
-        assert list(wm._DENSE_CACHE) == [(16, PLAIN), (4, PLAIN), (32, PLAIN)]
-        assert build_dense(8, PLAIN) is not held[8]
 
     def test_gathered_grid_is_validated(self, monkeypatch):
         import recon_census.weight_matrix as wm
@@ -134,13 +95,9 @@ class TestBuildDense:
             grid[0, 1] += 1  # its twin (1, 0) unchanged
             return grid
 
-        wm.release_dense(16, PLAIN)
         monkeypatch.setattr(wm, "entry_grid", one_cell_off)
-        try:
-            with pytest.raises(ValueError, match="antisymmetric"):
-                build_dense(16, PLAIN)
-        finally:
-            wm.release_dense(16, PLAIN)
+        with pytest.raises(ValueError, match="antisymmetric"):
+            build_dense(16, PLAIN)
 
     def test_entries_read_only(self):
         m = build_dense(8, PLAIN)
