@@ -2,12 +2,14 @@
 
 Subcommands:
 
-* ``generate``: print a weighted matrix (csv), or build a canonical
-  tournament or variant digraph and export it (csv, dot, d6).
+* ``generate``: print a weighted matrix (csv), or a canonical tournament
+  or variant digraph (csv, dot, d6), each row sliced from O(p) row
+  templates with no p x p table.
 * ``verify``: run named checks at one order and write a JSON report.
 * ``deck``: export every point-deleted card of a digraph, card by card.
 * ``census``: enumerate all proper assignments at order 8 or 16.
-* ``export``: write the deletion-mapping table (tsv).
+* ``export``: write the deletion-mapping table (tsv) from the maps'
+  closed form, with no p x p table.
 
 Exit status: 0 when everything requested passed, 1 when a check failed
 (the report is still written), 2 on usage errors and when the output
@@ -32,17 +34,21 @@ from recon_census.deletion_maps import check_lemma2, sigma_tsv_blocks
 from recon_census.digraph_builder import (
     CENSUS_ORDERS,
     DEFAULT_ISO_BUDGET,
-    Digraph,
+    Rows,
     _assigns_tournaments,
     _check_half_swap,
+    _check_point1_levels,
+    _csv_blocks,
+    _digraph6_blocks,
+    _dot_blocks,
     _twin_levels,
     assignment_census,
-    assignment_from_bits,
-    forced_isomorphism,
     standard_pair,
     tournament_assignment,
     tournament_digraph,
+    tournament_rows,
     variant_digraph,
+    variant_rows,
 )
 from recon_census.errors import BudgetExhausted, ContradictionError
 from recon_census.hypomorphism_verifier import check_lemma3
@@ -69,6 +75,10 @@ __all__ = ["CHECKS", "RunConfig", "main", "run"]
 #: deck stays under about 1 GB (dot at p = 512: 0.9 GB).
 DECK_ORDER_LIMIT = 512
 _DECK_BYTES_PER_P3 = {"d6": 1 / 6, "csv": 2, "dot": 6.5}
+#: Bytes per cell of one matrix or digraph as ``generate`` and ``export``
+#: write it, measured at p = 8192 (tsv and dot grow with the digits of
+#: p): their refusal above ``DENSE_ORDER_LIMIT`` states the output size.
+_BYTES_PER_P2 = {"tsv": 4.9, "weighted": 2.5, "csv": 2, "d6": 1 / 6, "dot": 7.9}
 
 
 @dataclass(frozen=True)
@@ -124,9 +134,8 @@ def _swap(config: RunConfig) -> list[VerificationReport]:
 
 def _forced_iso(config: RunConfig) -> list[VerificationReport]:
     p = config.p
-    n = p.bit_length() - 1
-    # equal extreme bits: the witness, or ContradictionError
-    forced_isomorphism(p, assignment_from_bits(n, "1" * (n + 1) + "0" * n + "1"))
+    # the point-1 level identity alone: the witness, p points, is not built
+    _check_point1_levels(p)
     return [VerificationReport("forced-iso", p, None, p * p + 1)]
 
 
@@ -176,36 +185,24 @@ def _selected_variants(config: RunConfig) -> list[MatrixVariant]:
     return [MatrixVariant(config.variant)]
 
 
-def _selected_items(config: RunConfig) -> Iterator[tuple[str, Digraph]]:
-    """The named digraphs of ``--kind`` and ``--variant``, each built only
-    when drawn, so that one variant is held at a time."""
-    p = config.p
-    tag, build = {
-        "tournament": ("G", tournament_digraph),
-        "variant-digraph": ("D", variant_digraph),
-    }[config.kind]
-    for variant in _selected_variants(config):
-        suffix = "s" if variant is MatrixVariant.STAR else ""
-        yield f"{tag}{p}{suffix}", build(p, variant)
-
-
-def _encode(named: Iterable[tuple[str, Digraph]], fmt: str) -> Iterator[str]:
-    """Named digraphs in one output format, encoded one row block at a time
-    as they are drawn, each freed before the next is drawn."""
+def _encode(named: Iterable[tuple[str, int, Rows]], fmt: str) -> Iterator[str]:
+    """Named digraphs in one output format, each given by its order and its
+    adjacency rows (``digraph_builder.Rows``), encoded one row block at a
+    time as they are drawn, each freed before the next is drawn."""
     first = True
-    for name, g in named:
+    for name, p, rows in named:
         if fmt == "d6":
-            yield from g.digraph6_blocks()
+            yield from _digraph6_blocks(p, rows)
             yield "\n"
         elif fmt == "dot":
-            yield from g.dot_blocks(name)
+            yield from _dot_blocks(p, rows, name)
         else:
             if not first:
                 # csv items are separated by one empty line
                 yield "\n"
-            yield from g.csv_blocks()
+            yield from _csv_blocks(p, rows)
         first = False
-        del g
+        del rows
 
 
 def _weighted_csv(config: RunConfig) -> Iterator[str]:
@@ -221,19 +218,46 @@ def _weighted_csv(config: RunConfig) -> Iterator[str]:
         yield from blocks
 
 
+def _digraph_name(config: RunConfig, variant: MatrixVariant) -> str:
+    tag = "G" if config.kind == "tournament" else "D"
+    return f"{tag}{config.p}{'s' if variant is MatrixVariant.STAR else ''}"
+
+
+def _digraph_items(config: RunConfig) -> Iterator[tuple[str, int, Rows]]:
+    """The named digraphs of ``--kind`` and ``--variant``, each as the rows
+    of ``tournament_rows`` or ``variant_rows``: sliced from bit templates,
+    no p x p matrix, and checked when drawn, so that a failed check leaves
+    the text before it whole."""
+    rows = tournament_rows if config.kind == "tournament" else variant_rows
+    for variant in _selected_variants(config):
+        yield _digraph_name(config, variant), config.p, rows(config.p, variant)
+
+
 def _cmd_generate(config: RunConfig) -> int:
+    """The weighted csv (``_weighted_csv``) or the digraphs of
+    ``_digraph_items``, each variant checked before its text and no
+    p x p table held."""
     if config.kind == "weighted":
         pieces = _weighted_csv(config)
     else:
-        pieces = _encode(_selected_items(config), config.format)
+        pieces = _encode(_digraph_items(config), config.format)
     _emit(pieces, config.out)
     return 0
 
 
 def _cmd_deck(config: RunConfig) -> int:
-    (name, g), = _selected_items(config)
-    # one card at a time: memory holds one card and its text, not the deck
-    cards = ((f"{name}_card{k}", g.delete_point(k)) for k in range(1, g.order + 1))
+    """Every point-deleted card of one digraph, built dense
+    (``tournament_digraph`` or ``variant_digraph``); memory holds the
+    digraph, one card and its text, not the deck."""
+    p = config.p
+    build = tournament_digraph if config.kind == "tournament" else variant_digraph
+    variant = MatrixVariant(config.variant)
+    name = _digraph_name(config, variant)
+    g = build(p, variant)
+    cards = (
+        (f"{name}_card{k}", p - 1, g.delete_point(k).adjacency.__getitem__)
+        for k in range(1, p + 1)
+    )
     _emit(_encode(cards, config.format), config.out)
     return 0
 
@@ -412,9 +436,13 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
             f"{args.format}; deck is available up to p = {DECK_ORDER_LIMIT}"
         )
     if command in ("generate", "export") and args.p > DENSE_ORDER_LIMIT:
+        weighted = getattr(args, "kind", "") == "weighted"
+        items = 2 if getattr(args, "variant", "") == "both" else 1
+        size = items * _BYTES_PER_P2["weighted" if weighted else args.format] * args.p**2
+        about = f"{size / 1e9:.1f} GB" if size >= 1e9 else f"{size / 1e6:.0f} MB"
         parser.error(
-            f"{command} builds p x p tables, available up to "
-            f"p = {DENSE_ORDER_LIMIT}, got {args.p}"
+            f"{command} --p {args.p} would write about {about} as {args.format}; "
+            f"{command} is available up to p = {DENSE_ORDER_LIMIT}"
         )
     if command in ("generate", "deck") and getattr(args, "kind", "") == "variant-digraph" and args.p < 8:
         parser.error("variant digraphs require p >= 8")

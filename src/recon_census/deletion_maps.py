@@ -17,11 +17,14 @@ with the printed order 4/8/16 tables.
 
 The mappings at order p are stored in one form only: the read-only
 ``(p, p)`` int32 table of ``build_all_maps``, whose row k - 1 holds the
-1-based images under the deletion of k and 0 at the hole.  Every row is
-checked to be a bijection onto the points other than k where it is built,
-the one place a table is validated, and nothing is cached: each call
-builds its 4 * p**2 bytes afresh.  ``build_map`` computes one row in O(p)
-without the table.
+1-based images under the deletion of k and 0 at the hole.  Its rows come
+from ``_checked_map_blocks``, which checks each block of rows to be
+bijections onto the points other than k as it builds them, the one place
+map rows are validated, and nothing is cached: each call builds its
+4 * p**2 bytes afresh.  ``build_map`` computes one row in O(p) without the
+table.  ``sigma_tsv_blocks``, the text of ``export``, holds no table: it
+runs the same checked blocks, keeping none, and then prints each block of
+its rows from the closed form.
 
 ``check_lemma2`` checks each of the four parts of lemma 2 with one masked
 row-block scan of that table; part (d) pairs each point with its partner
@@ -234,19 +237,28 @@ def build_map(p: int, k: int) -> np.ndarray:
     return row[0]
 
 
+def _checked_map_blocks(p: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Each block of the map table, as its slice of deleted points k - 1
+    and its rows (``_map_rows``), checked (``_check_rows``) before it is
+    yielded.  A block counts 16 bytes a cell, for the int32 temporaries of
+    ``_sigma_closed_form`` and the sort."""
+    for rows in _row_blocks(p, 16 * p):
+        ks = np.arange(rows.start + 1, rows.stop + 1, dtype=np.int32)
+        block = _map_rows(p, ks)
+        _check_rows(p, rows.start + 1, block)
+        yield rows, block
+
+
 def build_all_maps(p: int) -> np.ndarray:
     """All p mappings at order p as one read-only ``(p, p)`` int32 table.
 
     Row k - 1 is ``build_map(p, k)``.  The rows are built and validated
-    one ``weight_matrix._row_blocks`` block at a time, on every call:
+    one ``_checked_map_blocks`` block at a time, on every call:
     4 * p**2 bytes.
     """
     order_exponent(p)
     tables = np.empty((p, p), dtype=np.int32)
-    for rows in _row_blocks(p, p):
-        ks = np.arange(rows.start + 1, rows.stop + 1, dtype=np.int32)
-        block = _map_rows(p, ks)
-        _check_rows(p, rows.start + 1, block)
+    for rows, block in _checked_map_blocks(p):
         tables[rows] = block
     tables.setflags(write=False)
     return tables
@@ -267,18 +279,28 @@ def extend_sigma_p1(p: int) -> np.ndarray:
 
 def sigma_tsv_blocks(p: int) -> Iterator[str]:
     """Tab-separated table, rows = point, columns = deleted point, 'X' at
-    the hole, one ``weight_matrix._text_grid`` block at a time.
+    the hole, one ``weight_matrix._text_grid`` block at a time, with no
+    p x p table.
 
-    The row blocks are column blocks of ``build_all_maps(p)``, built when
-    this is called, whose absence marker 0 at the hole is the code of 'X'.
+    Every map row is first checked, one ``_checked_map_blocks`` block at a
+    time and kept nowhere, when this is called, so a bad map raises
+    before any text is drawn.  Then each block of text rows i is printed
+    straight from ``_sigma_closed_form(p, k, i)`` over all deleted points
+    k, with the absence marker 0, the code of 'X', at the hole k = i.
+    Besides the text, the memory is a few times ``_BLOCK_CELLS`` bytes at
+    every order.
     """
-    tables = build_all_maps(p)
-    return _text_grid(
-        p,
-        lambda rows: tables[:, rows].T,
-        ["X", *map(str, range(1, p + 1))],
-        "\t",
-    )
+    order_exponent(p)
+    for _ in _checked_map_blocks(p):
+        pass
+    points = np.arange(1, p + 1, dtype=np.int32)
+
+    def codes(rows: slice) -> np.ndarray:
+        images = _sigma_closed_form(p, points, points[rows, None])
+        np.fill_diagonal(images[:, rows.start :], 0)
+        return images
+
+    return _text_grid(p, codes, ["X", *map(str, range(1, p + 1))], "\t")
 
 
 def sigma_table_tsv(p: int) -> str:

@@ -5,6 +5,10 @@ bit for all occurrences of a level.  Applying one to a weighted matrix
 yields a loop-free digraph.  The canonical tournament pair maps positive
 levels to 1 and negative levels to 0; the variant digraph pair maps
 1, -1 and everything >= 3 to 1, and 2, -2 and everything <= -3 to 0.
+``tournament_digraph`` and ``variant_digraph`` build one as a dense
+``Digraph``; ``tournament_rows`` and ``variant_rows`` give the same rows
+sliced from four bit templates, with the same checks and no p x p matrix,
+and the csv, dot and digraph6 encoders read either (``Rows``).
 
 Because the two extreme levels +-(n+1) are the only place the plain and
 starred matrices disagree under the extended point-1 mapping, any
@@ -37,9 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from recon_census.deletion_maps import _permuted, extend_sigma_p1
 from recon_census.errors import ContradictionError
@@ -48,6 +53,7 @@ from recon_census.weight_matrix import (
     MatrixVariant,
     WeightedMatrix,
     _ascii_text,
+    _checked_offset_table,
     _first_cell,
     _offset_case_table,
     _reached_rows,
@@ -78,6 +84,10 @@ __all__ = [
     "variant_digraph",
     "variant_pair",
 ]
+
+#: The adjacency rows of a digraph on points 1..p: ``rows(block)`` returns
+#: the 0/1 uint8 rows of the row slice ``block`` as a (rows, p) array.
+Rows = Callable[[slice], np.ndarray]
 
 #: Node budget of one isomorphism search when the caller names none.
 DEFAULT_ISO_BUDGET = 200_000
@@ -217,44 +227,16 @@ class Digraph:
         return f"Digraph(order={self.order}, arcs={self.arc_count()})"
 
     def csv_blocks(self) -> Iterator[str]:
-        """Rows of 0/1 cells, comma-separated, one ``_text_grid`` block at a time."""
-        return _text_grid(self.order, self.adjacency.__getitem__, ("0", "1"), ",")
+        """``_csv_blocks`` of the adjacency rows."""
+        return _csv_blocks(self.order, self.adjacency.__getitem__)
 
     def dot_blocks(self, name: str = "G") -> Iterator[str]:
-        """Graphviz text: the header with every point declared, the arc
-        lines of one ``weight_matrix._row_blocks`` block of rows at a time,
-        then the closing brace.
-
-        An arc line is the zero-padded byte string of its tail point joined
-        to that of its head point, gathered and masked as in
-        ``weight_matrix._text_grid``, and a block counts each cell as the
-        bytes of its line plus its two indices.
-        """
-        p = self.order
-        yield f"digraph {name} {{\n" + "".join([f"  {i};\n" for i in range(1, p + 1)])
-        tails = np.array([f"  {i} -> " for i in range(1, p + 1)], dtype="S")
-        heads = np.array([f"{j};\n" for j in range(1, p + 1)], dtype="S")
-        line = tails.itemsize + heads.itemsize
-        for block in _row_blocks(p, p * (line + 16)):
-            rows, cols = np.nonzero(self.adjacency[block])
-            rows += block.start
-            yield _ascii_text(np.strings.add(tails[rows], heads[cols]))
-        yield "}\n"
+        """``_dot_blocks`` of the adjacency rows."""
+        return _dot_blocks(self.order, self.adjacency.__getitem__, name)
 
     def digraph6_blocks(self) -> Iterator[str]:
-        """'&' and the order, then one character per six adjacency bits in
-        row-major order, the last group zero-padded.  The groups are packed
-        in uint8 and yielded one ``weight_matrix._row_blocks`` block of them
-        at a time."""
-        bits = self.adjacency.reshape(-1)
-        weights = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
-        yield "&" + _encode_count(self.order)
-        for block in _row_blocks(-(-bits.size // 6), 6):
-            chunk = bits[6 * block.start : 6 * block.stop]
-            if chunk.size % 6:
-                chunk = np.concatenate([chunk, np.zeros(-chunk.size % 6, np.uint8)])
-            codes = chunk.reshape(-1, 6) @ weights + np.uint8(63)
-            yield codes.tobytes().decode("ascii")
+        """``_digraph6_blocks`` of the adjacency rows."""
+        return _digraph6_blocks(self.order, self.adjacency.__getitem__)
 
     def to_csv(self) -> str:
         return "".join(self.csv_blocks())
@@ -281,6 +263,57 @@ class Digraph:
         bits = (codes[:, None] >> np.arange(5, -1, -1)) & 1
         adj = bits.reshape(-1)[: n * n].reshape(n, n).astype(np.uint8)
         return cls(n, adj)
+
+
+# The three text encoders read a p-point digraph through ``rows(block)``,
+# the 0/1 uint8 adjacency rows of the row slice ``block``: a dense
+# ``Digraph``'s adjacency, or the bit templates of ``tournament_rows`` and
+# ``variant_rows``.
+
+
+def _csv_blocks(p: int, rows: Rows) -> Iterator[str]:
+    """Rows of 0/1 cells, comma-separated, one ``_text_grid`` block at a time."""
+    return _text_grid(p, rows, ("0", "1"), ",")
+
+
+def _dot_blocks(p: int, rows: Rows, name: str = "G") -> Iterator[str]:
+    """Graphviz text: the header with every point declared, the arc
+    lines of one ``weight_matrix._row_blocks`` block of rows at a time,
+    then the closing brace.
+
+    An arc line is the zero-padded byte string of its tail point joined
+    to that of its head point, gathered and masked as in
+    ``weight_matrix._text_grid``, and a block counts each cell as the
+    bytes of its line plus its two indices.
+    """
+    yield f"digraph {name} {{\n" + "".join([f"  {i};\n" for i in range(1, p + 1)])
+    tails = np.array([f"  {i} -> " for i in range(1, p + 1)], dtype="S")
+    heads = np.array([f"{j};\n" for j in range(1, p + 1)], dtype="S")
+    line = tails.itemsize + heads.itemsize
+    for block in _row_blocks(p, p * (line + 16)):
+        tail, head = np.nonzero(rows(block))
+        tail += block.start
+        yield _ascii_text(np.strings.add(tails[tail], heads[head]))
+    yield "}\n"
+
+
+def _digraph6_blocks(p: int, rows: Rows) -> Iterator[str]:
+    """'&' and the order, then one character per six adjacency bits in
+    row-major order, the last group zero-padded.  The groups are packed
+    in uint8 and yielded one ``weight_matrix._row_blocks`` block of them
+    at a time, each read from the rows it spans."""
+    weights = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
+    yield "&" + _encode_count(p)
+    size = p * p
+    for block in _row_blocks(-(-size // 6), 6):
+        start, stop = 6 * block.start, min(6 * block.stop, size)
+        first = start // p
+        bits = rows(slice(first, -(-stop // p))).reshape(-1)
+        chunk = bits[start - first * p : stop - first * p]
+        if chunk.size % 6:
+            chunk = np.concatenate([chunk, np.zeros(-chunk.size % 6, np.uint8)])
+        codes = chunk.reshape(-1, 6) @ weights + np.uint8(63)
+        yield codes.tobytes().decode("ascii")
 
 
 def _encode_count(n: int) -> str:
@@ -392,6 +425,49 @@ def variant_digraph(p: int, variant: MatrixVariant) -> Digraph:
     return apply_assignment(build_dense(p, variant), variant_assignment(n))
 
 
+def _template_rows(p: int, variant: MatrixVariant, a: BinaryAssignment) -> Rows:
+    """The adjacency rows of ``apply_assignment(build_dense(p, variant), a)``,
+    sliced from four bit templates, with no p x p matrix.
+
+    As in ``weight_matrix.csv_blocks``, row i = 4B + r is the p cells
+    from p - 4 - 4B on of the residue-r template, laid end to end from
+    the offset table; here each template cell is its level's bit.  So a
+    block of rows is one gather of windows of the templates.  The offset
+    table is read through ``_checked_offset_table``, which checks it as
+    ``build_dense`` checks the matrix, when this is called; the templates
+    are O(p) bytes.
+    """
+    t = _checked_offset_table(p, variant)
+    template = _bit_lut(a)[t].transpose(1, 0, 2).reshape(4, -1)
+    windows = sliding_window_view(template, p, axis=1)
+
+    def rows(block: slice) -> np.ndarray:
+        i = np.arange(*block.indices(p))
+        return windows[i & 3, p - 4 - 4 * (i >> 2)]
+
+    return rows
+
+
+def tournament_rows(p: int, variant: MatrixVariant) -> Rows:
+    """The adjacency rows of ``tournament_digraph(p, variant)``, checked as
+    it checks them and in its order (``_template_rows``, then the
+    tournament check off the class table), with no p x p matrix."""
+    a = tournament_assignment(order_exponent(p))
+    rows = _template_rows(p, variant, a)
+    if not _assigns_tournaments(_twin_levels(p), a):
+        raise ContradictionError("canonical pair failed the tournament check")
+    return rows
+
+
+def variant_rows(p: int, variant: MatrixVariant) -> Rows:
+    """The adjacency rows of ``variant_digraph(p, variant)``, checked as it
+    checks them (``_template_rows``), with no p x p matrix."""
+    n = order_exponent(p)
+    if p < 8:
+        raise ValueError(f"variant digraphs require p >= 8, got {p}")
+    return _template_rows(p, variant, variant_assignment(n))
+
+
 def standard_pair(p: int) -> tuple[Digraph, Digraph]:
     """The canonical tournament pair at order p."""
     return tuple(tournament_digraph(p, v) for v in MatrixVariant)
@@ -425,28 +501,37 @@ def _point1_pairs(p: int) -> tuple[np.ndarray, np.ndarray]:
     return (codes >> 8) - 128, (codes & 0xFF) - 128
 
 
-def _level_table(p: int) -> np.ndarray:
-    """The forced rows' witness ``extend_sigma_p1(p)``, checked, read-only.
-
-    The extended point-1 mapping ``ext`` must change only the extreme
-    levels: every ``_point1_pairs`` pair (plain(i, j), star(ext(i), ext(j)))
-    is (u, u) or (+-(n+1), -+(n+1)).  Then ``ext`` carries the assigned
-    plain digraph onto the assigned starred one for every assignment
-    giving both extremes the same bit, so the identity is checked here,
-    for the whole order on every call, and a violation (named by its
-    first pair) is a fatal internal error.
+def _check_point1_levels(p: int) -> None:
+    """ContradictionError unless the extended point-1 mapping ``ext`` of
+    order p >= 8 changes only the extreme levels: every ``_point1_pairs``
+    pair (plain(i, j), star(ext(i), ext(j))) is (u, u) or
+    (+-(n+1), -+(n+1)).  The error names the first pair that is not.
+    Then ``ext`` carries the assigned plain digraph onto the assigned
+    starred one for every assignment giving both extremes the same bit.
+    ``ext`` itself is not built.
     """
-    ext = extend_sigma_p1(p)
-    ext.setflags(write=False)
+    n = order_exponent(p)
+    if p < 8:
+        raise ValueError(f"the point-1 level check requires p >= 8, got {p}")
     u, v = _point1_pairs(p)
-    top = order_exponent(p) + 1
-    stray = (v != u) & ((np.abs(u) != top) | (v != -u))
+    stray = (v != u) & ((np.abs(u) != n + 1) | (v != -u))
     if stray.any():
         at = np.argmax(stray)
         raise ContradictionError(
             f"extended point-1 mapping is not an isomorphism at p={p}: "
             f"it sends plain level {u[at]} onto starred level {v[at]}"
         )
+
+
+def _level_table(p: int) -> np.ndarray:
+    """The forced rows' witness ``extend_sigma_p1(p)``, read-only, once the
+    identity that makes it one holds (``_check_point1_levels``): checked
+    for the whole order on every call, a violation is a fatal internal
+    error.
+    """
+    ext = extend_sigma_p1(p)
+    ext.setflags(write=False)
+    _check_point1_levels(p)
     return ext
 
 

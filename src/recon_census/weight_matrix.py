@@ -390,6 +390,18 @@ def _offset_case_table(p: int, variant: MatrixVariant) -> np.ndarray:
     return _CLASS_TABLE[variant].take(_offset_class(d), axis=0)
 
 
+def _checked_offset_table(p: int, variant: MatrixVariant) -> np.ndarray:
+    """``_offset_case_table(p, variant)``, first checked as ``WeightedMatrix``
+    checks the matrix, in its order and with its messages.  The checks are
+    exact, since every (d, r, c) of the table occurs at order p and cells
+    (i, j) and (j, i) sit at (d, r, c) and (-d, c, r)."""
+    n = order_exponent(p)
+    t = _offset_case_table(p, variant)
+    antisymmetric = np.array_equal(t, -t[::-1].transpose(0, 2, 1))
+    _check_levels(n, np.diagonal(t[p // 4 - 1]), antisymmetric, t)
+    return t
+
+
 def csv_blocks(p: int, variant: MatrixVariant) -> Iterator[str]:
     """The blocks of ``build_dense(p, variant).csv_blocks()``, printed from
     the offset table with no p x p matrix.
@@ -398,21 +410,15 @@ def csv_blocks(p: int, variant: MatrixVariant) -> Iterator[str]:
     (B' - B, r, c).  Laid end to end, the 2p - 4 cells ``t[:, r, :]`` are
     the residue-r template, and row i is its p cells from u0 = p - 4 - 4B
     on: one slice of the template's text, whose cell offsets are a cumsum
-    of token lengths.  The table is first checked as ``WeightedMatrix``
-    checks a matrix, in its order and with its messages.  The checks are
-    exact, since every (d, r, c) of the table occurs at order p and cells
-    (i, j) and (j, i) sit at (d, r, c) and (-d, c, r).
+    of token lengths.  The table is read through ``_checked_offset_table``.
 
     The table is read and checked, and the four templates printed, when
     this is called, so a bad table raises before any text is drawn.  The
     rows come in ``_text_blocks``, as ``_text_grid``'s do, so the pieces
     are the dense writer's; besides the text, the work and memory are O(p).
     """
-    n = order_exponent(p)
-    t = _offset_case_table(p, variant)
-    antisymmetric = np.array_equal(t, -t[::-1].transpose(0, 2, 1))
-    _check_levels(n, np.diagonal(t[p // 4 - 1]), antisymmetric, t)
-    bound = n + 1
+    t = _checked_offset_table(p, variant)
+    bound = order_exponent(p) + 1
     items = _token_items(_level_tokens(bound), ",")
     # the four templates, one after another: (4, 2p - 4) codes
     codes = t.transpose(1, 0, 2).reshape(4, -1).astype(np.intp) + bound

@@ -181,6 +181,36 @@ class TestExitCodes:
         assert config.p == DENSE_ORDER_LIMIT
 
     @pytest.mark.parametrize(
+        "args, size",
+        [
+            (("export", "--format", "tsv"), "1.3 GB as tsv"),
+            (("generate", "--kind", "weighted", "--variant", "both"), "1.3 GB as csv"),
+            (("generate", "--kind", "tournament", "--format", "d6"), "45 MB as d6"),
+            (("generate", "--kind", "variant-digraph", "--format", "dot"), "2.1 GB as dot"),
+            (("generate", "--kind", "tournament", "--variant", "both"), "1.1 GB as csv"),
+        ],
+    )
+    def test_write_above_the_dense_limit_refused_with_its_size(
+        self, capsys, monkeypatch, args, size
+    ):
+        import recon_census.cli as cli
+        from recon_census.weight_matrix import DENSE_ORDER_LIMIT
+
+        def no_run(config):
+            raise AssertionError("a refused order must not start any command")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        assert DENSE_ORDER_LIMIT == 8192
+        command, *rest = args
+        assert run_cli(command, "--p", "16384", *rest) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"recon-census {command}: error: {command} --p 16384 would write about "
+            f"{size}; {command} is available up to p = 8192"
+        )
+
+    @pytest.mark.parametrize(
         "fmt, size", [("d6", "0.2 GB"), ("csv", "2.1 GB"), ("dot", "7.0 GB")]
     )
     def test_deck_above_its_cap_refused_with_its_size(self, capsys, monkeypatch, fmt, size):
@@ -385,7 +415,7 @@ class TestCheckTable:
             ("theorem2", "verify_nonisomorphic_inductive"),
             ("hypo-sigma", "_twin_levels"),
             ("swap", "_check_half_swap"),
-            ("forced-iso", "forced_isomorphism"),
+            ("forced-iso", "_check_point1_levels"),
         ],
     )
     def test_contradiction_is_a_failing_report(self, tmp_path, monkeypatch, name, target):
@@ -477,21 +507,29 @@ class TestGenerate:
         assert lines[0] != lines[1]
 
     @pytest.mark.parametrize(
-        "kind, builder",
-        [("tournament", "tournament_digraph"), ("variant-digraph", "variant_digraph")],
+        "kind, rows, builder",
+        [
+            ("tournament", "tournament_rows", "tournament_digraph"),
+            ("variant-digraph", "variant_rows", "variant_digraph"),
+        ],
     )
-    def test_builds_only_the_digraphs_it_writes(self, monkeypatch, capsys, kind, builder):
+    def test_builds_only_the_digraphs_it_writes(
+        self, monkeypatch, capsys, kind, rows, builder
+    ):
+        # generate reads each variant's row templates, deck builds its
+        # one dense digraph
         import recon_census.cli as cli_mod
         from recon_census.weight_matrix import MatrixVariant
 
-        real = getattr(cli_mod, builder)
         built = []
+        for name in (rows, builder):
+            real = getattr(cli_mod, name)
 
-        def recording(p, variant):
-            built.append(variant)
-            return real(p, variant)
+            def recording(p, variant, name=name, real=real):
+                built.append((name, variant))
+                return real(p, variant)
 
-        monkeypatch.setattr(cli_mod, builder, recording)
+            monkeypatch.setattr(cli_mod, name, recording)
         lines = {}
         for variant in ("plain", "star", "both"):
             built.clear()
@@ -499,11 +537,11 @@ class TestGenerate:
             assert run_cli("generate", *args, "--format", "d6") == 0
             lines[variant] = capsys.readouterr().out.splitlines()
             want = list(MatrixVariant) if variant == "both" else [MatrixVariant(variant)]
-            assert built == want
+            assert built == [(rows, v) for v in want]
             if variant != "both":
                 built.clear()
                 assert run_cli("deck", *args) == 0
-                assert built == want
+                assert built == [(builder, v) for v in want]
                 capsys.readouterr()
         assert lines["both"] == lines["plain"] + lines["star"]
 
@@ -511,27 +549,25 @@ class TestGenerate:
         "kind, builder, fmt",
         [
             ("weighted", "csv_blocks", "csv"),
-            ("tournament", "tournament_digraph", "dot"),
-            ("variant-digraph", "variant_digraph", "d6"),
+            ("tournament", "tournament_rows", "dot"),
+            ("variant-digraph", "variant_rows", "d6"),
         ],
     )
     def test_both_holds_one_variant_at_a_time(self, monkeypatch, capsys, kind, builder, fmt):
-        # when the starred item is built, the plain item written before it
-        # is freed, and so is the dense matrix it was read from; the
-        # weighted rows are sliced from row templates, with no matrix
+        # when the starred item is drawn, the plain rows written before it
+        # are freed; every item is sliced from row templates, with no
+        # dense matrix
         import weakref
 
         import recon_census.cli as cli_mod
         import recon_census.digraph_builder as db
         import recon_census.weight_matrix as wm
 
-        real, real_dense = getattr(cli_mod, builder), wm.build_dense
+        real = getattr(cli_mod, builder)
         written, drawn = [], []
 
         def dense(p, variant):
-            m = real_dense(p, variant)
-            written.append(weakref.ref(m))
-            return m
+            raise AssertionError("generate builds no dense matrix")
 
         def recording(p, variant):
             assert [ref() for ref in written] == [None] * len(written)
@@ -547,7 +583,7 @@ class TestGenerate:
         args = ["--p", "16", "--kind", kind, "--variant", "both", "--format", fmt]
         assert run_cli("generate", *args) == 0
         assert drawn == list(MatrixVariant)
-        assert len(written) == (0 if kind == "weighted" else 4)
+        assert len(written) == (0 if kind == "weighted" else 2)
         capsys.readouterr()
 
     def test_variant_digraph_requires_order_8(self):
@@ -787,6 +823,33 @@ class TestStreamedWrites:
         assert peak < out.stat().st_size / 4
 
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("export", "--p", "1024"),
+            ("generate", "--p", "1024", "--kind", "tournament", "--variant", "both",
+             "--format", "d6"),
+        ],
+        ids=["export", "tournament-d6"],
+    )
+    def test_cold_writers_hold_no_table(self, tmp_path, args):
+        import tracemalloc
+
+        # the writer builds what it needs under the trace
+        out = tmp_path / "out.txt"
+        tracemalloc.start()
+        try:
+            status = run_cli(*args, "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        # 0.9 MB peak each, for 4.1 MB and 0.35 MB written: the routes that
+        # built the int32 map table or each dense matrix and digraph peaked
+        # at 8.6 MB and 4.7 MB
+        assert peak < 2 * 1024 * 1024
+
+
 class TestCensusCommand:
     def test_csv_output(self, tmp_path):
         out = tmp_path / "census.csv"
@@ -988,6 +1051,38 @@ class TestAutomatonPlanes:
 
     def test_spies_see_the_dense_route(self, tmp_path, monkeypatch):
         calls, _ = spied_verify(monkeypatch, tmp_path, 8, "lemma2,deck-match", self.DENSE)
+        assert set(calls) == self.DENSE
+
+
+class TestTableFreeWriters:
+    """``export`` prints from the maps' closed form and digraph
+    ``generate`` from bit templates: no dense matrix, digraph or map
+    table."""
+
+    DENSE = {"build_dense", "entry_grid", "apply_assignment", "build_all_maps"}
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("export", "--p", "256"),
+            *(
+                ("generate", "--p", "256", "--kind", kind, "--variant", "both",
+                 "--format", fmt)
+                for kind in ("tournament", "variant-digraph")
+                for fmt in ("csv", "dot", "d6")
+            ),
+        ],
+    )
+    def test_call_no_dense_builder(self, tmp_path, monkeypatch, args):
+        out = tmp_path / "out.txt"
+        assert spied_run(monkeypatch, self.DENSE, *args, "--out", str(out)) == []
+        assert out.stat().st_size > 0
+
+    def test_spies_see_the_dense_route(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "out.txt")
+        calls = spied_run(monkeypatch, self.DENSE, "deck", "--p", "8", "--out", out)
+        calls += spied_run(monkeypatch, self.DENSE, "verify", "--p", "8", "--checks",
+                           "lemma2", "--out", out)
         assert set(calls) == self.DENSE
 
 

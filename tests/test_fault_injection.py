@@ -658,3 +658,89 @@ class TestWeightedCsvFaults:
         # a starred fault leaves the clean plain text
         assert out.read_text() == "\n".join(texts)
         assert len(texts) == (variant is wm.MatrixVariant.STAR)
+
+
+TOURNAMENT_CHECK = "canonical pair failed the tournament check"
+
+
+def _digraph_faults():
+    """``_weighted_faults`` and one fault that keeps the matrix valid but
+    breaks the tournament property: a cell and its twin in the zero row
+    both at level 0, so neither arc between them exists."""
+
+    def no_arc(tables, variant, p):
+        row = int(wm._reached_rows(p)[0])
+        tables.class_cells(variant, row, {(0, 1): 0, (1, 0): 0})
+
+    return _weighted_faults() + [
+        ("no-arc", no_arc, TOURNAMENT_CHECK),
+    ]
+
+
+class TestDigraphFaults:
+    """Digraph ``generate`` checks the offset table, and for tournaments
+    the twin levels, as the dense route checks each digraph: the same
+    exit, error line and output bytes."""
+
+    @pytest.mark.parametrize("variant", list(wm.MatrixVariant))
+    @pytest.mark.parametrize("kind", ["tournament", "variant-digraph"])
+    @pytest.mark.parametrize("fmt", ["csv", "d6"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [pytest.param(edit, message, id=name) for name, edit, message in _digraph_faults()],
+    )
+    def test_same_error_and_bytes_as_dense_route(
+        self, tables, tmp_path, capsys, edit, message, fmt, kind, variant
+    ):
+        p = 16
+        edit(tables, variant, p)
+        build = {"tournament": db.tournament_digraph, "variant-digraph": db.variant_digraph}
+        # the dense route: each digraph built and checked in turn, its
+        # text written before the next is built
+        texts, error = [], ""
+        for v in wm.MatrixVariant:
+            try:
+                g = build[kind](p, v)
+            except (ValueError, ContradictionError) as exc:
+                error = f"recon-census: internal error: {type(exc).__name__}: {exc}\n"
+                break
+            texts.append(g.to_csv() if fmt == "csv" else g.to_digraph6() + "\n")
+        star = variant is wm.MatrixVariant.STAR
+        tournament_fault = message == TOURNAMENT_CHECK
+        if kind == "tournament" and (tournament_fault or star):
+            # the tournament check reads the twin levels of both variants
+            # once the plain matrix passes its checks, before any text
+            assert error.endswith(f"ContradictionError: {TOURNAMENT_CHECK}\n")
+            assert texts == []
+        elif tournament_fault:
+            # a variant digraph has no such check
+            assert error == "" and len(texts) == 2
+        else:
+            # a starred fault leaves the clean plain text
+            assert message in error
+            assert len(texts) == star
+        out = tmp_path / "g.txt"
+        args = ["generate", "--p", str(p), "--kind", kind, "--variant", "both"]
+        assert main([*args, "--format", fmt, "--out", str(out)]) == (3 if error else 0)
+        assert capsys.readouterr().err == error
+        assert out.read_text() == ("\n" if fmt == "csv" else "").join(texts)
+
+
+class TestExportFaults:
+    """``export`` checks every map row before it prints any: a ``_SIGMA4``
+    fault that breaks a bijection exits 3 with ``build_all_maps``'s error
+    and no text."""
+
+    @pytest.mark.parametrize("p", [4, 64, 1024])
+    @pytest.mark.parametrize("k, x, y", [(0, 1, 2), (3, 0, 2)])
+    def test_broken_bijection_exits_3_before_any_text(self, monkeypatch, capsys, p, k, x, y):
+        # the order-4 map deleting k + 1 sends x + 1 where it sends y + 1
+        sigma4 = dm._SIGMA4.copy()
+        sigma4[k, x] = sigma4[k, y]
+        monkeypatch.setattr(dm, "_SIGMA4", sigma4)
+        with pytest.raises(ValueError, match=f"map {k + 1} is not a bijection") as info:
+            dm.build_all_maps(p)
+        assert main(["export", "--p", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"recon-census: internal error: ValueError: {info.value}\n"

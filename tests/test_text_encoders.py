@@ -13,6 +13,7 @@ scan, is checked against its whole-matrix form where the blocks are made
 small.
 """
 
+import hashlib
 import sys
 
 import numpy as np
@@ -23,7 +24,15 @@ from hypothesis import strategies as st
 import recon_census.deletion_maps as dm
 from recon_census.cli import main
 from recon_census.deletion_maps import sigma_table_tsv
-from recon_census.digraph_builder import Digraph, _encode_count, standard_pair
+from recon_census.digraph_builder import (
+    Digraph,
+    _encode_count,
+    standard_pair,
+    tournament_digraph,
+    tournament_rows,
+    variant_digraph,
+    variant_rows,
+)
 from recon_census.iso_engine import deck
 from recon_census.weight_matrix import (
     MatrixVariant,
@@ -173,7 +182,7 @@ class TestSlicedCsv:
 
     def spied(self, monkeypatch, tmp_path, *args):
         """The dense builders called, in any ``recon_census`` module, while
-        ``generate`` runs with ``args``."""
+        the command line runs ``args``."""
         calls = []
         modules = [m for n, m in sys.modules.items() if n.startswith("recon_census.")]
         for module in modules:
@@ -185,22 +194,97 @@ class TestSlicedCsv:
 
                 monkeypatch.setattr(module, name, spy)
         out = tmp_path / "out.csv"
-        assert main(["generate", *args, "--variant", "both", "--out", str(out)]) == 0
+        assert main([*args, "--out", str(out)]) == 0
         return calls
 
     @pytest.mark.parametrize("p", [4, 64, 2048])
     def test_generate_builds_no_dense_matrix(self, monkeypatch, tmp_path, p):
-        assert self.spied(monkeypatch, tmp_path, "--p", str(p), "--kind", "weighted") == []
+        args = ("generate", "--p", str(p), "--kind", "weighted", "--variant", "both")
+        assert self.spied(monkeypatch, tmp_path, *args) == []
 
     def test_spies_see_the_dense_route(self, monkeypatch, tmp_path):
-        calls = self.spied(monkeypatch, tmp_path, "--p", "8", "--kind", "tournament")
+        calls = self.spied(monkeypatch, tmp_path, "deck", "--p", "8", "--kind", "tournament")
         assert set(calls) == {"build_dense", "entry_grid"}
+
+
+def _file_digest(path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _digraph_cases(orders):
+    """(p, kind) of each digraph kind at each of ``orders`` where it exists."""
+    return [
+        (p, kind)
+        for p in orders
+        for kind in ("tournament", "variant-digraph")
+        if p >= 8 or kind == "tournament"
+    ]
+
+
+class TestTemplateDigraphs:
+    """Digraph ``generate`` slices each row from bit templates
+    (``tournament_rows``, ``variant_rows``); the dense digraphs'
+    ``*_blocks`` writers are its oracle."""
+
+    KINDS = {"tournament": ("G", tournament_digraph), "variant-digraph": ("D", variant_digraph)}
+
+    @pytest.mark.parametrize("p, kind", _digraph_cases(ORDERS))
+    def test_rows_match_the_dense_adjacency(self, p, kind):
+        rows = {"tournament": tournament_rows, "variant-digraph": variant_rows}[kind]
+        for variant in MatrixVariant:
+            dense = self.KINDS[kind][1](p, variant).adjacency
+            got = rows(p, variant)
+            assert got(slice(0, p)).dtype == np.uint8
+            assert np.array_equal(got(slice(0, p)), dense)
+            # blocks that start and end inside a residue group of 4 rows
+            for start, stop in ((1, 2), (3, 7), (p - 3, p)):
+                assert np.array_equal(got(slice(start, stop)), dense[start:stop])
+
+    @pytest.mark.parametrize("p, kind", _digraph_cases(ORDERS + [2048]))
+    def test_generate_matches_dense_route(self, tmp_path, p, kind):
+        tag, build = self.KINDS[kind]
+        dense = {v: build(p, v) for v in MatrixVariant}
+        out = tmp_path / "out.txt"
+        for fmt in ("csv", "dot", "d6"):
+            for selected in ("plain", "star", "both"):
+                variants = list(MatrixVariant) if selected == "both" else [MatrixVariant(selected)]
+                want = hashlib.sha256()
+                for k, v in enumerate(variants):
+                    g = dense[v]
+                    suffix = "s" if v is MatrixVariant.STAR else ""
+                    if fmt == "csv" and k:
+                        want.update(b"\n")
+                    blocks = {
+                        "csv": g.csv_blocks,
+                        "dot": lambda: g.dot_blocks(f"{tag}{p}{suffix}"),
+                        "d6": g.digraph6_blocks,
+                    }[fmt]()
+                    for piece in blocks:
+                        want.update(piece.encode())
+                    if fmt == "d6":
+                        want.update(b"\n")
+                args = ["generate", "--p", str(p), "--kind", kind, "--variant", selected]
+                assert main([*args, "--format", fmt, "--out", str(out)]) == 0
+                assert _file_digest(out) == want.hexdigest(), (fmt, selected)
 
 
 class TestSigmaTsv:
     @pytest.mark.parametrize("p", ORDERS)
     def test_matches_per_cell_form(self, p):
         assert sigma_table_tsv(p) == sigma_tsv_reference(p)
+
+    @pytest.mark.parametrize("p", ORDERS + [2048])
+    def test_matches_the_map_table(self, p):
+        # the table of ``build_all_maps`` through the same kernel: the
+        # dense route the closed form replaced
+        tables = dm.build_all_maps(p)
+        tokens = ["X", *map(str, range(1, p + 1))]
+        dense = _text_grid(p, lambda rows: tables[:, rows].T, tokens, "\t")
+        assert list(dm.sigma_tsv_blocks(p)) == list(dense)
 
     def test_four_digit_images_appear(self):
         rows = sigma_table_tsv(1024).splitlines()

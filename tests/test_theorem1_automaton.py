@@ -203,12 +203,14 @@ def plane_reports(p):
     the point-1 level pairs, as a list of (u, v)."""
     out = [hv.check_lemma3(p)]
     if p >= 8:
-        for check in (db.swap_involution, db._level_table):
+        for check in (db.swap_involution, db._level_table, db._check_point1_levels):
             try:
                 check(p)
                 out.append(None)
             except ContradictionError as exc:
                 out.append(str(exc))
+        # forced-iso's check, which builds no witness, reports as the witness's
+        assert out.pop() == out[-1]
         out.append(np.stack(db._point1_pairs(p), axis=1).tolist())
     return out
 
