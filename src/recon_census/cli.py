@@ -33,18 +33,15 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 from recon_census.deletion_maps import check_lemma2, sigma_tsv_blocks
 from recon_census.digraph_builder import (
     CENSUS_ORDERS,
-    DEFAULT_ISO_BUDGET,
     Rows,
-    _assigns_tournaments,
     _check_half_swap,
     _check_point1_levels,
+    _check_tournaments,
     _csv_blocks,
     _digraph6_blocks,
     _dot_blocks,
-    _twin_levels,
     assignment_census,
     standard_pair,
-    tournament_assignment,
     tournament_digraph,
     tournament_rows,
     variant_digraph,
@@ -54,6 +51,7 @@ from recon_census.errors import BudgetExhausted, ContradictionError
 from recon_census.hypomorphism_verifier import check_lemma3
 from recon_census.iso_engine import (
     DECK_MATCH_ORDER_LIMIT,
+    DEFAULT_ISO_BUDGET,
     decks_match_independent,
     verify_nonisomorphic_inductive,
 )
@@ -105,11 +103,8 @@ def _theorem2(config: RunConfig) -> list[VerificationReport]:
 
 def _hypo_sigma(config: RunConfig) -> list[VerificationReport]:
     # the tournament self-check reads O(log p) class-table rows, no matrix
-    p = config.p
-    tournament = tournament_assignment(order_exponent(p))
-    if not _assigns_tournaments(_twin_levels(p), tournament):
-        raise ContradictionError("canonical pair failed the tournament check")
-    return decide_hypomorphisms(p)[1:]
+    _check_tournaments(config.p)
+    return decide_hypomorphisms(config.p)[1:]
 
 
 def _deck_match(config: RunConfig) -> list[VerificationReport]:
@@ -263,8 +258,7 @@ def _cmd_deck(config: RunConfig) -> int:
 
 
 def _cmd_census(config: RunConfig) -> int:
-    budget = config.budget or DEFAULT_ISO_BUDGET
-    table = assignment_census(config.p, iso_budget=budget)
+    table = assignment_census(config.p)
     if config.format == "json":
         doc = {
             "schema": SCHEMA_VERSION,
@@ -377,7 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cen = sub.add_parser("census", help="enumerate proper assignments (p = 8 or 16)")
     add_common(cen)
     cen.add_argument("--format", choices=["csv", "json"], default="csv")
-    cen.add_argument("--budget", type=int, default=None)
     cen.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
 
     exp = sub.add_parser("export", help="write the deletion-mapping table")
@@ -426,6 +419,10 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
                 )
             checks = tuple(raw)
 
+    if command in ("generate", "deck") and getattr(args, "kind", "") == "variant-digraph" and args.p < 8:
+        parser.error("variant digraphs require p >= 8")
+    if command == "generate" and args.kind == "weighted" and args.format != "csv":
+        parser.error("weighted matrices export as csv only")
     if command == "census" and args.p not in CENSUS_ORDERS:
         orders = " or ".join(map(str, CENSUS_ORDERS))
         parser.error(f"census is available at p = {orders}, got {args.p}")
@@ -444,10 +441,6 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
             f"{command} --p {args.p} would write about {about} as {args.format}; "
             f"{command} is available up to p = {DENSE_ORDER_LIMIT}"
         )
-    if command in ("generate", "deck") and getattr(args, "kind", "") == "variant-digraph" and args.p < 8:
-        parser.error("variant digraphs require p >= 8")
-    if command == "generate" and args.kind == "weighted" and args.format != "csv":
-        parser.error("weighted matrices export as csv only")
 
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs < 1:

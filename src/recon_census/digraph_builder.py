@@ -5,10 +5,10 @@ bit for all occurrences of a level.  Applying one to a weighted matrix
 yields a loop-free digraph.  The canonical tournament pair maps positive
 levels to 1 and negative levels to 0; the variant digraph pair maps
 1, -1 and everything >= 3 to 1, and 2, -2 and everything <= -3 to 0.
-``tournament_digraph`` and ``variant_digraph`` build one as a dense
-``Digraph``; ``tournament_rows`` and ``variant_rows`` give the same rows
-sliced from four bit templates, with the same checks and no p x p matrix,
-and the csv, dot and digraph6 encoders read either (``Rows``).
+``tournament_rows`` and ``variant_rows`` give the rows of one, sliced
+from four bit templates with no p x p matrix; ``tournament_digraph`` and
+``variant_digraph`` are the ``Digraph`` of those rows, and the csv, dot
+and digraph6 encoders read either (``Rows``).
 
 Because the two extreme levels +-(n+1) are the only place the plain and
 starred matrices disagree under the extended point-1 mapping, any
@@ -26,19 +26,21 @@ the half swap off O(log p) class-table rows, as is whether an
 assignment yields tournaments (``_twin_levels``), at every order.
 ``assignment_census`` tabulates which proper assignments at small
 orders yield tournaments and non-isomorphic pairs, reading the bits of
-all of them as one table.  The rows with equal extreme bits are settled
-by ``forced_isomorphism``'s witness, and the other member of each swap
-orbit copies its representative's verdict.  The representatives are
-walked in ascending order: one still open is searched (in the calling
-process), and each witness a search finds is checked against the stacked
-digraphs of every representative at once, deciding each row it carries
-with no search (30 searches at p = 8 and 66 at p = 16, where one per
-orbit took 64 and 256).  The test suite checks the census against a form
-that searches every row.
+all of them as one table, and proves every row by the paper's halving
+argument, built up from order 4 with no search (``_census_verdicts``).
+The rows with equal extreme bits are isomorphic by
+``forced_isomorphism``'s witness.  Every other row splits by degree, so
+that any isomorphism carries each half onto the other side's opposite
+half, whose induced pair is the half-order pair of the row's bits less
+the extreme ones: the row is non-isomorphic where that pair is, and
+otherwise isomorphic by its witness lifted across the halves.  Every
+witness is checked arc by arc.  The test suite checks the census
+against a form that searches every row.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional
@@ -55,6 +57,7 @@ from recon_census.weight_matrix import (
     _ascii_text,
     _checked_offset_table,
     _first_cell,
+    _nested_rows,
     _offset_case_table,
     _reached_rows,
     _row_blocks,
@@ -68,7 +71,6 @@ __all__ = [
     "CENSUS_ORDERS",
     "CensusRow",
     "CensusTable",
-    "DEFAULT_ISO_BUDGET",
     "Digraph",
     "apply_assignment",
     "assignment_census",
@@ -89,9 +91,7 @@ __all__ = [
 #: the 0/1 uint8 rows of the row slice ``block`` as a (rows, p) array.
 Rows = Callable[[slice], np.ndarray]
 
-#: Node budget of one isomorphism search when the caller names none.
-DEFAULT_ISO_BUDGET = 200_000
-#: Orders where the census tabulates every proper assignment within budget.
+#: Orders where the census tabulates every proper assignment.
 CENSUS_ORDERS = (8, 16)
 
 
@@ -406,23 +406,15 @@ def apply_assignment(m: WeightedMatrix, a: BinaryAssignment) -> Digraph:
 
 def tournament_digraph(p: int, variant: MatrixVariant) -> Digraph:
     """One digraph of the canonical tournament pair (positive entries
-    become arcs), built alone.  Once its matrix is built and validated,
-    the pair is checked to be tournaments off the class table
-    (``_twin_levels``), as ``hypo-sigma`` checks it, with no scan of the
-    p**2 digraph."""
-    a = tournament_assignment(order_exponent(p))
-    g = apply_assignment(build_dense(p, variant), a)
-    if not _assigns_tournaments(_twin_levels(p), a):
-        raise ContradictionError("canonical pair failed the tournament check")
-    return g
+    become arcs), built alone: the ``Digraph`` of ``tournament_rows``,
+    checked as they are."""
+    return Digraph(p, tournament_rows(p, variant)(slice(None)))
 
 
 def variant_digraph(p: int, variant: MatrixVariant) -> Digraph:
-    """One digraph of the variant pair at order p >= 8, built alone."""
-    n = order_exponent(p)
-    if p < 8:
-        raise ValueError(f"variant digraphs require p >= 8, got {p}")
-    return apply_assignment(build_dense(p, variant), variant_assignment(n))
+    """One digraph of the variant pair at order p >= 8, built alone: the
+    ``Digraph`` of ``variant_rows``, checked as they are."""
+    return Digraph(p, variant_rows(p, variant)(slice(None)))
 
 
 def _template_rows(p: int, variant: MatrixVariant, a: BinaryAssignment) -> Rows:
@@ -449,19 +441,17 @@ def _template_rows(p: int, variant: MatrixVariant, a: BinaryAssignment) -> Rows:
 
 
 def tournament_rows(p: int, variant: MatrixVariant) -> Rows:
-    """The adjacency rows of ``tournament_digraph(p, variant)``, checked as
-    it checks them and in its order (``_template_rows``, then the
-    tournament check off the class table), with no p x p matrix."""
-    a = tournament_assignment(order_exponent(p))
-    rows = _template_rows(p, variant, a)
-    if not _assigns_tournaments(_twin_levels(p), a):
-        raise ContradictionError("canonical pair failed the tournament check")
+    """The adjacency rows of the canonical tournament pair's ``variant``
+    digraph, with no p x p matrix: ``_template_rows``, then
+    ``_check_tournaments``."""
+    rows = _template_rows(p, variant, tournament_assignment(order_exponent(p)))
+    _check_tournaments(p)
     return rows
 
 
 def variant_rows(p: int, variant: MatrixVariant) -> Rows:
-    """The adjacency rows of ``variant_digraph(p, variant)``, checked as it
-    checks them (``_template_rows``), with no p x p matrix."""
+    """The adjacency rows of the variant pair's ``variant`` digraph at order
+    p >= 8 (``_template_rows``), with no p x p matrix."""
     n = order_exponent(p)
     if p < 8:
         raise ValueError(f"variant digraphs require p >= 8, got {p}")
@@ -587,9 +577,13 @@ def _tournament_rows(twins: np.ndarray, luts: np.ndarray) -> np.ndarray:
     return np.all(luts[..., twins[0]] != luts[..., twins[1]], axis=-1)
 
 
-def _assigns_tournaments(twins: np.ndarray, a: BinaryAssignment) -> bool:
-    """``_tournament_rows`` of one assignment."""
-    return bool(_tournament_rows(twins, _bit_lut(a)))
+def _check_tournaments(p: int) -> None:
+    """ContradictionError unless the tournament assignment of order p
+    yields a pair of tournaments (``_tournament_rows``), read off the class
+    table's ``_twin_levels`` with no matrix or digraph."""
+    lut = _bit_lut(tournament_assignment(order_exponent(p)))
+    if not _tournament_rows(_twin_levels(p), lut):
+        raise ContradictionError("canonical pair failed the tournament check")
 
 
 def _check_half_swap(p: int) -> None:
@@ -638,7 +632,7 @@ def swap_involution(p: int) -> np.ndarray:
 class CensusRow:
     assignment_bits: str
     is_tournament: bool
-    isomorphic: Optional[bool]
+    isomorphic: bool
     orbit_id: int
 
 
@@ -650,9 +644,7 @@ class CensusTable:
     rows: tuple[CensusRow, ...]
 
     def to_csv(self) -> str:
-        def word(value: Optional[bool]) -> str:
-            if value is None:
-                return "undecided"
+        def word(value: bool) -> str:
             return "yes" if value else "no"
 
         lines = ["assignment_bits,is_tournament,isomorphic,orbit_id"]
@@ -664,113 +656,137 @@ class CensusTable:
         return "\n".join(lines) + "\n"
 
 
-def _census_entry(
-    g: Digraph, h: Digraph, budget: int
-) -> tuple[Optional[bool], Optional[tuple[int, ...]]]:
-    """Search verdict for one row's assigned pair, None when the search
-    exhausted the budget, with its witness (1-based images) on the
-    isomorphic verdict."""
-    # imported here to avoid a module cycle with the isomorphism engine
-    from recon_census.iso_engine import IsoStatus, are_isomorphic
-
-    verdict = are_isomorphic(g, h, budget=budget)
-    isomorphic = {
-        IsoStatus.ISOMORPHIC: True,
-        IsoStatus.NON_ISOMORPHIC: False,
-        IsoStatus.UNDECIDED: None,
-    }[verdict.status]
-    return isomorphic, verdict.witness
-
-
-def _search_orbits(
-    p: int, reps: np.ndarray, plain: np.ndarray, star: np.ndarray, budget: int
-) -> list[Optional[bool]]:
-    """The verdicts of the representatives ``reps`` (ascending row values)
-    of the unforced orbits, whose assigned digraphs are stacked in
-    ``plain`` and ``star`` as (R, p, p) uint8 arrays.
-
-    A row still open gets one search through ``_census_entry`` on its
-    own stacked digraphs.  Each witness w found is tried against every
-    stacked row at once, as ``plain == star[:, w][:, :, w]``, and every
-    row it carries reads True with no search of its own, an undecided one
-    too.  A witness that does not carry its own row, or that carries a row
-    a search called non-isomorphic, is a fatal internal error.
-    """
-    n = order_exponent(p)
+def _row_bits(n: int) -> np.ndarray:
+    """The bits of every proper assignment of order exponent n, as a
+    (2^m, m) uint8 table, m = 2(n + 1): row x holds x in binary."""
     m = 2 * (n + 1)
-    verdicts: list[Optional[bool]] = [None] * len(reps)
-    carried = np.zeros(len(reps), dtype=bool)
-    refuted = np.zeros(len(reps), dtype=bool)
-    for r, x in enumerate(reps.tolist()):
-        if carried[r]:
-            continue
-        bits = format(x, f"0{m}b")
-        g, h = Digraph(p, plain[r]), Digraph(p, star[r])
-        verdicts[r], witness = _census_entry(g, h, budget)
-        if verdicts[r] is False:
-            refuted[r] = True
-        elif verdicts[r]:
-            w = np.asarray(witness, dtype=np.intp) - 1
-            hits = np.all(plain == star[:, w][:, :, w], axis=(1, 2))
-            if not hits[r]:
-                raise ContradictionError(
-                    f"census witness for {bits} at p={p} does not carry its pair"
-                )
-            wrong = hits & refuted
-            if wrong.any():
-                other = format(int(reps[np.argmax(wrong)]), f"0{m}b")
-                raise ContradictionError(
-                    f"census witness for {bits} at p={p} carries the pair of {other}, "
-                    "which the search called non-isomorphic"
-                )
-            carried |= hits
-    return [True if c else v for c, v in zip(carried.tolist(), verdicts)]
+    x = np.arange(1 << m)
+    return (x[:, None] >> np.arange(m - 1, -1, -1) & 1).astype(np.uint8)
 
 
-def assignment_census(p: int, iso_budget: int = DEFAULT_ISO_BUDGET) -> CensusTable:
+def _stacked_pairs(p: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The plain and starred digraphs at order p of the assignments whose
+    bits are the rows of ``bits``, stacked as two (rows, p, p) uint8 arrays
+    read off the dense matrices."""
+    luts = _bit_luts(bits)
+    return tuple(luts[:, build_dense(p, v).entries] for v in MatrixVariant)
+
+
+def _splits(plain: np.ndarray, star: np.ndarray) -> np.ndarray:
+    """Whether the (out, in) degree keys of each stacked pair force any
+    isomorphism to carry the plain first half onto the starred last half
+    and the plain last half onto the starred first half: the plain halves'
+    keys are disjoint, the plain first half's key multiset equals the
+    starred last half's, and the plain last half's the starred first's (so
+    the starred halves' keys are disjoint too)."""
+    p = plain.shape[-1]
+    h = p // 2
+    (plain_first, plain_last), (star_first, star_last) = (
+        (np.sort(keys[:, :h]), np.sort(keys[:, h:]))
+        for keys in (
+            side.sum(axis=2, dtype=np.int16) * p + side.sum(axis=1, dtype=np.int16)
+            for side in (plain, star)
+        )
+    )
+    disjoint = ~np.any(plain_first[:, :, None] == plain_last[:, None, :], axis=(1, 2))
+    crossed = np.all(plain_first == star_last, axis=1) & np.all(plain_last == star_first, axis=1)
+    return disjoint & crossed
+
+
+def _census_verdicts(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the pair of each proper assignment at order p is isomorphic,
+    and a 0-based witness (slot i holds the image of point i + 1, less 1)
+    for each isomorphic one, by the halving argument from order 4 up.
+
+    At order 4 every row's pair is tried against all 24 bijections in one
+    stacked compare, the witness the first that carries it.  At each order
+    p >= 8 the diagonal quadrants of both matrices are first checked to be
+    the half-order matrices (``_nested_rows``, lemma 1(a)), so each half of
+    a pair is the half-order pair of s', the row's bits less those of the
+    extreme levels +-(n+1).  Then a forced row (equal extreme bits) is
+    isomorphic by ``_level_table``'s witness.  Every other row must split
+    (``_splits``): any isomorphism then restricts to one of s''s pair, so
+    the row is non-isomorphic where s' is.  Where s' has a witness w, it is
+    lifted crosswise, i -> w(i) + p/2 on the first half and
+    i -> w(i - p/2) on the last, and checked arc by arc on the stacked
+    pairs of the unforced rows, in one exact compare.  A row that fails its
+    split or its lift raises ContradictionError naming its bits.
+    """
+    if p == 4:
+        plain, star = _stacked_pairs(4, _row_bits(2))
+        perms = np.array(list(itertools.permutations(range(4))), dtype=np.uint8)
+        moved = star[:, perms[:, :, None], perms[:, None, :]]
+        hits = np.all(plain[:, None] == moved, axis=(2, 3))
+        return hits.any(axis=1), perms[hits.argmax(axis=1)]
+    n = order_exponent(p)
+    h = p // 2
+    for variant in MatrixVariant:
+        if not np.array_equal(
+            _nested_rows(_offset_case_table(p, variant)), _offset_case_table(h, variant)
+        ):
+            raise ContradictionError(
+                f"diagonal quadrants at p={p} ({variant.value}) differ from p={h}"
+            )
+    half_iso, half_witness = _census_verdicts(h)
+    bits = _row_bits(n)
+    # s': drop bit 0 (level -(n+1)), then bit n (level n+1) of what is left
+    x = np.arange(len(bits)) >> 1
+    sub = (x >> (n + 1)) << n | x & ((1 << n) - 1)
+    forced = bits[:, n] == bits[:, -1]
+    witness = np.empty((len(bits), p), dtype=np.uint8)
+    witness[forced] = _level_table(p) - 1
+    # the unforced rows, stacked once the half order's stacks and the
+    # automaton of ``_level_table`` are freed
+    rows = np.flatnonzero(~forced)
+    w = half_witness[sub[rows]]
+    witness[rows] = np.concatenate([w + h, w], axis=1)
+    plain, star = _stacked_pairs(p, bits[rows])
+    # the starred digraphs moved by each lift, less the plain ones
+    lift = witness[rows]
+    moved = star[np.arange(len(rows))[:, None, None], lift[:, :, None], lift[:, None, :]]
+    moved ^= plain
+    for bad, what in (
+        (~_splits(plain, star), "does not split by degree"),
+        (half_iso[sub[rows]] & moved.any(axis=(1, 2)), "is not carried by its lifted witness"),
+    ):
+        if bad.any():
+            row = format(int(rows[np.argmax(bad)]), f"0{bits.shape[1]}b")
+            raise ContradictionError(f"census row {row} at p={p} {what}")
+    return forced | half_iso[sub], witness
+
+
+def assignment_census(p: int) -> CensusTable:
     """Tabulate every proper assignment at an order p in ``CENSUS_ORDERS``.
 
-    Each row records whether the assigned pair are tournaments and
-    whether they are isomorphic (None when no search decided it within
-    ``iso_budget`` and no witness found in the run carries it).  Row x has
-    the assignment whose bit string is x in binary, so the extreme levels
-    n+1 and -(n+1) are bit n+1 and bit 0.  ``orbit_id`` is the smaller of
-    x and its partner, x with those two bits exchanged, which yields the
-    same digraph pair up to the half-swap relabeling.
+    Each row records whether the assigned pair are tournaments and whether
+    they are isomorphic (``_census_verdicts``, which proves every row by
+    the halving argument, with no search).  Row x has the assignment whose
+    bit string is x in binary, so the extreme levels n+1 and -(n+1) are
+    bit n+1 and bit 0.  ``orbit_id`` is the smaller of x and its partner,
+    x with those two bits exchanged, which yields the same digraph pair up
+    to the half-swap relabeling (``_check_half_swap``, checked first).
 
-    The bits of all 2^m rows are read as one (2^m, m) table, and each
-    flag is one vector operation over it.  A row whose extreme levels get
-    equal bits (its own partner) is isomorphic by ``forced_isomorphism``'s
-    witness, with no search.  The other orbits' representatives, the rows
-    below their partners, are decided by ``_search_orbits`` on their
-    stacked digraphs (each stack one bit lookup of the dense levels), and
-    each partner copies its representative's verdict.  Both per-order
-    identities, the half swap's (``_check_half_swap``) and the point-1
-    level check of ``_level_table``, run before any search.  The
-    tournament flag reads the ``_twin_levels`` pairs, taken once per
-    order, for every row.
+    The bits of all 2^m rows are read as one (2^m, m) table, and each flag
+    is one vector operation over it.  The tournament flag reads the
+    ``_twin_levels`` pairs, taken once per order, for every row.
     """
     if p not in CENSUS_ORDERS:
         orders = " and ".join(map(str, CENSUS_ORDERS))
-        raise ValueError(f"census is budget-bounded to orders {orders}, got {p}")
+        raise ValueError(f"census is available at orders {orders}, got {p}")
     n = order_exponent(p)
-    m = 2 * (n + 1)
-    # forced rows and partners may skip the search only because these
-    # identities hold; each raises otherwise
     _check_half_swap(p)
-    _level_table(p)
-    x = np.arange(1 << m)
-    bits = (x[:, None] >> np.arange(m - 1, -1, -1) & 1).astype(np.uint8)
-    luts = _bit_luts(bits)
+    isomorphic, _ = _census_verdicts(p)
+    bits = _row_bits(n)
+    x = np.arange(len(bits))
     # the extreme levels n+1 and -(n+1) are columns n and m - 1
     partner = np.where(bits[:, n] == bits[:, -1], x, x ^ (1 << (n + 1) | 1))
-    reps = np.flatnonzero(x < partner)
-    plain, star = (luts[reps][:, build_dense(p, v).entries] for v in MatrixVariant)
-    decided = dict(zip(reps.tolist(), _search_orbits(p, reps, plain, star, iso_budget)))
-    tournaments = _tournament_rows(_twin_levels(p), luts)
+    tournaments = _tournament_rows(_twin_levels(p), _bit_luts(bits))
+    m = bits.shape[1]
     rows = tuple(
-        # a forced row is its own orbit and not a representative
-        CensusRow(format(v, f"0{m}b"), t, decided.get(o, True), o)
-        for v, t, o in zip(x.tolist(), tournaments.tolist(), np.minimum(x, partner).tolist())
+        CensusRow(format(v, f"0{m}b"), t, i, o)
+        for v, t, i, o in zip(
+            x.tolist(), tournaments.tolist(), isomorphic.tolist(),
+            np.minimum(x, partner).tolist(),
+        )
     )
     return CensusTable(p, rows)

@@ -30,7 +30,6 @@ import numpy as np
 
 from recon_census.deletion_maps import _deletion_sweep, build_all_maps
 from recon_census.digraph_builder import (
-    DEFAULT_ISO_BUDGET,
     Digraph,
     _is_arc_preserving,
     _sign_scores,
@@ -47,6 +46,7 @@ from recon_census.weight_matrix import (
 
 __all__ = [
     "DECK_MATCH_ORDER_LIMIT",
+    "DEFAULT_ISO_BUDGET",
     "IsoStatus",
     "IsoVerdict",
     "NonIsoTrace",
@@ -60,6 +60,8 @@ __all__ = [
     "verify_nonisomorphic_inductive",
 ]
 
+#: Node budget of one isomorphism search when the caller names none.
+DEFAULT_ISO_BUDGET = 200_000
 #: Largest order where deck matching's p**2 card-pair searches fit the budget.
 DECK_MATCH_ORDER_LIMIT = 12
 

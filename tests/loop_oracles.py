@@ -24,16 +24,17 @@ count:
 * ``threshold_scores_reference`` and ``induced_halves_mismatch_reference``:
   the two per-level steps of theorem 2 on entry grids, O(p**2), and
   ``halving_chain_reference``, which runs them level by level;
-* ``assignment_census_reference``: the census with every row searched,
-  each on the pair ``assigned_pair`` builds through ``apply_assignment``
-  on the dense matrices, in place of the census's stacked rows;
+* ``assignment_census_reference``: the census with every row searched
+  (``census_entry``, one ``are_isomorphic`` call), each on the pair
+  ``assigned_pair`` builds through ``apply_assignment`` on the dense
+  matrices, in place of the census's halving argument on stacked rows;
 * ``every_relabeling_code``: an isomorphism invariant that is complete
   because it tries all p! relabelings;
 * ``relabel``: a digraph with its points renamed by a permutation, which
   the census's orbit partners must equal.
 
 Library functions are reached through their modules (``wm.entry_grid``,
-``db._census_entry``, ...), so a test that patches a seam there reaches the
+``ie.are_isomorphic``, ...), so a test that patches a seam there reaches the
 oracle too.
 """
 
@@ -44,6 +45,7 @@ import numpy as np
 import recon_census.deletion_maps as dm
 import recon_census.digraph_builder as db
 import recon_census.hypomorphism_verifier as hv
+import recon_census.iso_engine as ie
 import recon_census.theorem1_automaton as t1a
 import recon_census.weight_matrix as wm
 from recon_census.deletion_maps import _lemma2_d
@@ -440,7 +442,17 @@ def assigned_pair(p, a):
     return tuple(db.apply_assignment(wm.build_dense(p, v), a) for v in wm.MatrixVariant)
 
 
-def assignment_census_reference(p, iso_budget=db.DEFAULT_ISO_BUDGET):
+def census_entry(g, h, budget=ie.DEFAULT_ISO_BUDGET):
+    """Search verdict for one row's assigned pair: True, False, or None when
+    the search exhausted the budget."""
+    return {
+        ie.IsoStatus.ISOMORPHIC: True,
+        ie.IsoStatus.NON_ISOMORPHIC: False,
+        ie.IsoStatus.UNDECIDED: None,
+    }[ie.are_isomorphic(g, h, budget=budget).status]
+
+
+def assignment_census_reference(p, iso_budget=ie.DEFAULT_ISO_BUDGET):
     """``assignment_census(p)`` without its symmetries: every row searched,
     its tournament flag read off its digraphs, and its orbit id the smaller
     value of its bit string and that string with the two extreme levels'
@@ -457,7 +469,7 @@ def assignment_census_reference(p, iso_budget=db.DEFAULT_ISO_BUDGET):
             db.CensusRow(
                 bits,
                 g.is_tournament() and h.is_tournament(),
-                db._census_entry(g, h, iso_budget)[0],
+                census_entry(g, h, iso_budget),
                 min(int(bits, 2), int("".join(swapped), 2)),
             )
         )

@@ -112,6 +112,27 @@ class TestExitCodes:
     def test_census_order_bounded(self):
         assert run_cli("census", "--p", "32") == 2
 
+    def test_census_budget_is_a_usage_error(self, capsys):
+        # every row is proved, so there is no search to budget
+        assert run_cli("census", "--p", "16", "--budget", "1000") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "recon-census: error: unrecognized arguments: --budget 1000"
+        )
+
+    def test_format_checked_before_the_size_cap(self, capsys, monkeypatch):
+        # above the write cap, the usage error names what is wrong with the
+        # request, not the size of a format it could never write
+        import recon_census.cli as cli
+
+        monkeypatch.setattr(cli, "run", lambda config: 0)
+        args = ("generate", "--p", "16384", "--kind", "weighted", "--format", "d6")
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "recon-census generate: error: weighted matrices export as csv only"
+        )
+
     def test_deck_match_bounded(self):
         assert run_cli("verify", "--p", "16", "--checks", "deck-match") == 2
 
@@ -413,7 +434,7 @@ class TestCheckTable:
         "name, target",
         [
             ("theorem2", "verify_nonisomorphic_inductive"),
-            ("hypo-sigma", "_twin_levels"),
+            ("hypo-sigma", "_check_tournaments"),
             ("swap", "_check_half_swap"),
             ("forced-iso", "_check_point1_levels"),
         ],
@@ -874,14 +895,19 @@ class TestCensusCommand:
         assert run_cli(*args) == 0
         assert capsys.readouterr().out.encode() == golden
 
-    def test_searches_read_the_stacked_rows(self, tmp_path, monkeypatch):
-        # each dense matrix is built once, to stack the representatives'
-        # digraphs, and no search builds its pair again
+    def test_verdicts_read_the_stacked_rows(self, tmp_path, monkeypatch):
+        # the dense matrices of each order from 16 down to 4 are built once,
+        # to stack every row's digraphs; no row's pair is built alone, and
+        # no row is searched
         out = tmp_path / "census.csv"
-        names = {"build_dense", "apply_assignment"}
+        names = {"build_dense", "apply_assignment", "are_isomorphic"}
         calls = spied_run(monkeypatch, names, "census", "--p", "16", "--out", str(out))
-        assert calls == ["build_dense", "build_dense"]
+        assert calls == ["build_dense"] * 6
         assert out.read_bytes() == (FIXTURES / "census_p16.csv").read_bytes()
+        # the spies see a search where one runs
+        calls = spied_run(monkeypatch, names, "verify", "--p", "4", "--checks", "deck-match",
+                          "--out", str(out))
+        assert "are_isomorphic" in calls
 
     def test_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -1023,6 +1049,19 @@ def spied_run(monkeypatch, names, *args):
     return calls
 
 
+def spied_census(monkeypatch, tmp_path, names):
+    """``spied_run`` of ``census --p 8``, the dense route of the command
+    line (it stacks the assigned digraphs of every row), and then of the
+    library's ``apply_assignment``, which no command calls: the tests'
+    oracle of an assigned digraph."""
+    import recon_census.digraph_builder as db
+    from recon_census.weight_matrix import MatrixVariant, build_dense
+
+    calls = spied_run(monkeypatch, names, "census", "--p", "8", "--out", str(tmp_path / "c.csv"))
+    db.apply_assignment(build_dense(8, MatrixVariant.PLAIN), db.tournament_assignment(3))
+    return calls
+
+
 def spied_verify(monkeypatch, tmp_path, p, checks, names):
     """``spied_run`` of ``verify`` running ``checks`` at order p, and its
     reports."""
@@ -1050,7 +1089,8 @@ class TestAutomatonPlanes:
         ]
 
     def test_spies_see_the_dense_route(self, tmp_path, monkeypatch):
-        calls, _ = spied_verify(monkeypatch, tmp_path, 8, "lemma2,deck-match", self.DENSE)
+        calls, _ = spied_verify(monkeypatch, tmp_path, 8, "lemma2", self.DENSE)
+        calls += spied_census(monkeypatch, tmp_path, self.DENSE)
         assert set(calls) == self.DENSE
 
 
@@ -1079,10 +1119,8 @@ class TestTableFreeWriters:
         assert out.stat().st_size > 0
 
     def test_spies_see_the_dense_route(self, tmp_path, monkeypatch):
-        out = str(tmp_path / "out.txt")
-        calls = spied_run(monkeypatch, self.DENSE, "deck", "--p", "8", "--out", out)
-        calls += spied_run(monkeypatch, self.DENSE, "verify", "--p", "8", "--checks",
-                           "lemma2", "--out", out)
+        calls, _ = spied_verify(monkeypatch, tmp_path, 8, "lemma2", self.DENSE)
+        calls += spied_census(monkeypatch, tmp_path, self.DENSE)
         assert set(calls) == self.DENSE
 
 
@@ -1104,6 +1142,7 @@ class TestTournamentSelfCheck:
 
     def test_spies_see_the_dense_route(self, tmp_path, monkeypatch):
         calls, _ = spied_verify(monkeypatch, tmp_path, 8, "deck-match", self.DENSE)
+        calls += spied_census(monkeypatch, tmp_path, self.DENSE)
         assert set(calls) == self.DENSE
 
     @pytest.mark.parametrize("p", [4, 64, 2**20])
@@ -1203,11 +1242,10 @@ class TestCompanions:
     def test_contradiction_in_the_pair_leaves_the_others_their_verdicts(
         self, tmp_path, monkeypatch, p
     ):
-        import recon_census.cli as cli_mod
-        from recon_census.errors import ContradictionError
+        import recon_census.digraph_builder as db
 
         # the self-check finds an assignment that yields no tournaments
-        monkeypatch.setattr(cli_mod, "_assigns_tournaments", lambda twins, a: False)
+        monkeypatch.setattr(db, "_tournament_rows", lambda twins, luts: np.False_)
         reports = self.alone_and_together(tmp_path, p)
         (hypo,) = reports["hypo-sigma"]
         assert hypo["check"] == "hypo-sigma" and hypo["checked"] == 0

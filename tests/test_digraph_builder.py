@@ -7,9 +7,9 @@ from recon_census.deletion_maps import extend_sigma_p1
 from recon_census.digraph_builder import (
     BinaryAssignment,
     Digraph,
-    _assigns_tournaments,
     _bit_lut,
     _is_arc_preserving,
+    _tournament_rows,
     _twin_levels,
     apply_assignment,
     assignment_census,
@@ -277,7 +277,7 @@ class TestForcedIsomorphism:
         for a in every_assignment(p):
             g, h = assigned_pair(p, a)
             flag = g.is_tournament() and h.is_tournament()
-            assert _assigns_tournaments(twins, a) == flag, a.bit_string
+            assert _tournament_rows(twins, _bit_lut(a)) == flag, a.bit_string
             flags.add(flag)
         assert flags == {False, True}
 
@@ -317,7 +317,7 @@ class TestTwinLevels:
             twins = _twin_levels(p)
             for a in assignments:
                 flag = dense_tournaments(p, a)
-                assert _assigns_tournaments(twins, a) == flag, (fault, a.bit_string)
+                assert _tournament_rows(twins, _bit_lut(a)) == flag, (fault, a.bit_string)
                 flags.add((fault is None, a in named, flag))
         # the tournament assignment yields tournaments on the clean tables,
         # and each fault (a negated cell, whose twin keeps its level) breaks it
@@ -331,7 +331,7 @@ class TestTwinLevels:
         tables.class_cell(variant, int(wm._reached_rows(p)[0]), 2, 2, -1)
         twins = _twin_levels(p)
         for a in every_assignment(p):
-            assert not _assigns_tournaments(twins, a), a.bit_string
+            assert not _tournament_rows(twins, _bit_lut(a)), a.bit_string
             assert not dense_tournaments(p, a)
 
     def test_twins_are_negations_on_clean_tables(self):
@@ -412,20 +412,76 @@ class TestCensus:
                 right = apply_assignment(m, b)
                 assert right == relabel(left, tau)
 
-    def test_undecided_rows_with_tiny_budget(self):
-        # forced rows need no search and partners copy their representative,
-        # so only representatives can be left undecided
-        table = assignment_census(8, iso_budget=1)
-        for row in table.rows:
-            a = assignment_from_bits(3, row.assignment_bits)
-            if a.value_for(4) == a.value_for(-4):
-                assert row.isomorphic is True, row
-            partner = table.rows[row.orbit_id]
-            assert row.isomorphic == partner.isomorphic, row
-        assert any(
-            r.isomorphic is None and int(r.assignment_bits, 2) == r.orbit_id
-            for r in table.rows
-        )
+    def test_order4_witness_is_the_first_carrying_bijection(self):
+        import itertools
+
+        import recon_census.digraph_builder as db
+
+        isomorphic, witness = db._census_verdicts(4)
+        assert len(isomorphic) == 64
+        for x, a in enumerate(every_assignment(4)):
+            g, h = assigned_pair(4, a)
+            first = next(
+                (perm for perm in itertools.permutations(range(4))
+                 if _is_arc_preserving(g, h, np.add(perm, 1))),
+                None,
+            )
+            assert isomorphic[x] == (first is not None), a.bit_string
+            if first is not None:
+                assert tuple(witness[x]) == first, a.bit_string
+
+    @pytest.mark.parametrize("p", [8, 16])
+    def test_every_witness_carries_its_row(self, p):
+        # forced rows by the point-1 mapping, the others by a lift that
+        # crosses the halves
+        import recon_census.digraph_builder as db
+
+        isomorphic, witness = db._census_verdicts(p)
+        ext = extend_sigma_p1(p) - 1
+        h = p // 2
+        for x, a in enumerate(every_assignment(p)):
+            if not isomorphic[x]:
+                continue
+            assert _is_arc_preserving(*assigned_pair(p, a), witness[x] + 1), a.bit_string
+            if forced_isomorphism(p, a) is not None:
+                assert np.array_equal(witness[x], ext)
+            else:
+                assert np.all(witness[x][:h] >= h) and np.all(witness[x][h:] < h)
+
+    def test_split_reads_the_in_degree(self):
+        # the halves of this digraph share their out-degree 1 and differ in
+        # their in-degrees (2 against 0); its half swap is its partner
+        import recon_census.digraph_builder as db
+
+        g = np.zeros((4, 4), dtype=np.uint8)
+        g[[0, 1, 2, 3], [1, 0, 0, 1]] = 1
+        swapped = g[[2, 3, 0, 1]][:, [2, 3, 0, 1]]
+        assert db._splits(g[None], swapped[None]).tolist() == [True]
+        # unswapped, the plain first half meets the starred first half
+        assert db._splits(g[None], g[None]).tolist() == [False]
+
+    @pytest.mark.parametrize("p", [8, 16])
+    def test_quadrant_check_reads_the_offset_tables(self, monkeypatch, p):
+        # an antisymmetric edit of the central offset row of order p breaks
+        # lemma 1(a): the diagonal quadrants are no longer the half order's
+        import recon_census.digraph_builder as db
+        from conftest import patch_case_table
+
+        real = wm._offset_case_table
+
+        def patched(q, variant):
+            table = real(q, variant)
+            if (q, variant) == (p, PLAIN):
+                table = table.copy()
+                centre = q // 4 - 1
+                table[centre, [0, 1], [1, 0]] *= -1
+            return table
+
+        patch_case_table(monkeypatch, patched, (wm, db))
+        with pytest.raises(
+            ContradictionError, match=f"^diagonal quadrants at p={p} \\(plain\\) differ from p={p // 2}$"
+        ):
+            assignment_census(p)
 
     @pytest.mark.parametrize("p", [8, 16])
     def test_matches_every_row_search(self, p):
@@ -436,66 +492,6 @@ class TestCensus:
         golden = (FIXTURES / f"census_p{p}.csv").read_text()
         assert assignment_census(p).to_csv() == golden
         assert assignment_census_reference(p).to_csv() == golden
-
-    @pytest.mark.parametrize("p, searches", [(8, 30), (16, 66)])
-    def test_searches_one_row_per_unforced_orbit(self, monkeypatch, p, searches):
-        # walking the unforced orbits' representatives in ascending order,
-        # a row is searched exactly when no witness found before it
-        # carries its pair
-        import recon_census.digraph_builder as db
-
-        # searches by the adjacency bytes of the pair searched, which
-        # tell the rows apart at these orders (every level occurs)
-        searched = {}
-        real = db._census_entry
-
-        def key(g, h):
-            return g.adjacency.tobytes(), h.adjacency.tobytes()
-
-        def counting(g, h, budget):
-            searched[key(g, h)] = real(g, h, budget)
-            return searched[key(g, h)]
-
-        monkeypatch.setattr(db, "_census_entry", counting)
-        table = assignment_census(p)
-        assert len(searched) == searches
-        n = p.bit_length() - 1
-        witnesses = []
-        for row in table.rows:
-            a = assignment_from_bits(n, row.assignment_bits)
-            g, h = assigned_pair(p, a)
-            if int(row.assignment_bits, 2) != row.orbit_id or forced_isomorphism(p, a) is not None:
-                assert key(g, h) not in searched, row
-                continue
-            carried = any(_is_arc_preserving(g, h, w) for w in witnesses)
-            assert (key(g, h) in searched) != carried, row
-            if not carried and searched[key(g, h)][0]:
-                witnesses.append(searched[key(g, h)][1])
-
-    def test_small_budget_decides_no_row_differently(self):
-        # at a budget where some representatives' own searches stop
-        # undecided, every decided row equals the default-budget table, and
-        # a row is undecided only where its representative's own search is
-        # (where a census without witness reuse leaves it undecided)
-        import recon_census.digraph_builder as db
-
-        budget = 1000
-        table = assignment_census(16, iso_budget=budget)
-        full = assignment_census(16).rows
-        assert all(r == f for r, f in zip(table.rows, full) if r.isomorphic is not None)
-        own_search = {}
-        for row in table.rows:
-            a = assignment_from_bits(4, format(row.orbit_id, "010b"))
-            if forced_isomorphism(16, a) is None and row.orbit_id not in own_search:
-                own_search[row.orbit_id] = db._census_entry(*assigned_pair(16, a), budget)[0]
-        own_search_undecided = {
-            r.assignment_bits for r in table.rows
-            if r.orbit_id in own_search and own_search[r.orbit_id] is None
-        }
-        assert len(own_search_undecided) == 16
-        undecided = {r.assignment_bits for r in table.rows if r.isomorphic is None}
-        assert undecided <= own_search_undecided
-        assert not undecided
 
     def test_rejects_other_orders(self):
         with pytest.raises(ValueError):
@@ -526,7 +522,7 @@ class TestCensus:
         # 1 and levels <= -4 sent to 0
         from recon_census.iso_engine import are_isomorphic
 
-        table = assignment_census(16, iso_budget=100_000)
+        table = assignment_census(16)
         mp = build_dense(16, PLAIN)
         ms = build_dense(16, STAR)
         noniso = [r for r in table.rows if r.isomorphic is False]

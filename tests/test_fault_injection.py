@@ -21,6 +21,7 @@ from recon_census.errors import ContradictionError
 from conftest import patch_case_table, patch_dense, swap_two_images
 from loop_oracles import (
     assigned_pair,
+    census_entry,
     check_lemma1_reference,
     deletion_sweep_reference,
     halving_chain_reference,
@@ -29,8 +30,8 @@ from loop_oracles import (
 
 
 def no_search(*args):
-    """A census search seam that fails: the per-order checks come first."""
-    raise AssertionError("searched before the per-order checks")
+    """A census seam that fails: the per-order checks come first."""
+    raise AssertionError("decided a row before the per-order checks")
 
 
 @pytest.fixture
@@ -229,7 +230,7 @@ class TestSelfCheckingOperations:
             raise ContradictionError("half-swap failed")
 
         monkeypatch.setattr(db, "_check_half_swap", broken)
-        monkeypatch.setattr(db, "_census_entry", no_search)
+        monkeypatch.setattr(db, "_census_verdicts", no_search)
         with pytest.raises(ContradictionError, match="half-swap failed"):
             db.assignment_census(8)
 
@@ -249,43 +250,100 @@ class TestSelfCheckingOperations:
         assert lhs != rhs and 1 <= k <= 64
 
 
-class TestCensusWitnessFaults:
-    """Each witness the census search returns is checked against the
-    stacked digraphs of every representative before it decides a row."""
+def _antisymmetric_faults(p):
+    """(variant, row, twin, r, c, level): each class-table cell reached at
+    order p off the diagonal, with its twin, set to every other level
+    -level, +level in the range of the lowest order that reads the row, so
+    that every matrix the census builds validates.  Row k of
+    ``_reached_rows`` holds offset 0 (k = 0, its own twin, first read at
+    order 4) or +-2**x, x = (k - 1) // 2 (twin ``row ^ 1``, first read at
+    order 2**(x + 3))."""
+    faults = []
+    for variant in wm.MatrixVariant:
+        for k, row in enumerate(wm._reached_rows(p).tolist()):
+            if k and k % 2 == 0:
+                continue  # the twin row of the one before
+            top = 3 if k == 0 else (k - 1) // 2 + 4
+            for r, c in np.ndindex(4, 4):
+                if k == 0 and r >= c:
+                    continue
+                old = int(wm._CLASS_TABLE[variant][row, r, c])
+                for level in range(-top, top + 1):
+                    if level != old:
+                        faults.append((variant, row, row if k == 0 else row ^ 1, r, c, level))
+    return faults
 
-    def test_forged_witness_raises(self, monkeypatch):
-        identity = tuple(range(1, 9))
-        # the identity does not carry the first searched row's pair
-        first = db.assignment_from_bits(3, "00000001")
-        assert not db._is_arc_preserving(*assigned_pair(8, first), identity)
-        monkeypatch.setattr(db, "_census_entry", lambda g, h, budget: (True, identity))
+
+def _sweep_census_faults(monkeypatch, p, faults, bypass):
+    """Run the census under each fault: it must raise ContradictionError or
+    give the search oracle's verdict on every row.  With ``bypass``, the
+    whole-order identities are skipped: the half swap (which only the orbit
+    ids rest on) and the point-1 levels (which the forced rows rest on), so
+    that the unforced rows' own proofs meet the faults and only their
+    verdicts are compared."""
+    if bypass:
+        monkeypatch.setattr(db, "_check_half_swap", lambda p: None)
+        monkeypatch.setattr(db, "_check_point1_levels", lambda p: None)
+    n = p.bit_length() - 1
+    for variant, row, twin, r, c, level in faults:
+        table = wm._CLASS_TABLE[variant].copy()
+        table[row, r, c], table[twin, c, r] = level, -level
+        with monkeypatch.context() as m:
+            m.setitem(wm._CLASS_TABLE, variant, table)
+            try:
+                rows = db.assignment_census(p).rows
+            except ContradictionError:
+                continue
+            for census_row in rows:
+                bits = census_row.assignment_bits
+                if bypass and bits[n] == bits[-1]:
+                    continue
+                pair = assigned_pair(p, db.assignment_from_bits(n, bits))
+                assert census_row.isomorphic == census_entry(*pair), (bits, row, r, c, level)
+
+
+class TestCensusFaults:
+    """Under a class-table fault the census returns the search oracle's
+    verdict on every row, or raises ContradictionError: never a wrong
+    verdict."""
+
+    @pytest.mark.parametrize("bypass", [False, True])
+    def test_every_antisymmetric_fault_at_8(self, monkeypatch, bypass):
+        faults = _antisymmetric_faults(8)
+        assert len(faults) == 328
+        _sweep_census_faults(monkeypatch, 8, faults, bypass)
+
+    @pytest.mark.parametrize("bypass", [False, True])
+    def test_seeded_faults_at_16(self, monkeypatch, bypass):
+        faults = _antisymmetric_faults(16)
+        rng = np.random.default_rng(16)
+        sample = [faults[k] for k in rng.choice(len(faults), size=60, replace=False)]
+        _sweep_census_faults(monkeypatch, 16, sample, bypass)
+
+    def test_row_that_does_not_split_raises(self, monkeypatch):
+        # no row's halves are told apart
+        monkeypatch.setattr(db, "_splits", lambda plain, star: np.zeros(len(plain), dtype=bool))
         with pytest.raises(
-            ContradictionError, match="witness for 00000001 at p=8 does not carry its pair"
+            ContradictionError, match="^census row 00000001 at p=8 does not split by degree$"
         ):
             db.assignment_census(8)
 
-    def test_carried_row_called_non_isomorphic_raises(self, monkeypatch):
-        # the first searched row is isomorphic, and the witness of the
-        # second searched row carries it too
-        real = db._census_entry
-        rows = [
-            (bits, assigned_pair(8, db.assignment_from_bits(3, bits)))
-            for bits in ("00000001", "00000011")
-        ]
-        asked = []
+    def test_forged_half_order_witness_raises(self, monkeypatch):
+        # the order-8 witnesses replaced by the identity, which lifts to
+        # the half swap: it does not carry every row lifted from them
+        real = db._census_verdicts
 
-        def first_refuted(g, h, budget):
-            asked.append(next((bits for bits, pair in rows if pair == (g, h)), None))
-            return (False, None) if len(asked) == 1 else real(g, h, budget)
+        def forged(p):
+            isomorphic, witness = real(p)
+            if p == 8:
+                witness = np.broadcast_to(np.arange(8), witness.shape)
+            return isomorphic, witness
 
-        monkeypatch.setattr(db, "_census_entry", first_refuted)
+        monkeypatch.setattr(db, "_census_verdicts", forged)
         with pytest.raises(
-            ContradictionError,
-            match="witness for 00000011 at p=8 carries the pair of 00000001, "
-            "which the search called non-isomorphic",
+            ContradictionError, match="^census row [01]{10} at p=16 is not carried by its lifted witness$"
         ):
-            db.assignment_census(8)
-        assert asked == ["00000001", "00000011"]
+            db.assignment_census(16)
 
 
 def _corrupt_class_table(
@@ -531,7 +589,7 @@ class TestForcedRowFaults:
             db.forced_isomorphism(8, a)
 
     def test_census_raises_before_any_search(self, corrupt_star_extreme_cell, monkeypatch):
-        monkeypatch.setattr(db, "_census_entry", no_search)
+        monkeypatch.setattr(db, "_splits", no_search)
         with pytest.raises(ContradictionError, match="not an isomorphism at p=8"):
             db.assignment_census(8)
 
@@ -566,7 +624,7 @@ class TestNonExtremeLevelFault:
             db.forced_isomorphism(8, db.assignment_from_bits(3, "0" * 8))
 
     def test_census_raises_before_any_search(self, corrupt_star_level_two_cell, monkeypatch):
-        monkeypatch.setattr(db, "_census_entry", no_search)
+        monkeypatch.setattr(db, "_splits", no_search)
         with pytest.raises(ContradictionError, match=self.MESSAGE):
             db.assignment_census(8)
 

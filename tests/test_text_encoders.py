@@ -27,10 +27,11 @@ from recon_census.deletion_maps import sigma_table_tsv
 from recon_census.digraph_builder import (
     Digraph,
     _encode_count,
+    apply_assignment,
     standard_pair,
-    tournament_digraph,
+    tournament_assignment,
     tournament_rows,
-    variant_digraph,
+    variant_assignment,
     variant_rows,
 )
 from recon_census.iso_engine import deck
@@ -203,7 +204,8 @@ class TestSlicedCsv:
         assert self.spied(monkeypatch, tmp_path, *args) == []
 
     def test_spies_see_the_dense_route(self, monkeypatch, tmp_path):
-        calls = self.spied(monkeypatch, tmp_path, "deck", "--p", "8", "--kind", "tournament")
+        # the census stacks the assigned digraphs of every row
+        calls = self.spied(monkeypatch, tmp_path, "census", "--p", "8")
         assert set(calls) == {"build_dense", "entry_grid"}
 
 
@@ -225,12 +227,22 @@ def _digraph_cases(orders):
     ]
 
 
+def _assigned(p, variant, assignment):
+    """The order-p ``variant`` digraph of ``assignment(n)``, applied to the
+    dense matrix."""
+    return apply_assignment(build_dense(p, variant), assignment(p.bit_length() - 1))
+
+
 class TestTemplateDigraphs:
     """Digraph ``generate`` slices each row from bit templates
-    (``tournament_rows``, ``variant_rows``); the dense digraphs'
-    ``*_blocks`` writers are its oracle."""
+    (``tournament_rows``, ``variant_rows``); the ``*_blocks`` writers of
+    the dense digraphs, each an assignment applied to a dense matrix, are
+    its oracle."""
 
-    KINDS = {"tournament": ("G", tournament_digraph), "variant-digraph": ("D", variant_digraph)}
+    KINDS = {
+        "tournament": ("G", lambda p, v: _assigned(p, v, tournament_assignment)),
+        "variant-digraph": ("D", lambda p, v: _assigned(p, v, variant_assignment)),
+    }
 
     @pytest.mark.parametrize("p, kind", _digraph_cases(ORDERS))
     def test_rows_match_the_dense_adjacency(self, p, kind):
