@@ -19,16 +19,19 @@ The mappings at order p are stored in one form only: the read-only
 ``(p, p)`` int32 table of ``build_all_maps``, whose row k - 1 holds the
 1-based images under the deletion of k and 0 at the hole.  Its rows come
 from ``_checked_map_blocks``, which checks each block of rows to be
-bijections onto the points other than k as it builds them, the one place
-map rows are validated, and nothing is cached: each call builds its
-4 * p**2 bytes afresh.  ``build_map`` computes one row in O(p) without the
-table.  ``sigma_tsv_blocks``, the text of ``export``, holds no table: it
-runs the same checked blocks, keeping none, and then prints each block of
-its rows from the closed form.
+bijections onto the points other than k as it builds them, and nothing
+is cached: each call builds its 4 * p**2 bytes afresh.  ``build_map``
+computes one row in O(p) without the table.  ``sigma_tsv_blocks``, the
+text of ``export``, holds no table: it runs the same checked blocks,
+keeping none, and then prints each block of its rows from the closed
+form.
 
-``check_lemma2`` checks each of the four parts of lemma 2 with one masked
-row-block scan of that table; part (d) pairs each point with its partner
-at distance p/2 in the same row.
+``check_lemma2`` holds no table either: it reads the four parts of lemma
+2, and whether each map is a bijection, off the binary digits of the
+points, on the digit automaton of ``theorem1_automaton`` under a rule
+that reads only the closed form (``_Lemma2Rule``), in O(log p) steps at
+every order up to 2**30.  The test suite keeps its dense form, one masked
+scan of the map table per part, as its oracle.
 
 ``_deletion_sweep`` is the one check that every mapping carries one
 matrix onto another away from its deleted point, one block copy per
@@ -48,7 +51,6 @@ import numpy as np
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import (
     _check_integers,
-    _first_cell,
     _int32_order,
     _points_int32,
     _row_blocks,
@@ -196,6 +198,10 @@ def _map_rows(p: int, ks: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _bijection_error(k: int) -> ValueError:
+    return ValueError(f"map {k} is not a bijection onto the points other than {k}")
+
+
 def _check_rows(p: int, first: int, rows: np.ndarray) -> None:
     """Raise ValueError unless each row is the table of a deletion map.
 
@@ -218,8 +224,7 @@ def _check_rows(p: int, first: int, rows: np.ndarray) -> None:
     filled.sort(axis=1)
     bad = np.nonzero((filled != np.arange(1, p + 1, dtype=np.int32)).any(axis=1))[0]
     if bad.size:
-        k = int(ks[bad[0]])
-        raise ValueError(f"map {k} is not a bijection onto the points other than {k}")
+        raise _bijection_error(int(ks[bad[0]]))
 
 
 def build_map(p: int, k: int) -> np.ndarray:
@@ -308,6 +313,99 @@ def sigma_table_tsv(p: int) -> str:
     return "".join(sigma_tsv_blocks(p))
 
 
+class _Lemma2Rule:
+    """Lemma 2 and the bijection test of its maps, as a rule of the digit
+    automaton (``theorem1_automaton._walk``) at order p >= 8.
+
+    The letters are the digits of (a, b, c) = (i - 1, k - 1, j - 1), and
+    the images are read off ``_sigma_closed_form``: sigma_k(i) - 1 keeps
+    the bits of a through the lowest bit where a and b differ and
+    complements those above it, and its low two bits are the residue table
+    that ``_sigma_closed_form`` reads out of ``_SIGMA4`` (``self.low``).
+    Every test compares two points or images at a difference of 0 or
+    +-p/2, and a difference of p/2 changes only the top digit.  So a state
+    below the top holds five bits: whether a != b and c != b have been
+    seen (bits 0 and 1), and whether a = c, sigma_k(i) = sigma_k(j) and
+    sigma_k(j) = b have held on every digit read (bits 2 to 4).  The top
+    layer reads its digits against them and replaces them with one bit
+    per test, set where it fails: the bijection test (bit 0), then parts
+    (a) to (d) (bits 1 to 4), as ``check_lemma2`` states them.
+    """
+
+    def __init__(self, p: int):
+        self.top = order_exponent(p) - 3  # the block bit of the top digit
+        # LOW as _sigma_closed_form reads it: at order 8, i - 1 = a + 4
+        # differs from k - 1 = b, and (sigma - 1) & 3 is the residue
+        r = np.arange(4, dtype=np.int32)
+        self.low = (_sigma_closed_form(8, r[:, None] + 1, r + 5) - 1) & 3
+
+    def residue(self, letters: np.ndarray) -> np.ndarray:
+        a, b, c = letters
+        sa, sc = self.low[b, a], self.low[b, c]
+        code = (a != b) | (c != b) << 1 | (a == c) << 2 | (sa == sc) << 3 | (sc == b) << 4
+        return code[None, :]
+
+    def block(self, states: np.ndarray, x: int, letters: np.ndarray) -> np.ndarray:
+        s = states[:, None]
+        a, b, c = letters
+        seen_a, seen_c = s & 1, s >> 1 & 1
+        # the image digits: sigma complements those above the first difference
+        sa, sc = a ^ seen_a, c ^ seen_c
+        if x < self.top:
+            equal = (a == c) | (sa == sc) << 1 | (sc == b) << 2
+            return seen_a | a ^ b | (seen_c | c ^ b) << 1 | (s >> 2 & equal) << 2
+        a_kept, c_kept = seen_a | a ^ b, seen_c | c ^ b  # i != k, j != k
+        # equal below the top: a and c, their images, c's image and b; two
+        # such values differ by +-p/2 where their top digits differ, with
+        # the sign of the first one's top digit
+        points, images, image_b = (s >> t & 1 == 1 for t in (2, 3, 4))
+        bijection = c_kept & image_b & (sc == b) | (
+            a_kept & c_kept & ~(points & (a == c)) & images & (sa == sc)
+        )
+        # (a) and (b) hold on every state of this form.  (a) sigma_b(a) =
+        # sigma_{b+h}(a) for b < h, a not b or b + h (seen_a): b + h has
+        # b's digits below the top, where a first differs from both, so
+        # the two images agree below the top, and at it that of b + h
+        # reads a ^ seen_a too
+        far = a ^ seen_a
+        part_a = (b == 0) & (seen_a == 1) & (sa != far)
+        # (b) sigma_b(a + h) = sigma_b(a) - h for a < h, a and a + h not b:
+        # the two images agree below the top, and at the top that of a + h
+        # reads 1 ^ seen_a
+        shifted = 1 ^ seen_a
+        part_b = (a == 0) & (seen_a == 1) & ((sa != 1) | (shifted != 0))
+        # (c) c = b +- h exactly when sigma_b(c) = b +- h
+        part_c = c_kept & ((seen_c == 0) != (image_b & (sc != b)))
+        # (d) c - a = +-h exactly when sigma(a) - sigma(c) = +-h, same sign
+        part_d = a_kept & c_kept & (
+            ((points & (c > a)) != (images & (sa > sc)))
+            | ((points & (a > c)) != (images & (sc > sa)))
+        )
+        out = bijection.astype(np.int64)
+        for t, part in enumerate((part_a, part_b, part_c, part_d), 1):
+            out |= part << t
+        return out
+
+    def final(self, states: np.ndarray) -> list[np.ndarray]:
+        """Where each test fails: the bijection test, then (a) to (d)."""
+        return [states >> t & 1 == 1 for t in range(5)]
+
+
+def _lemma2_failure(p: int) -> Optional[tuple[int, int, int, int]]:
+    """The first failing test of ``_Lemma2Rule`` at order p, 0 for the
+    bijection test and 1 to 4 for parts (a) to (d), and its first (k, i, j)
+    in k order, then i, then j (a point that the test does not read is 1);
+    None where every test holds.  One walk, and one trace for a failure."""
+    # imported here to avoid a module cycle with the digit automaton
+    from recon_census.theorem1_automaton import _first_failure, _walk
+
+    layers, final, *fails = _walk(p, _Lemma2Rule(p))
+    for test, bad in enumerate(fails):
+        if bad.any():
+            return (test, *_first_failure(layers, final, bad))
+    return None
+
+
 def check_lemma2(p: int) -> VerificationReport:
     """Exhaustively verify the four mapping identities at order p >= 8.
 
@@ -318,53 +416,37 @@ def check_lemma2(p: int) -> VerificationReport:
     pairs differ by p/2 exactly when the points do, with the difference
     reversed in orientation.
 
-    Each part is one masked row-block scan of the map table
-    (``weight_matrix._first_cell``), O(p) per deletion.  For (d) each cell
-    compares a point's image with that of its partner at distance p/2
-    (``_lemma2_d``), so the whole check is O(p**2), and ``checked`` still
-    counts every admissible pair.  On bijective rows (d) follows from (b)
-    and (c), but it keeps its own scan and counterexample.
+    The maps are read through their closed form on the digit automaton
+    (``_Lemma2Rule``), with no map table: O(log p) steps of a few dozen
+    states, at every order up to 2**30 (``sigma_values``' reach).  A map
+    that is not a bijection raises ``build_all_maps``' ValueError for the
+    first such k before any part is read.  Otherwise the report is that of
+    one masked scan per part over the map table, kept as the test suite's
+    oracle: the first failing part's first counterexample, (k, i) in
+    row-major order for (a) and (b), (k, j) for (c) and (k, i, j) for (d),
+    and ``checked`` counts every admissible pair.
     """
     order_exponent(p)
     if p < 8:
         raise ValueError(f"check_lemma2 requires p >= 8, got {p}")
+    _int32_order(p)
     h = p // 2
-    cols = build_all_maps(p)
-    points = np.arange(1, p + 1, dtype=np.int32)
-    low = points[:h]
-
-    # (a) column halving, rows k <= p/2, columns i
-    def halving(ks):
-        k = points[ks, None]
-        bad = cols[ks] != cols[ks.start + h : ks.stop + h]
-        return bad & (points != k) & (points != k + h)
-
-    # (b) half-shift equivariance, rows k, columns i <= p/2
-    def shift(ks):
-        k = points[ks, None]
-        return (cols[ks, h:] != cols[ks, :h] - h) & (low != k) & (low + h != k)
-
-    # (c) distance-p/2 detection under deletion of an endpoint, rows i, columns j
-    def detection(ks):
-        i, t = points[ks, None], cols[ks]
-        plus_bad = (points == i + h) != (t == i + h)
-        minus_bad = (points == i - h) != (t == i - h)
-        return (plus_bad | minus_bad) & (points != i)
-
     counterexample = None
-    if (cell := _first_cell(h, p, halving)) is not None:
-        k, i = cell
-        counterexample = (k + 1, i + 1, 0, int(cols[k, i]), int(cols[k + h, i]))
-    elif (cell := _first_cell(p, h, shift)) is not None:
-        k, i = cell
-        counterexample = (k + 1, i + h + 1, 0, int(cols[k, i + h]), int(cols[k, i]) - h)
-    elif (cell := _first_cell(p, p, detection)) is not None:
-        i, j = cell
-        counterexample = (i + 1, i + 1, j + 1, int(cols[i, j]), j + 1)
-
-    # (d) distance-p/2 preservation under every deletion
-    if counterexample is None:
-        counterexample = _lemma2_d(p, cols)
+    failure = _lemma2_failure(p)
+    if failure is not None:
+        test, k, i, j = failure
+        if test == 0:
+            raise _bijection_error(k)
+        if test == 1:
+            counterexample = (k, i, 0, *(int(v) for v in sigma_values(p, [k, k + h], i)))
+        elif test == 2:
+            high, low = sigma_values(p, k, [i + h, i])
+            counterexample = (k, i + h, 0, int(high), int(low) - h)
+        elif test == 3:
+            counterexample = (k, k, j, int(sigma_values(p, k, j)), j)
+        else:
+            si, sj = sigma_values(p, k, [i, j])
+            counterexample = (k, i, j, int(si - sj), j - i)
 
     return VerificationReport(
         check_name="lemma2",
@@ -373,38 +455,6 @@ def check_lemma2(p: int) -> VerificationReport:
         # admissible pairs of (a), (b), (c) and (d)
         checked_count=h * (p - 2) + p * (h - 1) + p * (p - 1) + p * (p - 1) ** 2,
     )
-
-
-def _lemma2_d(p: int, cols) -> Optional[tuple]:
-    """First counterexample to lemma 2 (d) over the map table ``cols``, or None.
-
-    Let partner(i) = ((i - 1) XOR p/2) + 1, the point at distance p/2
-    from i.  Under the deletion of k, (i, j) can fail only at j = partner(i)
-    or at the preimage of partner(image(i)), so every pair holds exactly
-    when image(i) - image(partner(i)) = partner(i) - i for each i other
-    than k and partner(k), and partner(k) is fixed: one ``_first_cell``
-    scan over (k, i), O(p**2).  The rows must be bijections, as
-    ``build_all_maps`` checks.  The report is that of the full-matrix form
-    the test suite keeps: the first failing pair in row-major order.
-    """
-    points = np.arange(1, p + 1, dtype=np.int32)
-    partner = ((points - 1) ^ (p // 2)) + 1
-
-    def unmatched(ks):
-        k, t = points[ks, None], cols[ks]
-        kept = (points != k) & (partner != k)
-        bad = t - t[:, partner - 1] != partner - points
-        return (bad & kept) | ((partner == k) & (t != points))
-
-    if (cell := _first_cell(p, p, unmatched)) is None:
-        return None
-    k, i = cell
-    t = cols[k]
-    image_diff = t[i] - t
-    point_diff = points - (i + 1)
-    candidates = (points == partner[i]) | (t == partner[t[i] - 1])
-    j = int(np.argmax(candidates & (image_diff != point_diff) & (points != k + 1)))
-    return (k + 1, i + 1, j + 1, int(image_diff[j]), int(point_diff[j]))
 
 
 def _permuted(x: np.ndarray, s) -> np.ndarray:

@@ -480,9 +480,16 @@ def _point1_pairs(p: int) -> tuple[np.ndarray, np.ndarray]:
     final levels of theorem 1's digit automaton on its plane k = 1, less
     the diagonal states that read (0, 0), so a nonzero diagonal shows."""
     # imported here to avoid a module cycle with the digit automaton
-    from recon_census.theorem1_automaton import _ZERO, _distinct, _plain_offset, _plane, _walk
+    from recon_census.theorem1_automaton import (
+        _ZERO,
+        _distinct,
+        _LevelRule,
+        _plain_offset,
+        _plane,
+        _walk,
+    )
 
-    _, final, plain, star = _walk(p, *_plane(lambda a, b, c: b == 0))
+    _, final, plain, star = _walk(p, _LevelRule(p), *_plane(lambda a, b, c: b == 0))
     status, r, c = _plain_offset(final)
     keep = (status != _ZERO) | (r != c) | (plain != 0) | (star != 0)
     # ascending (u, v) pairs as ascending codes (u + 128) * 256 + v + 128

@@ -25,6 +25,7 @@ from recon_census.report import VerificationReport
 from recon_census.theorem1_automaton import (
     _PENDING,
     _first_failure,
+    _LevelRule,
     _plain_offset,
     _plane,
     _walk,
@@ -58,7 +59,7 @@ def check_lemma3(p: int) -> VerificationReport:
     counterexample = None
     planes = (lambda a, b, c: b == a, lambda a, b, c: b == c)  # k = i, then k = j
     for first, plane in zip((True, False), planes):
-        layers, final, plain, star = _walk(p, *_plane(plane))
+        layers, final, plain, star = _walk(p, _LevelRule(p), *_plane(plane))
         status, r, c = _plain_offset(final)
         sign = np.where((p == 4) | ((status == _PENDING) & (r == c)), -1, 1)
         # one seen bit stays 0 on a plane, and the other says i != j

@@ -12,17 +12,17 @@ cards for isomorphism and matches the decks card for card.
 ``verify_nonisomorphic_inductive`` runs the halving argument at any order:
 the score split forces any isomorphism of the canonical pair to map the
 first half onto the last half, those halves induce the canonical pair of
-half order, and the order-4 base case is settled by checking all 24 point
-bijections.  The chain reads the signs of one offset table per variant
-and order, each level handing its half-order tables down to the next;
-neither they nor the verdict outlive the call.  The test suite checks the
-chain against its entry-grid form.
+half order, and the order-4 base case is the census's verdict on the
+tournament assignment's row, which checks all 24 point bijections.  The
+chain reads the signs of one offset table per variant and order, each
+level handing its half-order tables down to the next; neither they nor
+the verdict outlive the call.  The test suite checks the chain against
+its entry-grid form.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,9 +31,10 @@ import numpy as np
 from recon_census.deletion_maps import _deletion_sweep, build_all_maps
 from recon_census.digraph_builder import (
     Digraph,
+    _census_verdicts,
     _is_arc_preserving,
     _sign_scores,
-    standard_pair,
+    tournament_assignment,
 )
 from recon_census.errors import BudgetExhausted, ContradictionError
 from recon_census.report import VerificationReport
@@ -298,9 +299,10 @@ def _verify_halving_step(order: int, signs: dict[MatrixVariant, np.ndarray]) -> 
 
 
 def _verify_base_case() -> str:
-    g, h = standard_pair(4)
-    bijections = itertools.permutations(range(1, 5))
-    if any(_is_arc_preserving(g, h, perm) for perm in bijections):
+    """The census's order-4 verdict (``_census_verdicts``, which tries all
+    24 bijections on every row) at the row of the tournament assignment."""
+    row = int(tournament_assignment(2).bit_string, 2)
+    if _census_verdicts(4)[0][row]:
         raise ContradictionError("order-4 pair failed the exhaustive base case")
     return "none of the 24 point bijections carries the arcs of one onto the other"
 

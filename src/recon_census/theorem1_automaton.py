@@ -1,4 +1,4 @@
-"""Theorem 1 and its digraph pairs at every order, by a digit automaton.
+"""Theorem 1 and its digraph pairs up to order 2**33, by a digit automaton.
 
 Theorem 1 is the identity plain(i, j) = star(sigma_k(i), sigma_k(j)) over
 the p * (p-1)**2 triples with i, j != k.  With a = i - 1, b = k - 1 and
@@ -12,8 +12,10 @@ c = j - 1, every term of it is read off the binary digits:
   differ and complements those above it; below bit 2 it is the low-residue
   table ``deletion_maps._low_residues``, derived from ``_SIGMA4``.
 
-``decide_hypomorphisms`` reads (a, b, c) least significant digit first: one
-layer of the three residues mod 4, then one layer per block bit.  A state
+The engine, ``_walk``, reads (a, b, c) least significant digit first: one
+layer of the three residues mod 4, then one layer per block bit, under a
+rule that it takes as an argument (the residue step, the block step and
+the final read).  Theorem 1's rule is ``_LevelRule``.  A state
 holds whether a != b and c != b have been seen (a bit of sigma is
 complemented exactly when its side has seen one), the borrows of
 D = C - A and of D' = sigma(C) - sigma(A) for the block parts C and A, and
@@ -25,7 +27,10 @@ borrow, the sign, as that bit.  Each layer maps every state under every
 letter at once, as numpy arrays, and keeps the distinct codes (a sort and
 a neighbour compare: ``np.unique`` would import ``numpy.ma``).  The reachable
 sets stay near a thousand states, so the verdict costs O(log p) array
-steps of that size, a few milliseconds at every accepted order.
+steps of that size, a few milliseconds at every accepted order.  The
+class table holds the block offsets up to +-2**30, so orders up to 2**33
+(``weight_matrix._CLASS_TABLE_ORDER_LIMIT``); the rule refuses larger
+ones with a ValueError.
 
 A final state holds the level of each side.  Each report reads the two
 through its table of ``level_tables``: theorem 1 the levels themselves,
@@ -39,14 +44,16 @@ difference is seen, and ``_low_residues`` is a on its diagonal), so lemma
 3 (``hypomorphism_verifier.check_lemma3``) reads star(i, sigma_i(j)) on
 the plane b = a and star(sigma_j(i), j) on b = c, and the point-1 level
 check (``digraph_builder._point1_pairs``) reads the point-1 map extended
-by fixing point 1 on b = 0.
+by fixing point 1 on b = 0.  Under a rule of its own that reads only
+sigma's closed form, the engine decides lemma 2
+(``deletion_maps.check_lemma2``).
 
 The class table, ``_offset_class`` and ``_SIGMA4`` are read on every call,
 so the automaton decides the identities of the tables that ``entry_values``
 and ``sigma_values`` read at that moment, faults included.  The command
-line runs it at every order; the test suite holds it field by field to
-the dense deletion sweep (``deletion_maps._deletion_sweep``) of the level
-matrices read through each table of ``level_tables``.
+line runs it at every order it accepts; the test suite holds it field by
+field to the dense deletion sweep (``deletion_maps._deletion_sweep``) of
+the level matrices read through each table of ``level_tables``.
 """
 
 from __future__ import annotations
@@ -79,10 +86,13 @@ _BIT_LETTERS = np.array(np.unravel_index(np.arange(8), (2, 2, 2)))
 _RESIDUE_LETTERS = np.array(np.unravel_index(np.arange(64), (4, 4, 4)))
 
 
-class _Rule:
-    """The tables of the identity as the library reads them now."""
+class _LevelRule:
+    """Theorem 1's rule for ``_walk`` at order p, over the tables as the
+    library reads them now: the residue step, the block step and the
+    final read, which gives each final state its plain and starred level."""
 
     def __init__(self, p: int):
+        self.n = order_exponent(p)
         self.tables = [weight_matrix._CLASS_TABLE[v].reshape(-1) for v in _SIDES]
         # rows[x, d]: the class of an offset whose lowest one is block bit
         # x - 1 and whose bit x is d, x >= 1; row 0 is never selected
@@ -94,6 +104,55 @@ class _Rule:
     def value(self, side: int, row, pair):
         """Class-table values of ``row`` at residue pairs ``pair``, as bytes."""
         return self.tables[side][row << 4 | pair & 15].astype(np.int64) & 0xFF
+
+    def residue(self, letters: np.ndarray) -> np.ndarray:
+        """The states after the residue layer, one per letter: offsets zero so far."""
+        a, b, c = letters
+        sa, sc = self.low[b, a], self.low[b, c]
+        code = (a != b) | (c != b) << 1
+        for field, pair in zip(_FIELD, (a << 2 | c, sa << 2 | sc)):
+            code |= (pair << 2 | _ZERO) << field
+        return code[None, :]
+
+    def block(self, states: np.ndarray, x: int, letters: np.ndarray) -> np.ndarray:
+        """Next codes of every state under each letter of block bit x: (states, letters)."""
+        s = states[:, None]
+        a, b, c = letters
+        seen_a, seen_c = s & 1, s >> 1 & 1
+        out = seen_a | a ^ b | (seen_c | c ^ b) << 1
+        # the digits whose difference is each side's offset: sigma complements
+        # the bits of its side above the lowest one differing from b
+        for side, (hi, lo) in enumerate(((c, a), (c ^ seen_c, a ^ seen_a))):
+            borrow = s >> 2 + side & 1
+            d = hi ^ lo ^ borrow
+            borrow = (~hi & lo | ~(hi ^ lo) & borrow) & 1
+            field = s >> _FIELD[side] & 0x3FF
+            status, payload = field & 3, field >> 2
+            # read only where pending, which is never at x = 0
+            resolved = _RESOLVED | self.value(side, self.rows[x][d], payload) << 2
+            field = np.where(
+                status == _ZERO,
+                payload << 2 | d,  # _PENDING exactly when d is the first one
+                np.where(status == _PENDING, resolved, field),
+            )
+            # a resolved offset reads no more borrows
+            borrow &= (field & 3) != _RESOLVED
+            out = out | borrow << 2 + side | field << _FIELD[side]
+        return out
+
+    def final(self, states: np.ndarray) -> list[np.ndarray]:
+        """The plain and the starred level of each final state, as int8."""
+        values = []
+        for side in range(2):
+            borrow = states >> 2 + side & 1
+            field = states >> _FIELD[side] & 0x3FF
+            status, payload = field & 3, field >> 2
+            # pending after the top layer: the final borrow is the bit above
+            row = np.where(status == _ZERO, self.zero_row, self.rows[self.n - 2][borrow])
+            value = np.where(status == _RESOLVED, payload, self.value(side, row, payload))
+            # a byte; level tables are indexed by the signed level
+            values.append(value.astype(np.uint8).view(np.int8))
+        return values
 
 
 def level_tables(p: int) -> dict[str, np.ndarray]:
@@ -111,58 +170,6 @@ def level_tables(p: int) -> dict[str, np.ndarray]:
     return luts
 
 
-def _residue_codes(rule: _Rule, letters: np.ndarray) -> np.ndarray:
-    """The states after the residue layer, one per letter: offsets zero so far."""
-    a, b, c = letters
-    sa, sc = rule.low[b, a], rule.low[b, c]
-    code = (a != b) | (c != b) << 1
-    for field, pair in zip(_FIELD, (a << 2 | c, sa << 2 | sc)):
-        code |= (pair << 2 | _ZERO) << field
-    return code[None, :]
-
-
-def _block_codes(states: np.ndarray, x: int, rule: _Rule, letters: np.ndarray) -> np.ndarray:
-    """Next codes of every state under each letter of block bit x: (states, letters)."""
-    s = states[:, None]
-    a, b, c = letters
-    seen_a, seen_c = s & 1, s >> 1 & 1
-    out = seen_a | a ^ b | (seen_c | c ^ b) << 1
-    # the digits whose difference is each side's offset: sigma complements
-    # the bits of its side above the lowest one differing from b
-    for side, (hi, lo) in enumerate(((c, a), (c ^ seen_c, a ^ seen_a))):
-        borrow = s >> 2 + side & 1
-        d = hi ^ lo ^ borrow
-        borrow = (~hi & lo | ~(hi ^ lo) & borrow) & 1
-        field = s >> _FIELD[side] & 0x3FF
-        status, payload = field & 3, field >> 2
-        # read only where pending, which is never at x = 0
-        resolved = _RESOLVED | rule.value(side, rule.rows[x][d], payload) << 2
-        field = np.where(
-            status == _ZERO,
-            payload << 2 | d,  # _PENDING exactly when d is the first one
-            np.where(status == _PENDING, resolved, field),
-        )
-        # a resolved offset reads no more borrows
-        borrow &= (field & 3) != _RESOLVED
-        out = out | borrow << 2 + side | field << _FIELD[side]
-    return out
-
-
-def _final_levels(states: np.ndarray, n: int, rule: _Rule) -> list[np.ndarray]:
-    """The plain and the starred level of each final state, as int8."""
-    values = []
-    for side in range(2):
-        borrow = states >> 2 + side & 1
-        field = states >> _FIELD[side] & 0x3FF
-        status, payload = field & 3, field >> 2
-        # pending after the top layer: the final borrow is the bit above
-        row = np.where(status == _ZERO, rule.zero_row, rule.rows[n - 2][borrow])
-        value = np.where(status == _RESOLVED, payload, rule.value(side, row, payload))
-        # a byte; level tables are indexed by the signed level
-        values.append(value.astype(np.uint8).view(np.int8))
-    return values
-
-
 def _distinct(codes: np.ndarray) -> np.ndarray:
     """The sorted distinct values of ``codes``."""
     flat = np.sort(codes, axis=None)
@@ -177,18 +184,25 @@ def _plane(where) -> tuple[np.ndarray, np.ndarray]:
     return tuple(letters[:, where(*letters)] for letters in (_RESIDUE_LETTERS, _BIT_LETTERS))
 
 
-def _walk(p: int, residue_letters: np.ndarray, bit_letters: np.ndarray):
-    """The layers of order p over the letters given (per layer the states,
-    their next codes and the letters), the final states and their levels."""
+def _walk(p: int, rule, residue_letters=_RESIDUE_LETTERS, bit_letters=_BIT_LETTERS):
+    """The layers of order p under ``rule`` over the letters given (per
+    layer the states, their next codes and the letters), the final states,
+    and what the rule reads off them.
+
+    A rule has three steps: ``residue(letters)``, the codes that the
+    residue letters lead to from the start state, as a (1, letters) array;
+    ``block(states, x, letters)``, the next code of each state under each
+    letter of block bit x, as a (states, letters) array; and
+    ``final(states)``, the arrays it reads off the final states.
+    """
     n = order_exponent(p)
-    rule = _Rule(p)
     start = np.zeros(1, dtype=np.int64)
-    layers = [(start, _residue_codes(rule, residue_letters), residue_letters)]
+    layers = [(start, rule.residue(residue_letters), residue_letters)]
     for x in range(n - 2):
         states = _distinct(layers[-1][1])
-        layers.append((states, _block_codes(states, x, rule, bit_letters), bit_letters))
+        layers.append((states, rule.block(states, x, bit_letters), bit_letters))
     final = _distinct(layers[-1][1])
-    return layers, final, *_final_levels(final, n, rule)
+    return layers, final, *rule.final(final)
 
 
 def _plain_offset(final: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,9 +214,9 @@ def _plain_offset(final: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def decide_hypomorphisms(p: int) -> list[VerificationReport]:
-    """Theorem 1 and both digraph pairs at order p, exact at every order:
-    one report per table of ``level_tables(p)``, all read off one run of
-    the layers.  A failure is the first (k, i, j) in k order, then
+    """Theorem 1 and both digraph pairs at order p, exact at every order up
+    to 2**33, the class table's reach (ValueError above it): one report per
+    table of ``level_tables(p)``, all read off one run of the layers.  A failure is the first (k, i, j) in k order, then
     row-major (i, j), with its two levels read through the report's table.
 
     A table of length L reaches the levels of magnitude up to L // 2.  A
@@ -211,7 +225,7 @@ def decide_hypomorphisms(p: int) -> list[VerificationReport]:
     counterexample names the raw level.  The identity table reaches every
     int8 level, so only the pair reports see this; the check costs one
     compare per final state."""
-    layers, final, plain, star = _walk(p, _RESIDUE_LETTERS, _BIT_LETTERS)
+    layers, final, plain, star = _walk(p, _LevelRule(p))
     admissible = final & 3 == 3  # i, j != k
     magnitude = np.maximum(np.abs(plain.astype(np.int16)), np.abs(star.astype(np.int16)))
     reports = []

@@ -116,6 +116,11 @@ def level_bound(p: int) -> int:
 #: ``entry_grid`` and ``sigma_values``.
 _INT32_ORDER_LIMIT = 1 << 30
 
+#: Largest order whose block offsets the class table covers: it holds the
+#: offsets +-2**x for x <= 30 (``_class_table``), and order 2**n reaches
+#: x = n - 3.
+_CLASS_TABLE_ORDER_LIMIT = 1 << 33
+
 #: Cells per row block of a grid scan: bounds the scratch memory of the
 #: text encoders, the map-table checks and the entry grids.
 _BLOCK_CELLS = 1 << 18
@@ -377,8 +382,15 @@ _CLASS_TABLE = {variant: _class_table(variant) for variant in MatrixVariant}
 
 def _reached_rows(p: int) -> np.ndarray:
     """Class-table rows of order p's block offsets: d = 0 first, then
-    d = 2**x and d = -2**x (one bit apart) for x <= n - 3, 2n - 3 rows."""
+    d = 2**x and d = -2**x (one bit apart) for x <= n - 3, 2n - 3 rows.
+    ValueError above ``_CLASS_TABLE_ORDER_LIMIT``, whose offsets the class
+    table does not hold."""
     n = order_exponent(p)
+    if p > _CLASS_TABLE_ORDER_LIMIT:
+        raise ValueError(
+            "the class table holds block offsets up to +-2**30, so orders "
+            f"up to 2**33, got {p}"
+        )
     d = [0] + [s << x for x in range(n - 2) for s in (1, -1)]
     return _offset_class(np.array(d, dtype=np.int32))
 

@@ -4,16 +4,19 @@ Each function here computes what one fast path computes, the long way, so
 a test can require the two to give the same verdict, counterexample and
 count:
 
-* ``lemma2_loops``: the per-point loops that the masked row-block scans
-  of ``check_lemma2`` (``weight_matrix._first_cell``) replaced, and
-  ``lemma3_loops``, lemma 3 per point on dense matrices and the map table,
-  which ``check_lemma3`` reads off the digit automaton;
+* ``lemma2_dense``: ``check_lemma2`` as one masked row-block scan of the
+  map table per part (``weight_matrix._first_cell``), with (d) as
+  ``lemma2_d``, one scan of each point against its partner at distance
+  p/2, where ``check_lemma2`` reads the maps' closed form off the digit
+  automaton; ``lemma2_loops``, the per-point loops that those scans
+  replaced; and ``lemma3_loops``, lemma 3 per point on dense matrices and
+  the map table, which ``check_lemma3`` reads off the digit automaton;
 * ``level_pairs``, the distinct level pairs a point map makes between two
   dense matrices, and on it ``swap_reference`` and
   ``level_table_reference``: ``swap_involution`` and the point-1 level
   check of ``digraph_builder._level_table`` on entry grids;
 * ``check_lemma1_reference``: lemma 1 on entry grids, O(p**2);
-* ``lemma2_d_reference``: lemma 2 (d) on full (p-1) x (p-1) difference
+* ``lemma2_d_reference``: ``lemma2_d`` on full (p-1) x (p-1) difference
   matrices per deletion;
 * ``deletion_sweep_reference``: ``_deletion_sweep`` as a block copy per
   deletion, with the deleted row and column left out;
@@ -48,12 +51,93 @@ import recon_census.hypomorphism_verifier as hv
 import recon_census.iso_engine as ie
 import recon_census.theorem1_automaton as t1a
 import recon_census.weight_matrix as wm
-from recon_census.deletion_maps import _lemma2_d
 from recon_census.report import VerificationReport
 
 
+def lemma2_dense(p, cols=None):
+    """``check_lemma2(p)`` over the map table ``cols``, by default
+    ``dm.build_all_maps(p)``, whose ValueError a map that is not a
+    bijection raises: one masked row-block scan per part."""
+    wm.order_exponent(p)
+    if p < 8:
+        raise ValueError(f"check_lemma2 requires p >= 8, got {p}")
+    if cols is None:
+        cols = dm.build_all_maps(p)
+    h = p // 2
+    points = np.arange(1, p + 1, dtype=np.int32)
+    low = points[:h]
+
+    # (a) column halving, rows k <= p/2, columns i
+    def halving(ks):
+        k = points[ks, None]
+        bad = cols[ks] != cols[ks.start + h : ks.stop + h]
+        return bad & (points != k) & (points != k + h)
+
+    # (b) half-shift equivariance, rows k, columns i <= p/2
+    def shift(ks):
+        k = points[ks, None]
+        return (cols[ks, h:] != cols[ks, :h] - h) & (low != k) & (low + h != k)
+
+    # (c) distance-p/2 detection under deletion of an endpoint, rows i, columns j
+    def detection(ks):
+        i, t = points[ks, None], cols[ks]
+        plus_bad = (points == i + h) != (t == i + h)
+        minus_bad = (points == i - h) != (t == i - h)
+        return (plus_bad | minus_bad) & (points != i)
+
+    counterexample = None
+    if (cell := wm._first_cell(h, p, halving)) is not None:
+        k, i = cell
+        counterexample = (k + 1, i + 1, 0, int(cols[k, i]), int(cols[k + h, i]))
+    elif (cell := wm._first_cell(p, h, shift)) is not None:
+        k, i = cell
+        counterexample = (k + 1, i + h + 1, 0, int(cols[k, i + h]), int(cols[k, i]) - h)
+    elif (cell := wm._first_cell(p, p, detection)) is not None:
+        i, j = cell
+        counterexample = (i + 1, i + 1, j + 1, int(cols[i, j]), j + 1)
+
+    # (d) distance-p/2 preservation under every deletion
+    if counterexample is None:
+        counterexample = lemma2_d(p, cols)
+
+    checked = h * (p - 2) + p * (h - 1) + p * (p - 1) + p * (p - 1) ** 2
+    return VerificationReport("lemma2", p, counterexample, checked)
+
+
+def lemma2_d(p, cols):
+    """First counterexample to lemma 2 (d) over the map table ``cols``, or None.
+
+    Let partner(i) = ((i - 1) XOR p/2) + 1, the point at distance p/2
+    from i.  Under the deletion of k, (i, j) can fail only at j = partner(i)
+    or at the preimage of partner(image(i)), so every pair holds exactly
+    when image(i) - image(partner(i)) = partner(i) - i for each i other
+    than k and partner(k), and partner(k) is fixed: one ``_first_cell``
+    scan over (k, i), O(p**2).  The rows must be bijections, as
+    ``build_all_maps`` checks.  The report is that of the full-matrix form,
+    ``lemma2_d_reference``: the first failing pair in row-major order.
+    """
+    points = np.arange(1, p + 1, dtype=np.int32)
+    partner = ((points - 1) ^ (p // 2)) + 1
+
+    def unmatched(ks):
+        k, t = points[ks, None], cols[ks]
+        kept = (points != k) & (partner != k)
+        bad = t - t[:, partner - 1] != partner - points
+        return (bad & kept) | ((partner == k) & (t != points))
+
+    if (cell := wm._first_cell(p, p, unmatched)) is None:
+        return None
+    k, i = cell
+    t = cols[k]
+    image_diff = t[i] - t
+    point_diff = points - (i + 1)
+    candidates = (points == partner[i]) | (t == partner[t[i] - 1])
+    j = int(np.argmax(candidates & (image_diff != point_diff) & (points != k + 1)))
+    return (k + 1, i + 1, j + 1, int(image_diff[j]), int(point_diff[j]))
+
+
 def lemma2_loops(p, cols):
-    """``check_lemma2(p)`` over the map table ``cols``; (d) is ``_lemma2_d``."""
+    """``lemma2_dense(p, cols)`` as per-point loops; (d) is ``lemma2_d``."""
     h = p // 2
     points = np.arange(1, p + 1, dtype=np.int32)
     checked = 0
@@ -101,7 +185,7 @@ def lemma2_loops(p, cols):
     # (d) distance-p/2 preservation under every deletion
     checked += p * (p - 1) * (p - 1)
     if counterexample is None:
-        counterexample = _lemma2_d(p, cols)
+        counterexample = lemma2_d(p, cols)
 
     return VerificationReport("lemma2", p, counterexample, checked)
 
@@ -283,7 +367,7 @@ def check_lemma1_reference(p):
 
 
 def lemma2_d_reference(p, cols):
-    """``_lemma2_d(p, cols)`` with (p-1)**2 pairs compared per deletion."""
+    """``lemma2_d(p, cols)`` with (p-1)**2 pairs compared per deletion."""
     h = p // 2
     points = np.arange(1, p + 1, dtype=np.int32)
     for k in range(1, p + 1):

@@ -142,7 +142,6 @@ class TestExitCodes:
             ("generate", "--p", "16384", "--kind", "weighted"),
             ("generate", "--p", "16384", "--kind", "tournament", "--format", "d6"),
             ("deck", "--p", "16384"),
-            ("verify", "--p", "16384", "--checks", "lemma2"),
         ],
     )
     def test_dense_orders_refused_as_usage_error(self, capsys, args):
@@ -260,39 +259,37 @@ class TestExitCodes:
         )
         assert config.p == 2**24 and config.checks == ("theorem1",)
 
-    def test_all_drops_dense_checks_above_dense_limit(self):
-        from recon_census.weight_matrix import DENSE_ORDER_LIMIT
+    def test_all_keeps_every_check_above_dense_limit(self):
+        everything_but_deck_match = tuple(name for name in CHECKS if name != "deck-match")
+        assert expand_all(8192) == everything_but_deck_match
+        assert expand_all(16384) == everything_but_deck_match
+        assert expand_all(2**24) == everything_but_deck_match
 
-        assert expand_all(8192) == tuple(name for name in CHECKS if name != "deck-match")
-        assert expand_all(16384) == tuple(
-            name for name, (_, hi, _) in CHECKS.items() if hi > DENSE_ORDER_LIMIT
-        )
-        assert expand_all(16384) == (
-            "lemma1", "lemma3", "theorem1", "theorem2", "hypo-sigma", "swap", "forced-iso",
-        )
-
-    def test_dense_checks_accepted_at_dense_limit(self):
+    def test_no_check_is_capped_at_dense_limit(self):
         from recon_census.cli import _parse_config
-        from recon_census.weight_matrix import DENSE_ORDER_LIMIT
+        from recon_census.weight_matrix import ORACLE_ORDER_LIMIT
 
-        dense = tuple(
-            name for name, (_, hi, _) in CHECKS.items() if hi == DENSE_ORDER_LIMIT
-        )
-        assert dense == ("lemma2",)
-        config = _parse_config(["verify", "--p", "8192", "--checks", ",".join(dense)])
-        assert config.checks == dense
+        # every check but deck-match reaches the oracle limit
+        capped = [name for name, (_, hi, _) in CHECKS.items() if hi < ORACLE_ORDER_LIMIT]
+        assert capped == ["deck-match"]
+        config = _parse_config(["verify", "--p", "16384", "--checks", "lemma2"])
+        assert config.checks == ("lemma2",)
 
-    @pytest.mark.parametrize("p", [16384, 2**20])
+    @pytest.mark.parametrize("p", [16384, 2**20, 2**24])
     def test_automaton_checks_run_above_dense_limit(self, tmp_path, p):
         out = tmp_path / "rep.json"
-        args = ("verify", "--p", str(p), "--checks", "lemma3,swap,forced-iso")
+        args = ("verify", "--p", str(p), "--checks", "lemma2,lemma3,swap,forced-iso")
         assert run_cli(*args, "--out", str(out)) == 0
         reports = json.loads(out.read_text())["reports"]
         assert [(r["check"], r["outcome"]) for r in reports] == [
+            ("lemma2", "pass"),
             ("lemma3", "pass"),
             ("swap", "pass"),
             ("forced-iso", "pass"),
         ]
+        h = p // 2
+        checked = h * (p - 2) + p * (h - 1) + p * (p - 1) + p * (p - 1) ** 2
+        assert reports[0]["checked"] == checked
 
     @pytest.mark.parametrize("target", ["dir", "under-a-file"])
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys, target):
@@ -388,7 +385,7 @@ class TestCheckTable:
                   "hypo-sigma", "swap", "forced-iso")),
             (8192, ("lemma1", "lemma2", "lemma3", "theorem1", "theorem2",
                     "hypo-sigma", "swap", "forced-iso")),
-            (16384, ("lemma1", "lemma3", "theorem1", "theorem2",
+            (16384, ("lemma1", "lemma2", "lemma3", "theorem1", "theorem2",
                      "hypo-sigma", "swap", "forced-iso")),
         ],
     )
@@ -1052,13 +1049,17 @@ def spied_run(monkeypatch, names, *args):
 def spied_census(monkeypatch, tmp_path, names):
     """``spied_run`` of ``census --p 8``, the dense route of the command
     line (it stacks the assigned digraphs of every row), and then of the
-    library's ``apply_assignment``, which no command calls: the tests'
-    oracle of an assigned digraph."""
+    library's ``apply_assignment`` and ``check_theorem1``, which no command
+    calls: the tests' oracles of an assigned digraph and of the digit
+    automaton (``check_theorem1`` reads the map table of
+    ``build_all_maps``)."""
     import recon_census.digraph_builder as db
+    import recon_census.hypomorphism_verifier as hv
     from recon_census.weight_matrix import MatrixVariant, build_dense
 
     calls = spied_run(monkeypatch, names, "census", "--p", "8", "--out", str(tmp_path / "c.csv"))
     db.apply_assignment(build_dense(8, MatrixVariant.PLAIN), db.tournament_assignment(3))
+    hv.check_theorem1(8)
     return calls
 
 
@@ -1072,25 +1073,26 @@ def spied_verify(monkeypatch, tmp_path, p, checks, names):
 
 
 class TestAutomatonPlanes:
-    """``lemma3`` and ``forced-iso`` read the digit automaton's planes and
-    ``swap`` the class table: no dense matrix and no map table."""
+    """``lemma2`` reads the maps' closed form off the digit automaton,
+    ``lemma3`` and ``forced-iso`` its planes and ``swap`` the class table:
+    no dense matrix and no map table, nor a checked block of its rows."""
 
-    DENSE = {"build_dense", "entry_grid", "build_all_maps"}
+    DENSE = {"build_dense", "entry_grid", "build_all_maps", "_checked_map_blocks"}
 
     def test_reads_no_dense_matrix_or_map_table(self, tmp_path, monkeypatch):
         calls, reports = spied_verify(
-            monkeypatch, tmp_path, 512, "lemma3,swap,forced-iso", self.DENSE
+            monkeypatch, tmp_path, 512, "lemma2,lemma3,swap,forced-iso", self.DENSE
         )
         assert calls == []
         assert [(r["check"], r["outcome"]) for r in reports] == [
+            ("lemma2", "pass"),
             ("lemma3", "pass"),
             ("swap", "pass"),
             ("forced-iso", "pass"),
         ]
 
     def test_spies_see_the_dense_route(self, tmp_path, monkeypatch):
-        calls, _ = spied_verify(monkeypatch, tmp_path, 8, "lemma2", self.DENSE)
-        calls += spied_census(monkeypatch, tmp_path, self.DENSE)
+        calls = spied_census(monkeypatch, tmp_path, self.DENSE)
         assert set(calls) == self.DENSE
 
 
@@ -1119,8 +1121,7 @@ class TestTableFreeWriters:
         assert out.stat().st_size > 0
 
     def test_spies_see_the_dense_route(self, tmp_path, monkeypatch):
-        calls, _ = spied_verify(monkeypatch, tmp_path, 8, "lemma2", self.DENSE)
-        calls += spied_census(monkeypatch, tmp_path, self.DENSE)
+        calls = spied_census(monkeypatch, tmp_path, self.DENSE)
         assert set(calls) == self.DENSE
 
 

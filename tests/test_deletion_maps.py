@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,14 @@ from recon_census.digraph_builder import standard_pair, variant_pair
 from recon_census.weight_matrix import MatrixVariant, entry_grid
 
 from conftest import load_sigma_fixture, swap_images_at_random, swap_two_images
-from loop_oracles import deletion_sweep_reference, lemma2_d_reference, lemma2_loops
+import loop_oracles
+from loop_oracles import (
+    deletion_sweep_reference,
+    lemma2_d,
+    lemma2_d_reference,
+    lemma2_dense,
+    lemma2_loops,
+)
 
 
 class TestSigmaValues:
@@ -288,19 +297,18 @@ class TestLemma2:
             # row blocks of one to 12 rows
             monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
         clean = build_all_maps(p)
-        assert dm._lemma2_d(p, clean) is None
+        assert lemma2_d(p, clean) is None
         assert lemma2_d_reference(p, clean) is None
         rng = np.random.default_rng(p)
         hits = []
         for _ in range(6):
             cols = swap_images_at_random(clean, rng)
             with monkeypatch.context() as m:
-                m.setattr(dm, "build_all_maps", lambda q, cols=cols: cols)
-                hits.append(dm._lemma2_d(p, cols))
+                hits.append(lemma2_d(p, cols))
                 assert hits[-1] == lemma2_d_reference(p, cols)
-                report = check_lemma2(p)
-                m.setattr(dm, "_lemma2_d", lemma2_d_reference)
-                assert check_lemma2(p) == report
+                report = lemma2_dense(p, cols)
+                m.setattr(loop_oracles, "lemma2_d", lemma2_d_reference)
+                assert lemma2_dense(p, cols) == report
         assert any(hit is not None for hit in hits)
 
     @pytest.mark.parametrize("p", [8, 16, 32, 64])
@@ -312,7 +320,7 @@ class TestLemma2:
         k = h + 1
         cols = build_all_maps(p).copy()
         cols[k - 1, [0, 1]] = cols[k - 1, [1, 0]]
-        report = dm._lemma2_d(p, cols)
+        report = lemma2_d(p, cols)
         assert report == lemma2_d_reference(p, cols)
         assert report[:2] == (k, 1)
 
@@ -320,18 +328,17 @@ class TestLemma2:
     def test_matches_loop_form_clean(self, p):
         report = check_lemma2(p)
         assert report.passed
-        assert report == lemma2_loops(p, build_all_maps(p))
+        assert report == lemma2_loops(p, build_all_maps(p)) == lemma2_dense(p)
 
     @pytest.mark.parametrize("p", [8, 16, 32, 64])
-    def test_matches_loop_form_under_image_swaps(self, monkeypatch, p):
+    def test_matches_loop_form_under_image_swaps(self, p):
         # parts (a)-(c) come first in the report, so the loop form of (a)-(c)
         # with the shared (d) pins their counterexamples and counts
         rng = np.random.default_rng(p + 1)
         reports = []
         for _ in range(6):
             cols = swap_images_at_random(build_all_maps(p), rng)
-            monkeypatch.setattr(dm, "build_all_maps", lambda q, cols=cols: cols)
-            reports.append(check_lemma2(p))
+            reports.append(lemma2_dense(p, cols))
             assert reports[-1] == lemma2_loops(p, cols)
         assert not all(r.passed for r in reports)
 
@@ -364,8 +371,7 @@ class TestLemma2:
                 for row in [k - 1] if part == "a" else [k - 1, k + h - 1]:
                     cols[row, [a, b]] = cols[row, [b, a]]
                 want = None
-            monkeypatch.setattr(dm, "build_all_maps", lambda q, cols=cols: cols)
-            report = check_lemma2(p)
+            report = lemma2_dense(p, cols)
             assert report == lemma2_loops(p, cols)
             assert report.counterexample[0] == k
             if want is not None:
@@ -390,6 +396,155 @@ class TestLemma2:
                 if i in (k, k + h):
                     continue
                 assert sigma(p, k, i) == sigma(p, k + h, i)
+
+
+# the order-4 edits of ``_SIGMA4`` that keep each row a bijection: the 12
+# exchanges of two images in one row (k, x, y), 0-based
+SIGMA4_EXCHANGES = [
+    (k, x, y)
+    for k in range(4)
+    for x, y in itertools.combinations([v for v in range(4) if v != k], 2)
+]
+# and some that do not, (k, x, value): a duplicated image, an image equal to
+# k + 1, one out of range
+SIGMA4_BREAKS = [(0, 1, 2), (1, 3, 4), (2, 0, 3), (3, 2, 4), (0, 3, 1), (2, 1, 3), (1, 2, 6)]
+
+
+def set_sigma4(monkeypatch, k, x, value):
+    table = dm._SIGMA4.copy()
+    table[k, x] = value
+    monkeypatch.setattr(dm, "_SIGMA4", table)
+
+
+def lemma2_outcome(check, p):
+    """``check(p)``'s report, or the message of its ValueError."""
+    try:
+        return check(p)
+    except ValueError as exc:
+        return str(exc)
+
+
+def rule_failures(p):
+    """The failing tests of ``_Lemma2Rule`` at each (k, i, j), a (5, p, p, p)
+    bool array indexed [test, k - 1, i - 1, j - 1]: each triple's digits
+    followed through the layers of one walk to its final state."""
+    layers, final, *fails = t1a._walk(p, dm._Lemma2Rule(p))
+    b, a, c = (v.ravel() for v in np.meshgrid(*[np.arange(p)] * 3, indexing="ij"))
+    code = layers[0][1][0, (a & 3) << 4 | (b & 3) << 2 | c & 3]
+    for x, (states, codes, _) in enumerate(layers[1:]):
+        bits = [v >> x + 2 & 1 for v in (a, b, c)]
+        code = codes[np.searchsorted(states, code), bits[0] << 2 | bits[1] << 1 | bits[2]]
+    at = np.searchsorted(final, code)
+    return np.stack([fail[at] for fail in fails]).reshape(5, p, p, p)
+
+
+def closed_form_failures(p):
+    """``rule_failures(p)`` from the images of ``_sigma_closed_form`` at
+    every (k, i), each test as ``check_lemma2`` states it."""
+    h = p // 2
+    points = np.arange(1, p + 1, dtype=np.int32)
+    s = dm._sigma_closed_form(p, points[:, None], points) - 1  # [k - 1, i - 1]
+    b, a, c = np.meshgrid(*[np.arange(p)] * 3, indexing="ij")
+    sa, sc = s[b, a], s[b, c]
+    a_kept, c_kept = a != b, c != b
+    d, e = c - a, sa - sc
+    return np.stack([
+        c_kept & (sc == b) | a_kept & c_kept & (a != c) & (sa == sc),
+        (b < h) & a_kept & (a != b ^ h) & (sa != s[b ^ h, a]),
+        (a < h) & a_kept & (a + h != b) & (s[b, a ^ h] != sa - h),
+        c_kept & ((c == b ^ h) != (sc == b ^ h)),
+        a_kept & c_kept & (((d == h) != (e == h)) | ((d == -h) != (e == -h))),
+    ])
+
+
+class TestLemma2OnDigits:
+    """``check_lemma2`` reads the maps' closed form off the digit automaton
+    (``_Lemma2Rule``); ``lemma2_dense``, one masked scan of the map table
+    per part, is its oracle."""
+
+    ORDERS = [2**n for n in range(3, 11)]
+
+    @pytest.mark.parametrize("p", ORDERS)
+    @pytest.mark.parametrize("exchange", [None, *SIGMA4_EXCHANGES])
+    def test_matches_dense_oracle(self, monkeypatch, p, exchange):
+        if exchange is not None:
+            k, x, y = exchange
+            table = dm._SIGMA4.copy()
+            table[k, [x, y]] = table[k, [y, x]]
+            monkeypatch.setattr(dm, "_SIGMA4", table)
+        report = check_lemma2(p)
+        assert report == lemma2_dense(p)
+        assert report.passed
+
+    @pytest.mark.parametrize("p", ORDERS)
+    @pytest.mark.parametrize("k, x, value", SIGMA4_BREAKS)
+    def test_broken_bijection_raises_the_dense_error(self, monkeypatch, p, k, x, value):
+        set_sigma4(monkeypatch, k, x, value)
+        message = lemma2_outcome(check_lemma2, p)
+        assert isinstance(message, str)
+        assert message == lemma2_outcome(lemma2_dense, p)
+        assert "is not a bijection" in message
+
+    @pytest.mark.parametrize("p", [8, 16, 32])
+    def test_rule_reads_every_triple_as_the_closed_form(self, monkeypatch, p):
+        # every one-entry edit of _SIGMA4, the diagonal and values outside
+        # 1..4 (which the closed form's packed residues wrap) included
+        clean = dm._SIGMA4
+        edits = [None] + [
+            (k, x, v) for k in range(4) for x in range(4) for v in range(-1, 7)
+            if v != clean[k, x]
+        ]
+        seen = np.zeros(5, dtype=int)
+        for edit in edits:
+            monkeypatch.setattr(dm, "_SIGMA4", clean)
+            if edit is not None:
+                set_sigma4(monkeypatch, *edit)
+            want = closed_form_failures(p)
+            assert np.array_equal(rule_failures(p), want), edit
+            seen += want.reshape(5, -1).any(axis=1)
+        # the bijection test, (c) and (d) fail under some edits; (a) and
+        # (b) hold for every sigma of the closed form
+        assert seen[[0, 3, 4]].all() and not seen[[1, 2]].any()
+
+    @pytest.mark.parametrize("k, x, value", [(2, 0, 2), (1, 0, 2)])
+    def test_fault_at_2_20_is_traced_to_a_confirmed_pair(self, monkeypatch, k, x, value):
+        p = 2**20
+        set_sigma4(monkeypatch, k, x, value)
+        with pytest.raises(ValueError, match="is not a bijection") as info:
+            check_lemma2(p)
+        test, k, i, j = dm._lemma2_failure(p)
+        assert test == 0
+        assert str(info.value) == f"map {k} is not a bijection onto the points other than {k}"
+        # under the deletion of k, j goes to k, or i and j, apart, share an image
+        images = [int(sigma_values(p, k, v)) for v in (i, j) if v != k]
+        assert [sigma_reference(p, k, v) for v in (i, j) if v != k] == images
+        assert images[-1] == k or (i != j and len(images) == 2 and images[0] == images[1])
+        # and every map before k is a bijection
+        for before in range(1, k):
+            build_map(p, before)
+        with pytest.raises(ValueError, match=f"map {k} is not a bijection"):
+            build_map(p, k)
+
+    @pytest.mark.parametrize("p", [2**30, 2**31, 2**40])
+    def test_reach(self, p):
+        if p <= 2**30:
+            assert check_lemma2(p).passed
+        else:
+            with pytest.raises(ValueError, match="up to 2\\*\\*30"):
+                check_lemma2(p)
+
+    def test_cold_memory_holds_no_table(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            report = check_lemma2(8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        # the map table alone is 4 * 8192**2 bytes = 268 MB
+        assert peak < 2 * 1024 * 1024
 
 
 class TestExtendSigmaP1:

@@ -26,6 +26,7 @@ from loop_oracles import (
     deletion_sweep_reference,
     halving_chain_reference,
     hypomorphisms_reference,
+    lemma2_dense,
 )
 
 
@@ -186,14 +187,25 @@ class TestLemma2Reporting:
     def test_detects_corrupted_table(self, monkeypatch):
         tables = dm.build_all_maps(8).copy()
         # swap two images of the map deleting 2: still a bijection, breaks
-        # the identities
+        # the identities; only the dense oracle reads a table
         tables[1, [2, 4]] = tables[1, [4, 2]]
 
         monkeypatch.setattr(dm, "build_all_maps", lambda p: tables)
-        report = dm.check_lemma2(8)
+        report = lemma2_dense(8)
         assert not report.passed
         k = report.counterexample[0]
         assert k == 2
+        assert dm.check_lemma2(8).passed
+
+    def test_sigma4_fault_that_breaks_a_bijection_raises(self, monkeypatch):
+        # the order-4 map deleting 1 sends 2 and 3 to one image
+        sigma4 = dm._SIGMA4.copy()
+        sigma4[0, 1] = sigma4[0, 2]
+        monkeypatch.setattr(dm, "_SIGMA4", sigma4)
+        with pytest.raises(ValueError, match="map 1 is not a bijection") as info:
+            dm.check_lemma2(8)
+        with pytest.raises(ValueError, match=str(info.value)):
+            lemma2_dense(8)
 
 
 class TestSelfCheckingOperations:
@@ -449,6 +461,21 @@ class TestTheorem2Reporting:
         assert _theorem2_error(16) == message
         assert halving_chain_reference(16) == message
 
+    def test_base_case_reads_the_census_row(self, tables, capsys):
+        # the starred order-4 block made the plain one: the tournament
+        # assignment's row (111000) reads isomorphic, by the identity
+        plain, star = wm.MatrixVariant.PLAIN, wm.MatrixVariant.STAR
+        row = int(wm._reached_rows(4)[0])
+        block = wm._CLASS_TABLE[plain][row]
+        tables.class_cells(star, row, {(r, c): block[r, c] for r in range(4) for c in range(4)})
+        isomorphic, witness = db._census_verdicts(4)
+        assert isomorphic[0b111000] and list(witness[0b111000]) == [0, 1, 2, 3]
+        message = "order-4 pair failed the exhaustive base case"
+        assert _theorem2_error(4) == message
+        assert main(["verify", "--p", "4", "--checks", "theorem2"]) == 1
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["counterexample"]["rhs"] == message
+
     def test_no_pass_is_cached(self, monkeypatch):
         # each call verifies every level afresh, so a fault that appears
         # after a clean run is still found
@@ -457,8 +484,8 @@ class TestTheorem2Reporting:
         assert _theorem2_error(16).startswith("score split failed at p=16")
         monkeypatch.undo()
         ie.verify_nonisomorphic_inductive(16)
-        g, _ = db.standard_pair(4)
-        monkeypatch.setattr(ie, "standard_pair", lambda p: (g, g))
+        # an order-4 census that reads every row isomorphic
+        monkeypatch.setattr(ie, "_census_verdicts", lambda p: (np.ones(64, dtype=bool), None))
         assert _theorem2_error(16) == "order-4 pair failed the exhaustive base case"
 
     def test_cli_reports_failure(self, monkeypatch, tmp_path):

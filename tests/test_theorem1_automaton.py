@@ -18,7 +18,9 @@ letters, and the half swap reads the class table.  Through p = 512 each
 reports exactly as its dense oracle on the entry grids and the map table,
 on clean tables, under one-cell class-table faults and under every
 ``_SIGMA4`` exchange; a fault in a row that only orders above 8192 reach
-passes at 8192 and fails at 2**20.
+passes at 8192 and fails at 2**20.  Every reader of the class table's
+offset rows passes at 2**33, the last order whose offsets the table holds,
+and refuses larger ones with a ValueError.
 """
 
 import itertools
@@ -327,3 +329,34 @@ def test_deep_fault_on_the_command_line(tables, capsys):
         ("swap", "fail"),
         ("forced-iso", "fail"),
     ]
+
+
+REACH = 1 << 33  # the class table holds block offsets up to +-2**30
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        decide_hypomorphisms,
+        hv.check_lemma3,
+        db._check_point1_levels,
+        db._check_tournaments,
+        db._check_half_swap,
+    ],
+)
+def test_class_table_reach(check):
+    assert wm._CLASS_TABLE_ORDER_LIMIT == REACH
+    # the last order whose offsets the class table holds passes: a report,
+    # a list of them, or None from the checks that raise on a failure
+    result = check(REACH)
+    assert all(r.passed for r in (result if isinstance(result, list) else [result] * bool(result)))
+    for p in (2 * REACH, 1 << 64):
+        with pytest.raises(ValueError, match=r"offsets up to \+-2\*\*30, so orders up to 2\*\*33"):
+            check(p)
+
+
+def test_theorem1_at_the_reach():
+    report = decide_theorem1(REACH)
+    assert report.passed and report.checked_count == REACH * (REACH - 1) ** 2
+    with pytest.raises(ValueError, match=str(2 * REACH)):
+        decide_theorem1(2 * REACH)
