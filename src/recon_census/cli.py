@@ -22,13 +22,11 @@ exact, and ``verify --seed`` is accepted but reaches nothing.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from recon_census.deletion_maps import check_lemma2, sigma_tsv_blocks
 from recon_census.digraph_builder import (
@@ -79,8 +77,9 @@ _DECK_BYTES_PER_P3 = {"d6": 1 / 6, "csv": 2, "dot": 6.5}
 _BYTES_PER_P2 = {"tsv": 4.9, "weighted": 2.5, "csv": 2, "d6": 1 / 6, "dot": 7.9}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
+    """One validated invocation; ``_parse_config`` builds it."""
+
     command: str
     p: int
     variant: str = "plain"
@@ -265,7 +264,7 @@ def _cmd_census(config: RunConfig) -> int:
             "schema": SCHEMA_VERSION,
             "command": "census",
             "p": config.p,
-            "rows": [dataclasses.asdict(r) for r in table.rows],
+            "rows": [r._asdict() for r in table.rows],
         }
         _emit([json.dumps(doc, indent=2) + "\n"], config.out)
     else:

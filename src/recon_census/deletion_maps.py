@@ -190,6 +190,16 @@ def _sigma_closed_form(p: int, k: np.ndarray, i: np.ndarray) -> np.ndarray:
     return t
 
 
+def _read_residues() -> np.ndarray:
+    """LOW as ``_sigma_closed_form`` reads it, indexed [b, a]: the low two
+    bits of sigma_k(i) - 1 at order 8 with i - 1 = a + 4, which differs
+    from k - 1 = b.  These are ``_low_residues()`` wherever its entries
+    lie in 0..3; an entry outside 0..3, from an edited ``_SIGMA4``, is
+    read as the closed form's packed word reads it.  Uncached."""
+    r = np.arange(4, dtype=np.int32)
+    return (_sigma_closed_form(8, r[:, None] + 1, r + 5) - 1) & 3
+
+
 def _map_rows(p: int, ks: np.ndarray) -> np.ndarray:
     """Table rows of the maps deleting the points ``ks``: 1-based images, 0 at the hole."""
     points = np.arange(1, p + 1, dtype=np.int32)
@@ -334,10 +344,7 @@ class _Lemma2Rule:
 
     def __init__(self, p: int):
         self.top = order_exponent(p) - 3  # the block bit of the top digit
-        # LOW as _sigma_closed_form reads it: at order 8, i - 1 = a + 4
-        # differs from k - 1 = b, and (sigma - 1) & 3 is the residue
-        r = np.arange(4, dtype=np.int32)
-        self.low = (_sigma_closed_form(8, r[:, None] + 1, r + 5) - 1) & 3
+        self.low = _read_residues()
 
     def residue(self, letters: np.ndarray) -> np.ndarray:
         a, b, c = letters

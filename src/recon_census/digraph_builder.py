@@ -36,14 +36,17 @@ the extreme ones: the row is non-isomorphic where that pair is, and
 otherwise isomorphic by its witness lifted across the halves.  Every
 witness is checked arc by arc.  The test suite checks the census
 against a form that searches every row.
+
+``BinaryAssignment`` and ``Digraph`` are plain classes that validate on
+construction and refuse to rebind an attribute; the census rows and
+table (``CensusRow``, ``CensusTable``) are NamedTuples.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,6 +57,7 @@ from recon_census.weight_matrix import (
     _CLASS_TABLE,
     MatrixVariant,
     WeightedMatrix,
+    _Frozen,
     _ascii_text,
     _checked_offset_table,
     _first_cell,
@@ -95,23 +99,32 @@ Rows = Callable[[slice], np.ndarray]
 CENSUS_ORDERS = (8, 16)
 
 
-@dataclass(frozen=True)
-class BinaryAssignment:
+class BinaryAssignment(_Frozen):
     """A proper assignment of bits to the nonzero levels of order exponent n.
 
     ``bits`` is aligned with ``level_order()``: levels 1..n+1 first, then
-    -1..-(n+1).
+    -1..-(n+1).  Assignments are immutable, equal and hash equal by value.
     """
 
-    order_n: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, order_n: int, bits: tuple[int, ...]) -> None:
+        object.__setattr__(self, "order_n", order_n)
+        object.__setattr__(self, "bits", bits)
         m = 2 * (self.order_n + 1)
         if len(self.bits) != m:
             raise ValueError(f"expected {m} bits, got {len(self.bits)}")
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("bits must be 0 or 1")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order_n, self.bits) == (other.order_n, other.bits)
+
+    def __hash__(self) -> int:
+        return hash((self.order_n, self.bits))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(order_n={self.order_n!r}, bits={self.bits!r})"
 
     def level_order(self) -> tuple[int, ...]:
         top = self.order_n + 1
@@ -162,14 +175,15 @@ def variant_assignment(n: int) -> BinaryAssignment:
     return assignment_from_mapping(n, mapping)
 
 
-@dataclass(frozen=True, eq=False)
-class Digraph:
-    """Immutable loop-free digraph on points 1..p, adjacency as 0/1 bytes."""
+class Digraph(_Frozen):
+    """Immutable loop-free digraph on points 1..p, adjacency as 0/1 bytes.
 
-    order: int
-    adjacency: np.ndarray
+    Construction validates the array and makes it read-only.  Equal
+    digraphs compare equal; they are not hashable."""
 
-    def __post_init__(self) -> None:
+    def __init__(self, order: int, adjacency: np.ndarray) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "adjacency", adjacency)
         a = self.adjacency
         if a.shape != (self.order, self.order) or a.dtype != np.uint8:
             raise ValueError("adjacency must be a uint8 array of shape (p, p)")
@@ -635,16 +649,14 @@ def swap_involution(p: int) -> np.ndarray:
     return tau
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     assignment_bits: str
     is_tournament: bool
     isomorphic: bool
     orbit_id: int
 
 
-@dataclass(frozen=True)
-class CensusTable:
+class CensusTable(NamedTuple):
     """One row per proper assignment, in ascending bit-string order."""
 
     order: int

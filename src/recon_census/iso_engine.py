@@ -17,14 +17,14 @@ tournament assignment's row, which checks all 24 point bijections.  The
 chain reads the signs of one offset table per variant and order, each
 level handing its half-order tables down to the next; neither they nor
 the verdict outlive the call.  The test suite checks the chain against
-its entry-grid form.
+its entry-grid form.  The search verdict and the chain's trace
+(``IsoVerdict``, ``TraceStep``, ``NonIsoTrace``) are NamedTuples.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -76,8 +76,7 @@ class IsoStatus(enum.Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
+class IsoVerdict(NamedTuple):
     """Search outcome; a witness is present exactly on the isomorphic verdict."""
 
     status: IsoStatus
@@ -241,15 +240,13 @@ def decks_match_independent(
     return tuple(matching)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     order: int
     reason: str
     detail: str
 
 
-@dataclass(frozen=True)
-class NonIsoTrace:
+class NonIsoTrace(NamedTuple):
     """Chain of verified steps from the requested order down to the base case."""
 
     steps: tuple[TraceStep, ...]

@@ -1,15 +1,14 @@
-"""Pass/fail reports emitted by every verification suite."""
+"""Pass/fail reports emitted by every verification suite, each one
+``VerificationReport``: an immutable NamedTuple, equal by value."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 SCHEMA_VERSION = "1.0.0"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one named check at one order.
 
     ``counterexample`` holds the first violation found, as a tuple

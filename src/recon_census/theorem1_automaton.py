@@ -10,7 +10,8 @@ c = j - 1, every term of it is read off the binary digits:
   fix (``weight_matrix._offset_class``);
 * sigma_k(i) - 1 keeps the bits of a up to the lowest bit L where a and b
   differ and complements those above it; below bit 2 it is the low-residue
-  table ``deletion_maps._low_residues``, derived from ``_SIGMA4``.
+  table as ``deletion_maps._sigma_closed_form`` reads it out of
+  ``_SIGMA4`` (``deletion_maps._read_residues``).
 
 The engine, ``_walk``, reads (a, b, c) least significant digit first: one
 layer of the three residues mod 4, then one layer per block bit, under a
@@ -40,7 +41,7 @@ the pair's report.
 
 The same layers, walked over a plane of the letters (``_plane``), decide
 two more checks.  At a = b the starred row map is the identity (no
-difference is seen, and ``_low_residues`` is a on its diagonal), so lemma
+difference is seen, and the residue table is a on its diagonal), so lemma
 3 (``hypomorphism_verifier.check_lemma3``) reads star(i, sigma_i(j)) on
 the plane b = a and star(sigma_j(i), j) on b = c, and the point-1 level
 check (``digraph_builder._point1_pairs``) reads the point-1 map extended
@@ -99,7 +100,7 @@ class _LevelRule:
         reached = weight_matrix._reached_rows(p)
         self.zero_row = int(reached[0])
         self.rows = np.concatenate([reached[:1], reached]).reshape(-1, 2)
-        self.low = deletion_maps._low_residues().astype(np.int64)
+        self.low = deletion_maps._read_residues().astype(np.int64)
 
     def value(self, side: int, row, pair):
         """Class-table values of ``row`` at residue pairs ``pair``, as bytes."""

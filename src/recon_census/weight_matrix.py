@@ -32,7 +32,6 @@ positionally.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -206,19 +205,32 @@ def _level_tokens(bound: int) -> list[str]:
     return [str(v) for v in range(-bound, bound + 1)]
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedMatrix:
+class _Frozen:
+    """Refuses to rebind or delete an attribute: a subclass's ``__init__``
+    sets its fields once, through ``object.__setattr__``, and they stay.
+    ``functools.cached_property`` writes the instance ``__dict__`` directly,
+    so it still caches."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class WeightedMatrix(_Frozen):
     """Immutable dense matrix of one variant at one order.
 
     ``entries`` is a read-only int8 array addressed 0-based; the public
-    accessors are 1-based.
+    accessors are 1-based.  Construction validates the array (shape,
+    dtype, zero diagonal, antisymmetry, level range) and makes it
+    read-only.  Equal matrices compare equal; they are not hashable.
     """
 
-    order: int
-    variant: MatrixVariant
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
+    def __init__(self, order: int, variant: MatrixVariant, entries: np.ndarray) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "entries", entries)
         n = order_exponent(self.order)
         e = self.entries
         if e.shape != (self.order, self.order) or e.dtype != np.int8:

@@ -131,6 +131,15 @@ def tables(monkeypatch):
         table[k, [x, y]] = table[k, [y, x]]
         monkeypatch.setattr(dm, "_SIGMA4", table)
 
+    def sigma_entry(k, x, value):
+        """Set the image of x in row k of ``_SIGMA4`` (0-based) to ``value``."""
+        table = dm._SIGMA4.copy()
+        table[k, x] = value
+        monkeypatch.setattr(dm, "_SIGMA4", table)
+
     return SimpleNamespace(
-        class_cells=class_cells, class_cell=class_cell, sigma_swap=sigma_swap
+        class_cells=class_cells,
+        class_cell=class_cell,
+        sigma_swap=sigma_swap,
+        sigma_entry=sigma_entry,
     )

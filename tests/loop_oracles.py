@@ -22,6 +22,8 @@ count:
   deletion, with the deleted row and column left out;
 * ``hypomorphisms_reference``: the reports of ``decide_hypomorphisms``
   from one deletion sweep of the dense level matrices per level table;
+* ``theorem1_loops``: ``decide_theorem1`` over every triple, with the
+  images of the maps' unchecked closed form;
 * ``sample_theorem1_reference``: ``sample_theorem1`` with one
   ``entry_at``/``sigma`` evaluation per drawn triple;
 * ``threshold_scores_reference`` and ``induced_halves_mismatch_reference``:
@@ -432,6 +434,24 @@ def hypomorphisms_reference(p):
             cex = cex[:3] + tuple(v - 1000 * round(v / 1000) for v in cex[3:])
         reports.append(VerificationReport(name, p, cex, p * (p - 1) ** 2))
     return reports
+
+
+def theorem1_loops(p):
+    """``decide_theorem1(p)`` one triple at a time, k, then i, then j:
+    plain(i, j) against star(sigma_k(i), sigma_k(j)) on the entry grids,
+    with the images of ``dm._sigma_closed_form``.  That form checks
+    nothing, so an edit to ``_SIGMA4`` that breaks a map's bijection, or
+    lies outside 1..4, is read here as the closed form reads it."""
+    plain, star = (wm.entry_grid(p, v).tolist() for v in wm.MatrixVariant)
+    points = np.arange(1, p + 1, dtype=np.int32)
+    for k in range(1, p + 1):
+        images = [0, *dm._sigma_closed_form(p, np.int32(k), points).tolist()]
+        others = [i for i in range(1, p + 1) if i != k]
+        for i, j in itertools.product(others, repeat=2):
+            lhs, rhs = plain[i - 1][j - 1], star[images[i] - 1][images[j] - 1]
+            if lhs != rhs:
+                return VerificationReport("theorem1", p, (k, i, j, lhs, rhs), p * (p - 1) ** 2)
+    return VerificationReport("theorem1", p, None, p * (p - 1) ** 2)
 
 
 def sample_theorem1_reference(p, trials, rng_seed):

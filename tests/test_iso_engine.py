@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from collections import Counter
 
@@ -217,7 +216,7 @@ class TestPairsBySigma:
         if p >= 8:
             pairs["hypo-sigma-variant"] = variant_pair(p)
         return [
-            dataclasses.replace(verify_hypomorphic_by_sigma(*pair), check_name=name)
+            verify_hypomorphic_by_sigma(*pair)._replace(check_name=name)
             for name, pair in pairs.items()
         ]
 

@@ -8,7 +8,10 @@ class-table row the order reaches, in either variant, and two images
 swapped in one ``_SIGMA4`` row; at 1024 under one planted fault; under
 an edit to a level that keeps its bit, which theorem 1 sees and neither
 pair does; and under an edit to a level beyond +-(n+1), which has no bit
-and fails both pairs.  Above, its first
+and fails both pairs.  At p = 8 under every one-entry ``_SIGMA4`` edit,
+and at 16 under an image of 5, theorem 1's report equals the triple loop
+over the maps' unchecked closed form (``loop_oracles.theorem1_loops``).
+Above, its first
 failing triple under a planted class-table fault must fail under the
 scalar oracles ``entry_at`` and ``sigma``, and no failing triple that
 ``sample_theorem1`` finds may sort before it.
@@ -44,6 +47,7 @@ from loop_oracles import (
     level_pairs,
     level_table_reference,
     swap_reference,
+    theorem1_loops,
 )
 
 PLAIN = wm.MatrixVariant.PLAIN
@@ -58,6 +62,31 @@ def test_clean_equals_sweep(p):
     names = ["theorem1", "hypo-sigma-tournament"] + ["hypo-sigma-variant"] * (p >= 8)
     assert reports == [VerificationReport(name, p, None, p * (p - 1) ** 2) for name in names]
     assert decide_theorem1(p) == reports[0]
+
+
+@pytest.mark.parametrize("p", [8, 16])
+def test_sigma4_read_as_the_closed_form_reads_it(tables, p):
+    # an image of 5 overflows its 2-bit field in the closed form's packed
+    # residues; the automaton must decide that sigma, not the raw table's
+    tables.sigma_entry(0, 1, 5)
+    report = decide_theorem1(p)
+    assert report == theorem1_loops(p)
+    assert report.counterexample == (1, 2, 3, 3, -2)
+
+
+def test_every_sigma4_edit_read_as_the_closed_form_reads_it(tables, monkeypatch):
+    # every one-entry edit at p = 8, the diagonal and values outside 1..4
+    # included, and the clean table
+    clean = dm._SIGMA4
+    edits = [None] + [
+        (k, x, v) for k in range(4) for x in range(4) for v in range(-1, 7)
+        if v != clean[k, x]
+    ]
+    for edit in edits:
+        monkeypatch.setattr(dm, "_SIGMA4", clean)
+        if edit is not None:
+            tables.sigma_entry(*edit)
+        assert decide_theorem1(8) == theorem1_loops(8), edit
 
 
 @pytest.mark.parametrize("p", SWEPT_ORDERS)
