@@ -28,7 +28,6 @@ from recon_census.digraph_builder import (
     Digraph,
     apply_assignment,
     assignment_census,
-    assignment_from_bits,
     assignment_from_mapping,
     forced_isomorphism,
     standard_pair,
@@ -56,21 +55,18 @@ from recon_census.iso_engine import (
     verify_nonisomorphic_inductive,
 )
 from recon_census.report import SCHEMA_VERSION, VerificationReport
-from recon_census.theorem1_automaton import decide_hypomorphisms, decide_theorem1
+from recon_census.theorem1_automaton import decide_hypomorphisms
 from recon_census.weight_matrix import (
     DENSE_ORDER_LIMIT,
     MatrixVariant,
     ORACLE_ORDER_LIMIT,
     WeightedMatrix,
-    base_matrix,
     build_dense,
     check_lemma1,
     entry_at,
     entry_grid,
     entry_values,
-    level_bound,
     order_exponent,
-    sign_flip,
 )
 
 __version__ = "0.1.0"
@@ -95,9 +91,7 @@ __all__ = [
     "apply_assignment",
     "are_isomorphic",
     "assignment_census",
-    "assignment_from_bits",
     "assignment_from_mapping",
-    "base_matrix",
     "build_all_maps",
     "build_dense",
     "build_map",
@@ -107,21 +101,18 @@ __all__ = [
     "check_theorem1",
     "deck",
     "decide_hypomorphisms",
-    "decide_theorem1",
     "decks_match_independent",
     "entry_at",
     "entry_grid",
     "entry_values",
     "extend_sigma_p1",
     "forced_isomorphism",
-    "level_bound",
     "order_exponent",
     "sample_theorem1",
     "sigma",
     "sigma_reference",
     "sigma_table_tsv",
     "sigma_values",
-    "sign_flip",
     "standard_pair",
     "swap_involution",
     "threshold_scores",

@@ -49,7 +49,6 @@ from recon_census.errors import BudgetExhausted, ContradictionError
 from recon_census.hypomorphism_verifier import check_lemma3
 from recon_census.iso_engine import (
     DECK_MATCH_ORDER_LIMIT,
-    DEFAULT_ISO_BUDGET,
     decks_match_independent,
     verify_nonisomorphic_inductive,
 )
@@ -86,7 +85,6 @@ class RunConfig(NamedTuple):
     kind: str = "weighted"
     format: str = "csv"
     checks: tuple[str, ...] = ()
-    budget: Optional[int] = None
     out: Optional[Path] = None
 
 
@@ -109,9 +107,8 @@ def _hypo_sigma(config: RunConfig) -> list[VerificationReport]:
 def _deck_match(config: RunConfig) -> list[VerificationReport]:
     p = config.p
     g, h = standard_pair(p)
-    budget = config.budget or DEFAULT_ISO_BUDGET
     try:
-        matching = decks_match_independent(g, h, budget=budget)
+        matching = decks_match_independent(g, h)
     except BudgetExhausted as exc:
         cex = (0, 0, 0, "undecided", str(exc))
     else:
@@ -359,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0,
         help="has no effect (every verdict is exact); accepted if >= 0",
     )
-    ver.add_argument("--budget", type=int, default=None)
     ver.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
 
     dk = sub.add_parser("deck", help="export every point-deleted card")
@@ -445,9 +441,6 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs < 1:
         parser.error(f"--jobs must be >= 1, got {jobs}")
-    budget = getattr(args, "budget", None)
-    if budget is not None and budget < 1:
-        parser.error(f"--budget must be >= 1, got {budget}")
     seed = getattr(args, "seed", 0)
     if seed < 0:
         parser.error(f"--seed must be >= 0, got {seed}")
@@ -459,7 +452,6 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
         kind=getattr(args, "kind", "weighted"),
         format=getattr(args, "format", "csv"),
         checks=checks,
-        budget=budget,
         out=args.out,
     )
 

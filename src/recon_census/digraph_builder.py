@@ -78,7 +78,6 @@ __all__ = [
     "Digraph",
     "apply_assignment",
     "assignment_census",
-    "assignment_from_bits",
     "assignment_from_mapping",
     "forced_isomorphism",
     "standard_pair",
@@ -136,9 +135,6 @@ class BinaryAssignment(_Frozen):
             raise ValueError(f"level {level} outside the domain +-1..+-{top}")
         return self.bits[level - 1] if level > 0 else self.bits[top - level - 1]
 
-    def items(self):
-        return zip(self.level_order(), self.bits)
-
     @property
     def bit_string(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -152,12 +148,6 @@ def assignment_from_mapping(n: int, mapping) -> BinaryAssignment:
     if missing:
         raise ValueError(f"mapping must cover every nonzero level; missing {missing}")
     return BinaryAssignment(n, tuple(int(mapping[v]) for v in levels))
-
-
-def assignment_from_bits(n: int, bit_string: str) -> BinaryAssignment:
-    if set(bit_string) - {"0", "1"}:
-        raise ValueError(f"bit string must be binary, got {bit_string!r}")
-    return BinaryAssignment(n, tuple(int(c) for c in bit_string))
 
 
 def tournament_assignment(n: int) -> BinaryAssignment:
@@ -193,17 +183,8 @@ class Digraph(_Frozen):
             raise ValueError("loops are not allowed")
         a.setflags(write=False)
 
-    def arc(self, i: int, j: int) -> bool:
-        if not (1 <= i <= self.order and 1 <= j <= self.order):
-            raise IndexError(f"points must lie in 1..{self.order}, got ({i}, {j})")
-        return bool(self.adjacency[i - 1, j - 1])
-
     def arc_count(self) -> int:
         return int(self.adjacency.sum())
-
-    def scores(self) -> tuple[int, ...]:
-        """Outdegrees in point order."""
-        return tuple(int(s) for s in self.adjacency.sum(axis=1))
 
     def is_tournament(self) -> bool:
         """Whether exactly one of the arcs i -> j, j -> i exists for every

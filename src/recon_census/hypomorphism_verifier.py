@@ -9,9 +9,9 @@ on two planes of theorem 1's digit automaton.
 every deleted point k, the plain entry at (i, j) equals the starred entry
 at the mapped pair, over all p * (p-1)**2 admissible triples, in one
 deletion sweep of the dense matrices of ``build_dense`` over the map
-table of ``build_all_maps``, each built for the call.  It is the library's dense route;
-``theorem1_automaton.decide_theorem1``, which the command line runs,
-gives the same report at every order.
+table of ``build_all_maps``, each built for the call.  It is the library's
+dense route; ``theorem1_automaton.decide_hypomorphisms(p)[0]``, which the
+command line runs, gives the same report at every order.
 ``sample_theorem1`` checks theorem 1 on seeded random triples through the
 entry oracle, the automaton's test oracle at large orders.
 """
@@ -81,7 +81,8 @@ def check_theorem1(p: int) -> VerificationReport:
     One deletion sweep (``deletion_maps._deletion_sweep``) of the dense
     matrices (``build_dense``) over ``build_all_maps(p)``, O(p**3):
     0.3 s at p = 512 and about 2 s at p = 1024.  The CLI runs
-    ``theorem1_automaton.decide_theorem1``, the same report at every order.
+    ``theorem1_automaton.decide_hypomorphisms(p)[0]``, the same report at
+    every order.
     """
     counterexample = _deletion_sweep(
         build_dense(p, MatrixVariant.PLAIN).entries,

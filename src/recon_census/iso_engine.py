@@ -251,11 +251,6 @@ class NonIsoTrace(NamedTuple):
 
     steps: tuple[TraceStep, ...]
 
-    def to_json(self) -> list[dict]:
-        return [
-            {"p": s.order, "reason": s.reason, "detail": s.detail} for s in self.steps
-        ]
-
 
 def _check_score_split(order: int, variant: MatrixVariant, signs: np.ndarray, first: int) -> None:
     """The first half of the points scores ``first``, the last half

@@ -33,10 +33,11 @@ class table holds the block offsets up to +-2**30, so orders up to 2**33
 (``weight_matrix._CLASS_TABLE_ORDER_LIMIT``); the rule refuses larger
 ones with a ValueError.
 
-A final state holds the level of each side.  Each report reads the two
-through its table of ``level_tables``: theorem 1 the levels themselves,
-each digraph pair the bits its assignment gives them, which two levels
-may share.  A level beyond a bit table's +-(n+1) has no bit and fails
+A final state holds the level of each side.  ``decide_hypomorphisms``
+gives one report per table of ``level_tables``, theorem 1's first, and
+each reads the two levels through its table: theorem 1 the levels
+themselves, each digraph pair the bits its assignment gives them, which
+two levels may share.  A level beyond a bit table's +-(n+1) has no bit and fails
 the pair's report.
 
 The same layers, walked over a plane of the letters (``_plane``), decide
@@ -66,7 +67,7 @@ from recon_census.digraph_builder import _bit_lut, tournament_assignment, varian
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import MatrixVariant, order_exponent
 
-__all__ = ["decide_hypomorphisms", "decide_theorem1", "level_tables"]
+__all__ = ["decide_hypomorphisms", "level_tables"]
 
 # The identity level table of the int8 levels: entry v, counted from the
 # end where v < 0 as numpy indexes, holds v itself.
@@ -217,8 +218,9 @@ def _plain_offset(final: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def decide_hypomorphisms(p: int) -> list[VerificationReport]:
     """Theorem 1 and both digraph pairs at order p, exact at every order up
     to 2**33, the class table's reach (ValueError above it): one report per
-    table of ``level_tables(p)``, all read off one run of the layers.  A failure is the first (k, i, j) in k order, then
-    row-major (i, j), with its two levels read through the report's table.
+    table of ``level_tables(p)``, all read off one run of the layers.  A
+    failure is the first (k, i, j) in k order, then row-major (i, j), with
+    its two levels read through the report's table.
 
     A table of length L reaches the levels of magnitude up to L // 2.  A
     level beyond them has no entry (a bit table would wrap it onto another
@@ -250,11 +252,6 @@ def _read(lut: np.ndarray, level) -> int:
     beyond the table's reach (``decide_hypomorphisms``)."""
     level = int(level)
     return int(lut[level]) if abs(level) <= len(lut) // 2 else level
-
-
-def decide_theorem1(p: int) -> VerificationReport:
-    """Theorem 1 at order p: ``hypomorphism_verifier.check_theorem1``'s report."""
-    return decide_hypomorphisms(p)[0]
 
 
 def _first_failure(layers, final: np.ndarray, bad: np.ndarray) -> tuple[int, int, int]:

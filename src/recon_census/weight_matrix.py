@@ -43,16 +43,13 @@ __all__ = [
     "MatrixVariant",
     "ORACLE_ORDER_LIMIT",
     "WeightedMatrix",
-    "base_matrix",
     "build_dense",
     "check_lemma1",
     "csv_blocks",
     "entry_at",
     "entry_grid",
     "entry_values",
-    "level_bound",
     "order_exponent",
-    "sign_flip",
 ]
 
 #: Largest order materialized as a dense matrix (64 MiB of int8 per variant).
@@ -104,11 +101,6 @@ def order_exponent(p: int) -> int:
     if p < 4 or p & (p - 1):
         raise ValueError(f"order must be a power of two >= 4, got {p}")
     return p.bit_length() - 1
-
-
-def level_bound(p: int) -> int:
-    """Largest absolute entry value at order p (one more than the exponent)."""
-    return order_exponent(p) + 1
 
 
 #: Largest order of the int32 index paths: ``entry_values``,
@@ -283,11 +275,6 @@ class WeightedMatrix(_Frozen):
 
     def to_csv(self) -> str:
         return "".join(self.csv_blocks())
-
-
-def base_matrix(variant: MatrixVariant) -> WeightedMatrix:
-    """The fixed order-4 matrix of the given variant."""
-    return WeightedMatrix(4, variant, _BASE[variant].copy())
 
 
 def build_dense(p: int, variant: MatrixVariant) -> WeightedMatrix:
@@ -502,45 +489,14 @@ def entry_values(p: int, variant: MatrixVariant, i, j) -> np.ndarray:
     return _CLASS_TABLE[variant].take(key)
 
 
-def entry_grid(
-    p: int, variant: MatrixVariant, rows=None, cols=None
-) -> np.ndarray:
-    """Rectangular grid of entries, evaluated one ``_row_blocks`` block at a time.
-
-    ``rows``/``cols`` are 1-based index vectors; both default to 1..p.
-    Each is range-checked before it is narrowed to int32, as in
-    ``entry_values``.
-    """
+def entry_grid(p: int, variant: MatrixVariant) -> np.ndarray:
+    """The p x p grid of entries, evaluated one ``_row_blocks`` block at a time."""
     _int32_order(p)
     points = np.arange(1, p + 1, dtype=np.int32)
-    rows = points if rows is None else _points_int32(rows, p, "row indices")
-    cols = points if cols is None else _points_int32(cols, p, "column indices")
-    out = np.empty((rows.size, cols.size), dtype=np.int8)
-    for block in _row_blocks(rows.size, cols.size):
-        out[block] = entry_values(p, variant, rows[block, None], cols[None, :])
+    out = np.empty((p, p), dtype=np.int8)
+    for block in _row_blocks(p, p):
+        out[block] = entry_values(p, variant, points[block, None], points[None, :])
     return out
-
-
-def sign_flip(p: int, i: int, j: int) -> int:
-    """Sign relating an entry to its half-shifted images.
-
-    For distinct i, j in 1..p/2 the entries at (i, j + p/2) and
-    (i + p/2, j) equal ``sign_flip(p, i, j)`` times the entry at (i, j),
-    in both variants: always -1 at p = 8, and -1 exactly when
-    |j - i| = p/4 for p >= 16.
-    """
-    order_exponent(p)
-    if p < 8:
-        raise ValueError(f"sign_flip requires p >= 8, got {p}")
-    h = p // 2
-    if not (1 <= i <= h and 1 <= j <= h):
-        raise IndexError(f"indices must lie in 1..{h}, got ({i}, {j})")
-    _check_integers("index", i, j)
-    if i == j:
-        raise ValueError("sign_flip is undefined on the diagonal")
-    if p == 8:
-        return -1
-    return -1 if abs(j - i) == p // 4 else 1
 
 
 def _nested_rows(table: np.ndarray) -> np.ndarray:
@@ -592,8 +548,10 @@ def check_lemma1(p: int) -> VerificationReport:
     """Verify the four structural identities at order p >= 8 in O(p).
 
     (a) both half-order quadrants (top-left, bottom-right) equal the
-    half-order matrix entrywise; (b)/(c) half-shifted entries flip sign
-    exactly as ``sign_flip`` states; (d) the extreme levels +-(n+1) sit
+    half-order matrix entrywise; (b)/(c) for distinct i, j in 1..p/2 the
+    entries at (i, j + p/2) and (i + p/2, j) are the entry at (i, j) times
+    a sign: always -1 at p = 8, and -1 exactly when |j - i| = p/4 for
+    p >= 16; (d) the extreme levels +-(n+1) sit
     exactly at column/row offsets of p/2.  Both variants are checked;
     the first violation in row-major order, if any, is reported.
 
@@ -615,14 +573,13 @@ def check_lemma1(p: int) -> VerificationReport:
         table = _offset_case_table(p, variant)
         quadrant = _nested_rows(table)
 
-        # (a) nested copies
-        half = _offset_case_table(h, variant)
-        for shift in (0, h):
-            checked += h * h
-            if counterexample is None:
-                hit = _first_class_mismatch(quadrant, half, shift, shift)
-                if hit is not None:
-                    counterexample = (0, *hit)
+        # (a) nested copies: both diagonal quadrants are the same offset
+        # rows, so the top-left compare decides the bottom-right one too
+        checked += 2 * h * h
+        if counterexample is None:
+            hit = _first_class_mismatch(quadrant, _offset_case_table(h, variant), 0, 0)
+            if hit is not None:
+                counterexample = (0, *hit)
 
         # (b)/(c) half-shift sign pattern on off-diagonal pairs: the
         # shifted copies sit at offsets d + p/8 and d - p/8

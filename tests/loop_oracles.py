@@ -22,8 +22,9 @@ count:
   deletion, with the deleted row and column left out;
 * ``hypomorphisms_reference``: the reports of ``decide_hypomorphisms``
   from one deletion sweep of the dense level matrices per level table;
-* ``theorem1_loops``: ``decide_theorem1`` over every triple, with the
-  images of the maps' unchecked closed form;
+* ``theorem1_loops``: theorem 1's report of ``decide_hypomorphisms`` over
+  every triple, with the images of the maps' unchecked closed form;
+* ``assignment_from_bits``: the assignment a bit string spells;
 * ``sample_theorem1_reference``: ``sample_theorem1`` with one
   ``entry_at``/``sigma`` evaluation per drawn triple;
 * ``threshold_scores_reference`` and ``induced_halves_mismatch_reference``:
@@ -290,7 +291,8 @@ def check_lemma1_reference(p):
 
     (a) both half-order quadrants (top-left, bottom-right) equal the
     half-order matrix entrywise; (b)/(c) half-shifted entries flip sign
-    exactly as ``sign_flip`` states; (d) the extreme levels +-(n+1) sit
+    everywhere at p = 8 and exactly at |j - i| = p/4 above it; (d) the
+    extreme levels +-(n+1) sit
     exactly at column/row offsets of p/2.  Both variants are checked;
     the first violation, if any, is reported.
     """
@@ -312,11 +314,10 @@ def check_lemma1_reference(p):
         return (0, int(rows[r]), int(cols[c]), int(lhs[r, c]), int(rhs[r, c]))
 
     for variant in (wm.MatrixVariant.PLAIN, wm.MatrixVariant.STAR):
-        top_left = wm.entry_grid(p, variant, idx, idx)
-        half = wm.entry_grid(h, variant, idx, idx)
-        bottom_right = wm.entry_grid(p, variant, idx + h, idx + h)
-        col_shift = wm.entry_grid(p, variant, idx, idx + h)
-        row_shift = wm.entry_grid(p, variant, idx + h, idx)
+        grid = wm.entry_grid(p, variant)
+        top_left, col_shift = grid[:h, :h], grid[:h, h:]
+        row_shift, bottom_right = grid[h:, :h], grid[h:, h:]
+        half = wm.entry_grid(h, variant)
 
         # (a) nested copies
         for big, rows, cols in (
@@ -437,7 +438,7 @@ def hypomorphisms_reference(p):
 
 
 def theorem1_loops(p):
-    """``decide_theorem1(p)`` one triple at a time, k, then i, then j:
+    """``decide_hypomorphisms(p)[0]`` one triple at a time, k, then i, then j:
     plain(i, j) against star(sigma_k(i), sigma_k(j)) on the entry grids,
     with the images of ``dm._sigma_closed_form``.  That form checks
     nothing, so an edit to ``_SIGMA4`` that breaks a map's bijection, or
@@ -490,12 +491,13 @@ def sample_theorem1_reference(p, trials, rng_seed):
 
 def threshold_scores_reference(p, variant):
     """``threshold_scores(p, variant)`` as positive entries counted per row
-    of ``entry_grid``, one row block (``_row_blocks``) at a time: O(p**2)
-    time in bounded memory."""
+    of the entry grid, gathered one row block (``_row_blocks``) at a time:
+    O(p**2) time in bounded memory."""
     wm.order_exponent(p)
     idx = np.arange(1, p + 1, dtype=np.int32)
     return np.concatenate(
-        [(wm.entry_grid(p, variant, idx[b]) > 0).sum(axis=1) for b in wm._row_blocks(p, p)]
+        [(wm.entry_values(p, variant, idx[b, None], idx) > 0).sum(axis=1)
+         for b in wm._row_blocks(p, p)]
     )
 
 
@@ -504,13 +506,12 @@ def induced_halves_mismatch_reference(order):
     None, on entry grids (O(p**2)): the plain matrix's first half and the
     starred one's last half against the half-order pair."""
     h = order // 2
-    idx = np.arange(1, h + 1, dtype=np.int32)
     for variant, which, shift in (
         (wm.MatrixVariant.PLAIN, "first", 0),
         (wm.MatrixVariant.STAR, "last", h),
     ):
-        big = wm.entry_grid(order, variant, idx + shift, idx + shift) > 0
-        small = wm.entry_grid(h, variant, idx, idx) > 0
+        big = wm.entry_grid(order, variant)[shift : shift + h, shift : shift + h] > 0
+        small = wm.entry_grid(h, variant) > 0
         if not np.array_equal(big, small):
             return f"induced {which} half at p={order} differs from p={h}"
     return None
@@ -546,6 +547,12 @@ def assigned_pair(p, a):
     return tuple(db.apply_assignment(wm.build_dense(p, v), a) for v in wm.MatrixVariant)
 
 
+def assignment_from_bits(n, bits):
+    """The assignment of order exponent n whose bits, in level order, are
+    the characters of the binary string ``bits``."""
+    return db.BinaryAssignment(n, tuple(int(c) for c in bits))
+
+
 def census_entry(g, h, budget=ie.DEFAULT_ISO_BUDGET):
     """Search verdict for one row's assigned pair: True, False, or None when
     the search exhausted the budget."""
@@ -565,7 +572,7 @@ def assignment_census_reference(p, iso_budget=ie.DEFAULT_ISO_BUDGET):
     rows = []
     for chars in itertools.product("01", repeat=2 * (n + 1)):
         bits = "".join(chars)
-        a = db.assignment_from_bits(n, bits)
+        a = assignment_from_bits(n, bits)
         g, h = assigned_pair(p, a)
         swapped = list(chars)
         swapped[n], swapped[-1] = chars[-1], chars[n]

@@ -121,6 +121,35 @@ class TestExitCodes:
             "recon-census: error: unrecognized arguments: --budget 1000"
         )
 
+    def test_verify_budget_is_a_usage_error(self, capsys):
+        # deck-match, the one check that searches, runs with the library's
+        # node budget, which its card pairs never approach
+        assert run_cli("verify", "--p", "8", "--checks", "deck-match", "--budget", "10") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "recon-census: error: unrecognized arguments: --budget 10"
+        )
+
+    @pytest.mark.parametrize("p", [4, 8])
+    def test_deck_match_searches_stay_far_below_the_budget(self, tmp_path, monkeypatch, p):
+        # what lets verify take no --budget: each of deck-match's p**2
+        # card-pair searches takes at most 100 of its 200,000 nodes
+        import recon_census.iso_engine as ie
+
+        search, nodes = ie.are_isomorphic, []
+
+        def counted(g, h, budget=ie.DEFAULT_ISO_BUDGET):
+            verdict = search(g, h, budget)
+            nodes.append(verdict.nodes)
+            return verdict
+
+        monkeypatch.setattr(ie, "are_isomorphic", counted)
+        out = tmp_path / "r.json"
+        assert run_cli("verify", "--p", str(p), "--checks", "deck-match", "--out", str(out)) == 0
+        assert len(nodes) == p * p
+        assert max(nodes) <= 100
+
     def test_format_checked_before_the_size_cap(self, capsys, monkeypatch):
         # above the write cap, the usage error names what is wrong with the
         # request, not the size of a format it could never write
@@ -157,7 +186,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args",
         [
-            ("verify", "--checks", "theorem1", "--budget", "10"),
+            ("verify", "--checks", "theorem1"),
             ("verify", "--checks", "all"),
             ("export",),
         ],
@@ -255,7 +284,7 @@ class TestExitCodes:
 
         assert ORACLE_ORDER_LIMIT == 2**24
         config = _parse_config(
-            ["verify", "--p", str(2**24), "--checks", "theorem1", "--budget", "10"]
+            ["verify", "--p", str(2**24), "--checks", "theorem1"]
         )
         assert config.p == 2**24 and config.checks == ("theorem1",)
 
@@ -932,18 +961,18 @@ class TestVerifyReports:
         for path in (a, b):
             run_cli(
                 "verify", "--p", "1024", "--checks", "theorem1",
-                "--seed", "11", "--budget", "2000", "--out", str(path),
+                "--seed", "11", "--out", str(path),
             )
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("p", [512, 1024])
     def test_exact_theorem1_report(self, tmp_path, capsys, p):
-        # one exact report at every order, 512 and 1024 alike: --seed and
-        # --budget reach nothing, and nothing goes to stderr
+        # one exact report at every order, 512 and 1024 alike: --seed
+        # reaches nothing, and nothing goes to stderr
         out = tmp_path / "rep.json"
         assert run_cli(
             "verify", "--p", str(p), "--checks", "theorem1",
-            "--seed", "3", "--budget", "1000", "--out", str(out),
+            "--seed", "3", "--out", str(out),
         ) == 0
         (rep,) = json.loads(out.read_text())["reports"]
         assert rep == {

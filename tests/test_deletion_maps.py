@@ -410,12 +410,6 @@ SIGMA4_EXCHANGES = [
 SIGMA4_BREAKS = [(0, 1, 2), (1, 3, 4), (2, 0, 3), (3, 2, 4), (0, 3, 1), (2, 1, 3), (1, 2, 6)]
 
 
-def set_sigma4(monkeypatch, k, x, value):
-    table = dm._SIGMA4.copy()
-    table[k, x] = value
-    monkeypatch.setattr(dm, "_SIGMA4", table)
-
-
 def lemma2_outcome(check, p):
     """``check(p)``'s report, or the message of its ValueError."""
     try:
@@ -466,27 +460,24 @@ class TestLemma2OnDigits:
 
     @pytest.mark.parametrize("p", ORDERS)
     @pytest.mark.parametrize("exchange", [None, *SIGMA4_EXCHANGES])
-    def test_matches_dense_oracle(self, monkeypatch, p, exchange):
+    def test_matches_dense_oracle(self, tables, p, exchange):
         if exchange is not None:
-            k, x, y = exchange
-            table = dm._SIGMA4.copy()
-            table[k, [x, y]] = table[k, [y, x]]
-            monkeypatch.setattr(dm, "_SIGMA4", table)
+            tables.sigma_swap(*exchange)
         report = check_lemma2(p)
         assert report == lemma2_dense(p)
         assert report.passed
 
     @pytest.mark.parametrize("p", ORDERS)
     @pytest.mark.parametrize("k, x, value", SIGMA4_BREAKS)
-    def test_broken_bijection_raises_the_dense_error(self, monkeypatch, p, k, x, value):
-        set_sigma4(monkeypatch, k, x, value)
+    def test_broken_bijection_raises_the_dense_error(self, tables, p, k, x, value):
+        tables.sigma_entry(k, x, value)
         message = lemma2_outcome(check_lemma2, p)
         assert isinstance(message, str)
         assert message == lemma2_outcome(lemma2_dense, p)
         assert "is not a bijection" in message
 
     @pytest.mark.parametrize("p", [8, 16, 32])
-    def test_rule_reads_every_triple_as_the_closed_form(self, monkeypatch, p):
+    def test_rule_reads_every_triple_as_the_closed_form(self, tables, monkeypatch, p):
         # every one-entry edit of _SIGMA4, the diagonal and values outside
         # 1..4 (which the closed form's packed residues wrap) included
         clean = dm._SIGMA4
@@ -498,7 +489,7 @@ class TestLemma2OnDigits:
         for edit in edits:
             monkeypatch.setattr(dm, "_SIGMA4", clean)
             if edit is not None:
-                set_sigma4(monkeypatch, *edit)
+                tables.sigma_entry(*edit)
             want = closed_form_failures(p)
             assert np.array_equal(rule_failures(p), want), edit
             seen += want.reshape(5, -1).any(axis=1)
@@ -507,9 +498,9 @@ class TestLemma2OnDigits:
         assert seen[[0, 3, 4]].all() and not seen[[1, 2]].any()
 
     @pytest.mark.parametrize("k, x, value", [(2, 0, 2), (1, 0, 2)])
-    def test_fault_at_2_20_is_traced_to_a_confirmed_pair(self, monkeypatch, k, x, value):
+    def test_fault_at_2_20_is_traced_to_a_confirmed_pair(self, tables, k, x, value):
         p = 2**20
-        set_sigma4(monkeypatch, k, x, value)
+        tables.sigma_entry(k, x, value)
         with pytest.raises(ValueError, match="is not a bijection") as info:
             check_lemma2(p)
         test, k, i, j = dm._lemma2_failure(p)

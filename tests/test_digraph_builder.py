@@ -13,7 +13,6 @@ from recon_census.digraph_builder import (
     _twin_levels,
     apply_assignment,
     assignment_census,
-    assignment_from_bits,
     assignment_from_mapping,
     forced_isomorphism,
     standard_pair,
@@ -33,6 +32,7 @@ from conftest import FIXTURES
 from loop_oracles import (
     assigned_pair,
     assignment_census_reference,
+    assignment_from_bits,
     relabel,
     threshold_scores_reference,
 )
@@ -81,10 +81,9 @@ class TestAssignments:
         assert a.value_for(4) == 1 and a.value_for(-4) == 0
         assert a.bit_string == "10111000"
 
-    def test_round_trip_bits(self):
-        a = assignment_from_bits(3, "01100101")
+    def test_bit_string_in_level_order(self):
+        a = BinaryAssignment(3, (0, 1, 1, 0, 0, 1, 0, 1))
         assert a.bit_string == "01100101"
-        assert a == BinaryAssignment(3, (0, 1, 1, 0, 0, 1, 0, 1))
 
     def test_mapping_must_be_total(self):
         with pytest.raises(ValueError, match="missing"):
@@ -100,8 +99,8 @@ class TestAssignments:
     def test_bad_bits_rejected(self):
         with pytest.raises(ValueError):
             BinaryAssignment(3, (1, 0, 1))
-        with pytest.raises(ValueError):
-            assignment_from_bits(3, "0110210x")
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            BinaryAssignment(3, (0, 1, 1, 0, 2, 1, 0, 1))
 
 
 class TestApplyAssignment:
@@ -126,13 +125,13 @@ class TestApplyAssignment:
 class TestStandardPair:
     def test_score_vectors_order_4(self):
         g, h = standard_pair(4)
-        assert g.scores() == (3, 1, 1, 1)
-        assert h.scores() == (0, 2, 2, 2)
+        assert g.adjacency.sum(axis=1).tolist() == [3, 1, 1, 1]
+        assert h.adjacency.sum(axis=1).tolist() == [0, 2, 2, 2]
 
     def test_score_split_order_8(self):
         g, h = standard_pair(8)
-        assert g.scores() == (4, 4, 4, 4, 3, 3, 3, 3)
-        assert h.scores() == (3, 3, 3, 3, 4, 4, 4, 4)
+        assert g.adjacency.sum(axis=1).tolist() == [4, 4, 4, 4, 3, 3, 3, 3]
+        assert h.adjacency.sum(axis=1).tolist() == [3, 3, 3, 3, 4, 4, 4, 4]
 
     @pytest.mark.parametrize("p", [4, 8, 16, 32, 64])
     def test_tournament_property(self, p):
@@ -142,15 +141,11 @@ class TestStandardPair:
             assert np.all((a + a.T)[off] == 1)
             assert np.all(np.diagonal(a) == 0)
 
-    def test_scores_function(self):
+    def test_scores_sum_to_the_arc_count(self):
         g, _ = standard_pair(16)
-        v = g.scores()
+        v = g.adjacency.sum(axis=1)
         assert v[0] == 8
-        assert sum(v) == g.arc_count() == 16 * 15 // 2
-
-    def test_arcless_scores(self):
-        empty = Digraph(4, np.zeros((4, 4), dtype=np.uint8))
-        assert empty.scores() == (0, 0, 0, 0)
+        assert v.sum() == g.arc_count() == 16 * 15 // 2
 
     @pytest.mark.parametrize("p", [8, 16, 64, 256])
     def test_threshold_scores_closed_form(self, p):
@@ -171,8 +166,8 @@ class TestStandardPair:
     @pytest.mark.parametrize("p", [8, 32])
     def test_threshold_scores_match_built_digraph(self, p):
         g, h = standard_pair(p)
-        assert tuple(threshold_scores(p, PLAIN)) == g.scores()
-        assert tuple(threshold_scores(p, STAR)) == h.scores()
+        assert np.array_equal(threshold_scores(p, PLAIN), g.adjacency.sum(axis=1))
+        assert np.array_equal(threshold_scores(p, STAR), h.adjacency.sum(axis=1))
 
     def test_each_digraph_built_alone_is_checked(self, monkeypatch):
         import recon_census.digraph_builder as db
@@ -192,16 +187,16 @@ class TestStandardPair:
 
 class TestVariantPair:
     def test_symmetric_pair_at_level_one(self):
-        g, _ = variant_pair(8)
-        assert g.arc(1, 2) and g.arc(2, 1)
+        a = variant_pair(8)[0].adjacency
+        assert a[0, 1] and a[1, 0]
 
     def test_nonadjacent_pair_at_level_two(self):
-        g, _ = variant_pair(8)
-        assert not g.arc(1, 3) and not g.arc(3, 1)
+        a = variant_pair(8)[0].adjacency
+        assert not a[0, 2] and not a[2, 0]
 
     def test_single_arc_at_extreme_level(self):
-        g, _ = variant_pair(8)
-        assert g.arc(1, 5) and not g.arc(5, 1)
+        a = variant_pair(8)[0].adjacency
+        assert a[0, 4] and not a[4, 0]
 
     def test_not_tournaments(self):
         g, h = variant_pair(8)
@@ -529,7 +524,7 @@ class TestCensus:
         assert noniso
         for row in noniso:
             a = assignment_from_bits(4, row.assignment_bits)
-            mapping = dict(a.items())
+            mapping = dict(zip(a.level_order(), a.bits))
             for v in (4, 5):
                 mapping[v] = 1
                 mapping[-v] = 0

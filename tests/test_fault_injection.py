@@ -21,6 +21,7 @@ from recon_census.errors import ContradictionError
 from conftest import patch_case_table, patch_dense, swap_two_images
 from loop_oracles import (
     assigned_pair,
+    assignment_from_bits,
     census_entry,
     check_lemma1_reference,
     deletion_sweep_reference,
@@ -50,11 +51,10 @@ class TestLemma1Reporting:
     def test_detects_broken_quadrant(self, monkeypatch):
         real = wm.entry_grid
 
-        def patched(p, variant, rows=None, cols=None):
-            grid = real(p, variant, rows, cols).copy()
-            if p == 16 and variant is wm.MatrixVariant.PLAIN and rows is not None:
-                if rows[0] == 1 and cols[0] == 1 and rows.size == 8:
-                    grid[2, 4] += 1  # poison the top-left quadrant view
+        def patched(p, variant):
+            grid = real(p, variant)
+            if p == 16 and variant is wm.MatrixVariant.PLAIN:
+                grid[2, 4] += 1  # poison the top-left quadrant
             return grid
 
         monkeypatch.setattr(wm, "entry_grid", patched)
@@ -310,7 +310,7 @@ def _sweep_census_faults(monkeypatch, p, faults, bypass):
                 bits = census_row.assignment_bits
                 if bypass and bits[n] == bits[-1]:
                     continue
-                pair = assigned_pair(p, db.assignment_from_bits(n, bits))
+                pair = assigned_pair(p, assignment_from_bits(n, bits))
                 assert census_row.isomorphic == census_entry(*pair), (bits, row, r, c, level)
 
 
@@ -609,7 +609,7 @@ def corrupt_star_level_two_cell(monkeypatch):
 class TestForcedRowFaults:
     def test_forced_isomorphism_raises(self, corrupt_star_extreme_cell):
         # extremes to 1, every other level to 0
-        a = db.assignment_from_bits(3, "00010001")
+        a = assignment_from_bits(3, "00010001")
         with pytest.raises(
             ContradictionError, match="at p=8: it sends plain level -4 onto starred level 1$"
         ):
@@ -648,7 +648,7 @@ class TestNonExtremeLevelFault:
 
     def test_forced_isomorphism_raises_for_all_zero(self, corrupt_star_level_two_cell):
         with pytest.raises(ContradictionError, match=self.MESSAGE):
-            db.forced_isomorphism(8, db.assignment_from_bits(3, "0" * 8))
+            db.forced_isomorphism(8, assignment_from_bits(3, "0" * 8))
 
     def test_census_raises_before_any_search(self, corrupt_star_level_two_cell, monkeypatch):
         monkeypatch.setattr(db, "_splits", no_search)
@@ -682,7 +682,7 @@ class TestFaultAfterAFirstCall:
         assert np.array_equal(after, [dm.build_map(8, k) for k in range(1, 9)])
 
     def test_forced_isomorphism(self, monkeypatch):
-        a = db.assignment_from_bits(3, "00010001")
+        a = assignment_from_bits(3, "00010001")
         assert db.forced_isomorphism(8, a) is not None
         corrupt_star_cell(monkeypatch, 4, 1)
         with pytest.raises(ContradictionError, match="not an isomorphism at p=8"):

@@ -83,7 +83,7 @@ class TestAreIsomorphic:
             for i in range(1, p + 1):
                 for j in range(1, p + 1):
                     if i != j:
-                        assert h.arc(i, j) == g.arc(w[i - 1], w[j - 1])
+                        assert h.adjacency[i - 1, j - 1] == g.adjacency[w[i - 1] - 1, w[j - 1] - 1]
 
     def test_pruning_never_changes_verdicts(self):
         # seeded suite of 100 small pairs, half relabelings, half random;
@@ -389,7 +389,7 @@ class TestInductiveNonIsomorphism:
 
     def test_json_serialization(self):
         trace = verify_nonisomorphic_inductive(16)
-        doc = trace.to_json()
-        assert [row["p"] for row in doc] == [16, 8, 4]
-        assert all(set(row) == {"p", "reason", "detail"} for row in doc)
+        doc = [step._asdict() for step in trace.steps]
+        assert [row["order"] for row in doc] == [16, 8, 4]
+        assert all(set(row) == {"order", "reason", "detail"} for row in doc)
         json.dumps(doc)

@@ -9,9 +9,13 @@ construction.  ``BinaryAssignment``, ``VerificationReport`` and
 validation errors.  The census JSON keeps its bytes: it is ``json.dumps``
 of the rows rebuilt from the CSV fixture, keys in field order.  Neither
 ``import recon_census.cli`` nor a run of every check loads ``dataclasses``.
+The records carry no method, and the package exports no name, that no
+command, test oracle or benchmark span reads.
 """
 
 import csv
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -32,7 +36,8 @@ from recon_census.digraph_builder import (
 )
 from recon_census.iso_engine import IsoStatus, IsoVerdict, NonIsoTrace, TraceStep
 from recon_census.report import SCHEMA_VERSION, VerificationReport
-from recon_census.weight_matrix import MatrixVariant, WeightedMatrix, base_matrix
+import recon_census.weight_matrix as wm
+from recon_census.weight_matrix import MatrixVariant, WeightedMatrix, build_dense
 
 from conftest import FIXTURES
 
@@ -47,7 +52,7 @@ RECORDS = {
     ),
     "RunConfig": (
         lambda: RunConfig("verify", 8, checks=("lemma1",)),
-        ("command", "p", "variant", "kind", "format", "checks", "budget", "out"),
+        ("command", "p", "variant", "kind", "format", "checks", "out"),
     ),
     "CensusRow": (
         lambda: CensusRow("11110000", True, False, 3),
@@ -62,7 +67,7 @@ RECORDS = {
     "NonIsoTrace": (lambda: NonIsoTrace(()), ("steps",)),
     "BinaryAssignment": (lambda: tournament_assignment(2), ("order_n", "bits")),
     "Digraph": (lambda: standard_pair(4)[0], ("order", "adjacency")),
-    "WeightedMatrix": (lambda: base_matrix(PLAIN), ("order", "variant", "entries")),
+    "WeightedMatrix": (lambda: build_dense(4, PLAIN), ("order", "variant", "entries")),
 }
 
 
@@ -89,7 +94,7 @@ def test_named_tuple_fields(name):
 def test_defaults():
     assert VerificationReport("x", 8) == VerificationReport("x", 8, None, 0, None)
     assert RunConfig("census", 16) == RunConfig(
-        "census", 16, "plain", "weighted", "csv", (), None, None
+        "census", 16, "plain", "weighted", "csv", (), None
     )
     assert IsoVerdict(IsoStatus.UNDECIDED) == IsoVerdict(IsoStatus.UNDECIDED, None, 0, None)
 
@@ -139,9 +144,9 @@ def test_digraph_compares_by_array():
 
 
 def test_weighted_matrix_compares_by_array():
-    m = base_matrix(PLAIN)
+    m = build_dense(4, PLAIN)
     assert WeightedMatrix(4, PLAIN, m.entries.copy()) == m
-    assert m != base_matrix(MatrixVariant.STAR)
+    assert m != build_dense(4, MatrixVariant.STAR)
     assert repr(m) == "WeightedMatrix(order=4, variant=plain)"
     with pytest.raises(TypeError, match="unhashable"):
         hash(m)
@@ -162,7 +167,7 @@ def test_digraph_validation(adjacency, message):
 
 
 def weighted_edit(cells):
-    entries = base_matrix(PLAIN).entries.copy()
+    entries = build_dense(4, PLAIN).entries.copy()
     for (i, j), value in cells.items():
         entries[i, j] = value
     return entries
@@ -235,3 +240,45 @@ def test_start_up_loads_no_dataclasses(tmp_path):
     assert "recon_census.cli" in imported
     assert "dataclasses" not in imported
     assert "dataclasses" not in ran
+
+
+# public names, by defining module, that nothing read and that are gone
+REMOVED_NAMES = [
+    ("weight_matrix", "base_matrix"),
+    ("weight_matrix", "level_bound"),
+    ("weight_matrix", "sign_flip"),
+    ("digraph_builder", "assignment_from_bits"),
+    ("theorem1_automaton", "decide_theorem1"),
+]
+
+
+@pytest.mark.parametrize("module_name, name", REMOVED_NAMES)
+def test_unread_public_name_is_gone(module_name, name):
+    import recon_census
+
+    module = importlib.import_module(f"recon_census.{module_name}")
+    assert not hasattr(module, name)
+    assert name not in module.__all__
+    assert not hasattr(recon_census, name)
+
+
+@pytest.mark.parametrize(
+    "record, method",
+    [(Digraph, "arc"), (Digraph, "scores"), (BinaryAssignment, "items"), (NonIsoTrace, "to_json")],
+)
+def test_unread_method_is_gone(record, method):
+    assert not hasattr(record, method)
+
+
+def test_entry_grid_takes_no_row_or_column_vectors():
+    assert list(inspect.signature(wm.entry_grid).parameters) == ["p", "variant"]
+
+
+def test_all_names_what_the_package_binds():
+    import recon_census
+
+    bound = {
+        name for name, value in vars(recon_census).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert sorted(recon_census.__all__) == sorted(bound)

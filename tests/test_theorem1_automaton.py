@@ -39,7 +39,7 @@ import recon_census.weight_matrix as wm
 from recon_census.cli import main
 from recon_census.errors import ContradictionError
 from recon_census.report import VerificationReport
-from recon_census.theorem1_automaton import decide_hypomorphisms, decide_theorem1
+from recon_census.theorem1_automaton import decide_hypomorphisms
 
 from loop_oracles import (
     hypomorphisms_reference,
@@ -61,7 +61,6 @@ def test_clean_equals_sweep(p):
     assert reports == hypomorphisms_reference(p)
     names = ["theorem1", "hypo-sigma-tournament"] + ["hypo-sigma-variant"] * (p >= 8)
     assert reports == [VerificationReport(name, p, None, p * (p - 1) ** 2) for name in names]
-    assert decide_theorem1(p) == reports[0]
 
 
 @pytest.mark.parametrize("p", [8, 16])
@@ -69,7 +68,7 @@ def test_sigma4_read_as_the_closed_form_reads_it(tables, p):
     # an image of 5 overflows its 2-bit field in the closed form's packed
     # residues; the automaton must decide that sigma, not the raw table's
     tables.sigma_entry(0, 1, 5)
-    report = decide_theorem1(p)
+    report = decide_hypomorphisms(p)[0]
     assert report == theorem1_loops(p)
     assert report.counterexample == (1, 2, 3, 3, -2)
 
@@ -86,7 +85,7 @@ def test_every_sigma4_edit_read_as_the_closed_form_reads_it(tables, monkeypatch)
         monkeypatch.setattr(dm, "_SIGMA4", clean)
         if edit is not None:
             tables.sigma_entry(*edit)
-        assert decide_theorem1(8) == theorem1_loops(8), edit
+        assert decide_hypomorphisms(8)[0] == theorem1_loops(8), edit
 
 
 @pytest.mark.parametrize("p", SWEPT_ORDERS)
@@ -190,7 +189,7 @@ def test_planted_fault_above_the_sweep(tables, p, top):
     cell = (1, 2)
     value = wm._CLASS_TABLE[STAR][row][cell] + 1
     tables.class_cell(STAR, row, *cell, value)
-    report = decide_theorem1(p)
+    report = decide_hypomorphisms(p)[0]
     assert not report.passed
     assert report.checked_count == p * (p - 1) ** 2
     k, i, j, lhs, rhs = report.counterexample
@@ -224,7 +223,7 @@ def test_command_line_reports_the_automaton(tables, capsys):
     tables.class_cell(PLAIN, wm._reached_rows(p)[-1], 0, 3)
     assert main(["verify", "--p", str(p), "--checks", "theorem1"]) == 1
     (rep,) = json.loads(capsys.readouterr().out)["reports"]
-    assert rep == decide_theorem1(p).to_json_dict()
+    assert rep == decide_hypomorphisms(p)[0].to_json_dict()
     assert rep["outcome"] == "fail" and "seed" not in rep
 
 
@@ -385,7 +384,7 @@ def test_class_table_reach(check):
 
 
 def test_theorem1_at_the_reach():
-    report = decide_theorem1(REACH)
+    report = decide_hypomorphisms(REACH)[0]
     assert report.passed and report.checked_count == REACH * (REACH - 1) ** 2
     with pytest.raises(ValueError, match=str(2 * REACH)):
-        decide_theorem1(2 * REACH)
+        decide_hypomorphisms(2 * REACH)

@@ -8,15 +8,12 @@ from recon_census.weight_matrix import (
     DENSE_ORDER_LIMIT,
     MatrixVariant,
     WeightedMatrix,
-    base_matrix,
     build_dense,
     check_lemma1,
     entry_at,
     entry_grid,
     entry_values,
-    level_bound,
     order_exponent,
-    sign_flip,
 )
 
 from conftest import load_matrix_fixture
@@ -38,28 +35,24 @@ class TestOrderValidation:
         with pytest.raises(ValueError):
             order_exponent(bad)
 
-    def test_level_bound(self):
-        assert level_bound(4) == 3
-        assert level_bound(16) == 5
-
 
 class TestBaseMatrix:
     def test_plain_first_row(self):
-        m = base_matrix(PLAIN)
+        m = build_dense(4, PLAIN)
         assert m[1, 2] == 1
         assert [m.entry(1, j) for j in range(1, 5)] == [0, 1, 2, 3]
 
     def test_star_first_row(self):
-        m = base_matrix(STAR)
+        m = build_dense(4, STAR)
         assert m[1, 2] == -2
         assert [m.entry(1, j) for j in range(1, 5)] == [0, -2, -3, -1]
 
     def test_diagonal(self):
-        assert base_matrix(PLAIN)[3, 3] == 0
+        assert build_dense(4, PLAIN)[3, 3] == 0
 
     @pytest.mark.parametrize("variant,name", VARIANTS)
     def test_matches_fixture(self, variant, name):
-        assert np.array_equal(base_matrix(variant).entries, load_matrix_fixture(4, name))
+        assert np.array_equal(build_dense(4, variant).entries, load_matrix_fixture(4, name))
 
 
 class TestBuildDense:
@@ -69,8 +62,9 @@ class TestBuildDense:
         m = build_dense(p, variant)
         assert np.array_equal(m.entries, load_matrix_fixture(p, name))
 
-    def test_order_4_is_base_case(self):
-        assert build_dense(4, PLAIN) == base_matrix(PLAIN)
+    @pytest.mark.parametrize("variant", [PLAIN, STAR])
+    def test_order_4_is_base_case(self, variant):
+        assert np.array_equal(build_dense(4, variant).entries, wm._BASE[variant])
 
     @pytest.mark.parametrize("bad", [2, 6, 24])
     def test_rejects_bad_orders(self, bad):
@@ -211,7 +205,6 @@ class TestEntryAt:
     def test_takes_numpy_integers(self):
         i, j = np.int64(3), np.int32(6)
         assert entry_at(8, STAR, i, j) == entry_at(8, STAR, 3, 6)
-        assert sign_flip(16, np.int16(1), np.uint8(5)) == sign_flip(16, 1, 5)
 
     @pytest.mark.parametrize(
         "i, j, axis",
@@ -230,25 +223,13 @@ class TestEntryAt:
         with pytest.raises(IndexError, match=f"{axis} indices must lie in 1..16"):
             entry_values(16, PLAIN, i, j)
 
-    @pytest.mark.parametrize(
-        "rows, cols, axis",
-        [
-            # 2**32 + 1 narrowed to int32 would read as row 1: entry (1, 2)
-            (np.array([2**32 + 1]), [2], "row"),
-            ([2], np.array([2**32 + 1]), "column"),
-        ],
-    )
-    def test_grid_checks_range_before_narrowing(self, rows, cols, axis):
-        with pytest.raises(IndexError, match=f"{axis} indices must lie in 1..8"):
-            entry_grid(8, PLAIN, rows=rows, cols=cols)
-
     @pytest.mark.parametrize("p", [2**31, 2**40])
     def test_vectorized_refuses_orders_above_int32(self, p):
         # the offset 2**32 would wrap to 0: entry_at reads 36 at 2**40
         with pytest.raises(ValueError, match="orders up to 2"):
             entry_values(p, PLAIN, [1], [2**34 + 1])
         with pytest.raises(ValueError, match="orders up to 2"):
-            entry_grid(p, PLAIN, rows=[1], cols=[2])
+            entry_grid(p, PLAIN)
 
     def test_vectorized_takes_the_top_int32_order(self):
         p = 2**30
@@ -269,9 +250,6 @@ class TestEntryAt:
     def test_vectorized_refuses_non_integer_indices(self, i, j, axis):
         with pytest.raises(ValueError, match=f"{axis} indices must be integers"):
             entry_values(8, PLAIN, i, j)
-        rows, cols = (i, [2]) if axis == "row" else ([2], j)
-        with pytest.raises(ValueError, match=f"{axis} indices must be integers"):
-            entry_grid(8, PLAIN, rows=np.atleast_1d(rows), cols=np.atleast_1d(cols))
 
     def test_int32_points_are_not_copied(self):
         i = np.arange(1, 17, dtype=np.int32)
@@ -301,7 +279,7 @@ class TestEntryAt:
 
     def test_extreme_levels_sit_exactly_at_half_offsets(self):
         for p in (8, 16, 32, 64):
-            top = level_bound(p)
+            top = order_exponent(p) + 1
             for variant in (PLAIN, STAR):
                 e = entry_grid(p, variant)
                 where = np.argwhere(np.abs(e) == top)
@@ -367,44 +345,6 @@ class TestReachedRows:
         assert set(wm._offset_class(d).tolist()) == set(wm._reached_rows(p).tolist())
 
 
-class TestSignFlip:
-    def test_printed_cases(self):
-        assert sign_flip(8, 1, 2) == -1
-        assert sign_flip(16, 1, 5) == -1
-        assert sign_flip(16, 1, 2) == 1
-
-    def test_diagonal_rejected(self):
-        with pytest.raises(ValueError):
-            sign_flip(16, 3, 3)
-
-    def test_requires_order_8(self):
-        with pytest.raises(ValueError):
-            sign_flip(4, 1, 2)
-
-    @pytest.mark.parametrize("i, j", [(2.5, 6.5), (True, 5), (1, np.True_), (1.0, 5)])
-    def test_refuses_non_integer_indices(self, i, j):
-        # 2.5 and 6.5 are a quarter-order apart: sign_flip(16, 2.5, 6.5) read -1
-        with pytest.raises(ValueError, match="index must be an integer"):
-            sign_flip(16, i, j)
-
-    def test_range_is_checked_before_the_type(self):
-        with pytest.raises(IndexError, match="indices must lie in 1..8"):
-            sign_flip(16, 0.5, 2)
-
-    @pytest.mark.parametrize("p", [8, 16, 32])
-    def test_postcondition(self, p):
-        h = p // 2
-        for variant in (PLAIN, STAR):
-            m = build_dense(p, variant)
-            for i in range(1, h + 1):
-                for j in range(1, h + 1):
-                    if i == j:
-                        continue
-                    s = sign_flip(p, i, j)
-                    assert m.entry(i, j + h) == s * m.entry(i, j)
-                    assert m.entry(i + h, j) == s * m.entry(i, j)
-
-
 class TestLemma1:
     @pytest.mark.parametrize("p", [8, 16, 64])
     def test_passes(self, p):
@@ -437,3 +377,16 @@ class TestLemma1:
         diff = m[:h, h:] != m[:h, :h]
         i, j = np.meshgrid(range(h), range(h), indexing="ij")
         assert np.array_equal(diff, (np.abs(i - j) == 4) | (i == j))
+
+    @pytest.mark.parametrize("p", [8, 16, 32])
+    def test_half_shift_sign_rule(self, p):
+        # (b)/(c) on the dense matrices: for distinct i, j <= p/2 both
+        # half-shifted entries are the entry times -1 at p = 8, and above
+        # it times -1 exactly where |j - i| = p/4
+        h = p // 2
+        i, j = np.meshgrid(range(h), range(h), indexing="ij")
+        sign = np.where((p == 8) | (np.abs(i - j) == p // 4), -1, 1)
+        for variant in (PLAIN, STAR):
+            e = build_dense(p, variant).entries.astype(int)
+            for shifted in (e[:h, h:], e[h:, :h]):
+                assert np.all((shifted == sign * e[:h, :h])[i != j])
