@@ -11,114 +11,74 @@ at every order.  A dense deletion sweep
 route to the same identities at small orders, and the automaton's oracle.
 """
 
-from recon_census.deletion_maps import (
-    build_all_maps,
-    build_map,
-    check_lemma2,
-    extend_sigma_p1,
-    sigma,
-    sigma_reference,
-    sigma_table_tsv,
-    sigma_values,
-)
-from recon_census.digraph_builder import (
-    BinaryAssignment,
-    CensusRow,
-    CensusTable,
-    Digraph,
-    apply_assignment,
-    assignment_census,
-    assignment_from_mapping,
-    forced_isomorphism,
-    standard_pair,
-    swap_involution,
-    threshold_scores,
-    tournament_assignment,
-    variant_assignment,
-    variant_pair,
-)
-from recon_census.errors import BudgetExhausted, ContradictionError
-from recon_census.hypomorphism_verifier import (
-    check_lemma3,
-    check_theorem1,
-    sample_theorem1,
-)
-from recon_census.iso_engine import (
-    IsoStatus,
-    IsoVerdict,
-    NonIsoTrace,
-    TraceStep,
-    are_isomorphic,
-    deck,
-    decks_match_independent,
-    verify_hypomorphic_by_sigma,
-    verify_nonisomorphic_inductive,
-)
-from recon_census.report import SCHEMA_VERSION, VerificationReport
-from recon_census.theorem1_automaton import decide_hypomorphisms
-from recon_census.weight_matrix import (
-    DENSE_ORDER_LIMIT,
-    MatrixVariant,
-    ORACLE_ORDER_LIMIT,
-    WeightedMatrix,
-    build_dense,
-    check_lemma1,
-    entry_at,
-    entry_grid,
-    entry_values,
-    order_exponent,
-)
+import importlib
+
+#: Each exported name and the module that defines it.  The package imports
+#: a module when one of its names is first read (PEP 562), so importing the
+#: package, or only the numpy-free ``blocks`` and ``cli``, loads no numpy.
+_EXPORTS = {
+    "BinaryAssignment": "blocks",
+    "DENSE_ORDER_LIMIT": "blocks",
+    "MatrixVariant": "blocks",
+    "ORACLE_ORDER_LIMIT": "blocks",
+    "assignment_from_mapping": "blocks",
+    "order_exponent": "blocks",
+    "tournament_assignment": "blocks",
+    "variant_assignment": "blocks",
+    "build_all_maps": "deletion_maps",
+    "build_map": "deletion_maps",
+    "check_lemma2": "deletion_maps",
+    "extend_sigma_p1": "deletion_maps",
+    "sigma": "deletion_maps",
+    "sigma_reference": "deletion_maps",
+    "sigma_table_tsv": "deletion_maps",
+    "sigma_values": "deletion_maps",
+    "CensusRow": "digraph_builder",
+    "CensusTable": "digraph_builder",
+    "Digraph": "digraph_builder",
+    "apply_assignment": "digraph_builder",
+    "assignment_census": "digraph_builder",
+    "forced_isomorphism": "digraph_builder",
+    "standard_pair": "digraph_builder",
+    "swap_involution": "digraph_builder",
+    "threshold_scores": "digraph_builder",
+    "variant_pair": "digraph_builder",
+    "BudgetExhausted": "errors",
+    "ContradictionError": "errors",
+    "check_lemma3": "hypomorphism_verifier",
+    "check_theorem1": "hypomorphism_verifier",
+    "sample_theorem1": "hypomorphism_verifier",
+    "IsoStatus": "iso_engine",
+    "IsoVerdict": "iso_engine",
+    "NonIsoTrace": "iso_engine",
+    "TraceStep": "iso_engine",
+    "are_isomorphic": "iso_engine",
+    "deck": "iso_engine",
+    "decks_match_independent": "iso_engine",
+    "verify_hypomorphic_by_sigma": "iso_engine",
+    "verify_nonisomorphic_inductive": "iso_engine",
+    "SCHEMA_VERSION": "report",
+    "VerificationReport": "report",
+    "decide_hypomorphisms": "theorem1_automaton",
+    "WeightedMatrix": "weight_matrix",
+    "build_dense": "weight_matrix",
+    "check_lemma1": "weight_matrix",
+    "entry_at": "weight_matrix",
+    "entry_grid": "weight_matrix",
+    "entry_values": "weight_matrix",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryAssignment",
-    "BudgetExhausted",
-    "CensusRow",
-    "CensusTable",
-    "ContradictionError",
-    "DENSE_ORDER_LIMIT",
-    "Digraph",
-    "IsoStatus",
-    "IsoVerdict",
-    "MatrixVariant",
-    "NonIsoTrace",
-    "ORACLE_ORDER_LIMIT",
-    "SCHEMA_VERSION",
-    "TraceStep",
-    "VerificationReport",
-    "WeightedMatrix",
-    "apply_assignment",
-    "are_isomorphic",
-    "assignment_census",
-    "assignment_from_mapping",
-    "build_all_maps",
-    "build_dense",
-    "build_map",
-    "check_lemma1",
-    "check_lemma2",
-    "check_lemma3",
-    "check_theorem1",
-    "deck",
-    "decide_hypomorphisms",
-    "decks_match_independent",
-    "entry_at",
-    "entry_grid",
-    "entry_values",
-    "extend_sigma_p1",
-    "forced_isomorphism",
-    "order_exponent",
-    "sample_theorem1",
-    "sigma",
-    "sigma_reference",
-    "sigma_table_tsv",
-    "sigma_values",
-    "standard_pair",
-    "swap_involution",
-    "threshold_scores",
-    "tournament_assignment",
-    "variant_assignment",
-    "variant_pair",
-    "verify_hypomorphic_by_sigma",
-    "verify_nonisomorphic_inductive",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_EXPORTS])

@@ -17,6 +17,11 @@ Exit status: 0 when everything requested passed, 1 when a check failed
 ``internal error:`` line on stderr; output written before it stays).
 Identical invocations produce byte-identical outputs; every verdict is
 exact, and ``verify --seed`` is accepted but reaches nothing.
+
+Importing this module loads no numpy: it parses the arguments with the
+numpy-free core (``recon_census.blocks``), and ``generate`` writes the
+weighted csv and every d6 text from it.  Every other command imports the
+numpy modules it runs inside its handler or check runner, when it runs.
 """
 
 from __future__ import annotations
@@ -26,42 +31,34 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TextIO,
+)
 
-from recon_census.deletion_maps import check_lemma2, sigma_tsv_blocks
-from recon_census.digraph_builder import (
+from recon_census.blocks import (
     CENSUS_ORDERS,
-    Rows,
-    _check_half_swap,
-    _check_point1_levels,
-    _check_tournaments,
-    _csv_blocks,
-    _digraph6_blocks,
-    _dot_blocks,
-    assignment_census,
-    standard_pair,
-    tournament_digraph,
-    tournament_rows,
-    variant_digraph,
-    variant_rows,
-)
-from recon_census.errors import BudgetExhausted, ContradictionError
-from recon_census.hypomorphism_verifier import check_lemma3
-from recon_census.iso_engine import (
     DECK_MATCH_ORDER_LIMIT,
-    decks_match_independent,
-    verify_nonisomorphic_inductive,
-)
-from recon_census.report import SCHEMA_VERSION, VerificationReport
-from recon_census.theorem1_automaton import decide_hypomorphisms
-from recon_census.weight_matrix import (
-    DENSE_ORDER_LIMIT,
     MatrixVariant,
     ORACLE_ORDER_LIMIT,
-    check_lemma1,
+    _check_tournaments,
     csv_blocks,
+    hex_digraph6,
     order_exponent,
+    tournament_bits,
+    variant_bits,
 )
+from recon_census.errors import BudgetExhausted, ContradictionError
+from recon_census.report import SCHEMA_VERSION, VerificationReport
+
+if TYPE_CHECKING:
+    from recon_census.digraph_builder import Rows
 
 __all__ = ["CHECKS", "RunConfig", "main", "run"]
 
@@ -72,8 +69,12 @@ DECK_ORDER_LIMIT = 512
 _DECK_BYTES_PER_P3 = {"d6": 1 / 6, "csv": 2, "dot": 6.5}
 #: Bytes per cell of one matrix or digraph as ``generate`` and ``export``
 #: write it, measured at p = 8192 (tsv and dot grow with the digits of
-#: p): their refusal above ``DENSE_ORDER_LIMIT`` states the output size.
+#: p).  Neither command holds a p x p table, so each is capped by output,
+#: not order: it refuses, stating the size, a text of ``_OUTPUT_BYTE_LIMIT``
+#: (1 GiB) or more, the bound every accepted deck stays under.  The largest
+#: text accepted at p = 8192, the dot pair, is about 1.06 GB.
 _BYTES_PER_P2 = {"tsv": 4.9, "weighted": 2.5, "csv": 2, "d6": 1 / 6, "dot": 7.9}
+_OUTPUT_BYTE_LIMIT = 1 << 30
 
 
 class RunConfig(NamedTuple):
@@ -89,22 +90,54 @@ class RunConfig(NamedTuple):
 
 
 # Check runners take the validated configuration and return the check's
-# reports.  They name library functions through this module's globals when
-# called, so a wrapper or test double bound to ``cli.<name>`` reaches them.
+# reports.  Each imports the library functions it calls when it runs, so
+# that the numpy modules load only for the checks that read them, and a
+# wrapper or test double bound to the defining module reaches them.
+
+
+def _lemma1(config: RunConfig) -> list[VerificationReport]:
+    from recon_census.weight_matrix import check_lemma1
+
+    return [check_lemma1(config.p)]
+
+
+def _lemma2(config: RunConfig) -> list[VerificationReport]:
+    from recon_census.deletion_maps import check_lemma2
+
+    return [check_lemma2(config.p)]
+
+
+def _lemma3(config: RunConfig) -> list[VerificationReport]:
+    from recon_census.hypomorphism_verifier import check_lemma3
+
+    return [check_lemma3(config.p)]
+
+
+def _theorem1(config: RunConfig) -> list[VerificationReport]:
+    from recon_census.theorem1_automaton import decide_hypomorphisms
+
+    return decide_hypomorphisms(config.p)[:1]
 
 
 def _theorem2(config: RunConfig) -> list[VerificationReport]:
+    from recon_census.iso_engine import verify_nonisomorphic_inductive
+
     trace = verify_nonisomorphic_inductive(config.p)
     return [VerificationReport("theorem2", config.p, None, len(trace.steps))]
 
 
 def _hypo_sigma(config: RunConfig) -> list[VerificationReport]:
+    from recon_census.theorem1_automaton import decide_hypomorphisms
+
     # the tournament self-check reads O(log p) class-table rows, no matrix
     _check_tournaments(config.p)
     return decide_hypomorphisms(config.p)[1:]
 
 
 def _deck_match(config: RunConfig) -> list[VerificationReport]:
+    from recon_census.digraph_builder import standard_pair
+    from recon_census.iso_engine import decks_match_independent
+
     p = config.p
     g, h = standard_pair(p)
     try:
@@ -117,6 +150,8 @@ def _deck_match(config: RunConfig) -> list[VerificationReport]:
 
 
 def _swap(config: RunConfig) -> list[VerificationReport]:
+    from recon_census.digraph_builder import _check_half_swap
+
     p = config.p
     # the class-row identity alone: the permutation tau is not read
     _check_half_swap(p)
@@ -124,6 +159,8 @@ def _swap(config: RunConfig) -> list[VerificationReport]:
 
 
 def _forced_iso(config: RunConfig) -> list[VerificationReport]:
+    from recon_census.digraph_builder import _check_point1_levels
+
     p = config.p
     # the point-1 level identity alone: the witness, p points, is not built
     _check_point1_levels(p)
@@ -138,10 +175,10 @@ Runner = Callable[[RunConfig], list[VerificationReport]]
 #: closed form off the digit automaton, with no map table, so only
 #: ``deck-match`` is capped below ``ORACLE_ORDER_LIMIT``.
 CHECKS: dict[str, tuple[int, int, Runner]] = {
-    "lemma1": (8, ORACLE_ORDER_LIMIT, lambda c: [check_lemma1(c.p)]),
-    "lemma2": (8, ORACLE_ORDER_LIMIT, lambda c: [check_lemma2(c.p)]),
-    "lemma3": (4, ORACLE_ORDER_LIMIT, lambda c: [check_lemma3(c.p)]),
-    "theorem1": (4, ORACLE_ORDER_LIMIT, lambda c: decide_hypomorphisms(c.p)[:1]),
+    "lemma1": (8, ORACLE_ORDER_LIMIT, _lemma1),
+    "lemma2": (8, ORACLE_ORDER_LIMIT, _lemma2),
+    "lemma3": (4, ORACLE_ORDER_LIMIT, _lemma3),
+    "theorem1": (4, ORACLE_ORDER_LIMIT, _theorem1),
     "theorem2": (4, ORACLE_ORDER_LIMIT, _theorem2),
     "hypo-sigma": (4, ORACLE_ORDER_LIMIT, _hypo_sigma),
     "deck-match": (4, DECK_MATCH_ORDER_LIMIT, _deck_match),
@@ -181,6 +218,8 @@ def _encode(named: Iterable[tuple[str, int, Rows]], fmt: str) -> Iterator[str]:
     """Named digraphs in one output format, each given by its order and its
     adjacency rows (``digraph_builder.Rows``), encoded one row block at a
     time as they are drawn, each freed before the next is drawn."""
+    from recon_census.digraph_builder import _csv_blocks, _digraph6_blocks, _dot_blocks
+
     first = True
     for name, p, rows in named:
         if fmt == "d6":
@@ -199,10 +238,10 @@ def _encode(named: Iterable[tuple[str, int, Rows]], fmt: str) -> Iterator[str]:
 
 def _weighted_csv(config: RunConfig) -> Iterator[str]:
     """The weighted csv of each variant of ``--variant``, separated by one
-    empty line, from ``weight_matrix.csv_blocks``: each row a slice of four
-    row templates, no p x p matrix.  A variant's table is checked before
-    the empty line that precedes it is drawn, so a failed check leaves the
-    text before it whole."""
+    empty line, from ``blocks.csv_blocks``: each row a slice of four row
+    templates, no p x p matrix and no numpy.  A variant's table is checked
+    before the empty line that precedes it is drawn, so a failed check
+    leaves the text before it whole."""
     for k, variant in enumerate(_selected_variants(config)):
         blocks = csv_blocks(config.p, variant)
         if k:
@@ -220,17 +259,32 @@ def _digraph_items(config: RunConfig) -> Iterator[tuple[str, int, Rows]]:
     of ``tournament_rows`` or ``variant_rows``: sliced from bit templates,
     no p x p matrix, and checked when drawn, so that a failed check leaves
     the text before it whole."""
+    from recon_census.digraph_builder import tournament_rows, variant_rows
+
     rows = tournament_rows if config.kind == "tournament" else variant_rows
     for variant in _selected_variants(config):
         yield _digraph_name(config, variant), config.p, rows(config.p, variant)
 
 
+def _digraph6_lines(config: RunConfig) -> Iterator[str]:
+    """The d6 line of each digraph of ``--kind`` and ``--variant``, from the
+    hex digits of ``tournament_bits`` or ``variant_bits`` with no numpy,
+    each checked when drawn, as ``_digraph_items`` draws its rows."""
+    bits = tournament_bits if config.kind == "tournament" else variant_bits
+    for variant in _selected_variants(config):
+        yield from hex_digraph6(config.p, bits(config.p, variant))
+        yield "\n"
+
+
 def _cmd_generate(config: RunConfig) -> int:
-    """The weighted csv (``_weighted_csv``) or the digraphs of
+    """The weighted csv (``_weighted_csv``), the d6 lines of
+    ``_digraph6_lines`` or the csv or dot of the digraphs of
     ``_digraph_items``, each variant checked before its text and no
     p x p table held."""
     if config.kind == "weighted":
         pieces = _weighted_csv(config)
+    elif config.format == "d6":
+        pieces = _digraph6_lines(config)
     else:
         pieces = _encode(_digraph_items(config), config.format)
     _emit(pieces, config.out)
@@ -241,6 +295,8 @@ def _cmd_deck(config: RunConfig) -> int:
     """Every point-deleted card of one digraph, built dense
     (``tournament_digraph`` or ``variant_digraph``); memory holds the
     digraph, one card and its text, not the deck."""
+    from recon_census.digraph_builder import tournament_digraph, variant_digraph
+
     p = config.p
     build = tournament_digraph if config.kind == "tournament" else variant_digraph
     variant = MatrixVariant(config.variant)
@@ -255,6 +311,8 @@ def _cmd_deck(config: RunConfig) -> int:
 
 
 def _cmd_census(config: RunConfig) -> int:
+    from recon_census.digraph_builder import assignment_census
+
     table = assignment_census(config.p)
     if config.format == "json":
         doc = {
@@ -270,6 +328,8 @@ def _cmd_census(config: RunConfig) -> int:
 
 
 def _cmd_export(config: RunConfig) -> int:
+    from recon_census.deletion_maps import sigma_tsv_blocks
+
     _emit(sigma_tsv_blocks(config.p), config.out)
     return 0
 
@@ -428,15 +488,15 @@ def _parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
             f"deck --p {args.p} would write about {size / 1e9:.1f} GB as "
             f"{args.format}; deck is available up to p = {DECK_ORDER_LIMIT}"
         )
-    if command in ("generate", "export") and args.p > DENSE_ORDER_LIMIT:
+    if command in ("generate", "export"):
         weighted = getattr(args, "kind", "") == "weighted"
         items = 2 if getattr(args, "variant", "") == "both" else 1
         size = items * _BYTES_PER_P2["weighted" if weighted else args.format] * args.p**2
-        about = f"{size / 1e9:.1f} GB" if size >= 1e9 else f"{size / 1e6:.0f} MB"
-        parser.error(
-            f"{command} --p {args.p} would write about {about} as {args.format}; "
-            f"{command} is available up to p = {DENSE_ORDER_LIMIT}"
-        )
+        if size >= _OUTPUT_BYTE_LIMIT:
+            parser.error(
+                f"{command} --p {args.p} would write about {size / 1e9:.1f} GB as "
+                f"{args.format}; {command} writes less than 1 GiB"
+            )
 
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs < 1:

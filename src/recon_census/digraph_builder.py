@@ -5,10 +5,12 @@ bit for all occurrences of a level.  Applying one to a weighted matrix
 yields a loop-free digraph.  The canonical tournament pair maps positive
 levels to 1 and negative levels to 0; the variant digraph pair maps
 1, -1 and everything >= 3 to 1, and 2, -2 and everything <= -3 to 0.
-``tournament_rows`` and ``variant_rows`` give the rows of one, sliced
-from four bit templates with no p x p matrix; ``tournament_digraph`` and
-``variant_digraph`` are the ``Digraph`` of those rows, and the csv, dot
-and digraph6 encoders read either (``Rows``).
+``tournament_rows`` and ``variant_rows`` give the rows of one, unpacked
+from the hex digits that ``blocks.tournament_bits`` and ``variant_bits``
+slice from four bit templates with no p x p matrix; ``tournament_digraph``
+and ``variant_digraph`` are the ``Digraph`` of those rows, and the csv,
+dot and digraph6 encoders read either (``Rows``).  The assignments, the
+twin levels and the tournament self-check are numpy-free, in ``blocks``.
 
 Because the two extreme levels +-(n+1) are the only place the plain and
 starred matrices disagree under the extended point-1 mapping, any
@@ -23,7 +25,7 @@ this), which pairs up assignments into orbits yielding the same digraph
 pair.  Neither check builds a matrix: the point-1 pairs are read off
 theorem 1's digit automaton on the plane k = 1 (``_point1_pairs``), and
 the half swap off O(log p) class-table rows, as is whether an
-assignment yields tournaments (``_twin_levels``), at every order.
+assignment yields tournaments (``blocks._twin_levels``), at every order.
 ``assignment_census`` tabulates which proper assignments at small
 orders yield tournaments and non-isomorphic pairs, reading the bits of
 all of them as one table, and proves every row by the paper's halving
@@ -49,25 +51,35 @@ from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from recon_census.blocks import (
+    CENSUS_ORDERS,
+    BinaryAssignment,
+    HexRows,
+    MatrixVariant,
+    _Frozen,
+    _row_blocks,
+    _twin_levels,
+    assignment_from_mapping,
+    digraph6_blocks,
+    order_exponent,
+    tournament_assignment,
+    tournament_bits,
+    variant_assignment,
+    variant_bits,
+)
 from recon_census.deletion_maps import _permuted, extend_sigma_p1
 from recon_census.errors import ContradictionError
 from recon_census.weight_matrix import (
-    _CLASS_TABLE,
-    MatrixVariant,
     WeightedMatrix,
-    _Frozen,
     _ascii_text,
-    _checked_offset_table,
+    _class_blocks,
     _first_cell,
     _nested_rows,
     _offset_case_table,
     _reached_rows,
-    _row_blocks,
     _text_grid,
     build_dense,
-    order_exponent,
 )
 
 __all__ = [
@@ -94,76 +106,6 @@ __all__ = [
 #: the 0/1 uint8 rows of the row slice ``block`` as a (rows, p) array.
 Rows = Callable[[slice], np.ndarray]
 
-#: Orders where the census tabulates every proper assignment.
-CENSUS_ORDERS = (8, 16)
-
-
-class BinaryAssignment(_Frozen):
-    """A proper assignment of bits to the nonzero levels of order exponent n.
-
-    ``bits`` is aligned with ``level_order()``: levels 1..n+1 first, then
-    -1..-(n+1).  Assignments are immutable, equal and hash equal by value.
-    """
-
-    def __init__(self, order_n: int, bits: tuple[int, ...]) -> None:
-        object.__setattr__(self, "order_n", order_n)
-        object.__setattr__(self, "bits", bits)
-        m = 2 * (self.order_n + 1)
-        if len(self.bits) != m:
-            raise ValueError(f"expected {m} bits, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.order_n, self.bits) == (other.order_n, other.bits)
-
-    def __hash__(self) -> int:
-        return hash((self.order_n, self.bits))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(order_n={self.order_n!r}, bits={self.bits!r})"
-
-    def level_order(self) -> tuple[int, ...]:
-        top = self.order_n + 1
-        return tuple(range(1, top + 1)) + tuple(range(-1, -top - 1, -1))
-
-    def value_for(self, level: int) -> int:
-        top = self.order_n + 1
-        if not 1 <= abs(level) <= top:
-            raise ValueError(f"level {level} outside the domain +-1..+-{top}")
-        return self.bits[level - 1] if level > 0 else self.bits[top - level - 1]
-
-    @property
-    def bit_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
-def assignment_from_mapping(n: int, mapping) -> BinaryAssignment:
-    """Build an assignment from a {level: bit} mapping covering every level."""
-    top = n + 1
-    levels = tuple(range(1, top + 1)) + tuple(range(-1, -top - 1, -1))
-    missing = [v for v in levels if v not in mapping]
-    if missing:
-        raise ValueError(f"mapping must cover every nonzero level; missing {missing}")
-    return BinaryAssignment(n, tuple(int(mapping[v]) for v in levels))
-
-
-def tournament_assignment(n: int) -> BinaryAssignment:
-    """Positive levels to 1, negative levels to 0 (yields tournaments)."""
-    top = n + 1
-    return BinaryAssignment(n, (1,) * top + (0,) * top)
-
-
-def variant_assignment(n: int) -> BinaryAssignment:
-    """1, -1 and levels >= 3 to 1; 2, -2 and levels <= -3 to 0."""
-    mapping = {}
-    for v in range(1, n + 2):
-        mapping[v] = 0 if v == 2 else 1
-        mapping[-v] = 1 if v == 1 else 0
-    return assignment_from_mapping(n, mapping)
-
 
 class Digraph(_Frozen):
     """Immutable loop-free digraph on points 1..p, adjacency as 0/1 bytes.
@@ -188,7 +130,7 @@ class Digraph(_Frozen):
 
     def is_tournament(self) -> bool:
         """Whether exactly one of the arcs i -> j, j -> i exists for every
-        i != j, read one ``weight_matrix._row_blocks`` block at a time."""
+        i != j, read one ``blocks._row_blocks`` block at a time."""
         a = self.adjacency
 
         def unpaired(rows):
@@ -263,7 +205,8 @@ class Digraph(_Frozen):
 # The three text encoders read a p-point digraph through ``rows(block)``,
 # the 0/1 uint8 adjacency rows of the row slice ``block``: a dense
 # ``Digraph``'s adjacency, or the bit templates of ``tournament_rows`` and
-# ``variant_rows``.
+# ``variant_rows``.  ``generate`` writes the digraph6 of the templates
+# without numpy (``blocks.hex_digraph6``).
 
 
 def _csv_blocks(p: int, rows: Rows) -> Iterator[str]:
@@ -273,7 +216,7 @@ def _csv_blocks(p: int, rows: Rows) -> Iterator[str]:
 
 def _dot_blocks(p: int, rows: Rows, name: str = "G") -> Iterator[str]:
     """Graphviz text: the header with every point declared, the arc
-    lines of one ``weight_matrix._row_blocks`` block of rows at a time,
+    lines of one ``blocks._row_blocks`` block of rows at a time,
     then the closing brace.
 
     An arc line is the zero-padded byte string of its tail point joined
@@ -293,34 +236,15 @@ def _dot_blocks(p: int, rows: Rows, name: str = "G") -> Iterator[str]:
 
 
 def _digraph6_blocks(p: int, rows: Rows) -> Iterator[str]:
-    """'&' and the order, then one character per six adjacency bits in
-    row-major order, the last group zero-padded.  The groups are packed
-    in uint8 and yielded one ``weight_matrix._row_blocks`` block of them
-    at a time, each read from the rows it spans."""
-    weights = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
-    yield "&" + _encode_count(p)
-    size = p * p
-    for block in _row_blocks(-(-size // 6), 6):
-        start, stop = 6 * block.start, min(6 * block.stop, size)
+    """``blocks.digraph6_blocks`` of the rows: each piece's bits read from
+    the rows it spans and packed by ``np.packbits``."""
+
+    def read(start: int, stop: int) -> bytes:
         first = start // p
         bits = rows(slice(first, -(-stop // p))).reshape(-1)
-        chunk = bits[start - first * p : stop - first * p]
-        if chunk.size % 6:
-            chunk = np.concatenate([chunk, np.zeros(-chunk.size % 6, np.uint8)])
-        codes = chunk.reshape(-1, 6) @ weights + np.uint8(63)
-        yield codes.tobytes().decode("ascii")
+        return np.packbits(bits[start - first * p : stop - first * p]).tobytes()
 
-
-def _encode_count(n: int) -> str:
-    if n < 0 or n > 68719476735:
-        raise ValueError(f"count out of encodable range: {n}")
-    if n <= 62:
-        return chr(n + 63)
-    if n <= 258047:
-        shifts = (12, 6, 0)
-        return chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in shifts)
-    shifts = (30, 24, 18, 12, 6, 0)
-    return chr(126) * 2 + "".join(chr(((n >> s) & 63) + 63) for s in shifts)
+    return digraph6_blocks(p, read)
 
 
 def _decode_count(text: str, pos: int) -> tuple[int, int]:
@@ -399,6 +323,21 @@ def apply_assignment(m: WeightedMatrix, a: BinaryAssignment) -> Digraph:
     return Digraph(m.order, _bit_lut(a)[m.entries])
 
 
+def _unpacked(p: int, rows: HexRows) -> Rows:
+    """The 0/1 uint8 rows of a slice, unpacked from their hex digits."""
+
+    def unpacked(block: slice) -> np.ndarray:
+        first, last, _ = block.indices(p)
+        count = max(0, last - first)
+        digits = rows(first, first + count)
+        # a p = 4 row is one digit: an odd count of them fills half a byte
+        packed = bytes.fromhex(digits + "0" * (len(digits) & 1))
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=count * p)
+        return bits.reshape(count, p)
+
+    return unpacked
+
+
 def tournament_digraph(p: int, variant: MatrixVariant) -> Digraph:
     """One digraph of the canonical tournament pair (positive entries
     become arcs), built alone: the ``Digraph`` of ``tournament_rows``,
@@ -412,45 +351,17 @@ def variant_digraph(p: int, variant: MatrixVariant) -> Digraph:
     return Digraph(p, variant_rows(p, variant)(slice(None)))
 
 
-def _template_rows(p: int, variant: MatrixVariant, a: BinaryAssignment) -> Rows:
-    """The adjacency rows of ``apply_assignment(build_dense(p, variant), a)``,
-    sliced from four bit templates, with no p x p matrix.
-
-    As in ``weight_matrix.csv_blocks``, row i = 4B + r is the p cells
-    from p - 4 - 4B on of the residue-r template, laid end to end from
-    the offset table; here each template cell is its level's bit.  So a
-    block of rows is one gather of windows of the templates.  The offset
-    table is read through ``_checked_offset_table``, which checks it as
-    ``build_dense`` checks the matrix, when this is called; the templates
-    are O(p) bytes.
-    """
-    t = _checked_offset_table(p, variant)
-    template = _bit_lut(a)[t].transpose(1, 0, 2).reshape(4, -1)
-    windows = sliding_window_view(template, p, axis=1)
-
-    def rows(block: slice) -> np.ndarray:
-        i = np.arange(*block.indices(p))
-        return windows[i & 3, p - 4 - 4 * (i >> 2)]
-
-    return rows
-
-
 def tournament_rows(p: int, variant: MatrixVariant) -> Rows:
     """The adjacency rows of the canonical tournament pair's ``variant``
-    digraph, with no p x p matrix: ``_template_rows``, then
-    ``_check_tournaments``."""
-    rows = _template_rows(p, variant, tournament_assignment(order_exponent(p)))
-    _check_tournaments(p)
-    return rows
+    digraph, with no p x p matrix: ``blocks.tournament_bits``, checked
+    as it checks them, unpacked."""
+    return _unpacked(p, tournament_bits(p, variant))
 
 
 def variant_rows(p: int, variant: MatrixVariant) -> Rows:
     """The adjacency rows of the variant pair's ``variant`` digraph at order
-    p >= 8 (``_template_rows``), with no p x p matrix."""
-    n = order_exponent(p)
-    if p < 8:
-        raise ValueError(f"variant digraphs require p >= 8, got {p}")
-    return _template_rows(p, variant, variant_assignment(n))
+    p >= 8, with no p x p matrix: ``blocks.variant_bits``, unpacked."""
+    return _unpacked(p, variant_bits(p, variant))
 
 
 def standard_pair(p: int) -> tuple[Digraph, Digraph]:
@@ -548,44 +459,17 @@ def forced_isomorphism(p: int, a: BinaryAssignment) -> Optional[np.ndarray]:
     return _level_table(p)
 
 
-def _twin_levels(p: int) -> np.ndarray:
-    """The level pairs (u, v), an int8 (2, k) array, of each off-diagonal
-    cell (i, j) and its twin (j, i) at order p, both variants, read off the
-    class table's ``_reached_rows`` on every call: the twin of residues
-    (r, c) in the row of offset d is (c, r) in the row of -d (``row ^ 1``).
-    The row of d = 0 is its own twin, and a nonzero level on its diagonal
-    (a loop) pairs with itself.  An assignment yields a pair of
-    tournaments exactly when it gives u and v unlike bits in every pair.
-    """
-    rows = _reached_rows(p)
-    twins = np.where(rows == rows[0], rows, rows ^ 1)
-    classes = np.stack([_CLASS_TABLE[v] for v in MatrixVariant])
-    u, v = classes[:, rows], classes[:, twins].swapaxes(2, 3)
-    # the zero row's diagonal cells at level 0 pair with nothing
-    keep = np.ones(u.shape, dtype=bool)
-    keep[:, 0] = ~np.eye(4, dtype=bool) | (u[:, 0] != 0)
-    return np.stack([u[keep], v[keep]])
-
-
-def _tournament_rows(twins: np.ndarray, luts: np.ndarray) -> np.ndarray:
+def _tournament_rows(twins, luts: np.ndarray) -> np.ndarray:
     """Whether each level table of the stack ``luts`` (``_bit_luts``)
     yields a pair of tournaments: whether it gives the two levels of every
-    ``_twin_levels`` pair unlike bits (level 0 gets 0, as off the diagonal
-    it makes no arc).  A level outside +-(n+1) has no bit (the table would
-    wrap it onto another level's), so it fails every table."""
+    ``blocks._twin_levels`` pair unlike bits (level 0 gets 0, as off the
+    diagonal it makes no arc).  A level outside +-(n+1) has no bit (the
+    table would wrap it onto another level's), so it fails every table."""
+    twins = np.array(twins, dtype=np.int8)
     top = luts.shape[-1] // 2
     if twins.min() < -top or twins.max() > top:
         return np.zeros(luts.shape[:-1], dtype=bool)
     return np.all(luts[..., twins[0]] != luts[..., twins[1]], axis=-1)
-
-
-def _check_tournaments(p: int) -> None:
-    """ContradictionError unless the tournament assignment of order p
-    yields a pair of tournaments (``_tournament_rows``), read off the class
-    table's ``_twin_levels`` with no matrix or digraph."""
-    lut = _bit_lut(tournament_assignment(order_exponent(p)))
-    if not _tournament_rows(_twin_levels(p), lut):
-        raise ContradictionError("canonical pair failed the tournament check")
 
 
 def _check_half_swap(p: int) -> None:
@@ -605,7 +489,7 @@ def _check_half_swap(p: int) -> None:
         raise ValueError(f"swap_involution requires p >= 8, got {p}")
     rows = _reached_rows(p)
     for variant in (MatrixVariant.PLAIN, MatrixVariant.STAR):
-        levels = _CLASS_TABLE[variant][rows].astype(np.int16)
+        levels = _class_blocks(variant)[rows].astype(np.int16)
         up, down = levels[-2:]
         swapped = np.where(np.abs(up) == n + 1, -up, up)
         if np.any(np.abs(levels[:-2]) == n + 1) or np.any(down != swapped):

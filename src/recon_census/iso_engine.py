@@ -28,6 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from recon_census.blocks import DECK_MATCH_ORDER_LIMIT
 from recon_census.deletion_maps import _deletion_sweep, build_all_maps
 from recon_census.digraph_builder import (
     Digraph,
@@ -63,8 +64,6 @@ __all__ = [
 
 #: Node budget of one isomorphism search when the caller names none.
 DEFAULT_ISO_BUDGET = 200_000
-#: Largest order where deck matching's p**2 card-pair searches fit the budget.
-DECK_MATCH_ORDER_LIMIT = 12
 
 REASON_SCORE_SPLIT = "score-split forces half-to-half mapping"
 REASON_BASE_CASE = "base case: exhaustive search"

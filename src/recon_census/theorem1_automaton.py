@@ -4,7 +4,7 @@ Theorem 1 is the identity plain(i, j) = star(sigma_k(i), sigma_k(j)) over
 the p * (p-1)**2 triples with i, j != k.  With a = i - 1, b = k - 1 and
 c = j - 1, every term of it is read off the binary digits:
 
-* an entry is its class-table cell (``weight_matrix._CLASS_TABLE``): the
+* an entry is its class-table cell (``blocks._CLASS_TABLE``): the
   residues mod 4 of its row and column and the class of the block offset
   D = (c >> 2) - (a >> 2), which the lowest one of D and the bit above it
   fix (``weight_matrix._offset_class``);
@@ -30,7 +30,7 @@ a neighbour compare: ``np.unique`` would import ``numpy.ma``).  The reachable
 sets stay near a thousand states, so the verdict costs O(log p) array
 steps of that size, a few milliseconds at every accepted order.  The
 class table holds the block offsets up to +-2**30, so orders up to 2**33
-(``weight_matrix._CLASS_TABLE_ORDER_LIMIT``); the rule refuses larger
+(``blocks._CLASS_TABLE_ORDER_LIMIT``); the rule refuses larger
 ones with a ValueError.
 
 A final state holds the level of each side.  ``decide_hypomorphisms``
@@ -95,7 +95,7 @@ class _LevelRule:
 
     def __init__(self, p: int):
         self.n = order_exponent(p)
-        self.tables = [weight_matrix._CLASS_TABLE[v].reshape(-1) for v in _SIDES]
+        self.tables = [weight_matrix._class_blocks(v).reshape(-1) for v in _SIDES]
         # rows[x, d]: the class of an offset whose lowest one is block bit
         # x - 1 and whose bit x is d, x >= 1; row 0 is never selected
         reached = weight_matrix._reached_rows(p)

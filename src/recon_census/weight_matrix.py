@@ -15,14 +15,16 @@ are "levels" in [-(n+1), n+1]; the extreme levels +-(n+1) occur exactly at
 the p positions (i, i +- p/2).
 
 The block rule is written twice, and the test suite checks one form
-against the other.  The class table (``_CLASS_TABLE``, evaluated with
-numpy) holds one 4x4 block per class of offsets, d = 0 or (x, y mod 4),
-for every order at once (order 2**n reaches 2n - 3 classes):
-``entry_values`` gathers from it, ``build_dense`` is one such gather over
-the whole grid (``entry_grid``), and ``_offset_case_table`` expands it to
-one block per offset for the row-reading checks and for ``csv_blocks``,
-which prints every row of the weighted CSV as one slice of four residue
-templates, with no dense matrix.
+against the other.  The class table (``blocks._CLASS_TABLE``, filled from
+the closed form without numpy) holds one 4x4 block per class of offsets,
+d = 0 or (x, y mod 4), for every order at once (order 2**n reaches 2n - 3
+classes); this module reads it through a zero-copy view
+(``_class_blocks``): ``entry_values`` gathers from it, ``build_dense`` is
+one such gather over the whole grid (``entry_grid``), and
+``_offset_case_table`` expands it to one block per offset for the
+row-reading checks.  ``blocks.csv_blocks`` prints every row of the
+weighted CSV as one slice of four residue templates, with no dense
+matrix and no numpy.
 ``entry_at`` evaluates any single entry in constant time from the offset
 decomposition, in plain Python, and serves as the oracle of both.  All
 public indices are 1-based so that printed fixtures can be compared
@@ -31,11 +33,20 @@ positionally.
 
 from __future__ import annotations
 
-import enum
 from typing import Iterator, Optional
 
 import numpy as np
 
+from recon_census import blocks
+from recon_census.blocks import (
+    _BASE,
+    DENSE_ORDER_LIMIT,
+    ORACLE_ORDER_LIMIT,
+    MatrixVariant,
+    _Frozen,
+    _row_blocks,
+    order_exponent,
+)
 from recon_census.report import VerificationReport
 
 __all__ = [
@@ -45,82 +56,15 @@ __all__ = [
     "WeightedMatrix",
     "build_dense",
     "check_lemma1",
-    "csv_blocks",
     "entry_at",
     "entry_grid",
     "entry_values",
     "order_exponent",
 ]
 
-#: Largest order materialized as a dense matrix (64 MiB of int8 per variant).
-DENSE_ORDER_LIMIT = 8192
-
-#: Largest order the command line accepts.  The entry oracle costs O(1)
-#: memory per query at every order; only the per-offset rows (8p bytes per
-#: variant) that lemma 1, theorem 2 and ``threshold_scores`` read are O(p):
-#: about 550 MB of peak memory for lemma 1 and 580 MB for theorem 2 at 2**24.
-ORACLE_ORDER_LIMIT = 1 << 24
-
-
-class MatrixVariant(enum.Enum):
-    """Selects one of the two matrix families."""
-
-    PLAIN = "plain"
-    STAR = "star"
-
-
-_BASE = {
-    MatrixVariant.PLAIN: np.array(
-        [
-            [0, 1, 2, 3],
-            [-1, 0, 3, -2],
-            [-2, -3, 0, 1],
-            [-3, 2, -1, 0],
-        ],
-        dtype=np.int8,
-    ),
-    MatrixVariant.STAR: np.array(
-        [
-            [0, -2, -3, -1],
-            [2, 0, 1, -3],
-            [3, -1, 0, 2],
-            [1, 3, -2, 0],
-        ],
-        dtype=np.int8,
-    ),
-}
-for _b in _BASE.values():
-    _b.setflags(write=False)
-
-
-def order_exponent(p: int) -> int:
-    """Return n for a valid order p = 2**n >= 4, else raise ValueError."""
-    if not isinstance(p, (int, np.integer)):
-        raise ValueError(f"order must be an integer, got {p!r}")
-    p = int(p)
-    if p < 4 or p & (p - 1):
-        raise ValueError(f"order must be a power of two >= 4, got {p}")
-    return p.bit_length() - 1
-
-
 #: Largest order of the int32 index paths: ``entry_values``,
 #: ``entry_grid`` and ``sigma_values``.
 _INT32_ORDER_LIMIT = 1 << 30
-
-#: Largest order whose block offsets the class table covers: it holds the
-#: offsets +-2**x for x <= 30 (``_class_table``), and order 2**n reaches
-#: x = n - 3.
-_CLASS_TABLE_ORDER_LIMIT = 1 << 33
-
-#: Cells per row block of a grid scan: bounds the scratch memory of the
-#: text encoders, the map-table checks and the entry grids.
-_BLOCK_CELLS = 1 << 18
-
-
-def _row_blocks(rows: int, cols: int):
-    """Row slices covering ``range(rows)``, each of about ``_BLOCK_CELLS`` cells."""
-    step = max(1, _BLOCK_CELLS // max(1, cols))
-    return (slice(s, min(s + step, rows)) for s in range(0, rows, step))
 
 
 def _first_cell(rows: int, cols: int, bad) -> Optional[tuple[int, int]]:
@@ -146,14 +90,14 @@ def _text_grid(p: int, codes, tokens, sep: str) -> Iterator[str]:
     code c prints as the ASCII token ``tokens[c]``, and the cells of a row
     are joined by ``sep``.  Each token and its delimiter (``sep``, or a
     newline in the last column) sit zero-padded in one fixed-width byte
-    string, so a block of rows is one gather of table items and one mask
-    that drops the zero bytes; no cell costs a Python step.  A block counts
-    each cell as the bytes it gathers plus its index, so the scratch
-    memory, the block's text included, is a few times ``_BLOCK_CELLS``
-    bytes at every order and token width.
+    string, so a block of rows is one gather of table items and one
+    ``bytes.translate`` that drops the zero bytes (``_ascii_text``); no cell
+    costs a Python step.  A block counts each cell as the bytes it gathers
+    plus its index, so the scratch memory, the block's text included, is a
+    few times ``blocks._BLOCK_CELLS`` bytes at every order and token width.
     """
     inner, last = (_token_items(tokens, end) for end in (sep, "\n"))
-    for rows in _text_blocks(p, inner):
+    for rows in _row_blocks(p, p * (inner.itemsize + 8)):
         # C order, so that the gathered cells come out row by row
         block = np.asarray(codes(rows), dtype=np.intp, order="C")
         cells = inner[block]
@@ -167,47 +111,10 @@ def _token_items(tokens, end: str) -> np.ndarray:
     return np.array([token + end for token in tokens], dtype="S")
 
 
-def _text_blocks(p: int, items: np.ndarray):
-    """The row blocks of a text grid of p columns of ``items``: a cell
-    counts the bytes it gathers plus its index."""
-    return _row_blocks(p, p * (items.itemsize + 8))
-
-
 def _ascii_text(items: np.ndarray) -> str:
     """The bytes of a C-ordered fixed-width byte-string array, zero padding
     dropped, as text."""
-    flat = items.view(np.uint8).reshape(-1)
-    return str(flat[flat != 0], "ascii")
-
-
-def _check_levels(n: int, diagonal, antisymmetric: bool, levels) -> None:
-    """The checks of a weighted matrix at order 2**n, in order: a zero
-    ``diagonal``, ``antisymmetric``, and every one of ``levels`` in
-    [-(n+1), n+1]; ValueError at the first that fails."""
-    if np.any(diagonal != 0):
-        raise ValueError("diagonal entries must be 0")
-    if not antisymmetric:
-        raise ValueError("matrix must be antisymmetric")
-    if max(-int(levels.min()), int(levels.max())) > n + 1:
-        raise ValueError(f"entries must lie in [-(n+1), n+1] = [{-(n+1)}, {n+1}]")
-
-
-def _level_tokens(bound: int) -> list[str]:
-    """The text of each level -bound..bound, indexed by level + bound."""
-    return [str(v) for v in range(-bound, bound + 1)]
-
-
-class _Frozen:
-    """Refuses to rebind or delete an attribute: a subclass's ``__init__``
-    sets its fields once, through ``object.__setattr__``, and they stay.
-    ``functools.cached_property`` writes the instance ``__dict__`` directly,
-    so it still caches."""
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+    return items.tobytes().translate(None, b"\0").decode("ascii")
 
 
 class WeightedMatrix(_Frozen):
@@ -227,14 +134,18 @@ class WeightedMatrix(_Frozen):
         e = self.entries
         if e.shape != (self.order, self.order) or e.dtype != np.int8:
             raise ValueError("entries must be an int8 array of shape (p, p)")
+        if np.any(np.diagonal(e) != 0):
+            raise ValueError("diagonal entries must be 0")
         # tile by tile, so that the transposed reads stay in cache
         t = 256
         tiles = ((i, j) for i in range(0, len(e), t) for j in range(i, len(e), t))
-        antisymmetric = all(
+        if not all(
             np.array_equal(e[i : i + t, j : j + t], -e[j : j + t, i : i + t].T)
             for i, j in tiles
-        )
-        _check_levels(n, np.diagonal(e), antisymmetric, e)
+        ):
+            raise ValueError("matrix must be antisymmetric")
+        if max(-int(e.min()), int(e.max())) > n + 1:
+            raise ValueError(f"entries must lie in [-(n+1), n+1] = [{-(n+1)}, {n+1}]")
         e.setflags(write=False)
 
     @property
@@ -265,10 +176,10 @@ class WeightedMatrix(_Frozen):
 
     def csv_blocks(self) -> Iterator[str]:
         """Rows as comma-separated signed integers, each newline-terminated,
-        one ``_text_grid`` block at a time: the dense oracle of the
-        module's ``csv_blocks``."""
+        one ``_text_grid`` block at a time: the dense oracle of
+        ``blocks.csv_blocks``."""
         bound = self.exponent + 1
-        tokens = _level_tokens(bound)
+        tokens = [str(v) for v in range(-bound, bound + 1)]
         return _text_grid(
             self.order, lambda rows: self.entries[rows] + bound, tokens, ","
         )
@@ -316,7 +227,7 @@ def entry_at(p: int, variant: MatrixVariant, i: int, j: int) -> int:
     _check_integers("index", i, j)
     r = (i - 1) & 3
     c = (j - 1) & 3
-    base = int(_BASE[variant][r, c])
+    base = _BASE[variant][r][c]
     d = ((j - 1) >> 2) - ((i - 1) >> 2)
     if d == 0:
         return base
@@ -334,23 +245,9 @@ def entry_at(p: int, variant: MatrixVariant, i: int, j: int) -> int:
     return base + ((x + 4) * sign if r == c else 0)
 
 
-def _offset_case_values(variant: MatrixVariant, d, r, c) -> np.ndarray:
-    """Closed-form value for block offset d and in-block residues r, c (0-based).
-
-    An odd d is the case x = 0 of d = y * 2**x, with the base block negated.
-    """
-    base = _BASE[variant][r, c]
-    safe = np.where(d == 0, 1, d)
-    x = np.bitwise_count((safe & -safe) - 1).astype(np.int8)
-    sign = np.where(((safe >> x) & 3) == 1, x + 4, -(x + 4))
-    if variant is MatrixVariant.STAR:
-        sign = -sign
-    vals = np.where(d & 1, -base, base)
-    return np.where((r == c) & (d != 0), vals + sign, vals)
-
-
 def _offset_class(d: np.ndarray) -> np.ndarray:
-    """Class-table row of each int32 block offset in ``d``, written over ``d``.
+    """Class-table row of each int32 block offset in ``d``, written over ``d``:
+    ``blocks._offset_class`` of each.
 
     As 32 unsigned bits, d ^ (d - 1) has m = x + 1 bits set (32 at d = 0),
     and bit m of d is set exactly when y = 3 mod 4: the row is 2m plus
@@ -364,88 +261,22 @@ def _offset_class(d: np.ndarray) -> np.ndarray:
     return u.view(np.int32)
 
 
-def _class_table(variant: MatrixVariant) -> np.ndarray:
-    """One block per ``_offset_class`` row, the closed form at the offsets 0
-    and +-2**x (y = 1 and 3 mod 4); rows 0, 1 and 65 match no offset."""
-    d = np.array([0] + [s << x for x in range(31) for s in (1, -1)], dtype=np.int32)
-    table = np.zeros((66, 4, 4), dtype=np.int8)
-    table[_offset_class(d.copy())] = _offset_case_values(
-        variant, d[:, None, None], np.arange(4)[:, None], np.arange(4)
-    )
-    table.setflags(write=False)
-    return table
-
-
-_CLASS_TABLE = {variant: _class_table(variant) for variant in MatrixVariant}
+def _class_blocks(variant: MatrixVariant) -> np.ndarray:
+    """The class table of ``variant`` as it is now, a read-only (66, 4, 4)
+    int8 view of ``blocks._CLASS_TABLE``, taken on every read."""
+    return np.frombuffer(blocks._CLASS_TABLE[variant], dtype=np.int8).reshape(66, 4, 4)
 
 
 def _reached_rows(p: int) -> np.ndarray:
-    """Class-table rows of order p's block offsets: d = 0 first, then
-    d = 2**x and d = -2**x (one bit apart) for x <= n - 3, 2n - 3 rows.
-    ValueError above ``_CLASS_TABLE_ORDER_LIMIT``, whose offsets the class
-    table does not hold."""
-    n = order_exponent(p)
-    if p > _CLASS_TABLE_ORDER_LIMIT:
-        raise ValueError(
-            "the class table holds block offsets up to +-2**30, so orders "
-            f"up to 2**33, got {p}"
-        )
-    d = [0] + [s << x for x in range(n - 2) for s in (1, -1)]
-    return _offset_class(np.array(d, dtype=np.int32))
+    """``blocks._reached_rows(p)`` as an int32 array."""
+    return np.array(blocks._reached_rows(p), dtype=np.int32)
 
 
 def _offset_case_table(p: int, variant: MatrixVariant) -> np.ndarray:
     """The block of every offset at order p, indexed [d + p/4 - 1, r, c]:
     the offset table, a gather of class-table rows, O(p) and uncached."""
     d = np.arange(1 - p // 4, p // 4, dtype=np.int32)
-    return _CLASS_TABLE[variant].take(_offset_class(d), axis=0)
-
-
-def _checked_offset_table(p: int, variant: MatrixVariant) -> np.ndarray:
-    """``_offset_case_table(p, variant)``, first checked as ``WeightedMatrix``
-    checks the matrix, in its order and with its messages.  The checks are
-    exact, since every (d, r, c) of the table occurs at order p and cells
-    (i, j) and (j, i) sit at (d, r, c) and (-d, c, r)."""
-    n = order_exponent(p)
-    t = _offset_case_table(p, variant)
-    antisymmetric = np.array_equal(t, -t[::-1].transpose(0, 2, 1))
-    _check_levels(n, np.diagonal(t[p // 4 - 1]), antisymmetric, t)
-    return t
-
-
-def csv_blocks(p: int, variant: MatrixVariant) -> Iterator[str]:
-    """The blocks of ``build_dense(p, variant).csv_blocks()``, printed from
-    the offset table with no p x p matrix.
-
-    Row i = 4B + r reads, at column j = 4B' + c, the offset table at
-    (B' - B, r, c).  Laid end to end, the 2p - 4 cells ``t[:, r, :]`` are
-    the residue-r template, and row i is its p cells from u0 = p - 4 - 4B
-    on: one slice of the template's text, whose cell offsets are a cumsum
-    of token lengths.  The table is read through ``_checked_offset_table``.
-
-    The table is read and checked, and the four templates printed, when
-    this is called, so a bad table raises before any text is drawn.  The
-    rows come in ``_text_blocks``, as ``_text_grid``'s do, so the pieces
-    are the dense writer's; besides the text, the work and memory are O(p).
-    """
-    t = _checked_offset_table(p, variant)
-    bound = order_exponent(p) + 1
-    items = _token_items(_level_tokens(bound), ",")
-    # the four templates, one after another: (4, 2p - 4) codes
-    codes = t.transpose(1, 0, 2).reshape(4, -1).astype(np.intp) + bound
-    text = _ascii_text(items[codes])
-    start = np.zeros(codes.size + 1, dtype=np.intp)
-    np.cumsum(np.char.str_len(items)[codes], out=start[1:])
-
-    def rows() -> Iterator[str]:
-        for block in _text_blocks(p, items):
-            i = np.arange(block.start, block.stop)
-            first = (i & 3) * (2 * p - 4) + p - 4 - 4 * (i >> 2)
-            # each slice ends before its last cell's comma
-            spans = zip(start[first].tolist(), (start[first + p] - 1).tolist())
-            yield "\n".join([text[a:b] for a, b in spans]) + "\n"
-
-    return rows()
+    return _class_blocks(variant).take(_offset_class(d), axis=0)
 
 
 def _int32_order(p: int) -> None:
@@ -486,7 +317,7 @@ def entry_values(p: int, variant: MatrixVariant, i, j) -> np.ndarray:
     key = _offset_class((b >> 2) - (a >> 2))
     key <<= 4
     key |= (a & 3) << 2 | b & 3
-    return _CLASS_TABLE[variant].take(key)
+    return _class_blocks(variant).take(key)
 
 
 def entry_grid(p: int, variant: MatrixVariant) -> np.ndarray:

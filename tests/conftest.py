@@ -91,15 +91,23 @@ def patch_case_table(monkeypatch, patched, modules) -> None:
     monkeypatch.setattr(wm, "entry_values", entry_values)
 
 
+def class_blocks(table: bytes) -> np.ndarray:
+    """A writable (66, 4, 4) int8 copy of one variant's class table, as
+    ``blocks._CLASS_TABLE`` holds it; ``.tobytes()`` of the copy goes back."""
+    return np.frombuffer(table, dtype=np.int8).reshape(66, 4, 4).copy()
+
+
 @pytest.fixture
 def tables(monkeypatch):
-    """Edit the class table and ``_SIGMA4`` in place of the library's.
+    """Edit the class table (``blocks._CLASS_TABLE``, which every reader
+    reads) and ``_SIGMA4`` in place of the library's.
 
     ``hypomorphism_verifier.build_dense`` reads unvalidated entry grids, so
     that a one-cell fault, which breaks antisymmetry, reaches the deletion
     sweep as it reaches the digit automaton.  No table is cached, so every
     call after an edit reads it.
     """
+    import recon_census.blocks as blocks
     import recon_census.deletion_maps as dm
     import recon_census.hypomorphism_verifier as hv
     import recon_census.weight_matrix as wm
@@ -107,7 +115,7 @@ def tables(monkeypatch):
     monkeypatch.setattr(
         hv, "build_dense", lambda q, v: SimpleNamespace(entries=wm.entry_grid(q, v))
     )
-    clean = dict(wm._CLASS_TABLE)
+    clean = {v: class_blocks(table) for v, table in blocks._CLASS_TABLE.items()}
 
     def class_cells(variant, row, cells):
         """The cells ``{(r, c): value}`` of one row of ``variant`` set, the
@@ -115,9 +123,9 @@ def tables(monkeypatch):
         table = clean[variant].copy()
         for (r, c), value in cells.items():
             table[row, r, c] = value
-        table.setflags(write=False)
         for v in clean:
-            monkeypatch.setitem(wm._CLASS_TABLE, v, table if v is variant else clean[v])
+            edited = table if v is variant else clean[v]
+            monkeypatch.setitem(blocks._CLASS_TABLE, v, edited.tobytes())
 
     def class_cell(variant, row, r, c, value=None):
         """One cell of ``variant`` set to ``value`` (by default the cell

@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import recon_census.blocks as blocks
+from recon_census.blocks import csv_blocks
 from recon_census.cli import CHECKS, main
 from recon_census.deletion_maps import sigma_table_tsv, sigma_tsv_blocks
 from recon_census.report import SCHEMA_VERSION
-from recon_census.weight_matrix import MatrixVariant, build_dense, csv_blocks
+from recon_census.weight_matrix import MatrixVariant, build_dense
 
 from conftest import FIXTURES
 
@@ -168,8 +170,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args",
         [
-            ("generate", "--p", "16384", "--kind", "weighted"),
-            ("generate", "--p", "16384", "--kind", "tournament", "--format", "d6"),
+            ("generate", "--p", "32768", "--kind", "weighted"),
+            ("generate", "--p", "131072", "--kind", "tournament", "--format", "d6"),
             ("deck", "--p", "16384"),
         ],
     )
@@ -180,7 +182,7 @@ class TestExitCodes:
         assert [line for line in err.splitlines() if "error:" in line] == [
             err.splitlines()[-1]
         ]
-        assert "16384" in err.splitlines()[-1]
+        assert args[2] in err.splitlines()[-1]
 
     @pytest.mark.parametrize("p", [2**25, 2**40])
     @pytest.mark.parametrize(
@@ -230,34 +232,51 @@ class TestExitCodes:
         assert config.p == DENSE_ORDER_LIMIT
 
     @pytest.mark.parametrize(
-        "args, size",
+        "args, first, size",
         [
-            (("export", "--format", "tsv"), "1.3 GB as tsv"),
-            (("generate", "--kind", "weighted", "--variant", "both"), "1.3 GB as csv"),
-            (("generate", "--kind", "tournament", "--format", "d6"), "45 MB as d6"),
-            (("generate", "--kind", "variant-digraph", "--format", "dot"), "2.1 GB as dot"),
-            (("generate", "--kind", "tournament", "--variant", "both"), "1.1 GB as csv"),
+            (("export", "--format", "tsv"), 16384, "1.3 GB as tsv"),
+            (("generate", "--kind", "weighted"), 32768, "2.7 GB as csv"),
+            (("generate", "--kind", "weighted", "--variant", "both"), 16384, "1.3 GB as csv"),
+            (("generate", "--kind", "tournament"), 32768, "2.1 GB as csv"),
+            # exactly 2**30 bytes: two bytes a cell
+            (("generate", "--kind", "tournament", "--variant", "both"), 16384, "1.1 GB as csv"),
+            (("generate", "--kind", "variant-digraph", "--format", "dot"), 16384, "2.1 GB as dot"),
+            # about 1.06 GB at 8192, accepted there
+            (("generate", "--kind", "tournament", "--variant", "both", "--format", "dot"),
+             16384, "4.2 GB as dot"),
+            (("generate", "--kind", "tournament", "--format", "d6"), 131072, "2.9 GB as d6"),
+            (("generate", "--kind", "variant-digraph", "--variant", "both", "--format", "d6"),
+             65536, "1.4 GB as d6"),
         ],
     )
-    def test_write_above_the_dense_limit_refused_with_its_size(
-        self, capsys, monkeypatch, args, size
+    def test_each_format_refused_from_its_first_order_with_its_size(
+        self, capsys, monkeypatch, args, first, size
     ):
+        # generate and export hold no p x p table: each refuses an output of
+        # 1 GiB or more, whatever the order, and accepts the order below
         import recon_census.cli as cli
-        from recon_census.weight_matrix import DENSE_ORDER_LIMIT
 
         def no_run(config):
             raise AssertionError("a refused order must not start any command")
 
         monkeypatch.setattr(cli, "run", no_run)
-        assert DENSE_ORDER_LIMIT == 8192
         command, *rest = args
-        assert run_cli(command, "--p", "16384", *rest) == 2
+        assert run_cli(command, "--p", str(first), *rest) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines()[-1] == (
-            f"recon-census {command}: error: {command} --p 16384 would write about "
-            f"{size}; {command} is available up to p = 8192"
+            f"recon-census {command}: error: {command} --p {first} would write about "
+            f"{size}; {command} writes less than 1 GiB"
         )
+        below = cli._parse_config([command, "--p", str(first // 2), *rest])
+        assert below.p == first // 2
+
+    def test_d6_pair_above_the_dense_limit_is_accepted(self):
+        from recon_census.cli import _parse_config
+
+        # about 90 MB of text, where the dense order cap refused it
+        args = ["--kind", "tournament", "--variant", "both", "--format", "d6"]
+        assert _parse_config(["generate", "--p", "16384", *args]).p == 16384
 
     @pytest.mark.parametrize(
         "fmt, size", [("d6", "0.2 GB"), ("csv", "2.1 GB"), ("dot", "7.0 GB")]
@@ -466,13 +485,22 @@ class TestCheckTable:
         ],
     )
     def test_contradiction_is_a_failing_report(self, tmp_path, monkeypatch, name, target):
-        import recon_census.cli as cli_mod
+        import importlib
+
         from recon_census.errors import ContradictionError
 
         def contradiction(*args, **kwargs):
             raise ContradictionError("self-check failed")
 
-        monkeypatch.setattr(cli_mod, target, contradiction)
+        # each runner reads its self-check, when it runs, from the module
+        # that binds it: the numpy-free tournament check from the command
+        # line's own import of it
+        module = {
+            "verify_nonisomorphic_inductive": "iso_engine",
+            "_check_tournaments": "cli",
+        }.get(target, "digraph_builder")
+        lib = importlib.import_module(f"recon_census.{module}")
+        monkeypatch.setattr(lib, target, contradiction)
         out = tmp_path / "rep.json"
         args = ("verify", "--p", "16", "--checks", f"lemma1,{name}", "--out", str(out))
         assert run_cli(*args) == 1
@@ -556,27 +584,28 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "kind, rows, builder",
         [
-            ("tournament", "tournament_rows", "tournament_digraph"),
-            ("variant-digraph", "variant_rows", "variant_digraph"),
+            ("tournament", "tournament_bits", "tournament_digraph"),
+            ("variant-digraph", "variant_bits", "variant_digraph"),
         ],
     )
     def test_builds_only_the_digraphs_it_writes(
         self, monkeypatch, capsys, kind, rows, builder
     ):
-        # generate reads each variant's row templates, deck builds its
+        # generate's d6 reads each variant's row templates, deck builds its
         # one dense digraph
         import recon_census.cli as cli_mod
+        import recon_census.digraph_builder as db
         from recon_census.weight_matrix import MatrixVariant
 
         built = []
-        for name in (rows, builder):
-            real = getattr(cli_mod, name)
+        for module, name in ((cli_mod, rows), (db, builder)):
+            real = getattr(module, name)
 
             def recording(p, variant, name=name, real=real):
                 built.append((name, variant))
                 return real(p, variant)
 
-            monkeypatch.setattr(cli_mod, name, recording)
+            monkeypatch.setattr(module, name, recording)
         lines = {}
         for variant in ("plain", "star", "both"):
             built.clear()
@@ -593,24 +622,27 @@ class TestGenerate:
         assert lines["both"] == lines["plain"] + lines["star"]
 
     @pytest.mark.parametrize(
-        "kind, builder, fmt",
+        "kind, module, builder, fmt",
         [
-            ("weighted", "csv_blocks", "csv"),
-            ("tournament", "tournament_rows", "dot"),
-            ("variant-digraph", "variant_rows", "d6"),
+            ("weighted", "cli", "csv_blocks", "csv"),
+            ("tournament", "digraph_builder", "tournament_rows", "dot"),
+            ("variant-digraph", "cli", "variant_bits", "d6"),
         ],
     )
-    def test_both_holds_one_variant_at_a_time(self, monkeypatch, capsys, kind, builder, fmt):
+    def test_both_holds_one_variant_at_a_time(
+        self, monkeypatch, capsys, kind, module, builder, fmt
+    ):
         # when the starred item is drawn, the plain rows written before it
         # are freed; every item is sliced from row templates, with no
         # dense matrix
+        import importlib
         import weakref
 
-        import recon_census.cli as cli_mod
         import recon_census.digraph_builder as db
         import recon_census.weight_matrix as wm
 
-        real = getattr(cli_mod, builder)
+        lib = importlib.import_module(f"recon_census.{module}")
+        real = getattr(lib, builder)
         written, drawn = [], []
 
         def dense(p, variant):
@@ -626,7 +658,7 @@ class TestGenerate:
 
         for module in (db, wm):
             monkeypatch.setattr(module, "build_dense", dense)
-        monkeypatch.setattr(cli_mod, builder, recording)
+        monkeypatch.setattr(lib, builder, recording)
         args = ["--p", "16", "--kind", kind, "--variant", "both", "--format", fmt]
         assert run_cli("generate", *args) == 0
         assert drawn == list(MatrixVariant)
@@ -799,12 +831,11 @@ class TestStreamedWrites:
     @pytest.mark.parametrize("cells", [1, 150, 1000, 10000])
     def test_block_seams_leave_the_bytes_unchanged(self, tmp_path, monkeypatch, cells):
         import recon_census.cli as cli_mod
-        import recon_census.weight_matrix as wm
 
         cases = list(_streamed_cases())
         fixtures = sum(fixture is not None for _, _, fixture in cases)
         assert fixtures == 8
-        monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(blocks, "_BLOCK_CELLS", cells)
         pieces = []
         real = cli_mod._write_output
 
@@ -1199,7 +1230,7 @@ class TestTournamentSelfCheck:
         # a starred -2 becomes n + 2, whose bit table slot is that of
         # -(n+1): 0, unlike its twin's, so only the domain check catches it
         zero = int(wm._reached_rows(p)[0])
-        cells = np.argwhere(wm._CLASS_TABLE[MatrixVariant.STAR][zero] == -2)
+        cells = np.argwhere(wm._class_blocks(MatrixVariant.STAR)[zero] == -2)
         r, c = (int(v) for v in cells[0])
         tables.class_cell(MatrixVariant.STAR, zero, r, c, p.bit_length() + 1)
         out = tmp_path / "rep.json"
@@ -1272,10 +1303,9 @@ class TestCompanions:
     def test_contradiction_in_the_pair_leaves_the_others_their_verdicts(
         self, tmp_path, monkeypatch, p
     ):
-        import recon_census.digraph_builder as db
-
-        # the self-check finds an assignment that yields no tournaments
-        monkeypatch.setattr(db, "_tournament_rows", lambda twins, luts: np.False_)
+        # the self-check finds a twin pair that the tournament assignment
+        # gives like bits
+        monkeypatch.setattr(blocks, "_twin_levels", lambda p: ((1,), (1,)))
         reports = self.alone_and_together(tmp_path, p)
         (hypo,) = reports["hypo-sigma"]
         assert hypo["check"] == "hypo-sigma" and hypo["checked"] == 0
@@ -1290,13 +1320,13 @@ class TestCompanions:
 
 class TestFailurePath:
     def test_check_failure_exits_1_and_still_writes_report(self, tmp_path, monkeypatch):
-        import recon_census.cli as cli_mod
+        import recon_census.weight_matrix as wm
         from recon_census.report import VerificationReport
 
         def failing_check(p):
             return VerificationReport("lemma1", p, (0, 1, 2, 3, 4), 10)
 
-        monkeypatch.setattr(cli_mod, "check_lemma1", failing_check)
+        monkeypatch.setattr(wm, "check_lemma1", failing_check)
         out = tmp_path / "rep.json"
         assert run_cli("verify", "--p", "8", "--checks", "lemma1", "--out", str(out)) == 1
         doc = json.loads(out.read_text())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recon_census.blocks as blocks
 import recon_census.deletion_maps as dm
 import recon_census.theorem1_automaton as t1a
 import recon_census.weight_matrix as wm
@@ -295,7 +296,7 @@ class TestLemma2:
     def test_part_d_matches_full_matrix_form(self, p, cells, monkeypatch):
         if cells is not None:
             # row blocks of one to 12 rows
-            monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(blocks, "_BLOCK_CELLS", cells)
         clean = build_all_maps(p)
         assert lemma2_d(p, clean) is None
         assert lemma2_d_reference(p, clean) is None
@@ -350,7 +351,7 @@ class TestLemma2:
     ):
         if cells is not None:
             # row blocks of one to 25 rows
-            monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(blocks, "_BLOCK_CELLS", cells)
         h = p // 2
         rng = np.random.default_rng(p)
         for _ in range(6):

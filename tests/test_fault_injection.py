@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+import recon_census.blocks as blocks
 import recon_census.deletion_maps as dm
 import recon_census.digraph_builder as db
 import recon_census.hypomorphism_verifier as hv
@@ -170,7 +171,7 @@ class TestHypoSigmaReporting:
         # pass
         star = wm.MatrixVariant.STAR
         row = wm._reached_rows(p)[0]  # the offset 0, whose twin cell is (c, r)
-        r, c = (int(v) for v in np.argwhere(wm._CLASS_TABLE[star][row] == 3)[0])
+        r, c = (int(v) for v in np.argwhere(wm._class_blocks(star)[row] == 3)[0])
         tables.class_cells(star, row, {(r, c): 4, (c, r): -4})
         assert main(["verify", "--p", str(p), "--checks", "theorem1,hypo-sigma"]) == 1
         reports = json.loads(capsys.readouterr().out)["reports"]
@@ -225,7 +226,7 @@ class TestSelfCheckingOperations:
         for variant in wm.MatrixVariant:
             for t, row in enumerate(rows):
                 for r, c in np.ndindex(4, 4):
-                    old = int(wm._CLASS_TABLE[variant][row, r, c])
+                    old = int(wm._class_blocks(variant)[row, r, c])
                     # the next level, cyclically: always a different value
                     new = (old + top + 1) % (2 * top + 1) - top
                     tables.class_cell(variant, int(row), r, c, new)
@@ -279,7 +280,7 @@ def _antisymmetric_faults(p):
             for r, c in np.ndindex(4, 4):
                 if k == 0 and r >= c:
                     continue
-                old = int(wm._CLASS_TABLE[variant][row, r, c])
+                old = int(wm._class_blocks(variant)[row, r, c])
                 for level in range(-top, top + 1):
                     if level != old:
                         faults.append((variant, row, row if k == 0 else row ^ 1, r, c, level))
@@ -298,10 +299,10 @@ def _sweep_census_faults(monkeypatch, p, faults, bypass):
         monkeypatch.setattr(db, "_check_point1_levels", lambda p: None)
     n = p.bit_length() - 1
     for variant, row, twin, r, c, level in faults:
-        table = wm._CLASS_TABLE[variant].copy()
+        table = wm._class_blocks(variant).copy()
         table[row, r, c], table[twin, c, r] = level, -level
         with monkeypatch.context() as m:
-            m.setitem(wm._CLASS_TABLE, variant, table)
+            m.setitem(blocks._CLASS_TABLE, variant, table.tobytes())
             try:
                 rows = db.assignment_census(p).rows
             except ContradictionError:
@@ -466,7 +467,7 @@ class TestTheorem2Reporting:
         # assignment's row (111000) reads isomorphic, by the identity
         plain, star = wm.MatrixVariant.PLAIN, wm.MatrixVariant.STAR
         row = int(wm._reached_rows(4)[0])
-        block = wm._CLASS_TABLE[plain][row]
+        block = wm._class_blocks(plain)[row]
         tables.class_cells(star, row, {(r, c): block[r, c] for r in range(4) for c in range(4)})
         isomorphic, witness = db._census_verdicts(4)
         assert isomorphic[0b111000] and list(witness[0b111000]) == [0, 1, 2, 3]
@@ -574,20 +575,20 @@ def corrupt_star_cell(monkeypatch, old, new):
     half-swap check (``_check_half_swap``) still reads the clean table, so
     the census gets past it to the point-1 level check."""
     star = wm.MatrixVariant.STAR
-    clean = wm._CLASS_TABLE[star]
+    clean = blocks._CLASS_TABLE[star]
     real_swap = db._check_half_swap
     i, j = (int(v) for v in np.argwhere(wm.entry_grid(8, star) == old)[0])
-    table = clean.copy()
+    table = wm._class_blocks(star).copy()
     for (r, c), level in (((i, j), new), ((j, i), -new)):
         d = np.array([(c >> 2) - (r >> 2)], dtype=np.int32)
         table[wm._offset_class(d)[0], r & 3, c & 3] = level
 
     def swap_on_clean_table(p):
         with monkeypatch.context() as m:
-            m.setitem(wm._CLASS_TABLE, star, clean)
+            m.setitem(blocks._CLASS_TABLE, star, clean)
             return real_swap(p)
 
-    monkeypatch.setitem(wm._CLASS_TABLE, star, table)
+    monkeypatch.setitem(blocks._CLASS_TABLE, star, table.tobytes())
     monkeypatch.setattr(db, "_check_half_swap", swap_on_clean_table)
 
 
@@ -665,10 +666,10 @@ class TestFaultAfterAFirstCall:
     def test_build_dense(self, monkeypatch):
         plain = wm.MatrixVariant.PLAIN
         wm.build_dense(16, plain)
-        table = wm._CLASS_TABLE[plain].copy()
+        table = wm._class_blocks(plain).copy()
         # a cell of the largest offsets' row, whose twin sits in another row
         table[int(wm._reached_rows(16)[-1]), 1, 2] *= -1
-        monkeypatch.setitem(wm._CLASS_TABLE, plain, table)
+        monkeypatch.setitem(blocks._CLASS_TABLE, plain, table.tobytes())
         with pytest.raises(ValueError, match="antisymmetric"):
             wm.build_dense(16, plain)
 

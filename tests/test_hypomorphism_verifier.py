@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import recon_census.blocks as blocks
 import recon_census.hypomorphism_verifier as hv
 import recon_census.iso_engine as ie
 import recon_census.weight_matrix as wm
@@ -102,10 +103,10 @@ class TestLemma3LoopOracle:
     def test_single_cell_edits(self, monkeypatch, tables, p, variant, cells):
         if cells is not None:
             # the loops' entry grids in row blocks of one to 25 rows
-            monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(blocks, "_BLOCK_CELLS", cells)
         rng = np.random.default_rng(p)
         top = p.bit_length()  # the extreme level n + 1
-        clean = wm._CLASS_TABLE[variant]
+        clean = wm._class_blocks(variant)
         reports = []
         for _ in range(8):
             row = int(rng.choice(wm._reached_rows(p)))
@@ -145,7 +146,7 @@ class TestLemma3LoopOracle:
         for root in sorted(edges):
             if root in seen:
                 continue
-            old = wm._CLASS_TABLE[PLAIN].flat[root[1]]
+            old = wm._class_blocks(PLAIN).flat[root[1]]
             value = {root: int(rng.choice([v for v in range(-top, top + 1) if v != old]))}
             queue = [root]
             while queue:
@@ -161,10 +162,10 @@ class TestLemma3LoopOracle:
                 continue  # the second equality pairs the component within itself
             with monkeypatch.context() as m:
                 for side, variant in enumerate((PLAIN, STAR)):
-                    table = wm._CLASS_TABLE[variant].copy()
+                    table = wm._class_blocks(variant).copy()
                     for cell in cells[side]:
                         table.flat[cell] = value[side, cell]
-                    m.setitem(wm._CLASS_TABLE, variant, table)
+                    m.setitem(blocks._CLASS_TABLE, variant, table.tobytes())
                 report = check_lemma3(p)
                 assert report == self.loops(p, tables)
                 assert not report.passed

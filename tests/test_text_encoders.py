@@ -21,12 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recon_census.blocks as blocks
 import recon_census.deletion_maps as dm
 from recon_census.cli import main
 from recon_census.deletion_maps import sigma_table_tsv
+from recon_census.blocks import _encode_count, csv_blocks
 from recon_census.digraph_builder import (
     Digraph,
-    _encode_count,
     apply_assignment,
     standard_pair,
     tournament_assignment,
@@ -40,7 +41,6 @@ from recon_census.weight_matrix import (
     WeightedMatrix,
     _text_grid,
     build_dense,
-    csv_blocks,
 )
 
 ORDERS = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
@@ -89,14 +89,12 @@ def is_tournament_reference(g: Digraph) -> bool:
 
 class TestKernel:
     def test_mixed_token_widths(self, monkeypatch):
-        import recon_census.weight_matrix as wm
-
         codes = np.array([[0, 1, 2], [2, 2, 0], [1, 0, 1]])
         lines = ["X\t-10\t7\n", "7\t7\tX\n", "-10\tX\t-10\n"]
         text = _text_grid(3, codes.__getitem__, ["X", "-10", "7"], "\t")
         assert list(text) == ["".join(lines)]
         # a block counts the 4 gathered bytes of each cell: one row of 12
-        monkeypatch.setattr(wm, "_BLOCK_CELLS", 12)
+        monkeypatch.setattr(blocks, "_BLOCK_CELLS", 12)
         assert list(_text_grid(3, codes.__getitem__, ["X", "-10", "7"], "\t")) == lines
 
     def test_single_cell_and_empty_grid(self):
@@ -104,8 +102,6 @@ class TestKernel:
         assert list(_text_grid(0, np.zeros((0, 0), int).__getitem__, ["0"], ",")) == []
 
     def test_row_blocks_join_seamlessly(self, monkeypatch):
-        import recon_census.weight_matrix as wm
-
         m = build_dense(64, MatrixVariant.STAR)
         whole = m.to_csv()
         # an odd-order card: its rows do not end on 6-bit group boundaries
@@ -118,7 +114,7 @@ class TestKernel:
             a[j, i] = a[i, j]
             digraphs.append(Digraph(64, a))
         for cells in (1, 6, 7, 64, 65, 1000):
-            monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(blocks, "_BLOCK_CELLS", cells)
             assert m.to_csv() == whole, cells
             for d in digraphs:
                 assert d.to_digraph6() == digraph6_reference(d), cells
@@ -173,9 +169,7 @@ class TestSlicedCsv:
 
     @pytest.mark.parametrize("cells", [1, 150, 1000, 10000])
     def test_block_seams_leave_the_bytes_unchanged(self, monkeypatch, cells):
-        import recon_census.weight_matrix as wm
-
-        monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(blocks, "_BLOCK_CELLS", cells)
         for p in ORDERS + [2048]:
             for variant in MatrixVariant:
                 got = "".join(csv_blocks(p, variant))

@@ -32,6 +32,7 @@ import json
 import numpy as np
 import pytest
 
+import recon_census.blocks as blocks
 import recon_census.deletion_maps as dm
 import recon_census.digraph_builder as db
 import recon_census.hypomorphism_verifier as hv
@@ -126,7 +127,7 @@ def test_level_edit_keeping_its_bits_fails_theorem1_alone(tables, p):
     # pairs, which compare bits, pass where theorem 1, which compares
     # levels, fails
     row = wm._reached_rows(p)[0]
-    r, c = (int(v) for v in np.argwhere(wm._CLASS_TABLE[STAR][row] == 3)[0])
+    r, c = (int(v) for v in np.argwhere(wm._class_blocks(STAR)[row] == 3)[0])
     tables.class_cell(STAR, row, r, c, 4)
     reports = decide_hypomorphisms(p)
     assert [(rep.check_name, rep.passed) for rep in reports] == [
@@ -144,7 +145,7 @@ def test_level_beyond_the_domain_fails_both_pairs(tables):
     # where theorem 1 does, and each counterexample names the raw level
     p = 8
     row = wm._reached_rows(p)[0]
-    assert wm._CLASS_TABLE[STAR][row, 0, 1] == -2
+    assert wm._class_blocks(STAR)[row, 0, 1] == -2
     tables.class_cell(STAR, row, 0, 1, 5)
     reports = decide_hypomorphisms(p)
     assert [(rep.check_name, rep.passed) for rep in reports] == [
@@ -187,7 +188,7 @@ def test_planted_fault_above_the_sweep(tables, p, top):
     n = p.bit_length() - 1
     row = 2 * (n - 2) if top else 2
     cell = (1, 2)
-    value = wm._CLASS_TABLE[STAR][row][cell] + 1
+    value = wm._class_blocks(STAR)[row][cell] + 1
     tables.class_cell(STAR, row, *cell, value)
     report = decide_hypomorphisms(p)[0]
     assert not report.passed
@@ -368,12 +369,12 @@ REACH = 1 << 33  # the class table holds block offsets up to +-2**30
         decide_hypomorphisms,
         hv.check_lemma3,
         db._check_point1_levels,
-        db._check_tournaments,
+        blocks._check_tournaments,
         db._check_half_swap,
     ],
 )
 def test_class_table_reach(check):
-    assert wm._CLASS_TABLE_ORDER_LIMIT == REACH
+    assert blocks._CLASS_TABLE_ORDER_LIMIT == REACH
     # the last order whose offsets the class table holds passes: a report,
     # a list of them, or None from the checks that raise on a failure
     result = check(REACH)

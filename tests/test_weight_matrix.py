@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recon_census.blocks as blocks
 import recon_census.weight_matrix as wm
 from recon_census.weight_matrix import (
     DENSE_ORDER_LIMIT,
@@ -141,7 +142,7 @@ class TestFirstCell:
     def test_first_true_cell_in_row_major_order(self, monkeypatch, cells):
         import recon_census.weight_matrix as wm
 
-        monkeypatch.setattr(wm, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(blocks, "_BLOCK_CELLS", cells)
         rng = np.random.default_rng(cells)
         for density in (0.0, 0.02, 0.3):
             grid = rng.random((13, 7)) < density
@@ -325,8 +326,8 @@ class TestClassTable:
     @pytest.mark.parametrize("variant,_", VARIANTS)
     def test_offset_table_is_the_closed_form_at_every_offset(self, p, variant, _):
         nb = p // 4
-        d = np.arange(1 - nb, nb)[:, None, None]
-        want = wm._offset_case_values(variant, d, np.arange(4)[:, None], np.arange(4))
+        blocks_of = [blocks._offset_block(variant, d) for d in range(1 - nb, nb)]
+        want = np.array(blocks_of).reshape(-1, 4, 4)
         got = wm._offset_case_table(p, variant)
         assert got.dtype == np.int8 and np.array_equal(got, want)
 
