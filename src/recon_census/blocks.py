@@ -1,8 +1,9 @@
 """The block rule without numpy: what every command needs before it knows its work.
 
 This module imports nothing beyond the standard library, so the command
-line parses its arguments, and ``generate`` writes the weighted CSV and
-the digraph6 of either digraph pair, with no numpy in the process.  It
+line parses its arguments, ``generate`` writes the weighted CSV and the
+digraph6 of either digraph pair, ``deck`` writes its digraph6 cards and
+``export`` the deletion-map table, with no numpy in the process.  It
 holds:
 
 * the order caps the command line and the library share, ``MatrixVariant``
@@ -17,7 +18,11 @@ holds:
   and the tournament self-check (``_check_tournaments``);
 * the writers: the weighted CSV (``csv_blocks``) and the digraph rows
   (``tournament_bits``, ``variant_bits``), each sliced from four residue
-  templates, and the digraph6 encoder (``digraph6_blocks``).
+  templates, the digraph6 encoder (``digraph6_blocks``), and the deck of
+  one digraph as digraph6 (``deck_digraph6``);
+* the order-4 deletion maps (``_SIGMA4``), the one table of them, the
+  residue word that the maps' closed form reads out of it
+  (``_residue_word``), and the text of ``export`` (``sigma_tsv_blocks``).
 
 Every matrix is block-Toeplitz: entry (4B + r, 4B' + c) is cell (r, c) of
 the block at offset d = B' - B, and that block is the class-table row
@@ -25,9 +30,9 @@ the block at offset d = B' - B, and that block is the class-table row
 from d = 1 - p/4 up, laid end to end are the residue-r template, and row
 4B + r is its p cells from 4(p/4 - 1 - B) on.
 
-The class table is read on every call, never cached, so an edit of it
-reaches every reader, the numpy ones (``weight_matrix._class_blocks``)
-included.
+The class table and ``_SIGMA4`` are read on every call, never cached, so
+an edit of either reaches every reader, the numpy ones
+(``weight_matrix._class_blocks``, ``deletion_maps._sigma4``) included.
 """
 
 from __future__ import annotations
@@ -49,9 +54,11 @@ __all__ = [
     "ORACLE_ORDER_LIMIT",
     "assignment_from_mapping",
     "csv_blocks",
+    "deck_digraph6",
     "digraph6_blocks",
     "hex_digraph6",
     "order_exponent",
+    "sigma_tsv_blocks",
     "tournament_assignment",
     "tournament_bits",
     "variant_assignment",
@@ -278,6 +285,102 @@ def csv_blocks(p: int, variant: MatrixVariant) -> Iterator[str]:
     return rows()
 
 
+#: The order-4 deletion maps, the one table of them: int8 cell
+#: 4(k - 1) + (i - 1) is the image of point i when point k is deleted, and
+#: the hole holds 0.
+_SIGMA4 = bytes((0, 4, 2, 3, 3, 0, 4, 1, 4, 1, 0, 2, 2, 3, 1, 0))
+
+
+def _residue_word() -> int:
+    """LOW packed into one int32 word, the word that
+    ``deletion_maps._sigma_closed_form`` reads: LOW[b][a], the residue of
+    sigma_k(i) - 1 for residues b of k - 1 and a of i - 1, is the
+    ``_SIGMA4`` cell less 1 off the diagonal and a on it, at bit
+    2 * (4b + a).  Each entry is shifted and ORed in 32 bits, so an entry
+    outside 0..3, from an edited table, spills over its neighbours as int32
+    arithmetic makes it.  Uncached."""
+    cells = memoryview(_SIGMA4).cast("b")
+    word = 0
+    for x in range(16):
+        b, a = divmod(x, 4)
+        word |= (a if a == b else cells[x] - 1) << 2 * x & 0xFFFFFFFF
+    return word - (word >> 31 << 32)
+
+
+def _read_residues() -> tuple[tuple[int, ...], ...]:
+    """LOW as the closed form reads it out of ``_residue_word``, indexed
+    [b][a]: ``_SIGMA4``'s residues wherever its entries lie in 1..4."""
+    word = _residue_word()
+    return tuple(tuple(word >> 2 * (4 * b + a) & 3 for a in range(4)) for b in range(4))
+
+
+def _bijection_error(k: int) -> ValueError:
+    return ValueError(f"map {k} is not a bijection onto the points other than {k}")
+
+
+def _checked_residues(p: int) -> tuple[tuple[int, ...], ...]:
+    """``_read_residues()``, once every map of order p is checked to be a
+    bijection onto the points other than k, in O(1).
+
+    sigma_k(i) - 1 is the block (a ^ (p - 1) ^ mask) & ~3 plus LOW[b][a],
+    for a = i - 1, b = k - 1 (read mod 4) and mask the bits through the
+    lowest one in which they differ.  The points a != b mod 4 of block A
+    land in block p/4 - 1 - A, and those a = b mod 4 one in each block but
+    b's.  So every map is a bijection exactly when, for each b, LOW[b][a]
+    over a != b is {0..3} less b and, from p = 8 on, where the second kind
+    of point exists, LOW[b][b] = b.  Otherwise the first map that is not
+    is that of k = b + 1 for the first bad b: ``build_all_maps``' error.
+    """
+    low = _read_residues()
+    for b, row in enumerate(low):
+        if sorted(row[:b] + row[b + 1 :]) != [v for v in range(4) if v != b] or (
+            p >= 8 and row[b] != b
+        ):
+            raise _bijection_error(b + 1)
+    return low
+
+
+def sigma_tsv_blocks(p: int) -> Iterator[str]:
+    """The text of ``export``: rows = point i, columns = deleted point k,
+    the image sigma_k(i) tab-separated and 'X' at the hole, in the row
+    blocks of ``deletion_maps.sigma_tsv_blocks``, its numpy oracle.
+
+    The maps are checked when this is called (``_checked_residues``), so a
+    bad map raises before any text is drawn.  Row a = i - 1 is one list of
+    p tokens, filled by n + 2 extended-slice assignments and joined once:
+    a column b != a mod 4 reads only b's residue, so each residue is one
+    token every fourth column; a column b = a mod 4 reads the lowest bit t
+    in which a and b differ, so each t >= 2 is one token every 2**(t + 1)
+    columns; and the hole is 'X'.  No p x p table, and no Python step per
+    cell.
+    """
+    n = order_exponent(p)
+    low = _checked_residues(p)
+    q = p // 4
+    # as the numpy writer counts a cell: its widest token and delimiter
+    # plus an index
+    width = len(str(p)) + 9
+
+    def rows() -> Iterator[str]:
+        row = ["X"] * p
+        for block in _row_blocks(p, p * width):
+            lines = []
+            for a in range(block.start, block.stop):
+                r = a & 3
+                far = (a ^ (p - 1)) & ~3
+                for c in range(4):
+                    if c != r:
+                        row[c::4] = [str(far + 1 + low[c][r])] * q
+                for t in range(2, n):
+                    image = ((a ^ (p - 1) ^ ((2 << t) - 1)) & ~3) + 1 + low[r][r]
+                    row[(a ^ 1 << t) & ((2 << t) - 1) :: 2 << t] = [str(image)] * (p >> t + 1)
+                row[a] = "X"
+                lines.append("\t".join(row))
+            yield "\n".join(lines) + "\n"
+
+    return rows()
+
+
 class BinaryAssignment(_Frozen):
     """A proper assignment of bits to the nonzero levels of order exponent n.
 
@@ -450,6 +553,60 @@ def hex_digraph6(p: int, rows: HexRows) -> Iterator[str]:
         return bytes.fromhex(digits[a - first * q : b - first * q])
 
     return digraph6_blocks(p, read)
+
+
+def _squeeze(x: int, p: int) -> int:
+    """The p fields of p bits of x, each with its top bit clear, as p fields
+    of p - 1 bits: field f, counted from the low end, moves down f bits, in
+    log2 p steps.  Step t moves down 2**t bits the fields whose f has bit t
+    set, 2**t adjacent fields in each group of 2**(t + 1), which lie end to
+    end after the earlier steps."""
+    for t in range(p.bit_length() - 1):
+        s = 1 << t
+        period = 2 * s * p
+        groups = int.from_bytes((bytes(period // 8 - 1) + b"\1") * (p // (2 * s)), "big")
+        run = s * (p - 1)
+        moving = x & ((groups << run) - groups) << s * p
+        x ^= moving
+        x |= moving >> s
+    return x
+
+
+def deck_digraph6(p: int, rows: HexRows) -> Iterator[str]:
+    """The deck of the p-point digraph whose rows are ``rows``: for k = 1..p,
+    the digraph6 of the card without point k (``digraph6_blocks``) and a
+    newline, each the text of ``Digraph.delete_point(k).to_digraph6()``.
+
+    The digraph is one int, row 0 the top p bits, and W_k, with 0-based k,
+    is it with column k cut from every row: p fields of p - 1 bits.  W_0
+    and W_1 are squeezed from the digraph (``_squeeze``); then W_k is
+    W_{k-1} with bit p - 1 - k of each field, where column k sat, taken
+    from bit p - k of W_{k-2}, where column k - 1 sits.  Card k is W_k
+    with field k cut out.  O(p) operations on ints of p**2 bits.
+    """
+    m = p - 1
+    g = int(rows(0, p), 16)
+    column = ((1 << p * p) - 1) // ((1 << p) - 1)  # bit 0 of each p-bit row
+    top = column << m
+    below = (column << m - 1) - column  # bits 0 .. p - 3 of each row
+    w0, w1 = _squeeze(g ^ g & top, p), _squeeze(g & below | (g & top) >> 1, p)
+    field = ((1 << p * m) - 1) // ((1 << m) - 1)  # bit 0 of each field
+    pad = -m * m % 8
+
+    def cards() -> Iterator[str]:
+        w = w0
+        for k in range(p):
+            if k == 1:
+                older, w = w, w1
+            elif k > 1:
+                older, w = w, w & ~(field << m - k) | (older & field << p - k) >> 1
+            f = m - k
+            card = w >> (f + 1) * m << f * m | w & (1 << f * m) - 1
+            data = (card << pad).to_bytes((m * m + pad) // 8, "big")
+            yield from digraph6_blocks(m, lambda a, b: data[a // 8 : -(-b // 8)])
+            yield "\n"
+
+    return cards()
 
 
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"

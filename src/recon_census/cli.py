@@ -19,9 +19,10 @@ Identical invocations produce byte-identical outputs; every verdict is
 exact, and ``verify --seed`` is accepted but reaches nothing.
 
 Importing this module loads no numpy: it parses the arguments with the
-numpy-free core (``recon_census.blocks``), and ``generate`` writes the
-weighted csv and every d6 text from it.  Every other command imports the
-numpy modules it runs inside its handler or check runner, when it runs.
+numpy-free core (``recon_census.blocks``), from which ``generate`` writes
+the weighted csv and every d6 text, ``deck`` its d6 cards and ``export``
+its whole text.  Every other command imports the numpy modules it runs
+inside its handler or check runner, when it runs.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ from recon_census.blocks import (
     ORACLE_ORDER_LIMIT,
     _check_tournaments,
     csv_blocks,
+    deck_digraph6,
     hex_digraph6,
     order_exponent,
+    sigma_tsv_blocks,
     tournament_bits,
     variant_bits,
 )
@@ -292,14 +295,21 @@ def _cmd_generate(config: RunConfig) -> int:
 
 
 def _cmd_deck(config: RunConfig) -> int:
-    """Every point-deleted card of one digraph, built dense
-    (``tournament_digraph`` or ``variant_digraph``); memory holds the
+    """Every point-deleted card of one digraph.  The d6 cards come from the
+    hex digits of ``tournament_bits`` or ``variant_bits``, checked as they
+    are, by ``deck_digraph6`` with no numpy; the csv and dot cards from
+    the digraph built dense (``tournament_digraph`` or
+    ``variant_digraph``) and ``Digraph.delete_point``.  Memory holds the
     digraph, one card and its text, not the deck."""
+    p = config.p
+    variant = MatrixVariant(config.variant)
+    if config.format == "d6":
+        bits = tournament_bits if config.kind == "tournament" else variant_bits
+        _emit(deck_digraph6(p, bits(p, variant)), config.out)
+        return 0
     from recon_census.digraph_builder import tournament_digraph, variant_digraph
 
-    p = config.p
     build = tournament_digraph if config.kind == "tournament" else variant_digraph
-    variant = MatrixVariant(config.variant)
     name = _digraph_name(config, variant)
     g = build(p, variant)
     cards = (
@@ -328,8 +338,9 @@ def _cmd_census(config: RunConfig) -> int:
 
 
 def _cmd_export(config: RunConfig) -> int:
-    from recon_census.deletion_maps import sigma_tsv_blocks
-
+    """The deletion-map table of ``blocks.sigma_tsv_blocks``: every map
+    checked before any text, then each row printed from the closed form,
+    with no p x p table and no numpy."""
     _emit(sigma_tsv_blocks(config.p), config.out)
     return 0
 
@@ -357,17 +368,27 @@ def _emit(pieces: Iterable[str], out: Optional[Path]) -> None:
     except OSError as exc:
         target = "stdout" if out is None else f"--out {out}"
         reason = exc.strerror or exc
-        print(f"recon-census: error: cannot write {target}: {reason}", file=sys.stderr)
+        _diagnose(f"recon-census: error: cannot write {target}: {reason}")
         if out is None:
-            _discard_stdout()
+            _discard(sys.stdout)
         raise SystemExit(2) from exc
 
 
-def _discard_stdout() -> None:
-    """Send stdout to the null device, so that the exit-time flush of what a
-    failed write left buffered cannot fail again."""
+def _diagnose(message: str) -> None:
+    """Print one line on stderr.  A stderr that cannot be written (a closed
+    pipe, say, shared with stdout) is discarded, so that the exit status
+    stays the one the caller chose, not a second error's."""
     try:
-        fd = sys.stdout.fileno()
+        print(message, file=sys.stderr)
+    except OSError:
+        _discard(sys.stderr)
+
+
+def _discard(stream: TextIO) -> None:
+    """Send the stream's file to the null device, so that the exit-time
+    flush of what a failed write left buffered cannot fail again."""
+    try:
+        fd = stream.fileno()
     except (OSError, ValueError):
         return
     null = os.open(os.devnull, os.O_WRONLY)
@@ -525,10 +546,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # a bug, or a failed self-check outside ``verify``: exit 1 would
         # read as a failed check
         message = " ".join(str(exc).split())
-        print(
-            f"recon-census: internal error: {type(exc).__name__}: {message}",
-            file=sys.stderr,
-        )
+        _diagnose(f"recon-census: internal error: {type(exc).__name__}: {message}")
         return 3
 
 

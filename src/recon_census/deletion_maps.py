@@ -1,11 +1,13 @@
 """The point-deletion mappings: construction, evaluation, and identity checks.
 
 For every order p = 2**n >= 4 and every deleted point k, a bijection on
-{1..p} minus {k} is defined.  The order-4 mappings are fixed tables; at
-larger orders the value is obtained by folding both arguments into the
-half order (subtract p/2 from anything above p/2), recursing, and adding
-p/2 back when the queried point lay in the lower half.  Points whose fold
-collides with the deleted point's fold are fixed.
+{1..p} minus {k} is defined.  The order-4 mappings are one fixed table,
+``blocks._SIGMA4`` in the numpy-free core, read on every call (``_sigma4``
+views it as numpy); at larger orders the value is obtained by folding
+both arguments into the half order (subtract p/2 from anything above
+p/2), recursing, and adding p/2 back when the queried point lay in the
+lower half.  Points whose fold collides with the deleted point's fold are
+fixed.
 
 ``sigma`` is that folded evaluation (O(log p) per query), and
 ``sigma_values`` evaluates the fold in closed form on whole index arrays
@@ -21,8 +23,9 @@ The mappings at order p are stored in one form only: the read-only
 from ``_checked_map_blocks``, which checks each block of rows to be
 bijections onto the points other than k as it builds them, and nothing
 is cached: each call builds its 4 * p**2 bytes afresh.  ``build_map``
-computes one row in O(p) without the table.  ``sigma_tsv_blocks``, the
-text of ``export``, holds no table: it runs the same checked blocks,
+computes one row in O(p) without the table.  The text of ``export`` is
+printed by the core (``blocks.sigma_tsv_blocks``), with no numpy;
+``sigma_tsv_blocks`` here is its oracle: it runs the same checked blocks,
 keeping none, and then prints each block of its rows from the closed
 form.
 
@@ -48,6 +51,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from recon_census import blocks
+from recon_census.blocks import _bijection_error, _read_residues, _residue_word
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import (
     _check_integers,
@@ -70,26 +75,11 @@ __all__ = [
     "sigma_values",
 ]
 
-# _SIGMA4[k-1, i-1] = image of point i when point k is deleted (order 4);
-# the diagonal is a 0 placeholder for the undefined slot.
-_SIGMA4 = np.array(
-    [
-        [0, 4, 2, 3],
-        [3, 0, 4, 1],
-        [4, 1, 0, 2],
-        [2, 3, 1, 0],
-    ],
-    dtype=np.int32,
-)
-_SIGMA4.setflags(write=False)
-
-
-def _low_residues() -> np.ndarray:
-    """LOW[b, a], the residue of sigma_k(i) - 1 for residues b of k - 1 and
-    a of i - 1: ``_SIGMA4[b, a] - 1`` off the diagonal, a on it.  Uncached."""
-    low = _SIGMA4 - 1
-    np.fill_diagonal(low, np.arange(4))
-    return low
+def _sigma4() -> np.ndarray:
+    """``blocks._SIGMA4``, the one order-4 table, as a read-only (4, 4)
+    int8 view, taken on every read: [k - 1, i - 1] is the image of point i
+    when point k is deleted, 0 at the hole."""
+    return np.frombuffer(blocks._SIGMA4, dtype=np.int8).reshape(4, 4)
 
 
 def _check_args(p: int, k: int, i: int) -> None:
@@ -116,14 +106,14 @@ def sigma(p: int, k: int, i: int) -> int:
         if i <= h:
             shift += h
         p, i, k = h, fi, fk
-    return int(_SIGMA4[k - 1, i - 1]) + shift
+    return int(_sigma4()[k - 1, i - 1]) + shift
 
 
 def sigma_reference(p: int, k: int, i: int) -> int:
     """Verbatim case-by-case recursion; cross-check oracle for ``sigma``."""
     _check_args(p, k, i)
     if p == 4:
-        return int(_SIGMA4[k - 1, i - 1])
+        return int(_sigma4()[k - 1, i - 1])
     h = p // 2
     if k <= h:
         if i <= h:
@@ -164,14 +154,14 @@ def _sigma_closed_form(p: int, k: np.ndarray, i: np.ndarray) -> np.ndarray:
     ((a ^ (p - 1) ^ mask) & ~3) + 1 + LOW[b & 3, a & 3]: a's own bits
     from bit 2 up to the stopping level, its complemented bits above it
     (the half orders added on the way down), and the order-4 residue.
-    LOW is ``_low_residues()``.  Its sixteen 2-bit entries are packed into
-    one int32 word, entry (b, a) at bit 2 * (4 * b + a), and read with one
-    shift and mask per query, so no index array is widened and there is
-    no ``where`` or gather.  The word is derived on every call, which
-    keeps ``_SIGMA4`` the one order-4 table.
+    LOW is the residue table of ``_SIGMA4``.  Its sixteen 2-bit entries
+    are packed into one int32 word, entry (b, a) at bit 2 * (4 * b + a),
+    and read with one shift and mask per query, so no index array is
+    widened and there is no ``where`` or gather.  The word is the core's
+    (``blocks._residue_word``), derived on every call, which keeps
+    ``_SIGMA4`` the one order-4 table.
     """
-    low = _low_residues()
-    word = np.bitwise_or.reduce(low.ravel() << np.arange(0, 32, 2, dtype=np.int32))
+    word = np.int32(_residue_word())
     a = np.subtract(i, 1, dtype=np.int32)
     b = np.subtract(k, 1, dtype=np.int32)
     t = a ^ b
@@ -190,26 +180,12 @@ def _sigma_closed_form(p: int, k: np.ndarray, i: np.ndarray) -> np.ndarray:
     return t
 
 
-def _read_residues() -> np.ndarray:
-    """LOW as ``_sigma_closed_form`` reads it, indexed [b, a]: the low two
-    bits of sigma_k(i) - 1 at order 8 with i - 1 = a + 4, which differs
-    from k - 1 = b.  These are ``_low_residues()`` wherever its entries
-    lie in 0..3; an entry outside 0..3, from an edited ``_SIGMA4``, is
-    read as the closed form's packed word reads it.  Uncached."""
-    r = np.arange(4, dtype=np.int32)
-    return (_sigma_closed_form(8, r[:, None] + 1, r + 5) - 1) & 3
-
-
 def _map_rows(p: int, ks: np.ndarray) -> np.ndarray:
     """Table rows of the maps deleting the points ``ks``: 1-based images, 0 at the hole."""
     points = np.arange(1, p + 1, dtype=np.int32)
     rows = _sigma_closed_form(p, ks[:, None], points)
     rows[np.arange(ks.size), ks - 1] = 0
     return rows
-
-
-def _bijection_error(k: int) -> ValueError:
-    return ValueError(f"map {k} is not a bijection onto the points other than {k}")
 
 
 def _check_rows(p: int, first: int, rows: np.ndarray) -> None:
@@ -295,7 +271,8 @@ def extend_sigma_p1(p: int) -> np.ndarray:
 def sigma_tsv_blocks(p: int) -> Iterator[str]:
     """Tab-separated table, rows = point, columns = deleted point, 'X' at
     the hole, one ``weight_matrix._text_grid`` block at a time, with no
-    p x p table.
+    p x p table: the numpy oracle of ``blocks.sigma_tsv_blocks``, the text
+    of ``export``.
 
     Every map row is first checked, one ``_checked_map_blocks`` block at a
     time and kept nowhere, when this is called, so a bad map raises
@@ -344,7 +321,7 @@ class _Lemma2Rule:
 
     def __init__(self, p: int):
         self.top = order_exponent(p) - 3  # the block bit of the top digit
-        self.low = _read_residues()
+        self.low = np.array(_read_residues())
 
     def residue(self, letters: np.ndarray) -> np.ndarray:
         a, b, c = letters

@@ -11,7 +11,7 @@ c = j - 1, every term of it is read off the binary digits:
 * sigma_k(i) - 1 keeps the bits of a up to the lowest bit L where a and b
   differ and complements those above it; below bit 2 it is the low-residue
   table as ``deletion_maps._sigma_closed_form`` reads it out of
-  ``_SIGMA4`` (``deletion_maps._read_residues``).
+  ``_SIGMA4`` (``blocks._read_residues``).
 
 The engine, ``_walk``, reads (a, b, c) least significant digit first: one
 layer of the three residues mod 4, then one layer per block bit, under a
@@ -63,6 +63,7 @@ from __future__ import annotations
 import numpy as np
 
 from recon_census import deletion_maps, weight_matrix
+from recon_census.blocks import _read_residues
 from recon_census.digraph_builder import _bit_lut, tournament_assignment, variant_assignment
 from recon_census.report import VerificationReport
 from recon_census.weight_matrix import MatrixVariant, order_exponent
@@ -101,7 +102,7 @@ class _LevelRule:
         reached = weight_matrix._reached_rows(p)
         self.zero_row = int(reached[0])
         self.rows = np.concatenate([reached[:1], reached]).reshape(-1, 2)
-        self.low = deletion_maps._read_residues().astype(np.int64)
+        self.low = np.array(_read_residues(), dtype=np.int64)
 
     def value(self, side: int, row, pair):
         """Class-table values of ``row`` at residue pairs ``pair``, as bytes."""

@@ -100,7 +100,7 @@ def class_blocks(table: bytes) -> np.ndarray:
 @pytest.fixture
 def tables(monkeypatch):
     """Edit the class table (``blocks._CLASS_TABLE``, which every reader
-    reads) and ``_SIGMA4`` in place of the library's.
+    reads) and ``blocks._SIGMA4`` in place of the library's.
 
     ``hypomorphism_verifier.build_dense`` reads unvalidated entry grids, so
     that a one-cell fault, which breaks antisymmetry, reaches the deletion
@@ -135,15 +135,15 @@ def tables(monkeypatch):
 
     def sigma_swap(k, x, y):
         """Swap the images of x and y in row k of ``_SIGMA4`` (0-based)."""
-        table = dm._SIGMA4.copy()
+        table = dm._sigma4().copy()
         table[k, [x, y]] = table[k, [y, x]]
-        monkeypatch.setattr(dm, "_SIGMA4", table)
+        monkeypatch.setattr(blocks, "_SIGMA4", table.tobytes())
 
     def sigma_entry(k, x, value):
         """Set the image of x in row k of ``_SIGMA4`` (0-based) to ``value``."""
-        table = dm._SIGMA4.copy()
+        table = dm._sigma4().copy()
         table[k, x] = value
-        monkeypatch.setattr(dm, "_SIGMA4", table)
+        monkeypatch.setattr(blocks, "_SIGMA4", table.tobytes())
 
     return SimpleNamespace(
         class_cells=class_cells,

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import recon_census.blocks as blocks
-from recon_census.blocks import csv_blocks
+from recon_census.blocks import csv_blocks, sigma_tsv_blocks
 from recon_census.cli import CHECKS, main
-from recon_census.deletion_maps import sigma_table_tsv, sigma_tsv_blocks
+from recon_census.deletion_maps import sigma_table_tsv
 from recon_census.report import SCHEMA_VERSION
 from recon_census.weight_matrix import MatrixVariant, build_dense
 
@@ -421,6 +421,30 @@ class TestExitCodes:
             f"recon-census: error: cannot write stdout: {os.strerror(errno.ENOSPC)}"
         ]
 
+    @pytest.mark.parametrize(
+        "program, status",
+        [
+            # stdout fails, and then its diagnostic on the same pipe
+            (("-m", "recon_census.cli", "export", "--p", "1024"), 2),
+            (("-m", "recon_census.cli", "generate", "--p", "1024"), 2),
+            (("-m", "recon_census.cli", "deck", "--p", "64"), 2),
+            # a broken map is an internal error whose diagnostic fails
+            (("-c", "import recon_census.blocks as b, recon_census.cli as c; "
+              "b._SIGMA4 = bytes(16); raise SystemExit(c.main(['export', '--p', '8']))"), 3),
+        ],
+    )
+    def test_closed_pipe_on_stdout_and_stderr_keeps_the_status(self, program, status):
+        # both descriptors on one pipe whose read end is closed, as in
+        # `recon-census export --p 1024 2>&1 | head -c 10`
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, *program], stdout=write, stderr=write, env=env)
+        finally:
+            os.close(write)
+        assert proc.returncode == status
+
 
 class TestCheckTable:
     @pytest.mark.parametrize(
@@ -591,8 +615,8 @@ class TestGenerate:
     def test_builds_only_the_digraphs_it_writes(
         self, monkeypatch, capsys, kind, rows, builder
     ):
-        # generate's d6 reads each variant's row templates, deck builds its
-        # one dense digraph
+        # generate's d6 and the d6 deck read each variant's row templates;
+        # the csv deck builds its one dense digraph
         import recon_census.cli as cli_mod
         import recon_census.digraph_builder as db
         from recon_census.weight_matrix import MatrixVariant
@@ -615,10 +639,11 @@ class TestGenerate:
             want = list(MatrixVariant) if variant == "both" else [MatrixVariant(variant)]
             assert built == [(rows, v) for v in want]
             if variant != "both":
-                built.clear()
-                assert run_cli("deck", *args) == 0
-                assert built == [(builder, v) for v in want]
-                capsys.readouterr()
+                for fmt, name in (("d6", rows), ("csv", builder)):
+                    built.clear()
+                    assert run_cli("deck", *args, "--format", fmt) == 0
+                    assert built == [(name, v) for v in want]
+                    capsys.readouterr()
         assert lines["both"] == lines["plain"] + lines["star"]
 
     @pytest.mark.parametrize(
@@ -749,8 +774,32 @@ class TestDeckCommand:
     def test_internal_error_leaves_the_cards_before_it(
         self, tmp_path, monkeypatch, capsys
     ):
-        from recon_census.digraph_builder import Digraph
+        # the d6 deck encodes each card with the core's digraph6 writer
+        real = blocks.digraph6_blocks
+        calls = []
 
+        def failing(p, read):
+            calls.append(p)
+            if len(calls) == 3:
+                raise RuntimeError("card 3")
+            return real(p, read)
+
+        monkeypatch.setattr(blocks, "digraph6_blocks", failing)
+        out = tmp_path / "deck.d6"
+        assert run_cli("deck", "--p", "8", "--out", str(out)) == 3
+        golden = (FIXTURES / "deck_p8.d6").read_text().splitlines(keepends=True)
+        assert out.read_text() == "".join(golden[:2])
+        assert capsys.readouterr().err == (
+            "recon-census: internal error: RuntimeError: card 3\n"
+        )
+
+    def test_internal_error_leaves_the_csv_cards_before_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from recon_census.digraph_builder import Digraph, tournament_digraph
+
+        g = tournament_digraph(8, MatrixVariant.PLAIN)
+        want = _items_text([(None, g.delete_point(k)) for k in (1, 2)], "csv")
         real = Digraph.delete_point
 
         def failing(self, k):
@@ -759,10 +808,9 @@ class TestDeckCommand:
             return real(self, k)
 
         monkeypatch.setattr(Digraph, "delete_point", failing)
-        out = tmp_path / "deck.d6"
-        assert run_cli("deck", "--p", "8", "--out", str(out)) == 3
-        golden = (FIXTURES / "deck_p8.d6").read_text().splitlines(keepends=True)
-        assert out.read_text() == "".join(golden[:2])
+        out = tmp_path / "deck.csv"
+        assert run_cli("deck", "--p", "8", "--format", "csv", "--out", str(out)) == 3
+        assert out.read_text() == want
         assert capsys.readouterr().err == (
             "recon-census: internal error: RuntimeError: card 3\n"
         )
@@ -869,7 +917,7 @@ class TestStreamedWrites:
 
         from recon_census.cli import _emit
 
-        # the row templates and the map table, which each call builds, are
+        # the row templates and the map check, which each call makes, are
         # not the writer's scratch: only drawing and writing the text is
         blocks = itertools.chain.from_iterable(texts())
         out = tmp_path / "out.txt"

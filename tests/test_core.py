@@ -1,11 +1,13 @@
 """The numpy-free core (``recon_census.blocks``) and the writers built on it.
 
-Importing the command line loads no numpy, and ``generate`` writes the
-weighted CSV and both digraph kinds' digraph6 from the core alone: the
-writers run in a process where ``import numpy`` fails, and their bytes are
-the dense route's.  The core's checks read the one class table on every
-call, so under every one-cell fault its writers fail as ``build_dense``
-and the dense tournament test do, with the same exception and message.
+Importing the command line loads no numpy, ``generate`` writes the
+weighted CSV and both digraph kinds' digraph6 from the core alone, and so
+do ``export`` its table and ``deck`` its digraph6 cards: the writers run
+in a process where ``import numpy`` fails, and their bytes are the dense
+route's.  The core's checks read the one class table and the one order-4
+map table on every call, so under every one-cell fault its writers fail
+as ``build_dense``, the dense tournament test and the checked map blocks
+do, with the same exception and message.
 """
 
 import json
@@ -18,9 +20,23 @@ import numpy as np
 import pytest
 
 import recon_census.blocks as blocks
+import recon_census.deletion_maps as dm
 import recon_census.weight_matrix as wm
-from recon_census.blocks import csv_blocks, hex_digraph6, tournament_bits, variant_bits
-from recon_census.digraph_builder import Digraph, _bit_lut, apply_assignment
+from recon_census.blocks import (
+    csv_blocks,
+    deck_digraph6,
+    hex_digraph6,
+    sigma_tsv_blocks,
+    tournament_bits,
+    variant_bits,
+)
+from recon_census.digraph_builder import (
+    Digraph,
+    _bit_lut,
+    apply_assignment,
+    tournament_digraph,
+    variant_digraph,
+)
 from recon_census.errors import ContradictionError
 from recon_census.weight_matrix import MatrixVariant, build_dense, entry_grid
 
@@ -32,6 +48,9 @@ ASSIGNMENTS = {
     "tournament": blocks.tournament_assignment,
     "variant-digraph": blocks.variant_assignment,
 }
+# each kind's hex rows (the core) and its dense digraph
+BITS = {"tournament": tournament_bits, "variant-digraph": variant_bits}
+DIGRAPHS = {"tournament": tournament_digraph, "variant-digraph": variant_digraph}
 
 # Runs the command line once per argument list of argv[1] (JSON), with
 # numpy made unimportable first, and prints the exit statuses as JSON.
@@ -63,12 +82,40 @@ def dense_pair_d6(p, kind):
     )
 
 
+def dense_deck_d6(p, kind, variant):
+    """The digraph6 lines of one digraph's cards, each cut from the dense
+    digraph by ``Digraph.delete_point``."""
+    g = DIGRAPHS[kind](p, variant)
+    return "".join(g.delete_point(k).to_digraph6() + "\n" for k in range(1, p + 1))
+
+
+# Imports the command line, then runs each argument list of argv[1]
+# (JSON), and prints whether numpy is loaded before and after each.
+LOADED = """
+import json, os, sys
+from recon_census.cli import main
+seen = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    seen += [main([*argv, "--out", os.devnull]), "numpy" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
 def test_importing_the_command_line_loads_no_numpy():
-    code = "import sys, recon_census.cli; print('numpy' in sys.modules)"
+    runs = [
+        ["generate", "--p", "64", "--variant", "both"],
+        ["generate", "--p", "64", "--kind", "variant-digraph", "--format", "d6"],
+        ["export", "--p", "64"],
+        ["deck", "--p", "64"],
+        ["deck", "--p", "64", "--kind", "variant-digraph", "--variant", "star"],
+    ]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED, json.dumps(runs)],
+        capture_output=True, text=True, env=env,
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert json.loads(proc.stdout) == [False] + [0, False] * len(runs)
 
 
 def test_writers_run_with_numpy_blocked(tmp_path):
@@ -90,9 +137,40 @@ def test_writers_run_with_numpy_blocked(tmp_path):
             if p >= 8 or kind == "tournament":
                 args = ["generate", "--p", str(p), "--kind", kind, "--variant", "both"]
                 expect([*args, "--format", "d6"], dense_pair_d6(p, kind))
+        fixture = FIXTURES / f"sigma_p{p}.tsv"
+        if fixture.exists():
+            assert fixture.read_text() == dm.sigma_table_tsv(p)
+        expect(["export", "--p", str(p)], dm.sigma_table_tsv(p))
+    deck8 = dense_deck_d6(8, "tournament", MatrixVariant.PLAIN)
+    assert (FIXTURES / "deck_p8.d6").read_text() == deck8
+    for p in ORDERS[:7]:
+        for kind in ASSIGNMENTS:
+            if p < 8 and kind != "tournament":
+                continue
+            for v in MatrixVariant:
+                args = ["deck", "--p", str(p), "--kind", kind, "--variant", v.value]
+                expect(args, dense_deck_d6(p, kind, v))
     assert run_blocked(runs) == [0] * len(runs)
     for (out, text), args in zip(want, runs):
         assert out.read_text() == text, args
+
+
+@pytest.mark.parametrize(
+    "p, kind, variant",
+    [
+        (p, kind, v)
+        for p in (4, 8, 16, 32)
+        for kind in ASSIGNMENTS
+        for v in MatrixVariant
+        if p >= 8 or kind == "tournament"
+    ],
+)
+def test_deck_cards_read_back_as_the_deleted_digraphs(p, kind, variant):
+    g = DIGRAPHS[kind](p, variant)
+    lines = "".join(deck_digraph6(p, BITS[kind](p, variant))).splitlines()
+    assert len(lines) == p
+    for k, line in enumerate(lines, 1):
+        assert Digraph.from_digraph6(line) == g.delete_point(k), k
 
 
 def test_numpy_commands_fail_when_numpy_is_blocked(tmp_path):
@@ -171,3 +249,60 @@ def test_order_exponent_takes_numpy_integers_once_numpy_is_loaded():
     assert blocks.order_exponent(np.int64(1024)) == 10
     with pytest.raises(ValueError, match="must be an integer"):
         blocks.order_exponent(8.0)
+
+
+def checked_blocks_tsv(p):
+    """The numpy route of ``export``: every map row checked in the blocks of
+    ``_checked_map_blocks``, then the numpy text."""
+    for _ in dm._checked_map_blocks(p):
+        pass
+    return dm.sigma_table_tsv(p)
+
+
+def numpy_residue_word():
+    """The packed residue word as numpy derives it from ``_SIGMA4``:
+    LOW = the table less 1, its diagonal 0..3, entry (b, a) shifted to bit
+    2 * (4b + a) in int32 and ORed."""
+    low = dm._sigma4().astype(np.int32) - 1
+    np.fill_diagonal(low, np.arange(4))
+    return int(np.bitwise_or.reduce(low.ravel() << np.arange(0, 32, 2, dtype=np.int32)))
+
+
+def test_export_fails_as_the_checked_map_blocks_under_every_sigma4_edit(tables, monkeypatch):
+    clean = blocks._SIGMA4
+    edits = [None] + [
+        (k, x, v) for k in range(4) for x in range(4) for v in range(-1, 7)
+        if v != clean[4 * k + x]
+    ]
+    seen = set()
+    for edit in edits:
+        monkeypatch.setattr(blocks, "_SIGMA4", clean)
+        if edit is not None:
+            tables.sigma_entry(*edit)
+        assert blocks._residue_word() == numpy_residue_word(), edit
+        for p in (4, 8, 16, 32):
+            core = outcome(lambda: "".join(sigma_tsv_blocks(p)))
+            assert core == outcome(lambda: checked_blocks_tsv(p)), (edit, p)
+            seen.add(core[0])
+    assert seen == {"ok", "ValueError"}
+
+
+@pytest.mark.parametrize("p", [8, 16])
+def test_deck_fails_as_the_dense_route_under_every_one_cell_fault(tables, p):
+    faults = [
+        (variant, int(row), r, c)
+        for variant in MatrixVariant
+        for row in wm._reached_rows(p)
+        for r in range(4)
+        for c in range(4)
+    ]
+    seen = set()
+    for fault in [None, *faults]:
+        if fault is not None:
+            tables.class_cell(*fault)
+        for kind in ASSIGNMENTS:
+            for v in MatrixVariant:
+                core = outcome(lambda: "".join(deck_digraph6(p, BITS[kind](p, v))))
+                assert core == outcome(lambda: dense_deck_d6(p, kind, v)), (fault, kind)
+                seen.add(core[0])
+    assert seen == {"ok", "ValueError", "ContradictionError"}

@@ -141,12 +141,12 @@ class TestSigmaValues:
         printed = sigma_values(p, k, i)
         # each row the inverse of the printed one: other bijections onto the
         # points other than k
-        inverse = np.zeros_like(dm._SIGMA4)
+        inverse = np.zeros_like(dm._sigma4())
         for b in range(4):
             for a in range(4):
                 if a != b:
-                    inverse[b, dm._SIGMA4[b, a] - 1] = a + 1
-        monkeypatch.setattr(dm, "_SIGMA4", inverse)
+                    inverse[b, dm._sigma4()[b, a] - 1] = a + 1
+        monkeypatch.setattr(blocks, "_SIGMA4", inverse.tobytes())
         want = [sigma_reference(p, int(a), int(b)) for a, b in zip(k, i)]
         assert not np.array_equal(want, printed)
         assert [sigma(p, int(a), int(b)) for a, b in zip(k, i)] == want
@@ -481,14 +481,14 @@ class TestLemma2OnDigits:
     def test_rule_reads_every_triple_as_the_closed_form(self, tables, monkeypatch, p):
         # every one-entry edit of _SIGMA4, the diagonal and values outside
         # 1..4 (which the closed form's packed residues wrap) included
-        clean = dm._SIGMA4
+        clean = blocks._SIGMA4
         edits = [None] + [
             (k, x, v) for k in range(4) for x in range(4) for v in range(-1, 7)
-            if v != clean[k, x]
+            if v != dm._sigma4()[k, x]
         ]
         seen = np.zeros(5, dtype=int)
         for edit in edits:
-            monkeypatch.setattr(dm, "_SIGMA4", clean)
+            monkeypatch.setattr(blocks, "_SIGMA4", clean)
             if edit is not None:
                 tables.sigma_entry(*edit)
             want = closed_form_failures(p)

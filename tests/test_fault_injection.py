@@ -200,9 +200,9 @@ class TestLemma2Reporting:
 
     def test_sigma4_fault_that_breaks_a_bijection_raises(self, monkeypatch):
         # the order-4 map deleting 1 sends 2 and 3 to one image
-        sigma4 = dm._SIGMA4.copy()
+        sigma4 = dm._sigma4().copy()
         sigma4[0, 1] = sigma4[0, 2]
-        monkeypatch.setattr(dm, "_SIGMA4", sigma4)
+        monkeypatch.setattr(blocks, "_SIGMA4", sigma4.tobytes())
         with pytest.raises(ValueError, match="map 1 is not a bijection") as info:
             dm.check_lemma2(8)
         with pytest.raises(ValueError, match=str(info.value)):
@@ -675,9 +675,9 @@ class TestFaultAfterAFirstCall:
 
     def test_build_all_maps(self, monkeypatch):
         before = dm.build_all_maps(8)
-        sigma4 = dm._SIGMA4.copy()
+        sigma4 = dm._sigma4().copy()
         sigma4[0, [1, 2]] = sigma4[0, [2, 1]]
-        monkeypatch.setattr(dm, "_SIGMA4", sigma4)
+        monkeypatch.setattr(blocks, "_SIGMA4", sigma4.tobytes())
         after = dm.build_all_maps(8)
         assert not np.array_equal(after, before)
         assert np.array_equal(after, [dm.build_map(8, k) for k in range(1, 9)])
@@ -821,9 +821,9 @@ class TestExportFaults:
     @pytest.mark.parametrize("k, x, y", [(0, 1, 2), (3, 0, 2)])
     def test_broken_bijection_exits_3_before_any_text(self, monkeypatch, capsys, p, k, x, y):
         # the order-4 map deleting k + 1 sends x + 1 where it sends y + 1
-        sigma4 = dm._SIGMA4.copy()
+        sigma4 = dm._sigma4().copy()
         sigma4[k, x] = sigma4[k, y]
-        monkeypatch.setattr(dm, "_SIGMA4", sigma4)
+        monkeypatch.setattr(blocks, "_SIGMA4", sigma4.tobytes())
         with pytest.raises(ValueError, match=f"map {k + 1} is not a bijection") as info:
             dm.build_all_maps(p)
         assert main(["export", "--p", str(p)]) == 3

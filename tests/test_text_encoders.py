@@ -289,8 +289,10 @@ class TestSigmaTsv:
         # dense route the closed form replaced
         tables = dm.build_all_maps(p)
         tokens = ["X", *map(str, range(1, p + 1))]
-        dense = _text_grid(p, lambda rows: tables[:, rows].T, tokens, "\t")
-        assert list(dm.sigma_tsv_blocks(p)) == list(dense)
+        dense = list(_text_grid(p, lambda rows: tables[:, rows].T, tokens, "\t"))
+        assert list(dm.sigma_tsv_blocks(p)) == dense
+        # the numpy-free text of ``export``, piece for piece
+        assert list(blocks.sigma_tsv_blocks(p)) == dense
 
     def test_four_digit_images_appear(self):
         rows = sigma_table_tsv(1024).splitlines()

@@ -77,13 +77,13 @@ def test_sigma4_read_as_the_closed_form_reads_it(tables, p):
 def test_every_sigma4_edit_read_as_the_closed_form_reads_it(tables, monkeypatch):
     # every one-entry edit at p = 8, the diagonal and values outside 1..4
     # included, and the clean table
-    clean = dm._SIGMA4
+    clean = blocks._SIGMA4
     edits = [None] + [
         (k, x, v) for k in range(4) for x in range(4) for v in range(-1, 7)
-        if v != clean[k, x]
+        if v != dm._sigma4()[k, x]
     ]
     for edit in edits:
-        monkeypatch.setattr(dm, "_SIGMA4", clean)
+        monkeypatch.setattr(blocks, "_SIGMA4", clean)
         if edit is not None:
             tables.sigma_entry(*edit)
         assert decide_hypomorphisms(8)[0] == theorem1_loops(8), edit
